@@ -39,11 +39,14 @@ class DecodeConfig:
 
 @dataclass
 class StepReport:
+    """What one decode step did.  ``llm_calls`` counts the base-model
+    forwards the step made."""
+
     accepted_draft_tokens: int
     chosen_candidate: int
     packed_size: int
     compression_ratio: float
-    llm_calls: int = 1
+    llm_calls: int
 
 
 @dataclass
@@ -202,7 +205,9 @@ def speculative_generate(base, proposer, prompt, cfg, _omit_guaranteed=False):
         reports.append(StepReport(accepted_draft_tokens=acc,
                                   chosen_candidate=result.chosen_candidate,
                                   packed_size=packed.n,
-                                  compression_ratio=beam_mod.compression_ratio(proposal, packed)))
+                                  compression_ratio=beam_mod.compression_ratio(proposal, packed),
+                                  # forward_context of the guaranteed token, forward_packed of the tree
+                                  llm_calls=2))
         for token in step_tokens:
             emitted.append(token)
             if cfg.stop_token is not None and token == cfg.stop_token:

@@ -1,16 +1,38 @@
 """Dense float32 kernels used by the base models.
 
 Every reduction here runs in a fixed, data-independent order: single-precision
-accumulation, left to right.  The exact-output guarantee of the decode loop
-relies on the packed-verification path and the plain causal path producing
-bitwise-identical logits, which only holds if masked-out attention entries
-contribute exact zeros to sums taken in the same order.
+accumulation, left to right, starting from +0.0, as in the scalar triple loop.
+The exact-output guarantee of the decode loop relies on the packed-verification
+path and the plain causal path producing bitwise-identical logits, which only
+holds if masked-out attention entries contribute exact zeros to sums taken in
+the same order, and if a row's result does not depend on which other rows
+share the batch.
 
-The hot kernels (``matmul``, ``row_softmax``) have numba-compiled versions.
-Backend selection happens at import time: numba when available, unless
-``REDRAFTER_BACKEND=numpy`` forces the pure-numpy fallback.  Both lanes
-implement the same fixed-order arithmetic; within one process all calls go
-through the same lane.
+The numpy lane does each reduction as whole-array operations, and the order
+rule lives in one helper, ``_ordered_sum``.  numpy sums *pairwise* (eight
+interleaved partial sums up to 128 terms, recursive halves beyond) whenever
+a reduction runs along the innermost, contiguous axis of its operand.  So
+``x.sum()``, ``x.sum(axis=-1)`` and ``np.add.reduce`` over a contiguous axis
+are banned here: their rounding depends on the row length and on where the
+exact zeros of masked entries fall, and survivors of a mask would no longer
+match a dense row.  ``_ordered_sum`` instead
+
+- reduces the *outermost* axis of a C-ordered array with ``np.add.reduce``,
+  which adds whole slabs one after another, i.e. in index order.  This holds
+  only while a slab has at least 2 elements; with 1, numpy collapses the array
+  and reduces along a contiguous axis again;
+- otherwise uses ``np.add.accumulate``, which is sequential by definition.
+
+Products that feed a sum are written into a fresh C-ordered array with the
+summed index outermost (``_ordered_dot``); letting numpy choose the layout
+of a broadcast product can put the summed index innermost.  The price is a
+temporary as large as the output times the summed length.
+
+numba is an optional extra (``pip install -e ".[numba]"``).  When it imports,
+its compiled scalar loops are the default lane, unless
+``REDRAFTER_BACKEND=numpy`` forces the numpy lane; without it the numpy lane
+runs.  Both lanes implement the same fixed-order arithmetic; within one
+process all calls go through the same lane.
 """
 
 import os
@@ -20,6 +42,7 @@ import numpy as np
 from .errors import ShapeError
 
 _NEG_BIAS = np.float32(-1e9)  # additive mask penalty; exp() underflows to exact 0.0
+_ZERO = np.float32(0.0)
 
 
 def _as_f32(a):
@@ -30,34 +53,45 @@ def _as_f32(a):
 # pure-numpy lane
 # ---------------------------------------------------------------------------
 
+def _ordered_sum(terms, axis=0):
+    """Left-to-right float32 sum of C-ordered ``terms`` along ``axis``, from +0.0."""
+    # reduce is sequential only along axis 0 and only while each slab has >= 2 elements
+    if terms.shape[axis] == 0 or (axis == 0 and terms.size >= 2 * terms.shape[0]):
+        return np.add.reduce(terms, axis=axis, initial=_ZERO)
+    # adding +0.0 turns an all-(-0.0) sum into the loop's +0.0 and changes nothing else
+    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis) + _ZERO
+
+
+def _ordered_dot(x, y):
+    """Sum over axis 0 of the broadcast product ``x * y``, left to right."""
+    terms = np.empty(np.broadcast(x, y).shape, dtype=np.float32)
+    return _ordered_sum(np.multiply(x, y, out=terms))
+
+
 def _matmul_numpy(a, b):
-    # Accumulate over k sequentially so every output element sees the same
-    # rounding sequence as the naive i,j,k triple loop.
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float32)
-    for k in range(a.shape[1]):
-        out += a[:, k, None] * b[None, k, :]
-    return out
-
-
-def _attend_numpy(q, keys, vals, bias, n_heads, scale):
-    n, d = q.shape
-    dh = d // n_heads
-    out = np.empty_like(q)
-    for head in range(n_heads):
-        sl = slice(head * dh, (head + 1) * dh)
-        scores = _matmul_numpy(q[:, sl], np.ascontiguousarray(keys[:, sl].T)) * scale + bias
-        probs = _row_softmax_numpy(scores)
-        out[:, sl] = _matmul_numpy(probs, vals[:, sl])
-    return out
+    # terms[k, i, j] = a[i, k] * b[k, j]
+    return _ordered_dot(a.T[:, :, None], b[:, None, :])
 
 
 def _row_softmax_numpy(scores):
-    m = scores.max(axis=1, keepdims=True)
-    e = np.exp(scores - m)
-    total = np.zeros(scores.shape[0], dtype=np.float32)
-    for j in range(scores.shape[1]):  # sequential sum: exact zeros are identity
-        total += e[:, j]
-    return e / total[:, None]
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / _ordered_sum(e, axis=-1)[..., None]
+
+
+def _attend_numpy(q, keys, vals, bias, n_heads, scale):
+    """All heads in one pass; the same products and sums as per-head
+    ``matmul`` + ``row_softmax`` + ``matmul``."""
+    n, d = q.shape
+    m = keys.shape[0]
+    dh = d // n_heads
+    # scores[h, i, j] = sum over t of q[i, h, t] * keys[j, h, t]
+    scores = _ordered_dot(q.reshape(n, n_heads, dh).transpose(2, 1, 0)[:, :, :, None],
+                          keys.reshape(m, n_heads, dh).transpose(2, 1, 0)[:, :, None, :])
+    probs = _row_softmax_numpy(scores * scale + bias)
+    # out[h, t, i] = sum over j of probs[h, i, j] * vals[j, h, t]
+    out = _ordered_dot(probs.transpose(2, 0, 1)[:, :, None, :],
+                       vals.reshape(m, n_heads, dh)[:, :, :, None])
+    return out.transpose(2, 0, 1).reshape(n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -197,32 +231,12 @@ def row_softmax(scores):
     return _row_softmax_impl(_as_f32(scores))
 
 
-def log_softmax(v):
-    """Numerically stabilized log-softmax of a vector (max subtraction)."""
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError(f"log_softmax expects a non-empty vector, got shape {v.shape}")
-    s = v - v.max()
-    return (s - np.log(np.exp(s).sum())).astype(v.dtype if v.dtype.kind == "f" else np.float64)
-
-
 def argmax_tie_low(v):
     """Index of the maximum value; ties break toward the lowest index."""
     v = np.asarray(v)
     if v.ndim != 1 or v.size == 0:
         raise ShapeError(f"argmax_tie_low expects a non-empty vector, got shape {v.shape}")
     return int(np.argmax(v))
-
-
-def top_k(v, k):
-    """The k largest values, sorted descending; equal values keep ascending index order."""
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError(f"top_k expects a non-empty vector, got shape {v.shape}")
-    if not 1 <= k <= v.size:
-        raise ShapeError(f"top_k: k={k} out of range for vector of length {v.size}")
-    order = np.argsort(-v, kind="stable")[:k]
-    return order, v[order]
 
 
 def attend(q, keys, vals, bias, n_heads, scale):
