@@ -3,8 +3,8 @@
 Candidate sequences all have the same length, which lets shared prefixes be
 found with plain tensor operations (elementwise match matrix, cumulative sum,
 first-match argmax) instead of a trie.  The deduplicated beam is flattened
-into a "packed" token list whose ancestor-closure mask drives tree-masked
-verification in the base model.
+into a "packed" token tree rooted at the step's guaranteed token, whose
+ancestor-closure mask drives tree-masked verification in the base model.
 """
 
 from dataclasses import dataclass
@@ -14,7 +14,7 @@ import numpy as np
 from . import drafter
 from .errors import ConfigError, ContractError
 
-ROOT_PARENT = -1  # parent index meaning "the guaranteed token in committed context"
+ROOT_PARENT = -1  # parent index of the root node
 
 
 @dataclass
@@ -40,23 +40,24 @@ class Beam:
 
 @dataclass
 class TreeMask:
-    """Ancestor-closure attention mask over packed draft tokens."""
+    """Ancestor-closure attention mask over packed tree nodes."""
 
-    n: int
     allowed: np.ndarray   # (n, n) bool; allowed[i, j] iff j is i or an ancestor of i
-    depths: np.ndarray    # (n,) 1-based distance from the guaranteed token
-    parents: np.ndarray   # (n,) parent flat index, ROOT_PARENT at depth 1
 
 
 @dataclass
 class PackedBeam:
-    """Deduplicated, flattened beam plus the bookkeeping to map back."""
+    """Deduplicated beam flattened into a token tree rooted at the guaranteed
+    token, plus the bookkeeping to map candidates back to tree nodes.
 
-    tokens: np.ndarray          # (n,) flat draft tokens, candidate-major order
-    parents: np.ndarray         # (n,)
-    depths: np.ndarray          # (n,)
-    owner: np.ndarray           # (n, 2) first-owning (candidate, position)
-    candidate_node: np.ndarray  # (beam_width, beam_length) -> flat index
+    Node 0 is the root.  Draft token (i, j) of the beam sits at depth j + 1,
+    so a node's depth is its offset from the root's absolute position.
+    """
+
+    tokens: np.ndarray          # (n,) root then draft tokens, candidate-major order
+    parents: np.ndarray         # (n,) parent node, ROOT_PARENT for the root
+    depths: np.ndarray          # (n,) 0 for the root
+    candidate_node: np.ndarray  # (beam_width, beam_length) -> node index (>= 1)
     mask: TreeMask
 
     @property
@@ -64,7 +65,7 @@ class PackedBeam:
         return self.tokens.shape[0]
 
     def candidate_path(self, i):
-        """Flat indices of candidate i's root-to-leaf path."""
+        """Node indices of candidate i's draft tokens, root excluded."""
         return self.candidate_node[i]
 
 
@@ -114,11 +115,11 @@ def dedup_prefix(tokens):
     return np.argmax(seq_matches, axis=1)                        # ties -> lowest k
 
 
-def pack_beam(beam, prefix_tree):
-    """Flatten a beam keeping one copy of each shared prefix token.
+def pack_beam(beam, prefix_tree, root):
+    """Flatten a beam under a ``root`` token, one node per distinct prefix.
 
-    A token (i, j) owns a flat slot iff prefix_tree[i][j] == i; other
-    candidates reference the owner's slot.  Flat order is candidate-major,
+    A token (i, j) owns a node iff prefix_tree[i][j] == i; other candidates
+    reference the owner's node.  Node order is the root, then candidate-major,
     position-minor, so parents always precede children.
     """
     tokens = np.asarray(beam.tokens)
@@ -127,35 +128,25 @@ def pack_beam(beam, prefix_tree):
         raise ContractError("prefix_tree is inconsistent with the beam")
     width, length = tokens.shape
 
-    candidate_node = np.full((width, length), -1, dtype=np.int64)
-    flat_tokens, parents, depths, owner = [], [], [], []
-    for i in range(width):
-        for j in range(length):
-            if prefix_tree[i, j] == i:
-                idx = len(flat_tokens)
-                flat_tokens.append(tokens[i, j])
-                parents.append(ROOT_PARENT if j == 0 else candidate_node[i, j - 1])
-                depths.append(j + 1)
-                owner.append((i, j))
-                candidate_node[i, j] = idx
-            else:
-                candidate_node[i, j] = candidate_node[prefix_tree[i, j], j]
-
-    n = len(flat_tokens)
-    parents = np.asarray(parents, dtype=np.int64)
-    depths = np.asarray(depths, dtype=np.int64)
+    owner = prefix_tree == np.arange(width)[:, None]
+    cand, pos = np.nonzero(owner)  # owners in candidate-major order
+    n = 1 + cand.size
+    # owners are numbered from 1 in that order; other entries read their owner's number
+    candidate_node = np.cumsum(owner).reshape(width, length)[prefix_tree, np.arange(length)]
+    # anc[a, d]: the ancestor of node a at depth d, the root past a's own depth
+    anc = np.zeros((n, length + 1), dtype=np.int64)
+    anc[1:, 1:] = np.where(np.arange(length) <= pos[:, None], candidate_node[cand], 0)
     allowed = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        if parents[i] != ROOT_PARENT:
-            allowed[i] = allowed[parents[i]]
-        allowed[i, i] = True
-
-    mask = TreeMask(n=n, allowed=allowed, depths=depths, parents=parents)
-    return PackedBeam(tokens=np.asarray(flat_tokens, dtype=np.int64), parents=parents,
-                      depths=depths, owner=np.asarray(owner, dtype=np.int64),
-                      candidate_node=candidate_node, mask=mask)
+    allowed[np.arange(n)[:, None], anc] = True
+    depths = np.concatenate(([0], pos + 1))
+    parents = anc[np.arange(n), depths - 1]
+    parents[0] = ROOT_PARENT
+    return PackedBeam(tokens=np.concatenate(([root], tokens[cand, pos])).astype(np.int64),
+                      parents=parents, depths=depths, candidate_node=candidate_node,
+                      mask=TreeMask(allowed=allowed))
 
 
 def compression_ratio(beam, packed):
-    """Raw beam token count divided by packed token count (>= 1)."""
-    return (beam.width * beam.length) / packed.n
+    """Candidate tokens, each candidate counting the shared root, divided by
+    packed nodes (>= 1)."""
+    return (beam.width * (beam.length + 1)) / packed.n

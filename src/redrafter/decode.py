@@ -1,6 +1,16 @@
-"""Speculative decoding loop: alternate draft-side beam search with a single
-tree-masked verification forward per step, greedily accepting the longest
-draft prefix that matches the base model's own argmax choices.
+"""Speculative decoding loop: one tree-masked verification forward of the
+base model per step, greedily accepting the longest draft prefix that matches
+the base model's own argmax choices.
+
+Each step's tree is rooted at the step's guaranteed token (the base model's
+argmax after the committed context), which sits at the next absolute
+position; the draft candidates hang below it.  The root's logits verify the
+depth-1 drafts, each draft node's logits verify its children, and the node
+that ends the accepted path yields the next step's guaranteed token.  The
+step commits the root plus the accepted path, and the next step's drafter
+conditions on the hidden state of the last committed node together with the
+embedding of the next guaranteed token.  The prompt's prefill seeds the
+first step the same way.
 
 Acceptance is strictly token-match (temperature 0), so the emitted stream is
 exactly the autoregressive greedy stream: every accepted token is, by
@@ -9,13 +19,12 @@ and the step always ends with the base model's own next token.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import beam as beam_mod
-from . import drafter
 from .errors import CapacityError, ConfigError, ContractError
 from .kernels import argmax_tie_low
 
@@ -82,54 +91,39 @@ class MirrorProposer:
     def propose(self, h, last_token, beam_width, beam_length):
         if beam_width != 1:
             raise ConfigError("MirrorProposer supports beam_width=1 only")
-        # The live cache already ends at the guaranteed token; rewind one slot
-        # and re-forward it on a scratch copy to recover its logits.
+        # the live cache ends just before the guaranteed token
         scratch = self.cache.clone()
-        scratch.committed_len -= 1
-        scratch.tokens.pop()
         out = self.base.forward_context([last_token], scratch)
         tokens = []
         for _ in range(beam_length):
-            token = argmax_tie_low(out.logits[-1])
-            tokens.append(token)
-            out = self.base.forward_context([token], scratch)
+            tokens.append(argmax_tie_low(out.logits[-1]))
+            if len(tokens) < beam_length:
+                out = self.base.forward_context([tokens[-1]], scratch)
         return beam_mod.Beam(tokens=np.asarray([tokens], dtype=np.int64),
                              logp=np.zeros(1))
 
 
-def verify_greedy(base_output, beam, packed, guaranteed_logits):
+def verify_greedy(base_output, beam, packed):
     """Accept the longest draft prefix that matches the verifier's argmaxes.
 
     A draft token at position j of candidate i is accepted iff it equals the
-    argmax of the logits at its predecessor node (the guaranteed token for
-    j=0, else packed node (i, j-1)).  Ties across candidates go to the lower
-    beam index; the beam is already sorted by drafter log-probability.
+    argmax of the logits at its parent node (the root for j=0, else packed
+    node (i, j-1)).  Ties across candidates go to the lower beam index; the
+    beam is already sorted by drafter log-probability.
     """
     if base_output.logits.shape[0] != packed.n:
         raise ContractError(f"base output rows ({base_output.logits.shape[0]}) do not "
                             f"align with packed tokens ({packed.n})")
-    node_argmax = np.argmax(base_output.logits, axis=1) if packed.n else np.zeros(0, np.int64)
-    g_argmax = argmax_tie_low(guaranteed_logits)
-    _warn_near_ties(guaranteed_logits[None, :])
-
-    width, length = beam.tokens.shape
-    pred = np.empty((width, length), dtype=np.int64)
-    pred[:, 0] = g_argmax
-    if length > 1:
-        pred[:, 1:] = node_argmax[packed.candidate_node[:, :-1]]
-    matches = beam.tokens == pred
-    # accepted length = index of first mismatch
-    accepted = np.where(matches.all(axis=1), length, np.argmin(matches, axis=1))
+    node_argmax = np.argmax(base_output.logits, axis=1)
+    matches = beam.tokens == node_argmax[packed.parents[packed.candidate_node]]
+    # accepted length = number of leading matches
+    accepted = np.cumprod(matches, axis=1).sum(axis=1)
     chosen = int(np.argmax(accepted))
     acc = int(accepted[chosen])
-    if acc == 0:
-        nxt = g_argmax
-    else:
-        node = packed.candidate_node[chosen, acc - 1]
-        nxt = int(node_argmax[node])
-        _warn_near_ties(base_output.logits[packed.candidate_node[chosen, :acc]])
+    path = np.concatenate([[0], packed.candidate_node[chosen, :acc]])
+    _warn_near_ties(base_output.logits[path])
     return VerifyResult(chosen_candidate=chosen, accepted_len=acc,
-                        next_guaranteed_token=nxt)
+                        next_guaranteed_token=int(node_argmax[path[-1]]))
 
 
 def _warn_near_ties(rows):
@@ -180,42 +174,43 @@ def speculative_generate(base, proposer, prompt, cfg, _omit_guaranteed=False):
 
     cache = base.new_cache()
     out = base.forward_context(prompt, cache)
+    h = out.hidden[-1]
     guaranteed = argmax_tie_low(out.logits[-1])
 
     emitted = []
     reports = []
-    stopped = False
-    while len(emitted) < cfg.max_new_tokens and not stopped:
-        out_g = base.forward_context([guaranteed], cache)
-        # the drafter conditions on the hidden state at the last committed
-        # token, the same alignment its training examples use
-        proposal = proposer.propose(out_g.hidden[0], guaranteed,
-                                    cfg.beam_width, cfg.beam_length)
+    generated = 0  # tokens committed after the prompt
+    while generated < cfg.max_new_tokens:
+        # draft no deeper than the tokens still wanted after the root; with
+        # prompt + max_new_tokens <= max_seq_len the deepest node then also
+        # fits the context window
+        length = min(cfg.beam_length, cfg.max_new_tokens - generated - 1)
+        if length > 0:
+            proposal = proposer.propose(h, guaranteed, cfg.beam_width, length)
+        else:
+            proposal = beam_mod.Beam(tokens=np.zeros((1, 0), np.int64), logp=np.zeros(1))
         prefix_tree = beam_mod.dedup_prefix(proposal.tokens)
-        packed = beam_mod.pack_beam(proposal, prefix_tree)
+        packed = beam_mod.pack_beam(proposal, prefix_tree, guaranteed)
         base_out, spec_state = base.forward_packed(packed, cache)
-        result = verify_greedy(base_out, proposal, packed, out_g.logits[0])
+        result = verify_greedy(base_out, proposal, packed)
         acc = result.accepted_len
-        path = packed.candidate_node[result.chosen_candidate, :acc]
+        path = np.concatenate([[0], packed.candidate_node[result.chosen_candidate, :acc]])
         base.commit_accepted(cache, packed, spec_state, path)
+        generated += acc + 1
+        h = base_out.hidden[path[-1]]
+        guaranteed = result.next_guaranteed_token
 
-        step_tokens = [guaranteed] + [int(t) for t in proposal.tokens[result.chosen_candidate, :acc]]
-        if _omit_guaranteed:
-            step_tokens = step_tokens[1:]
         reports.append(StepReport(accepted_draft_tokens=acc,
                                   chosen_candidate=result.chosen_candidate,
                                   packed_size=packed.n,
                                   compression_ratio=beam_mod.compression_ratio(proposal, packed),
-                                  # forward_context of the guaranteed token, forward_packed of the tree
-                                  llm_calls=2))
-        for token in step_tokens:
-            emitted.append(token)
-            if cfg.stop_token is not None and token == cfg.stop_token:
-                stopped = True
-                break
-            if len(emitted) == cfg.max_new_tokens:
-                stopped = True
-                break
-        guaranteed = result.next_guaranteed_token
+                                  llm_calls=1))
+        step_tokens = [int(t) for t in packed.tokens[path]]
+        if _omit_guaranteed:
+            step_tokens = step_tokens[1:]
+        if cfg.stop_token in step_tokens:
+            emitted.extend(step_tokens[:step_tokens.index(cfg.stop_token) + 1])
+            break
+        emitted.extend(step_tokens)
 
-    return emitted[:cfg.max_new_tokens], reports
+    return emitted, reports

@@ -1,9 +1,12 @@
 """Knowledge-distillation training of the draft head.
 
-The distilled dataset is built by rolling the base model forward a fixed
-horizon of greedy tokens at every position of a corpus sequence, capturing
-the hidden state at that position; the ground-truth variant keeps the corpus
-continuation instead.  Training minimizes the mean teacher-forced negative
+Examples follow the decode loop's alignment.  At every position of a corpus
+sequence the committed prefix ends there; the example's context is that
+prefix plus the guaranteed token (the base model's greedy next token), ``h``
+is the base hidden state at the prefix's last token, and the teacher is the
+base model's greedy rollout of a fixed horizon after the guaranteed token.
+The ground-truth variant takes the guaranteed token and the teacher from the
+corpus instead.  Training minimizes the mean teacher-forced negative
 log-likelihood with Adam; the base model stays frozen throughout.
 """
 
@@ -21,9 +24,9 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class DistillExample:
-    context: np.ndarray  # committed tokens the example conditions on
-    teacher: np.ndarray  # horizon target tokens
-    h: np.ndarray        # base-model hidden state at the last context position
+    context: np.ndarray  # committed tokens, then the guaranteed token
+    teacher: np.ndarray  # horizon target tokens after the guaranteed token
+    h: np.ndarray        # base-model hidden state at the token before the guaranteed one
 
 
 @dataclass
@@ -43,7 +46,8 @@ class TrainConfig:
 
 
 def build_distill_dataset(base, corpus, horizon):
-    """One example per corpus position: greedy horizon-token rollout plus h.
+    """One example per corpus position: the guaranteed token after the prefix
+    ending there, the greedy horizon-token rollout after it, and h.
 
     Sequences of length <= 1 (or positions without rollout headroom) are
     skipped; the skip count is logged.
@@ -61,14 +65,15 @@ def build_distill_dataset(base, corpus, horizon):
             if t + horizon > base.config.max_seq_len:
                 skipped += 1
                 continue
+            guaranteed = argmax_tie_low(out.logits[-1])
             scratch = cache.clone()
-            roll_out = out
+            token = guaranteed
             teacher = []
             for _ in range(horizon):
+                roll_out = base.forward_context([token], scratch)
                 token = argmax_tie_low(roll_out.logits[-1])
                 teacher.append(token)
-                roll_out = base.forward_context([token], scratch)
-            examples.append(DistillExample(context=seq[:t].copy(),
+            examples.append(DistillExample(context=np.append(seq[:t], guaranteed),
                                            teacher=np.asarray(teacher, np.int64),
                                            h=out.hidden[-1].copy()))
     if skipped:
@@ -77,23 +82,24 @@ def build_distill_dataset(base, corpus, horizon):
 
 
 def ground_truth_dataset(base, corpus, horizon):
-    """Control arm: the teacher is the corpus's own continuation.
+    """Control arm: the guaranteed token and the teacher are the corpus's own
+    continuation.
 
     The base model still supplies the hidden states the draft head conditions
-    on.  Positions within ``horizon`` of the sequence end are skipped.
+    on.  Positions within ``horizon + 1`` of the sequence end are skipped.
     """
     examples = []
     skipped = 0
     for seq in corpus:
         seq = np.asarray(seq, dtype=np.int64)
-        if seq.shape[0] <= horizon:
+        if seq.shape[0] <= horizon + 1:
             skipped += 1
             continue
         cache = base.new_cache()
         out = base.forward_context(seq, cache)
-        for t in range(1, seq.shape[0] - horizon + 1):
-            examples.append(DistillExample(context=seq[:t].copy(),
-                                           teacher=seq[t:t + horizon].copy(),
+        for t in range(1, seq.shape[0] - horizon):
+            examples.append(DistillExample(context=seq[:t + 1].copy(),
+                                           teacher=seq[t + 1:t + 1 + horizon].copy(),
                                            h=out.hidden[t - 1].copy()))
     if skipped:
         log.warning("ground-truth dataset: skipped %d short sequences", skipped)
@@ -109,7 +115,8 @@ def write_dataset(path, examples):
 
 
 def read_dataset(path, base):
-    """Load a dataset file, recomputing hidden states with the given base model."""
+    """Load a dataset file, recomputing hidden states with the given base model
+    (at the token before each context's guaranteed token)."""
     examples = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -119,10 +126,13 @@ def read_dataset(path, base):
             if len(vals) < 2 or len(vals) != 2 + vals[0] + vals[1]:
                 raise FormatError(f"{path}:{lineno}: malformed dataset record")
             n_ctx, horizon = vals[0], vals[1]
+            if n_ctx < 2:
+                raise FormatError(f"{path}:{lineno}: context needs a committed token "
+                                  f"and the guaranteed token")
             context = np.asarray(vals[2:2 + n_ctx], np.int64)
             teacher = np.asarray(vals[2 + n_ctx:], np.int64)
             cache = base.new_cache()
-            out = base.forward_context(context, cache)
+            out = base.forward_context(context[:-1], cache)
             examples.append(DistillExample(context=context, teacher=teacher,
                                            h=out.hidden[-1].copy()))
     return examples
@@ -178,25 +188,30 @@ def train_drafter(dataset, params_init, cfg, embeddings):
 def empirical_kl(base, params, probe_contexts, horizon, embeddings=None):
     """Exact per-step KL(base || drafter), teacher-forced on base greedy tokens.
 
-    Returns an array of length ``horizon``: KL at recurrence step k averaged
-    over the probe contexts.
+    Each probe context is aligned like ``DistillExample.context``: its last
+    token is the one the draft recurrence starts from, and the drafter sees
+    the base hidden state at the token before it.  Returns an array of length
+    ``horizon``: KL at recurrence step k averaged over the probe contexts.
     """
     emb = np.asarray(embeddings if embeddings is not None else base.token_embeddings,
                      dtype=np.float64)
     totals = np.zeros(horizon)
     for context in probe_contexts:
+        context = [int(t) for t in context]
+        if len(context) < 2:
+            raise ContractError("a probe context needs at least two tokens")
         cache = base.new_cache()
-        out = base.forward_context(list(context), cache)
-        state = drafter.init_state(out.hidden[-1], int(context[-1]), emb)
+        h = base.forward_context(context[:-1], cache).hidden[-1]
+        state = drafter.init_state(h, context[-1], emb)
+        token = context[-1]
         for k in range(horizon):
-            base_logits = out.logits[-1].astype(np.float64)
+            base_logits = base.forward_context([token], cache).logits[-1].astype(np.float64)
             z = base_logits - base_logits.max()
             p = np.exp(z) / np.exp(z).sum()
             logp_base = z - np.log(np.exp(z).sum())
             logq = drafter.head_logp(state, params)
             totals[k] += float((p * (logp_base - logq)).sum())
             token = argmax_tie_low(base_logits)
-            out = base.forward_context([token], cache)
             state = drafter.step(state, token, params, emb)
     return totals / max(1, len(probe_contexts))
 

@@ -75,7 +75,8 @@ class BaseModel(ABC):
 
     @abstractmethod
     def forward_packed(self, packed, cache):
-        """Tree-masked forward over draft tokens.  Read-only on the cache.
+        """Tree-masked forward over a packed tree whose root takes the next
+        position after the committed context.  Read-only on the cache.
 
         Returns (BaseModelOutput, spec_state); spec_state carries whatever the
         model needs to later commit an accepted path without recomputing.
@@ -83,7 +84,7 @@ class BaseModel(ABC):
 
     @abstractmethod
     def commit_accepted(self, cache, packed, spec_state, flat_path):
-        """Append an accepted root-to-node path of packed tokens to the context."""
+        """Append an accepted path of packed tokens, root first, to the context."""
 
     def _check_path(self, packed, flat_path):
         flat_path = np.asarray(flat_path, dtype=np.int64)
@@ -111,9 +112,12 @@ def sinusoidal_positions(max_len, d_model):
 
 
 def _layer_norm(x, gain, bias):
+    # np.add.reduce sums each row as ndarray.mean does, without mean's
+    # Python-level overhead; every row has d_model terms on every path
     x = x.astype(np.float32)
-    mu = x.mean(axis=1, keepdims=True, dtype=np.float32)
-    var = ((x - mu) ** 2).mean(axis=1, keepdims=True, dtype=np.float32)
+    d = x.shape[1]
+    mu = np.add.reduce(x, axis=1, keepdims=True) / d
+    var = np.add.reduce((x - mu) ** 2, axis=1, keepdims=True) / d
     return ((x - mu) / np.sqrt(var + np.float32(1e-5))) * gain + bias
 
 
@@ -255,10 +259,11 @@ class TinyTransformer(BaseModel):
             d = self.config.d_model
             return (BaseModelOutput(logits=np.zeros((0, self.config.vocab_size), np.float32),
                                     hidden=np.zeros((0, d), np.float32)), [])
-        self._check_capacity(cache, n)
+        self._check_capacity(cache, int(packed.depths.max()) + 1)
         n_ctx = cache.committed_len
-        # each draft token sits at the absolute position its path would occupy
-        positions = n_ctx + packed.depths - 1
+        # each node sits at the absolute position its path would occupy; the
+        # root (depth 0) takes the next free position
+        positions = n_ctx + packed.depths
         allowed = np.concatenate([np.ones((n, n_ctx), dtype=bool), packed.mask.allowed], axis=1)
         return self._forward(tokens, positions, cache, kernels.masked_bias(allowed))
 
@@ -362,7 +367,10 @@ class SyntheticMarkovModel(BaseModel):
         if packed.mask.allowed.shape != (n, n):
             raise ShapeError(f"mask shape {packed.mask.allowed.shape} does not match "
                              f"{n} packed tokens")
-        self._check_capacity(cache, n)
+        if n == 0:
+            return (BaseModelOutput(logits=np.zeros((0, self.config.vocab_size), np.float32),
+                                    hidden=np.zeros((0, self.config.d_model), np.float32)), None)
+        self._check_capacity(cache, int(packed.depths.max()) + 1)
         logits, hidden = [], []
         for i in range(n):
             path = []
@@ -373,9 +381,6 @@ class SyntheticMarkovModel(BaseModel):
             row, h = self._row(cache.tokens + path[::-1])
             logits.append(row)
             hidden.append(h)
-        if n == 0:
-            return (BaseModelOutput(logits=np.zeros((0, self.config.vocab_size), np.float32),
-                                    hidden=np.zeros((0, self.config.d_model), np.float32)), None)
         return BaseModelOutput(logits=np.asarray(logits, np.float32),
                                hidden=np.asarray(hidden, np.float32)), None
 

@@ -11,12 +11,13 @@ import pytest
 from redrafter import beam as beam_mod
 from redrafter import decode, distill, weights
 from redrafter.beam import Beam, compression_ratio, dedup_prefix, pack_beam
-from redrafter.decode import DecodeConfig, MirrorProposer, RnnProposer
+from redrafter.decode import DecodeConfig, RnnProposer
 from redrafter.drafter import DrafterParams, backward, init_state
 from redrafter.model import ModelConfig, TinyTransformer, synthetic_markov_model
 
 from test_beam import trie_dedup
 from test_decode import SMALL as SMALL_TRANSFORMER_CONFIG
+from test_decode import mirror_generate
 
 BENCH_TRANSFORMER = ModelConfig(vocab_size=256, d_model=64, n_layers=2, n_heads=4,
                                 d_ff=256, max_seq_len=256)
@@ -134,14 +135,14 @@ def test_criterion_3_packed_beam_round_trip():
         length = int(rng.integers(1, 7))
         tokens = rng.integers(0, 4, size=(width, length))
         beam = Beam(tokens=tokens, logp=np.zeros(width))
-        packed = pack_beam(beam, dedup_prefix(tokens))
+        packed = pack_beam(beam, dedup_prefix(tokens), 0)
         ratio = compression_ratio(beam, packed)
         min_ratio = min(min_ratio, ratio)
         for i in range(width):
             if not np.array_equal(packed.tokens[packed.candidate_path(i)], tokens[i]):
                 failures += 1
     same = Beam(tokens=np.tile(np.array([1, 2, 3]), (6, 1)), logp=np.zeros(6))
-    identical_ratio = compression_ratio(same, pack_beam(same, dedup_prefix(same.tokens)))
+    identical_ratio = compression_ratio(same, pack_beam(same, dedup_prefix(same.tokens), 0))
     report(3, failures == 0 and min_ratio >= 1.0 and identical_ratio == 6.0,
            f"{failures} path mismatches, min ratio {min_ratio:.3f}, "
            f"identical-candidate ratio {identical_ratio}")
@@ -156,15 +157,17 @@ def test_criterion_4_tree_mask_soundness():
         width = int(rng.integers(1, 6))
         length = int(rng.integers(1, 5))
         tokens = rng.integers(0, 3, size=(width, length))
+        root = int(rng.integers(base.config.vocab_size))
         beam = Beam(tokens=tokens, logp=np.zeros(width))
-        packed = pack_beam(beam, dedup_prefix(tokens))
+        packed = pack_beam(beam, dedup_prefix(tokens), root)
         cache = base.new_cache()
         base.forward_context(prompt, cache)
         out, _ = base.forward_packed(packed, cache)
         for i in range(width):
-            replay = base.forward_context(prompt + tokens[i].tolist(), base.new_cache())
-            diff = np.max(np.abs(out.logits[packed.candidate_path(i)]
-                                 - replay.logits[len(prompt):]))
+            replay = base.forward_context(prompt + [root] + tokens[i].tolist(),
+                                          base.new_cache())
+            path = np.concatenate([[0], packed.candidate_path(i)])
+            diff = np.max(np.abs(out.logits[path] - replay.logits[len(prompt):]))
             worst = max(worst, float(diff))
 
     cached_worst = 0.0
@@ -239,31 +242,12 @@ def test_criterion_8_mirror_drafter_reaches_upper_bound():
     length = 5
     cfg = DecodeConfig(beam_width=1, beam_length=length,
                        max_new_tokens=3 * (length + 1))
-
-    class LazyMirror:
-        def __init__(self, base):
-            self.base = base
-            self.inner = None
-
-        def propose(self, h, last_token, width, length):
-            return self.inner.propose(h, last_token, width, length)
-
-    proposer = LazyMirror(base)
-    orig_new_cache = base.new_cache
-
-    def hooked_new_cache():
-        cache = orig_new_cache()
-        proposer.inner = MirrorProposer(base, cache)
-        return cache
-
-    base.new_cache = hooked_new_cache
-    try:
-        tokens, reports = decode.speculative_generate(base, proposer, [1, 2, 3], cfg)
-    finally:
-        base.new_cache = orig_new_cache
+    tokens, reports = mirror_generate(base, [1, 2, 3], cfg)
     tps = len(tokens) / len(reports)
-    report(8, tps == length + 1,
-           f"mirror drafter tokens/step {tps} == beam_length + 1 = {length + 1}")
+    exact = tokens == decode.autoregressive_generate(base, [1, 2, 3], cfg)
+    report(8, tps == length + 1 and exact,
+           f"mirror drafter tokens/step {tps} == beam_length + 1 = {length + 1}, "
+           f"output equals greedy: {exact}")
 
 
 def test_criterion_9_round_trip_and_report_determinism(tmp_path):
@@ -304,7 +288,12 @@ def test_kl_divergence_collapses_after_distillation(trained_setup):
     """Exact next-token divergence from the base model drops by >= 10x."""
     base, init, distilled, _ = trained_setup
     rng = np.random.default_rng(31)
-    probes = [rng.integers(0, 32, size=8).tolist() for _ in range(30)]
+    # each probe ends with its guaranteed token, as the decode loop drafts from
+    probes = []
+    for _ in range(30):
+        prefix = rng.integers(0, 32, size=8).tolist()
+        probes.append(prefix + decode.autoregressive_generate(
+            base, prefix, DecodeConfig(beam_width=1, beam_length=1, max_new_tokens=1)))
     before = float(distill.empirical_kl(base, init, probes, 1)[0])
     after = float(distill.empirical_kl(base, distilled, probes, 1)[0])
     assert before / max(after, 1e-12) >= 10.0, (before, after)

@@ -57,11 +57,52 @@ def test_dedup_all_identical_and_all_distinct():
     assert np.array_equal(dedup_prefix(distinct), expect)
 
 
+def loop_pack(beam, root):
+    """Reference: the rooted tree built one token at a time, with the mask
+    filled row by row from each node's parent."""
+    tree = trie_dedup(beam.tokens)
+    width, length = beam.tokens.shape
+    candidate_node = np.zeros((width, length), dtype=np.int64)
+    tokens, parents, depths = [root], [ROOT_PARENT], [0]
+    for i in range(width):
+        for j in range(length):
+            if tree[i, j] == i:
+                candidate_node[i, j] = len(tokens)
+                tokens.append(beam.tokens[i, j])
+                parents.append(0 if j == 0 else candidate_node[i, j - 1])
+                depths.append(j + 1)
+            else:
+                candidate_node[i, j] = candidate_node[tree[i, j], j]
+    n = len(tokens)
+    allowed = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        if parents[i] != ROOT_PARENT:
+            allowed[i] = allowed[parents[i]]
+        allowed[i, i] = True
+    return tokens, parents, depths, candidate_node, allowed
+
+
+def test_pack_matches_loop_reference():
+    rng = np.random.default_rng(4)
+    beams = [random_beam(rng) for _ in range(300)]
+    beams.append(Beam(tokens=np.zeros((1, 0), dtype=np.int64), logp=np.zeros(1)))
+    for beam in beams:
+        root = int(rng.integers(4))
+        packed = pack_beam(beam, dedup_prefix(beam.tokens), root)
+        tokens, parents, depths, candidate_node, allowed = loop_pack(beam, root)
+        assert packed.tokens.tolist() == tokens
+        assert packed.parents.tolist() == parents
+        assert packed.depths.tolist() == depths
+        assert np.array_equal(packed.candidate_node, candidate_node)
+        assert np.array_equal(packed.mask.allowed, allowed)
+
+
 def test_pack_round_trip_reproduces_every_candidate():
     rng = np.random.default_rng(1)
     for _ in range(300):
         beam = random_beam(rng)
-        packed = pack_beam(beam, dedup_prefix(beam.tokens))
+        packed = pack_beam(beam, dedup_prefix(beam.tokens), 5)
+        assert packed.tokens[0] == 5
         for i in range(beam.width):
             path = packed.candidate_path(i)
             assert np.array_equal(packed.tokens[path], beam.tokens[i])
@@ -71,16 +112,14 @@ def test_pack_structure_invariants():
     rng = np.random.default_rng(2)
     for _ in range(100):
         beam = random_beam(rng)
-        packed = pack_beam(beam, dedup_prefix(beam.tokens))
+        packed = pack_beam(beam, dedup_prefix(beam.tokens), 0)
         n = packed.n
-        # parents precede children in flat order, depths follow parents
-        for i in range(n):
+        # node 0 is the root; parents precede children, depths follow parents
+        assert packed.parents[0] == ROOT_PARENT and packed.depths[0] == 0
+        for i in range(1, n):
             parent = packed.parents[i]
-            if parent == ROOT_PARENT:
-                assert packed.depths[i] == 1
-            else:
-                assert parent < i
-                assert packed.depths[i] == packed.depths[parent] + 1
+            assert 0 <= parent < i
+            assert packed.depths[i] == packed.depths[parent] + 1
         # ancestor closure: allowed row i is exactly i's root path
         for i in range(n):
             path = set()
@@ -89,28 +128,34 @@ def test_pack_structure_invariants():
                 path.add(j)
                 j = packed.parents[j]
             assert set(np.flatnonzero(packed.mask.allowed[i])) == path
-        # owners are the first (candidate, position) holding each slot
+        # each draft node belongs to the first (candidate, position) holding
+        # it, and nodes are numbered in candidate-major order of those owners
         tree = dedup_prefix(beam.tokens)
-        for idx, (cand, pos) in enumerate(packed.owner):
+        owners = {}
+        for cand in range(beam.width):
+            for pos in range(beam.length):
+                owners.setdefault(int(packed.candidate_node[cand, pos]), (cand, pos))
+        assert list(owners) == list(range(1, n))
+        for idx, (cand, pos) in owners.items():
             assert tree[cand, pos] == cand
-            assert packed.candidate_node[cand, pos] == idx
+            assert packed.depths[idx] == pos + 1
 
 
 def test_pack_rejects_inconsistent_prefix_tree():
     beam = Beam(tokens=np.array([[1, 2], [1, 3]]), logp=np.zeros(2))
     bad = np.array([[0, 0], [0, 0]])  # claims row 1 shares both positions
     with pytest.raises(ContractError):
-        pack_beam(beam, bad)
+        pack_beam(beam, bad, 0)
 
 
 def test_compression_ratio_bounds():
     rng = np.random.default_rng(3)
     for _ in range(200):
         beam = random_beam(rng)
-        packed = pack_beam(beam, dedup_prefix(beam.tokens))
+        packed = pack_beam(beam, dedup_prefix(beam.tokens), 0)
         assert compression_ratio(beam, packed) >= 1.0
     same = Beam(tokens=np.tile(np.array([3, 1, 2]), (6, 1)), logp=np.zeros(6))
-    packed = pack_beam(same, dedup_prefix(same.tokens))
+    packed = pack_beam(same, dedup_prefix(same.tokens), 0)
     assert compression_ratio(same, packed) == 6.0
 
 

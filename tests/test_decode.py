@@ -33,6 +33,33 @@ def make_proposer(base, seed=2):
     return RnnProposer(params, base.token_embeddings)
 
 
+def mirror_generate(base, prompt, cfg, **kwargs):
+    """speculative_generate with a MirrorProposer on the decode's own cache.
+
+    The proposer needs the live cache, which speculative_generate builds, so
+    it is bound when the decode creates it.
+    """
+    class LazyMirror:
+        inner = None
+
+        def propose(self, h, last_token, width, length):
+            return self.inner.propose(h, last_token, width, length)
+
+    proposer = LazyMirror()
+    new_cache = base.new_cache
+
+    def hooked_new_cache():
+        cache = new_cache()
+        proposer.inner = MirrorProposer(base, cache)
+        return cache
+
+    base.new_cache = hooked_new_cache
+    try:
+        return speculative_generate(base, proposer, prompt, cfg, **kwargs)
+    finally:
+        del base.new_cache
+
+
 @pytest.mark.parametrize("width,length", [(1, 1), (2, 3), (4, 5)])
 def test_output_identical_to_greedy_baseline(tiny, markov, width, length):
     rng = np.random.default_rng(3)
@@ -45,6 +72,30 @@ def test_output_identical_to_greedy_baseline(tiny, markov, width, length):
             assert spec == autoregressive_generate(base, prompt, cfg)
             assert len(spec) == 20
             assert sum(r.accepted_draft_tokens + 1 for r in reports) >= len(spec)
+
+
+def test_drafter_sees_last_committed_hidden_state_and_guaranteed_token(tiny, markov):
+    """Each proposal conditions on the base hidden state at the last committed
+    token and starts from the guaranteed token that follows it."""
+    for base in (markov, tiny):
+        inner = make_proposer(base)
+        calls = []
+
+        class Recording:
+            def propose(self, h, last_token, width, length):
+                calls.append((h.copy(), last_token))
+                return inner.propose(h, last_token, width, length)
+
+        prompt = [5, 9, 2]
+        cfg = DecodeConfig(beam_width=2, beam_length=3, max_new_tokens=16)
+        spec, reports = speculative_generate(base, Recording(), prompt, cfg)
+        assert spec == autoregressive_generate(base, prompt, cfg)
+        committed = 0
+        for (h, last_token), report in zip(calls, reports):
+            replay = base.forward_context(prompt + spec[:committed], base.new_cache())
+            assert last_token == spec[committed]
+            assert np.max(np.abs(h - replay.hidden[-1])) <= 1e-5
+            committed += report.accepted_draft_tokens + 1
 
 
 def test_degenerate_width_and_length_one(markov):
@@ -79,14 +130,14 @@ def test_step_reports_account_for_emitted_tokens(markov):
     cfg = DecodeConfig(beam_width=4, beam_length=5, max_new_tokens=24)
     counted = CountingBase(markov)
     spec, reports = speculative_generate(counted, make_proposer(markov), [1, 2], cfg)
-    # every forward after the prompt's prefill belongs to a step's report
-    assert sum(r.llm_calls for r in reports) == counted.forwards - 1
+    # the prompt's prefill, then exactly one base forward per step
+    assert all(r.llm_calls == 1 for r in reports)
+    assert counted.forwards == len(reports) + 1
     assert all(r.compression_ratio >= 1.0 for r in reports)
     assert all(0 <= r.accepted_draft_tokens <= 5 for r in reports)
-    # every step contributes its guaranteed token plus the accepted prefix;
-    # only the final step may be truncated by the token budget
-    full = sum(r.accepted_draft_tokens + 1 for r in reports)
-    assert full >= len(spec) > full - (reports[-1].accepted_draft_tokens + 1)
+    # every step emits its guaranteed token plus the accepted prefix; drafts
+    # are clamped to the tokens still wanted, so nothing is cut off
+    assert sum(r.accepted_draft_tokens + 1 for r in reports) == len(spec) == 24
 
 
 def test_stop_token_truncates_inclusively(markov):
@@ -101,6 +152,42 @@ def test_stop_token_truncates_inclusively(markov):
     assert stop not in spec[:-1]
 
 
+def test_stop_token_inside_an_accepted_path(markov):
+    """The stream ends at the stop token even when the step accepted past it."""
+    prompt = [3, 7]
+    full_cfg = DecodeConfig(beam_width=1, beam_length=5, max_new_tokens=18)
+    reference = autoregressive_generate(markov, prompt, full_cfg)
+    # the mirror accepts all 5 drafts, so stream positions 7..10 are draft
+    # tokens inside the second step's accepted path
+    stop_at = next(i for i in range(7, 11) if reference[i] not in reference[:i])
+    cfg = DecodeConfig(beam_width=1, beam_length=5, max_new_tokens=18,
+                       stop_token=reference[stop_at])
+    spec, reports = mirror_generate(markov, prompt, cfg)
+    assert spec == reference[:stop_at + 1] == autoregressive_generate(markov, prompt, cfg)
+    assert [r.accepted_draft_tokens for r in reports] == [5, 5]
+
+
+def test_duplicate_candidates_share_one_path(markov):
+    """A beam wider than its distinct candidates packs each prefix once."""
+    inner = make_proposer(markov)
+
+    class Duplicating:
+        def propose(self, h, last_token, width, length):
+            beam = inner.propose(h, last_token, 1, length)
+            return Beam(tokens=np.repeat(beam.tokens, width, axis=0),
+                        logp=np.repeat(beam.logp, width))
+
+    prompt = [4, 9]
+    cfg = DecodeConfig(beam_width=4, beam_length=3, max_new_tokens=20)
+    spec, reports = speculative_generate(markov, Duplicating(), prompt, cfg)
+    assert spec == autoregressive_generate(markov, prompt, cfg)
+    assert all(r.chosen_candidate == 0 for r in reports)
+    # the root plus one node per draft position, each shared by all 4 rows
+    assert reports[0].packed_size == 4
+    assert all(r.packed_size <= 4 for r in reports)
+    assert all(r.compression_ratio == 4.0 for r in reports if r.packed_size > 1)
+
+
 def test_corrupted_loop_breaks_equivalence(markov):
     """The self-test hook drops guaranteed tokens; the outputs must diverge.
 
@@ -111,34 +198,12 @@ def test_corrupted_loop_breaks_equivalence(markov):
     length = 5
     cfg = DecodeConfig(beam_width=1, beam_length=length, max_new_tokens=18)
     prompt = [2, 11]
-
-    class LazyMirror:
-        def __init__(self, base):
-            self.base = base
-            self.inner = None
-
-        def propose(self, h, last_token, width, length):
-            return self.inner.propose(h, last_token, width, length)
-
-    proposer = LazyMirror(markov)
-    orig_new_cache = markov.new_cache
-
-    def hooked_new_cache():
-        cache = orig_new_cache()
-        proposer.inner = MirrorProposer(markov, cache)
-        return cache
-
-    markov.new_cache = hooked_new_cache
-    try:
-        spec, _ = speculative_generate(markov, proposer, prompt, cfg,
-                                       _omit_guaranteed=True)
-    finally:
-        markov.new_cache = orig_new_cache
+    spec, reports = mirror_generate(markov, prompt, cfg, _omit_guaranteed=True)
     reference = autoregressive_generate(markov, prompt, cfg)
     assert spec != reference
-    # the corruption removes positions 0, 6, 12, ... of the greedy stream
-    expect = [t for i, t in enumerate(reference) if i % (length + 1) != 0]
-    assert spec[:len(expect)] == expect
+    # the corruption removes positions 0, 6, 12 of the greedy stream
+    assert spec == [t for i, t in enumerate(reference) if i % (length + 1) != 0]
+    assert len(reports) == 3
 
 
 def test_empty_prompt_rejected(markov):
@@ -154,6 +219,44 @@ def test_capacity_overflow_rejected(tiny):
                        max_new_tokens=SMALL.max_seq_len)
     with pytest.raises(CapacityError):
         speculative_generate(tiny, make_proposer(tiny), [0, 1], cfg)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8])
+def test_request_filling_the_context_window_decodes(width):
+    """prompt + max_new_tokens == max_seq_len fits, so it must decode exactly.
+
+    Drafts are clamped to the tokens still wanted, so no step's tree reaches
+    past the window, whatever the beam length.
+    """
+    window = 40
+    tiny = TinyTransformer.random(ModelConfig(vocab_size=16, d_model=16, n_layers=2,
+                                              n_heads=2, d_ff=32, max_seq_len=window), seed=0)
+    markov = synthetic_markov_model(order=2, vocab_size=16, seed=1, max_seq_len=window)
+    rng = np.random.default_rng(5)
+    for base in (tiny, markov):
+        proposer = make_proposer(base)
+        for length in (2, 4, 5):
+            for _ in range(3):
+                prompt = rng.integers(0, 16, size=8).tolist()
+                cfg = DecodeConfig(beam_width=width, beam_length=length,
+                                   max_new_tokens=window - len(prompt))
+                spec, reports = speculative_generate(base, proposer, prompt, cfg)
+                assert spec == autoregressive_generate(base, prompt, cfg)
+                assert len(spec) == sum(r.accepted_draft_tokens + 1 for r in reports)
+
+
+def test_mirror_request_filling_the_context_window_accepts_to_the_end():
+    """Full acceptance right up to the window: the last step's draft is cut
+    to the one token still wanted after its root."""
+    window = 40
+    markov = synthetic_markov_model(order=2, vocab_size=16, seed=1, max_seq_len=window)
+    prompt = list(range(8))
+    cfg = DecodeConfig(beam_width=1, beam_length=5, max_new_tokens=window - len(prompt))
+    spec, reports = mirror_generate(markov, prompt, cfg)
+    assert spec == autoregressive_generate(markov, prompt, cfg)
+    # 32 tokens = five steps of 6, then a root plus one draft token
+    assert [r.accepted_draft_tokens for r in reports] == [5, 5, 5, 5, 5, 1]
+    assert reports[-1].packed_size == 2
 
 
 def test_decode_config_validation():
@@ -174,59 +277,59 @@ def one_hot_logits(tokens, vocab):
     return out
 
 
-def build_verify_case(beam_tokens, verifier_next, guaranteed_next, vocab=8):
-    """verifier_next[i] = argmax the base model produces after packed node i."""
-    beam = Beam(tokens=np.asarray(beam_tokens), logp=np.zeros(len(beam_tokens)))
-    packed = beam_mod.pack_beam(beam, beam_mod.dedup_prefix(beam.tokens))
+def build_verify_case(beam_tokens, verifier_next, vocab=8):
+    """verifier_next[i] = argmax the base model produces after packed node i;
+    node 0 is the root (the guaranteed token), draft nodes follow."""
+    tokens = np.asarray(beam_tokens, dtype=np.int64).reshape(len(beam_tokens), -1)
+    beam = Beam(tokens=tokens, logp=np.zeros(len(beam_tokens)))
+    packed = beam_mod.pack_beam(beam, beam_mod.dedup_prefix(beam.tokens), root=1)
     logits = one_hot_logits(verifier_next, vocab)
     hidden = np.zeros((packed.n, 4), dtype=np.float32)
     out = BaseModelOutput(logits=logits, hidden=hidden)
-    g_logits = one_hot_logits([guaranteed_next], vocab)[0]
-    return beam, packed, out, g_logits
+    return beam, packed, out
 
 
 def test_verify_accepts_matching_prefix_only():
     # single candidate [3, 4]: the base agrees on 3, then wants 6 over 4
-    beam, packed, out, g = build_verify_case([[3, 4]], verifier_next=[6, 0],
-                                             guaranteed_next=3)
-    result = verify_greedy(out, beam, packed, g)
+    beam, packed, out = build_verify_case([[3, 4]], verifier_next=[3, 6, 0])
+    result = verify_greedy(out, beam, packed)
     assert result.accepted_len == 1
     assert result.chosen_candidate == 0
     assert result.next_guaranteed_token == 6
 
 
 def test_verify_full_accept_returns_node_argmax():
-    beam, packed, out, g = build_verify_case([[3, 4]], verifier_next=[4, 7],
-                                             guaranteed_next=3)
-    result = verify_greedy(out, beam, packed, g)
+    beam, packed, out = build_verify_case([[3, 4]], verifier_next=[3, 4, 7])
+    result = verify_greedy(out, beam, packed)
     assert result.accepted_len == 2
     assert result.next_guaranteed_token == 7
 
 
 def test_verify_zero_accept_falls_back_to_guaranteed_argmax():
-    beam, packed, out, g = build_verify_case([[3, 4]], verifier_next=[1, 1],
-                                             guaranteed_next=5)
-    result = verify_greedy(out, beam, packed, g)
+    beam, packed, out = build_verify_case([[3, 4]], verifier_next=[5, 1, 1])
+    result = verify_greedy(out, beam, packed)
     assert result.accepted_len == 0
     assert result.next_guaranteed_token == 5
+    # a tree that is the root alone accepts nothing and reads the root's argmax
+    beam, packed, out = build_verify_case([[]], verifier_next=[6])
+    result = verify_greedy(out, beam, packed)
+    assert (packed.n, result.accepted_len, result.next_guaranteed_token) == (1, 0, 6)
 
 
 def test_verify_ties_pick_lower_candidate_index():
     # both candidates accept exactly one token; the first (higher drafter
     # score, lower index) wins the tie
-    beam, packed, out, g = build_verify_case(
-        [[2, 5], [2, 6]], verifier_next=[7, 0, 0], guaranteed_next=2)
-    result = verify_greedy(out, beam, packed, g)
+    beam, packed, out = build_verify_case([[2, 5], [2, 6]], verifier_next=[2, 7, 0, 0])
+    result = verify_greedy(out, beam, packed)
     assert result.accepted_len == 1
     assert result.chosen_candidate == 0
 
 
 def test_verify_rejects_misaligned_output():
-    beam, packed, out, g = build_verify_case([[3, 4]], verifier_next=[1, 1],
-                                             guaranteed_next=5)
-    bad = BaseModelOutput(logits=out.logits[:1], hidden=out.hidden[:1])
+    beam, packed, out = build_verify_case([[3, 4]], verifier_next=[5, 1, 1])
+    bad = BaseModelOutput(logits=out.logits[:2], hidden=out.hidden[:2])
     with pytest.raises(ContractError):
-        verify_greedy(bad, beam, packed, g)
+        verify_greedy(bad, beam, packed)
 
 
 # ---------------------------------------------------------------------------
@@ -238,37 +341,23 @@ def test_mirror_proposer_accepts_full_beam_every_step(tiny, markov):
         length = 5
         cfg = DecodeConfig(beam_width=1, beam_length=length,
                            max_new_tokens=3 * (length + 1))
+        prompt = [1, 2, 3]
+        spec, reports = mirror_generate(base, prompt, cfg)
+        assert spec == autoregressive_generate(base, prompt, cfg)
+        assert len(spec) / len(reports) == length + 1
+        assert all(r.accepted_draft_tokens == length for r in reports)
 
-        # the proposer needs the live cache; speculative_generate builds it,
-        # so thread it through lazily
-        class LazyMirror:
-            def __init__(self, base):
-                self.base = base
-                self.inner = None
 
-            def attach(self, cache):
-                self.inner = MirrorProposer(self.base, cache)
-
-            def propose(self, h, last_token, width, length):
-                return self.inner.propose(h, last_token, width, length)
-
-        proposer = LazyMirror(base)
-        orig_new_cache = base.new_cache
-
-        def hooked_new_cache():
-            cache = orig_new_cache()
-            proposer.attach(cache)
-            return cache
-
-        base.new_cache = hooked_new_cache
-        try:
-            prompt = [1, 2, 3]
-            spec, reports = speculative_generate(base, proposer, prompt, cfg)
-            assert spec == autoregressive_generate(base, prompt, cfg)
-            assert len(spec) / len(reports) == length + 1
-            assert all(r.accepted_draft_tokens == length for r in reports)
-        finally:
-            base.new_cache = orig_new_cache
+def test_mirror_proposer_rolls_out_after_the_guaranteed_token(markov):
+    prompt = [1, 2]
+    cache = markov.new_cache()
+    out = markov.forward_context(prompt, cache)
+    guaranteed = int(np.argmax(out.logits[-1]))
+    proposer = MirrorProposer(markov, cache)
+    proposal = proposer.propose(out.hidden[-1], guaranteed, 1, 3)
+    cfg = DecodeConfig(beam_width=1, beam_length=1, max_new_tokens=4)
+    assert [guaranteed] + proposal.tokens[0].tolist() == autoregressive_generate(markov, prompt, cfg)
+    assert (cache.committed_len, cache.tokens) == (2, prompt)  # the live cache is untouched
 
 
 def test_mirror_proposer_requires_width_one(markov):

@@ -9,7 +9,7 @@ from redrafter.distill import (TrainConfig, build_distill_dataset, empirical_kl,
                                ground_truth_dataset, read_dataset, sample_markov_corpus,
                                train_drafter, write_dataset)
 from redrafter.drafter import DrafterParams
-from redrafter.errors import ContractError
+from redrafter.errors import ContractError, FormatError
 from redrafter.model import synthetic_markov_model
 
 
@@ -40,24 +40,35 @@ def test_distilled_teacher_is_base_greedy_continuation(base, corpus):
     rng = np.random.default_rng(7)
     for ex in rng.choice(len(dataset), size=10, replace=False):
         ex = dataset[ex]
-        cfg = DecodeConfig(beam_width=1, beam_length=1, max_new_tokens=horizon)
-        rollout = autoregressive_generate(base, list(ex.context), cfg)
-        assert ex.teacher.tolist() == rollout
+        # the context is a committed prefix plus its guaranteed token; the
+        # teacher continues greedily after the guaranteed token
+        prefix = list(ex.context[:-1])
+        cfg = DecodeConfig(beam_width=1, beam_length=1, max_new_tokens=horizon + 1)
+        rollout = autoregressive_generate(base, prefix, cfg)
+        assert [int(ex.context[-1])] + ex.teacher.tolist() == rollout
         cache = base.new_cache()
-        out = base.forward_context(list(ex.context), cache)
+        out = base.forward_context(prefix, cache)
         assert np.array_equal(ex.h, out.hidden[-1])
+    # one example per corpus position, each prefix ending there
+    assert [len(ex.context) - 1 for ex in dataset] == [t for s in corpus
+                                                      for t in range(1, len(s) + 1)]
 
 
 def test_ground_truth_teacher_is_corpus_continuation(base, corpus):
     horizon = 4
     dataset = ground_truth_dataset(base, corpus, horizon)
-    expected = [(np.asarray(s[:t]), np.asarray(s[t:t + horizon]))
-                for s in corpus if len(s) > horizon
-                for t in range(1, len(s) - horizon + 1)]
+    # the corpus token after each prefix plays the guaranteed token; h is
+    # the hidden state at the prefix's last token
+    expected = [(np.asarray(s[:t + 1]), np.asarray(s[t + 1:t + 1 + horizon]), s[:t])
+                for s in corpus if len(s) > horizon + 1
+                for t in range(1, len(s) - horizon)]
     assert len(dataset) == len(expected)
-    for ex, (ctx, teach) in zip(dataset, expected):
+    for ex, (ctx, teach, prefix) in zip(dataset, expected):
         assert np.array_equal(ex.context, ctx)
         assert np.array_equal(ex.teacher, teach)
+        assert len(ex.teacher) == horizon
+        out = base.forward_context(list(prefix), base.new_cache())
+        assert np.array_equal(ex.h, out.hidden[-1])
 
 
 def test_dataset_file_round_trip(base, corpus, tmp_path):
@@ -70,6 +81,10 @@ def test_dataset_file_round_trip(base, corpus, tmp_path):
         assert np.array_equal(a.context, b.context)
         assert np.array_equal(a.teacher, b.teacher)
         assert np.array_equal(a.h, b.h)  # h is recomputed at load time
+    # a record whose context lacks a committed token before the guaranteed one
+    (tmp_path / "short.txt").write_text("1 3 5 1 2 3\n")
+    with pytest.raises(FormatError):
+        read_dataset(str(tmp_path / "short.txt"), base)
 
 
 def train_setup(base, corpus, horizon=3):
@@ -124,6 +139,8 @@ def test_kl_is_nonnegative_and_per_step(base):
     assert kl.shape == (4,)
     assert np.all(kl >= 0)
     assert empirical_kl(base, init, probes, horizon=1).shape == (1,)
+    with pytest.raises(ContractError):  # no token before the guaranteed one
+        empirical_kl(base, init, [[3]], horizon=1)
 
 
 def test_kl_zero_for_exact_distribution_copy(base, monkeypatch):

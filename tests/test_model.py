@@ -6,7 +6,8 @@ import pytest
 from redrafter import beam as beam_mod
 from redrafter.beam import Beam
 from redrafter.errors import CapacityError, ConfigError, ShapeError
-from redrafter.model import ModelConfig, SyntheticMarkovModel, TinyTransformer, synthetic_markov_model
+from redrafter.model import (ModelConfig, SyntheticMarkovModel, TinyTransformer, _layer_norm,
+                             synthetic_markov_model)
 
 SMALL = ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=2, d_ff=32,
                     max_seq_len=64)
@@ -17,9 +18,12 @@ def tiny():
     return TinyTransformer.random(SMALL, seed=0)
 
 
+ROOT = 7  # the guaranteed token every packed tree here is rooted at
+
+
 def packed_from_tokens(tokens):
     beam = Beam(tokens=np.asarray(tokens), logp=np.zeros(len(tokens)))
-    return beam, beam_mod.pack_beam(beam, beam_mod.dedup_prefix(beam.tokens))
+    return beam, beam_mod.pack_beam(beam, beam_mod.dedup_prefix(beam.tokens), ROOT)
 
 
 def test_incremental_and_block_context_agree(tiny):
@@ -48,8 +52,9 @@ def test_packed_forward_matches_causal_replay_per_path(tiny):
 
         for i in range(width):
             replay_cache = tiny.new_cache()
-            replay = tiny.forward_context(prompt + [int(t) for t in tokens[i]], replay_cache)
-            path = packed.candidate_path(i)
+            replay = tiny.forward_context(prompt + [ROOT] + [int(t) for t in tokens[i]],
+                                          replay_cache)
+            path = np.concatenate([[0], packed.candidate_path(i)])
             got = out.logits[path]
             expect = replay.logits[len(prompt):]
             assert np.max(np.abs(got - expect)) <= 1e-5
@@ -76,14 +81,14 @@ def test_commit_then_forward_matches_fresh_recompute(tiny):
     tiny.forward_context(prompt, cache)
     out, spec_state = tiny.forward_packed(packed, cache)
     accepted = 2
-    path = packed.candidate_node[1, :accepted]
+    path = np.concatenate([[0], packed.candidate_node[1, :accepted]])
     tiny.commit_accepted(cache, packed, spec_state, path)
-    assert cache.committed_len == len(prompt) + accepted
+    assert cache.committed_len == len(prompt) + 1 + accepted
 
     probe = int(rng.integers(SMALL.vocab_size))
     committed = tiny.forward_context([probe], cache)
     fresh_cache = tiny.new_cache()
-    full = prompt + [int(t) for t in tokens[1, :accepted]] + [probe]
+    full = prompt + [ROOT] + [int(t) for t in tokens[1, :accepted]] + [probe]
     fresh = tiny.forward_context(full, fresh_cache)
     assert np.max(np.abs(committed.logits[-1] - fresh.logits[-1])) <= 1e-5
 
@@ -99,10 +104,40 @@ def test_empty_packed_beam_yields_empty_output(tiny):
     assert out.logits.shape[0] == 0
 
 
+def test_layer_norm_mean_is_bitwise_the_float32_mean():
+    rng = np.random.default_rng(12)
+    for rows in range(1, 21):
+        for d in (16, 32, 64):
+            x = (rng.normal(size=(rows, d)) * rng.choice([1e-3, 1.0, 1e3])).astype(np.float32)
+            gain = rng.normal(size=d).astype(np.float32)
+            bias = rng.normal(size=d).astype(np.float32)
+            mu = x.mean(axis=1, keepdims=True, dtype=np.float32)
+            var = ((x - mu) ** 2).mean(axis=1, keepdims=True, dtype=np.float32)
+            expect = ((x - mu) / np.sqrt(var + np.float32(1e-5))) * gain + bias
+            got = _layer_norm(x, gain, bias)
+            assert got.dtype == np.float32
+            assert np.array_equal(got.view(np.uint32), expect.view(np.uint32))
+
+
 def test_capacity_overflow_raises(tiny):
     cache = tiny.new_cache()
     with pytest.raises(CapacityError):
         tiny.forward_context(list(range(SMALL.vocab_size)) * 5, cache)
+
+
+def test_packed_capacity_is_set_by_the_deepest_node(tiny):
+    """A tree needs room for its depth, not for its node count."""
+    markov = synthetic_markov_model(order=2, vocab_size=16, seed=1,
+                                    max_seq_len=SMALL.max_seq_len)
+    _, wide = packed_from_tokens(np.arange(8)[:, None] + np.zeros((1, 3), np.int64))
+    for base in (tiny, markov):
+        cache = base.new_cache()
+        base.forward_context([1] * (SMALL.max_seq_len - 4), cache)
+        out, _ = base.forward_packed(wide, cache)  # 25 nodes, root + 3 deep: fits
+        assert out.logits.shape[0] == wide.n == 25
+        base.forward_context([1], cache)
+        with pytest.raises(CapacityError):
+            base.forward_packed(wide, cache)
 
 
 def test_token_range_validation(tiny):
@@ -182,8 +217,9 @@ def test_markov_packed_forward_follows_paths():
     out, _ = model.forward_packed(packed, cache)
     for i in range(2):
         replay = model.new_cache()
-        full = model.forward_context([1, 2, 3] + beam.tokens[i].tolist(), replay)
-        assert np.array_equal(out.logits[packed.candidate_path(i)], full.logits[3:])
+        full = model.forward_context([1, 2, 3, ROOT] + beam.tokens[i].tolist(), replay)
+        path = np.concatenate([[0], packed.candidate_path(i)])
+        assert np.array_equal(out.logits[path], full.logits[3:])
 
 
 def test_markov_rejects_unsupported_order():
