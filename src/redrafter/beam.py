@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import drafter
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 
 ROOT_PARENT = -1  # parent index of the root node
 
@@ -27,7 +27,6 @@ class Beam:
 
     tokens: np.ndarray   # (beam_width, beam_length) int64
     logp: np.ndarray     # (beam_width,) float64 cumulative log-probabilities
-    states: np.ndarray = None  # (beam_width, d_s) final recurrent states, optional
 
     @property
     def width(self):
@@ -74,7 +73,9 @@ def beam_search(params, embeddings, h, last_token, beam_width, beam_length):
 
     Expansion is vocabulary-wide (exact at small vocab sizes); scores are pure
     cumulative log-probabilities, and ties keep the lower flat expansion index
-    so runs are deterministic.
+    so runs are deterministic.  Each row of the head input ``x`` is one
+    candidate's ``[s | h]``: ``h`` is written once, and each recurrence step
+    overwrites only the ``s`` columns.
     """
     if beam_width < 1 or beam_length < 1:
         raise ConfigError("beam_width and beam_length must be >= 1")
@@ -82,22 +83,32 @@ def beam_search(params, embeddings, h, last_token, beam_width, beam_length):
     if beam_width > vocab:
         raise ConfigError(f"beam_width {beam_width} exceeds vocab size {vocab}")
 
-    state0 = drafter.init_state(h, last_token, embeddings)
-    states = state0.s[None, :]
+    emb = np.asarray(embeddings, dtype=np.float64)
+    state0 = drafter.init_state(h, last_token, emb)
+    # the input term of the recurrence, w @ e + b, for every token at once
+    token_term = emb @ params.w.T + params.b
+    d_s = params.d_s
+    x = np.empty((beam_width, d_s + params.d_model))
+    x[:, d_s:] = state0.h
+    x[0, :d_s] = state0.s
     cum_logp = np.zeros(1)
-    tokens = np.zeros((1, 0), dtype=np.int64)
+    tokens = np.zeros((beam_width, beam_length), dtype=np.int64)
 
-    for _ in range(beam_length):
-        logp = drafter.head_logp_batch(states, state0.h, params)
+    for depth in range(beam_length):
+        # one live row at depth 0, beam_width rows after it
+        logp = drafter.head_logp_batch(x[:cum_logp.size], params)
         scores = (cum_logp[:, None] + logp).ravel()
         keep = np.argsort(-scores, kind="stable")[:beam_width]
         parent = keep // vocab
         tok = keep % vocab
-        tokens = np.concatenate([tokens[parent], tok[:, None]], axis=1)
+        tokens[:, :depth] = tokens[parent, :depth]
+        tokens[:, depth] = tok
         cum_logp = scores[keep]
-        states = drafter.step_batch(states[parent], tok, params, embeddings)
+        # the last depth's states would feed no head, so they are not computed
+        if depth + 1 < beam_length:
+            x[:, :d_s] = drafter.step_batch(x[parent, :d_s], token_term[tok], params)
 
-    return Beam(tokens=tokens, logp=cum_logp, states=states)
+    return Beam(tokens=tokens, logp=cum_logp)
 
 
 def dedup_prefix(tokens):
@@ -115,17 +126,15 @@ def dedup_prefix(tokens):
     return np.argmax(seq_matches, axis=1)                        # ties -> lowest k
 
 
-def pack_beam(beam, prefix_tree, root):
+def pack_beam(beam, root):
     """Flatten a beam under a ``root`` token, one node per distinct prefix.
 
-    A token (i, j) owns a node iff prefix_tree[i][j] == i; other candidates
-    reference the owner's node.  Node order is the root, then candidate-major,
-    position-minor, so parents always precede children.
+    A token (i, j) owns a node iff ``dedup_prefix`` maps it to i; other
+    candidates reference the owner's node.  Node order is the root, then
+    candidate-major, position-minor, so parents always precede children.
     """
     tokens = np.asarray(beam.tokens)
-    prefix_tree = np.asarray(prefix_tree)
-    if prefix_tree.shape != tokens.shape or not np.array_equal(prefix_tree, dedup_prefix(tokens)):
-        raise ContractError("prefix_tree is inconsistent with the beam")
+    prefix_tree = dedup_prefix(tokens)
     width, length = tokens.shape
 
     owner = prefix_tree == np.arange(width)[:, None]

@@ -75,7 +75,7 @@ def parse_prompt(args, base):
     return random_prompts(base, 1, args.prompt_len, args.seed)[0]
 
 
-def run_single(base, params, prompt, cfg, base_name):
+def run_single(base, params, prompt, cfg, base_name, seed):
     """Timed speculative + autoregressive runs over one prompt."""
     proposer = decode.RnnProposer(params, base.token_embeddings)
     t0 = time.perf_counter()
@@ -88,7 +88,7 @@ def run_single(base, params, prompt, cfg, base_name):
     wall_ar = (t2 - t1) * 1e3
     return spec_tokens, RunReport(
         base=base_name,
-        beam_width=cfg.beam_width, beam_length=cfg.beam_length, seed=cfg.seed,
+        beam_width=cfg.beam_width, beam_length=cfg.beam_length, seed=seed,
         tokens_generated=len(spec_tokens), steps=len(reports),
         tokens_per_step=len(spec_tokens) / max(1, len(reports)),
         wall_ms_spec=wall_spec, wall_ms_ar=wall_ar,
@@ -108,12 +108,13 @@ def cmd_generate(args):
     prompt = parse_prompt(args, base)
     cfg = decode.DecodeConfig(beam_width=args.beam_width, beam_length=args.beam_length,
                               max_new_tokens=args.max_new_tokens,
-                              stop_token=args.stop_token, seed=args.seed)
+                              stop_token=args.stop_token)
     if args.baseline:
         tokens = decode.autoregressive_generate(base, prompt, cfg)
         print(" ".join(str(t) for t in tokens))
         return 0
-    tokens, report = run_single(base, build_drafter(args, base), prompt, cfg, args.base)
+    tokens, report = run_single(base, build_drafter(args, base), prompt, cfg, args.base,
+                               args.seed)
     print(" ".join(str(t) for t in tokens))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -133,7 +134,7 @@ def cmd_bench(args):
 
     # AR baseline is config-independent: run and time it once per prompt set.
     base_cfg = decode.DecodeConfig(beam_width=1, beam_length=1,
-                                   max_new_tokens=args.max_new_tokens, seed=args.seed)
+                                   max_new_tokens=args.max_new_tokens)
     decode.autoregressive_generate(base, prompts[0], base_cfg)  # warm-up, discarded
     t0 = time.perf_counter()
     ar_tokens = [decode.autoregressive_generate(base, p, base_cfg) for p in prompts]
@@ -144,7 +145,7 @@ def cmd_bench(args):
     for width in widths:
         for length in lengths:
             cfg = decode.DecodeConfig(beam_width=width, beam_length=length,
-                                      max_new_tokens=args.max_new_tokens, seed=args.seed)
+                                      max_new_tokens=args.max_new_tokens)
             decode.speculative_generate(base, proposer, prompts[0], cfg)  # warm-up
             for rep in range(args.repeats):
                 t0 = time.perf_counter()
@@ -196,8 +197,7 @@ def cmd_verify_equivalence(args):
             for length in lengths:
                 for p_idx, prompt in enumerate(prompts):
                     cfg = decode.DecodeConfig(beam_width=width, beam_length=length,
-                                              max_new_tokens=args.max_new_tokens,
-                                              seed=args.seed)
+                                              max_new_tokens=args.max_new_tokens)
                     spec_tokens, _ = decode.speculative_generate(
                         base, proposer, prompt, cfg,
                         _omit_guaranteed=args.corrupt_skip_bonus)

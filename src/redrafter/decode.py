@@ -39,7 +39,6 @@ class DecodeConfig:
     beam_length: int
     max_new_tokens: int
     stop_token: Optional[int] = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.beam_width < 1 or self.beam_length < 1 or self.max_new_tokens < 1:
@@ -63,6 +62,7 @@ class VerifyResult:
     chosen_candidate: int
     accepted_len: int
     next_guaranteed_token: int
+    path: np.ndarray  # packed nodes to commit: the root, then the accepted drafts
 
 
 class RnnProposer:
@@ -123,18 +123,17 @@ def verify_greedy(base_output, beam, packed):
     path = np.concatenate([[0], packed.candidate_node[chosen, :acc]])
     _warn_near_ties(base_output.logits[path])
     return VerifyResult(chosen_candidate=chosen, accepted_len=acc,
-                        next_guaranteed_token=int(node_argmax[path[-1]]))
+                        next_guaranteed_token=int(node_argmax[path[-1]]), path=path)
 
 
 def _warn_near_ties(rows):
-    for row in rows:
-        if row.shape[0] < 2:
-            continue
-        top2 = np.partition(row, -2)[-2:]
-        gap = float(top2[1]) - float(top2[0])
-        if gap < NEAR_TIE_GAP:
-            log.warning("near-tie in verification logits (top-1/top-2 gap %.3e); "
-                        "argmax agreement between code paths may be fragile", gap)
+    if rows.shape[1] < 2:
+        return
+    top2 = np.partition(rows, -2, axis=1)[:, -2:].astype(np.float64)
+    gaps = top2[:, 1] - top2[:, 0]
+    for gap in gaps[gaps < NEAR_TIE_GAP]:
+        log.warning("near-tie in verification logits (top-1/top-2 gap %.3e); "
+                    "argmax agreement between code paths may be fragile", gap)
 
 
 def autoregressive_generate(base, prompt, cfg):
@@ -189,12 +188,11 @@ def speculative_generate(base, proposer, prompt, cfg, _omit_guaranteed=False):
             proposal = proposer.propose(h, guaranteed, cfg.beam_width, length)
         else:
             proposal = beam_mod.Beam(tokens=np.zeros((1, 0), np.int64), logp=np.zeros(1))
-        prefix_tree = beam_mod.dedup_prefix(proposal.tokens)
-        packed = beam_mod.pack_beam(proposal, prefix_tree, guaranteed)
+        packed = beam_mod.pack_beam(proposal, guaranteed)
         base_out, spec_state = base.forward_packed(packed, cache)
         result = verify_greedy(base_out, proposal, packed)
         acc = result.accepted_len
-        path = np.concatenate([[0], packed.candidate_node[result.chosen_candidate, :acc]])
+        path = result.path
         base.commit_accepted(cache, packed, spec_state, path)
         generated += acc + 1
         h = base_out.hidden[path[-1]]

@@ -24,6 +24,16 @@ def dsilu(x):
     return sig * (1.0 + x * (1.0 - sig))
 
 
+def _flat_arrays(p):
+    """(name, tensor) pairs of a parameter or gradient set, in a fixed order."""
+    out = [("u", p.u), ("w", p.w), ("b", p.b)]
+    for i, (wm, bm) in enumerate(p.mlp):
+        out.append((f"mlp{i}_w", wm))
+        out.append((f"mlp{i}_b", bm))
+    out.append(("out_proj", p.out_proj))
+    return out
+
+
 @dataclass
 class DrafterParams:
     """Trainable parameters.
@@ -83,12 +93,7 @@ class DrafterParams:
 
     def flat_arrays(self):
         """Parameter tensors in a fixed order (for optimizers and serialization)."""
-        out = [("u", self.u), ("w", self.w), ("b", self.b)]
-        for i, (wm, bm) in enumerate(self.mlp):
-            out.append((f"mlp{i}_w", wm))
-            out.append((f"mlp{i}_b", bm))
-        out.append(("out_proj", self.out_proj))
-        return out
+        return _flat_arrays(self)
 
     def copy(self):
         return DrafterParams(u=self.u.copy(), w=self.w.copy(), b=self.b.copy(),
@@ -113,10 +118,11 @@ def _check_tokens(tokens, vocab_size):
 
 def init_state(h, last_token, embeddings):
     """Start the recurrence from the embedding of the last committed token."""
-    embeddings = np.asarray(embeddings, dtype=np.float64)
+    embeddings = np.asarray(embeddings)
     if not 0 <= last_token < embeddings.shape[0]:
         raise VocabError(f"token {last_token} outside vocab of size {embeddings.shape[0]}")
-    return DrafterState(s=embeddings[last_token].copy(), h=np.asarray(h, dtype=np.float64))
+    return DrafterState(s=np.array(embeddings[last_token], dtype=np.float64),
+                        h=np.asarray(h, dtype=np.float64))
 
 
 def step(state, token, params, embeddings):
@@ -131,25 +137,25 @@ def head_logp(state, params):
     if state.s.shape[0] != params.d_s or state.h.shape[0] != params.d_model:
         raise ShapeError(f"state dims ({state.s.shape[0]},{state.h.shape[0]}) do not match "
                          f"params ({params.d_s},{params.d_model})")
-    logp = head_logp_batch(state.s[None, :], state.h[None, :], params)
-    return logp[0]
+    return head_logp_batch(np.concatenate([state.s, state.h])[None, :], params)[0]
 
 
 # ---------------------------------------------------------------------------
 # batched forward (beam search and training share these)
 # ---------------------------------------------------------------------------
 
-def step_batch(s, tokens, params, embeddings):
-    """Advance a batch of recurrent states by one token each."""
-    e = np.asarray(embeddings, dtype=np.float64)[tokens]
-    pre = s @ params.u.T + e @ params.w.T + params.b
-    return silu(pre)
+def step_batch(s, token_term, params):
+    """Advance a batch of recurrent states by one token each.
+
+    ``token_term`` holds each token's input term ``w @ e + b``, one row per
+    state; beam search gathers these rows from a per-vocabulary table.
+    """
+    return silu(s @ params.u.T + token_term)
 
 
-def head_logp_batch(s, h, params):
-    """Log-probabilities over the vocab for a batch of states. h broadcasts if shared."""
-    h = np.broadcast_to(np.asarray(h, dtype=np.float64), (s.shape[0], params.d_model))
-    x = np.concatenate([s, h], axis=1)
+def head_logp_batch(x, params):
+    """Log-probabilities over the vocab for a batch of head inputs, each row
+    the concatenated ``[s | h]``."""
     for wm, bm in params.mlp:
         x = x + silu(x @ wm.T + bm)
     z = x @ params.out_proj.T
@@ -177,12 +183,8 @@ class DrafterGrads:
                    out_proj=np.zeros_like(params.out_proj))
 
     def flat_arrays(self):
-        out = [("u", self.u), ("w", self.w), ("b", self.b)]
-        for i, (wm, bm) in enumerate(self.mlp):
-            out.append((f"mlp{i}_w", wm))
-            out.append((f"mlp{i}_b", bm))
-        out.append(("out_proj", self.out_proj))
-        return out
+        """Gradient tensors in the order of ``DrafterParams.flat_arrays``."""
+        return _flat_arrays(self)
 
     def scale(self, c):
         self.u *= c

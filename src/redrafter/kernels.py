@@ -192,8 +192,8 @@ _matmul_impl, _row_softmax_impl, _attend_impl = _LANES[BACKEND]
 
 
 def get_lane(name):
-    """Return (matmul, row_softmax, attend) for an explicit lane; used by the
-    backend benchmark."""
+    """Return (matmul, row_softmax, attend) for an explicit lane, so a lane
+    other than the default one can be called and tested directly."""
     return _LANES[name]
 
 

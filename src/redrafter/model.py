@@ -86,13 +86,18 @@ class BaseModel(ABC):
     def commit_accepted(self, cache, packed, spec_state, flat_path):
         """Append an accepted path of packed tokens, root first, to the context."""
 
+    def _check_tokens(self, tokens):
+        tokens = np.asarray(tokens, dtype=np.int64)
+        if tokens.size and (tokens.min() < 0 or tokens.max() >= self.config.vocab_size):
+            raise ShapeError(f"token id outside vocab of size {self.config.vocab_size}")
+        return tokens
+
     def _check_path(self, packed, flat_path):
         flat_path = np.asarray(flat_path, dtype=np.int64)
-        prev = ROOT_PARENT
-        for idx in flat_path:
-            if packed.parents[idx] != prev:
-                raise ContractError("accepted positions do not form a root-to-node path")
-            prev = idx
+        # node k's parent must be node k - 1, and the first node's ROOT_PARENT
+        expected = np.concatenate(([ROOT_PARENT], flat_path))[:-1]
+        if not np.array_equal(packed.parents[flat_path], expected):
+            raise ContractError("accepted positions do not form a root-to-node path")
         return flat_path
 
     def _check_capacity(self, cache, extra):
@@ -191,12 +196,6 @@ class TinyTransformer(BaseModel):
         c = self.config
         return KvCache(k=[np.zeros((c.max_seq_len, c.d_model), np.float32) for _ in range(c.n_layers)],
                        v=[np.zeros((c.max_seq_len, c.d_model), np.float32) for _ in range(c.n_layers)])
-
-    def _check_tokens(self, tokens):
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.size and (tokens.min() < 0 or tokens.max() >= self.config.vocab_size):
-            raise ShapeError(f"token id outside vocab of size {self.config.vocab_size}")
-        return tokens
 
     def _attend(self, x_norm, layer, cache, key_bias, new_k, new_v):
         """Multi-head attention of the new/packed rows against cache + new keys.
@@ -342,12 +341,6 @@ class SyntheticMarkovModel(BaseModel):
         h = np.concatenate([self.state_emb[t] for t in padded])
         return self.table[self._state_index(history)], h
 
-    def _check_tokens(self, tokens):
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.size and (tokens.min() < 0 or tokens.max() >= self.config.vocab_size):
-            raise ShapeError(f"token id outside vocab of size {self.config.vocab_size}")
-        return tokens
-
     def forward_context(self, tokens, cache):
         tokens = self._check_tokens(tokens)
         self._check_capacity(cache, tokens.shape[0])
@@ -371,18 +364,15 @@ class SyntheticMarkovModel(BaseModel):
             return (BaseModelOutput(logits=np.zeros((0, self.config.vocab_size), np.float32),
                                     hidden=np.zeros((0, self.config.d_model), np.float32)), None)
         self._check_capacity(cache, int(packed.depths.max()) + 1)
-        logits, hidden = [], []
-        for i in range(n):
-            path = []
-            j = i
-            while j != ROOT_PARENT:
-                path.append(int(tokens[j]))
-                j = packed.parents[j]
-            row, h = self._row(cache.tokens + path[::-1])
-            logits.append(row)
-            hidden.append(h)
-        return BaseModelOutput(logits=np.asarray(logits, np.float32),
-                               hidden=np.asarray(hidden, np.float32)), None
+        # a node's row reads its own token and, at order 2, the token before
+        # it: its parent's, or for the root the last committed one (0-padded)
+        parents = np.asarray(packed.parents)
+        last = cache.tokens[-1] if cache.tokens else 0
+        prev = np.where(parents == ROOT_PARENT, last, tokens[parents])
+        history = np.stack([prev, tokens], axis=1)[:, 2 - self.order:]
+        idx = np.ravel_multi_index(history.T, (self.config.vocab_size,) * self.order)
+        return BaseModelOutput(logits=self.table[idx],
+                               hidden=self.state_emb[history].reshape(n, -1)), None
 
     def commit_accepted(self, cache, packed, spec_state, flat_path):
         flat_path = self._check_path(packed, flat_path)

@@ -135,14 +135,14 @@ def test_criterion_3_packed_beam_round_trip():
         length = int(rng.integers(1, 7))
         tokens = rng.integers(0, 4, size=(width, length))
         beam = Beam(tokens=tokens, logp=np.zeros(width))
-        packed = pack_beam(beam, dedup_prefix(tokens), 0)
+        packed = pack_beam(beam, 0)
         ratio = compression_ratio(beam, packed)
         min_ratio = min(min_ratio, ratio)
         for i in range(width):
             if not np.array_equal(packed.tokens[packed.candidate_path(i)], tokens[i]):
                 failures += 1
     same = Beam(tokens=np.tile(np.array([1, 2, 3]), (6, 1)), logp=np.zeros(6))
-    identical_ratio = compression_ratio(same, pack_beam(same, dedup_prefix(same.tokens), 0))
+    identical_ratio = compression_ratio(same, pack_beam(same, 0))
     report(3, failures == 0 and min_ratio >= 1.0 and identical_ratio == 6.0,
            f"{failures} path mismatches, min ratio {min_ratio:.3f}, "
            f"identical-candidate ratio {identical_ratio}")
@@ -159,7 +159,7 @@ def test_criterion_4_tree_mask_soundness():
         tokens = rng.integers(0, 3, size=(width, length))
         root = int(rng.integers(base.config.vocab_size))
         beam = Beam(tokens=tokens, logp=np.zeros(width))
-        packed = pack_beam(beam, dedup_prefix(tokens), root)
+        packed = pack_beam(beam, root)
         cache = base.new_cache()
         base.forward_context(prompt, cache)
         out, _ = base.forward_packed(packed, cache)

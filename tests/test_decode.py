@@ -140,6 +140,17 @@ def test_step_reports_account_for_emitted_tokens(markov):
     assert sum(r.accepted_draft_tokens + 1 for r in reports) == len(spec) == 24
 
 
+def test_each_step_dedups_its_beam_once(tiny, markov, monkeypatch):
+    calls = []
+    dedup = beam_mod.dedup_prefix
+    monkeypatch.setattr(beam_mod, "dedup_prefix", lambda tokens: calls.append(1) or dedup(tokens))
+    for base in (markov, tiny):
+        calls.clear()
+        cfg = DecodeConfig(beam_width=4, beam_length=4, max_new_tokens=20)
+        _, reports = speculative_generate(base, make_proposer(base), [1, 2], cfg)
+        assert len(calls) == len(reports) > 1
+
+
 def test_stop_token_truncates_inclusively(markov):
     long_cfg = DecodeConfig(beam_width=2, beam_length=3, max_new_tokens=40)
     prompt = [3, 7]
@@ -282,7 +293,7 @@ def build_verify_case(beam_tokens, verifier_next, vocab=8):
     node 0 is the root (the guaranteed token), draft nodes follow."""
     tokens = np.asarray(beam_tokens, dtype=np.int64).reshape(len(beam_tokens), -1)
     beam = Beam(tokens=tokens, logp=np.zeros(len(beam_tokens)))
-    packed = beam_mod.pack_beam(beam, beam_mod.dedup_prefix(beam.tokens), root=1)
+    packed = beam_mod.pack_beam(beam, root=1)
     logits = one_hot_logits(verifier_next, vocab)
     hidden = np.zeros((packed.n, 4), dtype=np.float32)
     out = BaseModelOutput(logits=logits, hidden=hidden)
@@ -323,6 +334,24 @@ def test_verify_ties_pick_lower_candidate_index():
     result = verify_greedy(out, beam, packed)
     assert result.accepted_len == 1
     assert result.chosen_candidate == 0
+
+
+def test_verify_warns_on_near_ties_along_the_accepted_path(caplog):
+    # path: root (node 0) then node 1; node 2 is off the path
+    beam, packed, out = build_verify_case([[3, 4]], verifier_next=[3, 6, 0])
+    with caplog.at_level("WARNING", logger="redrafter.decode"):
+        result = verify_greedy(out, beam, packed)
+    assert result.path.tolist() == [0, 1]
+    assert not caplog.records  # clear margins
+    out.logits[2, 5] = out.logits[2, 0]  # a tie off the path is not checked
+    with caplog.at_level("WARNING", logger="redrafter.decode"):
+        verify_greedy(out, beam, packed)
+    assert not caplog.records
+    out.logits[1, 7] = out.logits[1, 6] - np.float32(decode.NEAR_TIE_GAP / 2)
+    with caplog.at_level("WARNING", logger="redrafter.decode"):
+        result = verify_greedy(out, beam, packed)
+    assert result.next_guaranteed_token == 6
+    assert len(caplog.records) == 1 and "near-tie" in caplog.records[0].getMessage()
 
 
 def test_verify_rejects_misaligned_output():

@@ -71,12 +71,13 @@ def test_single_and_batched_paths_agree():
     tokens = rng.integers(0, p.vocab_size, size=4)
 
     states = np.stack([drafter.init_state(h, int(t), emb).s for t in tokens])
-    batched = drafter.head_logp_batch(states, h, p)
+    x = np.concatenate([states, np.tile(h, (len(tokens), 1))], axis=1)
+    batched = drafter.head_logp_batch(x, p)
     for row, t in zip(batched, tokens):
         single = drafter.head_logp(drafter.init_state(h, int(t), emb), p)
         assert np.allclose(row, single, atol=1e-12)
 
-    stepped = drafter.step_batch(states, tokens, p, emb)
+    stepped = drafter.step_batch(states, emb[tokens] @ p.w.T + p.b, p)
     for i, t in enumerate(tokens):
         single = drafter.step(DrafterState(s=states[i], h=h), int(t), p, emb)
         assert np.allclose(stepped[i], single.s, atol=1e-12)

@@ -5,7 +5,7 @@ import pytest
 
 from redrafter import beam as beam_mod
 from redrafter.beam import Beam
-from redrafter.errors import CapacityError, ConfigError, ShapeError
+from redrafter.errors import CapacityError, ConfigError, ContractError, ShapeError
 from redrafter.model import (ModelConfig, SyntheticMarkovModel, TinyTransformer, _layer_norm,
                              synthetic_markov_model)
 
@@ -23,7 +23,7 @@ ROOT = 7  # the guaranteed token every packed tree here is rooted at
 
 def packed_from_tokens(tokens):
     beam = Beam(tokens=np.asarray(tokens), logp=np.zeros(len(tokens)))
-    return beam, beam_mod.pack_beam(beam, beam_mod.dedup_prefix(beam.tokens), ROOT)
+    return beam, beam_mod.pack_beam(beam, ROOT)
 
 
 def test_incremental_and_block_context_agree(tiny):
@@ -210,16 +210,45 @@ def test_markov_hidden_is_concatenated_embeddings():
 
 
 def test_markov_packed_forward_follows_paths():
-    model = synthetic_markov_model(order=2, vocab_size=8, seed=10)
-    cache = model.new_cache()
-    model.forward_context([1, 2, 3], cache)
-    beam, packed = packed_from_tokens(np.array([[4, 5], [4, 6]]))
-    out, _ = model.forward_packed(packed, cache)
-    for i in range(2):
-        replay = model.new_cache()
-        full = model.forward_context([1, 2, 3, ROOT] + beam.tokens[i].tolist(), replay)
-        path = np.concatenate([[0], packed.candidate_path(i)])
-        assert np.array_equal(out.logits[path], full.logits[3:])
+    """Every node's logits and hidden state equal, bit for bit, those of a
+    causal replay of its path, for both orders and committed contexts from
+    empty to longer than the order."""
+    shared = np.array([[4, 5, 1, 2, 3], [4, 5, 1, 2, 6], [4, 5, 7, 7, 0], [4, 6, 6, 1, 2],
+                       [2, 2, 2, 2, 2], [2, 2, 2, 2, 3], [4, 5, 1, 3, 3], [0, 1, 2, 3, 4]])
+    for order in (1, 2):
+        model = synthetic_markov_model(order=order, vocab_size=8, seed=10)
+        for context in ([], [3], [1, 2, 3]):
+            for tokens in (np.array([[4, 5], [4, 6]]), shared):
+                cache = model.new_cache()
+                model.forward_context(context, cache)
+                beam, packed = packed_from_tokens(tokens)
+                out, _ = model.forward_packed(packed, cache)
+                for i in range(beam.width):
+                    full = model.forward_context(context + [ROOT] + beam.tokens[i].tolist(),
+                                                 model.new_cache())
+                    path = np.concatenate([[0], packed.candidate_path(i)])
+                    where = (order, context, i)
+                    assert np.array_equal(out.logits[path].view(np.uint32),
+                                          full.logits[len(context):].view(np.uint32)), where
+                    assert np.array_equal(out.hidden[path].view(np.uint32),
+                                          full.hidden[len(context):].view(np.uint32)), where
+
+
+def test_commit_rejects_a_non_path(tiny):
+    """commit_accepted takes only a root-to-node path of the packed tree."""
+    # nodes: 0 root, 1 = 4, 2 = 4 -> 5, 3 = 4 -> 6
+    _, packed = packed_from_tokens(np.array([[4, 5], [4, 6]]))
+    markov = synthetic_markov_model(order=2, vocab_size=16, seed=1)
+    for base in (tiny, markov):
+        cache = base.new_cache()
+        base.forward_context([1, 2, 3], cache)
+        _, spec_state = base.forward_packed(packed, cache)
+        for bad in ([0, 2], [1, 3], [0, 3, 1]):  # skips a level, not from the root, out of order
+            with pytest.raises(ContractError):
+                base.commit_accepted(cache, packed, spec_state, bad)
+            assert cache.committed_len == 3
+        base.commit_accepted(cache, packed, spec_state, [0, 1, 3])
+        assert cache.tokens == [1, 2, 3, ROOT, 4, 6]
 
 
 def test_markov_rejects_unsupported_order():
