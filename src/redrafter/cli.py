@@ -75,6 +75,21 @@ def parse_prompt(args, base):
     return random_prompts(base, 1, args.prompt_len, args.seed)[0]
 
 
+def greedy_streams(base, prompts, max_new_tokens):
+    """The greedy reference of each prompt; it does not depend on the beam shape."""
+    cfg = decode.DecodeConfig(beam_width=1, beam_length=1, max_new_tokens=max_new_tokens)
+    return [decode.autoregressive_generate(base, p, cfg) for p in prompts]
+
+
+def first_divergence(spec_tokens, greedy_tokens):
+    """Position where a speculative stream first leaves its greedy reference,
+    or None when the two are equal."""
+    if spec_tokens == greedy_tokens:
+        return None
+    return next((i for i, (a, b) in enumerate(zip(spec_tokens, greedy_tokens)) if a != b),
+                min(len(spec_tokens), len(greedy_tokens)))
+
+
 def run_single(base, params, prompt, cfg, base_name, seed):
     """Timed speculative + autoregressive runs over one prompt."""
     proposer = decode.RnnProposer(params, base.token_embeddings)
@@ -95,7 +110,7 @@ def run_single(base, params, prompt, cfg, base_name, seed):
         speedup=wall_ar / wall_spec if wall_spec > 0 else float("nan"),
         compression_mean=float(np.mean(ratios)) if ratios else 1.0,
         compression_p99=float(np.percentile(ratios, 99)) if ratios else 1.0,
-        equivalence_ok=spec_tokens == ar_tokens,
+        equivalence_ok=first_divergence(spec_tokens, ar_tokens) is None,
     )
 
 
@@ -133,11 +148,9 @@ def cmd_bench(args):
     prompts = random_prompts(base, args.n_prompts, args.prompt_len, args.seed)
 
     # AR baseline is config-independent: run and time it once per prompt set.
-    base_cfg = decode.DecodeConfig(beam_width=1, beam_length=1,
-                                   max_new_tokens=args.max_new_tokens)
-    decode.autoregressive_generate(base, prompts[0], base_cfg)  # warm-up, discarded
+    greedy_streams(base, prompts[:1], args.max_new_tokens)  # warm-up, discarded
     t0 = time.perf_counter()
-    ar_tokens = [decode.autoregressive_generate(base, p, base_cfg) for p in prompts]
+    ar_tokens = greedy_streams(base, prompts, args.max_new_tokens)
     wall_ms_ar = (time.perf_counter() - t0) * 1e3
 
     rows = []
@@ -154,7 +167,8 @@ def cmd_bench(args):
                 tokens = sum(len(toks) for toks, _ in runs)
                 steps = sum(len(reps) for _, reps in runs)
                 ratios = [r.compression_ratio for _, reps in runs for r in reps]
-                ok = all(toks == ar for (toks, _), ar in zip(runs, ar_tokens))
+                ok = all(first_divergence(toks, ar) is None
+                         for (toks, _), ar in zip(runs, ar_tokens))
                 any_fail = any_fail or not ok
                 rows.append({
                     "beam_width": width, "beam_length": length, "repeat": rep,
@@ -193,21 +207,20 @@ def cmd_verify_equivalence(args):
         params = build_drafter(ns, base)
         proposer = decode.RnnProposer(params, base.token_embeddings)
         prompts = random_prompts(base, args.n_prompts, args.prompt_len, args.seed)
+        greedy = greedy_streams(base, prompts, args.max_new_tokens)
         for width in widths:
             for length in lengths:
+                cfg = decode.DecodeConfig(beam_width=width, beam_length=length,
+                                          max_new_tokens=args.max_new_tokens)
                 for p_idx, prompt in enumerate(prompts):
-                    cfg = decode.DecodeConfig(beam_width=width, beam_length=length,
-                                              max_new_tokens=args.max_new_tokens)
                     spec_tokens, _ = decode.speculative_generate(
                         base, proposer, prompt, cfg,
                         _omit_guaranteed=args.corrupt_skip_bonus)
-                    ar_tokens = decode.autoregressive_generate(base, prompt, cfg)
+                    pos = first_divergence(spec_tokens, greedy[p_idx])
                     total += 1
-                    if spec_tokens == ar_tokens:
+                    if pos is None:
                         passed += 1
                     elif first_failure is None:
-                        pos = next((i for i, (a, b) in enumerate(zip(spec_tokens, ar_tokens))
-                                    if a != b), min(len(spec_tokens), len(ar_tokens)))
                         first_failure = (base_name, width, length, p_idx, pos)
     print(f"equivalence: {passed}/{total} passed")
     if first_failure:

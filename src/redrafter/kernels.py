@@ -26,7 +26,10 @@ match a dense row.  ``_ordered_sum`` instead
 Products that feed a sum are written into a fresh C-ordered array with the
 summed index outermost (``_ordered_dot``); letting numpy choose the layout
 of a broadcast product can put the summed index innermost.  The price is a
-temporary as large as the output times the summed length.
+temporary as large as the output times the summed length.  Attention makes
+its operands contiguous in the same order: the keys as (head dim, head, key),
+and the softmax exponentials as (key, head, query), so the denominator is an
+outer-axis sum and the probabilities feed the output products as they are.
 
 numba is an optional extra (``pip install -e ".[numba]"``).  When it imports,
 its compiled scalar loops are the default lane, unless
@@ -73,9 +76,16 @@ def _matmul_numpy(a, b):
     return _ordered_dot(a.T[:, :, None], b[:, None, :])
 
 
-def _row_softmax_numpy(scores):
+def _softmax_keys_first(scores):
+    """Softmax over the last axis of ``scores``, returned C-ordered with that
+    axis moved first, so its denominator is an outer-axis ``_ordered_sum``."""
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    return e / _ordered_sum(e, axis=-1)[..., None]
+    e = np.ascontiguousarray(e.transpose((e.ndim - 1, *range(e.ndim - 1))))
+    return e / _ordered_sum(e)
+
+
+def _row_softmax_numpy(scores):
+    return _softmax_keys_first(scores).T
 
 
 def _attend_numpy(q, keys, vals, bias, n_heads, scale):
@@ -84,13 +94,13 @@ def _attend_numpy(q, keys, vals, bias, n_heads, scale):
     n, d = q.shape
     m = keys.shape[0]
     dh = d // n_heads
-    # scores[h, i, j] = sum over t of q[i, h, t] * keys[j, h, t]
+    # scores[h, i, j] = sum over t of q[i, h, t] * keys_t[t, h, j]
+    keys_t = np.ascontiguousarray(keys.reshape(m, n_heads, dh).transpose(2, 1, 0))
     scores = _ordered_dot(q.reshape(n, n_heads, dh).transpose(2, 1, 0)[:, :, :, None],
-                          keys.reshape(m, n_heads, dh).transpose(2, 1, 0)[:, :, None, :])
-    probs = _row_softmax_numpy(scores * scale + bias)
-    # out[h, t, i] = sum over j of probs[h, i, j] * vals[j, h, t]
-    out = _ordered_dot(probs.transpose(2, 0, 1)[:, :, None, :],
-                       vals.reshape(m, n_heads, dh)[:, :, :, None])
+                          keys_t[:, :, None, :])
+    probs = _softmax_keys_first(scores * scale + bias)
+    # out[h, t, i] = sum over j of probs[j, h, i] * vals[j, h, t]
+    out = _ordered_dot(probs[:, :, None, :], vals.reshape(m, n_heads, dh)[:, :, :, None])
     return out.transpose(2, 0, 1).reshape(n, d)
 
 

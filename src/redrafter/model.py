@@ -119,16 +119,16 @@ def sinusoidal_positions(max_len, d_model):
 def _layer_norm(x, gain, bias):
     # np.add.reduce sums each row as ndarray.mean does, without mean's
     # Python-level overhead; every row has d_model terms on every path
-    x = x.astype(np.float32)
+    x = x.astype(np.float32, copy=False)
     d = x.shape[1]
-    mu = np.add.reduce(x, axis=1, keepdims=True) / d
-    var = np.add.reduce((x - mu) ** 2, axis=1, keepdims=True) / d
-    return ((x - mu) / np.sqrt(var + np.float32(1e-5))) * gain + bias
+    xc = x - np.add.reduce(x, axis=1, keepdims=True) / d
+    var = np.add.reduce(xc * xc, axis=1, keepdims=True) / d
+    return (xc / np.sqrt(var + np.float32(1e-5))) * gain + bias
 
 
 def _gelu(x):
     c = np.float32(np.sqrt(2.0 / np.pi))
-    x = x.astype(np.float32)
+    x = x.astype(np.float32, copy=False)
     return np.float32(0.5) * x * (np.float32(1.0) + np.tanh(c * (x + np.float32(0.044715) * x * x * x)))
 
 
@@ -139,6 +139,12 @@ class TinyTransformer(BaseModel):
     base model.  All arithmetic goes through the fixed-order float32 kernels,
     so a packed token whose ancestor path equals a causal prefix produces
     bitwise-identical logits to the causal forward.
+
+    ``weights`` is read at construction: each layer's ``wq``, ``wk`` and ``wv``
+    are copied side by side into one ``(d_model, 3 * d_model)`` projection,
+    whose product is bitwise the three separate products (each output column
+    is its own fixed-order sum).  Only ``weights`` is saved, so the weight
+    file keeps the separate tensors.
     """
 
     def __init__(self, config, weights):
@@ -146,6 +152,8 @@ class TinyTransformer(BaseModel):
         self.weights = weights
         self._validate_weights()
         self._pos = sinusoidal_positions(config.max_seq_len, config.d_model)
+        self._wqkv = [np.concatenate([weights[f"l{i}_{w}"] for w in ("wq", "wk", "wv")], axis=1)
+                      for i in range(config.n_layers)]
 
     @staticmethod
     def weight_shapes(config):
@@ -197,34 +205,29 @@ class TinyTransformer(BaseModel):
         return KvCache(k=[np.zeros((c.max_seq_len, c.d_model), np.float32) for _ in range(c.n_layers)],
                        v=[np.zeros((c.max_seq_len, c.d_model), np.float32) for _ in range(c.n_layers)])
 
-    def _attend(self, x_norm, layer, cache, key_bias, new_k, new_v):
-        """Multi-head attention of the new/packed rows against cache + new keys.
+    def _forward(self, tokens, positions, cache, key_bias):
+        """Shared body of the causal and tree-masked forwards.
 
+        The new rows attend to the committed cache plus their own keys.
         key_bias is (n_new, committed + n_new) additive float32; disallowed
         keys carry a large negative bias whose softmax weight is exactly 0.
         """
         c = self.config
         w = self.weights
-        scale = 1.0 / np.sqrt(c.d_model // c.n_heads)
-        q = kernels.matmul(x_norm, w[f"l{layer}_wq"])
+        d = c.d_model
         n_ctx = cache.committed_len
-        keys = np.concatenate([cache.k[layer][:n_ctx], new_k], axis=0)
-        vals = np.concatenate([cache.v[layer][:n_ctx], new_v], axis=0)
-        out = kernels.attend(q, keys, vals, key_bias, c.n_heads, scale)
-        return kernels.matmul(out, w[f"l{layer}_wo"])
-
-    def _forward(self, tokens, positions, cache, key_bias):
-        """Shared body of the causal and tree-masked forwards."""
-        c = self.config
-        w = self.weights
+        scale = 1.0 / np.sqrt(d // c.n_heads)
         x = w["tok_emb"][tokens] + self._pos[positions]
         per_layer_kv = []
         for layer in range(c.n_layers):
             x_norm = _layer_norm(x, w[f"l{layer}_ln1_g"], w[f"l{layer}_ln1_b"])
-            new_k = kernels.matmul(x_norm, w[f"l{layer}_wk"])
-            new_v = kernels.matmul(x_norm, w[f"l{layer}_wv"])
+            qkv = kernels.matmul(x_norm, self._wqkv[layer])
+            q, new_k, new_v = qkv[:, :d], qkv[:, d:2 * d], qkv[:, 2 * d:]
             per_layer_kv.append((new_k, new_v))
-            x = x + self._attend(x_norm, layer, cache, key_bias, new_k, new_v)
+            keys = np.concatenate([cache.k[layer][:n_ctx], new_k], axis=0)
+            vals = np.concatenate([cache.v[layer][:n_ctx], new_v], axis=0)
+            att = kernels.attend(q, keys, vals, key_bias, c.n_heads, scale)
+            x = x + kernels.matmul(att, w[f"l{layer}_wo"])
             x_norm = _layer_norm(x, w[f"l{layer}_ln2_g"], w[f"l{layer}_ln2_b"])
             ff = _gelu(kernels.matmul(x_norm, w[f"l{layer}_w1"]) + w[f"l{layer}_b1"])
             x = x + kernels.matmul(ff, w[f"l{layer}_w2"]) + w[f"l{layer}_b2"]

@@ -113,6 +113,28 @@ def test_argmax_breaks_ties_toward_low_index():
         kernels.argmax_tie_low(np.zeros(0))
 
 
+def tree_allowed(rng, n_rows, n_ctx, n_unqueried):
+    """A packed tree's mask: every context key, then each node's ancestors
+    and itself.  The last ``n_unqueried`` nodes are leaves with no query row,
+    so their key columns are masked in every row."""
+    n = n_rows + n_unqueried
+    parents = [int(rng.integers(0, min(i, n_rows))) for i in range(1, n)]
+    ancestors = np.eye(n, dtype=bool)
+    for i, parent in enumerate(parents, start=1):
+        ancestors[i] |= ancestors[parent]
+    return np.concatenate([np.ones((n_rows, n_ctx), bool), ancestors[:n_rows]], axis=1)
+
+
+# (query rows, heads, head width, keys or tree (context keys, unqueried leaves))
+ATTEND_CASES = [(4, 2, 3, 7),
+                (1, 1, 3, 20),  # one row, one head: _ordered_sum's slab-of-1 fallback
+                (1, 1, 5, 1),
+                (5, 3, 1, 9),  # dh = 1
+                # packed verify sizes: up to 150 keys, unqueried leaves are fully masked columns
+                (12, 4, 8, (20, 0)), (13, 4, 8, (40, 3)), (14, 2, 4, (120, 2)),
+                (17, 4, 8, (133, 0)), (15, 1, 8, (100, 6))]
+
+
 @pytest.mark.parametrize("lane", LANES)
 def test_attend_equals_composed_primitives(lane):
     """The fused attention kernel must reproduce matmul + softmax + matmul
@@ -120,26 +142,31 @@ def test_attend_equals_composed_primitives(lane):
     row attended alone gives the same bits as in the batch."""
     matmul, row_softmax, attend = kernels.get_lane(lane)
     rng = np.random.default_rng(5)
-    n, m, n_heads, dh = 4, 7, 2, 3
-    d = n_heads * dh
-    q = rng.normal(size=(n, d)).astype(np.float32)
-    keys = rng.normal(size=(m, d)).astype(np.float32)
-    vals = rng.normal(size=(m, d)).astype(np.float32)
-    allowed = rng.random((n, m)) > 0.3
-    allowed[:, 0] = True  # every query needs at least one key
-    bias = kernels.masked_bias(allowed)
-    scale = np.float32(1.0 / np.sqrt(dh))
+    for n, n_heads, dh, keys_or_tree in ATTEND_CASES:
+        if isinstance(keys_or_tree, tuple):
+            allowed = tree_allowed(rng, n, *keys_or_tree)
+        else:
+            allowed = rng.random((n, keys_or_tree)) > 0.3
+            allowed[:, 0] = True  # every query needs at least one key
+        m = allowed.shape[1]
+        d = n_heads * dh
+        q = rng.normal(size=(n, d)).astype(np.float32)
+        keys = rng.normal(size=(m, d)).astype(np.float32)
+        vals = rng.normal(size=(m, d)).astype(np.float32)
+        bias = kernels.masked_bias(allowed)
+        scale = np.float32(1.0 / np.sqrt(dh))
+        case = (n, n_heads, dh, keys_or_tree)
 
-    got = attend(q, keys, vals, bias, n_heads, scale)
-    for head in range(n_heads):
-        sl = slice(head * dh, (head + 1) * dh)
-        scores = matmul(q[:, sl], np.ascontiguousarray(keys[:, sl].T)) * scale + bias
-        probs = row_softmax(scores)
-        expect = matmul(probs, vals[:, sl])
-        assert np.array_equal(bits(got[:, sl]), bits(expect))
-    for i in range(n):
-        alone = attend(q[i:i + 1], keys, vals, bias[i:i + 1], n_heads, scale)
-        assert np.array_equal(bits(alone), bits(got[i:i + 1]))
+        got = attend(q, keys, vals, bias, n_heads, scale)
+        for head in range(n_heads):
+            sl = slice(head * dh, (head + 1) * dh)
+            scores = matmul(q[:, sl], np.ascontiguousarray(keys[:, sl].T)) * scale + bias
+            probs = row_softmax(scores)
+            expect = matmul(probs, vals[:, sl])
+            assert np.array_equal(bits(got[:, sl]), bits(expect)), (case, head)
+        for i in range(n):
+            alone = attend(q[i:i + 1], keys, vals, bias[i:i + 1], n_heads, scale)
+            assert np.array_equal(bits(alone), bits(got[i:i + 1])), (case, i)
 
 
 def test_attend_shape_validation():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from redrafter import beam as beam_mod
+from redrafter import kernels
 from redrafter.beam import Beam
 from redrafter.errors import CapacityError, ConfigError, ContractError, ShapeError
 from redrafter.model import (ModelConfig, SyntheticMarkovModel, TinyTransformer, _layer_norm,
-                             synthetic_markov_model)
+                             sinusoidal_positions, synthetic_markov_model)
 
 SMALL = ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=2, d_ff=32,
                     max_seq_len=64)
@@ -102,6 +103,94 @@ def test_empty_packed_beam_yields_empty_output(tiny):
     tiny.forward_context([1, 2], cache)
     out, _ = tiny.forward_packed(packed, cache)
     assert out.logits.shape[0] == 0
+
+
+def bits(x):
+    return x.view(np.uint32)  # distinguishes -0.0 from +0.0, unlike ==
+
+
+def reference_forward(model, tokens, positions, ctx_k, ctx_v, allowed):
+    """The transformer forward composed from the separate ``wq``, ``wk`` and
+    ``wv`` products, with layer norm and GELU written out as plain formulas.
+
+    ``ctx_k``/``ctx_v`` hold each layer's committed K/V rows and ``allowed``
+    is (rows, committed + rows).  Returns logits, hidden and each layer's new
+    (K, V) rows.
+    """
+    c = model.config
+    w = model.weights
+    d = c.d_model
+
+    def layer_norm(x, gain, bias):
+        mu = np.add.reduce(x, axis=1, keepdims=True) / d
+        var = np.add.reduce((x - mu) ** 2, axis=1, keepdims=True) / d
+        return ((x - mu) / np.sqrt(var + np.float32(1e-5))) * gain + bias
+
+    def gelu(x):
+        k = np.float32(np.sqrt(2.0 / np.pi))
+        return np.float32(0.5) * x * (np.float32(1.0) + np.tanh(
+            k * (x + np.float32(0.044715) * x * x * x)))
+
+    bias = kernels.masked_bias(allowed)
+    x = w["tok_emb"][tokens] + sinusoidal_positions(c.max_seq_len, d)[positions]
+    new_kv = []
+    for i in range(c.n_layers):
+        x_norm = layer_norm(x, w[f"l{i}_ln1_g"], w[f"l{i}_ln1_b"])
+        q, k, v = (kernels.matmul(x_norm, w[f"l{i}_{name}"]) for name in ("wq", "wk", "wv"))
+        new_kv.append((k, v))
+        att = kernels.attend(q, np.concatenate([ctx_k[i], k]), np.concatenate([ctx_v[i], v]),
+                             bias, c.n_heads, 1.0 / np.sqrt(d // c.n_heads))
+        x = x + kernels.matmul(att, w[f"l{i}_wo"])
+        x_norm = layer_norm(x, w[f"l{i}_ln2_g"], w[f"l{i}_ln2_b"])
+        ff = gelu(kernels.matmul(x_norm, w[f"l{i}_w1"]) + w[f"l{i}_b1"])
+        x = x + kernels.matmul(ff, w[f"l{i}_w2"]) + w[f"l{i}_b2"]
+    hidden = layer_norm(x, w["ln_f_g"], w["ln_f_b"])
+    return kernels.matmul(hidden, w["w_out"]), hidden, new_kv
+
+
+@pytest.mark.parametrize("n_heads", [1, 4])
+def test_forwards_equal_the_separate_projection_reference(n_heads):
+    """Prefill, a 1-row step and a packed tree with shared prefixes give, bit
+    for bit, the reference's logits, hidden states and K/V rows."""
+    config = ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=n_heads, d_ff=32,
+                         max_seq_len=64)
+    rng = np.random.default_rng(n_heads)
+    model = TinyTransformer(config, {name: rng.normal(0.0, 0.5, shape).astype(np.float32)
+                                     for name, shape in TinyTransformer.weight_shapes(config).items()})
+    cache = model.new_cache()
+
+    def check(out, kv, tokens, positions, allowed):
+        """Compare a forward's outputs and new K/V rows with the reference
+        over the cache's first ``allowed.shape[1] - len(tokens)`` rows."""
+        n_ctx = allowed.shape[1] - len(tokens)
+        logits, hidden, ref_kv = reference_forward(
+            model, tokens, positions, [k[:n_ctx] for k in cache.k],
+            [v[:n_ctx] for v in cache.v], allowed)
+        assert np.array_equal(bits(out.logits), bits(logits))
+        assert np.array_equal(bits(out.hidden), bits(hidden))
+        for (k, v), (ref_k, ref_v) in zip(kv, ref_kv, strict=True):
+            assert np.array_equal(bits(k), bits(ref_k))
+            assert np.array_equal(bits(v), bits(ref_v))
+        return ref_kv
+
+    for tokens in ([3, 1, 4, 1, 5, 9, 2, 6, 5], [12]):  # multi-row prefill, then a 1-row step
+        n_ctx, n = cache.committed_len, len(tokens)
+        positions = n_ctx + np.arange(n)
+        allowed = np.arange(n_ctx + n)[None, :] <= positions[:, None]
+        out = model.forward_context(tokens, cache)
+        written = [(k[n_ctx:n_ctx + n], v[n_ctx:n_ctx + n]) for k, v in zip(cache.k, cache.v)]
+        check(out, written, np.array(tokens), positions, allowed)
+
+    _, packed = packed_from_tokens([[4, 5, 1], [4, 5, 2], [4, 6, 6], [3, 3, 3]])
+    n_ctx = cache.committed_len
+    out, spec_state = model.forward_packed(packed, cache)
+    allowed = np.concatenate([np.ones((packed.n, n_ctx), bool), packed.mask.allowed], axis=1)
+    ref_kv = check(out, spec_state, packed.tokens, n_ctx + packed.depths, allowed)
+    path = np.concatenate([[0], packed.candidate_path(1)])
+    model.commit_accepted(cache, packed, spec_state, path)
+    for layer, (ref_k, ref_v) in enumerate(ref_kv):
+        assert np.array_equal(bits(cache.k[layer][n_ctx:n_ctx + 4]), bits(ref_k[path]))
+        assert np.array_equal(bits(cache.v[layer][n_ctx:n_ctx + 4]), bits(ref_v[path]))
 
 
 def test_layer_norm_mean_is_bitwise_the_float32_mean():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from redrafter import weights
+from redrafter.beam import Beam, pack_beam
 from redrafter.drafter import DrafterParams
 from redrafter.errors import FormatError
 from redrafter.model import ModelConfig, TinyTransformer
@@ -21,6 +22,18 @@ def test_base_model_round_trip_is_bitwise(tmp_path):
     assert set(loaded.weights) == set(model.weights)
     for name, arr in model.weights.items():
         assert np.array_equal(loaded.weights[name], arr), name
+    # the loaded model rebuilds its fused projection and forwards bit for bit alike
+    packed = pack_beam(Beam(tokens=np.array([[4, 5, 1], [4, 5, 2], [4, 6, 6]]),
+                            logp=np.zeros(3)), 7)
+
+    def outputs(m):
+        cache = m.new_cache()
+        outs = [m.forward_context([3, 1, 4, 1, 5], cache), m.forward_context([9], cache),
+                m.forward_packed(packed, cache)[0]]
+        return [a.view(np.uint32) for o in outs for a in (o.logits, o.hidden)]
+
+    for got, want in zip(outputs(loaded), outputs(model), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_drafter_round_trip_preserves_float32_payload(tmp_path):
