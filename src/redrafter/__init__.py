@@ -2,7 +2,8 @@
 dynamic tree attention over shared prefixes, and greedy verification that
 exactly reproduces autoregressive greedy output."""
 
-from .beam import Beam, PackedBeam, TreeMask, beam_search, compression_ratio, dedup_prefix, pack_beam
+from .beam import (Beam, BeamLattice, DraftTree, PackedBeam, beam_search, chain_tree,
+                   compression_ratio, dedup_prefix, pack_beam)
 from .decode import (DecodeConfig, MirrorProposer, RnnProposer, StepReport,
                      autoregressive_generate, speculative_generate, verify_greedy)
 from .drafter import DrafterParams, DrafterState, backward, head_logp, init_state, step

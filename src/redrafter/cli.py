@@ -42,6 +42,8 @@ class RunReport:
     compression_mean: float
     compression_p99: float
     equivalence_ok: bool
+    packed_nodes_mean: float  # tree nodes verified per step
+    accepted_len_hist: list   # [k]: steps that accepted k draft tokens
 
 
 def build_base(args):
@@ -111,6 +113,9 @@ def run_single(base, params, prompt, cfg, base_name, seed):
         compression_mean=float(np.mean(ratios)) if ratios else 1.0,
         compression_p99=float(np.percentile(ratios, 99)) if ratios else 1.0,
         equivalence_ok=first_divergence(spec_tokens, ar_tokens) is None,
+        packed_nodes_mean=float(np.mean([r.packed_size for r in reports])) if reports else 0.0,
+        accepted_len_hist=np.bincount([r.accepted_draft_tokens for r in reports],
+                                      minlength=cfg.beam_length + 1).tolist(),
     )
 
 

@@ -74,8 +74,8 @@ class BaseModel(ABC):
         """Append tokens to the committed context; logits/hidden per new position."""
 
     @abstractmethod
-    def forward_packed(self, packed, cache):
-        """Tree-masked forward over a packed tree whose root takes the next
+    def forward_packed(self, tree, cache):
+        """Tree-masked forward over a draft tree whose root takes the next
         position after the committed context.  Read-only on the cache.
 
         Returns (BaseModelOutput, spec_state); spec_state carries whatever the
@@ -83,8 +83,8 @@ class BaseModel(ABC):
         """
 
     @abstractmethod
-    def commit_accepted(self, cache, packed, spec_state, flat_path):
-        """Append an accepted path of packed tokens, root first, to the context."""
+    def commit_accepted(self, cache, tree, spec_state, flat_path):
+        """Append an accepted path of tree nodes, root first, to the context."""
 
     def _check_tokens(self, tokens):
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -92,11 +92,11 @@ class BaseModel(ABC):
             raise ShapeError(f"token id outside vocab of size {self.config.vocab_size}")
         return tokens
 
-    def _check_path(self, packed, flat_path):
+    def _check_path(self, tree, flat_path):
         flat_path = np.asarray(flat_path, dtype=np.int64)
         # node k's parent must be node k - 1, and the first node's ROOT_PARENT
         expected = np.concatenate(([ROOT_PARENT], flat_path))[:-1]
-        if not np.array_equal(packed.parents[flat_path], expected):
+        if not np.array_equal(tree.parents[flat_path], expected):
             raise ContractError("accepted positions do not form a root-to-node path")
         return flat_path
 
@@ -251,26 +251,25 @@ class TinyTransformer(BaseModel):
         cache.committed_len += n
         return out
 
-    def forward_packed(self, packed, cache):
-        tokens = self._check_tokens(packed.tokens)
+    def forward_packed(self, tree, cache):
+        tokens = self._check_tokens(tree.tokens)
         n = tokens.shape[0]
-        if packed.mask.allowed.shape != (n, n):
-            raise ShapeError(f"mask shape {packed.mask.allowed.shape} does not match "
-                             f"{n} packed tokens")
+        if tree.mask.shape != (n, n):
+            raise ShapeError(f"mask shape {tree.mask.shape} does not match {n} tree tokens")
         if n == 0:
             d = self.config.d_model
             return (BaseModelOutput(logits=np.zeros((0, self.config.vocab_size), np.float32),
                                     hidden=np.zeros((0, d), np.float32)), [])
-        self._check_capacity(cache, int(packed.depths.max()) + 1)
+        self._check_capacity(cache, int(tree.depths.max()) + 1)
         n_ctx = cache.committed_len
         # each node sits at the absolute position its path would occupy; the
         # root (depth 0) takes the next free position
-        positions = n_ctx + packed.depths
-        allowed = np.concatenate([np.ones((n, n_ctx), dtype=bool), packed.mask.allowed], axis=1)
+        positions = n_ctx + tree.depths
+        allowed = np.concatenate([np.ones((n, n_ctx), dtype=bool), tree.mask], axis=1)
         return self._forward(tokens, positions, cache, kernels.masked_bias(allowed))
 
-    def commit_accepted(self, cache, packed, spec_state, flat_path):
-        flat_path = self._check_path(packed, flat_path)
+    def commit_accepted(self, cache, tree, spec_state, flat_path):
+        flat_path = self._check_path(tree, flat_path)
         n = flat_path.shape[0]
         if n == 0:
             return cache
@@ -279,7 +278,7 @@ class TinyTransformer(BaseModel):
         for layer, (new_k, new_v) in enumerate(spec_state):
             cache.k[layer][n_ctx:n_ctx + n] = new_k[flat_path]
             cache.v[layer][n_ctx:n_ctx + n] = new_v[flat_path]
-        cache.tokens.extend(int(packed.tokens[i]) for i in flat_path)
+        cache.tokens.extend(int(tree.tokens[i]) for i in flat_path)
         cache.committed_len += n
         return cache
 
@@ -357,19 +356,18 @@ class SyntheticMarkovModel(BaseModel):
         return BaseModelOutput(logits=np.asarray(logits, np.float32),
                                hidden=np.asarray(hidden, np.float32))
 
-    def forward_packed(self, packed, cache):
-        tokens = self._check_tokens(packed.tokens)
+    def forward_packed(self, tree, cache):
+        tokens = self._check_tokens(tree.tokens)
         n = tokens.shape[0]
-        if packed.mask.allowed.shape != (n, n):
-            raise ShapeError(f"mask shape {packed.mask.allowed.shape} does not match "
-                             f"{n} packed tokens")
+        if tree.mask.shape != (n, n):
+            raise ShapeError(f"mask shape {tree.mask.shape} does not match {n} tree tokens")
         if n == 0:
             return (BaseModelOutput(logits=np.zeros((0, self.config.vocab_size), np.float32),
                                     hidden=np.zeros((0, self.config.d_model), np.float32)), None)
-        self._check_capacity(cache, int(packed.depths.max()) + 1)
+        self._check_capacity(cache, int(tree.depths.max()) + 1)
         # a node's row reads its own token and, at order 2, the token before
         # it: its parent's, or for the root the last committed one (0-padded)
-        parents = np.asarray(packed.parents)
+        parents = np.asarray(tree.parents)
         last = cache.tokens[-1] if cache.tokens else 0
         prev = np.where(parents == ROOT_PARENT, last, tokens[parents])
         history = np.stack([prev, tokens], axis=1)[:, 2 - self.order:]
@@ -377,10 +375,10 @@ class SyntheticMarkovModel(BaseModel):
         return BaseModelOutput(logits=self.table[idx],
                                hidden=self.state_emb[history].reshape(n, -1)), None
 
-    def commit_accepted(self, cache, packed, spec_state, flat_path):
-        flat_path = self._check_path(packed, flat_path)
+    def commit_accepted(self, cache, tree, spec_state, flat_path):
+        flat_path = self._check_path(tree, flat_path)
         self._check_capacity(cache, flat_path.shape[0])
-        cache.tokens.extend(int(packed.tokens[i]) for i in flat_path)
+        cache.tokens.extend(int(tree.tokens[i]) for i in flat_path)
         cache.committed_len = len(cache.tokens)
         return cache
 

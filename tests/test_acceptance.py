@@ -139,7 +139,7 @@ def test_criterion_3_packed_beam_round_trip():
         ratio = compression_ratio(beam, packed)
         min_ratio = min(min_ratio, ratio)
         for i in range(width):
-            if not np.array_equal(packed.tokens[packed.candidate_path(i)], tokens[i]):
+            if not np.array_equal(packed.tokens[packed.candidate_node[i]], tokens[i]):
                 failures += 1
     same = Beam(tokens=np.tile(np.array([1, 2, 3]), (6, 1)), logp=np.zeros(6))
     identical_ratio = compression_ratio(same, pack_beam(same, 0))
@@ -166,9 +166,29 @@ def test_criterion_4_tree_mask_soundness():
         for i in range(width):
             replay = base.forward_context(prompt + [root] + tokens[i].tolist(),
                                           base.new_cache())
-            path = np.concatenate([[0], packed.candidate_path(i)])
+            path = np.concatenate([[0], packed.candidate_node[i]])
             diff = np.max(np.abs(out.logits[path] - replay.logits[len(prompt):]))
             worst = max(worst, float(diff))
+
+    # the trees decoding verifies: beam-search backpointer trees, every node
+    # against a causal replay of its root path
+    params = DrafterParams.random(np.random.default_rng(6), base.config.d_model,
+                                  base.config.vocab_size)
+    tree_worst = 0.0
+    for _ in range(40):
+        prompt = rng.integers(0, base.config.vocab_size, size=5).tolist()
+        width = int(rng.integers(1, 9))
+        length = int(rng.integers(1, 6))
+        cache = base.new_cache()
+        ctx = base.forward_context(prompt, cache)
+        root = int(rng.integers(base.config.vocab_size))
+        tree = beam_mod.beam_search(params, base.token_embeddings, ctx.hidden[-1], root,
+                                    width, length).tree(root)
+        out, _ = base.forward_packed(tree, cache)
+        for i in range(tree.n):
+            path = tree.ancestors[i, :tree.depths[i] + 1]
+            replay = base.forward_context(prompt + tree.tokens[path].tolist(), base.new_cache())
+            tree_worst = max(tree_worst, float(np.max(np.abs(out.logits[i] - replay.logits[-1]))))
 
     cached_worst = 0.0
     for _ in range(20):
@@ -178,9 +198,9 @@ def test_criterion_4_tree_mask_soundness():
         rows = [base.forward_context([t], cache).logits[0] for t in seq]
         cached_worst = max(cached_worst,
                            float(np.max(np.abs(block.logits - np.stack(rows)))))
-    report(4, worst <= 1e-5 and cached_worst <= 1e-5,
-           f"packed-vs-replay max abs {worst:.2e}, "
-           f"cached-vs-uncached max abs {cached_worst:.2e} (tolerance 1e-5)")
+    report(4, worst <= 1e-5 and tree_worst <= 1e-5 and cached_worst <= 1e-5,
+           f"packed-vs-replay max abs {worst:.2e}, beam-tree-vs-replay max abs "
+           f"{tree_worst:.2e}, cached-vs-uncached max abs {cached_worst:.2e} (tolerance 1e-5)")
 
 
 def test_criterion_5_gradient_correctness():

@@ -48,6 +48,19 @@ def test_generate_writes_json_report(tmp_path, capsys):
     assert data["steps"] >= 1
 
 
+def test_generate_report_histograms_accepted_lengths(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert run(["generate", *MARKOV, "--prompt", "3 1", "--beam-width", "4",
+                "--beam-length", "3", "--max-new-tokens", "30", "--report", str(report)]) == 0
+    capsys.readouterr()
+    data = json.loads(report.read_text())
+    hist = data["accepted_len_hist"]
+    assert len(hist) == 3 + 1
+    assert sum(hist) == data["steps"]
+    assert sum((k + 1) * count for k, count in enumerate(hist)) == data["tokens_generated"] == 30
+    assert 1.0 <= data["packed_nodes_mean"] <= 1 + 4 + 3
+
+
 def test_generate_prompt_file(tmp_path, capsys):
     pf = tmp_path / "prompt.txt"
     pf.write_text("7 8 9\n")

@@ -140,15 +140,28 @@ def test_step_reports_account_for_emitted_tokens(markov):
     assert sum(r.accepted_draft_tokens + 1 for r in reports) == len(spec) == 24
 
 
-def test_each_step_dedups_its_beam_once(tiny, markov, monkeypatch):
+def test_rnn_steps_call_neither_dedup_nor_pack(tiny, markov, monkeypatch):
+    """The beam's backpointers give the tree: no step deduplicates or packs."""
     calls = []
-    dedup = beam_mod.dedup_prefix
-    monkeypatch.setattr(beam_mod, "dedup_prefix", lambda tokens: calls.append(1) or dedup(tokens))
+    monkeypatch.setattr(beam_mod, "dedup_prefix", lambda *a: calls.append("dedup_prefix"))
+    monkeypatch.setattr(beam_mod, "pack_beam", lambda *a: calls.append("pack_beam"))
     for base in (markov, tiny):
-        calls.clear()
         cfg = DecodeConfig(beam_width=4, beam_length=4, max_new_tokens=20)
-        _, reports = speculative_generate(base, make_proposer(base), [1, 2], cfg)
-        assert len(calls) == len(reports) > 1
+        spec, reports = speculative_generate(base, make_proposer(base), [1, 2], cfg)
+        assert spec == autoregressive_generate(base, [1, 2], cfg)
+        assert len(reports) > 1 and not calls
+        # at most width + length draft nodes below the root
+        assert max(r.packed_size for r in reports) == 1 + 4 + 4
+
+
+def test_proposal_must_be_rooted_at_the_guaranteed_token(markov):
+    class Misrooted:
+        def propose(self, h, last_token, width, length):
+            return beam_mod.chain_tree((last_token + 1) % 16, [0] * length)
+
+    cfg = DecodeConfig(beam_width=1, beam_length=2, max_new_tokens=8)
+    with pytest.raises(ContractError):
+        speculative_generate(markov, Misrooted(), [1, 2], cfg)
 
 
 def test_stop_token_truncates_inclusively(markov):
@@ -178,21 +191,29 @@ def test_stop_token_inside_an_accepted_path(markov):
     assert [r.accepted_draft_tokens for r in reports] == [5, 5]
 
 
-def test_duplicate_candidates_share_one_path(markov):
-    """A beam wider than its distinct candidates packs each prefix once."""
+def test_duplicate_candidates_share_one_path(markov, monkeypatch):
+    """A candidate list wider than its distinct candidates, packed by the
+    proposer, keeps each prefix once, and the accepted path runs down it."""
     inner = make_proposer(markov)
 
     class Duplicating:
         def propose(self, h, last_token, width, length):
-            beam = inner.propose(h, last_token, 1, length)
-            return Beam(tokens=np.repeat(beam.tokens, width, axis=0),
-                        logp=np.repeat(beam.logp, width))
+            beam = beam_mod.beam_search(inner.params, inner.embeddings, h, last_token,
+                                        1, length).candidates()
+            return beam_mod.pack_beam(Beam(tokens=np.repeat(beam.tokens, width, axis=0),
+                                           logp=np.repeat(beam.logp, width)), last_token)
 
+    results = []
+    verify = decode.verify_greedy
+    monkeypatch.setattr(decode, "verify_greedy",
+                        lambda out, tree: results.append(verify(out, tree)) or results[-1])
     prompt = [4, 9]
     cfg = DecodeConfig(beam_width=4, beam_length=3, max_new_tokens=20)
     spec, reports = speculative_generate(markov, Duplicating(), prompt, cfg)
     assert spec == autoregressive_generate(markov, prompt, cfg)
-    assert all(r.chosen_candidate == 0 for r in reports)
+    # the shared chain's nodes are numbered down from the root
+    assert [r.path.tolist() for r in results] == [list(range(r.accepted_len + 1))
+                                                  for r in results]
     # the root plus one node per draft position, each shared by all 4 rows
     assert reports[0].packed_size == 4
     assert all(r.packed_size <= 4 for r in reports)
@@ -289,76 +310,87 @@ def one_hot_logits(tokens, vocab):
 
 
 def build_verify_case(beam_tokens, verifier_next, vocab=8):
-    """verifier_next[i] = argmax the base model produces after packed node i;
+    """verifier_next[i] = argmax the base model produces after tree node i;
     node 0 is the root (the guaranteed token), draft nodes follow."""
     tokens = np.asarray(beam_tokens, dtype=np.int64).reshape(len(beam_tokens), -1)
-    beam = Beam(tokens=tokens, logp=np.zeros(len(beam_tokens)))
-    packed = beam_mod.pack_beam(beam, root=1)
+    tree = beam_mod.pack_beam(Beam(tokens=tokens, logp=np.zeros(len(beam_tokens))), root=1)
     logits = one_hot_logits(verifier_next, vocab)
-    hidden = np.zeros((packed.n, 4), dtype=np.float32)
-    out = BaseModelOutput(logits=logits, hidden=hidden)
-    return beam, packed, out
+    hidden = np.zeros((tree.n, 4), dtype=np.float32)
+    return tree, BaseModelOutput(logits=logits, hidden=hidden)
 
 
 def test_verify_accepts_matching_prefix_only():
     # single candidate [3, 4]: the base agrees on 3, then wants 6 over 4
-    beam, packed, out = build_verify_case([[3, 4]], verifier_next=[3, 6, 0])
-    result = verify_greedy(out, beam, packed)
+    tree, out = build_verify_case([[3, 4]], verifier_next=[3, 6, 0])
+    result = verify_greedy(out, tree)
     assert result.accepted_len == 1
-    assert result.chosen_candidate == 0
+    assert result.path.tolist() == [0, 1]
     assert result.next_guaranteed_token == 6
 
 
 def test_verify_full_accept_returns_node_argmax():
-    beam, packed, out = build_verify_case([[3, 4]], verifier_next=[3, 4, 7])
-    result = verify_greedy(out, beam, packed)
+    tree, out = build_verify_case([[3, 4]], verifier_next=[3, 4, 7])
+    result = verify_greedy(out, tree)
     assert result.accepted_len == 2
+    assert result.path.tolist() == [0, 1, 2]
     assert result.next_guaranteed_token == 7
 
 
 def test_verify_zero_accept_falls_back_to_guaranteed_argmax():
-    beam, packed, out = build_verify_case([[3, 4]], verifier_next=[5, 1, 1])
-    result = verify_greedy(out, beam, packed)
+    tree, out = build_verify_case([[3, 4]], verifier_next=[5, 1, 1])
+    result = verify_greedy(out, tree)
     assert result.accepted_len == 0
+    assert result.path.tolist() == [0]
     assert result.next_guaranteed_token == 5
     # a tree that is the root alone accepts nothing and reads the root's argmax
-    beam, packed, out = build_verify_case([[]], verifier_next=[6])
-    result = verify_greedy(out, beam, packed)
-    assert (packed.n, result.accepted_len, result.next_guaranteed_token) == (1, 0, 6)
+    tree, out = build_verify_case([[]], verifier_next=[6])
+    result = verify_greedy(out, tree)
+    assert (tree.n, result.accepted_len, result.next_guaranteed_token) == (1, 0, 6)
 
 
-def test_verify_ties_pick_lower_candidate_index():
-    # both candidates accept exactly one token; the first (higher drafter
-    # score, lower index) wins the tie
-    beam, packed, out = build_verify_case([[2, 5], [2, 6]], verifier_next=[2, 7, 0, 0])
-    result = verify_greedy(out, beam, packed)
-    assert result.accepted_len == 1
-    assert result.chosen_candidate == 0
+def test_verify_accepts_the_deepest_matching_node():
+    # nodes: 0 root, 1 = 2, 2 = 2 -> 5, 3 = 2 -> 6; a shared prefix is one node
+    tree, out = build_verify_case([[2, 5], [2, 6]], verifier_next=[2, 7, 0, 0])
+    result = verify_greedy(out, tree)
+    assert (result.accepted_len, result.path.tolist()) == (1, [0, 1])
+    # the base wants 6 after 2: the second candidate's branch goes deeper
+    tree, out = build_verify_case([[2, 5], [2, 6]], verifier_next=[2, 6, 0, 3])
+    result = verify_greedy(out, tree)
+    assert (result.accepted_len, result.path.tolist()) == (2, [0, 1, 3])
+    assert result.next_guaranteed_token == 3
+    # a matching token below a mismatch is not accepted: node 3 (6 under 4)
+    # matches its parent's argmax, but node 1 (4) does not match the root's
+    tree = beam_mod.DraftTree.from_parents([1, 4, 2, 6], [beam_mod.ROOT_PARENT, 0, 0, 1])
+    out = BaseModelOutput(logits=one_hot_logits([2, 6, 0, 0], 8),
+                          hidden=np.zeros((4, 4), np.float32))
+    result = verify_greedy(out, tree)
+    assert (result.accepted_len, result.path.tolist(), result.next_guaranteed_token) == \
+        (1, [0, 2], 0)
 
 
 def test_verify_warns_on_near_ties_along_the_accepted_path(caplog):
     # path: root (node 0) then node 1; node 2 is off the path
-    beam, packed, out = build_verify_case([[3, 4]], verifier_next=[3, 6, 0])
+    tree, out = build_verify_case([[3, 4]], verifier_next=[3, 6, 0])
     with caplog.at_level("WARNING", logger="redrafter.decode"):
-        result = verify_greedy(out, beam, packed)
+        result = verify_greedy(out, tree)
     assert result.path.tolist() == [0, 1]
     assert not caplog.records  # clear margins
     out.logits[2, 5] = out.logits[2, 0]  # a tie off the path is not checked
     with caplog.at_level("WARNING", logger="redrafter.decode"):
-        verify_greedy(out, beam, packed)
+        verify_greedy(out, tree)
     assert not caplog.records
     out.logits[1, 7] = out.logits[1, 6] - np.float32(decode.NEAR_TIE_GAP / 2)
     with caplog.at_level("WARNING", logger="redrafter.decode"):
-        result = verify_greedy(out, beam, packed)
+        result = verify_greedy(out, tree)
     assert result.next_guaranteed_token == 6
     assert len(caplog.records) == 1 and "near-tie" in caplog.records[0].getMessage()
 
 
 def test_verify_rejects_misaligned_output():
-    beam, packed, out = build_verify_case([[3, 4]], verifier_next=[5, 1, 1])
+    tree, out = build_verify_case([[3, 4]], verifier_next=[5, 1, 1])
     bad = BaseModelOutput(logits=out.logits[:2], hidden=out.hidden[:2])
     with pytest.raises(ContractError):
-        verify_greedy(bad, beam, packed)
+        verify_greedy(bad, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +417,8 @@ def test_mirror_proposer_rolls_out_after_the_guaranteed_token(markov):
     proposer = MirrorProposer(markov, cache)
     proposal = proposer.propose(out.hidden[-1], guaranteed, 1, 3)
     cfg = DecodeConfig(beam_width=1, beam_length=1, max_new_tokens=4)
-    assert [guaranteed] + proposal.tokens[0].tolist() == autoregressive_generate(markov, prompt, cfg)
+    assert proposal.tokens.tolist() == autoregressive_generate(markov, prompt, cfg)
+    assert proposal.parents.tolist() == [beam_mod.ROOT_PARENT, 0, 1, 2]  # one chain
     assert (cache.committed_len, cache.tokens) == (2, prompt)  # the live cache is untouched
 
 

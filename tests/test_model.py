@@ -6,6 +6,7 @@ import pytest
 from redrafter import beam as beam_mod
 from redrafter import kernels
 from redrafter.beam import Beam
+from redrafter.drafter import DrafterParams
 from redrafter.errors import CapacityError, ConfigError, ContractError, ShapeError
 from redrafter.model import (ModelConfig, SyntheticMarkovModel, TinyTransformer, _layer_norm,
                              sinusoidal_positions, synthetic_markov_model)
@@ -55,7 +56,7 @@ def test_packed_forward_matches_causal_replay_per_path(tiny):
             replay_cache = tiny.new_cache()
             replay = tiny.forward_context(prompt + [ROOT] + [int(t) for t in tokens[i]],
                                           replay_cache)
-            path = np.concatenate([[0], packed.candidate_path(i)])
+            path = np.concatenate([[0], packed.candidate_node[i]])
             got = out.logits[path]
             expect = replay.logits[len(prompt):]
             assert np.max(np.abs(got - expect)) <= 1e-5
@@ -98,7 +99,7 @@ def test_empty_packed_beam_yields_empty_output(tiny):
     beam, packed = packed_from_tokens(np.zeros((1, 1), dtype=np.int64))
     # shrink to zero nodes by hand
     packed.tokens = packed.tokens[:0]
-    packed.mask.allowed = packed.mask.allowed[:0, :0]
+    packed.mask = packed.mask[:0, :0]
     cache = tiny.new_cache()
     tiny.forward_context([1, 2], cache)
     out, _ = tiny.forward_packed(packed, cache)
@@ -184,9 +185,9 @@ def test_forwards_equal_the_separate_projection_reference(n_heads):
     _, packed = packed_from_tokens([[4, 5, 1], [4, 5, 2], [4, 6, 6], [3, 3, 3]])
     n_ctx = cache.committed_len
     out, spec_state = model.forward_packed(packed, cache)
-    allowed = np.concatenate([np.ones((packed.n, n_ctx), bool), packed.mask.allowed], axis=1)
+    allowed = np.concatenate([np.ones((packed.n, n_ctx), bool), packed.mask], axis=1)
     ref_kv = check(out, spec_state, packed.tokens, n_ctx + packed.depths, allowed)
-    path = np.concatenate([[0], packed.candidate_path(1)])
+    path = np.concatenate([[0], packed.candidate_node[1]])
     model.commit_accepted(cache, packed, spec_state, path)
     for layer, (ref_k, ref_v) in enumerate(ref_kv):
         assert np.array_equal(bits(cache.k[layer][n_ctx:n_ctx + 4]), bits(ref_k[path]))
@@ -315,12 +316,45 @@ def test_markov_packed_forward_follows_paths():
                 for i in range(beam.width):
                     full = model.forward_context(context + [ROOT] + beam.tokens[i].tolist(),
                                                  model.new_cache())
-                    path = np.concatenate([[0], packed.candidate_path(i)])
+                    path = np.concatenate([[0], packed.candidate_node[i]])
                     where = (order, context, i)
                     assert np.array_equal(out.logits[path].view(np.uint32),
                                           full.logits[len(context):].view(np.uint32)), where
                     assert np.array_equal(out.hidden[path].view(np.uint32),
                                           full.hidden[len(context):].view(np.uint32)), where
+
+
+def test_beam_search_trees_match_causal_replay_bitwise(tiny):
+    """Every node of a beam-search draft tree, under either base model, gets
+    bit for bit the logits and hidden state of a causal replay of its root
+    path, and committing the accepted path leaves the cache a replay's."""
+    markov = synthetic_markov_model(order=2, vocab_size=16, seed=1)
+    rng = np.random.default_rng(13)
+    for base in (tiny, markov):
+        params = DrafterParams.random(np.random.default_rng(5), base.config.d_model,
+                                      base.config.vocab_size)
+        for width, length in ((1, 4), (3, 2), (4, 4), (8, 3)):
+            prompt = rng.integers(0, 16, size=5).tolist()
+            cache = base.new_cache()
+            ctx = base.forward_context(prompt, cache)
+            root = int(rng.integers(16))
+            tree = beam_mod.beam_search(params, base.token_embeddings, ctx.hidden[-1], root,
+                                        width, length).tree(root)
+            out, spec_state = base.forward_packed(tree, cache)
+            for i in range(tree.n):
+                path = tree.ancestors[i, :tree.depths[i] + 1]
+                replay = base.forward_context(prompt + tree.tokens[path].tolist(),
+                                              base.new_cache())
+                where = (type(base).__name__, width, length, i)
+                assert np.array_equal(bits(out.logits[i]), bits(replay.logits[-1])), where
+                assert np.array_equal(bits(out.hidden[i]), bits(replay.hidden[-1])), where
+            deepest = tree.n - 1
+            path = tree.ancestors[deepest, :tree.depths[deepest] + 1]
+            base.commit_accepted(cache, tree, spec_state, path)
+            probe = base.forward_context([3], cache)
+            replay = base.forward_context(prompt + tree.tokens[path].tolist() + [3],
+                                          base.new_cache())
+            assert np.array_equal(bits(probe.logits[-1]), bits(replay.logits[-1]))
 
 
 def test_commit_rejects_a_non_path(tiny):
