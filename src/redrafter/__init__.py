@@ -6,11 +6,10 @@ from .beam import (Beam, BeamLattice, DraftTree, PackedBeam, beam_search, chain_
                    compression_ratio, dedup_prefix, pack_beam)
 from .decode import (DecodeConfig, MirrorProposer, RnnProposer, StepReport,
                      autoregressive_generate, speculative_generate, verify_greedy)
-from .drafter import DrafterParams, DrafterState, backward, head_logp, init_state, step
+from .drafter import DrafterParams, DrafterState, head_logp, init_state, step
 from .distill import (DistillExample, TrainConfig, build_distill_dataset, empirical_kl,
                       ground_truth_dataset, sample_markov_corpus, train_drafter)
-from .model import (BaseModelOutput, KvCache, ModelConfig, SyntheticMarkovModel,
-                    TinyTransformer, synthetic_markov_model)
+from .model import BaseModelOutput, KvCache, ModelConfig, SyntheticMarkovModel, TinyTransformer
 from .weights import load_base_model, load_drafter, save_base_model, save_drafter
 
 __all__ = [name for name in dir() if not name.startswith("_")]

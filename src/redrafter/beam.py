@@ -5,15 +5,18 @@ to the row it extends and its cumulative log-probability (a
 ``BeamLattice``).  Every (depth, row) pair is a distinct prefix, so the
 lattice already is a deduplicated tree: the decode step keeps its
 ``beam_width + beam_length`` most probable prefixes as the draft tree
-(``BeamLattice.tree``), in the spirit of EAGLE-2's dynamic draft trees.
+(``BeamLattice.tree``), in the spirit of EAGLE-2's dynamic draft trees.  The
+lattice follows its backpointers once when it is built, so the tree's
+ancestor table is read straight off each kept row's path.
 
 Candidate lists from elsewhere, which may repeat prefixes, go through the
 paper's dynamic tree attention instead: candidates share one length, so
 shared prefixes are found with plain tensor operations (elementwise match
 matrix, cumulative sum, first-match argmax) instead of a trie
-(``dedup_prefix``), and ``pack_beam`` flattens the result.  Both routes end
-in one ``DraftTree`` constructor, whose ancestor table drives the
-tree-masked verification forward and the greedy verify rule.
+(``dedup_prefix``), and ``pack_beam`` flattens the result through the
+``DraftTree.from_parents`` constructor.  Both routes give one ``DraftTree``
+type, whose ancestor table drives the tree-masked verification forward and
+the greedy verify rule.
 """
 
 from dataclasses import dataclass
@@ -111,11 +114,24 @@ class BeamLattice:
     at depth 0) by ``tokens[d, r]``, and ``logp[d, r]`` is that prefix's
     cumulative drafter log-probability.  Each row is a distinct (parent row,
     token) pair, so every (depth, row) pair is a distinct prefix.
+
+    Construction follows the backpointers once: ``paths[d * width + r, k]``
+    is the depth-major flat index of that row's ancestor at depth k <= d,
+    and ``width * length``, a slot standing for the root, past depth d.
     """
 
     tokens: np.ndarray   # (beam_length, beam_width) int64
     parents: np.ndarray  # (beam_length, beam_width) int64 row at the previous depth
     logp: np.ndarray     # (beam_length, beam_width) float64
+
+    def __post_init__(self):
+        length, width = self.tokens.shape
+        paths = np.full((length, width, length), length * width, dtype=np.int64)
+        own = np.arange(length)  # each row's own column: its flat index
+        paths[own, :, own] = np.arange(length * width).reshape(length, width)
+        for depth in range(1, length):
+            paths[depth, :, :depth] = paths[depth - 1, self.parents[depth], :depth]
+        self.paths = paths.reshape(length * width, length)
 
     def candidates(self):
         """The last depth's rows as full candidate sequences, by backtracking."""
@@ -135,19 +151,27 @@ class BeamLattice:
         kept.  A drafter log-probability is never positive, so a prefix never
         outscores its parent, and ties go to the lower depth-major index,
         which is the shallower row: the kept set is ancestor-closed.  Nodes
-        follow the root in depth-major order.
+        follow the root in depth-major order.  The fields equal
+        ``DraftTree.from_parents(tokens, parents)``'s, read off ``paths``.
         """
         length, width = self.tokens.shape
         if budget is None:
             budget = width + length
         keep = np.sort(np.argsort(-self.logp.ravel(), kind="stable")[:budget])
-        # node numbers by flat index, shifted one depth down: the first width
-        # slots stand for the root, so depth-0 rows find it as their parent
-        node = np.zeros((length + 1) * width, dtype=np.int64)
-        node[keep + width] = np.arange(1, keep.size + 1)
-        parents = node[keep - keep % width + self.parents.ravel()[keep]]
-        return DraftTree.from_parents(np.concatenate(([root], self.tokens.ravel()[keep])),
-                                      np.concatenate(([ROOT_PARENT], parents)))
+        n = keep.size + 1
+        depths = np.concatenate(([0], keep // width + 1))
+        # node numbers by flat index; the last slot, past every row, is the root
+        node = np.zeros(length * width + 1, dtype=np.int64)
+        node[keep] = np.arange(1, n)
+        ancestors = np.zeros((n, depths[-1] + 1), dtype=np.int64)
+        ancestors[1:, 1:] = node[self.paths[keep, :depths[-1]]]
+        nodes = np.arange(n)
+        parents = ancestors[nodes, depths - 1]
+        parents[0] = ROOT_PARENT
+        mask = np.zeros((n, n), dtype=bool)
+        mask[nodes[:, None], ancestors] = True
+        return DraftTree(tokens=np.concatenate(([root], self.tokens.ravel()[keep])),
+                         parents=parents, depths=depths, ancestors=ancestors, mask=mask)
 
 
 def beam_search(params, embeddings, h, last_token, beam_width, beam_length, token_term=None):
@@ -155,7 +179,10 @@ def beam_search(params, embeddings, h, last_token, beam_width, beam_length, toke
 
     Expansion is vocabulary-wide (exact at small vocab sizes); scores are pure
     cumulative log-probabilities, and ties keep the lower flat expansion index
-    so runs are deterministic.  Each row of the head input ``x`` is one
+    so runs are deterministic: each of the ``beam_width`` picks is an
+    ``argmax``, which returns the lowest index among equal maxima, and masks
+    its pick with -inf, which gives the order of a stable descending sort of
+    the (finite) scores.  Each row of the head input ``x`` is one
     beam row's ``[s | h]``: ``h`` is written once, and each recurrence step
     overwrites only the ``s`` columns.  ``token_term`` is the recurrence's
     input term ``w @ e + b`` for every token; it is computed here when not
@@ -175,20 +202,24 @@ def beam_search(params, embeddings, h, last_token, beam_width, beam_length, toke
     x = np.empty((beam_width, d_s + params.d_model))
     x[:, d_s:] = state0.h
     x[0, :d_s] = state0.s
-    cum_logp = np.zeros(1)
     tokens = np.empty((beam_length, beam_width), dtype=np.int64)
     parents = np.empty((beam_length, beam_width), dtype=np.int64)
     logps = np.empty((beam_length, beam_width))
 
+    keep = np.empty(beam_width, dtype=np.int64)
     for depth in range(beam_length):
         # one live row at depth 0, beam_width rows after it
-        logp = drafter.head_logp_batch(x[:cum_logp.size], params)
-        scores = (cum_logp[:, None] + logp).ravel()
-        keep = np.argsort(-scores, kind="stable")[:beam_width]
+        logp = drafter.head_logp_batch(x[:1 if depth == 0 else beam_width], params)
+        # at depth 0 the cumulative score is 0, and 0 + logp is logp (never -0.0)
+        scores = logp.ravel() if depth == 0 else (logps[depth - 1][:, None] + logp).ravel()
+        cum_logp = logps[depth]
+        for pick in range(beam_width):
+            keep[pick] = best = scores.argmax()
+            cum_logp[pick] = scores[best]
+            scores[best] = -np.inf
         parent, tok = np.divmod(keep, vocab)
         tokens[depth] = tok
         parents[depth] = parent
-        cum_logp = logps[depth] = scores[keep]
         # the last depth's states would feed no head, so they are not computed
         if depth + 1 < beam_length:
             x[:, :d_s] = drafter.step_batch(x[parent, :d_s], token_term[tok], params)

@@ -137,13 +137,25 @@ def verify_greedy(base_output, tree):
     node = int(np.argmax(tree.depths * matches[tree.ancestors].all(axis=1)))
     acc = int(tree.depths[node])
     path = tree.ancestors[node, :acc + 1]
-    _warn_near_ties(base_output.logits[path])
+    _warn_near_ties(base_output.logits[path], base_output.logits[path, node_argmax[path]])
     return VerifyResult(accepted_len=acc, next_guaranteed_token=int(node_argmax[node]),
                         path=path)
 
 
-def _warn_near_ties(rows):
+def _warn_near_ties(rows, top):
+    """Warn for each row whose top-1/top-2 gap is under ``NEAR_TIE_GAP``;
+    ``top`` holds each row's maximum."""
     if rows.shape[1] < 2:
+        return
+    # The exact check runs only when some row has an entry besides its
+    # maximum within 4 gaps of it.  Rounding moves the float32 threshold by
+    # at most half an ulp: while the ulp is at most 4 gaps, the threshold
+    # stays 2 gaps or more below the maximum, and beyond that the only
+    # float32 within a gap of the maximum is the maximum itself.  Each row
+    # has at least one entry not below its threshold (all of them when the
+    # maximum is NaN), so ``far`` falls short only when some row has two.
+    far =np.count_nonzero(rows < (top - np.float32(4 * NEAR_TIE_GAP))[:, None])
+    if far == rows.size - rows.shape[0]:
         return
     top2 = np.partition(rows, -2, axis=1)[:, -2:].astype(np.float64)
     gaps = top2[:, 1] - top2[:, 0]
@@ -221,7 +233,7 @@ def speculative_generate(base, proposer, prompt, cfg, _omit_guaranteed=False):
 
         reports.append(StepReport(accepted_draft_tokens=acc, packed_size=tree.n,
                                   compression_ratio=candidate_tokens / tree.n, llm_calls=1))
-        step_tokens = [int(t) for t in tree.tokens[path]]
+        step_tokens = tree.tokens[path].tolist()
         if _omit_guaranteed:
             step_tokens = step_tokens[1:]
         if cfg.stop_token in step_tokens:

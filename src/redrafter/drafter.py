@@ -19,6 +19,15 @@ def silu(x):
     return x / (1.0 + np.exp(-x))
 
 
+def _silu_in_place(a):
+    """``silu(a)`` written into ``a``: the same operations in the same order."""
+    t = np.negative(a)
+    np.exp(t, out=t)
+    t += 1.0
+    a /= t
+    return a
+
+
 def dsilu(x):
     sig = 1.0 / (1.0 + np.exp(-x))
     return sig * (1.0 + x * (1.0 - sig))
@@ -150,17 +159,24 @@ def step_batch(s, token_term, params):
     ``token_term`` holds each token's input term ``w @ e + b``, one row per
     state; beam search gathers these rows from a per-vocabulary table.
     """
-    return silu(s @ params.u.T + token_term)
+    pre = s @ params.u.T
+    pre += token_term
+    return _silu_in_place(pre)
 
 
 def head_logp_batch(x, params):
     """Log-probabilities over the vocab for a batch of head inputs, each row
-    the concatenated ``[s | h]``."""
+    the concatenated ``[s | h]``.  ``x`` itself is left unchanged."""
     for wm, bm in params.mlp:
-        x = x + silu(x @ wm.T + bm)
+        a = x @ wm.T
+        a += bm
+        a = _silu_in_place(a)
+        a += x  # silu(a) + x is bitwise x + silu(a)
+        x = a
     z = x @ params.out_proj.T
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z -= z.max(axis=1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +288,3 @@ def batch_loss(params, embeddings, h, s0, teacher, with_grads=True):
             grads.b += dp.sum(axis=0)
             ds = dp @ params.u
     return float(loss), grads
-
-
-def backward(teacher_tokens, state_0, params, embeddings):
-    """Loss and gradients for one teacher-forced sequence starting at state_0."""
-    teacher_tokens = np.asarray(teacher_tokens)
-    if teacher_tokens.size == 0:
-        raise ContractError("teacher sequence must be non-empty")
-    loss, grads = batch_loss(params, embeddings, state_0.h[None, :],
-                             state_0.s[None, :], teacher_tokens[None, :])
-    return loss, grads

@@ -31,6 +31,23 @@ its operands contiguous in the same order: the keys as (head dim, head, key),
 and the softmax exponentials as (key, head, query), so the denominator is an
 outer-axis sum and the probabilities feed the output products as they are.
 
+Calls with more than one row write the matmul products, and attention's
+probability x value products, with a contraction-free ``np.einsum`` (every
+input index appears in the output, so it sums nothing) into the same
+C-ordered temporary, passed as ``out=``; left to itself, einsum picks the
+temporary's layout.  Each product is still one float32 multiply.  einsum adds
+each product to a zeroed output, so it writes +0.0 where ``np.multiply``
+writes -0.0; every sum here starts from +0.0, and the accumulate fallback
+adds +0.0 at the end, so each sum has the same bits either way.  einsum pays
+only with several rows.  On a 2-vCPU Xeon VM, the products of a 9 x 32 x 96
+matmul take 12.9 us against 17.1 us with ``np.multiply``, and attention's
+output products at 9 rows x 31 keys 9.5 us against 13.8 us; but a 1-row
+matmul's take 5.0 us against 3.9 us, and the score products, whose query
+operand is a strided view, 10.2 us against 9.3 us.  So 1-row calls, which
+are all of greedy decoding's, and the score products keep ``np.multiply``.
+``tests/test_kernels.py`` lints this lane's source for ``.sum``, ``dot``,
+``matmul``, ``@`` and einsum subscripts that sum an index.
+
 numba is an optional extra (``pip install -e ".[numba]"``).  When it imports,
 its compiled scalar loops are the default lane, unless
 ``REDRAFTER_BACKEND=numpy`` forces the numpy lane; without it the numpy lane
@@ -73,7 +90,10 @@ def _ordered_dot(x, y):
 
 def _matmul_numpy(a, b):
     # terms[k, i, j] = a[i, k] * b[k, j]
-    return _ordered_dot(a.T[:, :, None], b[:, None, :])
+    if a.shape[0] == 1:
+        return _ordered_dot(a.T[:, :, None], b[:, None, :])
+    terms = np.empty((a.shape[1], a.shape[0], b.shape[1]), dtype=np.float32)
+    return _ordered_sum(np.einsum("ik,kj->kij", a, b, out=terms))
 
 
 def _softmax_keys_first(scores):
@@ -100,7 +120,12 @@ def _attend_numpy(q, keys, vals, bias, n_heads, scale):
                           keys_t[:, :, None, :])
     probs = _softmax_keys_first(scores * scale + bias)
     # out[h, t, i] = sum over j of probs[j, h, i] * vals[j, h, t]
-    out = _ordered_dot(probs[:, :, None, :], vals.reshape(m, n_heads, dh)[:, :, :, None])
+    vals = vals.reshape(m, n_heads, dh)
+    if n == 1:
+        out = _ordered_dot(probs[:, :, None, :], vals[:, :, :, None])
+    else:
+        terms = np.empty((m, n_heads, dh, n), dtype=np.float32)
+        out = _ordered_sum(np.einsum("jhi,jht->jhti", probs, vals, out=terms))
     return out.transpose(2, 0, 1).reshape(n, d)
 
 
@@ -205,10 +230,6 @@ def get_lane(name):
     """Return (matmul, row_softmax, attend) for an explicit lane, so a lane
     other than the default one can be called and tested directly."""
     return _LANES[name]
-
-
-def available_lanes():
-    return sorted(_LANES)
 
 
 # ---------------------------------------------------------------------------

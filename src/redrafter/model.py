@@ -95,8 +95,8 @@ class BaseModel(ABC):
     def _check_path(self, tree, flat_path):
         flat_path = np.asarray(flat_path, dtype=np.int64)
         # node k's parent must be node k - 1, and the first node's ROOT_PARENT
-        expected = np.concatenate(([ROOT_PARENT], flat_path))[:-1]
-        if not np.array_equal(tree.parents[flat_path], expected):
+        if flat_path.size and (tree.parents[flat_path[0]] != ROOT_PARENT
+                               or (tree.parents[flat_path[1:]] != flat_path[:-1]).any()):
             raise ContractError("accepted positions do not form a root-to-node path")
         return flat_path
 
@@ -381,7 +381,3 @@ class SyntheticMarkovModel(BaseModel):
         cache.tokens.extend(int(tree.tokens[i]) for i in flat_path)
         cache.committed_len = len(cache.tokens)
         return cache
-
-
-def synthetic_markov_model(order, vocab_size, seed, **kwargs):
-    return SyntheticMarkovModel(order, vocab_size, seed, **kwargs)

@@ -12,8 +12,8 @@ from redrafter import beam as beam_mod
 from redrafter import decode, distill, weights
 from redrafter.beam import Beam, compression_ratio, dedup_prefix, pack_beam
 from redrafter.decode import DecodeConfig, RnnProposer
-from redrafter.drafter import DrafterParams, backward, init_state
-from redrafter.model import ModelConfig, TinyTransformer, synthetic_markov_model
+from redrafter.drafter import DrafterParams, batch_loss, init_state
+from redrafter.model import ModelConfig, SyntheticMarkovModel, TinyTransformer
 
 from test_beam import trie_dedup
 from test_decode import SMALL as SMALL_TRANSFORMER_CONFIG
@@ -35,7 +35,7 @@ def report(criterion, ok, detail):
 
 @pytest.fixture(scope="module")
 def trained_setup():
-    base = synthetic_markov_model(order=2, vocab_size=32, seed=11)
+    base = SyntheticMarkovModel(order=2, vocab_size=32, seed=11)
     emb = base.token_embeddings
     init = DrafterParams.random(np.random.default_rng(4), 32, 32)
     corpus = distill.sample_markov_corpus(seed=21, n_sequences=120, seq_len=48,
@@ -79,7 +79,7 @@ def test_criterion_1_exact_equivalence_suite():
     n_prompts = 100
     bases = {
         "transformer": TinyTransformer.random(BENCH_TRANSFORMER, seed=0),
-        "markov": synthetic_markov_model(order=2, vocab_size=32, seed=11),
+        "markov": SyntheticMarkovModel(order=2, vocab_size=32, seed=11),
     }
     started = time.monotonic()
     total = passed = 0
@@ -213,16 +213,17 @@ def test_criterion_5_gradient_correctness():
         h = rng.normal(size=4)
         teacher = rng.integers(0, 6, size=5)
         state0 = init_state(h, int(rng.integers(6)), emb)
-        _, grads = backward(teacher, state0, params, emb)
+        args = (emb, h[None, :], state0.s[None, :], teacher[None, :])
+        _, grads = batch_loss(params, *args)
         grad_by_name = dict(grads.flat_arrays())
         for name, arr in params.flat_arrays():
             g = grad_by_name[name]
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + eps
-                lp, _ = backward(teacher, state0, params, emb)
+                lp, _ = batch_loss(params, *args, with_grads=False)
                 arr[idx] = orig - eps
-                lm, _ = backward(teacher, state0, params, emb)
+                lm, _ = batch_loss(params, *args, with_grads=False)
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * eps)
                 # denominator floors at 1e-4: below that scale the central
@@ -258,7 +259,7 @@ def test_criterion_7_tokens_per_step_monotone_in_width(trained_setup):
 
 
 def test_criterion_8_mirror_drafter_reaches_upper_bound():
-    base = synthetic_markov_model(order=2, vocab_size=32, seed=11)
+    base = SyntheticMarkovModel(order=2, vocab_size=32, seed=11)
     length = 5
     cfg = DecodeConfig(beam_width=1, beam_length=length,
                        max_new_tokens=3 * (length + 1))

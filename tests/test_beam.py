@@ -225,6 +225,20 @@ def root_paths(tree):
             for i in range(1, tree.n)]
 
 
+def assert_tree_fields_equal(got, expect, where=None):
+    for name in ("tokens", "parents", "depths", "ancestors", "mask"):
+        a, b = getattr(got, name), getattr(expect, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), (name, where)
+
+
+def assert_lattice_tree_is_from_parents(lattice, root, budget=None):
+    """The tree read off the lattice's recorded paths equals the tree the
+    one constructor derives from its tokens and parents alone."""
+    tree = lattice.tree(root, budget)
+    assert_tree_fields_equal(tree, DraftTree.from_parents(tree.tokens, tree.parents), budget)
+    return tree
+
+
 def assert_well_formed(tree, root):
     """Parents precede children, root paths are distinct prefixes, and the
     node set is ancestor-closed; mask rows are exactly the root paths."""
@@ -253,14 +267,14 @@ def test_beam_search_matches_single_state_reference():
                 assert np.array_equal(beam.tokens, tokens), where
                 assert np.allclose(beam.logp, logp, rtol=0, atol=1e-10)
                 # the draft tree: the top width + length prefixes the search held
-                tree = lattice.tree(seed)
+                tree = assert_lattice_tree_is_from_parents(lattice, seed)
                 assert_well_formed(tree, seed)
                 assert tree.n == 1 + min(width + length, width * length), where
                 assert set(root_paths(tree)) == top_prefixes(held, width + length), where
                 assert tree.depths.tolist() == sorted(tree.depths.tolist())  # depth-major
                 # with the whole pool, every final candidate is a root path, and
                 # the tree holds pack_beam's tree of the final candidates
-                full = lattice.tree(seed, budget=width * length)
+                full = assert_lattice_tree_is_from_parents(lattice, seed, width * length)
                 assert_well_formed(full, seed)
                 assert set(root_paths(full)) == top_prefixes(held, width * length)
                 assert {tuple(row) for row in tokens.tolist()} <= set(root_paths(full))
@@ -275,9 +289,47 @@ def test_tree_ties_keep_the_shallower_prefix():
     expect = {1: [(5,)], 2: [(5,), (5, 7)], 3: [(5,), (6,), (5, 7)],
               4: [(5,), (6,), (5, 7), (6, 8)]}
     for budget, paths in expect.items():
-        tree = lattice.tree(9, budget)
+        tree = assert_lattice_tree_is_from_parents(lattice, 9, budget)
         assert_well_formed(tree, 9)
         assert root_paths(tree) == paths, budget
+
+
+def argsort_beam_search(params, emb, h, last_token, width, length):
+    """Reference selection: each depth's top ``width`` by a stable argsort of
+    the negated scores, with the same head and recurrence calls."""
+    state0 = drafter.init_state(h, last_token, emb)
+    token_term = emb @ params.w.T + params.b
+    s, cum_logp = state0.s[None, :], np.zeros(1)
+    held = []
+    for _ in range(length):
+        x = np.concatenate([s, np.broadcast_to(state0.h, (s.shape[0], params.d_model))], axis=1)
+        scores = (cum_logp[:, None] + drafter.head_logp_batch(x, params)).ravel()
+        keep = np.argsort(-scores, kind="stable")[:width]
+        parent, tok = np.divmod(keep, params.vocab_size)
+        cum_logp = scores[keep]
+        held.append((tok, parent, cum_logp))
+        s = drafter.step_batch(s[parent], token_term[tok], params)
+    return [np.array(field) for field in zip(*held)]
+
+
+def test_top_width_selection_equals_a_stable_argsort():
+    """Exact score ties: duplicated output-projection rows give tokens of
+    equal log-probability, and width == vocab keeps every tied token."""
+    for seed in range(3):
+        params, emb = make_drafter(30 + seed, vocab=6)
+        params.out_proj[3] = params.out_proj[1]
+        params.out_proj[5] = params.out_proj[1]
+        params.out_proj[4] = params.out_proj[0]
+        h = np.random.default_rng(40 + seed).normal(size=params.d_model)
+        for width in (1, 2, 3, 5, 6):
+            for length in (1, 3):
+                lattice = beam_search(params, emb, h, seed, width, length)
+                expect = argsort_beam_search(params, emb, h, seed, width, length)
+                for name, ref in zip(("tokens", "parents", "logp"), expect):
+                    got = getattr(lattice, name)
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref), (seed, width, name)
+                if width == params.vocab_size:  # every token kept, tied ones included
+                    assert np.unique(lattice.logp[0]).size == 3, seed
 
 
 def test_tree_constructor_rejects_cycles_and_builds_chains():

@@ -11,7 +11,7 @@ from redrafter.decode import (DecodeConfig, MirrorProposer, RnnProposer,
                               autoregressive_generate, speculative_generate, verify_greedy)
 from redrafter.drafter import DrafterParams
 from redrafter.errors import CapacityError, ConfigError, ContractError
-from redrafter.model import BaseModelOutput, ModelConfig, TinyTransformer, synthetic_markov_model
+from redrafter.model import BaseModelOutput, ModelConfig, SyntheticMarkovModel, TinyTransformer
 
 SMALL = ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=2, d_ff=32,
                     max_seq_len=128)
@@ -24,7 +24,7 @@ def tiny():
 
 @pytest.fixture(scope="module")
 def markov():
-    return synthetic_markov_model(order=2, vocab_size=16, seed=1)
+    return SyntheticMarkovModel(order=2, vocab_size=16, seed=1)
 
 
 def make_proposer(base, seed=2):
@@ -263,7 +263,7 @@ def test_request_filling_the_context_window_decodes(width):
     window = 40
     tiny = TinyTransformer.random(ModelConfig(vocab_size=16, d_model=16, n_layers=2,
                                               n_heads=2, d_ff=32, max_seq_len=window), seed=0)
-    markov = synthetic_markov_model(order=2, vocab_size=16, seed=1, max_seq_len=window)
+    markov = SyntheticMarkovModel(order=2, vocab_size=16, seed=1, max_seq_len=window)
     rng = np.random.default_rng(5)
     for base in (tiny, markov):
         proposer = make_proposer(base)
@@ -281,7 +281,7 @@ def test_mirror_request_filling_the_context_window_accepts_to_the_end():
     """Full acceptance right up to the window: the last step's draft is cut
     to the one token still wanted after its root."""
     window = 40
-    markov = synthetic_markov_model(order=2, vocab_size=16, seed=1, max_seq_len=window)
+    markov = SyntheticMarkovModel(order=2, vocab_size=16, seed=1, max_seq_len=window)
     prompt = list(range(8))
     cfg = DecodeConfig(beam_width=1, beam_length=5, max_new_tokens=window - len(prompt))
     spec, reports = mirror_generate(markov, prompt, cfg)
@@ -384,6 +384,23 @@ def test_verify_warns_on_near_ties_along_the_accepted_path(caplog):
         result = verify_greedy(out, tree)
     assert result.next_guaranteed_token == 6
     assert len(caplog.records) == 1 and "near-tie" in caplog.records[0].getMessage()
+    # runner-ups 0, 1, 2, ... float32 steps below the maximum: gaps just under
+    # and just over NEAR_TIE_GAP, and maxima of magnitude >= 64, where one
+    # step exceeds the gap and only an exact tie warns
+    for top in (0.75, 5.0, 64.0, -64.0, 1000.0):
+        second, seen = np.float32(top), set()
+        for _ in range(21):
+            out.logits[1] = np.float32(top - 50.0)
+            out.logits[1, 6], out.logits[1, 7] = top, second
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="redrafter.decode"):
+                result = verify_greedy(out, tree)
+            assert result.next_guaranteed_token == 6
+            warns = float(np.float32(top)) - float(second) < decode.NEAR_TIE_GAP
+            assert len(caplog.records) == warns, (top, float(second))
+            seen.add(warns)
+            second = np.nextafter(second, np.float32(-np.inf))
+        assert seen == {True, False}, top
 
 
 def test_verify_rejects_misaligned_output():

@@ -10,12 +10,12 @@ from redrafter.distill import (TrainConfig, build_distill_dataset, empirical_kl,
                                train_drafter, write_dataset)
 from redrafter.drafter import DrafterParams
 from redrafter.errors import ContractError, FormatError
-from redrafter.model import synthetic_markov_model
+from redrafter.model import SyntheticMarkovModel
 
 
 @pytest.fixture(scope="module")
 def base():
-    return synthetic_markov_model(order=2, vocab_size=16, seed=3)
+    return SyntheticMarkovModel(order=2, vocab_size=16, seed=3)
 
 
 @pytest.fixture(scope="module")

@@ -83,6 +83,33 @@ def test_single_and_batched_paths_agree():
         assert np.allclose(stepped[i], single.s, atol=1e-12)
 
 
+def test_batched_head_and_step_are_bitwise_the_plain_expressions():
+    """The in-place activations keep every operation and its order: results
+    equal the allocating expressions bit for bit, and inputs are unchanged."""
+    def head_reference(x, p):
+        for wm, bm in p.mlp:
+            x = x + drafter.silu(x @ wm.T + bm)
+        z = x @ p.out_proj.T
+        z = z - z.max(axis=1, keepdims=True)
+        return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+    rng = np.random.default_rng(15)
+    for rows in (1, 4, 9):
+        p = make_params(16 + rows, d_model=8, vocab=11)
+        p.b = rng.normal(size=p.d_s)
+        p.mlp = [(wm, rng.normal(size=bm.shape)) for wm, bm in p.mlp]
+        x = rng.normal(scale=3.0, size=(rows, p.d_s + p.d_model))
+        s, term = rng.normal(size=(rows, p.d_s)), rng.normal(size=(rows, p.d_s))
+        before = x.copy(), s.copy(), term.copy()
+        got = drafter.head_logp_batch(x, p)
+        assert np.array_equal(got.view(np.uint64), head_reference(x, p).view(np.uint64))
+        got = drafter.step_batch(s, term, p)
+        assert np.array_equal(got.view(np.uint64),
+                              drafter.silu(s @ p.u.T + term).view(np.uint64))
+        for a, b in zip((x, s, term), before):
+            assert np.array_equal(a, b)
+
+
 def test_head_logp_shape_mismatch_raises():
     p = make_params()
     state = DrafterState(s=np.zeros(p.d_s + 1), h=np.zeros(p.d_model))
@@ -97,7 +124,7 @@ def test_dsilu_matches_numeric_derivative():
     assert np.allclose(drafter.dsilu(x), numeric, atol=1e-8)
 
 
-def test_backward_loss_matches_forward_sum():
+def test_batch_loss_matches_stepped_forward_sum():
     p = make_params(8)
     emb = make_embeddings(9, p.vocab_size, p.d_model)
     rng = np.random.default_rng(10)
@@ -105,7 +132,7 @@ def test_backward_loss_matches_forward_sum():
     teacher = rng.integers(0, p.vocab_size, size=5)
     state0 = drafter.init_state(h, int(rng.integers(p.vocab_size)), emb)
 
-    loss, grads = drafter.backward(teacher, state0, p, emb)
+    loss, grads = drafter.batch_loss(p, emb, h[None, :], state0.s[None, :], teacher[None, :])
     # recompute by stepping manually
     manual = 0.0
     state = state0
@@ -116,12 +143,12 @@ def test_backward_loss_matches_forward_sum():
     assert grads is not None
 
 
-def test_backward_rejects_empty_teacher():
+def test_batch_loss_rejects_empty_teacher():
     p = make_params()
     emb = make_embeddings(0, p.vocab_size, p.d_model)
-    state0 = drafter.init_state(np.zeros(p.d_model), 0, emb)
     with pytest.raises(ContractError):
-        drafter.backward(np.zeros(0, dtype=np.int64), state0, p, emb)
+        drafter.batch_loss(p, emb, np.zeros((1, p.d_model)), np.zeros((1, p.d_s)),
+                           np.zeros((1, 0), dtype=np.int64))
 
 
 def test_batch_loss_equals_sum_of_sequences():
@@ -153,7 +180,8 @@ def test_gradient_matches_central_finite_differences():
         h = rng.normal(size=4)
         teacher = rng.integers(0, 6, size=5)
         state0 = drafter.init_state(h, int(rng.integers(6)), emb)
-        _, grads = drafter.backward(teacher, state0, p, emb)
+        args = (emb, h[None, :], state0.s[None, :], teacher[None, :])
+        _, grads = drafter.batch_loss(p, *args)
 
         eps = 1e-3
         worst = 0.0
@@ -163,9 +191,9 @@ def test_gradient_matches_central_finite_differences():
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + eps
-                lp, _ = drafter.backward(teacher, state0, p, emb)
+                lp, _ = drafter.batch_loss(p, *args, with_grads=False)
                 arr[idx] = orig - eps
-                lm, _ = drafter.backward(teacher, state0, p, emb)
+                lm, _ = drafter.batch_loss(p, *args, with_grads=False)
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * eps)
                 # mixed tolerance: absolute below 1e-4, relative above

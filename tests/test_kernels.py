@@ -1,5 +1,8 @@
 """Kernel-level checks: fixed-order arithmetic, row invariance, lane agreement,
-mask zeros."""
+mask zeros, and a lint of the numpy lane's source."""
+
+import ast
+import inspect
 
 import numpy as np
 import pytest
@@ -33,21 +36,45 @@ EDGE_SHAPES = [(1, 1, 1), (1, 9, 1), (5, 7, 1), (3, 1, 4), (4, 8, 3), (4, 9, 3),
                (1, 130, 1)]
 
 
+# multi-row shapes: 2-17 rows, summed lengths up to 130; with one output
+# column, a product array not laid out with the summed index outermost would
+# be summed pairwise
+MULTI_ROW_SHAPES = [(2, 1, 1), (2, 3, 1), (9, 32, 7), (12, 69, 3), (17, 130, 2), (16, 9, 5),
+                    (5, 40, 1), (12, 130, 1)]
+
+
 def bits(x):
     return x.view(np.uint32)  # distinguishes -0.0 from +0.0, unlike ==
 
 
+def sprinkle_signed_zeros(rng, x, frac=0.2):
+    """Set a random fraction of ``x`` to -0.0 or +0.0 in place."""
+    hit = rng.random(x.shape) < frac
+    x[hit] = np.where(rng.random(x.shape) < 0.5, np.float32(-0.0), np.float32(0.0))[hit]
+    return x
+
+
 @pytest.mark.parametrize("lane", LANES)
 def test_matmul_matches_triple_loop_bitwise(lane):
+    """Random, edge and multi-row shapes, plain and with signed-zero
+    operands, including rows whose every product is -0.0."""
     matmul, _, _ = kernels.get_lane(lane)
     rng = np.random.default_rng(0)
     shapes = [tuple(rng.integers(1, 9, size=3)) for _ in range(5)] + EDGE_SHAPES
-    for m, k, n in shapes:
+    cases = [(shape, False) for shape in shapes]
+    cases += [(shape, True) for shape in EDGE_SHAPES + MULTI_ROW_SHAPES]
+    for (m, k, n), zeros in cases:
         a = rng.normal(size=(m, k)).astype(np.float32)
         b = rng.normal(size=(k, n)).astype(np.float32)
+        if zeros:
+            sprinkle_signed_zeros(rng, a)
+            sprinkle_signed_zeros(rng, b)
+            # a row of -0.0 against non-negative columns: all products -0.0
+            a[rng.integers(m)] = -0.0
+            b[:, :(n + 1) // 2] = np.abs(b[:, :(n + 1) // 2])
         got = matmul(a, b)
         assert got.dtype == np.float32
-        assert np.array_equal(bits(got), bits(naive_matmul(a, b))), (m, k, n)
+        assert np.array_equal(bits(got), bits(naive_matmul(a, b))), (m, k, n, zeros)
         # row invariance: a row's result does not depend on the rest of the batch
         for i in range(m):
             assert np.array_equal(bits(matmul(a[i:i + 1], b)), bits(got[i:i + 1])), (m, k, n, i)
@@ -132,14 +159,17 @@ ATTEND_CASES = [(4, 2, 3, 7),
                 (5, 3, 1, 9),  # dh = 1
                 # packed verify sizes: up to 150 keys, unqueried leaves are fully masked columns
                 (12, 4, 8, (20, 0)), (13, 4, 8, (40, 3)), (14, 2, 4, (120, 2)),
-                (17, 4, 8, (133, 0)), (15, 1, 8, (100, 6))]
+                (17, 4, 8, (133, 0)), (15, 1, 8, (100, 6)),
+                # multi-row verify sizes with short contexts and masked columns
+                (2, 2, 4, (1, 1)), (9, 4, 8, (22, 2)), (5, 4, 8, (0, 4))]
 
 
 @pytest.mark.parametrize("lane", LANES)
 def test_attend_equals_composed_primitives(lane):
     """The fused attention kernel must reproduce matmul + softmax + matmul
     of the same lane bitwise: they share one accumulation order.  Each query
-    row attended alone gives the same bits as in the batch."""
+    row attended alone gives the same bits as in the batch.  Queries and
+    values carry signed zeros, and each case has a value column of -0.0."""
     matmul, row_softmax, attend = kernels.get_lane(lane)
     rng = np.random.default_rng(5)
     for n, n_heads, dh, keys_or_tree in ATTEND_CASES:
@@ -153,6 +183,9 @@ def test_attend_equals_composed_primitives(lane):
         q = rng.normal(size=(n, d)).astype(np.float32)
         keys = rng.normal(size=(m, d)).astype(np.float32)
         vals = rng.normal(size=(m, d)).astype(np.float32)
+        sprinkle_signed_zeros(rng, q)
+        sprinkle_signed_zeros(rng, vals)
+        vals[:, rng.integers(d)] = -0.0
         bias = kernels.masked_bias(allowed)
         scale = np.float32(1.0 / np.sqrt(dh))
         case = (n, n_heads, dh, keys_or_tree)
@@ -179,6 +212,45 @@ def test_attend_shape_validation():
 
 
 def test_backend_selection_is_consistent():
-    assert kernels.BACKEND in kernels.available_lanes()
     assert (kernels.matmul.__wrapped__ if hasattr(kernels.matmul, "__wrapped__")
             else kernels._matmul_impl) is kernels.get_lane(kernels.BACKEND)[0]
+
+
+def numpy_lane_violations(source):
+    """Operations the fixed-order numpy lane must not use, found in its source.
+
+    numpy and BLAS choose their own summation order for ``.sum``, ``dot``,
+    ``matmul`` and ``@``, and ``np.einsum`` does too once an index is summed,
+    so products may be written only by a contraction-free ``einsum`` (every
+    input index appears in the output) and summed by ``_ordered_sum``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("sum", "dot", "matmul"):
+            found.append(f"line {node.lineno}: .{node.attr}")
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "einsum"):
+            spec = node.args[0] if node.args else None
+            if not (isinstance(spec, ast.Constant) and isinstance(spec.value, str)
+                    and "->" in spec.value):
+                found.append(f"line {node.lineno}: einsum without explicit literal subscripts")
+                continue
+            inputs, output = spec.value.replace(" ", "").split("->")
+            contracted = set(inputs.replace(",", "")) - set(output)
+            if contracted:
+                found.append(f"line {node.lineno}: einsum {spec.value!r} sums over "
+                             f"{''.join(sorted(contracted))}")
+    return found
+
+
+def test_numpy_lane_source_uses_only_ordered_sums():
+    source = inspect.getsource(kernels)
+    start = source.index("# pure-numpy lane")
+    lane = source[start:source.index("# numba lane", start)]
+    assert "_ordered_sum" in lane and "np.einsum(" in lane
+    assert numpy_lane_violations(lane) == []
+    # the lint itself catches each banned form
+    for bad in ("x.sum(axis=0)", "np.sum(x)", "np.dot(a, b)", "np.matmul(a, b)", "a @ b",
+                'np.einsum("ik,kj->ij", a, b)', 'np.einsum("ik,kj", a, b)'):
+        assert numpy_lane_violations(bad), bad

@@ -9,7 +9,7 @@ from redrafter.beam import Beam
 from redrafter.drafter import DrafterParams
 from redrafter.errors import CapacityError, ConfigError, ContractError, ShapeError
 from redrafter.model import (ModelConfig, SyntheticMarkovModel, TinyTransformer, _layer_norm,
-                             sinusoidal_positions, synthetic_markov_model)
+                             sinusoidal_positions)
 
 SMALL = ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=2, d_ff=32,
                     max_seq_len=64)
@@ -217,8 +217,8 @@ def test_capacity_overflow_raises(tiny):
 
 def test_packed_capacity_is_set_by_the_deepest_node(tiny):
     """A tree needs room for its depth, not for its node count."""
-    markov = synthetic_markov_model(order=2, vocab_size=16, seed=1,
-                                    max_seq_len=SMALL.max_seq_len)
+    markov = SyntheticMarkovModel(order=2, vocab_size=16, seed=1,
+                                  max_seq_len=SMALL.max_seq_len)
     _, wide = packed_from_tokens(np.arange(8)[:, None] + np.zeros((1, 3), np.int64))
     for base in (tiny, markov):
         cache = base.new_cache()
@@ -248,8 +248,8 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 def test_markov_same_seed_identical_logits():
-    a = synthetic_markov_model(order=2, vocab_size=16, seed=5)
-    b = synthetic_markov_model(order=2, vocab_size=16, seed=5)
+    a = SyntheticMarkovModel(order=2, vocab_size=16, seed=5)
+    b = SyntheticMarkovModel(order=2, vocab_size=16, seed=5)
     assert np.array_equal(a.table, b.table)
     ctx = [3, 1, 4, 1, 5]
     ca, cb = a.new_cache(), b.new_cache()
@@ -258,7 +258,7 @@ def test_markov_same_seed_identical_logits():
 
 
 def test_markov_top1_margin_exceeds_half():
-    model = synthetic_markov_model(order=2, vocab_size=16, seed=6)
+    model = SyntheticMarkovModel(order=2, vocab_size=16, seed=6)
     rng = np.random.default_rng(7)
     for _ in range(1000):
         ctx = rng.integers(0, 16, size=int(rng.integers(1, 6))).tolist()
@@ -269,7 +269,7 @@ def test_markov_top1_margin_exceeds_half():
 
 
 def test_markov_greedy_chain_is_eventually_periodic():
-    model = synthetic_markov_model(order=2, vocab_size=8, seed=8)
+    model = SyntheticMarkovModel(order=2, vocab_size=8, seed=8)
     cache = model.new_cache()
     out = model.forward_context([2, 5], cache)
     seen = {}
@@ -287,7 +287,7 @@ def test_markov_greedy_chain_is_eventually_periodic():
 
 
 def test_markov_hidden_is_concatenated_embeddings():
-    model = synthetic_markov_model(order=2, vocab_size=8, seed=9)
+    model = SyntheticMarkovModel(order=2, vocab_size=8, seed=9)
     cache = model.new_cache()
     out = model.forward_context([3, 6], cache)
     expect = np.concatenate([model.state_emb[3], model.state_emb[6]])
@@ -306,7 +306,7 @@ def test_markov_packed_forward_follows_paths():
     shared = np.array([[4, 5, 1, 2, 3], [4, 5, 1, 2, 6], [4, 5, 7, 7, 0], [4, 6, 6, 1, 2],
                        [2, 2, 2, 2, 2], [2, 2, 2, 2, 3], [4, 5, 1, 3, 3], [0, 1, 2, 3, 4]])
     for order in (1, 2):
-        model = synthetic_markov_model(order=order, vocab_size=8, seed=10)
+        model = SyntheticMarkovModel(order=order, vocab_size=8, seed=10)
         for context in ([], [3], [1, 2, 3]):
             for tokens in (np.array([[4, 5], [4, 6]]), shared):
                 cache = model.new_cache()
@@ -328,7 +328,7 @@ def test_beam_search_trees_match_causal_replay_bitwise(tiny):
     """Every node of a beam-search draft tree, under either base model, gets
     bit for bit the logits and hidden state of a causal replay of its root
     path, and committing the accepted path leaves the cache a replay's."""
-    markov = synthetic_markov_model(order=2, vocab_size=16, seed=1)
+    markov = SyntheticMarkovModel(order=2, vocab_size=16, seed=1)
     rng = np.random.default_rng(13)
     for base in (tiny, markov):
         params = DrafterParams.random(np.random.default_rng(5), base.config.d_model,
@@ -361,7 +361,7 @@ def test_commit_rejects_a_non_path(tiny):
     """commit_accepted takes only a root-to-node path of the packed tree."""
     # nodes: 0 root, 1 = 4, 2 = 4 -> 5, 3 = 4 -> 6
     _, packed = packed_from_tokens(np.array([[4, 5], [4, 6]]))
-    markov = synthetic_markov_model(order=2, vocab_size=16, seed=1)
+    markov = SyntheticMarkovModel(order=2, vocab_size=16, seed=1)
     for base in (tiny, markov):
         cache = base.new_cache()
         base.forward_context([1, 2, 3], cache)
@@ -374,6 +374,31 @@ def test_commit_rejects_a_non_path(tiny):
         assert cache.tokens == [1, 2, 3, ROOT, 4, 6]
 
 
+def test_commit_path_check_is_the_parent_chain_rule():
+    """A path is accepted iff its first node is the root (ROOT_PARENT) and
+    each later node's parent is the node before it, on random trees and on
+    valid, truncated, shuffled and random paths."""
+    markov = SyntheticMarkovModel(order=2, vocab_size=16, seed=1)
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        n = int(rng.integers(1, 10))
+        parents = [beam_mod.ROOT_PARENT] + [int(rng.integers(0, i)) for i in range(1, n)]
+        tree = beam_mod.DraftTree.from_parents(rng.integers(0, 16, n), parents)
+        node = int(rng.integers(n))
+        valid = tree.ancestors[node, :tree.depths[node] + 1]
+        for path in (valid, valid[1:], valid[::-1], valid[:-1], np.repeat(valid, 2), [],
+                     rng.integers(0, n, int(rng.integers(1, 5)))):
+            path = np.asarray(path, dtype=np.int64)
+            expect = np.array_equal(tree.parents[path],
+                                    np.concatenate(([beam_mod.ROOT_PARENT], path))[:-1])
+            try:
+                markov._check_path(tree, path)
+                accepted = True
+            except ContractError:
+                accepted = False
+            assert accepted == expect, (tree.parents.tolist(), path.tolist())
+
+
 def test_markov_rejects_unsupported_order():
     with pytest.raises(ConfigError):
-        synthetic_markov_model(order=3, vocab_size=8, seed=0)
+        SyntheticMarkovModel(order=3, vocab_size=8, seed=0)
