@@ -5,9 +5,8 @@ to the row it extends and its cumulative log-probability (a
 ``BeamLattice``).  Every (depth, row) pair is a distinct prefix, so the
 lattice already is a deduplicated tree: the decode step keeps its
 ``beam_width + beam_length`` most probable prefixes as the draft tree
-(``BeamLattice.tree``), in the spirit of EAGLE-2's dynamic draft trees.  The
-lattice follows its backpointers once when it is built, so the tree's
-ancestor table is read straight off each kept row's path.
+(``BeamLattice.tree``), in the spirit of EAGLE-2's dynamic draft trees.  Only
+the kept rows' backpointers are followed, one gather for their parent nodes.
 
 Candidate lists from elsewhere, which may repeat prefixes, go through the
 paper's dynamic tree attention instead: candidates share one length, so
@@ -114,24 +113,11 @@ class BeamLattice:
     at depth 0) by ``tokens[d, r]``, and ``logp[d, r]`` is that prefix's
     cumulative drafter log-probability.  Each row is a distinct (parent row,
     token) pair, so every (depth, row) pair is a distinct prefix.
-
-    Construction follows the backpointers once: ``paths[d * width + r, k]``
-    is the depth-major flat index of that row's ancestor at depth k <= d,
-    and ``width * length``, a slot standing for the root, past depth d.
     """
 
     tokens: np.ndarray   # (beam_length, beam_width) int64
     parents: np.ndarray  # (beam_length, beam_width) int64 row at the previous depth
     logp: np.ndarray     # (beam_length, beam_width) float64
-
-    def __post_init__(self):
-        length, width = self.tokens.shape
-        paths = np.full((length, width, length), length * width, dtype=np.int64)
-        own = np.arange(length)  # each row's own column: its flat index
-        paths[own, :, own] = np.arange(length * width).reshape(length, width)
-        for depth in range(1, length):
-            paths[depth, :, :depth] = paths[depth - 1, self.parents[depth], :depth]
-        self.paths = paths.reshape(length * width, length)
 
     def candidates(self):
         """The last depth's rows as full candidate sequences, by backtracking."""
@@ -151,23 +137,30 @@ class BeamLattice:
         kept.  A drafter log-probability is never positive, so a prefix never
         outscores its parent, and ties go to the lower depth-major index,
         which is the shallower row: the kept set is ancestor-closed.  Nodes
-        follow the root in depth-major order.  The fields equal
-        ``DraftTree.from_parents(tokens, parents)``'s, read off ``paths``.
+        follow the root in depth-major order, so each depth's nodes are one
+        slice whose parents come before it, and the ancestor table is filled
+        one depth slice at a time.  The fields equal
+        ``DraftTree.from_parents(tokens, parents)``'s.
         """
         length, width = self.tokens.shape
         if budget is None:
             budget = width + length
         keep = np.sort(np.argsort(-self.logp.ravel(), kind="stable")[:budget])
         n = keep.size + 1
-        depths = np.concatenate(([0], keep // width + 1))
-        # node numbers by flat index; the last slot, past every row, is the root
-        node = np.zeros(length * width + 1, dtype=np.int64)
-        node[keep] = np.arange(1, n)
+        depth, row = np.divmod(keep, width)
+        depths = np.concatenate(([0], depth + 1))
+        # node numbers by depth-major flat index, shifted one depth down past
+        # a slab standing for the root: a row's parent sits at depth - 1
+        node = np.zeros((length + 1) * width, dtype=np.int64)
+        node[keep + width] = np.arange(1, n)
+        parents = np.concatenate(([ROOT_PARENT], node[depth * width + self.parents[depth, row]]))
         ancestors = np.zeros((n, depths[-1] + 1), dtype=np.int64)
-        ancestors[1:, 1:] = node[self.paths[keep, :depths[-1]]]
         nodes = np.arange(n)
-        parents = ancestors[nodes, depths - 1]
-        parents[0] = ROOT_PARENT
+        ancestors[nodes, depths] = nodes
+        bounds = np.searchsorted(depths, np.arange(depths[-1] + 2))
+        for d in range(1, depths[-1] + 1):
+            lo, hi = bounds[d], bounds[d + 1]
+            ancestors[lo:hi, :d] = ancestors[parents[lo:hi], :d]
         mask = np.zeros((n, n), dtype=bool)
         mask[nodes[:, None], ancestors] = True
         return DraftTree(tokens=np.concatenate(([root], self.tokens.ravel()[keep])),

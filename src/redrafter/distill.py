@@ -8,6 +8,13 @@ base model's greedy rollout of a fixed horizon after the guaranteed token.
 The ground-truth variant takes the guaranteed token and the teacher from the
 corpus instead.  Training minimizes the mean teacher-forced negative
 log-likelihood with Adam; the base model stays frozen throughout.
+
+The rollouts are verified the way a decode step verifies its draft tree:
+all rollouts of a block of ``BLOCK`` positions hang off one chain of the
+block's tokens in one tree, which grows by a token per rollout each round.
+A tree node's logits and hidden state equal the causal forward of its root
+path bit for bit, so the dataset is that of one 1-row forward per rollout
+token, at ``horizon + 1`` forwards per block.
 """
 
 import logging
@@ -15,11 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import drafter
+from . import beam, drafter
 from .errors import ContractError, FormatError, TrainingError
 from .kernels import argmax_tie_low
 
 log = logging.getLogger(__name__)
+
+# Corpus positions per block of ``build_distill_dataset``.  Every committed
+# cache row is visible to every tree row, so a block's rollouts are verified
+# before its chain is committed; blocks bound the largest tree at
+# BLOCK * (horizon + 1) rows for any sequence length.
+BLOCK = 16
 
 
 @dataclass
@@ -49,9 +62,24 @@ def build_distill_dataset(base, corpus, horizon):
     """One example per corpus position: the guaranteed token after the prefix
     ending there, the greedy horizon-token rollout after it, and h.
 
+    A sequence goes through in blocks of ``BLOCK`` positions on a cache that
+    holds everything before the block.  One tree-masked forward of the
+    block's chain gives each prefix's h and guaranteed token.  Round k = 1
+    .. horizon then verifies one tree: the chain again, and under each
+    prefix's chain node that prefix's first k rollout tokens, the guaranteed
+    token first.  The lowest-index argmax at each rollout's newest node is
+    its next token.  The chain is committed after the block.  The cache is
+    visible to every tree row, so a block's chain cannot be committed before
+    its rollouts are done; blocks keep the trees at most
+    ``BLOCK * (horizon + 1)`` rows, whatever the sequence length.
+
     Sequences of length <= 1 (or positions without rollout headroom) are
-    skipped; the skip count is logged.
+    skipped; the skip count is logged.  A sequence longer than the base's
+    ``max_seq_len`` raises its ``CapacityError``.
     """
+    if horizon < 1:
+        raise ContractError(f"need horizon >= 1, got {horizon}")
+    max_len = base.config.max_seq_len
     examples = []
     skipped = 0
     for seq in corpus:
@@ -60,25 +88,53 @@ def build_distill_dataset(base, corpus, horizon):
             skipped += 1
             continue
         cache = base.new_cache()
-        for t in range(1, seq.shape[0] + 1):
-            out = base.forward_context([seq[t - 1]], cache)
-            if t + horizon > base.config.max_seq_len:
-                skipped += 1
-                continue
-            guaranteed = argmax_tie_low(out.logits[-1])
-            scratch = cache.clone()
-            token = guaranteed
-            teacher = []
-            for _ in range(horizon):
-                roll_out = base.forward_context([token], scratch)
-                token = argmax_tie_low(roll_out.logits[-1])
-                teacher.append(token)
-            examples.append(DistillExample(context=np.append(seq[:t], guaranteed),
-                                           teacher=np.asarray(teacher, np.int64),
-                                           h=out.hidden[-1].copy()))
+        n = min(seq.shape[0], max_len)
+        for start in range(0, n, BLOCK):
+            block = seq[start:min(start + BLOCK, n)]
+            size = block.shape[0]
+            chain = beam.chain_tree(block[0], block[1:])
+            out, spec_state = base.forward_packed(chain, cache)
+            # chain node j ends the prefix of length start + j + 1; the first
+            # `kept` of them leave room for a rollout of horizon tokens
+            kept = max(0, min(size, max_len - horizon - start))
+            skipped += size - kept
+            if kept:
+                # levels[0] holds the guaranteed tokens, levels[k] rollout token k;
+                # tree nodes follow the chain level by level, each under the
+                # node one level up, level 1 under the prefix's chain node
+                tokens = np.concatenate([block, np.empty((horizon + 1) * kept, np.int64)])
+                levels = tokens[size:].reshape(horizon + 1, kept)
+                levels[0] = out.logits[:kept].argmax(axis=1)
+                # the whole tree's parents; each round passes its filled tokens
+                tree = beam.DraftTree.from_parents(
+                    tokens[:size + horizon * kept],
+                    np.concatenate([chain.parents, np.arange(kept),
+                                    size + np.arange((horizon - 1) * kept)]))
+                for k in range(1, horizon + 1):
+                    nodes = size + k * kept
+                    head = _first_nodes(tree, tokens, nodes)
+                    logits = base.forward_packed(head, cache)[0].logits[nodes - kept:]
+                    levels[k] = logits.argmax(axis=1)
+                teachers = np.ascontiguousarray(levels[1:].T)
+                for j in range(kept):
+                    examples.append(DistillExample(
+                        context=np.append(seq[:start + j + 1], levels[0, j]),
+                        teacher=teachers[j], h=out.hidden[j].copy()))
+            base.commit_accepted(cache, chain, spec_state, np.arange(size))
+        if seq.shape[0] > max_len:
+            # the first token past the window: the base raises as a causal
+            # forward of it would, on a cache holding the whole window
+            base.forward_packed(beam.chain_tree(seq[max_len], []), cache)
     if skipped:
         log.warning("distill dataset: skipped %d short/overflowing positions", skipped)
     return examples
+
+
+def _first_nodes(tree, tokens, n):
+    """The subtree of a tree's first n nodes, holding ``tokens[:n]``.  Parents
+    precede children, so every other field is a leading slice."""
+    return beam.DraftTree(tokens=tokens[:n], parents=tree.parents[:n], depths=tree.depths[:n],
+                          ancestors=tree.ancestors[:n], mask=tree.mask[:n, :n])
 
 
 def ground_truth_dataset(base, corpus, horizon):
@@ -88,6 +144,8 @@ def ground_truth_dataset(base, corpus, horizon):
     The base model still supplies the hidden states the draft head conditions
     on.  Positions within ``horizon + 1`` of the sequence end are skipped.
     """
+    if horizon < 1:
+        raise ContractError(f"need horizon >= 1, got {horizon}")
     examples = []
     skipped = 0
     for seq in corpus:
@@ -117,6 +175,7 @@ def write_dataset(path, examples):
 def read_dataset(path, base):
     """Load a dataset file, recomputing hidden states with the given base model
     (at the token before each context's guaranteed token)."""
+    vocab = base.config.vocab_size
     examples = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -129,6 +188,8 @@ def read_dataset(path, base):
             if n_ctx < 2:
                 raise FormatError(f"{path}:{lineno}: context needs a committed token "
                                   f"and the guaranteed token")
+            if min(vals[2:]) < 0 or max(vals[2:]) >= vocab:
+                raise FormatError(f"{path}:{lineno}: token id outside vocab of size {vocab}")
             context = np.asarray(vals[2:2 + n_ctx], np.int64)
             teacher = np.asarray(vals[2 + n_ctx:], np.int64)
             cache = base.new_cache()

@@ -1,21 +1,85 @@
 """Distillation: dataset construction, training loop, divergence metric."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
-from redrafter import distill, drafter
+from redrafter import cli, distill, drafter
 from redrafter.decode import DecodeConfig, autoregressive_generate
-from redrafter.distill import (TrainConfig, build_distill_dataset, empirical_kl,
-                               ground_truth_dataset, read_dataset, sample_markov_corpus,
-                               train_drafter, write_dataset)
+from redrafter.distill import (DistillExample, TrainConfig, build_distill_dataset,
+                               empirical_kl, ground_truth_dataset, read_dataset,
+                               sample_markov_corpus, train_drafter, write_dataset)
 from redrafter.drafter import DrafterParams
-from redrafter.errors import ContractError, FormatError
-from redrafter.model import SyntheticMarkovModel
+from redrafter.errors import CapacityError, ContractError, FormatError
+from redrafter.kernels import argmax_tie_low
+from redrafter.model import ModelConfig, SyntheticMarkovModel, TinyTransformer
+
+WINDOW = 40  # max_seq_len of the bases the tree-batched build is checked on
 
 
 @pytest.fixture(scope="module")
-def base():
+def base(request):
+    if getattr(request, "param", "markov") == "transformer":
+        return WINDOW_BASES["transformer"]()
     return SyntheticMarkovModel(order=2, vocab_size=16, seed=3)
+
+
+WINDOW_BASES = {
+    "transformer": lambda: TinyTransformer.random(
+        ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=2, d_ff=32,
+                    max_seq_len=WINDOW), seed=5),
+    "markov1": lambda: SyntheticMarkovModel(order=1, vocab_size=16, seed=6,
+                                            max_seq_len=WINDOW),
+    "markov2": lambda: SyntheticMarkovModel(order=2, vocab_size=16, seed=7,
+                                            max_seq_len=WINDOW),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(WINDOW_BASES))
+def window_base(request):
+    return WINDOW_BASES[request.param]()
+
+
+def per_position_dataset(base, corpus, horizon):
+    """Reference build: one 1-row causal forward per corpus token, and a
+    cache clone per position that the rollout extends one token at a time.
+    Returns the examples and the skip count."""
+    examples = []
+    skipped = 0
+    for seq in corpus:
+        seq = np.asarray(seq, dtype=np.int64)
+        if seq.shape[0] <= 1:
+            skipped += 1
+            continue
+        cache = base.new_cache()
+        for t in range(1, seq.shape[0] + 1):
+            out = base.forward_context([seq[t - 1]], cache)
+            if t + horizon > base.config.max_seq_len:
+                skipped += 1
+                continue
+            guaranteed = argmax_tie_low(out.logits[-1])
+            scratch = cache.clone()
+            token = guaranteed
+            teacher = []
+            for _ in range(horizon):
+                roll_out = base.forward_context([token], scratch)
+                token = argmax_tie_low(roll_out.logits[-1])
+                teacher.append(token)
+            examples.append(DistillExample(context=np.append(seq[:t], guaranteed),
+                                           teacher=np.asarray(teacher, np.int64),
+                                           h=out.hidden[-1].copy()))
+    return examples, skipped
+
+
+def assert_same_examples(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.context.dtype == b.context.dtype and np.array_equal(a.context, b.context)
+        assert a.teacher.dtype == b.teacher.dtype and np.array_equal(a.teacher, b.teacher)
+        assert a.h.dtype == b.h.dtype and a.h.shape == b.h.shape
+        assert np.array_equal(a.h.view(np.uint32), b.h.view(np.uint32))
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +97,7 @@ def test_corpus_is_seeded_and_shaped():
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
+@pytest.mark.parametrize("base", ["markov", "transformer"], indirect=True)
 def test_distilled_teacher_is_base_greedy_continuation(base, corpus):
     horizon = 4
     dataset = build_distill_dataset(base, corpus, horizon)
@@ -52,6 +117,79 @@ def test_distilled_teacher_is_base_greedy_continuation(base, corpus):
     # one example per corpus position, each prefix ending there
     assert [len(ex.context) - 1 for ex in dataset] == [t for s in corpus
                                                       for t in range(1, len(s) + 1)]
+
+
+def edge_corpus(vocab_size):
+    """Lengths 1 and 2, block-sized ones, several-block ones, and one
+    exactly filling the window, whose last positions lack rollout headroom."""
+    rng = np.random.default_rng(12)
+    return [rng.integers(0, vocab_size, n) for n in (1, 2, 15, 16, 17, 33, WINDOW, 1, 5)]
+
+
+@pytest.mark.parametrize("horizon", [1, 3])
+def test_tree_batched_dataset_matches_per_position_loop(window_base, horizon, caplog):
+    corpus = edge_corpus(window_base.config.vocab_size)
+    want, want_skipped = per_position_dataset(window_base, corpus, horizon)
+    with caplog.at_level("WARNING", logger="redrafter.distill"):
+        got = build_distill_dataset(window_base, corpus, horizon)
+    assert_same_examples(got, want)
+    # two length-1 sequences, then the window-filling one's last positions
+    assert want_skipped == 2 + horizon
+    assert f"skipped {want_skipped} short/overflowing positions" in caplog.text
+    # positions past the headroom are skipped: the longest kept prefix leaves
+    # room for the rollout
+    assert max(len(ex.context) - 1 for ex in got) == WINDOW - horizon
+
+
+def test_tree_batched_dataset_rejects_an_overflowing_sequence(window_base):
+    rng = np.random.default_rng(13)
+    corpus = [rng.integers(0, 16, 20), rng.integers(0, 16, WINDOW + 1)]
+    with pytest.raises(CapacityError):
+        build_distill_dataset(window_base, corpus, 2)
+    with pytest.raises(CapacityError):
+        per_position_dataset(window_base, corpus, 2)
+
+
+def test_tree_batched_dataset_makes_horizon_plus_one_packed_forwards_per_block(
+        window_base, monkeypatch):
+    corpus = edge_corpus(window_base.config.vocab_size)
+    horizon = 3
+    calls = []
+    forward_packed = window_base.forward_packed
+
+    def counting_forward_packed(tree, cache):
+        calls.append(tree.n)
+        return forward_packed(tree, cache)
+
+    def no_forward_context(tokens, cache):
+        raise AssertionError("the tree-batched build made a causal forward")
+
+    monkeypatch.setattr(window_base, "forward_packed", counting_forward_packed)
+    monkeypatch.setattr(window_base, "forward_context", no_forward_context)
+    for seq in corpus:
+        calls.clear()
+        build_distill_dataset(window_base, [seq], horizon)
+        if len(seq) > 1:
+            assert 0 < len(calls) <= math.ceil(len(seq) / distill.BLOCK) * (horizon + 1)
+            assert max(calls) <= distill.BLOCK * (horizon + 1)
+
+
+def test_dataset_builders_reject_a_non_positive_horizon(base, corpus):
+    for horizon in (0, -2):
+        with pytest.raises(ContractError):
+            build_distill_dataset(base, corpus, horizon)
+        with pytest.raises(ContractError):
+            ground_truth_dataset(base, corpus, horizon)
+
+
+@pytest.mark.parametrize("ground_truth", [[], ["--ground-truth"]],
+                         ids=["rollouts", "ground-truth"])
+def test_distill_data_cli_rejects_a_non_positive_horizon(ground_truth, tmp_path, capsys):
+    out = str(tmp_path / "data.txt")
+    assert cli.main(["distill-data", "--base", "markov", "--markov-vocab", "16",
+                     "--corpus-size", "2", "--corpus-len", "8", "--horizon", "-2",
+                     *ground_truth, "--out", out]) == 2
+    assert "error: need horizon >= 1" in capsys.readouterr().err
 
 
 def test_ground_truth_teacher_is_corpus_continuation(base, corpus):
@@ -85,6 +223,13 @@ def test_dataset_file_round_trip(base, corpus, tmp_path):
     (tmp_path / "short.txt").write_text("1 3 5 1 2 3\n")
     with pytest.raises(FormatError):
         read_dataset(str(tmp_path / "short.txt"), base)
+    # a teacher token, then a context token, outside the vocab of 16; the
+    # error names the file and line
+    for name, record in (("teacher.txt", "3 2 1 2 3 99 4"), ("context.txt", "3 2 1 16 3 9 4")):
+        path = tmp_path / name
+        path.write_text("3 2 1 2 3 9 4\n" + record + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: token id outside vocab")):
+            read_dataset(str(path), base)
 
 
 def train_setup(base, corpus, horizon=3):
