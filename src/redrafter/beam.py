@@ -12,10 +12,11 @@ Candidate lists from elsewhere, which may repeat prefixes, go through the
 paper's dynamic tree attention instead: candidates share one length, so
 shared prefixes are found with plain tensor operations (elementwise match
 matrix, cumulative sum, first-match argmax) instead of a trie
-(``dedup_prefix``), and ``pack_beam`` flattens the result through the
-``DraftTree.from_parents`` constructor.  Both routes give one ``DraftTree``
-type, whose ancestor table drives the tree-masked verification forward and
-the greedy verify rule.
+(``dedup_prefix``), and ``pack_beam`` flattens the result.  Every tree, from
+either route or ``chain_tree``, comes from one constructor,
+``DraftTree.from_parents``, which derives depths, the ancestor table that
+drives the greedy verify rule and the mask of the tree-masked verification
+forward from the parent of each node.
 """
 
 from dataclasses import dataclass
@@ -137,34 +138,21 @@ class BeamLattice:
         kept.  A drafter log-probability is never positive, so a prefix never
         outscores its parent, and ties go to the lower depth-major index,
         which is the shallower row: the kept set is ancestor-closed.  Nodes
-        follow the root in depth-major order, so each depth's nodes are one
-        slice whose parents come before it, and the ancestor table is filled
-        one depth slice at a time.  The fields equal
-        ``DraftTree.from_parents(tokens, parents)``'s.
+        follow the root in depth-major order, so parents come before their
+        children.  This picks the kept rows and their parent nodes only;
+        ``DraftTree.from_parents`` builds the tree, as it does every other.
         """
         length, width = self.tokens.shape
         if budget is None:
             budget = width + length
         keep = np.sort(np.argsort(-self.logp.ravel(), kind="stable")[:budget])
-        n = keep.size + 1
-        depth, row = np.divmod(keep, width)
-        depths = np.concatenate(([0], depth + 1))
         # node numbers by depth-major flat index, shifted one depth down past
         # a slab standing for the root: a row's parent sits at depth - 1
         node = np.zeros((length + 1) * width, dtype=np.int64)
-        node[keep + width] = np.arange(1, n)
-        parents = np.concatenate(([ROOT_PARENT], node[depth * width + self.parents[depth, row]]))
-        ancestors = np.zeros((n, depths[-1] + 1), dtype=np.int64)
-        nodes = np.arange(n)
-        ancestors[nodes, depths] = nodes
-        bounds = np.searchsorted(depths, np.arange(depths[-1] + 2))
-        for d in range(1, depths[-1] + 1):
-            lo, hi = bounds[d], bounds[d + 1]
-            ancestors[lo:hi, :d] = ancestors[parents[lo:hi], :d]
-        mask = np.zeros((n, n), dtype=bool)
-        mask[nodes[:, None], ancestors] = True
-        return DraftTree(tokens=np.concatenate(([root], self.tokens.ravel()[keep])),
-                         parents=parents, depths=depths, ancestors=ancestors, mask=mask)
+        node[keep + width] = np.arange(1, keep.size + 1)
+        parents = node[keep - keep % width + self.parents.ravel()[keep]]
+        return DraftTree.from_parents(np.concatenate(([root], self.tokens.ravel()[keep])),
+                                      np.concatenate(([ROOT_PARENT], parents)))
 
 
 def beam_search(params, embeddings, h, last_token, beam_width, beam_length, token_term=None):
@@ -202,17 +190,17 @@ def beam_search(params, embeddings, h, last_token, beam_width, beam_length, toke
     keep = np.empty(beam_width, dtype=np.int64)
     for depth in range(beam_length):
         # one live row at depth 0, beam_width rows after it
-        logp = drafter.head_logp_batch(x[:1 if depth == 0 else beam_width], params)
+        scores = drafter.head_logp_batch(x[:1 if depth == 0 else beam_width], params)
         # at depth 0 the cumulative score is 0, and 0 + logp is logp (never -0.0)
-        scores = logp.ravel() if depth == 0 else (logps[depth - 1][:, None] + logp).ravel()
+        if depth:
+            scores += logps[depth - 1][:, None]
+        scores = scores.ravel()
         cum_logp = logps[depth]
         for pick in range(beam_width):
             keep[pick] = best = scores.argmax()
             cum_logp[pick] = scores[best]
             scores[best] = -np.inf
-        parent, tok = np.divmod(keep, vocab)
-        tokens[depth] = tok
-        parents[depth] = parent
+        parent, tok = np.divmod(keep, vocab, out=(parents[depth], tokens[depth]))
         # the last depth's states would feed no head, so they are not computed
         if depth + 1 < beam_length:
             x[:, :d_s] = drafter.step_batch(x[parent, :d_s], token_term[tok], params)
@@ -264,8 +252,3 @@ def pack_beam(beam, root):
                                    np.concatenate(([ROOT_PARENT], parents)),
                                    candidate_node=candidate_node)
 
-
-def compression_ratio(beam, packed):
-    """Candidate tokens, each candidate counting the shared root, divided by
-    packed nodes (>= 1)."""
-    return (beam.width * (beam.length + 1)) / packed.n

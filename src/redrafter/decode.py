@@ -12,7 +12,8 @@ logits verify its children, and the node that ends the accepted path yields
 the next step's guaranteed token.  The step commits the root plus the
 accepted path, and the next step's drafter conditions on the hidden state of
 the last committed node together with the embedding of the next guaranteed
-token.  The prompt's prefill seeds the first step the same way.
+token.  The prompt's prefill seeds the first step the same way.  A step whose
+one wanted token is the guaranteed token emits it without a forward.
 
 Acceptance is strictly token-match (temperature 0), so the emitted stream is
 exactly the autoregressive greedy stream: every accepted token is, by
@@ -58,9 +59,11 @@ class DecodeConfig:
 @dataclass
 class StepReport:
     """What one decode step did.  ``llm_calls`` counts the base-model
-    forwards the step made; ``compression_ratio`` is the width x (drafted
-    length + 1) candidate tokens a full beam would verify, over the
-    ``packed_size`` nodes the step's tree verified."""
+    forwards the step made: 1, or 0 on a final step whose one wanted token is
+    the guaranteed one, which needs no verification.  ``compression_ratio``
+    is the width x (drafted length + 1) candidate tokens a full beam would
+    verify, over the ``packed_size`` nodes the step's tree verified (the
+    root alone on that final step)."""
 
     accepted_draft_tokens: int
     packed_size: int
@@ -134,7 +137,7 @@ def verify_greedy(base_output, tree):
     matches = tree.tokens == node_argmax[tree.parents]
     matches[0] = True
     # root-depth nodes score 0, so with no accepted draft argmax picks the root
-    node = int(np.argmax(tree.depths * matches[tree.ancestors].all(axis=1)))
+    node = int(np.argmax(tree.depths * np.logical_and.reduce(matches[tree.ancestors], axis=1)))
     acc = int(tree.depths[node])
     path = tree.ancestors[node, :acc + 1]
     _warn_near_ties(base_output.logits[path], base_output.logits[path, node_argmax[path]])
@@ -214,26 +217,29 @@ def speculative_generate(base, proposer, prompt, cfg, _omit_guaranteed=False):
         # prompt + max_new_tokens <= max_seq_len the deepest node then also
         # fits the context window
         length = min(cfg.beam_length, cfg.max_new_tokens - generated - 1)
-        if length > 0:
+        if length == 0:
+            # the one token still wanted is the guaranteed one: a forward of
+            # the root alone would only yield the token after it
+            generated += 1
+            reports.append(StepReport(accepted_draft_tokens=0, packed_size=1,
+                                      compression_ratio=1.0, llm_calls=0))
+            step_tokens = [guaranteed]
+        else:
             tree = proposer.propose(h, guaranteed, cfg.beam_width, length)
             if tree.tokens[0] != guaranteed:
                 raise ContractError("a proposal's tree must be rooted at the guaranteed token")
-            candidate_tokens = cfg.beam_width * (length + 1)
-        else:  # nothing left to draft: the root alone is the one candidate
-            tree = beam_mod.chain_tree(guaranteed, [])
-            candidate_tokens = 1
-        base_out, spec_state = base.forward_packed(tree, cache)
-        result = verify_greedy(base_out, tree)
-        acc = result.accepted_len
-        path = result.path
-        base.commit_accepted(cache, tree, spec_state, path)
-        generated += acc + 1
-        h = base_out.hidden[path[-1]]
-        guaranteed = result.next_guaranteed_token
-
-        reports.append(StepReport(accepted_draft_tokens=acc, packed_size=tree.n,
-                                  compression_ratio=candidate_tokens / tree.n, llm_calls=1))
-        step_tokens = tree.tokens[path].tolist()
+            base_out, spec_state = base.forward_packed(tree, cache)
+            result = verify_greedy(base_out, tree)
+            acc = result.accepted_len
+            path = result.path
+            base.commit_accepted(cache, tree, spec_state, path)
+            generated += acc + 1
+            h = base_out.hidden[path[-1]]
+            guaranteed = result.next_guaranteed_token
+            reports.append(StepReport(accepted_draft_tokens=acc, packed_size=tree.n,
+                                      compression_ratio=cfg.beam_width * (length + 1) / tree.n,
+                                      llm_calls=1))
+            step_tokens = tree.tokens[path].tolist()
         if _omit_guaranteed:
             step_tokens = step_tokens[1:]
         if cfg.stop_token in step_tokens:

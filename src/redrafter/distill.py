@@ -174,9 +174,15 @@ def write_dataset(path, examples):
 
 def read_dataset(path, base):
     """Load a dataset file, recomputing hidden states with the given base model
-    (at the token before each context's guaranteed token)."""
+    (at the token before each context's guaranteed token).
+
+    ``write_dataset`` writes a sequence's records with committed prefixes
+    that extend one another, so each run of such records gets one prefill of
+    its longest prefix: a row of a causal forward equals the forward of the
+    prefix ending there, bit for bit, as ``ground_truth_dataset`` also uses.
+    """
     vocab = base.config.vocab_size
-    examples = []
+    records = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -188,15 +194,30 @@ def read_dataset(path, base):
             if n_ctx < 2:
                 raise FormatError(f"{path}:{lineno}: context needs a committed token "
                                   f"and the guaranteed token")
+            if horizon < 1:
+                raise FormatError(f"{path}:{lineno}: teacher needs at least one token")
             if min(vals[2:]) < 0 or max(vals[2:]) >= vocab:
                 raise FormatError(f"{path}:{lineno}: token id outside vocab of size {vocab}")
-            context = np.asarray(vals[2:2 + n_ctx], np.int64)
-            teacher = np.asarray(vals[2 + n_ctx:], np.int64)
-            cache = base.new_cache()
-            out = base.forward_context(context[:-1], cache)
-            examples.append(DistillExample(context=context, teacher=teacher,
-                                           h=out.hidden[-1].copy()))
+            records.append((np.asarray(vals[2:2 + n_ctx], np.int64),
+                            np.asarray(vals[2 + n_ctx:], np.int64)))
+    # a run starts at a record whose committed prefix does not extend the
+    # previous record's; the run's last prefix then holds all of its prefixes
+    starts = [i for i in range(len(records))
+              if i == 0 or not _extends(records[i][0], records[i - 1][0])]
+    examples = []
+    for lo, hi in zip(starts, starts[1:] + [len(records)]):
+        hidden = base.forward_context(records[hi - 1][0][:-1], base.new_cache()).hidden
+        examples.extend(DistillExample(context=context, teacher=teacher,
+                                       h=hidden[context.shape[0] - 2].copy())
+                        for context, teacher in records[lo:hi])
     return examples
+
+
+def _extends(context, before):
+    """Whether a context's committed prefix (all but its last token) extends
+    the committed prefix of the context ``before``."""
+    k = before.shape[0] - 1
+    return context.shape[0] > k and np.array_equal(context[:k], before[:k])
 
 
 def train_drafter(dataset, params_init, cfg, embeddings):

@@ -174,8 +174,9 @@ def head_logp_batch(x, params):
         a += x  # silu(a) + x is bitwise x + silu(a)
         x = a
     z = x @ params.out_proj.T
-    z -= z.max(axis=1, keepdims=True)
-    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    # the ufunc reductions that ndarray.max and .sum call, minus their wrappers
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    z -= np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
     return z
 
 

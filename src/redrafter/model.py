@@ -278,7 +278,7 @@ class TinyTransformer(BaseModel):
         for layer, (new_k, new_v) in enumerate(spec_state):
             cache.k[layer][n_ctx:n_ctx + n] = new_k[flat_path]
             cache.v[layer][n_ctx:n_ctx + n] = new_v[flat_path]
-        cache.tokens.extend(int(tree.tokens[i]) for i in flat_path)
+        cache.tokens.extend(tree.tokens[flat_path].tolist())
         cache.committed_len += n
         return cache
 
@@ -370,14 +370,15 @@ class SyntheticMarkovModel(BaseModel):
         parents = np.asarray(tree.parents)
         last = cache.tokens[-1] if cache.tokens else 0
         prev = np.where(parents == ROOT_PARENT, last, tokens[parents])
-        history = np.stack([prev, tokens], axis=1)[:, 2 - self.order:]
-        idx = np.ravel_multi_index(history.T, (self.config.vocab_size,) * self.order)
-        return BaseModelOutput(logits=self.table[idx],
-                               hidden=self.state_emb[history].reshape(n, -1)), None
+        # the table row of a history, as in _state_index
+        idx = tokens if self.order == 1 else prev * self.config.vocab_size + tokens
+        history = (prev, tokens)[2 - self.order:]
+        return BaseModelOutput(logits=self.table[idx], hidden=np.concatenate(
+            [self.state_emb[t] for t in history], axis=1)), None
 
     def commit_accepted(self, cache, tree, spec_state, flat_path):
         flat_path = self._check_path(tree, flat_path)
         self._check_capacity(cache, flat_path.shape[0])
-        cache.tokens.extend(int(tree.tokens[i]) for i in flat_path)
+        cache.tokens.extend(tree.tokens[flat_path].tolist())
         cache.committed_len = len(cache.tokens)
         return cache

@@ -10,7 +10,7 @@ import pytest
 
 from redrafter import beam as beam_mod
 from redrafter import decode, distill, weights
-from redrafter.beam import Beam, compression_ratio, dedup_prefix, pack_beam
+from redrafter.beam import Beam, dedup_prefix, pack_beam
 from redrafter.decode import DecodeConfig, RnnProposer
 from redrafter.drafter import DrafterParams, batch_loss, init_state
 from redrafter.model import ModelConfig, SyntheticMarkovModel, TinyTransformer
@@ -136,13 +136,13 @@ def test_criterion_3_packed_beam_round_trip():
         tokens = rng.integers(0, 4, size=(width, length))
         beam = Beam(tokens=tokens, logp=np.zeros(width))
         packed = pack_beam(beam, 0)
-        ratio = compression_ratio(beam, packed)
+        ratio = width * (length + 1) / packed.n
         min_ratio = min(min_ratio, ratio)
         for i in range(width):
             if not np.array_equal(packed.tokens[packed.candidate_node[i]], tokens[i]):
                 failures += 1
     same = Beam(tokens=np.tile(np.array([1, 2, 3]), (6, 1)), logp=np.zeros(6))
-    identical_ratio = compression_ratio(same, pack_beam(same, 0))
+    identical_ratio = 6 * (3 + 1) / pack_beam(same, 0).n
     report(3, failures == 0 and min_ratio >= 1.0 and identical_ratio == 6.0,
            f"{failures} path mismatches, min ratio {min_ratio:.3f}, "
            f"identical-candidate ratio {identical_ratio}")

@@ -7,7 +7,7 @@ import pytest
 from redrafter import beam as beam_mod
 from redrafter import drafter
 from redrafter.beam import (ROOT_PARENT, Beam, BeamLattice, DraftTree, beam_search, chain_tree,
-                            compression_ratio, dedup_prefix, pack_beam)
+                            dedup_prefix, pack_beam)
 from redrafter.drafter import DrafterParams
 from redrafter.errors import ConfigError, ContractError
 
@@ -148,14 +148,15 @@ def test_pack_structure_invariants():
 
 
 def test_compression_ratio_bounds():
+    """Packing never adds nodes to the width x (length + 1) candidate tokens,
+    each candidate counting the shared root, and identical candidates share
+    every node."""
     rng = np.random.default_rng(3)
     for _ in range(200):
         beam = random_beam(rng)
-        packed = pack_beam(beam, 0)
-        assert compression_ratio(beam, packed) >= 1.0
+        assert pack_beam(beam, 0).n <= beam.width * (beam.length + 1)
     same = Beam(tokens=np.tile(np.array([3, 1, 2]), (6, 1)), logp=np.zeros(6))
-    packed = pack_beam(same, 0)
-    assert compression_ratio(same, packed) == 6.0
+    assert pack_beam(same, 0).n == 4
 
 
 def make_drafter(seed=0, d_model=6, vocab=8):

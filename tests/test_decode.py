@@ -130,14 +130,58 @@ def test_step_reports_account_for_emitted_tokens(markov):
     cfg = DecodeConfig(beam_width=4, beam_length=5, max_new_tokens=24)
     counted = CountingBase(markov)
     spec, reports = speculative_generate(counted, make_proposer(markov), [1, 2], cfg)
-    # the prompt's prefill, then exactly one base forward per step
-    assert all(r.llm_calls == 1 for r in reports)
-    assert counted.forwards == len(reports) + 1
+    # the prompt's prefill, then one base forward per step, except a final
+    # step that emits its guaranteed token alone
+    assert all(r.llm_calls == 1 for r in reports[:-1])
+    last = reports[-1]
+    assert last.llm_calls == 1 or (last.llm_calls, last.accepted_draft_tokens,
+                                   last.packed_size) == (0, 0, 1)
+    assert counted.forwards == sum(r.llm_calls for r in reports) + 1
     assert all(r.compression_ratio >= 1.0 for r in reports)
     assert all(0 <= r.accepted_draft_tokens <= 5 for r in reports)
     # every step emits its guaranteed token plus the accepted prefix; drafts
     # are clamped to the tokens still wanted, so nothing is cut off
     assert sum(r.accepted_draft_tokens + 1 for r in reports) == len(spec) == 24
+
+
+class Replay:
+    """Drafts a known greedy stream, so every step accepts its whole chain."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.at = 0  # the stream position of the next step's guaranteed token
+
+    def propose(self, h, last_token, width, length):
+        drafts = self.stream[self.at + 1:self.at + 1 + length]
+        self.at += length + 1
+        return beam_mod.chain_tree(last_token, drafts)
+
+
+def test_final_guaranteed_token_needs_no_forward(tiny, markov):
+    """With one token still wanted, the step emits its guaranteed token
+    without a base forward (a root-only verify would yield only the token
+    after it) and reports llm_calls 0; the stream still equals greedy, also
+    when that last token is the stop token."""
+    length = 3
+    new_tokens = 2 * (length + 1) + 1  # two full steps, then the one token still wanted
+    for base in (markov, tiny):
+        rng = np.random.default_rng(11)
+        while True:  # a prompt whose last greedy token appears nowhere before it
+            prompt = rng.integers(0, base.config.vocab_size, size=4).tolist()
+            stream = autoregressive_generate(base, prompt, DecodeConfig(1, 1, new_tokens))
+            if stream[-1] not in stream[:-1]:
+                break
+        for stop in (None, stream[-1]):
+            cfg = DecodeConfig(beam_width=1, beam_length=length, max_new_tokens=new_tokens,
+                               stop_token=stop)
+            counted = CountingBase(base)
+            spec, reports = speculative_generate(counted, Replay(stream), prompt, cfg)
+            assert spec == stream == autoregressive_generate(base, prompt, cfg)
+            assert reports[-1] == decode.StepReport(accepted_draft_tokens=0, packed_size=1,
+                                                    compression_ratio=1.0, llm_calls=0)
+            assert [r.llm_calls for r in reports] == [1, 1, 0]
+            # the prefill and the two verifying steps, no root-only verify
+            assert counted.forwards == 3 == 1 + sum(r.llm_calls for r in reports)
 
 
 def test_rnn_steps_call_neither_dedup_nor_pack(tiny, markov, monkeypatch):

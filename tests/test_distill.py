@@ -209,26 +209,38 @@ def test_ground_truth_teacher_is_corpus_continuation(base, corpus):
         assert np.array_equal(ex.h, out.hidden[-1])
 
 
-def test_dataset_file_round_trip(base, corpus, tmp_path):
-    dataset = build_distill_dataset(base, corpus, 3)
+def test_dataset_file_round_trip(base, corpus, tmp_path, monkeypatch):
     path = str(tmp_path / "distill.txt")
-    write_dataset(path, dataset)
-    loaded = read_dataset(path, base)
-    assert len(loaded) == len(dataset)
-    for a, b in zip(dataset, loaded):
-        assert np.array_equal(a.context, b.context)
-        assert np.array_equal(a.teacher, b.teacher)
-        assert np.array_equal(a.h, b.h)  # h is recomputed at load time
+    for model in (base, WINDOW_BASES["transformer"]()):
+        dataset = build_distill_dataset(model, corpus, 3)
+        write_dataset(path, dataset)
+        prefills = []
+        forward_context = model.forward_context
+
+        def counting_forward_context(tokens, cache, forward_context=forward_context):
+            prefills.append(len(tokens))
+            return forward_context(tokens, cache)
+
+        monkeypatch.setattr(model, "forward_context", counting_forward_context)
+        loaded = read_dataset(path, model)
+        assert_same_examples(loaded, dataset)  # h is recomputed at load time
+        # a sequence's records extend one another: one prefill of the whole
+        # sequence gives every record's h as a row
+        assert prefills == [len(seq) for seq in corpus if len(seq) > 1]
     # a record whose context lacks a committed token before the guaranteed one
     (tmp_path / "short.txt").write_text("1 3 5 1 2 3\n")
     with pytest.raises(FormatError):
         read_dataset(str(tmp_path / "short.txt"), base)
-    # a teacher token, then a context token, outside the vocab of 16; the
-    # error names the file and line
-    for name, record in (("teacher.txt", "3 2 1 2 3 99 4"), ("context.txt", "3 2 1 16 3 9 4")):
+    # a teacher token, then a context token, outside the vocab of 16, and a
+    # negative and an empty teacher (the first reads as a 2-token context
+    # and no teacher); the error names the file and line
+    for name, record, error in (("teacher.txt", "3 2 1 2 3 99 4", "token id outside vocab"),
+                                ("context.txt", "3 2 1 16 3 9 4", "token id outside vocab"),
+                                ("negative.txt", "3 -1 1 2", "teacher needs at least one"),
+                                ("empty.txt", "3 0 1 2 3", "teacher needs at least one")):
         path = tmp_path / name
         path.write_text("3 2 1 2 3 9 4\n" + record + "\n")
-        with pytest.raises(FormatError, match=re.escape(f"{path}:2: token id outside vocab")):
+        with pytest.raises(FormatError, match=re.escape(f"{path}:2: {error}")):
             read_dataset(str(path), base)
 
 
