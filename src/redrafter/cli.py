@@ -246,14 +246,15 @@ def _build_training_dataset(args, base):
 
 
 def cmd_train_drafter(args):
+    # the settings are checked before any dataset work
+    cfg = distill.TrainConfig(horizon=args.horizon, learning_rate=args.learning_rate,
+                              epochs=args.epochs, batch_size=args.batch_size,
+                              seed=args.seed)
     base = build_base(args)
     if args.dataset:
         dataset = distill.read_dataset(args.dataset, base)
     else:
         dataset = _build_training_dataset(args, base)
-    cfg = distill.TrainConfig(horizon=args.horizon, learning_rate=args.learning_rate,
-                              epochs=args.epochs, batch_size=args.batch_size,
-                              seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
     init = DrafterParams.random(rng, base.config.d_model, base.config.vocab_size)
     params, curve = distill.train_drafter(dataset, init, cfg, base.token_embeddings)

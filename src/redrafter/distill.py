@@ -12,9 +12,11 @@ log-likelihood with Adam; the base model stays frozen throughout.
 The rollouts are verified the way a decode step verifies its draft tree:
 all rollouts of a block of ``BLOCK`` positions hang off one chain of the
 block's tokens in one tree, which grows by a token per rollout each round.
-A tree node's logits and hidden state equal the causal forward of its root
-path bit for bit, so the dataset is that of one 1-row forward per rollout
-token, at ``horizon + 1`` forwards per block.
+A round forwards only the nodes it adds, against the K/V the block's earlier
+forwards computed, so a block costs ``horizon + 1`` forwards of at most
+``BLOCK`` new rows each.  A tree node's logits, hidden state and K/V equal
+the causal forward of its root path bit for bit, so the dataset is that of
+one 1-row forward per rollout token.
 """
 
 import logging
@@ -56,6 +58,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.horizon < 1 or self.learning_rate < 0:
             raise ContractError("need horizon >= 1 and learning_rate >= 0")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ContractError(f"need epochs >= 1 and batch_size >= 1, got epochs "
+                                f"{self.epochs} and batch_size {self.batch_size}")
 
 
 def build_distill_dataset(base, corpus, horizon):
@@ -65,12 +70,16 @@ def build_distill_dataset(base, corpus, horizon):
     A sequence goes through in blocks of ``BLOCK`` positions on a cache that
     holds everything before the block.  One tree-masked forward of the
     block's chain gives each prefix's h and guaranteed token.  Round k = 1
-    .. horizon then verifies one tree: the chain again, and under each
-    prefix's chain node that prefix's first k rollout tokens, the guaranteed
-    token first.  The lowest-index argmax at each rollout's newest node is
-    its next token.  The chain is committed after the block.  The cache is
-    visible to every tree row, so a block's chain cannot be committed before
-    its rollouts are done; blocks keep the trees at most
+    .. horizon then grows one tree: under each prefix's chain node hang
+    that prefix's first k rollout tokens, the guaranteed token first.  The
+    round forwards only its new nodes, one per kept position, passing the
+    previous forward's spec_state for the nodes before them; the
+    lowest-index argmax at each new node is its rollout's next token.  A
+    block thus forwards ``size + horizon * kept`` rows, against
+    ``size * (horizon + 1) + kept * horizon * (horizon + 1) / 2`` if every
+    round verified the whole tree.  The chain is committed after the block.
+    The cache is visible to every tree row, so a block's chain cannot be
+    committed before its rollouts are done; blocks keep the trees at most
     ``BLOCK * (horizon + 1)`` rows, whatever the sequence length.
 
     Sequences of length <= 1 (or positions without rollout headroom) are
@@ -93,7 +102,7 @@ def build_distill_dataset(base, corpus, horizon):
             block = seq[start:min(start + BLOCK, n)]
             size = block.shape[0]
             chain = beam.chain_tree(block[0], block[1:])
-            out, spec_state = base.forward_packed(chain, cache)
+            out, chain_state = base.forward_packed(chain, cache)
             # chain node j ends the prefix of length start + j + 1; the first
             # `kept` of them leave room for a rollout of horizon tokens
             kept = max(0, min(size, max_len - horizon - start))
@@ -110,17 +119,20 @@ def build_distill_dataset(base, corpus, horizon):
                     tokens[:size + horizon * kept],
                     np.concatenate([chain.parents, np.arange(kept),
                                     size + np.arange((horizon - 1) * kept)]))
+                spec_state = chain_state
                 for k in range(1, horizon + 1):
+                    # round k forwards only the nodes of levels[k - 1]; those
+                    # before them come in through the last forward's spec_state
                     nodes = size + k * kept
                     head = _first_nodes(tree, tokens, nodes)
-                    logits = base.forward_packed(head, cache)[0].logits[nodes - kept:]
-                    levels[k] = logits.argmax(axis=1)
+                    new, spec_state = base.forward_packed(head, cache, (nodes - kept, spec_state))
+                    levels[k] = new.logits.argmax(axis=1)
                 teachers = np.ascontiguousarray(levels[1:].T)
                 for j in range(kept):
                     examples.append(DistillExample(
                         context=np.append(seq[:start + j + 1], levels[0, j]),
                         teacher=teachers[j], h=out.hidden[j].copy()))
-            base.commit_accepted(cache, chain, spec_state, np.arange(size))
+            base.commit_accepted(cache, chain, chain_state, np.arange(size))
         if seq.shape[0] > max_len:
             # the first token past the window: the base raises as a causal
             # forward of it would, on a cache holding the whole window
@@ -231,14 +243,16 @@ def train_drafter(dataset, params_init, cfg, embeddings):
     if horizons != {cfg.horizon}:
         raise ContractError(f"dataset horizons {sorted(horizons)} != cfg.horizon {cfg.horizon}")
 
-    params = params_init.copy()
+    flat, params = params_init.flat_copy()
     emb = np.asarray(embeddings, dtype=np.float64)
     h_all = np.stack([ex.h for ex in dataset]).astype(np.float64)
     s0_all = emb[[int(ex.context[-1]) for ex in dataset]]
     teacher_all = np.stack([ex.teacher for ex in dataset])
 
-    m = [np.zeros_like(arr) for _, arr in params.flat_arrays()]
-    v = [np.zeros_like(arr) for _, arr in params.flat_arrays()]
+    # Adam runs over the one flat buffer the parameters view, and the
+    # gradients' own; each element sees the per-tensor expressions
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
     step_count = 0
     rng = np.random.default_rng(cfg.seed)
     n = len(dataset)
@@ -254,15 +268,14 @@ def train_drafter(dataset, params_init, cfg, embeddings):
             epoch_loss += loss
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged to {loss} at epoch {epoch}")
-            grads.scale(1.0 / denom)
+            g = grads.flat
+            g *= 1.0 / denom
             step_count += 1
             bc1 = 1.0 - cfg.beta1 ** step_count
             bc2 = 1.0 - cfg.beta2 ** step_count
-            for slot, (_, g) in enumerate(grads.flat_arrays()):
-                m[slot] = cfg.beta1 * m[slot] + (1.0 - cfg.beta1) * g
-                v[slot] = cfg.beta2 * v[slot] + (1.0 - cfg.beta2) * g * g
-            for slot, (_, p) in enumerate(params.flat_arrays()):
-                p -= cfg.learning_rate * (m[slot] / bc1) / (np.sqrt(v[slot] / bc2) + cfg.eps)
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            flat -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
         curve.append(epoch_loss / (n * cfg.horizon))
     return params, curve
 

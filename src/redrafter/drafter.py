@@ -29,7 +29,13 @@ def _silu_in_place(a):
 
 
 def dsilu(x):
-    sig = 1.0 / (1.0 + np.exp(-x))
+    return _dsilu(x, 1.0 + np.exp(-x))
+
+
+def _dsilu(x, den):
+    """``dsilu(x)`` from silu's denominator ``1 + exp(-x)``, whose reciprocal
+    is the sigmoid: the same operations, without taking the exp again."""
+    sig = 1.0 / den
     return sig * (1.0 + x * (1.0 - sig))
 
 
@@ -41,6 +47,17 @@ def _flat_arrays(p):
         out.append((f"mlp{i}_b", bm))
     out.append(("out_proj", p.out_proj))
     return out
+
+
+def _views(flat, like):
+    """Tensors shaped like those of parameter set ``like``, as views of the
+    1-D ``flat`` laid out in ``flat_arrays`` order, keyed by field."""
+    views, at = [], 0
+    for _, arr in like.flat_arrays():
+        views.append(flat[at:at + arr.size].reshape(arr.shape))
+        at += arr.size
+    u, w, b, *mlp, out_proj = views
+    return dict(u=u, w=w, b=b, mlp=list(zip(mlp[0::2], mlp[1::2])), out_proj=out_proj)
 
 
 @dataclass
@@ -104,10 +121,11 @@ class DrafterParams:
         """Parameter tensors in a fixed order (for optimizers and serialization)."""
         return _flat_arrays(self)
 
-    def copy(self):
-        return DrafterParams(u=self.u.copy(), w=self.w.copy(), b=self.b.copy(),
-                             mlp=[(wm.copy(), bm.copy()) for wm, bm in self.mlp],
-                             out_proj=self.out_proj.copy())
+    def flat_copy(self):
+        """A copy on one flat buffer: returns the buffer and parameters whose
+        tensors are views of it, in ``flat_arrays`` order."""
+        flat = np.concatenate([arr.ravel() for _, arr in self.flat_arrays()])
+        return flat, DrafterParams(**_views(flat, self))
 
 
 @dataclass
@@ -186,32 +204,23 @@ def head_logp_batch(x, params):
 
 @dataclass
 class DrafterGrads:
+    """Gradients of a parameter set; every tensor is a view of ``flat``."""
+
     u: np.ndarray
     w: np.ndarray
     b: np.ndarray
     mlp: list
     out_proj: np.ndarray
+    flat: np.ndarray  # all gradients, in ``flat_arrays`` order
 
     @classmethod
     def zeros_like(cls, params):
-        return cls(u=np.zeros_like(params.u), w=np.zeros_like(params.w),
-                   b=np.zeros_like(params.b),
-                   mlp=[(np.zeros_like(wm), np.zeros_like(bm)) for wm, bm in params.mlp],
-                   out_proj=np.zeros_like(params.out_proj))
+        flat = np.zeros(sum(arr.size for _, arr in params.flat_arrays()))
+        return cls(flat=flat, **_views(flat, params))
 
     def flat_arrays(self):
         """Gradient tensors in the order of ``DrafterParams.flat_arrays``."""
         return _flat_arrays(self)
-
-    def scale(self, c):
-        self.u *= c
-        self.w *= c
-        self.b *= c
-        for wm, bm in self.mlp:
-            wm *= c
-            bm *= c
-        self.out_proj *= c
-        return self
 
 
 def batch_loss(params, embeddings, h, s0, teacher, with_grads=True):
@@ -236,6 +245,7 @@ def batch_loss(params, embeddings, h, s0, teacher, with_grads=True):
     n_mlp = len(params.mlp)
     rows = np.arange(bsz)
 
+    # each silu keeps its denominator 1 + exp(-a) for the backward pass
     states = [np.asarray(s0, dtype=np.float64)]     # s_0 .. s_{T-1}
     pre_acts = []                                   # recurrence pre-activations
     head_x = []                                     # per position: mlp layer inputs/pre-acts
@@ -246,8 +256,9 @@ def batch_loss(params, embeddings, h, s0, teacher, with_grads=True):
         xs, acts = [x], []
         for wm, bm in params.mlp:
             a = x @ wm.T + bm
-            x = x + silu(a)
-            acts.append(a)
+            den = 1.0 + np.exp(-a)
+            x = x + a / den
+            acts.append((a, den))
             xs.append(x)
         z = x @ params.out_proj.T
         z = z - z.max(axis=1, keepdims=True)
@@ -259,8 +270,9 @@ def batch_loss(params, embeddings, h, s0, teacher, with_grads=True):
         if k + 1 < horizon:
             e = emb[teacher[:, k]]
             pre = states[-1] @ params.u.T + e @ params.w.T + params.b
-            pre_acts.append((pre, e))
-            states.append(silu(pre))
+            den = 1.0 + np.exp(-pre)
+            pre_acts.append((pre, den, e))
+            states.append(pre / den)
 
     if not with_grads:
         return float(loss), None
@@ -275,15 +287,15 @@ def batch_loss(params, embeddings, h, s0, teacher, with_grads=True):
         dx = dz @ params.out_proj
         for layer in range(n_mlp - 1, -1, -1):
             wm, _ = params.mlp[layer]
-            da = dx * dsilu(acts[layer])
+            da = dx * _dsilu(*acts[layer])
             gw, gb = grads.mlp[layer]
             gw += da.T @ xs[layer]
             gb += da.sum(axis=0)
             dx = dx + da @ wm
         ds += dx[:, :d_s]
         if k > 0:
-            pre, e = pre_acts[k - 1]
-            dp = ds * dsilu(pre)
+            pre, den, e = pre_acts[k - 1]
+            dp = ds * _dsilu(pre, den)
             grads.u += dp.T @ states[k - 1]
             grads.w += dp.T @ e
             grads.b += dp.sum(axis=0)

@@ -74,12 +74,17 @@ class BaseModel(ABC):
         """Append tokens to the committed context; logits/hidden per new position."""
 
     @abstractmethod
-    def forward_packed(self, tree, cache):
+    def forward_packed(self, tree, cache, prior=None):
         """Tree-masked forward over a draft tree whose root takes the next
         position after the committed context.  Read-only on the cache.
 
         Returns (BaseModelOutput, spec_state); spec_state carries whatever the
         model needs to later commit an accepted path without recomputing.
+        ``prior`` is ``(start, spec_state)`` of a forward of the tree's first
+        ``start`` nodes: then only nodes ``start`` on are computed, and the
+        output holds their rows while spec_state covers the whole tree.  A
+        node depends only on its ancestors, which precede it, so the rows
+        equal the full forward's bit for bit.
         """
 
     @abstractmethod
@@ -99,6 +104,20 @@ class BaseModel(ABC):
                                or (tree.parents[flat_path[1:]] != flat_path[:-1]).any()):
             raise ContractError("accepted positions do not form a root-to-node path")
         return flat_path
+
+    @staticmethod
+    def _split_prior(prior, n):
+        """(start, spec_state) of a forward's prior; (0, None) without one."""
+        if prior is None:
+            return 0, None
+        start, spec_state = prior
+        if not 0 <= start <= n:
+            raise ContractError(f"prior of {start} nodes outside a tree of {n}")
+        return start, spec_state
+
+    def _empty_output(self):
+        return BaseModelOutput(logits=np.zeros((0, self.config.vocab_size), np.float32),
+                               hidden=np.zeros((0, self.config.d_model), np.float32))
 
     def _check_capacity(self, cache, extra):
         if cache.committed_len + extra > self.config.max_seq_len:
@@ -205,12 +224,15 @@ class TinyTransformer(BaseModel):
         return KvCache(k=[np.zeros((c.max_seq_len, c.d_model), np.float32) for _ in range(c.n_layers)],
                        v=[np.zeros((c.max_seq_len, c.d_model), np.float32) for _ in range(c.n_layers)])
 
-    def _forward(self, tokens, positions, cache, key_bias):
+    def _forward(self, tokens, positions, cache, key_bias, tree_kv=None):
         """Shared body of the causal and tree-masked forwards.
 
-        The new rows attend to the committed cache plus their own keys.
-        key_bias is (n_new, committed + n_new) additive float32; disallowed
-        keys carry a large negative bias whose softmax weight is exactly 0.
+        The new rows attend to the committed cache, then ``tree_kv``'s rows
+        (each layer's K/V of tree nodes forwarded before, if any), then their
+        own keys.  key_bias is (n_new, all those keys) additive float32;
+        disallowed keys carry a large negative bias whose softmax weight is
+        exactly 0.  Returns the new rows' output and each layer's K/V past
+        the cache: ``tree_kv``'s rows, then the new ones.
         """
         c = self.config
         w = self.weights
@@ -223,6 +245,9 @@ class TinyTransformer(BaseModel):
             x_norm = _layer_norm(x, w[f"l{layer}_ln1_g"], w[f"l{layer}_ln1_b"])
             qkv = kernels.matmul(x_norm, self._wqkv[layer])
             q, new_k, new_v = qkv[:, :d], qkv[:, d:2 * d], qkv[:, 2 * d:]
+            if tree_kv is not None:
+                new_k = np.concatenate([tree_kv[layer][0], new_k], axis=0)
+                new_v = np.concatenate([tree_kv[layer][1], new_v], axis=0)
             per_layer_kv.append((new_k, new_v))
             keys = np.concatenate([cache.k[layer][:n_ctx], new_k], axis=0)
             vals = np.concatenate([cache.v[layer][:n_ctx], new_v], axis=0)
@@ -251,22 +276,27 @@ class TinyTransformer(BaseModel):
         cache.committed_len += n
         return out
 
-    def forward_packed(self, tree, cache):
+    def forward_packed(self, tree, cache, prior=None):
         tokens = self._check_tokens(tree.tokens)
         n = tokens.shape[0]
         if tree.mask.shape != (n, n):
             raise ShapeError(f"mask shape {tree.mask.shape} does not match {n} tree tokens")
-        if n == 0:
-            d = self.config.d_model
-            return (BaseModelOutput(logits=np.zeros((0, self.config.vocab_size), np.float32),
-                                    hidden=np.zeros((0, d), np.float32)), [])
+        start, tree_kv = self._split_prior(prior, n)
+        if tree_kv is not None and (len(tree_kv) != self.config.n_layers or any(
+                rows.shape[0] != start for kv in tree_kv for rows in kv)):
+            raise ShapeError(f"prior K/V needs {self.config.n_layers} layers of {start} "
+                             f"rows each")
+        if start == n:
+            return self._empty_output(), [] if tree_kv is None else tree_kv
         self._check_capacity(cache, int(tree.depths.max()) + 1)
         n_ctx = cache.committed_len
         # each node sits at the absolute position its path would occupy; the
         # root (depth 0) takes the next free position
-        positions = n_ctx + tree.depths
-        allowed = np.concatenate([np.ones((n, n_ctx), dtype=bool), tree.mask], axis=1)
-        return self._forward(tokens, positions, cache, kernels.masked_bias(allowed))
+        positions = n_ctx + tree.depths[start:]
+        allowed = np.concatenate([np.ones((n - start, n_ctx), dtype=bool), tree.mask[start:]],
+                                 axis=1)
+        return self._forward(tokens[start:], positions, cache, kernels.masked_bias(allowed),
+                             tree_kv)
 
     def commit_accepted(self, cache, tree, spec_state, flat_path):
         flat_path = self._check_path(tree, flat_path)
@@ -356,23 +386,24 @@ class SyntheticMarkovModel(BaseModel):
         return BaseModelOutput(logits=np.asarray(logits, np.float32),
                                hidden=np.asarray(hidden, np.float32))
 
-    def forward_packed(self, tree, cache):
+    def forward_packed(self, tree, cache, prior=None):
         tokens = self._check_tokens(tree.tokens)
         n = tokens.shape[0]
         if tree.mask.shape != (n, n):
             raise ShapeError(f"mask shape {tree.mask.shape} does not match {n} tree tokens")
-        if n == 0:
-            return (BaseModelOutput(logits=np.zeros((0, self.config.vocab_size), np.float32),
-                                    hidden=np.zeros((0, self.config.d_model), np.float32)), None)
+        start, _ = self._split_prior(prior, n)
+        if start == n:
+            return self._empty_output(), None
         self._check_capacity(cache, int(tree.depths.max()) + 1)
         # a node's row reads its own token and, at order 2, the token before
         # it: its parent's, or for the root the last committed one (0-padded)
-        parents = np.asarray(tree.parents)
+        parents = np.asarray(tree.parents)[start:]
         last = cache.tokens[-1] if cache.tokens else 0
         prev = np.where(parents == ROOT_PARENT, last, tokens[parents])
+        new = tokens[start:]
         # the table row of a history, as in _state_index
-        idx = tokens if self.order == 1 else prev * self.config.vocab_size + tokens
-        history = (prev, tokens)[2 - self.order:]
+        idx = new if self.order == 1 else prev * self.config.vocab_size + new
+        history = (prev, new)[2 - self.order:]
         return BaseModelOutput(logits=self.table[idx], hidden=np.concatenate(
             [self.state_emb[t] for t in history], axis=1)), None
 

@@ -1,5 +1,6 @@
 """Distillation: dataset construction, training loop, divergence metric."""
 
+import copy
 import math
 import re
 
@@ -155,11 +156,13 @@ def test_tree_batched_dataset_makes_horizon_plus_one_packed_forwards_per_block(
     corpus = edge_corpus(window_base.config.vocab_size)
     horizon = 3
     calls = []
+    new_rows = []
     forward_packed = window_base.forward_packed
 
-    def counting_forward_packed(tree, cache):
+    def counting_forward_packed(tree, cache, prior=None):
         calls.append(tree.n)
-        return forward_packed(tree, cache)
+        new_rows.append(tree.n - (0 if prior is None else prior[0]))
+        return forward_packed(tree, cache, prior)
 
     def no_forward_context(tokens, cache):
         raise AssertionError("the tree-batched build made a causal forward")
@@ -168,10 +171,13 @@ def test_tree_batched_dataset_makes_horizon_plus_one_packed_forwards_per_block(
     monkeypatch.setattr(window_base, "forward_context", no_forward_context)
     for seq in corpus:
         calls.clear()
+        new_rows.clear()
         build_distill_dataset(window_base, [seq], horizon)
         if len(seq) > 1:
             assert 0 < len(calls) <= math.ceil(len(seq) / distill.BLOCK) * (horizon + 1)
             assert max(calls) <= distill.BLOCK * (horizon + 1)
+            # a round forwards only the nodes it adds, never the tree again
+            assert max(new_rows) <= distill.BLOCK
 
 
 def test_dataset_builders_reject_a_non_positive_horizon(base, corpus):
@@ -276,6 +282,76 @@ def test_training_is_bitwise_deterministic(base, corpus):
     assert c1 == c2
     for (_, a), (_, b) in zip(p1.flat_arrays(), p2.flat_arrays()):
         assert np.array_equal(a, b)
+
+
+def reference_train(dataset, init, cfg, embeddings):
+    """``train_drafter`` with Adam run tensor by tensor, each parameter,
+    gradient and moment its own array."""
+    params = copy.deepcopy(init)
+    emb = np.asarray(embeddings, dtype=np.float64)
+    h_all = np.stack([ex.h for ex in dataset]).astype(np.float64)
+    s0_all = emb[[int(ex.context[-1]) for ex in dataset]]
+    teacher_all = np.stack([ex.teacher for ex in dataset])
+    m = [np.zeros_like(arr) for _, arr in params.flat_arrays()]
+    v = [np.zeros_like(arr) for _, arr in params.flat_arrays()]
+    rng = np.random.default_rng(cfg.seed)
+    n = len(dataset)
+    step_count = 0
+    curve = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            loss, grads = drafter.batch_loss(params, emb, h_all[idx], s0_all[idx],
+                                             teacher_all[idx])
+            epoch_loss += loss
+            step_count += 1
+            bc1 = 1.0 - cfg.beta1 ** step_count
+            bc2 = 1.0 - cfg.beta2 ** step_count
+            for slot, ((_, g), (_, p)) in enumerate(zip(grads.flat_arrays(),
+                                                         params.flat_arrays(), strict=True)):
+                g = g * (1.0 / (len(idx) * cfg.horizon))
+                m[slot] = cfg.beta1 * m[slot] + (1.0 - cfg.beta1) * g
+                v[slot] = cfg.beta2 * v[slot] + (1.0 - cfg.beta2) * g * g
+                p -= cfg.learning_rate * (m[slot] / bc1) / (np.sqrt(v[slot] / bc2) + cfg.eps)
+        curve.append(epoch_loss / (n * cfg.horizon))
+    return params, curve
+
+
+def test_training_is_bitwise_the_per_tensor_adam_reference(base, corpus):
+    dataset, init = train_setup(base, corpus)
+    assert len(dataset) % 16  # a short last batch
+    cfg = TrainConfig(horizon=3, learning_rate=2e-3, epochs=2, batch_size=16, seed=4)
+    params, curve = train_drafter(dataset, init, cfg, base.token_embeddings)
+    want_params, want_curve = reference_train(dataset, init, cfg, base.token_embeddings)
+    assert np.array_equal(np.array(curve).view(np.uint64), np.array(want_curve).view(np.uint64))
+    for (name, got), (_, want) in zip(params.flat_arrays(), want_params.flat_arrays(),
+                                      strict=True):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+
+
+def test_train_config_rejects_bad_settings():
+    for bad in ({"epochs": 0}, {"epochs": -1}, {"batch_size": 0}, {"batch_size": -4},
+                {"horizon": 0}, {"learning_rate": -1e-3}):
+        with pytest.raises(ContractError):
+            TrainConfig(**bad)
+    TrainConfig(epochs=1, batch_size=1)
+
+
+@pytest.mark.parametrize("flag", [["--batch-size", "0"], ["--batch-size", "-4"],
+                                  ["--epochs", "0"]], ids=["batch0", "batch-4", "epochs0"])
+def test_train_drafter_cli_rejects_bad_settings_before_any_work(flag, tmp_path, capsys,
+                                                                monkeypatch):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("train-drafter built a corpus before checking its settings")
+
+    monkeypatch.setattr(distill, "sample_markov_corpus", no_corpus)
+    out = tmp_path / "drafter"
+    assert cli.main(["train-drafter", "--base", "markov", "--markov-vocab", "16",
+                     "--corpus-size", "2", "--corpus-len", "8", *flag, "--out", str(out)]) == 2
+    assert "error: need epochs >= 1 and batch_size >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())  # no drafter saved
 
 
 def test_training_rejects_bad_input(base, corpus):

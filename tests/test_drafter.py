@@ -204,8 +204,88 @@ def test_gradient_matches_central_finite_differences():
 
 def test_params_copy_is_deep():
     p = make_params()
-    q = p.copy()
+    flat, q = p.flat_copy()
+    for (_, a), (_, b) in zip(p.flat_arrays(), q.flat_arrays(), strict=True):
+        assert np.array_equal(a, b) and np.shares_memory(b, flat)
+    assert flat.size == sum(a.size for _, a in p.flat_arrays())
     q.u[0, 0] += 1.0
     q.mlp[0][0][0, 0] += 1.0
     assert p.u[0, 0] != q.u[0, 0]
     assert p.mlp[0][0][0, 0] != q.mlp[0][0][0, 0]
+
+
+def reference_batch_loss(p, emb, h, s0, teacher):
+    """``batch_loss`` as plain formulas: every silu and dsilu takes its own
+    exp, and each gradient tensor is its own array.  Returns the loss and
+    the (name, gradient) pairs in ``flat_arrays`` order."""
+    def silu(x):
+        return x / (1.0 + np.exp(-x))
+
+    def dsilu(x):
+        sig = 1.0 / (1.0 + np.exp(-x))
+        return sig * (1.0 + x * (1.0 - sig))
+
+    bsz, horizon = teacher.shape
+    rows = np.arange(bsz)
+    states, pre_acts, head_x, head_soft = [s0], [], [], []
+    loss = 0.0
+    for k in range(horizon):
+        x = np.concatenate([states[-1], np.broadcast_to(h, (bsz, p.d_model))], axis=1)
+        xs, acts = [x], []
+        for wm, bm in p.mlp:
+            a = x @ wm.T + bm
+            x = x + silu(a)
+            acts.append(a)
+            xs.append(x)
+        z = x @ p.out_proj.T
+        z = z - z.max(axis=1, keepdims=True)
+        logz = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        loss += -logz[rows, teacher[:, k]].sum()
+        head_x.append((xs, acts))
+        head_soft.append(np.exp(logz))
+        if k + 1 < horizon:
+            e = emb[teacher[:, k]]
+            pre = states[-1] @ p.u.T + e @ p.w.T + p.b
+            pre_acts.append((pre, e))
+            states.append(silu(pre))
+    g = {name: np.zeros_like(arr) for name, arr in p.flat_arrays()}
+    ds = np.zeros((bsz, p.d_s))
+    for k in range(horizon - 1, -1, -1):
+        xs, acts = head_x[k]
+        dz = head_soft[k].copy()
+        dz[rows, teacher[:, k]] -= 1.0
+        g["out_proj"] += dz.T @ xs[-1]
+        dx = dz @ p.out_proj
+        for layer in range(len(p.mlp) - 1, -1, -1):
+            da = dx * dsilu(acts[layer])
+            g[f"mlp{layer}_w"] += da.T @ xs[layer]
+            g[f"mlp{layer}_b"] += da.sum(axis=0)
+            dx = dx + da @ p.mlp[layer][0]
+        ds += dx[:, :p.d_s]
+        if k > 0:
+            pre, e = pre_acts[k - 1]
+            dp = ds * dsilu(pre)
+            g["u"] += dp.T @ states[k - 1]
+            g["w"] += dp.T @ e
+            g["b"] += dp.sum(axis=0)
+            ds = dp @ p.u
+    return float(loss), [(name, g[name]) for name, _ in p.flat_arrays()]
+
+
+def bits64(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("horizon", [1, 4])
+def test_batch_loss_is_bitwise_the_plain_formula_reference(horizon):
+    p = make_params(15, d_model=8, vocab=11)
+    emb = make_embeddings(16, p.vocab_size, p.d_model)
+    rng = np.random.default_rng(17)
+    h = rng.normal(size=(5, p.d_model))
+    s0 = emb[rng.integers(0, p.vocab_size, size=5)]
+    teacher = rng.integers(0, p.vocab_size, size=(5, horizon))
+    loss, grads = drafter.batch_loss(p, emb, h, s0, teacher)
+    want_loss, want_grads = reference_batch_loss(p, emb, h, s0, teacher)
+    assert bits64(loss) == bits64(want_loss)
+    for (name, got), (_, want) in zip(grads.flat_arrays(), want_grads, strict=True):
+        assert np.array_equal(bits64(got), bits64(want)), name

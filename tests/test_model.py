@@ -357,6 +357,73 @@ def test_beam_search_trees_match_causal_replay_bitwise(tiny):
             assert np.array_equal(bits(probe.logits[-1]), bits(replay.logits[-1]))
 
 
+def cache_bits(cache):
+    """Everything a forward could change in a cache, K/V by bit pattern."""
+    return ([bits(a).tobytes() for a in getattr(cache, "k", []) + getattr(cache, "v", [])],
+            list(cache.tokens), cache.committed_len)
+
+
+def leading_state(spec_state, start):
+    """The spec_state of a forward of a tree's first ``start`` nodes, cut from
+    the whole tree's (None for the Markov base)."""
+    return None if spec_state is None else [(k[:start], v[:start]) for k, v in spec_state]
+
+
+@pytest.mark.parametrize("name", ["transformer", "markov1", "markov2"])
+def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
+    """With the spec_state of a tree's first nodes passed in, a forward
+    computes the later nodes' rows and the whole tree's spec_state bit for
+    bit as the full-tree forward does, and leaves the cache untouched."""
+    base = tiny if name == "transformer" else SyntheticMarkovModel(
+        order=int(name[-1]), vocab_size=16, seed=2)
+    _, tree = packed_from_tokens([[4, 5, 1, 2], [4, 5, 2, 2], [4, 6, 6, 1], [3, 3, 3, 3]])
+    cache = base.new_cache()
+    base.forward_context([1, 9, 4, 4, 2], cache)
+    before = cache_bits(cache)
+    full, full_state = base.forward_packed(tree, cache)
+    n = tree.n
+    for start in (0, n // 2, n - 1, n):
+        out, spec_state = base.forward_packed(tree, cache,
+                                              (start, leading_state(full_state, start)))
+        assert out.logits.shape[0] == out.hidden.shape[0] == n - start
+        assert np.array_equal(bits(out.logits), bits(full.logits[start:])), start
+        assert np.array_equal(bits(out.hidden), bits(full.hidden[start:])), start
+        if full_state is None:
+            assert spec_state is None
+        else:
+            for (k, v), (full_k, full_v) in zip(spec_state, full_state, strict=True):
+                assert np.array_equal(bits(k), bits(full_k)), start
+                assert np.array_equal(bits(v), bits(full_v)), start
+        assert cache_bits(cache) == before
+    # rounds chained as the dataset build chains them: the first nodes as a
+    # tree of their own, then the rest from its spec_state
+    head = beam_mod.DraftTree.from_parents(tree.tokens[:n // 2], tree.parents[:n // 2])
+    _, head_state = base.forward_packed(head, cache)
+    out, _ = base.forward_packed(tree, cache, (n // 2, head_state))
+    assert np.array_equal(bits(out.logits), bits(full.logits[n // 2:]))
+    assert cache_bits(cache) == before
+
+
+def test_packed_forward_rejects_a_mismatched_prior(tiny):
+    """A start outside [0, n], or prior K/V whose rows are not the start's."""
+    markov = SyntheticMarkovModel(order=2, vocab_size=16, seed=1)
+    _, tree = packed_from_tokens([[4, 5], [4, 6]])
+    for base in (tiny, markov):
+        cache = base.new_cache()
+        base.forward_context([1, 2, 3], cache)
+        _, full_state = base.forward_packed(tree, cache)
+        for start in (-1, tree.n + 1):
+            with pytest.raises(ContractError):
+                base.forward_packed(tree, cache, (start, leading_state(full_state, 0)))
+    cache = tiny.new_cache()
+    tiny.forward_context([1, 2, 3], cache)
+    _, full_state = tiny.forward_packed(tree, cache)
+    for start, state in ((1, leading_state(full_state, 2)), (2, leading_state(full_state, 1)),
+                         (2, leading_state(full_state, 2)[:1])):
+        with pytest.raises(ShapeError):
+            tiny.forward_packed(tree, cache, (start, state))
+
+
 def test_commit_rejects_a_non_path(tiny):
     """commit_accepted takes only a root-to-node path of the packed tree."""
     # nodes: 0 root, 1 = 4, 2 = 4 -> 5, 3 = 4 -> 6
