@@ -2,8 +2,7 @@
 dynamic tree attention over shared prefixes, and greedy verification that
 exactly reproduces autoregressive greedy output."""
 
-from .beam import (Beam, BeamLattice, DraftTree, PackedBeam, beam_search, chain_tree,
-                   dedup_prefix, pack_beam)
+from .beam import BeamLattice, DraftTree, beam_search, chain_tree, dedup_prefix, pack_beam
 from .decode import (DecodeConfig, MirrorProposer, RnnProposer, StepReport,
                      autoregressive_generate, speculative_generate, verify_greedy)
 from .drafter import DrafterParams, DrafterState, head_logp, init_state, step

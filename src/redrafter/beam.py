@@ -30,26 +30,6 @@ ROOT_PARENT = -1  # parent index of the root node
 
 
 @dataclass
-class Beam:
-    """Fixed-length candidate sequences, best first.
-
-    Rows are sorted by cumulative drafter log-probability descending, ties by
-    ascending row index.
-    """
-
-    tokens: np.ndarray   # (beam_width, beam_length) int64
-    logp: np.ndarray     # (beam_width,) float64 cumulative log-probabilities
-
-    @property
-    def width(self):
-        return self.tokens.shape[0]
-
-    @property
-    def length(self):
-        return self.tokens.shape[1]
-
-
-@dataclass
 class DraftTree:
     """A token tree rooted at a step's guaranteed token, verified in one
     tree-masked forward of the base model.
@@ -72,7 +52,7 @@ class DraftTree:
         return self.tokens.shape[0]
 
     @classmethod
-    def from_parents(cls, tokens, parents, **fields):
+    def from_parents(cls, tokens, parents):
         """The tree whose node i holds ``tokens[i]`` below ``parents[i]``;
         depths, ancestors and mask follow from the parents."""
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -97,7 +77,7 @@ class DraftTree:
         mask = np.zeros((n, n), dtype=bool)
         mask[nodes, chain] = True
         return cls(tokens=tokens, parents=parents, depths=depths, ancestors=ancestors,
-                   mask=mask, **fields)
+                   mask=mask)
 
 
 def chain_tree(root, drafts):
@@ -119,16 +99,6 @@ class BeamLattice:
     tokens: np.ndarray   # (beam_length, beam_width) int64
     parents: np.ndarray  # (beam_length, beam_width) int64 row at the previous depth
     logp: np.ndarray     # (beam_length, beam_width) float64
-
-    def candidates(self):
-        """The last depth's rows as full candidate sequences, by backtracking."""
-        length, width = self.tokens.shape
-        tokens = np.empty((width, length), dtype=np.int64)
-        row = np.arange(width)
-        for depth in range(length - 1, -1, -1):
-            tokens[:, depth] = self.tokens[depth, row]
-            row = self.parents[depth, row]
-        return Beam(tokens=tokens, logp=self.logp[-1].copy())
 
     def tree(self, root, budget=None):
         """The draft tree of the ``budget`` most probable prefixes under ``root``.
@@ -223,22 +193,17 @@ def dedup_prefix(tokens):
     return np.argmax(seq_matches, axis=1)                        # ties -> lowest k
 
 
-@dataclass
-class PackedBeam(DraftTree):
-    """A deduplicated candidate list as a draft tree, plus each candidate
-    token's node: draft token (i, j) of the beam sits at depth j + 1."""
+def pack_beam(tokens, root):
+    """Flatten candidate rows under a ``root`` token, one node per distinct prefix.
 
-    candidate_node: np.ndarray  # (beam_width, beam_length) -> node index (>= 1)
-
-
-def pack_beam(beam, root):
-    """Flatten a beam under a ``root`` token, one node per distinct prefix.
-
-    A token (i, j) owns a node iff ``dedup_prefix`` maps it to i; other
-    candidates reference the owner's node.  Node order is the root, then
-    candidate-major, position-minor, so parents always precede children.
+    ``tokens`` is a (width, length) array of candidates.  A token (i, j) owns
+    a node iff ``dedup_prefix`` maps it to i; other candidates reference the
+    owner's node.  Node order is the root, then candidate-major,
+    position-minor, so parents always precede children.  Returns the
+    ``DraftTree`` and each candidate token's node, a (width, length) array of
+    indices >= 1: token (i, j) sits at depth j + 1.
     """
-    tokens = np.asarray(beam.tokens)
+    tokens = np.asarray(tokens)
     prefix_tree = dedup_prefix(tokens)
     width, length = tokens.shape
 
@@ -248,7 +213,6 @@ def pack_beam(beam, root):
     candidate_node = np.cumsum(owner).reshape(width, length)[prefix_tree, np.arange(length)]
     # a first token hangs from the root (its wrapped-around index is unread)
     parents = np.where(pos == 0, 0, candidate_node[cand, pos - 1])
-    return PackedBeam.from_parents(np.concatenate(([root], tokens[cand, pos])),
-                                   np.concatenate(([ROOT_PARENT], parents)),
-                                   candidate_node=candidate_node)
-
+    tree = DraftTree.from_parents(np.concatenate(([root], tokens[cand, pos])),
+                                  np.concatenate(([ROOT_PARENT], parents)))
+    return tree, candidate_node

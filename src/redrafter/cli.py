@@ -6,11 +6,9 @@ Exit codes: 0 ok, 1 equivalence/assertion failure, 2 usage or IO error.
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,28 +20,12 @@ from .model import ModelConfig, SyntheticMarkovModel, TinyTransformer
 CSV_COLUMNS = ["beam_width", "beam_length", "repeat", "tokens", "steps",
                "tokens_per_step", "compression_mean", "compression_p99",
                "wall_ms_spec", "wall_ms_ar", "speedup", "equivalence_ok"]
+REPORT_KEYS = ["base", "beam_width", "beam_length", "seed", "tokens_generated", "steps",
+               "tokens_per_step", "wall_ms_spec", "wall_ms_ar", "speedup", "compression_mean",
+               "compression_p99", "equivalence_ok", "packed_nodes_mean", "accepted_len_hist"]
 
 TRANSFORMER_CONFIG = ModelConfig(vocab_size=256, d_model=64, n_layers=2, n_heads=4,
                                  d_ff=256, max_seq_len=256)
-
-
-@dataclass
-class RunReport:
-    base: str
-    beam_width: int
-    beam_length: int
-    seed: int
-    tokens_generated: int
-    steps: int
-    tokens_per_step: float
-    wall_ms_spec: float
-    wall_ms_ar: float
-    speedup: float
-    compression_mean: float
-    compression_p99: float
-    equivalence_ok: bool
-    packed_nodes_mean: float  # tree nodes verified per step
-    accepted_len_hist: list   # [k]: steps that accepted k draft tokens
 
 
 def build_base(args):
@@ -77,10 +59,9 @@ def parse_prompt(args, base):
     return random_prompts(base, 1, args.prompt_len, args.seed)[0]
 
 
-def greedy_streams(base, prompts, max_new_tokens):
-    """The greedy reference of each prompt; it does not depend on the beam shape."""
-    cfg = decode.DecodeConfig(beam_width=1, beam_length=1, max_new_tokens=max_new_tokens)
-    return [decode.autoregressive_generate(base, p, cfg) for p in prompts]
+def int_list(text):
+    """A comma-separated grid flag such as ``--widths 1,2,4``."""
+    return [int(x) for x in text.split(",") if x]
 
 
 def first_divergence(spec_tokens, greedy_tokens):
@@ -92,31 +73,65 @@ def first_divergence(spec_tokens, greedy_tokens):
                 min(len(spec_tokens), len(greedy_tokens)))
 
 
-def run_single(base, params, prompt, cfg, base_name, seed):
-    """Timed speculative + autoregressive runs over one prompt."""
+def sweep(base, params, prompts, widths, lengths, max_new_tokens, repeats=1, stop_token=None):
+    """Decode every prompt speculatively at each beam width x length, ``repeats``
+    times, against one timed greedy pass; one summary row per shape and repeat.
+
+    Each row holds the ``CSV_COLUMNS``, the tree nodes per step
+    (``packed_nodes_mean``), the steps by accepted draft tokens
+    (``accepted_len_hist``), the speculative ``streams`` and, per stream that
+    left its greedy reference, ``(prompt index, position)`` in ``divergences``.
+    Every setting is checked before any decode; each timed pass follows one
+    untimed warm-up decode of the first prompt.
+    """
+    cfgs = [decode.DecodeConfig(beam_width=width, beam_length=length,
+                                max_new_tokens=max_new_tokens, stop_token=stop_token)
+            for width in widths for length in lengths]
+    if not cfgs:
+        raise ConfigError("empty sweep list: --widths and --lengths need a value each")
+    if not prompts:
+        raise ConfigError("no prompts to decode: --n-prompts must be >= 1")
+    if repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {repeats}")
     proposer = decode.RnnProposer(params, base.token_embeddings)
+    # the greedy reference does not depend on the beam shape: run and time it once
+    greedy_cfg = decode.DecodeConfig(beam_width=1, beam_length=1,
+                                     max_new_tokens=max_new_tokens, stop_token=stop_token)
+    decode.autoregressive_generate(base, prompts[0], greedy_cfg)  # warm-up
     t0 = time.perf_counter()
-    spec_tokens, reports = decode.speculative_generate(base, proposer, prompt, cfg)
-    t1 = time.perf_counter()
-    ar_tokens = decode.autoregressive_generate(base, prompt, cfg)
-    t2 = time.perf_counter()
-    ratios = [r.compression_ratio for r in reports]
-    wall_spec = (t1 - t0) * 1e3
-    wall_ar = (t2 - t1) * 1e3
-    return spec_tokens, RunReport(
-        base=base_name,
-        beam_width=cfg.beam_width, beam_length=cfg.beam_length, seed=seed,
-        tokens_generated=len(spec_tokens), steps=len(reports),
-        tokens_per_step=len(spec_tokens) / max(1, len(reports)),
-        wall_ms_spec=wall_spec, wall_ms_ar=wall_ar,
-        speedup=wall_ar / wall_spec if wall_spec > 0 else float("nan"),
-        compression_mean=float(np.mean(ratios)) if ratios else 1.0,
-        compression_p99=float(np.percentile(ratios, 99)) if ratios else 1.0,
-        equivalence_ok=first_divergence(spec_tokens, ar_tokens) is None,
-        packed_nodes_mean=float(np.mean([r.packed_size for r in reports])) if reports else 0.0,
-        accepted_len_hist=np.bincount([r.accepted_draft_tokens for r in reports],
-                                      minlength=cfg.beam_length + 1).tolist(),
-    )
+    greedy = [decode.autoregressive_generate(base, p, greedy_cfg) for p in prompts]
+    wall_ms_ar = (time.perf_counter() - t0) * 1e3
+
+    rows = []
+    for cfg in cfgs:
+        decode.speculative_generate(base, proposer, prompts[0], cfg)  # warm-up
+        for rep in range(repeats):
+            t0 = time.perf_counter()
+            runs = [decode.speculative_generate(base, proposer, p, cfg) for p in prompts]
+            wall_ms_spec = (time.perf_counter() - t0) * 1e3
+            streams = [toks for toks, _ in runs]
+            reports = [r for _, reps in runs for r in reps]
+            ratios = [r.compression_ratio for r in reports]
+            tokens = sum(len(toks) for toks in streams)
+            divergences = [(i, pos) for i, (toks, ref) in enumerate(zip(streams, greedy))
+                           if (pos := first_divergence(toks, ref)) is not None]
+            rows.append({
+                "beam_width": cfg.beam_width, "beam_length": cfg.beam_length, "repeat": rep,
+                "tokens": tokens, "steps": len(reports),
+                "tokens_per_step": tokens / max(1, len(reports)),
+                "compression_mean": float(np.mean(ratios)),
+                "compression_p99": float(np.percentile(ratios, 99)),
+                "wall_ms_spec": wall_ms_spec,
+                "wall_ms_ar": wall_ms_ar,
+                "speedup": wall_ms_ar / max(1e-9, wall_ms_spec),
+                "equivalence_ok": not divergences,
+                "packed_nodes_mean": float(np.mean([r.packed_size for r in reports])),
+                "accepted_len_hist": np.bincount([r.accepted_draft_tokens for r in reports],
+                                                 minlength=cfg.beam_length + 1).tolist(),
+                "streams": streams,
+                "divergences": divergences,
+            })
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -126,107 +141,57 @@ def run_single(base, params, prompt, cfg, base_name, seed):
 def cmd_generate(args):
     base = build_base(args)
     prompt = parse_prompt(args, base)
-    cfg = decode.DecodeConfig(beam_width=args.beam_width, beam_length=args.beam_length,
-                              max_new_tokens=args.max_new_tokens,
-                              stop_token=args.stop_token)
     if args.baseline:
-        tokens = decode.autoregressive_generate(base, prompt, cfg)
-        print(" ".join(str(t) for t in tokens))
+        cfg = decode.DecodeConfig(beam_width=args.beam_width, beam_length=args.beam_length,
+                                  max_new_tokens=args.max_new_tokens,
+                                  stop_token=args.stop_token)
+        print(" ".join(str(t) for t in decode.autoregressive_generate(base, prompt, cfg)))
         return 0
-    tokens, report = run_single(base, build_drafter(args, base), prompt, cfg, args.base,
-                               args.seed)
-    print(" ".join(str(t) for t in tokens))
+    row, = sweep(base, build_drafter(args, base), [prompt], [args.beam_width],
+                 [args.beam_length], args.max_new_tokens, stop_token=args.stop_token)
+    print(" ".join(str(t) for t in row["streams"][0]))
     if args.report:
+        row.update(base=args.base, seed=args.seed, tokens_generated=row["tokens"])
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(dataclasses.asdict(report), fh, indent=2)
-    return 0 if report.equivalence_ok else 1
+            json.dump({key: row[key] for key in REPORT_KEYS}, fh, indent=2)
+    return 0 if row["equivalence_ok"] else 1
 
 
 def cmd_bench(args):
-    widths = [int(x) for x in args.widths.split(",") if x]
-    lengths = [int(x) for x in args.lengths.split(",") if x]
-    if not widths or not lengths:
-        raise ConfigError("empty sweep list")
     base = build_base(args)
-    params = build_drafter(args, base)
-    proposer = decode.RnnProposer(params, base.token_embeddings)
-    prompts = random_prompts(base, args.n_prompts, args.prompt_len, args.seed)
-
-    # AR baseline is config-independent: run and time it once per prompt set.
-    greedy_streams(base, prompts[:1], args.max_new_tokens)  # warm-up, discarded
-    t0 = time.perf_counter()
-    ar_tokens = greedy_streams(base, prompts, args.max_new_tokens)
-    wall_ms_ar = (time.perf_counter() - t0) * 1e3
-
-    rows = []
-    any_fail = False
-    for width in widths:
-        for length in lengths:
-            cfg = decode.DecodeConfig(beam_width=width, beam_length=length,
-                                      max_new_tokens=args.max_new_tokens)
-            decode.speculative_generate(base, proposer, prompts[0], cfg)  # warm-up
-            for rep in range(args.repeats):
-                t0 = time.perf_counter()
-                runs = [decode.speculative_generate(base, proposer, p, cfg) for p in prompts]
-                wall_ms_spec = (time.perf_counter() - t0) * 1e3
-                tokens = sum(len(toks) for toks, _ in runs)
-                steps = sum(len(reps) for _, reps in runs)
-                ratios = [r.compression_ratio for _, reps in runs for r in reps]
-                ok = all(first_divergence(toks, ar) is None
-                         for (toks, _), ar in zip(runs, ar_tokens))
-                any_fail = any_fail or not ok
-                rows.append({
-                    "beam_width": width, "beam_length": length, "repeat": rep,
-                    "tokens": tokens, "steps": steps,
-                    "tokens_per_step": tokens / max(1, steps),
-                    "compression_mean": float(np.mean(ratios)) if ratios else 1.0,
-                    "compression_p99": float(np.percentile(ratios, 99)) if ratios else 1.0,
-                    "wall_ms_spec": wall_ms_spec,
-                    "wall_ms_ar": wall_ms_ar,
-                    "speedup": wall_ms_ar / max(1e-9, wall_ms_spec),
-                    "equivalence_ok": ok,
-                })
+    rows = sweep(base, build_drafter(args, base),
+                 random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
+                 int_list(args.widths), int_list(args.lengths), args.max_new_tokens,
+                 repeats=args.repeats)
     out = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else sys.stdout
     try:
-        writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS)
+        writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
     finally:
         if args.csv:
             out.close()
-    return 1 if any_fail else 0
+    return 0 if all(row["equivalence_ok"] for row in rows) else 1
 
 
 def cmd_verify_equivalence(args):
     if args.n_prompts == 0:
         print("warning: n_prompts=0, vacuous pass")
         return 0
-    widths = [int(x) for x in args.widths.split(",") if x]
-    lengths = [int(x) for x in args.lengths.split(",") if x]
-    bases = ["transformer", "markov"] if args.base == "both" else [args.base]
     total = passed = 0
     first_failure = None
-    for base_name in bases:
+    for base_name in ["transformer", "markov"] if args.base == "both" else [args.base]:
         ns = argparse.Namespace(**{**vars(args), "base": base_name})
         base = build_base(ns)
-        params = build_drafter(ns, base)
-        proposer = decode.RnnProposer(params, base.token_embeddings)
-        prompts = random_prompts(base, args.n_prompts, args.prompt_len, args.seed)
-        greedy = greedy_streams(base, prompts, args.max_new_tokens)
-        for width in widths:
-            for length in lengths:
-                cfg = decode.DecodeConfig(beam_width=width, beam_length=length,
-                                          max_new_tokens=args.max_new_tokens)
-                for p_idx, prompt in enumerate(prompts):
-                    spec_tokens, _ = decode.speculative_generate(
-                        base, proposer, prompt, cfg,
-                        _omit_guaranteed=args.corrupt_skip_bonus)
-                    pos = first_divergence(spec_tokens, greedy[p_idx])
-                    total += 1
-                    if pos is None:
-                        passed += 1
-                    elif first_failure is None:
-                        first_failure = (base_name, width, length, p_idx, pos)
+        rows = sweep(base, build_drafter(ns, base),
+                     random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
+                     int_list(args.widths), int_list(args.lengths), args.max_new_tokens)
+        for row in rows:
+            total += len(row["streams"])
+            passed += len(row["streams"]) - len(row["divergences"])
+            if first_failure is None and row["divergences"]:
+                first_failure = (base_name, row["beam_width"], row["beam_length"],
+                                 *row["divergences"][0])
     print(f"equivalence: {passed}/{total} passed")
     if first_failure:
         base_name, width, length, p_idx, pos = first_failure
@@ -286,8 +251,8 @@ def cmd_init_base(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_model_flags(p):
-    p.add_argument("--base", choices=["transformer", "markov", "both"], default="transformer")
+def _add_model_flags(p, bases=("transformer", "markov")):
+    p.add_argument("--base", choices=bases, default="transformer")
     p.add_argument("--base-weights", help="manifest/blob prefix for transformer weights")
     p.add_argument("--drafter-weights", help="manifest/blob prefix for drafter weights")
     p.add_argument("--markov-order", type=int, default=2)
@@ -309,7 +274,7 @@ def make_parser():
     p.add_argument("--max-new-tokens", type=int, default=32)
     p.add_argument("--stop-token", type=int)
     p.add_argument("--baseline", action="store_true")
-    p.add_argument("--report", help="write a JSON RunReport here")
+    p.add_argument("--report", help="write a JSON run report here")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("bench", help="sweep beam width x length, emit CSV")
@@ -325,14 +290,12 @@ def make_parser():
 
     p = sub.add_parser("verify-equivalence",
                        help="check speculative output equals greedy baseline")
-    _add_model_flags(p)
+    _add_model_flags(p, bases=("transformer", "markov", "both"))
     p.add_argument("--n-prompts", type=int, default=100)
     p.add_argument("--prompt-len", type=int, default=16)
     p.add_argument("--widths", default="1,2,4,8")
     p.add_argument("--lengths", default="2,4,5")
     p.add_argument("--max-new-tokens", type=int, default=24)
-    p.add_argument("--corrupt-skip-bonus", action="store_true",
-                   help="self-test hook: corrupt the loop and expect a failure")
     p.set_defaults(func=cmd_verify_equivalence)
 
     p = sub.add_parser("train-drafter", help="train a draft head")

@@ -188,15 +188,14 @@ def autoregressive_generate(base, prompt, cfg):
     return emitted
 
 
-def speculative_generate(base, proposer, prompt, cfg, _omit_guaranteed=False):
+def speculative_generate(base, proposer, prompt, cfg):
     """Speculative decoding; output is token-identical to the greedy baseline.
 
     ``proposer`` is anything with ``propose(h, last_token, width, length)``
     returning a ``DraftTree`` rooted at ``last_token`` whose drafts are at
     most ``length`` deep; pass a DrafterParams via :class:`RnnProposer`.  A
-    proposer with a plain candidate list can return ``beam.pack_beam`` of it.
-    ``_omit_guaranteed`` is a self-test hook that corrupts the loop by
-    dropping the per-step guaranteed token from the output stream.
+    proposer with a plain candidate list can return the tree
+    ``beam.pack_beam`` builds from it.
     """
     prompt = list(prompt)
     if not prompt:
@@ -240,8 +239,6 @@ def speculative_generate(base, proposer, prompt, cfg, _omit_guaranteed=False):
                                       compression_ratio=cfg.beam_width * (length + 1) / tree.n,
                                       llm_calls=1))
             step_tokens = tree.tokens[path].tolist()
-        if _omit_guaranteed:
-            step_tokens = step_tokens[1:]
         if cfg.stop_token in step_tokens:
             emitted.extend(step_tokens[:step_tokens.index(cfg.stop_token) + 1])
             break

@@ -104,13 +104,9 @@ def _softmax_keys_first(scores):
     return e / _ordered_sum(e)
 
 
-def _row_softmax_numpy(scores):
-    return _softmax_keys_first(scores).T
-
-
 def _attend_numpy(q, keys, vals, bias, n_heads, scale):
     """All heads in one pass; the same products and sums as per-head
-    ``matmul`` + ``row_softmax`` + ``matmul``."""
+    ``matmul``, a row softmax with a left-to-right denominator, and ``matmul``."""
     n, d = q.shape
     m = keys.shape[0]
     dh = d // n_heads
@@ -153,24 +149,6 @@ try:
         return out
 
     @njit(cache=True)
-    def _row_softmax_numba(scores):
-        n, m = scores.shape
-        out = np.empty((n, m), dtype=np.float32)
-        for i in range(n):
-            mx = scores[i, 0]
-            for j in range(1, m):
-                if scores[i, j] > mx:
-                    mx = scores[i, j]
-            total = np.float32(0.0)
-            for j in range(m):
-                e = np.exp(scores[i, j] - mx)
-                out[i, j] = e
-                total = total + e
-            for j in range(m):
-                out[i, j] = out[i, j] / total
-        return out
-
-    @njit(cache=True)
     def _attend_numba(q, keys, vals, bias, n_heads, scale):
         n, d = q.shape
         m = keys.shape[0]
@@ -206,13 +184,12 @@ try:
 except ImportError:  # pragma: no cover - exercised only without numba installed
     HAVE_NUMBA = False
     _matmul_numba = None
-    _row_softmax_numba = None
     _attend_numba = None
 
 
-_LANES = {"numpy": (_matmul_numpy, _row_softmax_numpy, _attend_numpy)}
+_LANES = {"numpy": (_matmul_numpy, _attend_numpy)}
 if HAVE_NUMBA:
-    _LANES["numba"] = (_matmul_numba, _row_softmax_numba, _attend_numba)
+    _LANES["numba"] = (_matmul_numba, _attend_numba)
 
 _requested = os.environ.get("REDRAFTER_BACKEND", "")
 if _requested:
@@ -223,12 +200,12 @@ if _requested:
 else:
     BACKEND = "numba" if HAVE_NUMBA else "numpy"
 
-_matmul_impl, _row_softmax_impl, _attend_impl = _LANES[BACKEND]
+_matmul_impl, _attend_impl = _LANES[BACKEND]
 
 
 def get_lane(name):
-    """Return (matmul, row_softmax, attend) for an explicit lane, so a lane
-    other than the default one can be called and tested directly."""
+    """Return (matmul, attend) for an explicit lane, so a lane other than the
+    default one can be called and tested directly."""
     return _LANES[name]
 
 
@@ -248,18 +225,6 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     return _matmul_impl(_as_f32(a), _as_f32(b))
-
-
-def row_softmax(scores):
-    """Row-wise softmax with sequential float32 summation.
-
-    Entries at ``scores + _NEG_BIAS`` exp-underflow to exact 0.0 and therefore
-    do not perturb the remaining rows' rounding sequence.
-    """
-    scores = np.asarray(scores)
-    if scores.ndim != 2 or scores.shape[1] == 0:
-        raise ShapeError(f"row_softmax expects a non-empty 2-D array, got {scores.shape}")
-    return _row_softmax_impl(_as_f32(scores))
 
 
 def argmax_tie_low(v):

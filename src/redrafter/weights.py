@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ShapeError
 from .drafter import DrafterParams
 from .model import ModelConfig, TinyTransformer
 
@@ -99,15 +99,10 @@ def load_base_model(prefix):
         config = ModelConfig(**{key: int(header[key]) for key in _CONFIG_KEYS})
     except KeyError as exc:
         raise FormatError(f"manifest missing config key {exc}") from exc
-    weights = dict(tensors)
-    expected = TinyTransformer.weight_shapes(config)
-    for name, shape in expected.items():
-        if name not in weights:
-            raise FormatError(f"missing tensor {name}")
-        if weights[name].shape != shape:
-            raise FormatError(f"tensor {name}: expected shape {shape}, "
-                              f"got {weights[name].shape}")
-    return TinyTransformer(config, weights)
+    try:
+        return TinyTransformer(config, dict(tensors))
+    except ShapeError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

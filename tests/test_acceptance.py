@@ -10,7 +10,7 @@ import pytest
 
 from redrafter import beam as beam_mod
 from redrafter import decode, distill, weights
-from redrafter.beam import Beam, dedup_prefix, pack_beam
+from redrafter.beam import dedup_prefix, pack_beam
 from redrafter.decode import DecodeConfig, RnnProposer
 from redrafter.drafter import DrafterParams, batch_loss, init_state
 from redrafter.model import ModelConfig, SyntheticMarkovModel, TinyTransformer
@@ -134,15 +134,13 @@ def test_criterion_3_packed_beam_round_trip():
         width = int(rng.integers(1, 9))
         length = int(rng.integers(1, 7))
         tokens = rng.integers(0, 4, size=(width, length))
-        beam = Beam(tokens=tokens, logp=np.zeros(width))
-        packed = pack_beam(beam, 0)
+        packed, nodes = pack_beam(tokens, 0)
         ratio = width * (length + 1) / packed.n
         min_ratio = min(min_ratio, ratio)
         for i in range(width):
-            if not np.array_equal(packed.tokens[packed.candidate_node[i]], tokens[i]):
+            if not np.array_equal(packed.tokens[nodes[i]], tokens[i]):
                 failures += 1
-    same = Beam(tokens=np.tile(np.array([1, 2, 3]), (6, 1)), logp=np.zeros(6))
-    identical_ratio = 6 * (3 + 1) / pack_beam(same, 0).n
+    identical_ratio = 6 * (3 + 1) / pack_beam(np.tile(np.array([1, 2, 3]), (6, 1)), 0)[0].n
     report(3, failures == 0 and min_ratio >= 1.0 and identical_ratio == 6.0,
            f"{failures} path mismatches, min ratio {min_ratio:.3f}, "
            f"identical-candidate ratio {identical_ratio}")
@@ -158,15 +156,14 @@ def test_criterion_4_tree_mask_soundness():
         length = int(rng.integers(1, 5))
         tokens = rng.integers(0, 3, size=(width, length))
         root = int(rng.integers(base.config.vocab_size))
-        beam = Beam(tokens=tokens, logp=np.zeros(width))
-        packed = pack_beam(beam, root)
+        packed, nodes = pack_beam(tokens, root)
         cache = base.new_cache()
         base.forward_context(prompt, cache)
         out, _ = base.forward_packed(packed, cache)
         for i in range(width):
             replay = base.forward_context(prompt + [root] + tokens[i].tolist(),
                                           base.new_cache())
-            path = np.concatenate([[0], packed.candidate_node[i]])
+            path = np.concatenate([[0], nodes[i]])
             diff = np.max(np.abs(out.logits[path] - replay.logits[len(prompt):]))
             worst = max(worst, float(diff))
 

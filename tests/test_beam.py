@@ -6,7 +6,7 @@ import pytest
 
 from redrafter import beam as beam_mod
 from redrafter import drafter
-from redrafter.beam import (ROOT_PARENT, Beam, BeamLattice, DraftTree, beam_search, chain_tree,
+from redrafter.beam import (ROOT_PARENT, BeamLattice, DraftTree, beam_search, chain_tree,
                             dedup_prefix, pack_beam)
 from redrafter.drafter import DrafterParams
 from redrafter.errors import ConfigError, ContractError
@@ -27,11 +27,9 @@ def trie_dedup(tokens):
     return out
 
 
-def random_beam(rng, width=None, length=None, vocab=4):
-    width = width or int(rng.integers(1, 9))
-    length = length or int(rng.integers(1, 7))
-    tokens = rng.integers(0, vocab, size=(width, length))
-    return Beam(tokens=tokens, logp=-np.sort(rng.random(width)))
+def random_beam(rng, vocab=4):
+    """Candidate rows: 1-8 rows of 1-6 tokens."""
+    return rng.integers(0, vocab, size=(int(rng.integers(1, 9)), int(rng.integers(1, 7))))
 
 
 def test_dedup_shared_prefix_worked_example():
@@ -47,7 +45,7 @@ def test_dedup_shared_prefix_worked_example():
 def test_dedup_matches_trie_oracle_on_random_beams():
     rng = np.random.default_rng(0)
     for _ in range(300):
-        tokens = random_beam(rng).tokens
+        tokens = random_beam(rng)
         assert np.array_equal(dedup_prefix(tokens), trie_dedup(tokens))
 
 
@@ -62,15 +60,15 @@ def test_dedup_all_identical_and_all_distinct():
 def loop_pack(beam, root):
     """Reference: the rooted tree built one token at a time, with the mask
     filled row by row from each node's parent."""
-    tree = trie_dedup(beam.tokens)
-    width, length = beam.tokens.shape
+    tree = trie_dedup(beam)
+    width, length = beam.shape
     candidate_node = np.zeros((width, length), dtype=np.int64)
     tokens, parents, depths = [root], [ROOT_PARENT], [0]
     for i in range(width):
         for j in range(length):
             if tree[i, j] == i:
                 candidate_node[i, j] = len(tokens)
-                tokens.append(beam.tokens[i, j])
+                tokens.append(beam[i, j])
                 parents.append(0 if j == 0 else candidate_node[i, j - 1])
                 depths.append(j + 1)
             else:
@@ -90,15 +88,15 @@ def loop_pack(beam, root):
 def test_pack_matches_loop_reference():
     rng = np.random.default_rng(4)
     beams = [random_beam(rng) for _ in range(300)]
-    beams.append(Beam(tokens=np.zeros((1, 0), dtype=np.int64), logp=np.zeros(1)))
+    beams.append(np.zeros((1, 0), dtype=np.int64))
     for beam in beams:
         root = int(rng.integers(4))
-        packed = pack_beam(beam, root)
+        packed, nodes = pack_beam(beam, root)
         tokens, parents, depths, candidate_node, allowed, ancestors = loop_pack(beam, root)
         assert packed.tokens.tolist() == tokens
         assert packed.parents.tolist() == parents
         assert packed.depths.tolist() == depths
-        assert np.array_equal(packed.candidate_node, candidate_node)
+        assert np.array_equal(nodes, candidate_node)
         assert np.array_equal(packed.mask, allowed)
         assert np.array_equal(packed.ancestors, ancestors)
 
@@ -107,18 +105,17 @@ def test_pack_round_trip_reproduces_every_candidate():
     rng = np.random.default_rng(1)
     for _ in range(300):
         beam = random_beam(rng)
-        packed = pack_beam(beam, 5)
+        packed, nodes = pack_beam(beam, 5)
         assert packed.tokens[0] == 5
-        for i in range(beam.width):
-            path = packed.candidate_node[i]
-            assert np.array_equal(packed.tokens[path], beam.tokens[i])
+        for i, row in enumerate(beam):
+            assert np.array_equal(packed.tokens[nodes[i]], row)
 
 
 def test_pack_structure_invariants():
     rng = np.random.default_rng(2)
     for _ in range(100):
         beam = random_beam(rng)
-        packed = pack_beam(beam, 0)
+        packed, nodes = pack_beam(beam, 0)
         n = packed.n
         # node 0 is the root; parents precede children, depths follow parents
         assert packed.parents[0] == ROOT_PARENT and packed.depths[0] == 0
@@ -136,11 +133,11 @@ def test_pack_structure_invariants():
             assert set(np.flatnonzero(packed.mask[i])) == path
         # each draft node belongs to the first (candidate, position) holding
         # it, and nodes are numbered in candidate-major order of those owners
-        tree = dedup_prefix(beam.tokens)
+        tree = dedup_prefix(beam)
         owners = {}
-        for cand in range(beam.width):
-            for pos in range(beam.length):
-                owners.setdefault(int(packed.candidate_node[cand, pos]), (cand, pos))
+        for cand in range(beam.shape[0]):
+            for pos in range(beam.shape[1]):
+                owners.setdefault(int(nodes[cand, pos]), (cand, pos))
         assert list(owners) == list(range(1, n))
         for idx, (cand, pos) in owners.items():
             assert tree[cand, pos] == cand
@@ -154,9 +151,8 @@ def test_compression_ratio_bounds():
     rng = np.random.default_rng(3)
     for _ in range(200):
         beam = random_beam(rng)
-        assert pack_beam(beam, 0).n <= beam.width * (beam.length + 1)
-    same = Beam(tokens=np.tile(np.array([3, 1, 2]), (6, 1)), logp=np.zeros(6))
-    assert pack_beam(same, 0).n == 4
+        assert pack_beam(beam, 0)[0].n <= beam.shape[0] * (beam.shape[1] + 1)
+    assert pack_beam(np.tile(np.array([3, 1, 2]), (6, 1)), 0)[0].n == 4
 
 
 def make_drafter(seed=0, d_model=6, vocab=8):
@@ -168,25 +164,28 @@ def make_drafter(seed=0, d_model=6, vocab=8):
 def test_beam_search_scores_sorted_and_consistent():
     params, emb = make_drafter()
     h = np.random.default_rng(2).normal(size=params.d_model)
-    beam = beam_search(params, emb, h, 1, beam_width=4, beam_length=3).candidates()
-    assert beam.tokens.shape == (4, 3)
-    assert np.all(np.diff(beam.logp) <= 1e-12)
-    # each candidate's score is the sum of its per-step log-probabilities
-    for row, score in zip(beam.tokens, beam.logp):
-        state = drafter.init_state(h, 1, emb)
-        total = 0.0
-        for t in row:
-            total += drafter.head_logp(state, params)[int(t)]
-            state = drafter.step(state, int(t), params, emb)
-        assert np.isclose(total, score, atol=1e-10)
+    lattice = beam_search(params, emb, h, 1, beam_width=4, beam_length=3)
+    assert lattice.tokens.shape == lattice.parents.shape == lattice.logp.shape == (3, 4)
+    assert np.all(np.diff(lattice.logp, axis=1) <= 1e-12)
+    # each row's score is its parent row's plus the head's log-probability of
+    # its token, at the parent's recurrent state
+    states = [drafter.init_state(h, 1, emb)]
+    scores = np.zeros(1)
+    for tokens, parents, logp in zip(lattice.tokens, lattice.parents, lattice.logp):
+        for t, parent, score in zip(tokens, parents, logp):
+            expect = scores[parent] + drafter.head_logp(states[parent], params)[t]
+            assert np.isclose(expect, score, atol=1e-10)
+        states = [drafter.step(states[p], int(t), params, emb) for t, p in zip(tokens, parents)]
+        scores = logp
 
 
 def test_beam_search_width_one_is_greedy_chain():
     params, emb = make_drafter(4)
     h = np.random.default_rng(5).normal(size=params.d_model)
-    beam = beam_search(params, emb, h, 2, beam_width=1, beam_length=4).candidates()
+    lattice = beam_search(params, emb, h, 2, beam_width=1, beam_length=4)
+    assert not lattice.parents.any()
     state = drafter.init_state(h, 2, emb)
-    for t in beam.tokens[0]:
+    for t in lattice.tokens[:, 0]:
         assert int(t) == int(np.argmax(drafter.head_logp(state, params)))
         state = drafter.step(state, int(t), params, emb)
 
@@ -194,8 +193,8 @@ def test_beam_search_width_one_is_greedy_chain():
 def reference_beam_search(params, emb, h, last_token, width, length):
     """Reference: every live candidate expanded over the vocabulary with the
     single-state ``head_logp``/``step``, ranked by score, ties to the lower
-    flat (candidate, token) index.  Returns the final candidates and scores,
-    plus every depth's kept (tokens, score) rows, best first."""
+    flat (candidate, token) index.  Returns every depth's kept (tokens,
+    score) rows, best first; the last depth's are the final candidates."""
     live = [([], 0.0, drafter.init_state(h, last_token, emb))]
     held = []
     for _ in range(length):
@@ -208,8 +207,7 @@ def reference_beam_search(params, emb, h, last_token, width, length):
         live = [(toks, -neg, drafter.step(state, toks[-1], params, emb))
                 for neg, _, toks, state in expanded[:width]]
         held.append([(toks, score) for toks, score, _ in live])
-    return (np.array([toks for toks, _, _ in live]), np.array([score for _, score, _ in live]),
-            held)
+    return held
 
 
 def top_prefixes(held, budget):
@@ -262,11 +260,17 @@ def test_beam_search_matches_single_state_reference():
         for width in range(1, 9):
             for length in range(1, 6):
                 lattice = beam_search(params, emb, h, seed, width, length)
-                beam = lattice.candidates()
-                tokens, logp, held = reference_beam_search(params, emb, h, seed, width, length)
+                held = reference_beam_search(params, emb, h, seed, width, length)
                 where = (seed, width, length)
-                assert np.array_equal(beam.tokens, tokens), where
-                assert np.allclose(beam.logp, logp, rtol=0, atol=1e-10)
+                # depth by depth: each row's token and score, and the row one
+                # depth up whose prefix it extends
+                for depth, rows in enumerate(held):
+                    assert lattice.tokens[depth].tolist() == [toks[-1] for toks, _ in rows], where
+                    assert np.allclose(lattice.logp[depth], [score for _, score in rows],
+                                       rtol=0, atol=1e-10), where
+                    ups = [tuple(held[depth - 1][p][0]) if depth else ()
+                           for p in lattice.parents[depth]]
+                    assert ups == [tuple(toks[:-1]) for toks, _ in rows], where
                 # the draft tree: the top width + length prefixes the search held
                 tree = assert_lattice_tree_is_from_parents(lattice, seed)
                 assert_well_formed(tree, seed)
@@ -278,8 +282,9 @@ def test_beam_search_matches_single_state_reference():
                 full = assert_lattice_tree_is_from_parents(lattice, seed, width * length)
                 assert_well_formed(full, seed)
                 assert set(root_paths(full)) == top_prefixes(held, width * length)
-                assert {tuple(row) for row in tokens.tolist()} <= set(root_paths(full))
-                assert set(root_paths(pack_beam(beam, seed))) <= set(root_paths(full))
+                final = [toks for toks, _ in held[-1]]
+                assert {tuple(row) for row in final} <= set(root_paths(full))
+                assert set(root_paths(pack_beam(final, seed)[0])) <= set(root_paths(full))
 
 
 def test_tree_ties_keep_the_shallower_prefix():

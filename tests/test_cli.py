@@ -2,10 +2,12 @@
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from redrafter import cli, weights
+from redrafter import cli, decode, weights
 
 TIMING_COLUMNS = {"wall_ms_spec", "wall_ms_ar", "speedup"}
 
@@ -107,25 +109,67 @@ def test_verify_equivalence_passes(capsys):
     assert "12/12 passed" in out
 
 
-def test_verify_equivalence_corrupted_loop_fails(tmp_path, capsys):
-    # a trained drafter keeps the corrupted loop moving (tokens only reach the
-    # output through accepted draft prefixes once the hook drops the
-    # guaranteed token), so the run terminates and the divergence is caught
-    prefix = str(tmp_path / "drafter")
-    assert run(["train-drafter", *MARKOV, "--horizon", "5", "--epochs", "6",
-                "--learning-rate", "0.003", "--corpus-size", "40",
-                "--corpus-len", "24", "--out", prefix]) == 0
+def test_verify_equivalence_corrupted_loop_fails(monkeypatch, capsys):
+    """A decode loop that drops each stream's first token is caught."""
+    real = decode.speculative_generate
+
+    def dropping(*args):
+        tokens, reports = real(*args)
+        return tokens[1:], reports
+
+    monkeypatch.setattr(decode, "speculative_generate", dropping)
     assert run(["verify-equivalence", *MARKOV, "--n-prompts", "2",
                 "--prompt-len", "4", "--widths", "4", "--lengths", "5",
-                "--max-new-tokens", "8", "--drafter-weights", prefix,
-                "--corrupt-skip-bonus"]) == 1
+                "--max-new-tokens", "8"]) == 1
     out = capsys.readouterr().out
-    assert "first divergence" in out
+    assert "equivalence: 0/2 passed" in out
+    assert ("first divergence: base=markov beam_width=4 beam_length=5 prompt=0 seed=3 "
+            "position=0") in out
 
 
 def test_verify_equivalence_zero_prompts_warns(capsys):
     assert run(["verify-equivalence", *MARKOV, "--n-prompts", "0"]) == 0
     assert "vacuous" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-equivalence", "--widths", ""],
+    ["verify-equivalence", "--lengths", ""],
+    ["verify-equivalence", "--n-prompts", "-1"],
+    ["bench", "--n-prompts", "0"],
+    ["bench", "--repeats", "0"],
+], ids=["verify-no-widths", "verify-no-lengths", "verify-negative-prompts", "bench-no-prompts",
+        "bench-no-repeats"])
+def test_sweep_that_decodes_nothing_is_a_usage_error(argv, monkeypatch, capsys):
+    """Exit 2 before any decode, instead of a vacuous pass or a traceback."""
+    def no_decode(*args):
+        raise AssertionError("decoded despite invalid sweep settings")
+
+    monkeypatch.setattr(decode, "speculative_generate", no_decode)
+    monkeypatch.setattr(decode, "autoregressive_generate", no_decode)
+    assert run([argv[0], *MARKOV, *argv[1:]]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+# each command line runs to exit 0 with --base transformer or markov
+SMALL_RUNS = {
+    "generate": ["--prompt", "1 2", "--max-new-tokens", "2"],
+    "bench": ["--widths", "1", "--lengths", "1", "--n-prompts", "1", "--max-new-tokens", "2"],
+    "train-drafter": ["--corpus-size", "2", "--corpus-len", "4", "--horizon", "1",
+                      "--epochs", "1", "--out", "drafter"],
+    "distill-data": ["--corpus-size", "2", "--corpus-len", "4", "--horizon", "1",
+                     "--out", "data.txt"],
+}
+
+
+@pytest.mark.parametrize("command", list(SMALL_RUNS))
+def test_base_both_is_offered_only_by_verify_equivalence(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--base", "both", *SMALL_RUNS[command]])
+    assert exc.value.code == 2
+    assert "invalid choice: 'both'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_and_reuse_drafter(tmp_path, capsys):
@@ -170,3 +214,15 @@ def test_missing_weight_file_exits_with_io_code(capsys):
     assert run(["generate", *MARKOV, "--drafter-weights", "/nonexistent/prefix",
                 "--prompt", "1 2", "--max-new-tokens", "4"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_readme_cli_lines_parse():
+    """Every ``redrafter`` line in the README's CLI block parses, and the
+    block shows every subcommand."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("redrafter ")]
+    parser = cli.make_parser()
+    commands = {parser.parse_args(argv).command for argv in lines}
+    assert commands == {"generate", "bench", "verify-equivalence", "train-drafter",
+                        "distill-data", "init-base"}

@@ -58,7 +58,7 @@ def sprinkle_signed_zeros(rng, x, frac=0.2):
 def test_matmul_matches_triple_loop_bitwise(lane):
     """Random, edge and multi-row shapes, plain and with signed-zero
     operands, including rows whose every product is -0.0."""
-    matmul, _, _ = kernels.get_lane(lane)
+    matmul, _ = kernels.get_lane(lane)
     rng = np.random.default_rng(0)
     shapes = [tuple(rng.integers(1, 9, size=3)) for _ in range(5)] + EDGE_SHAPES
     cases = [(shape, False) for shape in shapes]
@@ -95,35 +95,72 @@ def test_matmul_shape_validation():
         kernels.matmul(np.zeros(3), np.zeros((3, 2)))
 
 
+def reference_softmax(scores):
+    """Row softmax of float32 ``scores``: a per-row ``np.exp`` of the
+    max-shifted row, then a float32 left-to-right sum from +0.0 as the
+    denominator."""
+    out = np.empty_like(scores)
+    for i, row in enumerate(scores):
+        e = np.exp(row - row.max())
+        total = np.float32(0.0)
+        for v in e:
+            total = np.float32(total + v)
+        out[i] = e / total
+    return out
+
+
+def lane_probs(attend, q, keys, bias, scale, rows=slice(None)):
+    """One head's attention probabilities as the lane computes them.  Key j
+    takes row ``rows[j]`` of the identity as its value, so output column t
+    sums exact zeros and the one product p * 1.0 of the key holding t; a
+    column no key holds is +0.0."""
+    vals = np.eye(keys.shape[1], dtype=np.float32)[rows]
+    return attend(q, keys, vals, bias, 1, scale)
+
+
+def random_head(rng, n, n_keys, d):
+    return (rng.normal(scale=3.0, size=(n, d)).astype(np.float32),
+            rng.normal(size=(n_keys, d)).astype(np.float32), np.float32(1.0 / np.sqrt(d)))
+
+
 @pytest.mark.parametrize("lane", LANES)
 def test_row_softmax_rows_normalize(lane):
-    _, row_softmax, _ = kernels.get_lane(lane)
+    """The reference softmax's rows sum to 1, and the lane's attention
+    probabilities are its bits."""
+    matmul, attend = kernels.get_lane(lane)
     rng = np.random.default_rng(2)
-    scores = rng.normal(scale=3.0, size=(7, 11)).astype(np.float32)
-    probs = row_softmax(scores)
-    assert np.all(probs >= 0)
-    assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-5)
+    q, keys, scale = random_head(rng, 7, 11, 11)
+    probs = lane_probs(attend, q, keys, np.zeros((7, 11), np.float32), scale)
+    ref = reference_softmax(matmul(q, np.ascontiguousarray(keys.T)) * scale)
+    assert np.array_equal(bits(probs), bits(ref))
+    assert np.all(ref >= 0)
+    assert np.allclose(ref.sum(axis=1), 1.0, atol=1e-5)
 
 
 @pytest.mark.parametrize("lane", LANES)
 def test_masked_entries_are_exact_zero_and_do_not_perturb(lane):
-    """Masked-out columns must not change the other columns' bits.
+    """Masked-out keys get probability exactly +0.0, and attending over a
+    masked key set gives the same bits as attending over the kept keys
+    alone, for probabilities and for random values.
 
-    Rows longer than 8 and 128 columns, with masked columns between live
-    ones, are where a pairwise (blocked) sum would regroup the survivors.
+    Rows longer than 8 and 128 keys, with masked keys between live ones, are
+    where a pairwise (blocked) sum would regroup the survivors.
     """
-    _, row_softmax, _ = kernels.get_lane(lane)
+    _, attend = kernels.get_lane(lane)
     rng = np.random.default_rng(3)
     for cols, masked_cols in [(6, [4]), (20, [1, 2, 9, 15]), (150, list(range(0, 150, 3)))]:
-        scores = rng.normal(size=(5, cols)).astype(np.float32)
-        bias = np.zeros_like(scores)
+        q, keys, scale = random_head(rng, 5, cols, cols)
+        bias = np.zeros((5, cols), np.float32)
         bias[:, masked_cols] = kernels._NEG_BIAS
-        masked = row_softmax(scores + bias)
-        assert np.all(masked[:, masked_cols] == 0.0)
-        # removing the masked columns entirely gives bitwise-identical survivors
         keep = [j for j in range(cols) if j not in masked_cols]
-        direct = row_softmax(scores[:, keep])
-        assert np.array_equal(bits(masked[:, keep]), bits(direct)), cols
+        alone = np.zeros((5, len(keep)), np.float32)
+        masked = lane_probs(attend, q, keys, bias, scale)
+        assert not bits(masked[:, masked_cols]).any(), cols  # +0.0, not -0.0
+        direct = lane_probs(attend, q, keys[keep], alone, scale, keep)
+        assert np.array_equal(bits(masked), bits(direct)), cols
+        vals = rng.normal(size=(cols, cols)).astype(np.float32)
+        assert np.array_equal(bits(attend(q, keys, vals, bias, 1, scale)),
+                              bits(attend(q, keys[keep], vals[keep], alone, 1, scale))), cols
 
 
 def test_masked_bias_values():
@@ -166,11 +203,12 @@ ATTEND_CASES = [(4, 2, 3, 7),
 
 @pytest.mark.parametrize("lane", LANES)
 def test_attend_equals_composed_primitives(lane):
-    """The fused attention kernel must reproduce matmul + softmax + matmul
-    of the same lane bitwise: they share one accumulation order.  Each query
+    """The fused attention kernel must reproduce the lane's matmul, the
+    reference softmax and the lane's matmul bitwise: they share one
+    accumulation order.  Each query
     row attended alone gives the same bits as in the batch.  Queries and
     values carry signed zeros, and each case has a value column of -0.0."""
-    matmul, row_softmax, attend = kernels.get_lane(lane)
+    matmul, attend = kernels.get_lane(lane)
     rng = np.random.default_rng(5)
     for n, n_heads, dh, keys_or_tree in ATTEND_CASES:
         if isinstance(keys_or_tree, tuple):
@@ -194,7 +232,7 @@ def test_attend_equals_composed_primitives(lane):
         for head in range(n_heads):
             sl = slice(head * dh, (head + 1) * dh)
             scores = matmul(q[:, sl], np.ascontiguousarray(keys[:, sl].T)) * scale + bias
-            probs = row_softmax(scores)
+            probs = reference_softmax(scores)
             expect = matmul(probs, vals[:, sl])
             assert np.array_equal(bits(got[:, sl]), bits(expect)), (case, head)
         for i in range(n):

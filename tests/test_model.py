@@ -5,7 +5,6 @@ import pytest
 
 from redrafter import beam as beam_mod
 from redrafter import kernels
-from redrafter.beam import Beam
 from redrafter.drafter import DrafterParams
 from redrafter.errors import CapacityError, ConfigError, ContractError, ShapeError
 from redrafter.model import (ModelConfig, SyntheticMarkovModel, TinyTransformer, _layer_norm,
@@ -24,8 +23,9 @@ ROOT = 7  # the guaranteed token every packed tree here is rooted at
 
 
 def packed_from_tokens(tokens):
-    beam = Beam(tokens=np.asarray(tokens), logp=np.zeros(len(tokens)))
-    return beam, beam_mod.pack_beam(beam, ROOT)
+    """The packed tree of candidate rows under ROOT, and each row's root path."""
+    tree, nodes = beam_mod.pack_beam(np.asarray(tokens), ROOT)
+    return tree, np.concatenate([np.zeros((len(nodes), 1), np.int64), nodes], axis=1)
 
 
 def test_incremental_and_block_context_agree(tiny):
@@ -46,7 +46,7 @@ def test_packed_forward_matches_causal_replay_per_path(tiny):
         width = int(rng.integers(1, 5))
         length = int(rng.integers(1, 5))
         tokens = rng.integers(0, 3, size=(width, length))
-        beam, packed = packed_from_tokens(tokens)
+        packed, paths = packed_from_tokens(tokens)
 
         cache = tiny.new_cache()
         tiny.forward_context(prompt, cache)
@@ -56,8 +56,7 @@ def test_packed_forward_matches_causal_replay_per_path(tiny):
             replay_cache = tiny.new_cache()
             replay = tiny.forward_context(prompt + [ROOT] + [int(t) for t in tokens[i]],
                                           replay_cache)
-            path = np.concatenate([[0], packed.candidate_node[i]])
-            got = out.logits[path]
+            got = out.logits[paths[i]]
             expect = replay.logits[len(prompt):]
             assert np.max(np.abs(got - expect)) <= 1e-5
 
@@ -68,7 +67,7 @@ def test_packed_forward_is_read_only(tiny):
     cache = tiny.new_cache()
     tiny.forward_context(prompt, cache)
     before = (cache.committed_len, list(cache.tokens))
-    _, packed = packed_from_tokens(rng.integers(0, 4, size=(3, 3)))
+    packed, _ = packed_from_tokens(rng.integers(0, 4, size=(3, 3)))
     tiny.forward_packed(packed, cache)
     assert (cache.committed_len, list(cache.tokens)) == before
 
@@ -77,13 +76,13 @@ def test_commit_then_forward_matches_fresh_recompute(tiny):
     rng = np.random.default_rng(4)
     prompt = rng.integers(0, SMALL.vocab_size, size=5).tolist()
     tokens = rng.integers(0, 3, size=(4, 5))
-    beam, packed = packed_from_tokens(tokens)
+    packed, paths = packed_from_tokens(tokens)
 
     cache = tiny.new_cache()
     tiny.forward_context(prompt, cache)
     out, spec_state = tiny.forward_packed(packed, cache)
     accepted = 2
-    path = np.concatenate([[0], packed.candidate_node[1, :accepted]])
+    path = paths[1, :accepted + 1]
     tiny.commit_accepted(cache, packed, spec_state, path)
     assert cache.committed_len == len(prompt) + 1 + accepted
 
@@ -96,7 +95,7 @@ def test_commit_then_forward_matches_fresh_recompute(tiny):
 
 
 def test_empty_packed_beam_yields_empty_output(tiny):
-    beam, packed = packed_from_tokens(np.zeros((1, 1), dtype=np.int64))
+    packed, _ = packed_from_tokens(np.zeros((1, 1), dtype=np.int64))
     # shrink to zero nodes by hand
     packed.tokens = packed.tokens[:0]
     packed.mask = packed.mask[:0, :0]
@@ -182,12 +181,12 @@ def test_forwards_equal_the_separate_projection_reference(n_heads):
         written = [(k[n_ctx:n_ctx + n], v[n_ctx:n_ctx + n]) for k, v in zip(cache.k, cache.v)]
         check(out, written, np.array(tokens), positions, allowed)
 
-    _, packed = packed_from_tokens([[4, 5, 1], [4, 5, 2], [4, 6, 6], [3, 3, 3]])
+    packed, paths = packed_from_tokens([[4, 5, 1], [4, 5, 2], [4, 6, 6], [3, 3, 3]])
     n_ctx = cache.committed_len
     out, spec_state = model.forward_packed(packed, cache)
     allowed = np.concatenate([np.ones((packed.n, n_ctx), bool), packed.mask], axis=1)
     ref_kv = check(out, spec_state, packed.tokens, n_ctx + packed.depths, allowed)
-    path = np.concatenate([[0], packed.candidate_node[1]])
+    path = paths[1]
     model.commit_accepted(cache, packed, spec_state, path)
     for layer, (ref_k, ref_v) in enumerate(ref_kv):
         assert np.array_equal(bits(cache.k[layer][n_ctx:n_ctx + 4]), bits(ref_k[path]))
@@ -219,7 +218,7 @@ def test_packed_capacity_is_set_by_the_deepest_node(tiny):
     """A tree needs room for its depth, not for its node count."""
     markov = SyntheticMarkovModel(order=2, vocab_size=16, seed=1,
                                   max_seq_len=SMALL.max_seq_len)
-    _, wide = packed_from_tokens(np.arange(8)[:, None] + np.zeros((1, 3), np.int64))
+    wide, _ = packed_from_tokens(np.arange(8)[:, None] + np.zeros((1, 3), np.int64))
     for base in (tiny, markov):
         cache = base.new_cache()
         base.forward_context([1] * (SMALL.max_seq_len - 4), cache)
@@ -311,12 +310,11 @@ def test_markov_packed_forward_follows_paths():
             for tokens in (np.array([[4, 5], [4, 6]]), shared):
                 cache = model.new_cache()
                 model.forward_context(context, cache)
-                beam, packed = packed_from_tokens(tokens)
+                packed, paths = packed_from_tokens(tokens)
                 out, _ = model.forward_packed(packed, cache)
-                for i in range(beam.width):
-                    full = model.forward_context(context + [ROOT] + beam.tokens[i].tolist(),
+                for i, path in enumerate(paths):
+                    full = model.forward_context(context + [ROOT] + tokens[i].tolist(),
                                                  model.new_cache())
-                    path = np.concatenate([[0], packed.candidate_node[i]])
                     where = (order, context, i)
                     assert np.array_equal(out.logits[path].view(np.uint32),
                                           full.logits[len(context):].view(np.uint32)), where
@@ -376,7 +374,7 @@ def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
     bit as the full-tree forward does, and leaves the cache untouched."""
     base = tiny if name == "transformer" else SyntheticMarkovModel(
         order=int(name[-1]), vocab_size=16, seed=2)
-    _, tree = packed_from_tokens([[4, 5, 1, 2], [4, 5, 2, 2], [4, 6, 6, 1], [3, 3, 3, 3]])
+    tree, _ = packed_from_tokens([[4, 5, 1, 2], [4, 5, 2, 2], [4, 6, 6, 1], [3, 3, 3, 3]])
     cache = base.new_cache()
     base.forward_context([1, 9, 4, 4, 2], cache)
     before = cache_bits(cache)
@@ -407,7 +405,7 @@ def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
 def test_packed_forward_rejects_a_mismatched_prior(tiny):
     """A start outside [0, n], or prior K/V whose rows are not the start's."""
     markov = SyntheticMarkovModel(order=2, vocab_size=16, seed=1)
-    _, tree = packed_from_tokens([[4, 5], [4, 6]])
+    tree, _ = packed_from_tokens([[4, 5], [4, 6]])
     for base in (tiny, markov):
         cache = base.new_cache()
         base.forward_context([1, 2, 3], cache)
@@ -427,7 +425,7 @@ def test_packed_forward_rejects_a_mismatched_prior(tiny):
 def test_commit_rejects_a_non_path(tiny):
     """commit_accepted takes only a root-to-node path of the packed tree."""
     # nodes: 0 root, 1 = 4, 2 = 4 -> 5, 3 = 4 -> 6
-    _, packed = packed_from_tokens(np.array([[4, 5], [4, 6]]))
+    packed, _ = packed_from_tokens(np.array([[4, 5], [4, 6]]))
     markov = SyntheticMarkovModel(order=2, vocab_size=16, seed=1)
     for base in (tiny, markov):
         cache = base.new_cache()

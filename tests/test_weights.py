@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from redrafter import weights
-from redrafter.beam import Beam, pack_beam
+from redrafter.beam import pack_beam
 from redrafter.drafter import DrafterParams
 from redrafter.errors import FormatError
 from redrafter.model import ModelConfig, TinyTransformer
@@ -23,8 +23,7 @@ def test_base_model_round_trip_is_bitwise(tmp_path):
     for name, arr in model.weights.items():
         assert np.array_equal(loaded.weights[name], arr), name
     # the loaded model rebuilds its fused projection and forwards bit for bit alike
-    packed = pack_beam(Beam(tokens=np.array([[4, 5, 1], [4, 5, 2], [4, 6, 6]]),
-                            logp=np.zeros(3)), 7)
+    packed, _ = pack_beam(np.array([[4, 5, 1], [4, 5, 2], [4, 6, 6]]), 7)
 
     def outputs(m):
         cache = m.new_cache()
