@@ -52,16 +52,20 @@ def random_prompts(base, n, length, seed):
 
 def parse_prompt(args, base):
     if args.prompt is not None:
-        return [int(x) for x in args.prompt.split()]
+        return parse_ints(args.prompt.split(), "--prompt")
     if args.prompt_file is not None:
         with open(args.prompt_file, encoding="utf-8") as fh:
-            return [int(x) for x in fh.read().split()]
+            return parse_ints(fh.read().split(), "--prompt-file")
     return random_prompts(base, 1, args.prompt_len, args.seed)[0]
 
 
-def int_list(text):
-    """A comma-separated grid flag such as ``--widths 1,2,4``."""
-    return [int(x) for x in text.split(",") if x]
+def parse_ints(words, flag):
+    """The integers a flag's words spell, skipping empty words (so that a
+    comma-separated grid such as ``--widths 1,2,4`` may end in a comma)."""
+    try:
+        return [int(word) for word in words if word]
+    except ValueError as exc:
+        raise ConfigError(f"{flag} takes integers: {exc}") from None
 
 
 def first_divergence(spec_tokens, greedy_tokens):
@@ -161,7 +165,8 @@ def cmd_bench(args):
     base = build_base(args)
     rows = sweep(base, build_drafter(args, base),
                  random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
-                 int_list(args.widths), int_list(args.lengths), args.max_new_tokens,
+                 parse_ints(args.widths.split(","), "--widths"),
+                 parse_ints(args.lengths.split(","), "--lengths"), args.max_new_tokens,
                  repeats=args.repeats)
     out = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else sys.stdout
     try:
@@ -185,7 +190,8 @@ def cmd_verify_equivalence(args):
         base = build_base(ns)
         rows = sweep(base, build_drafter(ns, base),
                      random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
-                     int_list(args.widths), int_list(args.lengths), args.max_new_tokens)
+                     parse_ints(args.widths.split(","), "--widths"),
+                     parse_ints(args.lengths.split(","), "--lengths"), args.max_new_tokens)
         for row in rows:
             total += len(row["streams"])
             passed += len(row["streams"]) - len(row["divergences"])

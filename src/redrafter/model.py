@@ -8,7 +8,6 @@ read-only on the cache; accepted speculative tokens are committed explicitly,
 so rejected draft tokens leave no trace.
 """
 
-import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -43,20 +42,31 @@ class BaseModelOutput:
 
 @dataclass
 class KvCache:
-    """Committed context: per-layer keys/values plus the token ids themselves."""
+    """Committed context: the token ids plus each layer's keys/values (no
+    layers for a base without attention)."""
 
     k: list = field(default_factory=list)  # per layer (max_seq_len, d_model) float32
     v: list = field(default_factory=list)
     tokens: list = field(default_factory=list)
-    committed_len: int = 0
+
+    @property
+    def committed_len(self):
+        return len(self.tokens)
 
     def clone(self):
         return KvCache(k=[a.copy() for a in self.k], v=[a.copy() for a in self.v],
-                       tokens=list(self.tokens), committed_len=self.committed_len)
+                       tokens=list(self.tokens))
 
 
 class BaseModel(ABC):
-    """Next-token logits + last-layer hidden state, with explicit cache commits."""
+    """Next-token logits + last-layer hidden state, with explicit cache commits.
+
+    The three forwards are defined here, once: every check on tokens, masks,
+    priors, paths and capacity, and every write to the cache.  A model only
+    computes rows, through ``_context_rows`` and ``_tree_rows``, each
+    returning ``(BaseModelOutput, per-layer (K, V))``; a model without
+    attention returns no layers and keeps a ``KvCache`` without layers.
+    """
 
     config: ModelConfig
 
@@ -70,26 +80,59 @@ class BaseModel(ABC):
         ...
 
     @abstractmethod
-    def forward_context(self, tokens, cache):
-        """Append tokens to the committed context; logits/hidden per new position."""
+    def _context_rows(self, tokens, cache):
+        """Rows of checked ``tokens`` following the committed context."""
 
     @abstractmethod
+    def _tree_rows(self, tree, start, tree_kv, cache):
+        """Rows of the tree's nodes ``start`` on; ``tree_kv`` holds the K/V of
+        the nodes before them (None without a prior).  The returned K/V
+        covers the whole tree."""
+
+    def forward_context(self, tokens, cache):
+        """Append tokens to the committed context; logits/hidden per new position."""
+        tokens = self._check_tokens(tokens)
+        self._check_capacity(cache, tokens.shape[0])
+        out, per_layer_kv = self._context_rows(tokens, cache)
+        self._append(cache, tokens, per_layer_kv)
+        return out
+
     def forward_packed(self, tree, cache, prior=None):
         """Tree-masked forward over a draft tree whose root takes the next
         position after the committed context.  Read-only on the cache.
 
-        Returns (BaseModelOutput, spec_state); spec_state carries whatever the
-        model needs to later commit an accepted path without recomputing.
-        ``prior`` is ``(start, spec_state)`` of a forward of the tree's first
-        ``start`` nodes: then only nodes ``start`` on are computed, and the
-        output holds their rows while spec_state covers the whole tree.  A
-        node depends only on its ancestors, which precede it, so the rows
-        equal the full forward's bit for bit.
+        Returns (BaseModelOutput, spec_state); spec_state is each layer's K/V
+        of the tree's nodes, which commits an accepted path without
+        recomputing.  ``prior`` is ``(start, spec_state)`` of a forward of the
+        tree's first ``start`` nodes: then only nodes ``start`` on are
+        computed, and the output holds their rows while spec_state covers the
+        whole tree.  A node depends only on its ancestors, which precede it,
+        so the rows equal the full forward's bit for bit.
         """
+        tokens = self._check_tokens(tree.tokens)
+        n = tokens.shape[0]
+        if tree.mask.shape != (n, n):
+            raise ShapeError(f"mask shape {tree.mask.shape} does not match {n} tree tokens")
+        start, tree_kv = (0, None) if prior is None else prior
+        if not 0 <= start <= n:
+            raise ContractError(f"prior of {start} nodes outside a tree of {n}")
+        if tree_kv is not None and (len(tree_kv) != len(cache.k) or any(
+                rows.shape[0] != start for kv in tree_kv for rows in kv)):
+            raise ShapeError(f"prior K/V needs {len(cache.k)} layers of {start} rows each")
+        if start == n:
+            empty = BaseModelOutput(logits=np.zeros((0, self.config.vocab_size), np.float32),
+                                    hidden=np.zeros((0, self.config.d_model), np.float32))
+            return empty, tree_kv or []
+        self._check_capacity(cache, int(tree.depths.max()) + 1)
+        return self._tree_rows(tree, start, tree_kv, cache)
 
-    @abstractmethod
     def commit_accepted(self, cache, tree, spec_state, flat_path):
         """Append an accepted path of tree nodes, root first, to the context."""
+        flat_path = self._check_path(tree, flat_path)
+        self._check_capacity(cache, flat_path.shape[0])
+        self._append(cache, tree.tokens[flat_path],
+                     [(k[flat_path], v[flat_path]) for k, v in spec_state])
+        return cache
 
     def _check_tokens(self, tokens):
         tokens = np.asarray(tokens, dtype=np.int64)
@@ -105,24 +148,19 @@ class BaseModel(ABC):
             raise ContractError("accepted positions do not form a root-to-node path")
         return flat_path
 
-    @staticmethod
-    def _split_prior(prior, n):
-        """(start, spec_state) of a forward's prior; (0, None) without one."""
-        if prior is None:
-            return 0, None
-        start, spec_state = prior
-        if not 0 <= start <= n:
-            raise ContractError(f"prior of {start} nodes outside a tree of {n}")
-        return start, spec_state
-
-    def _empty_output(self):
-        return BaseModelOutput(logits=np.zeros((0, self.config.vocab_size), np.float32),
-                               hidden=np.zeros((0, self.config.d_model), np.float32))
-
     def _check_capacity(self, cache, extra):
         if cache.committed_len + extra > self.config.max_seq_len:
             raise CapacityError(f"sequence of {cache.committed_len}+{extra} exceeds "
                                 f"max_seq_len {self.config.max_seq_len}")
+
+    @staticmethod
+    def _append(cache, tokens, per_layer_kv):
+        """Commit checked tokens and each layer's K/V rows of them."""
+        n_ctx, n = len(cache.tokens), tokens.shape[0]
+        for layer, (new_k, new_v) in enumerate(per_layer_kv):
+            cache.k[layer][n_ctx:n_ctx + n] = new_k
+            cache.v[layer][n_ctx:n_ctx + n] = new_v
+        cache.tokens.extend(tokens.tolist())
 
 
 def sinusoidal_positions(max_len, d_model):
@@ -260,66 +298,22 @@ class TinyTransformer(BaseModel):
         logits = kernels.matmul(hidden, w["w_out"])
         return BaseModelOutput(logits=logits, hidden=hidden), per_layer_kv
 
-    def forward_context(self, tokens, cache):
-        tokens = self._check_tokens(tokens)
-        n = tokens.shape[0]
-        self._check_capacity(cache, n)
-        n_ctx = cache.committed_len
+    def _context_rows(self, tokens, cache):
+        n_ctx, n = cache.committed_len, tokens.shape[0]
         positions = n_ctx + np.arange(n)
         # row i attends keys 0 .. n_ctx+i
         allowed = np.arange(n_ctx + n)[None, :] <= positions[:, None]
-        out, per_layer_kv = self._forward(tokens, positions, cache, kernels.masked_bias(allowed))
-        for layer, (new_k, new_v) in enumerate(per_layer_kv):
-            cache.k[layer][n_ctx:n_ctx + n] = new_k
-            cache.v[layer][n_ctx:n_ctx + n] = new_v
-        cache.tokens.extend(int(t) for t in tokens)
-        cache.committed_len += n
-        return out
+        return self._forward(tokens, positions, cache, kernels.masked_bias(allowed))
 
-    def forward_packed(self, tree, cache, prior=None):
-        tokens = self._check_tokens(tree.tokens)
-        n = tokens.shape[0]
-        if tree.mask.shape != (n, n):
-            raise ShapeError(f"mask shape {tree.mask.shape} does not match {n} tree tokens")
-        start, tree_kv = self._split_prior(prior, n)
-        if tree_kv is not None and (len(tree_kv) != self.config.n_layers or any(
-                rows.shape[0] != start for kv in tree_kv for rows in kv)):
-            raise ShapeError(f"prior K/V needs {self.config.n_layers} layers of {start} "
-                             f"rows each")
-        if start == n:
-            return self._empty_output(), [] if tree_kv is None else tree_kv
-        self._check_capacity(cache, int(tree.depths.max()) + 1)
+    def _tree_rows(self, tree, start, tree_kv, cache):
         n_ctx = cache.committed_len
         # each node sits at the absolute position its path would occupy; the
         # root (depth 0) takes the next free position
         positions = n_ctx + tree.depths[start:]
-        allowed = np.concatenate([np.ones((n - start, n_ctx), dtype=bool), tree.mask[start:]],
-                                 axis=1)
-        return self._forward(tokens[start:], positions, cache, kernels.masked_bias(allowed),
-                             tree_kv)
-
-    def commit_accepted(self, cache, tree, spec_state, flat_path):
-        flat_path = self._check_path(tree, flat_path)
-        n = flat_path.shape[0]
-        if n == 0:
-            return cache
-        self._check_capacity(cache, n)
-        n_ctx = cache.committed_len
-        for layer, (new_k, new_v) in enumerate(spec_state):
-            cache.k[layer][n_ctx:n_ctx + n] = new_k[flat_path]
-            cache.v[layer][n_ctx:n_ctx + n] = new_v[flat_path]
-        cache.tokens.extend(tree.tokens[flat_path].tolist())
-        cache.committed_len += n
-        return cache
-
-
-@dataclass
-class MarkovCache:
-    tokens: list = field(default_factory=list)
-    committed_len: int = 0
-
-    def clone(self):
-        return MarkovCache(tokens=list(self.tokens), committed_len=self.committed_len)
+        allowed = np.concatenate([np.ones((tree.n - start, n_ctx), dtype=bool),
+                                  tree.mask[start:]], axis=1)
+        return self._forward(tree.tokens[start:], positions, cache,
+                             kernels.masked_bias(allowed), tree_kv)
 
 
 class SyntheticMarkovModel(BaseModel):
@@ -358,58 +352,27 @@ class SyntheticMarkovModel(BaseModel):
         return self._tok_emb
 
     def new_cache(self):
-        return MarkovCache()
+        return KvCache()
 
-    def _state_index(self, history):
-        """Table row for the last ``order`` tokens of a history (0-padded)."""
-        padded = [0] * max(0, self.order - len(history)) + list(history[-self.order:])
-        idx = 0
-        for t in padded:
-            idx = idx * self.config.vocab_size + t
-        return idx
-
-    def _row(self, history):
-        padded = [0] * max(0, self.order - len(history)) + list(history[-self.order:])
-        h = np.concatenate([self.state_emb[t] for t in padded])
-        return self.table[self._state_index(history)], h
-
-    def forward_context(self, tokens, cache):
-        tokens = self._check_tokens(tokens)
-        self._check_capacity(cache, tokens.shape[0])
+    def _context_rows(self, tokens, cache):
+        # a row reads its token and, at order 2, the one before (0-padded)
+        prev = cache.tokens[-1] if cache.tokens else 0
         logits, hidden = [], []
-        for t in tokens:
-            cache.tokens.append(int(t))
-            row, h = self._row(cache.tokens)
-            logits.append(row)
-            hidden.append(h)
-        cache.committed_len = len(cache.tokens)
+        for t in tokens.tolist():
+            logits.append(self.table[t if self.order == 1 else prev * self.config.vocab_size + t])
+            hidden.append(np.concatenate([self.state_emb[x] for x in (prev, t)[2 - self.order:]]))
+            prev = t
         return BaseModelOutput(logits=np.asarray(logits, np.float32),
-                               hidden=np.asarray(hidden, np.float32))
+                               hidden=np.asarray(hidden, np.float32)), []
 
-    def forward_packed(self, tree, cache, prior=None):
-        tokens = self._check_tokens(tree.tokens)
-        n = tokens.shape[0]
-        if tree.mask.shape != (n, n):
-            raise ShapeError(f"mask shape {tree.mask.shape} does not match {n} tree tokens")
-        start, _ = self._split_prior(prior, n)
-        if start == n:
-            return self._empty_output(), None
-        self._check_capacity(cache, int(tree.depths.max()) + 1)
-        # a node's row reads its own token and, at order 2, the token before
-        # it: its parent's, or for the root the last committed one (0-padded)
-        parents = np.asarray(tree.parents)[start:]
+    def _tree_rows(self, tree, start, tree_kv, cache):
+        # as in _context_rows: the token before a node is its parent's, or
+        # for the root the last committed one
+        parents = tree.parents[start:]
         last = cache.tokens[-1] if cache.tokens else 0
-        prev = np.where(parents == ROOT_PARENT, last, tokens[parents])
-        new = tokens[start:]
-        # the table row of a history, as in _state_index
+        prev = np.where(parents == ROOT_PARENT, last, tree.tokens[parents])
+        new = tree.tokens[start:]
         idx = new if self.order == 1 else prev * self.config.vocab_size + new
         history = (prev, new)[2 - self.order:]
         return BaseModelOutput(logits=self.table[idx], hidden=np.concatenate(
-            [self.state_emb[t] for t in history], axis=1)), None
-
-    def commit_accepted(self, cache, tree, spec_state, flat_path):
-        flat_path = self._check_path(tree, flat_path)
-        self._check_capacity(cache, flat_path.shape[0])
-        cache.tokens.extend(tree.tokens[flat_path].tolist())
-        cache.committed_len = len(cache.tokens)
-        return cache
+            [self.state_emb[t] for t in history], axis=1)), []

@@ -6,8 +6,9 @@ Manifest layout::
     # key value                  header entries (config, training horizon)
     name f32 d0,d1 offset        one tensor per line, byte offset into the blob
 
-The format is bit-exact and language-neutral: a save/load round trip
-reproduces every tensor byte for byte.
+The format is language-neutral.  Base-model tensors are float32, so a
+save/load round trip reproduces them byte for byte; drafter tensors are
+float64 in memory and load back as their float32 rounding.
 """
 
 import os

@@ -5,9 +5,11 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from redrafter import cli, decode, weights
+from redrafter.drafter import DrafterParams
 
 TIMING_COLUMNS = {"wall_ms_spec", "wall_ms_ar", "speedup"}
 
@@ -149,6 +151,33 @@ def test_sweep_that_decodes_nothing_is_a_usage_error(argv, monkeypatch, capsys):
     monkeypatch.setattr(decode, "autoregressive_generate", no_decode)
     assert run([argv[0], *MARKOV, *argv[1:]]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag, bad", [
+    (["bench", "--widths", "1,x"], "--widths", "x"),
+    (["verify-equivalence", "--lengths", "2,y"], "--lengths", "y"),
+    (["generate", "--prompt", "1 b"], "--prompt", "b"),
+    (["generate", "--prompt-file", "prompt.txt"], "--prompt-file", "3.5"),
+], ids=["widths", "lengths", "prompt", "prompt-file"])
+def test_malformed_integer_is_a_usage_error_naming_the_flag(argv, flag, bad, tmp_path,
+                                                            monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "prompt.txt").write_text("1 2\n3.5\n", encoding="utf-8")
+    assert run([argv[0], *MARKOV, *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and repr(bad) in err
+
+
+@pytest.mark.parametrize("base_flags", [[], ["--base", "markov", "--markov-vocab", "64"]],
+                         ids=["transformer", "markov-vocab-64"])
+def test_drafter_of_another_base_is_a_usage_error(base_flags, tmp_path, capsys):
+    """A drafter saved for the vocab-32, d-32 Markov base fits neither the
+    default transformer nor a vocab-64 Markov base."""
+    prefix = str(tmp_path / "drafter")
+    weights.save_drafter(DrafterParams.random(np.random.default_rng(0), 32, 32), 2, prefix)
+    assert run(["generate", *base_flags, "--drafter-weights", prefix, "--prompt", "1 2",
+                "--max-new-tokens", "4"]) == 2
+    assert "does not fit" in capsys.readouterr().err
 
 
 # each command line runs to exit 0 with --base transformer or markov

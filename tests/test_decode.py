@@ -9,7 +9,7 @@ from redrafter import decode
 from redrafter.decode import (DecodeConfig, MirrorProposer, RnnProposer,
                               autoregressive_generate, speculative_generate, verify_greedy)
 from redrafter.drafter import DrafterParams
-from redrafter.errors import CapacityError, ConfigError, ContractError
+from redrafter.errors import CapacityError, ConfigError, ContractError, ShapeError
 from redrafter.model import BaseModelOutput, ModelConfig, SyntheticMarkovModel, TinyTransformer
 
 SMALL = ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=2, d_ff=32,
@@ -205,6 +205,20 @@ def test_proposal_must_be_rooted_at_the_guaranteed_token(markov):
     cfg = DecodeConfig(beam_width=1, beam_length=2, max_new_tokens=8)
     with pytest.raises(ContractError):
         speculative_generate(markov, Misrooted(), [1, 2], cfg)
+
+
+def test_proposer_rejects_a_drafter_that_does_not_fit_the_base(markov):
+    """The embedding table must be the drafter's (vocab, d_e), and the hidden
+    width the drafter expects must be the table's width."""
+    rng = np.random.default_rng(4)
+    for d_model, vocab in ((32, 8), (16, 16)):  # wrong vocab, wrong width
+        with pytest.raises(ShapeError):
+            RnnProposer(DrafterParams.random(rng, d_model, vocab), markov.token_embeddings)
+    fits = DrafterParams.random(rng, 32, 16)
+    wide_head = DrafterParams(u=fits.u, w=fits.w, b=fits.b, out_proj=np.zeros((16, 80)))
+    with pytest.raises(ShapeError):  # d_e 32 fits the table, d_model 48 does not
+        RnnProposer(wide_head, markov.token_embeddings)
+    RnnProposer(fits, markov.token_embeddings)
 
 
 def test_stop_token_truncates_inclusively(markov):

@@ -7,8 +7,8 @@ from redrafter import beam as beam_mod
 from redrafter import kernels
 from redrafter.drafter import DrafterParams
 from redrafter.errors import CapacityError, ConfigError, ContractError, ShapeError
-from redrafter.model import (ModelConfig, SyntheticMarkovModel, TinyTransformer, _layer_norm,
-                             sinusoidal_positions)
+from redrafter.model import (KvCache, ModelConfig, SyntheticMarkovModel, TinyTransformer,
+                             _layer_norm, sinusoidal_positions)
 
 SMALL = ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=2, d_ff=32,
                     max_seq_len=64)
@@ -17,6 +17,12 @@ SMALL = ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=2, d_ff=32,
 @pytest.fixture(scope="module")
 def tiny():
     return TinyTransformer.random(SMALL, seed=0)
+
+
+@pytest.fixture(scope="module")
+def markov():
+    return SyntheticMarkovModel(order=2, vocab_size=SMALL.vocab_size, seed=1,
+                                max_seq_len=SMALL.max_seq_len)
 
 
 ROOT = 7  # the guaranteed token every packed tree here is rooted at
@@ -208,16 +214,16 @@ def test_layer_norm_mean_is_bitwise_the_float32_mean():
             assert np.array_equal(got.view(np.uint32), expect.view(np.uint32))
 
 
-def test_capacity_overflow_raises(tiny):
-    cache = tiny.new_cache()
-    with pytest.raises(CapacityError):
-        tiny.forward_context(list(range(SMALL.vocab_size)) * 5, cache)
+def test_capacity_overflow_raises(tiny, markov):
+    for base in (tiny, markov):
+        cache = base.new_cache()
+        with pytest.raises(CapacityError):
+            base.forward_context(list(range(SMALL.vocab_size)) * 5, cache)
+        assert cache.tokens == []
 
 
-def test_packed_capacity_is_set_by_the_deepest_node(tiny):
+def test_packed_capacity_is_set_by_the_deepest_node(tiny, markov):
     """A tree needs room for its depth, not for its node count."""
-    markov = SyntheticMarkovModel(order=2, vocab_size=16, seed=1,
-                                  max_seq_len=SMALL.max_seq_len)
     wide, _ = packed_from_tokens(np.arange(8)[:, None] + np.zeros((1, 3), np.int64))
     for base in (tiny, markov):
         cache = base.new_cache()
@@ -229,10 +235,18 @@ def test_packed_capacity_is_set_by_the_deepest_node(tiny):
             base.forward_packed(wide, cache)
 
 
-def test_token_range_validation(tiny):
-    cache = tiny.new_cache()
-    with pytest.raises(ShapeError):
-        tiny.forward_context([SMALL.vocab_size], cache)
+def test_token_range_validation(tiny, markov):
+    tree, _ = packed_from_tokens([[4, 5], [4, 6]])
+    for base in (tiny, markov):
+        cache = base.new_cache()
+        for bad in (SMALL.vocab_size, -1):
+            with pytest.raises(ShapeError):
+                base.forward_context([1, bad], cache)
+            tree.tokens[2] = bad
+            with pytest.raises(ShapeError):
+                base.forward_packed(tree, cache)
+            tree.tokens[2] = 5
+        assert cache.tokens == []
 
 
 def test_config_validation():
@@ -322,11 +336,10 @@ def test_markov_packed_forward_follows_paths():
                                           full.hidden[len(context):].view(np.uint32)), where
 
 
-def test_beam_search_trees_match_causal_replay_bitwise(tiny):
+def test_beam_search_trees_match_causal_replay_bitwise(tiny, markov):
     """Every node of a beam-search draft tree, under either base model, gets
     bit for bit the logits and hidden state of a causal replay of its root
     path, and committing the accepted path leaves the cache a replay's."""
-    markov = SyntheticMarkovModel(order=2, vocab_size=16, seed=1)
     rng = np.random.default_rng(13)
     for base in (tiny, markov):
         params = DrafterParams.random(np.random.default_rng(5), base.config.d_model,
@@ -363,8 +376,8 @@ def cache_bits(cache):
 
 def leading_state(spec_state, start):
     """The spec_state of a forward of a tree's first ``start`` nodes, cut from
-    the whole tree's (None for the Markov base)."""
-    return None if spec_state is None else [(k[:start], v[:start]) for k, v in spec_state]
+    the whole tree's."""
+    return [(k[:start], v[:start]) for k, v in spec_state]
 
 
 @pytest.mark.parametrize("name", ["transformer", "markov1", "markov2"])
@@ -386,12 +399,10 @@ def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
         assert out.logits.shape[0] == out.hidden.shape[0] == n - start
         assert np.array_equal(bits(out.logits), bits(full.logits[start:])), start
         assert np.array_equal(bits(out.hidden), bits(full.hidden[start:])), start
-        if full_state is None:
-            assert spec_state is None
-        else:
-            for (k, v), (full_k, full_v) in zip(spec_state, full_state, strict=True):
-                assert np.array_equal(bits(k), bits(full_k)), start
-                assert np.array_equal(bits(v), bits(full_v)), start
+        assert len(full_state) == len(cache.k)  # no layers for the Markov base
+        for (k, v), (full_k, full_v) in zip(spec_state, full_state, strict=True):
+            assert np.array_equal(bits(k), bits(full_k)), start
+            assert np.array_equal(bits(v), bits(full_v)), start
         assert cache_bits(cache) == before
     # rounds chained as the dataset build chains them: the first nodes as a
     # tree of their own, then the rest from its spec_state
@@ -402,9 +413,9 @@ def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
     assert cache_bits(cache) == before
 
 
-def test_packed_forward_rejects_a_mismatched_prior(tiny):
-    """A start outside [0, n], or prior K/V whose rows are not the start's."""
-    markov = SyntheticMarkovModel(order=2, vocab_size=16, seed=1)
+def test_packed_forward_rejects_a_mismatched_prior(tiny, markov):
+    """A start outside [0, n], or prior K/V whose rows are not the start's or
+    whose layers are not the base's: any layer at all for the Markov base."""
     tree, _ = packed_from_tokens([[4, 5], [4, 6]])
     for base in (tiny, markov):
         cache = base.new_cache()
@@ -420,13 +431,17 @@ def test_packed_forward_rejects_a_mismatched_prior(tiny):
                          (2, leading_state(full_state, 2)[:1])):
         with pytest.raises(ShapeError):
             tiny.forward_packed(tree, cache, (start, state))
+    cache = markov.new_cache()
+    markov.forward_context([1, 2, 3], cache)
+    for start in (0, 2):
+        with pytest.raises(ShapeError):
+            markov.forward_packed(tree, cache, (start, leading_state(full_state, start)))
 
 
-def test_commit_rejects_a_non_path(tiny):
+def test_commit_rejects_a_non_path(tiny, markov):
     """commit_accepted takes only a root-to-node path of the packed tree."""
     # nodes: 0 root, 1 = 4, 2 = 4 -> 5, 3 = 4 -> 6
     packed, _ = packed_from_tokens(np.array([[4, 5], [4, 6]]))
-    markov = SyntheticMarkovModel(order=2, vocab_size=16, seed=1)
     for base in (tiny, markov):
         cache = base.new_cache()
         base.forward_context([1, 2, 3], cache)
@@ -439,11 +454,10 @@ def test_commit_rejects_a_non_path(tiny):
         assert cache.tokens == [1, 2, 3, ROOT, 4, 6]
 
 
-def test_commit_path_check_is_the_parent_chain_rule():
+def test_commit_path_check_is_the_parent_chain_rule(markov):
     """A path is accepted iff its first node is the root (ROOT_PARENT) and
     each later node's parent is the node before it, on random trees and on
     valid, truncated, shuffled and random paths."""
-    markov = SyntheticMarkovModel(order=2, vocab_size=16, seed=1)
     rng = np.random.default_rng(12)
     for _ in range(200):
         n = int(rng.integers(1, 10))
@@ -463,6 +477,22 @@ def test_commit_path_check_is_the_parent_chain_rule():
                 accepted = False
             assert accepted == expect, (tree.parents.tolist(), path.tolist())
 
+
+
+def test_models_inherit_the_one_forward_and_commit_contract(tiny, markov):
+    """The forwards and the commit, with their checks and cache writes, live
+    on BaseModel only; a model supplies rows, and the committed length is
+    the committed tokens' count, not a second field to keep in step."""
+    for cls in (TinyTransformer, SyntheticMarkovModel):
+        own = {"forward_context", "forward_packed", "commit_accepted"} & set(vars(cls))
+        assert not own, (cls.__name__, own)
+    for base in (tiny, markov):
+        cache = base.new_cache()
+        assert type(cache) is KvCache
+        base.forward_context([1, 2], cache)
+        with pytest.raises(AttributeError):
+            cache.committed_len = 5
+        assert cache.committed_len == cache.clone().committed_len == 2
 
 def test_markov_rejects_unsupported_order():
     with pytest.raises(ConfigError):
