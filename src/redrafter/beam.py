@@ -100,22 +100,20 @@ class BeamLattice:
     parents: np.ndarray  # (beam_length, beam_width) int64 row at the previous depth
     logp: np.ndarray     # (beam_length, beam_width) float64
 
-    def tree(self, root, budget=None):
-        """The draft tree of the ``budget`` most probable prefixes under ``root``.
+    def tree(self, root):
+        """The draft tree of the ``beam_width + beam_length`` best prefixes under ``root``.
 
-        The budget defaults to ``beam_width + beam_length`` draft nodes and is
-        capped by the rows the lattice holds; with width 1 the whole chain is
-        kept.  A drafter log-probability is never positive, so a prefix never
-        outscores its parent, and ties go to the lower depth-major index,
-        which is the shallower row: the kept set is ancestor-closed.  Nodes
-        follow the root in depth-major order, so parents come before their
-        children.  This picks the kept rows and their parent nodes only;
-        ``DraftTree.from_parents`` builds the tree, as it does every other.
+        The budget is capped by the rows the lattice holds; with width 1 the
+        whole chain is kept.  A drafter log-probability is never positive, so
+        a prefix never outscores its parent, and ties go to the lower
+        depth-major index, which is the shallower row: the kept set is
+        ancestor-closed.  Nodes follow the root in depth-major order, so
+        parents come before their children.  This picks the kept rows and
+        their parent nodes only; ``DraftTree.from_parents`` builds the tree,
+        as it does every other.
         """
         length, width = self.tokens.shape
-        if budget is None:
-            budget = width + length
-        keep = np.sort(np.argsort(-self.logp.ravel(), kind="stable")[:budget])
+        keep = np.sort(np.argsort(-self.logp.ravel(), kind="stable")[:width + length])
         # node numbers by depth-major flat index, shifted one depth down past
         # a slab standing for the root: a row's parent sits at depth - 1
         node = np.zeros((length + 1) * width, dtype=np.int64)

@@ -46,6 +46,8 @@ def build_drafter(args, base):
 
 
 def random_prompts(base, n, length, seed):
+    if length < 1:
+        raise ConfigError(f"--prompt-len must be >= 1, got {length}")
     rng = np.random.default_rng(seed)
     return [rng.integers(0, base.config.vocab_size, size=length).tolist() for _ in range(n)]
 
@@ -260,7 +262,6 @@ def cmd_init_base(args):
 def _add_model_flags(p, bases=("transformer", "markov")):
     p.add_argument("--base", choices=bases, default="transformer")
     p.add_argument("--base-weights", help="manifest/blob prefix for transformer weights")
-    p.add_argument("--drafter-weights", help="manifest/blob prefix for drafter weights")
     p.add_argument("--markov-order", type=int, default=2)
     p.add_argument("--markov-vocab", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
@@ -281,6 +282,7 @@ def make_parser():
     p.add_argument("--stop-token", type=int)
     p.add_argument("--baseline", action="store_true")
     p.add_argument("--report", help="write a JSON run report here")
+    p.add_argument("--drafter-weights", help="manifest/blob prefix for drafter weights")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("bench", help="sweep beam width x length, emit CSV")
@@ -292,6 +294,7 @@ def make_parser():
     p.add_argument("--prompt-len", type=int, default=16)
     p.add_argument("--max-new-tokens", type=int, default=32)
     p.add_argument("--csv", help="output CSV path (default stdout)")
+    p.add_argument("--drafter-weights", help="manifest/blob prefix for drafter weights")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify-equivalence",
@@ -302,6 +305,7 @@ def make_parser():
     p.add_argument("--widths", default="1,2,4,8")
     p.add_argument("--lengths", default="2,4,5")
     p.add_argument("--max-new-tokens", type=int, default=24)
+    p.add_argument("--drafter-weights", help="manifest/blob prefix for drafter weights")
     p.set_defaults(func=cmd_verify_equivalence)
 
     p = sub.add_parser("train-drafter", help="train a draft head")

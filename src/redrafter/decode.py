@@ -84,17 +84,16 @@ class RnnProposer:
 
     The float64 embeddings and the recurrence's per-token input term
     ``w @ e + b`` are built once, here, from the parameters as they are now.
-    ``embeddings`` is the base's (vocab, d_model) table, in the drafter's shape.
+    ``embeddings`` is the base's (vocab, d_model) table; d_model must be the
+    drafter's width d_s.
     """
 
     def __init__(self, params, embeddings):
         self.params = params
         self.embeddings = np.asarray(embeddings, dtype=np.float64)
-        if (self.embeddings.shape != (params.vocab_size, params.d_e)
-                or params.d_model != params.d_e):
-            raise ShapeError(f"a drafter of vocab {params.vocab_size}, d_e {params.d_e} and "
-                             f"d_model {params.d_model} does not fit a base embedding table "
-                             f"of shape {self.embeddings.shape}")
+        if self.embeddings.shape != (params.vocab_size, params.d_s):
+            raise ShapeError(f"a drafter of vocab {params.vocab_size} and width {params.d_s} does "
+                             f"not fit a base embedding table of shape {self.embeddings.shape}")
         self.token_term = self.embeddings @ params.w.T + params.b
 
     def propose(self, h, last_token, beam_width, beam_length):

@@ -36,6 +36,9 @@ log = logging.getLogger(__name__)
 # BLOCK * (horizon + 1) rows for any sequence length.
 BLOCK = 16
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class DistillExample:
@@ -48,9 +51,6 @@ class DistillExample:
 class TrainConfig:
     horizon: int = 5
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 10
     batch_size: int = 32
     seed: int = 0
@@ -199,7 +199,10 @@ def read_dataset(path, base):
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            vals = [int(x) for x in line.split()]
+            try:
+                vals = [int(x) for x in line.split()]
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: non-integer field ({exc})") from None
             if len(vals) < 2 or len(vals) != 2 + vals[0] + vals[1]:
                 raise FormatError(f"{path}:{lineno}: malformed dataset record")
             n_ctx, horizon = vals[0], vals[1]
@@ -271,16 +274,16 @@ def train_drafter(dataset, params_init, cfg, embeddings):
             g = grads.flat
             g *= 1.0 / denom
             step_count += 1
-            bc1 = 1.0 - cfg.beta1 ** step_count
-            bc2 = 1.0 - cfg.beta2 ** step_count
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-            flat -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            bc1 = 1.0 - ADAM_BETA1 ** step_count
+            bc2 = 1.0 - ADAM_BETA2 ** step_count
+            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            flat -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         curve.append(epoch_loss / (n * cfg.horizon))
     return params, curve
 
 
-def empirical_kl(base, params, probe_contexts, horizon, embeddings=None):
+def empirical_kl(base, params, probe_contexts, horizon):
     """Exact per-step KL(base || drafter), teacher-forced on base greedy tokens.
 
     Each probe context is aligned like ``DistillExample.context``: its last
@@ -288,8 +291,7 @@ def empirical_kl(base, params, probe_contexts, horizon, embeddings=None):
     the base hidden state at the token before it.  Returns an array of length
     ``horizon``: KL at recurrence step k averaged over the probe contexts.
     """
-    emb = np.asarray(embeddings if embeddings is not None else base.token_embeddings,
-                     dtype=np.float64)
+    emb = np.asarray(base.token_embeddings, dtype=np.float64)
     totals = np.zeros(horizon)
     for context in probe_contexts:
         context = [int(t) for t in context]
@@ -311,23 +313,21 @@ def empirical_kl(base, params, probe_contexts, horizon, embeddings=None):
     return totals / max(1, len(probe_contexts))
 
 
-def sample_markov_corpus(seed, n_sequences=500, seq_len=64, vocab_size=32, order=2,
-                         temperature=1.0):
-    """Corpus drawn from a seeded random Markov chain (softmax-sampled).
+def sample_markov_corpus(seed, n_sequences=500, seq_len=64, vocab_size=32):
+    """Corpus drawn from a seeded random order-2 Markov chain (softmax-sampled).
 
     Built from its own transition table, so it is distinct from any
     SyntheticMarkovModel's greedy chains.
     """
+    if seq_len < 2:
+        raise ContractError(f"an order-2 chain seeds 2 tokens: need seq_len >= 2, got {seq_len}")
     rng = np.random.default_rng(seed)
-    table = rng.normal(0.0, 1.5, (vocab_size ** order, vocab_size))
+    table = rng.normal(0.0, 1.5, (vocab_size ** 2, vocab_size))
     sequences = []
     for _ in range(n_sequences):
-        seq = [int(rng.integers(vocab_size)) for _ in range(order)]
+        seq = [int(rng.integers(vocab_size)) for _ in range(2)]
         while len(seq) < seq_len:
-            idx = 0
-            for t in seq[-order:]:
-                idx = idx * vocab_size + t
-            z = table[idx] / temperature
+            z = table[seq[-2] * vocab_size + seq[-1]]
             z = z - z.max()
             p = np.exp(z) / np.exp(z).sum()
             seq.append(int(rng.choice(vocab_size, p=p)))

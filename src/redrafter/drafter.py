@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError, VocabError
+from .errors import ContractError, ShapeError, VocabError
 
 
 def silu(x):
@@ -66,23 +66,24 @@ class DrafterParams:
 
     u, w, b drive the recurrence ``s' = silu(u @ s + w @ e + b)``; the head
     applies ``x <- x + silu(Wm @ x + bm)`` residual layers to the concatenated
-    ``[s, h]`` vector followed by a projection to vocab logits.
+    ``[s, h]`` vector followed by a projection to vocab logits.  s starts as a
+    token embedding, so s, the embeddings and h are all ``d_s`` wide.
     """
 
     u: np.ndarray                 # (d_s, d_s)
-    w: np.ndarray                 # (d_s, d_e)
+    w: np.ndarray                 # (d_s, d_s)
     b: np.ndarray                 # (d_s,)
-    mlp: list = field(default_factory=list)   # [(Wm (d_g, d_g), bm (d_g,)), ...]
-    out_proj: np.ndarray = None   # (vocab, d_g)
+    mlp: list = field(default_factory=list)   # [(Wm (2 d_s, 2 d_s), bm (2 d_s,)), ...]
+    out_proj: np.ndarray = None   # (vocab, 2 d_s)
 
     def __post_init__(self):
-        d_s, d_e = self.w.shape
-        if self.u.shape != (d_s, d_s) or self.b.shape != (d_s,):
-            raise ShapeError(f"inconsistent recurrence shapes: u {self.u.shape}, "
-                             f"w {self.w.shape}, b {self.b.shape}")
-        d_g = self.out_proj.shape[1]
-        if d_g <= d_s:
-            raise ShapeError(f"head width {d_g} must exceed state width {d_s}")
+        d_s = self.u.shape[0]
+        if self.u.shape != (d_s, d_s) or self.w.shape != (d_s, d_s) or self.b.shape != (d_s,):
+            raise ShapeError(f"recurrence shapes must be ({d_s},{d_s}), ({d_s},{d_s}) and "
+                             f"({d_s},): u {self.u.shape}, w {self.w.shape}, b {self.b.shape}")
+        d_g = 2 * d_s
+        if self.out_proj.shape[1:] != (d_g,):
+            raise ShapeError(f"out_proj {self.out_proj.shape} must have 2 * d_s = {d_g} columns")
         for i, (wm, bm) in enumerate(self.mlp):
             if wm.shape != (d_g, d_g) or bm.shape != (d_g,):
                 raise ShapeError(f"mlp layer {i}: expected ({d_g},{d_g})/({d_g},), "
@@ -93,28 +94,23 @@ class DrafterParams:
         return self.u.shape[0]
 
     @property
-    def d_e(self):
-        return self.w.shape[1]
-
-    @property
     def d_model(self):
-        return self.out_proj.shape[1] - self.d_s
+        return self.d_s
 
     @property
     def vocab_size(self):
         return self.out_proj.shape[0]
 
     @classmethod
-    def random(cls, rng, d_model, vocab_size, n_mlp=2, scale=0.1):
-        """Seeded random initialization with d_s = d_e = d_model."""
-        d_s = d_model
-        d_g = d_s + d_model
+    def random(cls, rng, d_model, vocab_size):
+        """Seeded random initialization with d_s = d_model and 2 head layers."""
+        d_g = 2 * d_model
         return cls(
-            u=rng.normal(0.0, scale, (d_s, d_s)),
-            w=rng.normal(0.0, scale, (d_s, d_s)),
-            b=np.zeros(d_s),
-            mlp=[(rng.normal(0.0, scale, (d_g, d_g)), np.zeros(d_g)) for _ in range(n_mlp)],
-            out_proj=rng.normal(0.0, scale, (vocab_size, d_g)),
+            u=rng.normal(0.0, 0.1, (d_model, d_model)),
+            w=rng.normal(0.0, 0.1, (d_model, d_model)),
+            b=np.zeros(d_model),
+            mlp=[(rng.normal(0.0, 0.1, (d_g, d_g)), np.zeros(d_g)) for _ in range(2)],
+            out_proj=rng.normal(0.0, 0.1, (vocab_size, d_g)),
         )
 
     def flat_arrays(self):
@@ -153,8 +149,6 @@ def init_state(h, last_token, embeddings):
 
 
 def step(state, token, params, embeddings):
-    if params.d_e != params.d_s:
-        raise ConfigError("state seeds from the token embedding, so d_s must equal d_e")
     e = init_state(state.h, token, embeddings).s
     pre = params.u @ state.s + params.w @ e + params.b
     return DrafterState(s=silu(pre), h=state.h)
@@ -238,8 +232,6 @@ def batch_loss(params, embeddings, h, s0, teacher, with_grads=True):
     teacher = _check_tokens(teacher, params.vocab_size)
     if teacher.ndim != 2 or teacher.shape[1] < 1:
         raise ContractError("teacher batch must be (batch, T) with T >= 1")
-    if params.d_e != params.d_s:
-        raise ConfigError("state seeds from the token embedding, so d_s must equal d_e")
     bsz, horizon = teacher.shape
     d_s = params.d_s
     n_mlp = len(params.mlp)

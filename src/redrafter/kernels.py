@@ -73,13 +73,13 @@ def _as_f32(a):
 # pure-numpy lane
 # ---------------------------------------------------------------------------
 
-def _ordered_sum(terms, axis=0):
-    """Left-to-right float32 sum of C-ordered ``terms`` along ``axis``, from +0.0."""
-    # reduce is sequential only along axis 0 and only while each slab has >= 2 elements
-    if terms.shape[axis] == 0 or (axis == 0 and terms.size >= 2 * terms.shape[0]):
-        return np.add.reduce(terms, axis=axis, initial=_ZERO)
+def _ordered_sum(terms):
+    """Left-to-right float32 sum of C-ordered ``terms`` along axis 0, from +0.0."""
+    # reduce is sequential along axis 0 only while each slab has >= 2 elements
+    if terms.shape[0] == 0 or terms.size >= 2 * terms.shape[0]:
+        return np.add.reduce(terms, axis=0, initial=_ZERO)
     # adding +0.0 turns an all-(-0.0) sum into the loop's +0.0 and changes nothing else
-    return np.add.accumulate(terms, axis=axis).take(-1, axis=axis) + _ZERO
+    return np.add.accumulate(terms, axis=0)[-1] + _ZERO
 
 
 def _ordered_dot(x, y):

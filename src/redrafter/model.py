@@ -92,6 +92,9 @@ class BaseModel(ABC):
     def forward_context(self, tokens, cache):
         """Append tokens to the committed context; logits/hidden per new position."""
         tokens = self._check_tokens(tokens)
+        if not tokens.size:
+            return BaseModelOutput(logits=np.zeros((0, self.config.vocab_size), np.float32),
+                                   hidden=np.zeros((0, self.config.d_model), np.float32))
         self._check_capacity(cache, tokens.shape[0])
         out, per_layer_kv = self._context_rows(tokens, cache)
         self._append(cache, tokens, per_layer_kv)
@@ -120,9 +123,7 @@ class BaseModel(ABC):
                 rows.shape[0] != start for kv in tree_kv for rows in kv)):
             raise ShapeError(f"prior K/V needs {len(cache.k)} layers of {start} rows each")
         if start == n:
-            empty = BaseModelOutput(logits=np.zeros((0, self.config.vocab_size), np.float32),
-                                    hidden=np.zeros((0, self.config.d_model), np.float32))
-            return empty, tree_kv or []
+            return self.forward_context([], cache), tree_kv or []
         self._check_capacity(cache, int(tree.depths.max()) + 1)
         return self._tree_rows(tree, start, tree_kv, cache)
 
@@ -322,17 +323,16 @@ class SyntheticMarkovModel(BaseModel):
     Next-token logits come from a fixed random table whose top-1 margin is
     boosted above 0.5, so greedy argmax is far from any float tie.  The
     "hidden state" is the concatenation of fixed embeddings of the last
-    ``order`` tokens.  Early positions pad history with token 0.
+    ``order`` tokens, 32 wide.  Early positions pad history with token 0.
     """
 
-    def __init__(self, order, vocab_size, seed, d_model=32, max_seq_len=4096):
+    def __init__(self, order, vocab_size, seed, max_seq_len=4096):
         if order not in (1, 2):
             raise ConfigError(f"unsupported markov order {order}")
         if vocab_size > 256:
             raise ConfigError("synthetic model supports vocab_size <= 256")
-        if d_model % order != 0:
-            raise ConfigError("d_model must be divisible by order")
         self.order = order
+        d_model = 32
         self.config = ModelConfig(vocab_size=vocab_size, d_model=d_model, n_layers=1,
                                   n_heads=1, d_ff=1, max_seq_len=max_seq_len)
         rng = np.random.default_rng(seed)

@@ -3,7 +3,7 @@
 Manifest layout::
 
     REDRAFT-WEIGHTS v1          (or REDRAFT-DRAFTER v1)
-    # key value                  header entries (config, training horizon)
+    # key value                  integer header entries (config, training horizon)
     name f32 d0,d1 offset        one tensor per line, byte offset into the blob
 
 The format is language-neutral.  Base-model tensors are float32, so a
@@ -44,7 +44,7 @@ def save_tensors(prefix, magic, tensors, header=None):
 
 
 def load_tensors(prefix, magic):
-    """Read a manifest/blob pair back into (header dict, ordered tensor list)."""
+    """Read a manifest/blob pair back into (header dict of integers, ordered tensor list)."""
     manifest_path = prefix + ".manifest"
     blob_path = prefix + ".bin"
     if not os.path.exists(manifest_path):
@@ -62,7 +62,7 @@ def load_tensors(prefix, magic):
     for ln in lines[1:]:
         if ln.startswith("#"):
             key, _, value = ln[1:].strip().partition(" ")
-            header[key] = value
+            header[key] = _int(value, key, manifest_path)
             continue
         parts = ln.split()
         if len(parts) != 4:
@@ -70,8 +70,8 @@ def load_tensors(prefix, magic):
         name, dtype, dims, offset = parts
         if dtype != "f32":
             raise FormatError(f"tensor {name}: unsupported dtype {dtype}")
-        shape = tuple(int(d) for d in dims.split(","))
-        offset = int(offset)
+        shape = tuple(_int(d, f"tensor {name} dim", manifest_path) for d in dims.split(","))
+        offset = _int(offset, f"tensor {name} offset", manifest_path)
         count = int(np.prod(shape))
         end = offset + 4 * count
         if end > len(blob):
@@ -80,6 +80,12 @@ def load_tensors(prefix, magic):
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
         tensors.append((name, arr.copy()))
     return header, tensors
+
+
+def _int(text, field, manifest_path):
+    if not (text.isascii() and text.isdigit()):
+        raise FormatError(f"{manifest_path}: {field} {text!r} is not a non-negative integer")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +103,7 @@ def save_base_model(model, prefix):
 def load_base_model(prefix):
     header, tensors = load_tensors(prefix, BASE_MAGIC)
     try:
-        config = ModelConfig(**{key: int(header[key]) for key in _CONFIG_KEYS})
+        config = ModelConfig(**{key: header[key] for key in _CONFIG_KEYS})
     except KeyError as exc:
         raise FormatError(f"manifest missing config key {exc}") from exc
     try:
@@ -120,8 +126,8 @@ def load_drafter(prefix):
     header, tensors = load_tensors(prefix, DRAFTER_MAGIC)
     named = dict(tensors)
     try:
-        horizon = int(header["horizon"])
-        n_mlp = int(header["n_mlp"])
+        horizon = header["horizon"]
+        n_mlp = header["n_mlp"]
         arrays = {name: named[name].astype(np.float64)
                   for name in ("u", "w", "b", "out_proj")}
         mlp = [(named[f"mlp{i}_w"].astype(np.float64),

@@ -230,12 +230,22 @@ def assert_tree_fields_equal(got, expect, where=None):
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), (name, where)
 
 
-def assert_lattice_tree_is_from_parents(lattice, root, budget=None):
+def assert_lattice_tree_is_from_parents(lattice, root):
     """The tree read off the lattice's recorded paths equals the tree the
     one constructor derives from its tokens and parents alone."""
-    tree = lattice.tree(root, budget)
-    assert_tree_fields_equal(tree, DraftTree.from_parents(tree.tokens, tree.parents), budget)
+    tree = lattice.tree(root)
+    assert_tree_fields_equal(tree, DraftTree.from_parents(tree.tokens, tree.parents))
     return tree
+
+
+def whole_lattice_tree(lattice, root):
+    """Every row the lattice holds as a node, depth-major under the root:
+    row r of depth d is node 1 + d * width + r."""
+    length, width = lattice.tokens.shape
+    up = 1 + lattice.parents[1:] + width * np.arange(length - 1)[:, None]
+    return DraftTree.from_parents(np.concatenate(([root], lattice.tokens.ravel())),
+                                  np.concatenate(([ROOT_PARENT], np.zeros(width, np.int64),
+                                                  up.ravel())))
 
 
 def assert_well_formed(tree, root):
@@ -277,10 +287,13 @@ def test_beam_search_matches_single_state_reference():
                 assert tree.n == 1 + min(width + length, width * length), where
                 assert set(root_paths(tree)) == top_prefixes(held, width + length), where
                 assert tree.depths.tolist() == sorted(tree.depths.tolist())  # depth-major
-                # with the whole pool, every final candidate is a root path, and
-                # the tree holds pack_beam's tree of the final candidates
-                full = assert_lattice_tree_is_from_parents(lattice, seed, width * length)
+                # the whole pool holds every final candidate as a root path,
+                # and pack_beam's tree of the final candidates; the draft tree
+                # is the whole pool once the width + length budget covers it
+                full = whole_lattice_tree(lattice, seed)
                 assert_well_formed(full, seed)
+                if width * length <= width + length:
+                    assert_tree_fields_equal(tree, full, where)
                 assert set(root_paths(full)) == top_prefixes(held, width * length)
                 final = [toks for toks, _ in held[-1]]
                 assert {tuple(row) for row in final} <= set(root_paths(full))
@@ -289,15 +302,23 @@ def test_beam_search_matches_single_state_reference():
 
 def test_tree_ties_keep_the_shallower_prefix():
     """A token of probability 1 gives a child its parent's exact score; the
-    tie goes to the parent, so every budget keeps an ancestor-closed set."""
-    lattice = BeamLattice(tokens=np.array([[5, 6], [7, 8]]), parents=np.array([[0, 0], [0, 1]]),
-                          logp=np.array([[-1.0, -2.0], [-1.0, -3.0]]))
-    expect = {1: [(5,)], 2: [(5,), (5, 7)], 3: [(5,), (6,), (5, 7)],
-              4: [(5,), (6,), (5, 7), (6, 8)]}
-    for budget, paths in expect.items():
-        tree = assert_lattice_tree_is_from_parents(lattice, 9, budget)
+    tie goes to the parent, so the width + length budget keeps an
+    ancestor-closed set.  Below the width x length cap the budget ends on
+    such a tie; at the cap and on a width-1 chain every row is kept."""
+    below = BeamLattice(tokens=np.array([[5, 6, 7], [8, 9, 4]]),
+                        parents=np.array([[0, 0, 0], [0, 0, 2]]),
+                        logp=np.array([[-1.0, -2.0, -3.0], [-1.5, -1.6, -3.0]]))
+    at_cap = BeamLattice(tokens=np.array([[5, 6], [7, 8]]), parents=np.array([[0, 0], [0, 1]]),
+                         logp=np.array([[-1.0, -2.0], [-1.0, -3.0]]))
+    chain = BeamLattice(tokens=np.array([[5], [7], [8]]), parents=np.zeros((3, 1), np.int64),
+                        logp=np.array([[-1.0], [-1.0], [-1.0]]))
+    cases = [(below, [(5,), (6,), (7,), (5, 8), (5, 9)]),  # (7,) kept, its tied child (7, 4) not
+             (at_cap, [(5,), (6,), (5, 7), (6, 8)]),
+             (chain, [(5,), (5, 7), (5, 7, 8)])]
+    for lattice, paths in cases:
+        tree = assert_lattice_tree_is_from_parents(lattice, 9)
         assert_well_formed(tree, 9)
-        assert root_paths(tree) == paths, budget
+        assert root_paths(tree) == paths, lattice.tokens.shape
 
 
 def argsort_beam_search(params, emb, h, last_token, width, length):

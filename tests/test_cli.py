@@ -180,6 +180,28 @@ def test_drafter_of_another_base_is_a_usage_error(base_flags, tmp_path, capsys):
     assert "does not fit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("part", ["w", "out_proj"])
+def test_drafter_file_of_two_widths_is_a_usage_error(part, tmp_path, capsys):
+    """A drafter file whose w is not square, or whose out_proj is not twice
+    the state width, holds no drafter."""
+    params = DrafterParams.random(np.random.default_rng(0), 32, 16)
+    tensors = dict(params.flat_arrays())
+    tensors[part] = np.zeros((32, 16) if part == "w" else (16, 80))
+    prefix = str(tmp_path / "drafter")
+    weights.save_tensors(prefix, weights.DRAFTER_MAGIC, tensors.items(),
+                         {"horizon": 2, "n_mlp": 2, "d_s": 32})
+    assert run(["generate", *MARKOV, "--drafter-weights", prefix, "--prompt", "1 2",
+                "--max-new-tokens", "4"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["generate", "bench", "verify-equivalence"])
+@pytest.mark.parametrize("length", ["-1", "0"])
+def test_prompt_len_below_one_is_a_usage_error_naming_the_flag(command, length, capsys):
+    assert run([command, *MARKOV, "--prompt-len", length, "--max-new-tokens", "2"]) == 2
+    assert f"error: --prompt-len must be >= 1, got {length}" in capsys.readouterr().err
+
+
 # each command line runs to exit 0 with --base transformer or markov
 SMALL_RUNS = {
     "generate": ["--prompt", "1 2", "--max-new-tokens", "2"],
@@ -198,6 +220,18 @@ def test_base_both_is_offered_only_by_verify_equivalence(command, tmp_path, monk
         run([command, "--base", "both", *SMALL_RUNS[command]])
     assert exc.value.code == 2
     assert "invalid choice: 'both'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["train-drafter", "distill-data"])
+def test_drafter_weights_is_offered_only_by_decoding_commands(command, tmp_path, monkeypatch,
+                                                              capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([command, *MARKOV, "--drafter-weights", "/nonexistent/prefix",
+             *SMALL_RUNS[command]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --drafter-weights" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

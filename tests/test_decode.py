@@ -208,16 +208,15 @@ def test_proposal_must_be_rooted_at_the_guaranteed_token(markov):
 
 
 def test_proposer_rejects_a_drafter_that_does_not_fit_the_base(markov):
-    """The embedding table must be the drafter's (vocab, d_e), and the hidden
-    width the drafter expects must be the table's width."""
+    """The embedding table must be the drafter's (vocab, d_s); a head wider
+    than 2 * d_s, which would expect a wider hidden state, cannot be built."""
     rng = np.random.default_rng(4)
     for d_model, vocab in ((32, 8), (16, 16)):  # wrong vocab, wrong width
         with pytest.raises(ShapeError):
             RnnProposer(DrafterParams.random(rng, d_model, vocab), markov.token_embeddings)
     fits = DrafterParams.random(rng, 32, 16)
-    wide_head = DrafterParams(u=fits.u, w=fits.w, b=fits.b, out_proj=np.zeros((16, 80)))
-    with pytest.raises(ShapeError):  # d_e 32 fits the table, d_model 48 does not
-        RnnProposer(wide_head, markov.token_embeddings)
+    with pytest.raises(ShapeError):  # d_s 32 fits the table, a hidden width of 48 does not
+        DrafterParams(u=fits.u, w=fits.w, b=fits.b, out_proj=np.zeros((16, 80)))
     RnnProposer(fits, markov.token_embeddings)
 
 

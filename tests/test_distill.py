@@ -215,6 +215,16 @@ def test_ground_truth_teacher_is_corpus_continuation(base, corpus):
         assert np.array_equal(ex.h, out.hidden[-1])
 
 
+def test_corpus_needs_room_for_the_two_seed_tokens(tmp_path, capsys):
+    for seq_len in (0, 1):
+        with pytest.raises(ContractError, match="seq_len >= 2"):
+            sample_markov_corpus(seed=5, n_sequences=1, seq_len=seq_len, vocab_size=16)
+        assert cli.main(["distill-data", "--base", "markov", "--corpus-size", "1",
+                         "--corpus-len", str(seq_len), "--out", str(tmp_path / "d")]) == 2
+        assert "seq_len >= 2" in capsys.readouterr().err
+    assert [len(s) for s in sample_markov_corpus(seed=5, n_sequences=2, seq_len=2)] == [2, 2]
+
+
 def test_dataset_file_round_trip(base, corpus, tmp_path, monkeypatch):
     path = str(tmp_path / "distill.txt")
     for model in (base, WINDOW_BASES["transformer"]()):
@@ -237,13 +247,15 @@ def test_dataset_file_round_trip(base, corpus, tmp_path, monkeypatch):
     (tmp_path / "short.txt").write_text("1 3 5 1 2 3\n")
     with pytest.raises(FormatError):
         read_dataset(str(tmp_path / "short.txt"), base)
-    # a teacher token, then a context token, outside the vocab of 16, and a
+    # a teacher token, then a context token, outside the vocab of 16, a
     # negative and an empty teacher (the first reads as a 2-token context
-    # and no teacher); the error names the file and line
+    # and no teacher), and a field that is no integer; the error names the
+    # file and line
     for name, record, error in (("teacher.txt", "3 2 1 2 3 99 4", "token id outside vocab"),
                                 ("context.txt", "3 2 1 16 3 9 4", "token id outside vocab"),
                                 ("negative.txt", "3 -1 1 2", "teacher needs at least one"),
-                                ("empty.txt", "3 0 1 2 3", "teacher needs at least one")):
+                                ("empty.txt", "3 0 1 2 3", "teacher needs at least one"),
+                                ("field.txt", "2 1 1 x 3", "non-integer field")):
         path = tmp_path / name
         path.write_text("3 2 1 2 3 9 4\n" + record + "\n")
         with pytest.raises(FormatError, match=re.escape(f"{path}:2: {error}")):
@@ -307,14 +319,15 @@ def reference_train(dataset, init, cfg, embeddings):
                                              teacher_all[idx])
             epoch_loss += loss
             step_count += 1
-            bc1 = 1.0 - cfg.beta1 ** step_count
-            bc2 = 1.0 - cfg.beta2 ** step_count
+            bc1 = 1.0 - distill.ADAM_BETA1 ** step_count
+            bc2 = 1.0 - distill.ADAM_BETA2 ** step_count
             for slot, ((_, g), (_, p)) in enumerate(zip(grads.flat_arrays(),
                                                          params.flat_arrays(), strict=True)):
                 g = g * (1.0 / (len(idx) * cfg.horizon))
-                m[slot] = cfg.beta1 * m[slot] + (1.0 - cfg.beta1) * g
-                v[slot] = cfg.beta2 * v[slot] + (1.0 - cfg.beta2) * g * g
-                p -= cfg.learning_rate * (m[slot] / bc1) / (np.sqrt(v[slot] / bc2) + cfg.eps)
+                m[slot] = distill.ADAM_BETA1 * m[slot] + (1.0 - distill.ADAM_BETA1) * g
+                v[slot] = distill.ADAM_BETA2 * v[slot] + (1.0 - distill.ADAM_BETA2) * g * g
+                p -= (cfg.learning_rate * (m[slot] / bc1)
+                      / (np.sqrt(v[slot] / bc2) + distill.ADAM_EPS))
         curve.append(epoch_loss / (n * cfg.horizon))
     return params, curve
 

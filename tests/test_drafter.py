@@ -18,7 +18,7 @@ def make_embeddings(seed, vocab, d_model):
 
 def test_random_params_shapes_and_invariants():
     p = make_params()
-    assert p.d_s == p.d_e == 6
+    assert p.d_s == 6
     assert p.d_model == 6 and p.vocab_size == 9
     assert len(p.mlp) == 2
     names = [name for name, _ in p.flat_arrays()]
@@ -29,6 +29,15 @@ def test_head_width_must_exceed_state_width():
     p = make_params()
     with pytest.raises(ShapeError):
         DrafterParams(u=p.u, w=p.w, b=p.b, mlp=[], out_proj=np.zeros((9, 6)))
+
+
+def test_state_embedding_and_hidden_widths_are_one_width():
+    """The state starts as a token embedding, so w is square, and the head
+    reads ``[s | h]`` with h of the state's width: out_proj is 2 * d_s wide."""
+    p = make_params()
+    for w, out_proj in ((np.zeros((6, 8)), p.out_proj), (p.w, np.zeros((9, 14)))):
+        with pytest.raises(ShapeError):
+            DrafterParams(u=p.u, w=w, b=p.b, out_proj=out_proj)
 
 
 def test_init_state_uses_last_token_embedding():

@@ -111,6 +111,20 @@ def test_empty_packed_beam_yields_empty_output(tiny):
     assert out.logits.shape[0] == 0
 
 
+def test_empty_context_forward_yields_empty_output(tiny, markov):
+    """No tokens: the 2-D empty output of an empty tree, and an untouched cache."""
+    for base in (tiny, markov):
+        cache = base.new_cache()
+        base.forward_context([3, 1], cache)
+        before = cache.clone()
+        for fresh in (False, True):
+            out = base.forward_context([], base.new_cache() if fresh else cache)
+            for got, width in ((out.logits, SMALL.vocab_size), (out.hidden, base.config.d_model)):
+                assert got.shape == (0, width) and got.dtype == np.float32
+        assert cache.tokens == before.tokens
+        assert all(np.array_equal(a, b) for a, b in zip(cache.k + cache.v, before.k + before.v))
+
+
 def bits(x):
     return x.view(np.uint32)  # distinguishes -0.0 from +0.0, unlike ==
 

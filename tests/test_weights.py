@@ -1,5 +1,7 @@
 """Weight files: bit-exact round trips and corruption handling."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,28 @@ def test_edited_shape_rejected(tmp_path):
     (tmp_path / "shape.manifest").write_text(text.replace("tok_emb f32 12,8", "tok_emb f32 8,12"))
     with pytest.raises(FormatError, match="tok_emb"):
         weights.load_base_model(prefix)
+
+
+@pytest.mark.parametrize("kind, line, edited, field", [
+    ("base", r"l0_b1 f32 16 ", "l0_b1 f32 2x6 ", "tensor l0_b1 dim '2x6'"),
+    ("base", r"(tok_emb f32 12,8) \d+$", r"\1 0x10", "tensor tok_emb offset '0x10'"),
+    ("base", r"l0_b1 f32 16 0$", "l0_b1 f32 16 -8", "tensor l0_b1 offset '-8'"),
+    ("base", r"l0_b1 f32 16 ", "l0_b1 f32 -4,-4 ", "tensor l0_b1 dim '-4'"),
+    ("base", r"# d_ff 16$", "# d_ff 16.0", "d_ff '16.0'"),
+    ("drafter", r"# horizon 5$", "# horizon five", "horizon 'five'"),
+    ("drafter", r"# n_mlp 2$", "# n_mlp two", "n_mlp 'two'"),
+], ids=["dim", "offset", "negative-offset", "negative-dim", "config-key", "horizon", "n_mlp"])
+def test_malformed_manifest_number_names_the_field(kind, line, edited, field, tmp_path):
+    prefix = str(tmp_path / kind)
+    if kind == "base":
+        weights.save_base_model(TinyTransformer.random(CONFIG, seed=10), prefix)
+    else:
+        weights.save_drafter(DrafterParams.random(np.random.default_rng(11), 8, 12), 5, prefix)
+    manifest = tmp_path / f"{kind}.manifest"
+    text, n = re.subn("^" + line, edited, manifest.read_text(), flags=re.M)
+    assert n == 1
+    manifest.write_text(text)
+    load = weights.load_base_model if kind == "base" else weights.load_drafter
+    message = f"{manifest}: {field} is not a non-negative integer"
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load(prefix)
