@@ -34,11 +34,10 @@ class DraftTree:
     """A token tree rooted at a step's guaranteed token, verified in one
     tree-masked forward of the base model.
 
-    Node 0 is the root; the trees built here list each parent before its
-    children.  A node's depth is its offset from the root's absolute
-    position.  Row ``i`` of ``ancestors`` lists node i's path by depth, root
-    first and i itself at column ``depths[i]``; columns past its depth hold
-    the root.
+    Node 0 is the root, and each parent comes before its children.  A
+    node's depth is its offset from the root's absolute position.  Row ``i``
+    of ``ancestors`` lists node i's path by depth, root first and i itself
+    at column ``depths[i]``; columns past its depth hold the root.
     """
 
     tokens: np.ndarray     # (n,) int64, the root first
@@ -54,20 +53,22 @@ class DraftTree:
     @classmethod
     def from_parents(cls, tokens, parents):
         """The tree whose node i holds ``tokens[i]`` below ``parents[i]``;
-        depths, ancestors and mask follow from the parents."""
+        depths, ancestors and mask follow from the parents.  Node 0 is the
+        root, and every other node's parent precedes it."""
         tokens = np.asarray(tokens, dtype=np.int64)
         parents = np.asarray(parents, dtype=np.int64)
         n = parents.shape[0]
+        nodes = np.arange(n)
+        rest = parents[1:]
+        if (not n or parents[0] != ROOT_PARENT
+                or np.count_nonzero((rest < 0) | (rest >= nodes[1:]))):
+            raise ContractError("parents must be ROOT_PARENT for node 0 and an "
+                                "earlier node for every other node")
         up = np.maximum(parents, 0)  # the root stands in for its own parent
         # chain[k]: each node's ancestor k levels up, the root once the path ends
-        nodes = np.arange(n)
         chain = [nodes]
-        for _ in range(n):
-            if not np.count_nonzero(chain[-1]):
-                break
+        while np.count_nonzero(chain[-1]):
             chain.append(up[chain[-1]])
-        else:
-            raise ContractError("parents do not form a tree rooted at node 0")
         chain = np.array(chain)
         depths = (chain > 0).sum(axis=0)
         # by depth: column d is chain row depth - d, and past the node's
@@ -148,7 +149,7 @@ def beam_search(params, embeddings, h, last_token, beam_width, beam_length, toke
     if token_term is None:
         token_term = emb @ params.w.T + params.b
     d_s = params.d_s
-    x = np.empty((beam_width, d_s + params.d_model))
+    x = np.empty((beam_width, 2 * d_s))
     x[:, d_s:] = state0.h
     x[0, :d_s] = state0.s
     tokens = np.empty((beam_length, beam_width), dtype=np.int64)

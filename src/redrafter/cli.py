@@ -14,7 +14,7 @@ import numpy as np
 
 from . import decode, distill, weights
 from .drafter import DrafterParams
-from .errors import ConfigError, RedrafterError
+from .errors import ConfigError, ContractError, RedrafterError
 from .model import ModelConfig, SyntheticMarkovModel, TinyTransformer
 
 CSV_COLUMNS = ["beam_width", "beam_length", "repeat", "tokens", "steps",
@@ -30,6 +30,8 @@ TRANSFORMER_CONFIG = ModelConfig(vocab_size=256, d_model=64, n_layers=2, n_heads
 
 def build_base(args):
     if args.base == "markov":
+        if args.base_weights:
+            raise ConfigError("--base-weights loads transformer weights; --base markov has none")
         return SyntheticMarkovModel(order=args.markov_order, vocab_size=args.markov_vocab,
                                     seed=args.seed)
     if args.base_weights:
@@ -189,6 +191,8 @@ def cmd_verify_equivalence(args):
     first_failure = None
     for base_name in ["transformer", "markov"] if args.base == "both" else [args.base]:
         ns = argparse.Namespace(**{**vars(args), "base": base_name})
+        if args.base == "both" and base_name == "markov":
+            ns.base_weights = None  # --base-weights is the transformer's
         base = build_base(ns)
         rows = sweep(base, build_drafter(ns, base),
                      random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
@@ -213,9 +217,11 @@ def _build_training_dataset(args, base):
     corpus = distill.sample_markov_corpus(seed=args.seed + 7, n_sequences=args.corpus_size,
                                           seq_len=args.corpus_len,
                                           vocab_size=base.config.vocab_size)
-    if args.ground_truth:
-        return distill.ground_truth_dataset(base, corpus, args.horizon)
-    return distill.build_distill_dataset(base, corpus, args.horizon)
+    build = distill.ground_truth_dataset if args.ground_truth else distill.build_distill_dataset
+    dataset = build(base, corpus, args.horizon)
+    if not dataset:
+        raise ContractError("the corpus yields no training example")
+    return dataset
 
 
 def cmd_train_drafter(args):

@@ -103,28 +103,28 @@ class RnnProposer:
 
 
 class MirrorProposer:
-    """Diagnostic proposer that replays the base model's own greedy rollout.
+    """Diagnostic proposer that replays the base model's own greedy stream.
 
-    Upper bound for acceptance: every proposed token matches the verifier, so
-    each step accepts the full beam length.  Width-1 only.
+    ``stream`` is ``autoregressive_generate``'s output for the request, with
+    no stop token.  Every draft then matches the verifier, so each step
+    accepts all it drafts, and the next step's guaranteed token is the
+    stream's token after them: the upper bound for acceptance.  One proposer
+    serves one decode.  Width-1 only.
     """
 
-    def __init__(self, base, cache):
-        self.base = base
-        self.cache = cache  # the live decode cache; cloned per proposal
+    def __init__(self, stream):
+        self.stream = list(stream)
+        self.at = 0  # stream index of the next step's guaranteed token
 
     def propose(self, h, last_token, beam_width, beam_length):
         if beam_width != 1:
             raise ConfigError("MirrorProposer supports beam_width=1 only")
-        # the live cache ends just before the guaranteed token
-        scratch = self.cache.clone()
-        out = self.base.forward_context([last_token], scratch)
-        tokens = []
-        for _ in range(beam_length):
-            tokens.append(argmax_tie_low(out.logits[-1]))
-            if len(tokens) < beam_length:
-                out = self.base.forward_context([tokens[-1]], scratch)
-        return beam_mod.chain_tree(last_token, tokens)
+        if self.stream[self.at:self.at + 1] != [last_token]:
+            raise ContractError(f"guaranteed token {last_token} is not token {self.at} "
+                                f"of the mirrored stream")
+        drafts = self.stream[self.at + 1:self.at + 1 + beam_length]
+        self.at += len(drafts) + 1
+        return beam_mod.chain_tree(last_token, drafts)
 
 
 def verify_greedy(base_output, tree):
@@ -172,24 +172,25 @@ def _warn_near_ties(rows, top):
                     "argmax agreement between code paths may be fragile", gap)
 
 
-def autoregressive_generate(base, prompt, cfg):
-    """Greedy baseline: repeatedly append the argmax next token."""
+def _prefill(base, prompt, cfg):
+    """Check a request, then forward its prompt on a new cache: returns the
+    cache and the prompt's output."""
     prompt = list(prompt)
     if not prompt:
         raise ContractError("prompt must be non-empty")
     if len(prompt) + cfg.max_new_tokens > base.config.max_seq_len:
         raise CapacityError("prompt + max_new_tokens exceeds max_seq_len")
     cache = base.new_cache()
-    out = base.forward_context(prompt, cache)
-    emitted = []
-    while len(emitted) < cfg.max_new_tokens:
-        token = argmax_tie_low(out.logits[-1])
-        emitted.append(token)
-        if cfg.stop_token is not None and token == cfg.stop_token:
-            break
-        if len(emitted) == cfg.max_new_tokens:
-            break
-        out = base.forward_context([token], cache)
+    return cache, base.forward_context(prompt, cache)
+
+
+def autoregressive_generate(base, prompt, cfg):
+    """Greedy baseline: repeatedly append the argmax next token."""
+    cache, out = _prefill(base, prompt, cfg)
+    emitted = [argmax_tie_low(out.logits[-1])]
+    while len(emitted) < cfg.max_new_tokens and emitted[-1] != cfg.stop_token:
+        out = base.forward_context(emitted[-1:], cache)
+        emitted.append(argmax_tie_low(out.logits[-1]))
     return emitted
 
 
@@ -202,29 +203,20 @@ def speculative_generate(base, proposer, prompt, cfg):
     proposer with a plain candidate list can return the tree
     ``beam.pack_beam`` builds from it.
     """
-    prompt = list(prompt)
-    if not prompt:
-        raise ContractError("prompt must be non-empty")
-    if len(prompt) + cfg.max_new_tokens > base.config.max_seq_len:
-        raise CapacityError("prompt + max_new_tokens exceeds max_seq_len")
-
-    cache = base.new_cache()
-    out = base.forward_context(prompt, cache)
+    cache, out = _prefill(base, prompt, cfg)
     h = out.hidden[-1]
     guaranteed = argmax_tie_low(out.logits[-1])
 
     emitted = []
     reports = []
-    generated = 0  # tokens committed after the prompt
-    while generated < cfg.max_new_tokens:
+    while len(emitted) < cfg.max_new_tokens:
         # draft no deeper than the tokens still wanted after the root; with
         # prompt + max_new_tokens <= max_seq_len the deepest node then also
         # fits the context window
-        length = min(cfg.beam_length, cfg.max_new_tokens - generated - 1)
+        length = min(cfg.beam_length, cfg.max_new_tokens - len(emitted) - 1)
         if length == 0:
             # the one token still wanted is the guaranteed one: a forward of
             # the root alone would only yield the token after it
-            generated += 1
             reports.append(StepReport(accepted_draft_tokens=0, packed_size=1,
                                       compression_ratio=1.0, llm_calls=0))
             step_tokens = [guaranteed]
@@ -237,7 +229,6 @@ def speculative_generate(base, proposer, prompt, cfg):
             acc = result.accepted_len
             path = result.path
             base.commit_accepted(cache, tree, spec_state, path)
-            generated += acc + 1
             h = base_out.hidden[path[-1]]
             guaranteed = result.next_guaranteed_token
             reports.append(StepReport(accepted_draft_tokens=acc, packed_size=tree.n,

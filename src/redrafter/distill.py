@@ -246,7 +246,7 @@ def train_drafter(dataset, params_init, cfg, embeddings):
     if horizons != {cfg.horizon}:
         raise ContractError(f"dataset horizons {sorted(horizons)} != cfg.horizon {cfg.horizon}")
 
-    flat, params = params_init.flat_copy()
+    params = params_init.flat_copy()
     emb = np.asarray(embeddings, dtype=np.float64)
     h_all = np.stack([ex.h for ex in dataset]).astype(np.float64)
     s0_all = emb[[int(ex.context[-1]) for ex in dataset]]
@@ -254,8 +254,8 @@ def train_drafter(dataset, params_init, cfg, embeddings):
 
     # Adam runs over the one flat buffer the parameters view, and the
     # gradients' own; each element sees the per-tensor expressions
-    m = np.zeros_like(flat)
-    v = np.zeros_like(flat)
+    m = np.zeros_like(params.flat)
+    v = np.zeros_like(params.flat)
     step_count = 0
     rng = np.random.default_rng(cfg.seed)
     n = len(dataset)
@@ -278,7 +278,7 @@ def train_drafter(dataset, params_init, cfg, embeddings):
             bc2 = 1.0 - ADAM_BETA2 ** step_count
             m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
             v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-            flat -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            params.flat -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         curve.append(epoch_loss / (n * cfg.horizon))
     return params, curve
 

@@ -28,46 +28,23 @@ def _silu_in_place(a):
     return a
 
 
-def dsilu(x):
-    return _dsilu(x, 1.0 + np.exp(-x))
-
-
 def _dsilu(x, den):
-    """``dsilu(x)`` from silu's denominator ``1 + exp(-x)``, whose reciprocal
-    is the sigmoid: the same operations, without taking the exp again."""
+    """silu's derivative at ``x`` from silu's denominator ``1 + exp(-x)``,
+    whose reciprocal is the sigmoid, without taking the exp again."""
     sig = 1.0 / den
     return sig * (1.0 + x * (1.0 - sig))
 
 
-def _flat_arrays(p):
-    """(name, tensor) pairs of a parameter or gradient set, in a fixed order."""
-    out = [("u", p.u), ("w", p.w), ("b", p.b)]
-    for i, (wm, bm) in enumerate(p.mlp):
-        out.append((f"mlp{i}_w", wm))
-        out.append((f"mlp{i}_b", bm))
-    out.append(("out_proj", p.out_proj))
-    return out
-
-
-def _views(flat, like):
-    """Tensors shaped like those of parameter set ``like``, as views of the
-    1-D ``flat`` laid out in ``flat_arrays`` order, keyed by field."""
-    views, at = [], 0
-    for _, arr in like.flat_arrays():
-        views.append(flat[at:at + arr.size].reshape(arr.shape))
-        at += arr.size
-    u, w, b, *mlp, out_proj = views
-    return dict(u=u, w=w, b=b, mlp=list(zip(mlp[0::2], mlp[1::2])), out_proj=out_proj)
-
-
 @dataclass
 class DrafterParams:
-    """Trainable parameters.
+    """Trainable parameters, or their gradients (``zeros_like``).
 
     u, w, b drive the recurrence ``s' = silu(u @ s + w @ e + b)``; the head
     applies ``x <- x + silu(Wm @ x + bm)`` residual layers to the concatenated
     ``[s, h]`` vector followed by a projection to vocab logits.  s starts as a
     token embedding, so s, the embeddings and h are all ``d_s`` wide.
+    ``flat`` is the 1-D buffer that every tensor views, in ``flat_arrays``
+    order, for a set that ``flat_copy`` or ``zeros_like`` made; else None.
     """
 
     u: np.ndarray                 # (d_s, d_s)
@@ -75,6 +52,7 @@ class DrafterParams:
     b: np.ndarray                 # (d_s,)
     mlp: list = field(default_factory=list)   # [(Wm (2 d_s, 2 d_s), bm (2 d_s,)), ...]
     out_proj: np.ndarray = None   # (vocab, 2 d_s)
+    flat: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         d_s = self.u.shape[0]
@@ -94,34 +72,45 @@ class DrafterParams:
         return self.u.shape[0]
 
     @property
-    def d_model(self):
-        return self.d_s
-
-    @property
     def vocab_size(self):
         return self.out_proj.shape[0]
 
     @classmethod
-    def random(cls, rng, d_model, vocab_size):
-        """Seeded random initialization with d_s = d_model and 2 head layers."""
-        d_g = 2 * d_model
+    def random(cls, rng, d_s, vocab_size):
+        """Seeded random initialization of width ``d_s`` with 2 head layers."""
+        d_g = 2 * d_s
         return cls(
-            u=rng.normal(0.0, 0.1, (d_model, d_model)),
-            w=rng.normal(0.0, 0.1, (d_model, d_model)),
-            b=np.zeros(d_model),
+            u=rng.normal(0.0, 0.1, (d_s, d_s)),
+            w=rng.normal(0.0, 0.1, (d_s, d_s)),
+            b=np.zeros(d_s),
             mlp=[(rng.normal(0.0, 0.1, (d_g, d_g)), np.zeros(d_g)) for _ in range(2)],
             out_proj=rng.normal(0.0, 0.1, (vocab_size, d_g)),
         )
 
     def flat_arrays(self):
-        """Parameter tensors in a fixed order (for optimizers and serialization)."""
-        return _flat_arrays(self)
+        """(name, tensor) pairs in a fixed order (for optimizers and serialization)."""
+        out = [("u", self.u), ("w", self.w), ("b", self.b)]
+        for i, (wm, bm) in enumerate(self.mlp):
+            out += [(f"mlp{i}_w", wm), (f"mlp{i}_b", bm)]
+        return out + [("out_proj", self.out_proj)]
 
     def flat_copy(self):
-        """A copy on one flat buffer: returns the buffer and parameters whose
-        tensors are views of it, in ``flat_arrays`` order."""
-        flat = np.concatenate([arr.ravel() for _, arr in self.flat_arrays()])
-        return flat, DrafterParams(**_views(flat, self))
+        """A copy whose tensors view one new ``flat`` buffer."""
+        return self._over(np.concatenate([arr.ravel() for _, arr in self.flat_arrays()]))
+
+    def zeros_like(self):
+        """Zeros of these shapes, viewing one new ``flat`` buffer (gradients)."""
+        return self._over(np.zeros(sum(arr.size for _, arr in self.flat_arrays())))
+
+    def _over(self, flat):
+        """Tensors shaped like these, as views of ``flat`` in ``flat_arrays`` order."""
+        views, at = [], 0
+        for _, arr in self.flat_arrays():
+            views.append(flat[at:at + arr.size].reshape(arr.shape))
+            at += arr.size
+        u, w, b, *mlp, out_proj = views
+        return DrafterParams(u=u, w=w, b=b, mlp=list(zip(mlp[0::2], mlp[1::2])),
+                             out_proj=out_proj, flat=flat)
 
 
 @dataclass
@@ -129,7 +118,7 @@ class DrafterState:
     """Recurrent state plus the frozen base-model hidden vector for this step."""
 
     s: np.ndarray  # (d_s,)
-    h: np.ndarray  # (d_model,)
+    h: np.ndarray  # (d_s,)
 
 
 def _check_tokens(tokens, vocab_size):
@@ -155,9 +144,9 @@ def step(state, token, params, embeddings):
 
 
 def head_logp(state, params):
-    if state.s.shape[0] != params.d_s or state.h.shape[0] != params.d_model:
+    if state.s.shape[0] != params.d_s or state.h.shape[0] != params.d_s:
         raise ShapeError(f"state dims ({state.s.shape[0]},{state.h.shape[0]}) do not match "
-                         f"params ({params.d_s},{params.d_model})")
+                         f"the drafter width {params.d_s}")
     return head_logp_batch(np.concatenate([state.s, state.h])[None, :], params)[0]
 
 
@@ -196,27 +185,6 @@ def head_logp_batch(x, params):
 # teacher-forced loss and analytic gradients (reverse accumulation)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DrafterGrads:
-    """Gradients of a parameter set; every tensor is a view of ``flat``."""
-
-    u: np.ndarray
-    w: np.ndarray
-    b: np.ndarray
-    mlp: list
-    out_proj: np.ndarray
-    flat: np.ndarray  # all gradients, in ``flat_arrays`` order
-
-    @classmethod
-    def zeros_like(cls, params):
-        flat = np.zeros(sum(arr.size for _, arr in params.flat_arrays()))
-        return cls(flat=flat, **_views(flat, params))
-
-    def flat_arrays(self):
-        """Gradient tensors in the order of ``DrafterParams.flat_arrays``."""
-        return _flat_arrays(self)
-
-
 def batch_loss(params, embeddings, h, s0, teacher, with_grads=True):
     """Summed teacher-forced loss over a batch, optionally with gradients.
 
@@ -225,7 +193,8 @@ def batch_loss(params, embeddings, h, s0, teacher, with_grads=True):
     teacher-forced steps) is scored against teacher token k; that token then
     drives the next recurrence step.  Loss is the plain sum over batch and
     positions; callers divide for mean reductions.  The embedding table is
-    frozen, so no gradient flows into ``s0``.
+    frozen, so no gradient flows into ``s0``.  The gradients are a
+    ``DrafterParams`` whose ``flat`` buffer holds them all.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
@@ -244,7 +213,7 @@ def batch_loss(params, embeddings, h, s0, teacher, with_grads=True):
     head_soft = []                                  # per position: softmax over logits
     loss = 0.0
     for k in range(horizon):
-        x = np.concatenate([states[-1], np.broadcast_to(h, (bsz, params.d_model))], axis=1)
+        x = np.concatenate([states[-1], np.broadcast_to(h, (bsz, d_s))], axis=1)
         xs, acts = [x], []
         for wm, bm in params.mlp:
             a = x @ wm.T + bm
@@ -269,7 +238,7 @@ def batch_loss(params, embeddings, h, s0, teacher, with_grads=True):
     if not with_grads:
         return float(loss), None
 
-    grads = DrafterGrads.zeros_like(params)
+    grads = params.zeros_like()
     ds = np.zeros((bsz, d_s))
     for k in range(horizon - 1, -1, -1):
         xs, acts = head_x[k]

@@ -183,8 +183,6 @@ try:
 
 except ImportError:  # pragma: no cover - exercised only without numba installed
     HAVE_NUMBA = False
-    _matmul_numba = None
-    _attend_numba = None
 
 
 _LANES = {"numpy": (_matmul_numpy, _attend_numpy)}

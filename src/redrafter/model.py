@@ -53,10 +53,6 @@ class KvCache:
     def committed_len(self):
         return len(self.tokens)
 
-    def clone(self):
-        return KvCache(k=[a.copy() for a in self.k], v=[a.copy() for a in self.v],
-                       tokens=list(self.tokens))
-
 
 class BaseModel(ABC):
     """Next-token logits + last-layer hidden state, with explicit cache commits.

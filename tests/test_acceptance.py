@@ -17,7 +17,6 @@ from redrafter.model import ModelConfig, SyntheticMarkovModel, TinyTransformer
 
 from test_beam import trie_dedup
 from test_decode import SMALL as SMALL_TRANSFORMER_CONFIG
-from test_decode import mirror_generate
 
 BENCH_TRANSFORMER = ModelConfig(vocab_size=256, d_model=64, n_layers=2, n_heads=4,
                                 d_ff=256, max_seq_len=256)
@@ -260,9 +259,11 @@ def test_criterion_8_mirror_drafter_reaches_upper_bound():
     length = 5
     cfg = DecodeConfig(beam_width=1, beam_length=length,
                        max_new_tokens=3 * (length + 1))
-    tokens, reports = mirror_generate(base, [1, 2, 3], cfg)
+    greedy = decode.autoregressive_generate(base, [1, 2, 3], cfg)
+    tokens, reports = decode.speculative_generate(base, decode.MirrorProposer(greedy),
+                                                  [1, 2, 3], cfg)
     tps = len(tokens) / len(reports)
-    exact = tokens == decode.autoregressive_generate(base, [1, 2, 3], cfg)
+    exact = tokens == greedy
     report(8, tps == length + 1 and exact,
            f"mirror drafter tokens/step {tps} == beam_length + 1 = {length + 1}, "
            f"output equals greedy: {exact}")

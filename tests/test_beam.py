@@ -163,7 +163,7 @@ def make_drafter(seed=0, d_model=6, vocab=8):
 
 def test_beam_search_scores_sorted_and_consistent():
     params, emb = make_drafter()
-    h = np.random.default_rng(2).normal(size=params.d_model)
+    h = np.random.default_rng(2).normal(size=params.d_s)
     lattice = beam_search(params, emb, h, 1, beam_width=4, beam_length=3)
     assert lattice.tokens.shape == lattice.parents.shape == lattice.logp.shape == (3, 4)
     assert np.all(np.diff(lattice.logp, axis=1) <= 1e-12)
@@ -181,7 +181,7 @@ def test_beam_search_scores_sorted_and_consistent():
 
 def test_beam_search_width_one_is_greedy_chain():
     params, emb = make_drafter(4)
-    h = np.random.default_rng(5).normal(size=params.d_model)
+    h = np.random.default_rng(5).normal(size=params.d_s)
     lattice = beam_search(params, emb, h, 2, beam_width=1, beam_length=4)
     assert not lattice.parents.any()
     state = drafter.init_state(h, 2, emb)
@@ -266,7 +266,7 @@ def test_beam_search_matches_single_state_reference():
         params, emb = make_drafter(10 + seed)
         rng = np.random.default_rng(20 + seed)
         params.b = rng.normal(0.0, 0.1, params.d_s)  # random init leaves it zero
-        h = rng.normal(size=params.d_model)
+        h = rng.normal(size=params.d_s)
         for width in range(1, 9):
             for length in range(1, 6):
                 lattice = beam_search(params, emb, h, seed, width, length)
@@ -329,7 +329,7 @@ def argsort_beam_search(params, emb, h, last_token, width, length):
     s, cum_logp = state0.s[None, :], np.zeros(1)
     held = []
     for _ in range(length):
-        x = np.concatenate([s, np.broadcast_to(state0.h, (s.shape[0], params.d_model))], axis=1)
+        x = np.concatenate([s, np.broadcast_to(state0.h, (s.shape[0], params.d_s))], axis=1)
         scores = (cum_logp[:, None] + drafter.head_logp_batch(x, params)).ravel()
         keep = np.argsort(-scores, kind="stable")[:width]
         parent, tok = np.divmod(keep, params.vocab_size)
@@ -347,7 +347,7 @@ def test_top_width_selection_equals_a_stable_argsort():
         params.out_proj[3] = params.out_proj[1]
         params.out_proj[5] = params.out_proj[1]
         params.out_proj[4] = params.out_proj[0]
-        h = np.random.default_rng(40 + seed).normal(size=params.d_model)
+        h = np.random.default_rng(40 + seed).normal(size=params.d_s)
         for width in (1, 2, 3, 5, 6):
             for length in (1, 3):
                 lattice = beam_search(params, emb, h, seed, width, length)
@@ -360,8 +360,10 @@ def test_top_width_selection_equals_a_stable_argsort():
 
 
 def test_tree_constructor_rejects_cycles_and_builds_chains():
-    with pytest.raises(ContractError):
-        DraftTree.from_parents([1, 2, 3], [ROOT_PARENT, 2, 1])
+    # a cycle, a second root, and a parent that follows its child
+    for parents in ([ROOT_PARENT, 2, 1], [ROOT_PARENT, ROOT_PARENT, 0], [ROOT_PARENT, 2, 0]):
+        with pytest.raises(ContractError):
+            DraftTree.from_parents([1, 2, 3], parents)
     chain = chain_tree(4, [5, 6])
     assert chain.parents.tolist() == [ROOT_PARENT, 0, 1]
     assert chain.ancestors.tolist() == [[0, 0, 0], [0, 1, 0], [0, 1, 2]]
@@ -372,7 +374,7 @@ def test_tree_constructor_rejects_cycles_and_builds_chains():
 
 def test_beam_search_is_deterministic():
     params, emb = make_drafter(6)
-    h = np.random.default_rng(7).normal(size=params.d_model)
+    h = np.random.default_rng(7).normal(size=params.d_s)
     a = beam_search(params, emb, h, 0, 4, 5)
     b = beam_search(params, emb, h, 0, 4, 5)
     for name in ("tokens", "parents", "logp"):
@@ -381,7 +383,7 @@ def test_beam_search_is_deterministic():
 
 def test_beam_search_config_validation():
     params, emb = make_drafter()
-    h = np.zeros(params.d_model)
+    h = np.zeros(params.d_s)
     with pytest.raises(ConfigError):
         beam_search(params, emb, h, 0, beam_width=params.vocab_size + 1, beam_length=2)
     with pytest.raises(ConfigError):

@@ -235,6 +235,49 @@ def test_drafter_weights_is_offered_only_by_decoding_commands(command, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["verify-equivalence", *SMALL_RUNS])
+def test_base_weights_with_the_markov_base_is_a_usage_error(command, tmp_path, monkeypatch,
+                                                              capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run([command, *MARKOV, "--base-weights", "/nonexistent/prefix",
+                *SMALL_RUNS.get(command, [])]) == 2
+    assert "error: --base-weights" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_equivalence_of_both_bases_loads_the_transformer_from_base_weights(tmp_path,
+                                                                                capsys):
+    argv = ["verify-equivalence", "--base", "both", "--n-prompts", "1", "--prompt-len", "2",
+            "--widths", "1", "--lengths", "1", "--max-new-tokens", "2", "--base-weights"]
+    assert run([*argv, str(tmp_path / "absent")]) == 2
+    assert f"error: {tmp_path / 'absent'}.manifest" in capsys.readouterr().err
+    assert run(["init-base", "--out", str(tmp_path / "base")]) == 0
+    assert run([*argv, str(tmp_path / "base")]) == 0
+    assert "equivalence: 2/2 passed" in capsys.readouterr().out
+
+
+def test_generate_on_saved_base_weights_matches_the_seeded_base(tmp_path, capsys):
+    prefix = str(tmp_path / "base")
+    assert run(["init-base", "--seed", "3", "--out", prefix]) == 0
+    capsys.readouterr()
+    argv = ["generate", "--seed", "3", "--prompt", "1 2 3", "--max-new-tokens", "8"]
+    assert run(argv) == 0
+    seeded = capsys.readouterr().out
+    assert run([*argv, "--base-weights", prefix]) == 0
+    assert capsys.readouterr().out == seeded and len(seeded.split()) == 8
+
+
+@pytest.mark.parametrize("ground_truth", [[], ["--ground-truth"]],
+                         ids=["rollouts", "ground-truth"])
+def test_distill_data_without_examples_is_an_error_and_writes_nothing(ground_truth, tmp_path,
+                                                                      capsys):
+    out = tmp_path / "e.txt"
+    assert run(["distill-data", *MARKOV, *ground_truth, "--corpus-size", "0",
+                "--out", str(out)]) == 2
+    assert "error: the corpus yields no training example" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_and_reuse_drafter(tmp_path, capsys):
     prefix = str(tmp_path / "drafter")
     loss_csv = tmp_path / "loss.csv"

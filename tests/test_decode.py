@@ -1,6 +1,8 @@
 """Decode loop: exact equivalence with greedy decoding, verification rules,
 step accounting, stop tokens, and the mirror proposer bound."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -33,30 +35,10 @@ def make_proposer(base, seed=2):
 
 
 def mirror_generate(base, prompt, cfg):
-    """speculative_generate with a MirrorProposer on the decode's own cache.
-
-    The proposer needs the live cache, which speculative_generate builds, so
-    it is bound when the decode creates it.
-    """
-    class LazyMirror:
-        inner = None
-
-        def propose(self, h, last_token, width, length):
-            return self.inner.propose(h, last_token, width, length)
-
-    proposer = LazyMirror()
-    new_cache = base.new_cache
-
-    def hooked_new_cache():
-        cache = new_cache()
-        proposer.inner = MirrorProposer(base, cache)
-        return cache
-
-    base.new_cache = hooked_new_cache
-    try:
-        return speculative_generate(base, proposer, prompt, cfg)
-    finally:
-        del base.new_cache
+    """speculative_generate with a MirrorProposer over the request's greedy
+    stream, decoded with no stop token."""
+    stream = autoregressive_generate(base, prompt, dataclasses.replace(cfg, stop_token=None))
+    return speculative_generate(base, MirrorProposer(stream), prompt, cfg)
 
 
 @pytest.mark.parametrize("width,length", [(1, 1), (2, 3), (4, 5)])
@@ -288,6 +270,8 @@ def test_capacity_overflow_rejected(tiny):
                        max_new_tokens=SMALL.max_seq_len)
     with pytest.raises(CapacityError):
         speculative_generate(tiny, make_proposer(tiny), [0, 1], cfg)
+    with pytest.raises(CapacityError):
+        autoregressive_generate(tiny, [0, 1], cfg)
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8])
@@ -464,21 +448,19 @@ def test_mirror_proposer_accepts_full_beam_every_step(tiny, markov):
 
 
 def test_mirror_proposer_rolls_out_after_the_guaranteed_token(markov):
-    prompt = [1, 2]
-    cache = markov.new_cache()
-    out = markov.forward_context(prompt, cache)
-    guaranteed = int(np.argmax(out.logits[-1]))
-    proposer = MirrorProposer(markov, cache)
-    proposal = proposer.propose(out.hidden[-1], guaranteed, 1, 3)
-    cfg = DecodeConfig(beam_width=1, beam_length=1, max_new_tokens=4)
-    assert proposal.tokens.tolist() == autoregressive_generate(markov, prompt, cfg)
+    stream = autoregressive_generate(markov, [1, 2], DecodeConfig(beam_width=1, beam_length=1,
+                                                                  max_new_tokens=8))
+    proposer = MirrorProposer(stream)
+    h = np.zeros(markov.config.d_model)
+    proposal = proposer.propose(h, stream[0], 1, 3)
+    assert proposal.tokens.tolist() == stream[:4]
     assert proposal.parents.tolist() == [beam_mod.ROOT_PARENT, 0, 1, 2]  # one chain
-    assert (cache.committed_len, cache.tokens) == (2, prompt)  # the live cache is untouched
+    # the next step starts after the accepted drafts; its drafts end with the stream
+    assert proposer.propose(h, stream[4], 1, 5).tokens.tolist() == stream[4:]
+    with pytest.raises(ContractError):  # a guaranteed token the stream does not hold
+        proposer.propose(h, stream[0], 1, 1)
 
 
 def test_mirror_proposer_requires_width_one(markov):
-    cache = markov.new_cache()
-    markov.forward_context([1, 2], cache)
-    proposer = MirrorProposer(markov, cache)
     with pytest.raises(ConfigError):
-        proposer.propose(np.zeros(markov.config.d_model), 1, 2, 3)
+        MirrorProposer([1, 2, 3]).propose(np.zeros(markov.config.d_model), 1, 2, 3)

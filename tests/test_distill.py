@@ -13,7 +13,7 @@ from redrafter.distill import (DistillExample, TrainConfig, build_distill_datase
                                empirical_kl, ground_truth_dataset, read_dataset,
                                sample_markov_corpus, train_drafter, write_dataset)
 from redrafter.drafter import DrafterParams
-from redrafter.errors import CapacityError, ContractError, FormatError
+from redrafter.errors import CapacityError, ContractError, FormatError, TrainingError
 from redrafter.kernels import argmax_tie_low
 from redrafter.model import ModelConfig, SyntheticMarkovModel, TinyTransformer
 
@@ -45,7 +45,7 @@ def window_base(request):
 
 def per_position_dataset(base, corpus, horizon):
     """Reference build: one 1-row causal forward per corpus token, and a
-    cache clone per position that the rollout extends one token at a time.
+    cache copy per position that the rollout extends one token at a time.
     Returns the examples and the skip count."""
     examples = []
     skipped = 0
@@ -61,7 +61,7 @@ def per_position_dataset(base, corpus, horizon):
                 skipped += 1
                 continue
             guaranteed = argmax_tie_low(out.logits[-1])
-            scratch = cache.clone()
+            scratch = copy.deepcopy(cache)
             token = guaranteed
             teacher = []
             for _ in range(horizon):
@@ -255,7 +255,8 @@ def test_dataset_file_round_trip(base, corpus, tmp_path, monkeypatch):
                                 ("context.txt", "3 2 1 16 3 9 4", "token id outside vocab"),
                                 ("negative.txt", "3 -1 1 2", "teacher needs at least one"),
                                 ("empty.txt", "3 0 1 2 3", "teacher needs at least one"),
-                                ("field.txt", "2 1 1 x 3", "non-integer field")):
+                                ("field.txt", "2 1 1 x 3", "non-integer field"),
+                                ("counts.txt", "3 2 1 2 3 9", "malformed dataset record")):
         path = tmp_path / name
         path.write_text("3 2 1 2 3 9 4\n" + record + "\n")
         with pytest.raises(FormatError, match=re.escape(f"{path}:2: {error}")):
@@ -375,6 +376,10 @@ def test_training_rejects_bad_input(base, corpus):
     wrong = TrainConfig(horizon=5, learning_rate=1e-3, epochs=1, batch_size=8, seed=0)
     with pytest.raises(ContractError):
         train_drafter(dataset, init, wrong, base.token_embeddings)
+    diverging = copy.deepcopy(init)
+    diverging.out_proj[0, 0] = np.inf
+    with pytest.raises(TrainingError, match="loss diverged"), np.errstate(invalid="ignore"):
+        train_drafter(dataset, diverging, cfg, base.token_embeddings)
 
 
 def test_kl_is_nonnegative_and_per_step(base):

@@ -18,8 +18,7 @@ def make_embeddings(seed, vocab, d_model):
 
 def test_random_params_shapes_and_invariants():
     p = make_params()
-    assert p.d_s == 6
-    assert p.d_model == 6 and p.vocab_size == 9
+    assert p.d_s == 6 and p.vocab_size == 9
     assert len(p.mlp) == 2
     names = [name for name, _ in p.flat_arrays()]
     assert names == ["u", "w", "b", "mlp0_w", "mlp0_b", "mlp1_w", "mlp1_b", "out_proj"]
@@ -33,17 +32,20 @@ def test_head_width_must_exceed_state_width():
 
 def test_state_embedding_and_hidden_widths_are_one_width():
     """The state starts as a token embedding, so w is square, and the head
-    reads ``[s | h]`` with h of the state's width: out_proj is 2 * d_s wide."""
+    reads ``[s | h]`` with h of the state's width: out_proj is 2 * d_s wide,
+    and so is every head layer."""
     p = make_params()
-    for w, out_proj in ((np.zeros((6, 8)), p.out_proj), (p.w, np.zeros((9, 14)))):
+    narrow_layer = [(np.zeros((12, 12)), np.zeros(10))]
+    for w, mlp, out_proj in ((np.zeros((6, 8)), [], p.out_proj), (p.w, [], np.zeros((9, 14))),
+                             (p.w, narrow_layer, p.out_proj)):
         with pytest.raises(ShapeError):
-            DrafterParams(u=p.u, w=w, b=p.b, out_proj=out_proj)
+            DrafterParams(u=p.u, w=w, b=p.b, mlp=mlp, out_proj=out_proj)
 
 
 def test_init_state_uses_last_token_embedding():
     p = make_params()
-    emb = make_embeddings(1, p.vocab_size, p.d_model)
-    h = np.zeros(p.d_model)
+    emb = make_embeddings(1, p.vocab_size, p.d_s)
+    h = np.zeros(p.d_s)
     state = drafter.init_state(h, 3, emb)
     assert np.array_equal(state.s, emb[3])
     with pytest.raises(VocabError):
@@ -54,8 +56,8 @@ def test_init_state_uses_last_token_embedding():
 
 def test_step_applies_silu_recurrence():
     p = make_params()
-    emb = make_embeddings(2, p.vocab_size, p.d_model)
-    h = np.random.default_rng(3).normal(size=p.d_model)
+    emb = make_embeddings(2, p.vocab_size, p.d_s)
+    h = np.random.default_rng(3).normal(size=p.d_s)
     state = drafter.init_state(h, 0, emb)
     nxt = drafter.step(state, 4, p, emb)
     pre = p.u @ state.s + p.w @ emb[4] + p.b
@@ -65,8 +67,8 @@ def test_step_applies_silu_recurrence():
 
 def test_head_logp_is_normalized_log_distribution():
     p = make_params()
-    emb = make_embeddings(4, p.vocab_size, p.d_model)
-    state = drafter.init_state(np.ones(p.d_model), 2, emb)
+    emb = make_embeddings(4, p.vocab_size, p.d_s)
+    state = drafter.init_state(np.ones(p.d_s), 2, emb)
     logp = drafter.head_logp(state, p)
     assert logp.shape == (p.vocab_size,)
     assert np.isclose(np.exp(logp).sum(), 1.0)
@@ -74,9 +76,9 @@ def test_head_logp_is_normalized_log_distribution():
 
 def test_single_and_batched_paths_agree():
     p = make_params(5)
-    emb = make_embeddings(6, p.vocab_size, p.d_model)
+    emb = make_embeddings(6, p.vocab_size, p.d_s)
     rng = np.random.default_rng(7)
-    h = rng.normal(size=p.d_model)
+    h = rng.normal(size=p.d_s)
     tokens = rng.integers(0, p.vocab_size, size=4)
 
     states = np.stack([drafter.init_state(h, int(t), emb).s for t in tokens])
@@ -107,7 +109,7 @@ def test_batched_head_and_step_are_bitwise_the_plain_expressions():
         p = make_params(16 + rows, d_model=8, vocab=11)
         p.b = rng.normal(size=p.d_s)
         p.mlp = [(wm, rng.normal(size=bm.shape)) for wm, bm in p.mlp]
-        x = rng.normal(scale=3.0, size=(rows, p.d_s + p.d_model))
+        x = rng.normal(scale=3.0, size=(rows, 2 * p.d_s))
         s, term = rng.normal(size=(rows, p.d_s)), rng.normal(size=(rows, p.d_s))
         before = x.copy(), s.copy(), term.copy()
         got = drafter.head_logp_batch(x, p)
@@ -121,7 +123,7 @@ def test_batched_head_and_step_are_bitwise_the_plain_expressions():
 
 def test_head_logp_shape_mismatch_raises():
     p = make_params()
-    state = DrafterState(s=np.zeros(p.d_s + 1), h=np.zeros(p.d_model))
+    state = DrafterState(s=np.zeros(p.d_s + 1), h=np.zeros(p.d_s))
     with pytest.raises(ShapeError):
         drafter.head_logp(state, p)
 
@@ -130,14 +132,14 @@ def test_dsilu_matches_numeric_derivative():
     x = np.linspace(-4, 4, 41)
     eps = 1e-6
     numeric = (drafter.silu(x + eps) - drafter.silu(x - eps)) / (2 * eps)
-    assert np.allclose(drafter.dsilu(x), numeric, atol=1e-8)
+    assert np.allclose(drafter._dsilu(x, 1.0 + np.exp(-x)), numeric, atol=1e-8)
 
 
 def test_batch_loss_matches_stepped_forward_sum():
     p = make_params(8)
-    emb = make_embeddings(9, p.vocab_size, p.d_model)
+    emb = make_embeddings(9, p.vocab_size, p.d_s)
     rng = np.random.default_rng(10)
-    h = rng.normal(size=p.d_model)
+    h = rng.normal(size=p.d_s)
     teacher = rng.integers(0, p.vocab_size, size=5)
     state0 = drafter.init_state(h, int(rng.integers(p.vocab_size)), emb)
 
@@ -154,18 +156,27 @@ def test_batch_loss_matches_stepped_forward_sum():
 
 def test_batch_loss_rejects_empty_teacher():
     p = make_params()
-    emb = make_embeddings(0, p.vocab_size, p.d_model)
+    emb = make_embeddings(0, p.vocab_size, p.d_s)
     with pytest.raises(ContractError):
-        drafter.batch_loss(p, emb, np.zeros((1, p.d_model)), np.zeros((1, p.d_s)),
+        drafter.batch_loss(p, emb, np.zeros((1, p.d_s)), np.zeros((1, p.d_s)),
                            np.zeros((1, 0), dtype=np.int64))
+
+
+def test_batch_loss_rejects_a_teacher_outside_the_vocab():
+    p = make_params()
+    emb = make_embeddings(0, p.vocab_size, p.d_s)
+    for bad in (p.vocab_size, -1):
+        with pytest.raises(VocabError):
+            drafter.batch_loss(p, emb, np.zeros((1, p.d_s)), np.zeros((1, p.d_s)),
+                               np.array([[1, bad]]))
 
 
 def test_batch_loss_equals_sum_of_sequences():
     p = make_params(11)
-    emb = make_embeddings(12, p.vocab_size, p.d_model)
+    emb = make_embeddings(12, p.vocab_size, p.d_s)
     rng = np.random.default_rng(13)
     bsz, horizon = 4, 3
-    h = rng.normal(size=(bsz, p.d_model))
+    h = rng.normal(size=(bsz, p.d_s))
     s0 = rng.normal(size=(bsz, p.d_s))
     teacher = rng.integers(0, p.vocab_size, size=(bsz, horizon))
 
@@ -213,14 +224,22 @@ def test_gradient_matches_central_finite_differences():
 
 def test_params_copy_is_deep():
     p = make_params()
-    flat, q = p.flat_copy()
+    q = p.flat_copy()
     for (_, a), (_, b) in zip(p.flat_arrays(), q.flat_arrays(), strict=True):
-        assert np.array_equal(a, b) and np.shares_memory(b, flat)
-    assert flat.size == sum(a.size for _, a in p.flat_arrays())
+        assert np.array_equal(a, b) and np.shares_memory(b, q.flat)
+    assert p.flat is None and q.flat.size == sum(a.size for _, a in p.flat_arrays())
     q.u[0, 0] += 1.0
     q.mlp[0][0][0, 0] += 1.0
     assert p.u[0, 0] != q.u[0, 0]
     assert p.mlp[0][0][0, 0] != q.mlp[0][0][0, 0]
+
+
+def test_zeros_like_views_one_zeroed_buffer():
+    p = make_params()
+    g = p.zeros_like()
+    for (name, a), (g_name, b) in zip(p.flat_arrays(), g.flat_arrays(), strict=True):
+        assert name == g_name and b.shape == a.shape and np.shares_memory(b, g.flat)
+    assert g.flat.size == sum(a.size for _, a in p.flat_arrays()) and not g.flat.any()
 
 
 def reference_batch_loss(p, emb, h, s0, teacher):
@@ -239,7 +258,7 @@ def reference_batch_loss(p, emb, h, s0, teacher):
     states, pre_acts, head_x, head_soft = [s0], [], [], []
     loss = 0.0
     for k in range(horizon):
-        x = np.concatenate([states[-1], np.broadcast_to(h, (bsz, p.d_model))], axis=1)
+        x = np.concatenate([states[-1], np.broadcast_to(h, (bsz, p.d_s))], axis=1)
         xs, acts = [x], []
         for wm, bm in p.mlp:
             a = x @ wm.T + bm
@@ -288,9 +307,9 @@ def bits64(x):
 @pytest.mark.parametrize("horizon", [1, 4])
 def test_batch_loss_is_bitwise_the_plain_formula_reference(horizon):
     p = make_params(15, d_model=8, vocab=11)
-    emb = make_embeddings(16, p.vocab_size, p.d_model)
+    emb = make_embeddings(16, p.vocab_size, p.d_s)
     rng = np.random.default_rng(17)
-    h = rng.normal(size=(5, p.d_model))
+    h = rng.normal(size=(5, p.d_s))
     s0 = emb[rng.integers(0, p.vocab_size, size=5)]
     teacher = rng.integers(0, p.vocab_size, size=(5, horizon))
     loss, grads = drafter.batch_loss(p, emb, h, s0, teacher)

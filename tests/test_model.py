@@ -1,5 +1,7 @@
 """Base models: cache consistency, tree-masked verification, synthetic table."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -116,7 +118,7 @@ def test_empty_context_forward_yields_empty_output(tiny, markov):
     for base in (tiny, markov):
         cache = base.new_cache()
         base.forward_context([3, 1], cache)
-        before = cache.clone()
+        before = copy.deepcopy(cache)
         for fresh in (False, True):
             out = base.forward_context([], base.new_cache() if fresh else cache)
             for got, width in ((out.logits, SMALL.vocab_size), (out.hidden, base.config.d_model)):
@@ -452,6 +454,14 @@ def test_packed_forward_rejects_a_mismatched_prior(tiny, markov):
             markov.forward_packed(tree, cache, (start, leading_state(full_state, start)))
 
 
+def test_packed_forward_rejects_a_mask_of_another_size(tiny, markov):
+    tree, _ = packed_from_tokens([[4, 5], [4, 6]])
+    tree.mask = tree.mask[:-1]
+    for base in (tiny, markov):
+        with pytest.raises(ShapeError, match="mask shape"):
+            base.forward_packed(tree, base.new_cache())
+
+
 def test_commit_rejects_a_non_path(tiny, markov):
     """commit_accepted takes only a root-to-node path of the packed tree."""
     # nodes: 0 root, 1 = 4, 2 = 4 -> 5, 3 = 4 -> 6
@@ -506,8 +516,10 @@ def test_models_inherit_the_one_forward_and_commit_contract(tiny, markov):
         base.forward_context([1, 2], cache)
         with pytest.raises(AttributeError):
             cache.committed_len = 5
-        assert cache.committed_len == cache.clone().committed_len == 2
+        assert cache.committed_len == copy.deepcopy(cache).committed_len == 2
 
 def test_markov_rejects_unsupported_order():
     with pytest.raises(ConfigError):
         SyntheticMarkovModel(order=3, vocab_size=8, seed=0)
+    with pytest.raises(ConfigError):  # nor does it support a vocab past 256
+        SyntheticMarkovModel(order=1, vocab_size=257, seed=0)

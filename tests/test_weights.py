@@ -107,6 +107,27 @@ def test_edited_shape_rejected(tmp_path):
         weights.load_base_model(prefix)
 
 
+@pytest.mark.parametrize("kind, line, edited, message", [
+    ("base", r"l0_b1 f32 16 0$", "l0_b1 f32 16", "malformed tensor line 'l0_b1 f32 16'"),
+    ("base", r"l0_b1 f32 ", "l0_b1 f64 ", "tensor l0_b1: unsupported dtype f64"),
+    ("base", r"l0_wq f32 .*$", "", "missing tensor l0_wq"),
+    ("drafter", r"mlp1_b f32 .*$", "", "drafter manifest missing 'mlp1_b'"),
+], ids=["three-fields", "dtype", "base-tensor", "drafter-tensor"])
+def test_malformed_manifest_line_is_a_format_error(kind, line, edited, message, tmp_path):
+    prefix = str(tmp_path / kind)
+    if kind == "base":
+        weights.save_base_model(TinyTransformer.random(CONFIG, seed=12), prefix)
+    else:
+        weights.save_drafter(DrafterParams.random(np.random.default_rng(13), 8, 12), 5, prefix)
+    manifest = tmp_path / f"{kind}.manifest"
+    text, n = re.subn("^" + line, edited, manifest.read_text(), flags=re.M)
+    assert n == 1
+    manifest.write_text(text)
+    load = weights.load_base_model if kind == "base" else weights.load_drafter
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load(prefix)
+
+
 @pytest.mark.parametrize("kind, line, edited, field", [
     ("base", r"l0_b1 f32 16 ", "l0_b1 f32 2x6 ", "tensor l0_b1 dim '2x6'"),
     ("base", r"(tok_emb f32 12,8) \d+$", r"\1 0x10", "tensor tok_emb offset '0x10'"),
