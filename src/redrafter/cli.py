@@ -184,6 +184,8 @@ def cmd_bench(args):
 
 
 def cmd_verify_equivalence(args):
+    if args.n_prompts < 0:
+        raise ConfigError(f"--n-prompts must be >= 0, got {args.n_prompts}")
     if args.n_prompts == 0:
         print("warning: n_prompts=0, vacuous pass")
         return 0
@@ -192,7 +194,8 @@ def cmd_verify_equivalence(args):
     for base_name in ["transformer", "markov"] if args.base == "both" else [args.base]:
         ns = argparse.Namespace(**{**vars(args), "base": base_name})
         if args.base == "both" and base_name == "markov":
-            ns.base_weights = None  # --base-weights is the transformer's
+            # --base-weights and --drafter-weights are the transformer's
+            ns.base_weights = ns.drafter_weights = None
         base = build_base(ns)
         rows = sweep(base, build_drafter(ns, base),
                      random_prompts(base, args.n_prompts, args.prompt_len, args.seed),

@@ -23,13 +23,14 @@ match a dense row.  ``_ordered_sum`` instead
   and reduces along a contiguous axis again;
 - otherwise uses ``np.add.accumulate``, which is sequential by definition.
 
-Products that feed a sum are written into a fresh C-ordered array with the
-summed index outermost (``_ordered_dot``); letting numpy choose the layout
-of a broadcast product can put the summed index innermost.  The price is a
-temporary as large as the output times the summed length.  Attention makes
-its operands contiguous in the same order: the keys as (head dim, head, key),
-and the softmax exponentials as (key, head, query), so the denominator is an
-outer-axis sum and the probabilities feed the output products as they are.
+Products that feed a sum are written, with ``out=``, into a fresh
+``np.empty`` array that is C-ordered with the summed index outermost;
+letting numpy choose the layout of a broadcast product can put the summed
+index innermost.  The price is a temporary as large as the output times the
+summed length.  Attention reads the query and the keys as (head dim, head,
+...) views for its score products, and copies the softmax exponentials once,
+to (key, head, query), so the denominator is an outer-axis sum and the
+probabilities feed the output products as they are.
 
 Calls with more than one row write the matmul products, and attention's
 probability x value products, with a contraction-free ``np.einsum`` (every
@@ -40,11 +41,18 @@ each product to a zeroed output, so it writes +0.0 where ``np.multiply``
 writes -0.0; every sum here starts from +0.0, and the accumulate fallback
 adds +0.0 at the end, so each sum has the same bits either way.  einsum pays
 only with several rows.  On a 2-vCPU Xeon VM, the products of a 9 x 32 x 96
-matmul take 12.9 us against 17.1 us with ``np.multiply``, and attention's
-output products at 9 rows x 31 keys 9.5 us against 13.8 us; but a 1-row
-matmul's take 5.0 us against 3.9 us, and the score products, whose query
-operand is a strided view, 10.2 us against 9.3 us.  So 1-row calls, which
+matmul take 14.2 us against 22.9 us with ``np.multiply``; but a 1-row
+matmul's take 5.4 us against 3.0 us, and 1-row score products, whose query
+operand is a strided view, 3.9 us against 3.0 us.  So 1-row calls, which
 are all of greedy decoding's, and the score products keep ``np.multiply``.
+
+A 1-row call does little arithmetic: its cost is mostly the fixed ~0.5-3 us
+of each numpy call it makes.  So no call here copies an operand that is
+already float32 (the query is a strided view of the fused QKV product), and
+the fresh score array is scaled, biased, shifted and exponentiated in place.
+On the same VM, in-process, that took a 1-row 32 x 64 matmul from 7.8 to
+5.1 us and a 1-row attend over 21 keys (width 32, 4 heads) from 23 to 20 us.
+
 ``tests/test_kernels.py`` lints this lane's source for ``.sum``, ``dot``,
 ``matmul``, ``@`` and einsum subscripts that sum an index.
 
@@ -65,10 +73,6 @@ _NEG_BIAS = np.float32(-1e9)  # additive mask penalty; exp() underflows to exact
 _ZERO = np.float32(0.0)
 
 
-def _as_f32(a):
-    return np.ascontiguousarray(a, dtype=np.float32)
-
-
 # ---------------------------------------------------------------------------
 # pure-numpy lane
 # ---------------------------------------------------------------------------
@@ -82,26 +86,13 @@ def _ordered_sum(terms):
     return np.add.accumulate(terms, axis=0)[-1] + _ZERO
 
 
-def _ordered_dot(x, y):
-    """Sum over axis 0 of the broadcast product ``x * y``, left to right."""
-    terms = np.empty(np.broadcast(x, y).shape, dtype=np.float32)
-    return _ordered_sum(np.multiply(x, y, out=terms))
-
-
 def _matmul_numpy(a, b):
     # terms[k, i, j] = a[i, k] * b[k, j]
     if a.shape[0] == 1:
-        return _ordered_dot(a.T[:, :, None], b[:, None, :])
+        terms = np.empty(b.shape, dtype=np.float32)
+        return _ordered_sum(np.multiply(a.T, b, out=terms))[None]
     terms = np.empty((a.shape[1], a.shape[0], b.shape[1]), dtype=np.float32)
     return _ordered_sum(np.einsum("ik,kj->kij", a, b, out=terms))
-
-
-def _softmax_keys_first(scores):
-    """Softmax over the last axis of ``scores``, returned C-ordered with that
-    axis moved first, so its denominator is an outer-axis ``_ordered_sum``."""
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    e = np.ascontiguousarray(e.transpose((e.ndim - 1, *range(e.ndim - 1))))
-    return e / _ordered_sum(e)
 
 
 def _attend_numpy(q, keys, vals, bias, n_heads, scale):
@@ -110,18 +101,25 @@ def _attend_numpy(q, keys, vals, bias, n_heads, scale):
     n, d = q.shape
     m = keys.shape[0]
     dh = d // n_heads
-    # scores[h, i, j] = sum over t of q[i, h, t] * keys_t[t, h, j]
-    keys_t = np.ascontiguousarray(keys.reshape(m, n_heads, dh).transpose(2, 1, 0))
-    scores = _ordered_dot(q.reshape(n, n_heads, dh).transpose(2, 1, 0)[:, :, :, None],
-                          keys_t[:, :, None, :])
-    probs = _softmax_keys_first(scores * scale + bias)
+    # scores[h, i, j] = sum over t of q[i, h, t] * keys[j, h, t]
+    terms = np.empty((dh, n_heads, n, m), dtype=np.float32)
+    np.multiply(q.reshape(n, n_heads, dh).T[:, :, :, None],
+                keys.reshape(m, n_heads, dh).T[:, :, None, :], out=terms)
+    scores = _ordered_sum(terms)
+    scores *= scale
+    scores += bias
+    # softmax over keys; probs[j, h, i] holds it keys first, so the
+    # denominator is an outer-axis sum
+    scores -= np.maximum.reduce(scores, axis=2, keepdims=True)
+    probs = np.ascontiguousarray(np.exp(scores, out=scores).transpose(2, 0, 1))
+    probs /= _ordered_sum(probs)
     # out[h, t, i] = sum over j of probs[j, h, i] * vals[j, h, t]
     vals = vals.reshape(m, n_heads, dh)
     if n == 1:
-        out = _ordered_dot(probs[:, :, None, :], vals[:, :, :, None])
-    else:
-        terms = np.empty((m, n_heads, dh, n), dtype=np.float32)
-        out = _ordered_sum(np.einsum("jhi,jht->jhti", probs, vals, out=terms))
+        terms = np.empty((m, n_heads, dh), dtype=np.float32)
+        return _ordered_sum(np.multiply(probs, vals, out=terms)).reshape(1, d)
+    terms = np.empty((m, n_heads, dh, n), dtype=np.float32)
+    out = _ordered_sum(np.einsum("jhi,jht->jhti", probs, vals, out=terms))
     return out.transpose(2, 0, 1).reshape(n, d)
 
 
@@ -216,13 +214,13 @@ def matmul(a, b):
 
     Bitwise-equal to the naive triple loop; no data-dependent reordering.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a = np.asarray(a, dtype=np.float32)
+    b = np.asarray(b, dtype=np.float32)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return _matmul_impl(_as_f32(a), _as_f32(b))
+    return _matmul_impl(a, b)
 
 
 def argmax_tie_low(v):
@@ -246,8 +244,11 @@ def attend(q, keys, vals, bias, n_heads, scale):
     if keys.shape != vals.shape or q.shape[1] != keys.shape[1]:
         raise ShapeError(f"attend: incompatible shapes q {q.shape}, keys {keys.shape}, "
                          f"vals {vals.shape}")
-    return _attend_impl(_as_f32(q), _as_f32(keys), _as_f32(vals), _as_f32(bias),
-                        n_heads, np.float32(scale))
+    if n_heads < 1 or q.shape[1] % n_heads:
+        raise ShapeError(f"attend: width {q.shape[1]} does not split into {n_heads} heads")
+    f32 = np.float32
+    return _attend_impl(np.asarray(q, f32), np.asarray(keys, f32), np.asarray(vals, f32),
+                        np.asarray(bias, f32), n_heads, f32(scale))
 
 
 def masked_bias(allowed):

@@ -170,20 +170,24 @@ def sinusoidal_positions(max_len, d_model):
     return pe
 
 
+_LN_EPS = np.float32(1e-5)
+_GELU_C = np.float32(np.sqrt(2.0 / np.pi))
+_GELU_A = np.float32(0.044715)
+_HALF = np.float32(0.5)
+_ONE = np.float32(1.0)
+
+
 def _layer_norm(x, gain, bias):
     # np.add.reduce sums each row as ndarray.mean does, without mean's
     # Python-level overhead; every row has d_model terms on every path
-    x = x.astype(np.float32, copy=False)
     d = x.shape[1]
     xc = x - np.add.reduce(x, axis=1, keepdims=True) / d
     var = np.add.reduce(xc * xc, axis=1, keepdims=True) / d
-    return (xc / np.sqrt(var + np.float32(1e-5))) * gain + bias
+    return (xc / np.sqrt(var + _LN_EPS)) * gain + bias
 
 
 def _gelu(x):
-    c = np.float32(np.sqrt(2.0 / np.pi))
-    x = x.astype(np.float32, copy=False)
-    return np.float32(0.5) * x * (np.float32(1.0) + np.tanh(c * (x + np.float32(0.044715) * x * x * x)))
+    return _HALF * x * (_ONE + np.tanh(_GELU_C * (x + _GELU_A * x * x * x)))
 
 
 class TinyTransformer(BaseModel):
@@ -198,7 +202,9 @@ class TinyTransformer(BaseModel):
     are copied side by side into one ``(d_model, 3 * d_model)`` projection,
     whose product is bitwise the three separate products (each output column
     is its own fixed-order sum).  Only ``weights`` is saved, so the weight
-    file keeps the separate tensors.
+    file keeps the separate tensors.  Every other product takes its weight
+    from ``weights`` itself, the same array object, which is how a tracer
+    can tell the products apart.
     """
 
     def __init__(self, config, weights):
@@ -206,8 +212,15 @@ class TinyTransformer(BaseModel):
         self.weights = weights
         self._validate_weights()
         self._pos = sinusoidal_positions(config.max_seq_len, config.d_model)
-        self._wqkv = [np.concatenate([weights[f"l{i}_{w}"] for w in ("wq", "wk", "wv")], axis=1)
-                      for i in range(config.n_layers)]
+        self._scale = np.float32(1.0 / np.sqrt(config.d_model // config.n_heads))
+        w = weights
+        # per layer: ln1 gain and bias, fused QKV, wo, ln2 gain and bias, w1, b1, w2, b2
+        self._layers = [
+            (w[f"l{i}_ln1_g"], w[f"l{i}_ln1_b"],
+             np.concatenate([w[f"l{i}_{name}"] for name in ("wq", "wk", "wv")], axis=1),
+             w[f"l{i}_wo"], w[f"l{i}_ln2_g"], w[f"l{i}_ln2_b"],
+             w[f"l{i}_w1"], w[f"l{i}_b1"], w[f"l{i}_w2"], w[f"l{i}_b2"])
+            for i in range(config.n_layers)]
 
     @staticmethod
     def weight_shapes(config):
@@ -230,9 +243,11 @@ class TinyTransformer(BaseModel):
         for name, shape in self.weight_shapes(self.config).items():
             if name not in self.weights:
                 raise ShapeError(f"missing tensor {name}")
-            got = self.weights[name].shape
-            if got != shape:
-                raise ShapeError(f"tensor {name}: expected shape {shape}, got {got}")
+            got = self.weights[name]
+            if got.shape != shape:
+                raise ShapeError(f"tensor {name}: expected shape {shape}, got {got.shape}")
+            if got.dtype != np.float32:
+                raise ShapeError(f"tensor {name}: expected float32, got {got.dtype}")
 
     @classmethod
     def random(cls, config, seed):
@@ -269,16 +284,14 @@ class TinyTransformer(BaseModel):
         exactly 0.  Returns the new rows' output and each layer's K/V past
         the cache: ``tree_kv``'s rows, then the new ones.
         """
-        c = self.config
         w = self.weights
-        d = c.d_model
+        d = self.config.d_model
         n_ctx = cache.committed_len
-        scale = 1.0 / np.sqrt(d // c.n_heads)
         x = w["tok_emb"][tokens] + self._pos[positions]
         per_layer_kv = []
-        for layer in range(c.n_layers):
-            x_norm = _layer_norm(x, w[f"l{layer}_ln1_g"], w[f"l{layer}_ln1_b"])
-            qkv = kernels.matmul(x_norm, self._wqkv[layer])
+        for layer, (ln1_g, ln1_b, wqkv, wo, ln2_g, ln2_b, w1, b1, w2, b2) in enumerate(
+                self._layers):
+            qkv = kernels.matmul(_layer_norm(x, ln1_g, ln1_b), wqkv)
             q, new_k, new_v = qkv[:, :d], qkv[:, d:2 * d], qkv[:, 2 * d:]
             if tree_kv is not None:
                 new_k = np.concatenate([tree_kv[layer][0], new_k], axis=0)
@@ -286,21 +299,20 @@ class TinyTransformer(BaseModel):
             per_layer_kv.append((new_k, new_v))
             keys = np.concatenate([cache.k[layer][:n_ctx], new_k], axis=0)
             vals = np.concatenate([cache.v[layer][:n_ctx], new_v], axis=0)
-            att = kernels.attend(q, keys, vals, key_bias, c.n_heads, scale)
-            x = x + kernels.matmul(att, w[f"l{layer}_wo"])
-            x_norm = _layer_norm(x, w[f"l{layer}_ln2_g"], w[f"l{layer}_ln2_b"])
-            ff = _gelu(kernels.matmul(x_norm, w[f"l{layer}_w1"]) + w[f"l{layer}_b1"])
-            x = x + kernels.matmul(ff, w[f"l{layer}_w2"]) + w[f"l{layer}_b2"]
+            att = kernels.attend(q, keys, vals, key_bias, self.config.n_heads, self._scale)
+            x = x + kernels.matmul(att, wo)
+            ff = _gelu(kernels.matmul(_layer_norm(x, ln2_g, ln2_b), w1) + b1)
+            x = x + kernels.matmul(ff, w2) + b2
         hidden = _layer_norm(x, w["ln_f_g"], w["ln_f_b"])
         logits = kernels.matmul(hidden, w["w_out"])
         return BaseModelOutput(logits=logits, hidden=hidden), per_layer_kv
 
     def _context_rows(self, tokens, cache):
         n_ctx, n = cache.committed_len, tokens.shape[0]
-        positions = n_ctx + np.arange(n)
-        # row i attends keys 0 .. n_ctx+i
-        allowed = np.arange(n_ctx + n)[None, :] <= positions[:, None]
-        return self._forward(tokens, positions, cache, kernels.masked_bias(allowed))
+        # row i attends keys 0 .. n_ctx+i, so a single row attends every key
+        bias = (np.zeros((1, n_ctx + 1), np.float32) if n == 1
+                else kernels.masked_bias(np.tri(n, n_ctx + n, n_ctx, dtype=bool)))
+        return self._forward(tokens, slice(n_ctx, n_ctx + n), cache, bias)
 
     def _tree_rows(self, tree, start, tree_kv, cache):
         n_ctx = cache.committed_len

@@ -134,23 +134,24 @@ def test_verify_equivalence_zero_prompts_warns(capsys):
     assert "vacuous" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify-equivalence", "--widths", ""],
-    ["verify-equivalence", "--lengths", ""],
-    ["verify-equivalence", "--n-prompts", "-1"],
-    ["bench", "--n-prompts", "0"],
-    ["bench", "--repeats", "0"],
+@pytest.mark.parametrize("argv, message", [
+    (["verify-equivalence", "--widths", ""], "empty sweep list"),
+    (["verify-equivalence", "--lengths", ""], "empty sweep list"),
+    (["verify-equivalence", "--n-prompts", "-1"], "--n-prompts must be >= 0, got -1"),
+    (["bench", "--n-prompts", "0"], "--n-prompts must be >= 1"),
+    (["bench", "--repeats", "0"], "--repeats must be >= 1, got 0"),
 ], ids=["verify-no-widths", "verify-no-lengths", "verify-negative-prompts", "bench-no-prompts",
         "bench-no-repeats"])
-def test_sweep_that_decodes_nothing_is_a_usage_error(argv, monkeypatch, capsys):
-    """Exit 2 before any decode, instead of a vacuous pass or a traceback."""
+def test_sweep_that_decodes_nothing_is_a_usage_error(argv, message, monkeypatch, capsys):
+    """Exit 2 before any decode, instead of a vacuous pass or a traceback,
+    naming the bound the command accepts."""
     def no_decode(*args):
         raise AssertionError("decoded despite invalid sweep settings")
 
     monkeypatch.setattr(decode, "speculative_generate", no_decode)
     monkeypatch.setattr(decode, "autoregressive_generate", no_decode)
     assert run([argv[0], *MARKOV, *argv[1:]]) == 2
-    assert "error" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag, bad", [
@@ -253,6 +254,19 @@ def test_verify_equivalence_of_both_bases_loads_the_transformer_from_base_weight
     assert f"error: {tmp_path / 'absent'}.manifest" in capsys.readouterr().err
     assert run(["init-base", "--out", str(tmp_path / "base")]) == 0
     assert run([*argv, str(tmp_path / "base")]) == 0
+    assert "equivalence: 2/2 passed" in capsys.readouterr().out
+
+
+def test_verify_equivalence_of_both_bases_gives_drafter_weights_to_the_transformer(tmp_path,
+                                                                                   capsys):
+    """One drafter fits one base: under --base both a drafter saved for the
+    default transformer (vocab 256, width 64) decodes the transformer run,
+    and the Markov run keeps its seeded drafter."""
+    prefix = str(tmp_path / "drafter")
+    weights.save_drafter(DrafterParams.random(np.random.default_rng(0), 64, 256), 2, prefix)
+    assert run(["verify-equivalence", "--base", "both", "--n-prompts", "1", "--prompt-len", "2",
+                "--widths", "1", "--lengths", "1", "--max-new-tokens", "2",
+                "--drafter-weights", prefix]) == 0
     assert "equivalence: 2/2 passed" in capsys.readouterr().out
 
 

@@ -247,6 +247,11 @@ def test_attend_shape_validation():
         kernels.attend(q, kv, kv, np.zeros((2, 5), np.float32), 2, 0.5)
     with pytest.raises(ShapeError):
         kernels.attend(q, kv, np.zeros((3, 6), np.float32), np.zeros((2, 3), np.float32), 2, 0.5)
+    # a head count that does not split the width, or no heads at all
+    q, kv = np.zeros((2, 30), np.float32), np.zeros((3, 30), np.float32)
+    for n_heads in (4, 0, -1):
+        with pytest.raises(ShapeError, match="heads"):
+            kernels.attend(q, kv, kv, np.zeros((2, 3), np.float32), n_heads, 0.5)
 
 
 def test_backend_selection_is_consistent():

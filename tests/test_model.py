@@ -518,6 +518,49 @@ def test_models_inherit_the_one_forward_and_commit_contract(tiny, markov):
             cache.committed_len = 5
         assert cache.committed_len == copy.deepcopy(cache).committed_len == 2
 
+def test_forwards_route_every_product_through_the_traced_kernels(tiny, monkeypatch):
+    """A tracer times the layers by wrapping ``kernels.matmul`` and
+    ``kernels.attend`` and tells the products apart by the identity of their
+    weight operand.  So each forward (a prompt, one row, a tree, a tree from
+    a prior) makes 4 * n_layers + 1 matmul and n_layers attend calls through
+    those module attributes, and every product but the fused QKV takes its
+    weight from ``weights`` itself: wo, w1 and w2 per layer, then w_out."""
+    calls = []
+    for name in ("matmul", "attend"):
+        real = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name,
+                            lambda *args, _name=name, _real=real:
+                            calls.append((_name, args)) or _real(*args))
+    n_layers, w = SMALL.n_layers, tiny.weights
+    named = [w[f"l{i}_{name}"] for i in range(n_layers) for name in ("wo", "w1", "w2")]
+
+    def check_calls():
+        weights = [args[1] for name, args in calls if name == "matmul"]
+        assert len(weights) == 4 * n_layers + 1
+        assert [name for name, _ in calls].count("attend") == n_layers
+        not_qkv = [b for i, b in enumerate(weights) if i % 4 or i == 4 * n_layers]
+        assert all(got is want for got, want in zip(not_qkv, named + [w["w_out"]], strict=True))
+        calls.clear()
+
+    tree, _ = packed_from_tokens([[4, 5, 1, 2], [4, 6, 6, 1]])
+    cache = tiny.new_cache()
+    tiny.forward_context([1, 9, 4, 4, 2], cache)
+    check_calls()
+    tiny.forward_context([3], cache)
+    check_calls()
+    _, spec_state = tiny.forward_packed(tree, cache)
+    check_calls()
+    tiny.forward_packed(tree, cache, (2, leading_state(spec_state, 2)))
+    check_calls()
+
+
+def test_transformer_rejects_weights_that_are_not_float32():
+    weights = dict(TinyTransformer.random(SMALL, seed=0).weights)
+    weights["l1_w2"] = weights["l1_w2"].astype(np.float64)
+    with pytest.raises(ShapeError, match="l1_w2: expected float32, got float64"):
+        TinyTransformer(SMALL, weights)
+
+
 def test_markov_rejects_unsupported_order():
     with pytest.raises(ConfigError):
         SyntheticMarkovModel(order=3, vocab_size=8, seed=0)
