@@ -102,7 +102,7 @@ def build_distill_dataset(base, corpus, horizon):
             block = seq[start:min(start + BLOCK, n)]
             size = block.shape[0]
             chain = beam.chain_tree(block[0], block[1:])
-            out, chain_state = base.forward_packed(chain, cache)
+            out, spec_state = base.forward_packed(chain, cache)
             # chain node j ends the prefix of length start + j + 1; the first
             # `kept` of them leave room for a rollout of horizon tokens
             kept = max(0, min(size, max_len - horizon - start))
@@ -119,7 +119,6 @@ def build_distill_dataset(base, corpus, horizon):
                     tokens[:size + horizon * kept],
                     np.concatenate([chain.parents, np.arange(kept),
                                     size + np.arange((horizon - 1) * kept)]))
-                spec_state = chain_state
                 for k in range(1, horizon + 1):
                     # round k forwards only the nodes of levels[k - 1]; those
                     # before them come in through the last forward's spec_state
@@ -132,7 +131,8 @@ def build_distill_dataset(base, corpus, horizon):
                     examples.append(DistillExample(
                         context=np.append(seq[:start + j + 1], levels[0, j]),
                         teacher=teachers[j], h=out.hidden[j].copy()))
-            base.commit_accepted(cache, chain, chain_state, np.arange(size))
+            # the chain's nodes lead every round's tree, and so the last spec_state
+            base.commit_accepted(cache, chain, spec_state, np.arange(size))
         if seq.shape[0] > max_len:
             # the first token past the window: the base raises as a causal
             # forward of it would, on a cache holding the whole window

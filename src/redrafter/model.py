@@ -3,9 +3,9 @@ tree-masked verification forwards against a KV cache, and a synthetic Markov
 table model for fast, learnable acceptance experiments.
 
 Both expose the same surface: per-position next-token logits plus the
-last-layer hidden state that feeds the draft head.  Verification forwards are
-read-only on the cache; accepted speculative tokens are committed explicitly,
-so rejected draft tokens leave no trace.
+last-layer hidden state that feeds the draft head.  Verification forwards
+write K/V only to the cache's scratch rows past the committed context;
+accepted tokens are committed explicitly, so rejected drafts leave no trace.
 """
 
 from abc import ABC, abstractmethod
@@ -42,10 +42,10 @@ class BaseModelOutput:
 
 @dataclass
 class KvCache:
-    """Committed context: the token ids plus each layer's keys/values (no
-    layers for a base without attention)."""
+    """Committed context: the token ids plus each layer's K/V buffer, whose
+    rows past ``committed_len`` are scratch (no layers without attention)."""
 
-    k: list = field(default_factory=list)  # per layer (max_seq_len, d_model) float32
+    k: list = field(default_factory=list)  # per layer (>= max_seq_len, d_model) float32
     v: list = field(default_factory=list)
     tokens: list = field(default_factory=list)
 
@@ -57,11 +57,11 @@ class KvCache:
 class BaseModel(ABC):
     """Next-token logits + last-layer hidden state, with explicit cache commits.
 
-    The three forwards are defined here, once: every check on tokens, masks,
-    priors, paths and capacity, and every write to the cache.  A model only
-    computes rows, through ``_context_rows`` and ``_tree_rows``, each
-    returning ``(BaseModelOutput, per-layer (K, V))``; a model without
-    attention returns no layers and keeps a ``KvCache`` without layers.
+    The three forwards are defined here, once, with every check on tokens,
+    masks, priors, paths and capacity.  A model only computes rows, through
+    ``_context_rows`` and ``_tree_rows``, and writes each new row's K/V in
+    place, row i of a forward at ``committed_len + i``; a model without
+    attention keeps a ``KvCache`` without layers.
     """
 
     config: ModelConfig
@@ -80,10 +80,9 @@ class BaseModel(ABC):
         """Rows of checked ``tokens`` following the committed context."""
 
     @abstractmethod
-    def _tree_rows(self, tree, start, tree_kv, cache):
-        """Rows of the tree's nodes ``start`` on; ``tree_kv`` holds the K/V of
-        the nodes before them (None without a prior).  The returned K/V
-        covers the whole tree."""
+    def _tree_rows(self, tree, start, cache):
+        """Rows of the tree's nodes ``start`` on; the K/V of the nodes before
+        them already sit in the cache's tail."""
 
     def forward_context(self, tokens, cache):
         """Append tokens to the committed context; logits/hidden per new position."""
@@ -92,43 +91,53 @@ class BaseModel(ABC):
             return BaseModelOutput(logits=np.zeros((0, self.config.vocab_size), np.float32),
                                    hidden=np.zeros((0, self.config.d_model), np.float32))
         self._check_capacity(cache, tokens.shape[0])
-        out, per_layer_kv = self._context_rows(tokens, cache)
-        self._append(cache, tokens, per_layer_kv)
+        out = self._context_rows(tokens, cache)  # its K/V rows are already in place
+        cache.tokens.extend(tokens.tolist())
         return out
 
     def forward_packed(self, tree, cache, prior=None):
         """Tree-masked forward over a draft tree whose root takes the next
-        position after the committed context.  Read-only on the cache.
+        position after the committed context; node i's K/V go to the scratch
+        row ``committed_len + i``.
 
-        Returns (BaseModelOutput, spec_state); spec_state is each layer's K/V
-        of the tree's nodes, which commits an accepted path without
-        recomputing.  ``prior`` is ``(start, spec_state)`` of a forward of the
-        tree's first ``start`` nodes: then only nodes ``start`` on are
-        computed, and the output holds their rows while spec_state covers the
-        whole tree.  A node depends only on its ancestors, which precede it,
-        so the rows equal the full forward's bit for bit.
+        Returns (BaseModelOutput, spec_state): each layer's K/V of the tree's
+        nodes for ``commit_accepted``, as views of the tail valid until the
+        next forward on the cache.  ``prior`` is ``(start, spec_state)`` of a
+        forward of the tree's first ``start`` nodes: their K/V are written to
+        the tail (onto themselves if they are the last forward's views), and
+        only nodes ``start`` on are computed and output, bit for bit as in the
+        full forward, since a node depends only on its preceding ancestors.
         """
         tokens = self._check_tokens(tree.tokens)
         n = tokens.shape[0]
         if tree.mask.shape != (n, n):
             raise ShapeError(f"mask shape {tree.mask.shape} does not match {n} tree tokens")
-        start, tree_kv = (0, None) if prior is None else prior
+        start, prior_kv = (0, ()) if prior is None else prior
         if not 0 <= start <= n:
             raise ContractError(f"prior of {start} nodes outside a tree of {n}")
-        if tree_kv is not None and (len(tree_kv) != len(cache.k) or any(
-                rows.shape[0] != start for kv in tree_kv for rows in kv)):
+        if prior is not None and (len(prior_kv) != len(cache.k) or any(
+                rows.shape[0] != start for kv in prior_kv for rows in kv)):
             raise ShapeError(f"prior K/V needs {len(cache.k)} layers of {start} rows each")
-        if start == n:
-            return self.forward_context([], cache), tree_kv or []
-        self._check_capacity(cache, int(tree.depths.max()) + 1)
-        return self._tree_rows(tree, start, tree_kv, cache)
+        if start < n:
+            self._check_capacity(cache, int(tree.depths.max()) + 1)
+        self._reserve_tail(cache, n)
+        n_ctx = cache.committed_len
+        for layer, (prior_k, prior_v) in enumerate(prior_kv):
+            cache.k[layer][n_ctx:n_ctx + start] = prior_k
+            cache.v[layer][n_ctx:n_ctx + start] = prior_v
+        out = self._tree_rows(tree, start, cache) if start < n else self.forward_context([], cache)
+        return out, [(k[n_ctx:n_ctx + n], v[n_ctx:n_ctx + n]) for k, v in zip(cache.k, cache.v)]
 
     def commit_accepted(self, cache, tree, spec_state, flat_path):
         """Append an accepted path of tree nodes, root first, to the context."""
         flat_path = self._check_path(tree, flat_path)
         self._check_capacity(cache, flat_path.shape[0])
-        self._append(cache, tree.tokens[flat_path],
-                     [(k[flat_path], v[flat_path]) for k, v in spec_state])
+        n_ctx, n = cache.committed_len, flat_path.shape[0]
+        # a fancy-index gather copies before it writes: overlapping moves are safe
+        for layer, (tree_k, tree_v) in enumerate(spec_state):
+            cache.k[layer][n_ctx:n_ctx + n] = tree_k[flat_path]
+            cache.v[layer][n_ctx:n_ctx + n] = tree_v[flat_path]
+        cache.tokens.extend(tree.tokens[flat_path].tolist())
         return cache
 
     def _check_tokens(self, tokens):
@@ -150,14 +159,12 @@ class BaseModel(ABC):
             raise CapacityError(f"sequence of {cache.committed_len}+{extra} exceeds "
                                 f"max_seq_len {self.config.max_seq_len}")
 
-    @staticmethod
-    def _append(cache, tokens, per_layer_kv):
-        """Commit checked tokens and each layer's K/V rows of them."""
-        n_ctx, n = len(cache.tokens), tokens.shape[0]
-        for layer, (new_k, new_v) in enumerate(per_layer_kv):
-            cache.k[layer][n_ctx:n_ctx + n] = new_k
-            cache.v[layer][n_ctx:n_ctx + n] = new_v
-        cache.tokens.extend(tokens.tolist())
+    def _reserve_tail(self, cache, n):
+        """Fit an n-node tail, though capacity asks only the deepest node to fit."""
+        for kv in (cache.k, cache.v):
+            for layer, buf in enumerate(kv):
+                if buf.shape[0] < cache.committed_len + n:  # later trees of <= n nodes fit too
+                    kv[layer] = np.pad(buf, ((0, self.config.max_seq_len + n - len(buf)), (0, 0)))
 
 
 def sinusoidal_positions(max_len, d_model):
@@ -274,38 +281,31 @@ class TinyTransformer(BaseModel):
         return KvCache(k=[np.zeros((c.max_seq_len, c.d_model), np.float32) for _ in range(c.n_layers)],
                        v=[np.zeros((c.max_seq_len, c.d_model), np.float32) for _ in range(c.n_layers)])
 
-    def _forward(self, tokens, positions, cache, key_bias, tree_kv=None):
+    def _forward(self, tokens, positions, cache, key_bias):
         """Shared body of the causal and tree-masked forwards.
 
-        The new rows attend to the committed cache, then ``tree_kv``'s rows
-        (each layer's K/V of tree nodes forwarded before, if any), then their
-        own keys.  key_bias is (n_new, all those keys) additive float32;
-        disallowed keys carry a large negative bias whose softmax weight is
-        exactly 0.  Returns the new rows' output and each layer's K/V past
-        the cache: ``tree_kv``'s rows, then the new ones.
+        key_bias is (n_new, keys) additive float32; disallowed keys carry a
+        large negative bias whose softmax weight is exactly 0.  Each layer
+        writes the new rows' K/V to its buffer rows ``keys - n_new .. keys``
+        and attends its first ``keys`` rows in place.
         """
         w = self.weights
         d = self.config.d_model
-        n_ctx = cache.committed_len
+        n, end = tokens.shape[0], key_bias.shape[1]
         x = w["tok_emb"][tokens] + self._pos[positions]
-        per_layer_kv = []
-        for layer, (ln1_g, ln1_b, wqkv, wo, ln2_g, ln2_b, w1, b1, w2, b2) in enumerate(
-                self._layers):
+        for (ln1_g, ln1_b, wqkv, wo, ln2_g, ln2_b, w1, b1, w2, b2), k, v in zip(
+                self._layers, cache.k, cache.v):
             qkv = kernels.matmul(_layer_norm(x, ln1_g, ln1_b), wqkv)
-            q, new_k, new_v = qkv[:, :d], qkv[:, d:2 * d], qkv[:, 2 * d:]
-            if tree_kv is not None:
-                new_k = np.concatenate([tree_kv[layer][0], new_k], axis=0)
-                new_v = np.concatenate([tree_kv[layer][1], new_v], axis=0)
-            per_layer_kv.append((new_k, new_v))
-            keys = np.concatenate([cache.k[layer][:n_ctx], new_k], axis=0)
-            vals = np.concatenate([cache.v[layer][:n_ctx], new_v], axis=0)
-            att = kernels.attend(q, keys, vals, key_bias, self.config.n_heads, self._scale)
+            k[end - n:end] = qkv[:, d:2 * d]
+            v[end - n:end] = qkv[:, 2 * d:]
+            att = kernels.attend(qkv[:, :d], k[:end], v[:end], key_bias, self.config.n_heads,
+                                 self._scale)
             x = x + kernels.matmul(att, wo)
             ff = _gelu(kernels.matmul(_layer_norm(x, ln2_g, ln2_b), w1) + b1)
             x = x + kernels.matmul(ff, w2) + b2
         hidden = _layer_norm(x, w["ln_f_g"], w["ln_f_b"])
         logits = kernels.matmul(hidden, w["w_out"])
-        return BaseModelOutput(logits=logits, hidden=hidden), per_layer_kv
+        return BaseModelOutput(logits=logits, hidden=hidden)
 
     def _context_rows(self, tokens, cache):
         n_ctx, n = cache.committed_len, tokens.shape[0]
@@ -314,15 +314,14 @@ class TinyTransformer(BaseModel):
                 else kernels.masked_bias(np.tri(n, n_ctx + n, n_ctx, dtype=bool)))
         return self._forward(tokens, slice(n_ctx, n_ctx + n), cache, bias)
 
-    def _tree_rows(self, tree, start, tree_kv, cache):
+    def _tree_rows(self, tree, start, cache):
         n_ctx = cache.committed_len
         # each node sits at the absolute position its path would occupy; the
         # root (depth 0) takes the next free position
         positions = n_ctx + tree.depths[start:]
         allowed = np.concatenate([np.ones((tree.n - start, n_ctx), dtype=bool),
                                   tree.mask[start:]], axis=1)
-        return self._forward(tree.tokens[start:], positions, cache,
-                             kernels.masked_bias(allowed), tree_kv)
+        return self._forward(tree.tokens[start:], positions, cache, kernels.masked_bias(allowed))
 
 
 class SyntheticMarkovModel(BaseModel):
@@ -371,9 +370,9 @@ class SyntheticMarkovModel(BaseModel):
             hidden.append(np.concatenate([self.state_emb[x] for x in (prev, t)[2 - self.order:]]))
             prev = t
         return BaseModelOutput(logits=np.asarray(logits, np.float32),
-                               hidden=np.asarray(hidden, np.float32)), []
+                               hidden=np.asarray(hidden, np.float32))
 
-    def _tree_rows(self, tree, start, tree_kv, cache):
+    def _tree_rows(self, tree, start, cache):
         # as in _context_rows: the token before a node is its parent's, or
         # for the root the last committed one
         parents = tree.parents[start:]
@@ -383,4 +382,4 @@ class SyntheticMarkovModel(BaseModel):
         idx = new if self.order == 1 else prev * self.config.vocab_size + new
         history = (prev, new)[2 - self.order:]
         return BaseModelOutput(logits=self.table[idx], hidden=np.concatenate(
-            [self.state_emb[t] for t in history], axis=1)), []
+            [self.state_emb[t] for t in history], axis=1))

@@ -70,14 +70,21 @@ def test_packed_forward_matches_causal_replay_per_path(tiny):
 
 
 def test_packed_forward_is_read_only(tiny):
+    """A tree forward changes no committed token or K/V row, also when its
+    nodes outgrow the buffers; only the scratch rows past them may change."""
     rng = np.random.default_rng(3)
-    prompt = rng.integers(0, SMALL.vocab_size, size=5).tolist()
-    cache = tiny.new_cache()
-    tiny.forward_context(prompt, cache)
-    before = (cache.committed_len, list(cache.tokens))
-    packed, _ = packed_from_tokens(rng.integers(0, 4, size=(3, 3)))
-    tiny.forward_packed(packed, cache)
-    assert (cache.committed_len, list(cache.tokens)) == before
+    wide, _ = packed_from_tokens(np.arange(8)[:, None] + np.zeros((1, 3), np.int64))
+    for prompt_len in (5, SMALL.max_seq_len - 4):
+        prompt = rng.integers(0, SMALL.vocab_size, size=prompt_len).tolist()
+        cache = tiny.new_cache()
+        tiny.forward_context(prompt, cache)
+        before = cache_bits(cache)
+        packed, _ = packed_from_tokens(rng.integers(0, 4, size=(3, 3)))
+        tiny.forward_packed(packed, cache)
+        assert cache_bits(cache) == before
+        tiny.forward_packed(wide, cache)  # 25 nodes: the buffers grow near max_seq_len
+        assert cache_bits(cache) == before
+    assert all(buf.shape[0] >= SMALL.max_seq_len - 4 + wide.n for buf in cache.k + cache.v)
 
 
 def test_commit_then_forward_matches_fresh_recompute(tiny):
@@ -239,16 +246,36 @@ def test_capacity_overflow_raises(tiny, markov):
 
 
 def test_packed_capacity_is_set_by_the_deepest_node(tiny, markov):
-    """A tree needs room for its depth, not for its node count."""
+    """A tree needs room for its depth, not for its node count.  With 4 or 5
+    rows left, 25 nodes outgrow the transformer's buffers, yet every node
+    equals a causal replay of its path bit for bit, and so do the committed
+    deepest path and a forward after it.  A tree deeper than the room raises."""
     wide, _ = packed_from_tokens(np.arange(8)[:, None] + np.zeros((1, 3), np.int64))
+    deepest = int(np.argmax(wide.depths))
     for base in (tiny, markov):
-        cache = base.new_cache()
-        base.forward_context([1] * (SMALL.max_seq_len - 4), cache)
-        out, _ = base.forward_packed(wide, cache)  # 25 nodes, root + 3 deep: fits
-        assert out.logits.shape[0] == wide.n == 25
-        base.forward_context([1], cache)
-        with pytest.raises(CapacityError):
-            base.forward_packed(wide, cache)
+        for room in (4, 5):
+            prompt = [1] * (SMALL.max_seq_len - room)
+            cache = base.new_cache()
+            base.forward_context(prompt, cache)
+            out, spec_state = base.forward_packed(wide, cache)  # 25 nodes, root + 3 deep: fits
+            assert out.logits.shape[0] == wide.n == 25
+            for i in range(wide.n):
+                path = wide.ancestors[i, :wide.depths[i] + 1]
+                replay = base.forward_context(prompt + wide.tokens[path].tolist(),
+                                              base.new_cache())
+                assert np.array_equal(bits(out.logits[i]), bits(replay.logits[-1])), (room, i)
+            path = wide.ancestors[deepest, :wide.depths[deepest] + 1]
+            base.commit_accepted(cache, wide, spec_state, path)
+            replay_cache = base.new_cache()
+            base.forward_context(prompt + wide.tokens[path].tolist(), replay_cache)
+            assert cache_bits(cache) == cache_bits(replay_cache)
+            if room > len(path):
+                probe = base.forward_context([3], cache)
+                replay = base.forward_context([3], replay_cache)
+                assert np.array_equal(bits(probe.logits), bits(replay.logits))
+                assert np.array_equal(bits(probe.hidden), bits(replay.hidden))
+            with pytest.raises(CapacityError):
+                base.forward_packed(wide, cache)
 
 
 def test_token_range_validation(tiny, markov):
@@ -385,9 +412,10 @@ def test_beam_search_trees_match_causal_replay_bitwise(tiny, markov):
 
 
 def cache_bits(cache):
-    """Everything a forward could change in a cache, K/V by bit pattern."""
-    return ([bits(a).tobytes() for a in getattr(cache, "k", []) + getattr(cache, "v", [])],
-            list(cache.tokens), cache.committed_len)
+    """The committed context by bit pattern: the tokens and each layer's K/V
+    rows ``[:committed_len]``.  Scratch rows past them are not part of it."""
+    n = cache.committed_len
+    return [bits(a[:n]).tobytes() for a in cache.k + cache.v], list(cache.tokens), n
 
 
 def leading_state(spec_state, start):
@@ -400,7 +428,9 @@ def leading_state(spec_state, start):
 def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
     """With the spec_state of a tree's first nodes passed in, a forward
     computes the later nodes' rows and the whole tree's spec_state bit for
-    bit as the full-tree forward does, and leaves the cache untouched."""
+    bit as the full-tree forward does, and leaves the committed context
+    untouched.  The prior is a copy, or the views the previous forward
+    returned, which live in the very tail rows this forward writes."""
     base = tiny if name == "transformer" else SyntheticMarkovModel(
         order=int(name[-1]), vocab_size=16, seed=2)
     tree, _ = packed_from_tokens([[4, 5, 1, 2], [4, 5, 2, 2], [4, 6, 6, 1], [3, 3, 3, 3]])
@@ -408,18 +438,28 @@ def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
     base.forward_context([1, 9, 4, 4, 2], cache)
     before = cache_bits(cache)
     full, full_state = base.forward_packed(tree, cache)
+    # spec_state views the tail, which the forwards below rewrite
+    full_state = [(k.copy(), v.copy()) for k, v in full_state]
+    other, _ = packed_from_tokens(np.arange(4)[:, None] + np.full((1, 4), 8))  # 17 nodes
     n = tree.n
     for start in (0, n // 2, n - 1, n):
-        out, spec_state = base.forward_packed(tree, cache,
-                                              (start, leading_state(full_state, start)))
-        assert out.logits.shape[0] == out.hidden.shape[0] == n - start
-        assert np.array_equal(bits(out.logits), bits(full.logits[start:])), start
-        assert np.array_equal(bits(out.hidden), bits(full.hidden[start:])), start
-        assert len(full_state) == len(cache.k)  # no layers for the Markov base
-        for (k, v), (full_k, full_v) in zip(spec_state, full_state, strict=True):
-            assert np.array_equal(bits(k), bits(full_k)), start
-            assert np.array_equal(bits(v), bits(full_v)), start
-        assert cache_bits(cache) == before
+        for copied in (True, False):
+            if copied:  # another tree's K/V in the tail rows the prior fills
+                base.forward_packed(other, cache)
+                prior_state = full_state
+            else:
+                prior_state = base.forward_packed(tree, cache)[1]
+            out, spec_state = base.forward_packed(tree, cache,
+                                                  (start, leading_state(prior_state, start)))
+            where = (start, copied)
+            assert out.logits.shape[0] == out.hidden.shape[0] == n - start
+            assert np.array_equal(bits(out.logits), bits(full.logits[start:])), where
+            assert np.array_equal(bits(out.hidden), bits(full.hidden[start:])), where
+            assert len(full_state) == len(cache.k)  # no layers for the Markov base
+            for (k, v), (full_k, full_v) in zip(spec_state, full_state, strict=True):
+                assert np.array_equal(bits(k), bits(full_k)), where
+                assert np.array_equal(bits(v), bits(full_v)), where
+            assert cache_bits(cache) == before
     # rounds chained as the dataset build chains them: the first nodes as a
     # tree of their own, then the rest from its spec_state
     head = beam_mod.DraftTree.from_parents(tree.tokens[:n // 2], tree.parents[:n // 2])
@@ -552,6 +592,54 @@ def test_forwards_route_every_product_through_the_traced_kernels(tiny, monkeypat
     check_calls()
     tiny.forward_packed(tree, cache, (2, leading_state(spec_state, 2)))
     check_calls()
+
+
+def test_forwards_attend_the_cache_buffers_in_place(tiny, monkeypatch):
+    """Each layer's attention reads its keys and values straight from the
+    cache's buffers, with no copy of the committed rows: for a prompt, one
+    row, a tree and a tree from a prior."""
+    seen = []
+    real = kernels.attend
+    monkeypatch.setattr(kernels, "attend", lambda q, keys, vals, *rest:
+                        seen.append((keys, vals)) or real(q, keys, vals, *rest))
+    tree, _ = packed_from_tokens([[4, 5, 1, 2], [4, 6, 6, 1]])
+    cache = tiny.new_cache()
+
+    def check():
+        assert len(seen) == SMALL.n_layers
+        for layer, (keys, vals) in enumerate(seen):
+            assert np.shares_memory(keys, cache.k[layer]), layer
+            assert np.shares_memory(vals, cache.v[layer]), layer
+        seen.clear()
+
+    tiny.forward_context([1, 9, 4, 4, 2], cache)
+    check()
+    tiny.forward_context([3], cache)
+    check()
+    _, spec_state = tiny.forward_packed(tree, cache)
+    check()
+    tiny.forward_packed(tree, cache, (2, leading_state(spec_state, 2)))
+    check()
+
+
+def test_context_forward_never_reads_stale_scratch_rows(tiny, markov):
+    """A causal forward right after an uncommitted tree forward equals, bit
+    for bit, the same forward on a fresh cache holding the same committed
+    tokens: the tree's scratch rows are overwritten or masked, never read."""
+    rng = np.random.default_rng(14)
+    prompt = rng.integers(0, SMALL.vocab_size, size=6).tolist()
+    packed, _ = packed_from_tokens(rng.integers(0, 4, size=(4, 3)))
+    for base in (tiny, markov):
+        for tokens in ([5], [5, 2, 11]):
+            cache, fresh = base.new_cache(), base.new_cache()
+            base.forward_context(prompt, cache)
+            base.forward_packed(packed, cache)
+            base.forward_context(prompt, fresh)
+            got, want = base.forward_context(tokens, cache), base.forward_context(tokens, fresh)
+            where = (type(base).__name__, tokens)
+            assert np.array_equal(bits(got.logits), bits(want.logits)), where
+            assert np.array_equal(bits(got.hidden), bits(want.hidden)), where
+            assert cache_bits(cache) == cache_bits(fresh), where
 
 
 def test_transformer_rejects_weights_that_are_not_float32():
