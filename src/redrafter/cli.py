@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from . import decode, distill, weights
+from . import decode, distill, kernels, weights
 from .drafter import DrafterParams
 from .errors import ConfigError, ContractError, RedrafterError
 from .model import ModelConfig, SyntheticMarkovModel, TinyTransformer
@@ -22,7 +22,8 @@ CSV_COLUMNS = ["beam_width", "beam_length", "repeat", "tokens", "steps",
                "wall_ms_spec", "wall_ms_ar", "speedup", "equivalence_ok"]
 REPORT_KEYS = ["base", "beam_width", "beam_length", "seed", "tokens_generated", "steps",
                "tokens_per_step", "wall_ms_spec", "wall_ms_ar", "speedup", "compression_mean",
-               "compression_p99", "equivalence_ok", "packed_nodes_mean", "accepted_len_hist"]
+               "compression_p99", "equivalence_ok", "packed_nodes_mean", "accepted_len_hist",
+               "backend"]
 
 TRANSFORMER_CONFIG = ModelConfig(vocab_size=256, d_model=64, n_layers=2, n_heads=4,
                                  d_ff=256, max_seq_len=256)
@@ -159,7 +160,8 @@ def cmd_generate(args):
                  [args.beam_length], args.max_new_tokens, stop_token=args.stop_token)
     print(" ".join(str(t) for t in row["streams"][0]))
     if args.report:
-        row.update(base=args.base, seed=args.seed, tokens_generated=row["tokens"])
+        row.update(base=args.base, seed=args.seed, tokens_generated=row["tokens"],
+                   backend=kernels.BACKEND)
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump({key: row[key] for key in REPORT_KEYS}, fh, indent=2)
     return 0 if row["equivalence_ok"] else 1

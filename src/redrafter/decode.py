@@ -162,7 +162,7 @@ def _warn_near_ties(rows, top):
     # float32 within a gap of the maximum is the maximum itself.  Each row
     # has at least one entry not below its threshold (all of them when the
     # maximum is NaN), so ``far`` falls short only when some row has two.
-    far =np.count_nonzero(rows < (top - np.float32(4 * NEAR_TIE_GAP))[:, None])
+    far = np.count_nonzero(rows < (top - np.float32(4 * NEAR_TIE_GAP))[:, None])
     if far == rows.size - rows.shape[0]:
         return
     top2 = np.partition(rows, -2, axis=1)[:, -2:].astype(np.float64)

@@ -201,14 +201,18 @@ class TinyTransformer(BaseModel):
     """Pre-layernorm causal transformer with sinusoidal absolute positions.
 
     Weights are seeded-random or loaded; there is no in-repo training of the
-    base model.  All arithmetic goes through the fixed-order float32 kernels,
-    so a packed token whose ancestor path equals a causal prefix produces
-    bitwise-identical logits to the causal forward.
+    base model.  All products go through the float32 kernels, whose matmul
+    rows do not depend on the batch and whose attention sums run in a fixed
+    order on every lane, so a packed token whose ancestor path equals a
+    causal prefix produces bitwise-identical logits to the causal forward.
 
     ``weights`` is read at construction: each layer's ``wq``, ``wk`` and ``wv``
     are copied side by side into one ``(d_model, 3 * d_model)`` projection,
-    whose product is bitwise the three separate products (each output column
-    is its own fixed-order sum).  Only ``weights`` is saved, so the weight
+    whose product is bitwise the three separate products on the fixed-order
+    lanes (each output column is its own left-to-right sum).  On the blas
+    lane it was so for widths that are multiples of 16 up to 256, not for
+    every width (100 differs); exactness needs only that every forward uses
+    the same fused weight.  Only ``weights`` is saved, so the weight
     file keeps the separate tensors.  Every other product takes its weight
     from ``weights`` itself, the same array object, which is how a tracer
     can tell the products apart.

@@ -1,0 +1,18 @@
+"""Shared fixtures."""
+
+import pytest
+
+from redrafter import kernels
+
+
+@pytest.fixture(params=["numpy", "blas", "numba"])
+def lane(request, monkeypatch):
+    """Route every ``kernels.matmul`` and ``kernels.attend`` call of the test
+    through one kernel lane; a lane this machine lacks shows up as skipped."""
+    try:
+        matmul, attend = kernels.get_lane(request.param)
+    except KeyError:
+        pytest.skip(f"the {request.param} kernel lane is not available here")
+    monkeypatch.setattr(kernels, "_matmul_impl", matmul)
+    monkeypatch.setattr(kernels, "_attend_impl", attend)
+    return request.param

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from redrafter import cli, decode, weights
+from redrafter import cli, decode, kernels, weights
 from redrafter.drafter import DrafterParams
 
 TIMING_COLUMNS = {"wall_ms_spec", "wall_ms_ar", "speedup"}
@@ -42,6 +42,7 @@ def test_generate_baseline_matches_speculative(capsys):
 
 
 def test_generate_writes_json_report(tmp_path, capsys):
+    """The report holds the run summary and the kernel lane that ran."""
     report = tmp_path / "report.json"
     assert run(["generate", *MARKOV, "--prompt", "1 2",
                 "--max-new-tokens", "8", "--report", str(report)]) == 0
@@ -50,6 +51,7 @@ def test_generate_writes_json_report(tmp_path, capsys):
     assert data["equivalence_ok"] is True
     assert data["tokens_generated"] == 8
     assert data["steps"] >= 1
+    assert data["backend"] == kernels.BACKEND
 
 
 def test_generate_report_histograms_accepted_lengths(tmp_path, capsys):

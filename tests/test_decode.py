@@ -55,6 +55,14 @@ def test_output_identical_to_greedy_baseline(tiny, markov, width, length):
             assert sum(r.accepted_draft_tokens + 1 for r in reports) >= len(spec)
 
 
+@pytest.mark.usefixtures("lane")
+def test_output_identical_to_greedy_baseline_on_every_lane(tiny, markov):
+    """The greedy-equivalence check above, run on each kernel lane instead of
+    only the default one."""
+    for width, length in ((1, 1), (2, 3), (4, 5)):
+        test_output_identical_to_greedy_baseline(tiny, markov, width, length)
+
+
 def test_drafter_sees_last_committed_hidden_state_and_guaranteed_token(tiny, markov):
     """Each proposal conditions on the base hidden state at the last committed
     token and starts from the guaranteed token that follows it."""

@@ -3,6 +3,10 @@ mask zeros, and a lint of the numpy lane's source."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,10 +29,17 @@ def naive_matmul(a, b):
     return out
 
 
-# Every lane is listed; one that cannot run here shows up as skipped.
-LANES = ["numpy",
-         pytest.param("numba", marks=pytest.mark.skipif(
-             not kernels.HAVE_NUMBA, reason="numba is not installed: numba kernel lane untested"))]
+needs_blas = pytest.mark.skipif("blas" not in kernels._LANES,
+                                reason="the BLAS row probe failed: blas kernel lane withdrawn")
+
+# Every lane is listed; one that cannot run here shows up as skipped.  The
+# fixed-order lanes are bitwise the triple loop; the blas lane keeps only the
+# row invariance and the numpy lane's attention.
+FIXED_ORDER_LANES = ["numpy",
+                     pytest.param("numba", marks=pytest.mark.skipif(
+                         not kernels.HAVE_NUMBA,
+                         reason="numba is not installed: numba kernel lane untested"))]
+LANES = FIXED_ORDER_LANES + [pytest.param("blas", marks=needs_blas)]
 
 # (m, k, n): a single output element, one output column, and summed lengths
 # on both sides of numpy's pairwise-summation blocks (8 and 128 terms).
@@ -54,7 +65,7 @@ def sprinkle_signed_zeros(rng, x, frac=0.2):
     return x
 
 
-@pytest.mark.parametrize("lane", LANES)
+@pytest.mark.parametrize("lane", FIXED_ORDER_LANES)
 def test_matmul_matches_triple_loop_bitwise(lane):
     """Random, edge and multi-row shapes, plain and with signed-zero
     operands, including rows whose every product is -0.0."""
@@ -78,6 +89,59 @@ def test_matmul_matches_triple_loop_bitwise(lane):
         # row invariance: a row's result does not depend on the rest of the batch
         for i in range(m):
             assert np.array_equal(bits(matmul(a[i:i + 1], b)), bits(got[i:i + 1])), (m, k, n, i)
+
+
+@needs_blas
+def test_blas_rows_equal_the_row_alone_bitwise():
+    """Each row of a blas matmul has the bits of that row computed alone, for
+    1-40 rows starting 0-19 rows into a block, K up to 1024, operands with
+    signed zeros, a row of -0.0 among them, and rows with a stride."""
+    matmul, _ = kernels.get_lane("blas")
+    rng = np.random.default_rng(6)
+    for k, n in [(1, 3), (9, 1), (32, 96), (64, 32), (130, 7), (512, 32), (1024, 16)]:
+        a = sprinkle_signed_zeros(rng, rng.normal(size=(59, k)).astype(np.float32))
+        b = sprinkle_signed_zeros(rng, rng.normal(size=(k, n)).astype(np.float32))
+        a[23] = -0.0
+        b[:, :(n + 1) // 2] = np.abs(b[:, :(n + 1) // 2])
+        alone = bits(np.concatenate([matmul(row[None].copy(), b) for row in a]))
+        for m in range(1, 41):
+            for offset in range(20):
+                got = matmul(a[offset:offset + m], b)
+                assert np.array_equal(bits(got), alone[offset:offset + m]), (m, offset, k, n)
+        # rows that are strided views, as a multi-row attention output is
+        assert np.array_equal(bits(matmul(np.asfortranarray(a), b)), alone), (k, n)
+
+
+@needs_blas
+def test_blas_lane_attends_with_the_numpy_lane():
+    """Attention keeps the fixed-order lane: its probability x value sum runs
+    over keys that differ between a tree row and the greedy one."""
+    assert kernels.get_lane("blas")[1] is kernels.get_lane("numpy")[1]
+
+
+def test_row_probe_refuses_a_row_dependent_matmul():
+    """The import-time probe passes the fixed-order lane and names the first
+    shape at which a row changes with the rows beside it: at once for a
+    result that depends on the row count, and only at K = 1024 and 40 rows
+    for one that drifts there."""
+    exact, _ = kernels.get_lane("numpy")
+    eps = np.float32(2.0 ** -20)
+    assert kernels.row_dependence(exact) is None
+    assert kernels.row_dependence(lambda a, b: exact(a, b) + a.shape[0] * eps) == (
+        "a row of a 2-row matmul with K=8, N=1 depends on the other rows of the batch")
+    drifts = lambda a, b: exact(a, b) + eps * (a.shape[1] >= 1024 and a.shape[0] > 16)
+    assert "40-row matmul with K=1024" in kernels.row_dependence(drifts)
+
+
+@pytest.mark.parametrize("name", ["numpy", pytest.param("blas", marks=needs_blas)])
+def test_backend_variable_selects_the_lane(name):
+    """``REDRAFTER_BACKEND`` picks the lane that a fresh process runs."""
+    src = Path(kernels.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", "from redrafter import kernels; "
+                           "print(kernels.BACKEND)"],
+                          env={**os.environ, "REDRAFTER_BACKEND": name, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.split() == [name]
 
 
 def test_matmul_close_to_float64_reference():
@@ -123,7 +187,7 @@ def random_head(rng, n, n_keys, d):
             rng.normal(size=(n_keys, d)).astype(np.float32), np.float32(1.0 / np.sqrt(d)))
 
 
-@pytest.mark.parametrize("lane", LANES)
+@pytest.mark.parametrize("lane", FIXED_ORDER_LANES)
 def test_row_softmax_rows_normalize(lane):
     """The reference softmax's rows sum to 1, and the lane's attention
     probabilities are its bits."""
@@ -201,7 +265,7 @@ ATTEND_CASES = [(4, 2, 3, 7),
                 (2, 2, 4, (1, 1)), (9, 4, 8, (22, 2)), (5, 4, 8, (0, 4))]
 
 
-@pytest.mark.parametrize("lane", LANES)
+@pytest.mark.parametrize("lane", FIXED_ORDER_LANES)
 def test_attend_equals_composed_primitives(lane):
     """The fused attention kernel must reproduce the lane's matmul, the
     reference softmax and the lane's matmul bitwise: they share one

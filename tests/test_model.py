@@ -379,36 +379,41 @@ def test_markov_packed_forward_follows_paths():
                                           full.hidden[len(context):].view(np.uint32)), where
 
 
+def check_trees_match_causal_replay(base, rng, prompt_len):
+    """Every node of a beam-search draft tree gets bit for bit the logits and
+    hidden state of a causal replay of its root path, and committing the
+    accepted path leaves the cache a replay's."""
+    params = DrafterParams.random(np.random.default_rng(5), base.config.d_model,
+                                  base.config.vocab_size)
+    for width, length in ((1, 4), (3, 2), (4, 4), (8, 3)):
+        prompt = rng.integers(0, 16, size=prompt_len).tolist()
+        cache = base.new_cache()
+        ctx = base.forward_context(prompt, cache)
+        root = int(rng.integers(16))
+        tree = beam_mod.beam_search(params, base.token_embeddings, ctx.hidden[-1], root,
+                                    width, length).tree(root)
+        out, spec_state = base.forward_packed(tree, cache)
+        for i in range(tree.n):
+            path = tree.ancestors[i, :tree.depths[i] + 1]
+            replay = base.forward_context(prompt + tree.tokens[path].tolist(),
+                                          base.new_cache())
+            where = (type(base).__name__, prompt_len, width, length, i)
+            assert np.array_equal(bits(out.logits[i]), bits(replay.logits[-1])), where
+            assert np.array_equal(bits(out.hidden[i]), bits(replay.hidden[-1])), where
+        deepest = tree.n - 1
+        path = tree.ancestors[deepest, :tree.depths[deepest] + 1]
+        base.commit_accepted(cache, tree, spec_state, path)
+        probe = base.forward_context([3], cache)
+        replay = base.forward_context(prompt + tree.tokens[path].tolist() + [3],
+                                      base.new_cache())
+        assert np.array_equal(bits(probe.logits[-1]), bits(replay.logits[-1]))
+
+
 def test_beam_search_trees_match_causal_replay_bitwise(tiny, markov):
-    """Every node of a beam-search draft tree, under either base model, gets
-    bit for bit the logits and hidden state of a causal replay of its root
-    path, and committing the accepted path leaves the cache a replay's."""
+    """The tree-against-replay check, under either base model."""
     rng = np.random.default_rng(13)
     for base in (tiny, markov):
-        params = DrafterParams.random(np.random.default_rng(5), base.config.d_model,
-                                      base.config.vocab_size)
-        for width, length in ((1, 4), (3, 2), (4, 4), (8, 3)):
-            prompt = rng.integers(0, 16, size=5).tolist()
-            cache = base.new_cache()
-            ctx = base.forward_context(prompt, cache)
-            root = int(rng.integers(16))
-            tree = beam_mod.beam_search(params, base.token_embeddings, ctx.hidden[-1], root,
-                                        width, length).tree(root)
-            out, spec_state = base.forward_packed(tree, cache)
-            for i in range(tree.n):
-                path = tree.ancestors[i, :tree.depths[i] + 1]
-                replay = base.forward_context(prompt + tree.tokens[path].tolist(),
-                                              base.new_cache())
-                where = (type(base).__name__, width, length, i)
-                assert np.array_equal(bits(out.logits[i]), bits(replay.logits[-1])), where
-                assert np.array_equal(bits(out.hidden[i]), bits(replay.hidden[-1])), where
-            deepest = tree.n - 1
-            path = tree.ancestors[deepest, :tree.depths[deepest] + 1]
-            base.commit_accepted(cache, tree, spec_state, path)
-            probe = base.forward_context([3], cache)
-            replay = base.forward_context(prompt + tree.tokens[path].tolist() + [3],
-                                          base.new_cache())
-            assert np.array_equal(bits(probe.logits[-1]), bits(replay.logits[-1]))
+        check_trees_match_causal_replay(base, rng, 5)
 
 
 def cache_bits(cache):
@@ -467,6 +472,31 @@ def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
     out, _ = base.forward_packed(tree, cache, (n // 2, head_state))
     assert np.array_equal(bits(out.logits), bits(full.logits[n // 2:]))
     assert cache_bits(cache) == before
+
+
+@pytest.mark.usefixtures("lane")
+def test_packed_forwards_are_exact_on_every_lane(tiny, markov):
+    """The packed-against-causal, prior and commit checks above, run on each
+    kernel lane instead of only the default one."""
+    test_packed_forward_matches_causal_replay_per_path(tiny)
+    test_beam_search_trees_match_causal_replay_bitwise(tiny, markov)
+    test_packed_forward_from_a_prior_equals_the_full_forward(tiny, "transformer")
+    test_packed_capacity_is_set_by_the_deepest_node(tiny, markov)
+    test_commit_then_forward_matches_fresh_recompute(tiny)
+
+
+@pytest.mark.parametrize("lane", ["blas"], indirect=True)
+def test_beam_search_trees_match_causal_replay_bitwise_at_d128(lane):
+    """The tree-against-replay check on a d 128 x 4-layer base, whose w2
+    product sums K = 512 terms, with replays of 6-29 rows: where a BLAS gemm
+    changes its path with the row count, so a gemm-based lane's rows would
+    stop matching, and where a strided row takes another BLAS path."""
+    config = ModelConfig(vocab_size=16, d_model=128, n_layers=4, n_heads=4, d_ff=512,
+                         max_seq_len=64)
+    base = TinyTransformer.random(config, seed=3)
+    rng = np.random.default_rng(14)
+    for prompt_len in (5, 14, 23):
+        check_trees_match_causal_replay(base, rng, prompt_len)
 
 
 def test_packed_forward_rejects_a_mismatched_prior(tiny, markov):
