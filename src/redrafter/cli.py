@@ -148,6 +148,9 @@ def sweep(base, params, prompts, widths, lengths, max_new_tokens, repeats=1, sto
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args):
+    if args.baseline and args.report:
+        raise ConfigError("--baseline and --report do not combine: the report "
+                          "summarises a speculative run")
     base = build_base(args)
     prompt = parse_prompt(args, base)
     if args.baseline:

@@ -72,10 +72,10 @@ def build_distill_dataset(base, corpus, horizon):
     block's chain gives each prefix's h and guaranteed token.  Round k = 1
     .. horizon then grows one tree: under each prefix's chain node hang
     that prefix's first k rollout tokens, the guaranteed token first.  The
-    round forwards only its new nodes, one per kept position, passing the
-    previous forward's spec_state for the nodes before them; the
-    lowest-index argmax at each new node is its rollout's next token.  A
-    block thus forwards ``size + horizon * kept`` rows, against
+    round forwards only its new nodes, one per kept position: the nodes
+    before them are the previous forward's, whose K/V the cache's tail
+    holds; the lowest-index argmax at each new node is its rollout's next
+    token.  A block thus forwards ``size + horizon * kept`` rows, against
     ``size * (horizon + 1) + kept * horizon * (horizon + 1) / 2`` if every
     round verified the whole tree.  The chain is committed after the block.
     The cache is visible to every tree row, so a block's chain cannot be
@@ -120,11 +120,11 @@ def build_distill_dataset(base, corpus, horizon):
                     np.concatenate([chain.parents, np.arange(kept),
                                     size + np.arange((horizon - 1) * kept)]))
                 for k in range(1, horizon + 1):
-                    # round k forwards only the nodes of levels[k - 1]; those
-                    # before them come in through the last forward's spec_state
+                    # round k forwards only the nodes of levels[k - 1]; the
+                    # last forward left those before them in the cache's tail
                     nodes = size + k * kept
                     head = _first_nodes(tree, tokens, nodes)
-                    new, spec_state = base.forward_packed(head, cache, (nodes - kept, spec_state))
+                    new, spec_state = base.forward_packed(head, cache, nodes - kept)
                     levels[k] = new.logits.argmax(axis=1)
                 teachers = np.ascontiguousarray(levels[1:].T)
                 for j in range(kept):

@@ -4,11 +4,11 @@ The exact-output guarantee of the decode loop relies on the packed-verification
 path and the plain causal path producing bitwise-identical logits.  That
 holds if masked-out attention entries contribute exact zeros to sums taken in
 the same order, and if a row's result does not depend on which other rows
-share the batch or where it sits among them.  Three lanes provide it:
+share the batch or where it sits among them.  Two lanes provide it:
 
-- ``numpy`` and ``numba`` run every reduction in a fixed, data-independent
-  order: single-precision accumulation, left to right, starting from +0.0,
-  as in the scalar triple loop.  Their matmul is bitwise that loop.
+- ``numpy`` runs every reduction in a fixed, data-independent order:
+  single-precision accumulation, left to right, starting from +0.0, as in
+  the scalar triple loop.  Its matmul is bitwise that loop.
 - ``blas`` makes one identical BLAS vector x matrix call per matmul row
   (``np.matmul`` over a stack of 1-row operands), so a row's bits cannot
   depend on the batch; which order BLAS sums in is its own, so the lane is
@@ -64,10 +64,9 @@ On the same VM, in-process, that took a 1-row 32 x 64 matmul from 7.8 to
 ``tests/test_kernels.py`` lints this lane's source for ``.sum``, ``dot``,
 ``matmul``, ``@`` and einsum subscripts that sum an index.
 
-numba is an optional extra (``pip install -e ".[numba]"``).  The default
-lane is numba when it imports, else blas when the row probe below passes,
-else numpy; ``REDRAFTER_BACKEND`` names one lane explicitly.  Within one
-process all calls go through the same lane.
+The default lane is blas when the row probe below passes, else numpy;
+``REDRAFTER_BACKEND`` names one lane explicitly.  Within one process all
+calls go through the same lane.
 
 A BLAS row's bits are an observed property of the BLAS build, not a
 documented contract, so at import ``row_dependence`` compares each row of
@@ -86,6 +85,9 @@ import os
 import numpy as np
 
 from .errors import ShapeError
+
+# there is no numba lane; perfbench/run.py's environment stamp reads this
+HAVE_NUMBA = False
 
 _NEG_BIAS = np.float32(-1e9)  # additive mask penalty; exp() underflows to exact 0.0
 _ZERO = np.float32(0.0)
@@ -142,66 +144,6 @@ def _attend_numpy(q, keys, vals, bias, n_heads, scale):
 
 
 # ---------------------------------------------------------------------------
-# numba lane
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-
-    @njit(cache=True)
-    def _matmul_numba(a, b):
-        m, kk = a.shape
-        n = b.shape[1]
-        out = np.zeros((m, n), dtype=np.float32)
-        for i in range(m):
-            for j in range(n):
-                acc = np.float32(0.0)
-                for k in range(kk):
-                    p = a[i, k] * b[k, j]
-                    acc = acc + p
-                out[i, j] = acc
-        return out
-
-    @njit(cache=True)
-    def _attend_numba(q, keys, vals, bias, n_heads, scale):
-        n, d = q.shape
-        m = keys.shape[0]
-        dh = d // n_heads
-        out = np.empty((n, d), dtype=np.float32)
-        w = np.empty(m, dtype=np.float32)
-        for head in range(n_heads):
-            lo = head * dh
-            for i in range(n):
-                mx = np.float32(-np.inf)
-                for j in range(m):
-                    acc = np.float32(0.0)
-                    for k in range(dh):
-                        acc = acc + q[i, lo + k] * keys[j, lo + k]
-                    s = acc * scale + bias[i, j]
-                    w[j] = s
-                    if s > mx:
-                        mx = s
-                total = np.float32(0.0)
-                for j in range(m):
-                    e = np.exp(w[j] - mx)
-                    w[j] = e
-                    total = total + e
-                for j in range(m):
-                    w[j] = w[j] / total
-                for k in range(dh):
-                    acc = np.float32(0.0)
-                    for j in range(m):
-                        acc = acc + w[j] * vals[j, lo + k]
-                    out[i, lo + k] = acc
-        return out
-
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAVE_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
 # BLAS lane
 # ---------------------------------------------------------------------------
 
@@ -236,8 +178,6 @@ def row_dependence(matmul):
 
 
 _LANES = {"numpy": (_matmul_numpy, _attend_numpy)}
-if HAVE_NUMBA:
-    _LANES["numba"] = (_matmul_numba, _attend_numba)
 _blas_fault = row_dependence(_matmul_blas)
 if _blas_fault is None:
     _LANES["blas"] = (_matmul_blas, _attend_numpy)
@@ -251,7 +191,7 @@ if _requested:
                           f"(choices: {sorted(_LANES)})")
     BACKEND = _requested
 else:
-    BACKEND = "numba" if HAVE_NUMBA else "blas" if "blas" in _LANES else "numpy"
+    BACKEND = "blas" if "blas" in _LANES else "numpy"
 
 _matmul_impl, _attend_impl = _LANES[BACKEND]
 
@@ -270,8 +210,8 @@ def get_lane(name):
 def matmul(a, b):
     """Float32 matrix product whose rows do not depend on the batch.
 
-    On the numpy and numba lanes it is bitwise the naive triple loop; on the
-    blas lane each row is one BLAS vector x matrix call.
+    On the numpy lane it is bitwise the naive triple loop; on the blas lane
+    each row is one BLAS vector x matrix call.
     """
     a = np.asarray(a, dtype=np.float32)
     b = np.asarray(b, dtype=np.float32)

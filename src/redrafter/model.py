@@ -58,7 +58,7 @@ class BaseModel(ABC):
     """Next-token logits + last-layer hidden state, with explicit cache commits.
 
     The three forwards are defined here, once, with every check on tokens,
-    masks, priors, paths and capacity.  A model only computes rows, through
+    masks, starts, paths and capacity.  A model only computes rows, through
     ``_context_rows`` and ``_tree_rows``, and writes each new row's K/V in
     place, row i of a forward at ``committed_len + i``; a model without
     attention keeps a ``KvCache`` without layers.
@@ -95,36 +95,29 @@ class BaseModel(ABC):
         cache.tokens.extend(tokens.tolist())
         return out
 
-    def forward_packed(self, tree, cache, prior=None):
+    def forward_packed(self, tree, cache, start=0):
         """Tree-masked forward over a draft tree whose root takes the next
         position after the committed context; node i's K/V go to the scratch
         row ``committed_len + i``.
 
         Returns (BaseModelOutput, spec_state): each layer's K/V of the tree's
         nodes for ``commit_accepted``, as views of the tail valid until the
-        next forward on the cache.  ``prior`` is ``(start, spec_state)`` of a
-        forward of the tree's first ``start`` nodes: their K/V are written to
-        the tail (onto themselves if they are the last forward's views), and
-        only nodes ``start`` on are computed and output, bit for bit as in the
-        full forward, since a node depends only on its preceding ancestors.
+        next forward on the cache.  The first ``start`` nodes' K/V are the
+        ones the last forward on this cache left in its tail (a forward of
+        those nodes, or of a tree they lead); only nodes ``start`` on are
+        computed and output, bit for bit as in the full forward, since a node
+        depends only on its preceding ancestors.
         """
         tokens = self._check_tokens(tree.tokens)
         n = tokens.shape[0]
         if tree.mask.shape != (n, n):
             raise ShapeError(f"mask shape {tree.mask.shape} does not match {n} tree tokens")
-        start, prior_kv = (0, ()) if prior is None else prior
         if not 0 <= start <= n:
-            raise ContractError(f"prior of {start} nodes outside a tree of {n}")
-        if prior is not None and (len(prior_kv) != len(cache.k) or any(
-                rows.shape[0] != start for kv in prior_kv for rows in kv)):
-            raise ShapeError(f"prior K/V needs {len(cache.k)} layers of {start} rows each")
+            raise ContractError(f"start of {start} nodes outside a tree of {n}")
         if start < n:
             self._check_capacity(cache, int(tree.depths.max()) + 1)
         self._reserve_tail(cache, n)
         n_ctx = cache.committed_len
-        for layer, (prior_k, prior_v) in enumerate(prior_kv):
-            cache.k[layer][n_ctx:n_ctx + start] = prior_k
-            cache.v[layer][n_ctx:n_ctx + start] = prior_v
         out = self._tree_rows(tree, start, cache) if start < n else self.forward_context([], cache)
         return out, [(k[n_ctx:n_ctx + n], v[n_ctx:n_ctx + n]) for k, v in zip(cache.k, cache.v)]
 
@@ -208,8 +201,8 @@ class TinyTransformer(BaseModel):
 
     ``weights`` is read at construction: each layer's ``wq``, ``wk`` and ``wv``
     are copied side by side into one ``(d_model, 3 * d_model)`` projection,
-    whose product is bitwise the three separate products on the fixed-order
-    lanes (each output column is its own left-to-right sum).  On the blas
+    whose product is bitwise the three separate products on the numpy lane
+    (each output column is its own left-to-right sum).  On the blas
     lane it was so for widths that are multiples of 16 up to 256, not for
     every width (100 differs); exactness needs only that every forward uses
     the same fused weight.  Only ``weights`` is saved, so the weight

@@ -41,6 +41,19 @@ def test_generate_baseline_matches_speculative(capsys):
     assert capsys.readouterr().out.split() == spec
 
 
+def test_generate_baseline_with_a_report_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """A greedy run has no speculative summary to report: the pair of flags
+    is refused before any decode, and no report is written."""
+    report = tmp_path / "report.json"
+    monkeypatch.setattr(decode, "autoregressive_generate",
+                        lambda *args: pytest.fail("decoded before refusing the flags"))
+    assert run(["generate", *MARKOV, "--prompt", "1 2", "--max-new-tokens", "4",
+                "--baseline", "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--baseline" in err and "--report" in err
+    assert not report.exists()
+
+
 def test_generate_writes_json_report(tmp_path, capsys):
     """The report holds the run summary and the kernel lane that ran."""
     report = tmp_path / "report.json"

@@ -159,10 +159,10 @@ def test_tree_batched_dataset_makes_horizon_plus_one_packed_forwards_per_block(
     new_rows = []
     forward_packed = window_base.forward_packed
 
-    def counting_forward_packed(tree, cache, prior=None):
+    def counting_forward_packed(tree, cache, start=0):
         calls.append(tree.n)
-        new_rows.append(tree.n - (0 if prior is None else prior[0]))
-        return forward_packed(tree, cache, prior)
+        new_rows.append(tree.n - start)
+        return forward_packed(tree, cache, start)
 
     def no_forward_context(tokens, cache):
         raise AssertionError("the tree-batched build made a causal forward")

@@ -32,13 +32,10 @@ def naive_matmul(a, b):
 needs_blas = pytest.mark.skipif("blas" not in kernels._LANES,
                                 reason="the BLAS row probe failed: blas kernel lane withdrawn")
 
-# Every lane is listed; one that cannot run here shows up as skipped.  The
-# fixed-order lanes are bitwise the triple loop; the blas lane keeps only the
-# row invariance and the numpy lane's attention.
-FIXED_ORDER_LANES = ["numpy",
-                     pytest.param("numba", marks=pytest.mark.skipif(
-                         not kernels.HAVE_NUMBA,
-                         reason="numba is not installed: numba kernel lane untested"))]
+# Both lanes are listed; blas shows up as skipped where the row probe
+# withdrew it.  The fixed-order numpy lane is bitwise the triple loop; the
+# blas lane keeps only the row invariance and the numpy lane's attention.
+FIXED_ORDER_LANES = ["numpy"]
 LANES = FIXED_ORDER_LANES + [pytest.param("blas", marks=needs_blas)]
 
 # (m, k, n): a single output element, one output column, and summed lengths
@@ -142,6 +139,19 @@ def test_backend_variable_selects_the_lane(name):
                           env={**os.environ, "REDRAFTER_BACKEND": name, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.split() == [name]
+
+
+@pytest.mark.parametrize("name", ["numba", "no-such-lane"])
+def test_backend_variable_naming_an_absent_lane_fails_the_import(name):
+    """A fresh process asked for a lane that does not exist fails at import,
+    listing the lanes it has."""
+    src = Path(kernels.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", "from redrafter import kernels"],
+                          env={**os.environ, "REDRAFTER_BACKEND": name, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode != 0
+    assert (f"ImportError: REDRAFTER_BACKEND={name!r} not available "
+            f"(choices: {sorted(kernels._LANES)})") in done.stderr
 
 
 def test_matmul_close_to_float64_reference():
@@ -354,7 +364,7 @@ def numpy_lane_violations(source):
 def test_numpy_lane_source_uses_only_ordered_sums():
     source = inspect.getsource(kernels)
     start = source.index("# pure-numpy lane")
-    lane = source[start:source.index("# numba lane", start)]
+    lane = source[start:source.index("# BLAS lane", start)]
     assert "_ordered_sum" in lane and "np.einsum(" in lane
     assert numpy_lane_violations(lane) == []
     # the lint itself catches each banned form

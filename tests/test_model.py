@@ -423,19 +423,14 @@ def cache_bits(cache):
     return [bits(a[:n]).tobytes() for a in cache.k + cache.v], list(cache.tokens), n
 
 
-def leading_state(spec_state, start):
-    """The spec_state of a forward of a tree's first ``start`` nodes, cut from
-    the whole tree's."""
-    return [(k[:start], v[:start]) for k, v in spec_state]
-
-
 @pytest.mark.parametrize("name", ["transformer", "markov1", "markov2"])
 def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
-    """With the spec_state of a tree's first nodes passed in, a forward
-    computes the later nodes' rows and the whole tree's spec_state bit for
-    bit as the full-tree forward does, and leaves the committed context
-    untouched.  The prior is a copy, or the views the previous forward
-    returned, which live in the very tail rows this forward writes."""
+    """A forward of a tree from ``start`` takes the first ``start`` nodes'
+    K/V from the tail rows the last forward left, and computes the later
+    nodes' rows and the whole tree's spec_state bit for bit as the full-tree
+    forward does, leaving the committed context untouched.  The last forward
+    is of the whole tree, or of its first nodes as a tree of their own, as
+    the dataset build chains its rounds."""
     base = tiny if name == "transformer" else SyntheticMarkovModel(
         order=int(name[-1]), vocab_size=16, seed=2)
     tree, _ = packed_from_tokens([[4, 5, 1, 2], [4, 5, 2, 2], [4, 6, 6, 1], [3, 3, 3, 3]])
@@ -448,15 +443,15 @@ def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
     other, _ = packed_from_tokens(np.arange(4)[:, None] + np.full((1, 4), 8))  # 17 nodes
     n = tree.n
     for start in (0, n // 2, n - 1, n):
-        for copied in (True, False):
-            if copied:  # another tree's K/V in the tail rows the prior fills
-                base.forward_packed(other, cache)
-                prior_state = full_state
-            else:
-                prior_state = base.forward_packed(tree, cache)[1]
-            out, spec_state = base.forward_packed(tree, cache,
-                                                  (start, leading_state(prior_state, start)))
-            where = (start, copied)
+        heads = [tree]
+        if start:
+            heads.append(beam_mod.DraftTree.from_parents(tree.tokens[:start],
+                                                         tree.parents[:start]))
+        for head in heads:
+            base.forward_packed(other, cache)  # another tree's K/V in the tail rows
+            base.forward_packed(head, cache)
+            out, spec_state = base.forward_packed(tree, cache, start)
+            where = (start, head.n)
             assert out.logits.shape[0] == out.hidden.shape[0] == n - start
             assert np.array_equal(bits(out.logits), bits(full.logits[start:])), where
             assert np.array_equal(bits(out.hidden), bits(full.hidden[start:])), where
@@ -465,13 +460,6 @@ def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
                 assert np.array_equal(bits(k), bits(full_k)), where
                 assert np.array_equal(bits(v), bits(full_v)), where
             assert cache_bits(cache) == before
-    # rounds chained as the dataset build chains them: the first nodes as a
-    # tree of their own, then the rest from its spec_state
-    head = beam_mod.DraftTree.from_parents(tree.tokens[:n // 2], tree.parents[:n // 2])
-    _, head_state = base.forward_packed(head, cache)
-    out, _ = base.forward_packed(tree, cache, (n // 2, head_state))
-    assert np.array_equal(bits(out.logits), bits(full.logits[n // 2:]))
-    assert cache_bits(cache) == before
 
 
 @pytest.mark.usefixtures("lane")
@@ -500,28 +488,15 @@ def test_beam_search_trees_match_causal_replay_bitwise_at_d128(lane):
 
 
 def test_packed_forward_rejects_a_mismatched_prior(tiny, markov):
-    """A start outside [0, n], or prior K/V whose rows are not the start's or
-    whose layers are not the base's: any layer at all for the Markov base."""
+    """A start outside [0, n] nodes names no prior nodes of the tree."""
     tree, _ = packed_from_tokens([[4, 5], [4, 6]])
     for base in (tiny, markov):
         cache = base.new_cache()
         base.forward_context([1, 2, 3], cache)
-        _, full_state = base.forward_packed(tree, cache)
+        base.forward_packed(tree, cache)
         for start in (-1, tree.n + 1):
-            with pytest.raises(ContractError):
-                base.forward_packed(tree, cache, (start, leading_state(full_state, 0)))
-    cache = tiny.new_cache()
-    tiny.forward_context([1, 2, 3], cache)
-    _, full_state = tiny.forward_packed(tree, cache)
-    for start, state in ((1, leading_state(full_state, 2)), (2, leading_state(full_state, 1)),
-                         (2, leading_state(full_state, 2)[:1])):
-        with pytest.raises(ShapeError):
-            tiny.forward_packed(tree, cache, (start, state))
-    cache = markov.new_cache()
-    markov.forward_context([1, 2, 3], cache)
-    for start in (0, 2):
-        with pytest.raises(ShapeError):
-            markov.forward_packed(tree, cache, (start, leading_state(full_state, start)))
+            with pytest.raises(ContractError, match="start"):
+                base.forward_packed(tree, cache, start)
 
 
 def test_packed_forward_rejects_a_mask_of_another_size(tiny, markov):
@@ -592,7 +567,7 @@ def test_forwards_route_every_product_through_the_traced_kernels(tiny, monkeypat
     """A tracer times the layers by wrapping ``kernels.matmul`` and
     ``kernels.attend`` and tells the products apart by the identity of their
     weight operand.  So each forward (a prompt, one row, a tree, a tree from
-    a prior) makes 4 * n_layers + 1 matmul and n_layers attend calls through
+    a start) makes 4 * n_layers + 1 matmul and n_layers attend calls through
     those module attributes, and every product but the fused QKV takes its
     weight from ``weights`` itself: wo, w1 and w2 per layer, then w_out."""
     calls = []
@@ -618,16 +593,16 @@ def test_forwards_route_every_product_through_the_traced_kernels(tiny, monkeypat
     check_calls()
     tiny.forward_context([3], cache)
     check_calls()
-    _, spec_state = tiny.forward_packed(tree, cache)
+    tiny.forward_packed(tree, cache)
     check_calls()
-    tiny.forward_packed(tree, cache, (2, leading_state(spec_state, 2)))
+    tiny.forward_packed(tree, cache, 2)
     check_calls()
 
 
 def test_forwards_attend_the_cache_buffers_in_place(tiny, monkeypatch):
     """Each layer's attention reads its keys and values straight from the
     cache's buffers, with no copy of the committed rows: for a prompt, one
-    row, a tree and a tree from a prior."""
+    row, a tree and a tree from a start."""
     seen = []
     real = kernels.attend
     monkeypatch.setattr(kernels, "attend", lambda q, keys, vals, *rest:
@@ -646,9 +621,9 @@ def test_forwards_attend_the_cache_buffers_in_place(tiny, monkeypatch):
     check()
     tiny.forward_context([3], cache)
     check()
-    _, spec_state = tiny.forward_packed(tree, cache)
+    tiny.forward_packed(tree, cache)
     check()
-    tiny.forward_packed(tree, cache, (2, leading_state(spec_state, 2)))
+    tiny.forward_packed(tree, cache, 2)
     check()
 
 
