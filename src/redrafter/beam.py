@@ -14,9 +14,9 @@ shared prefixes are found with plain tensor operations (elementwise match
 matrix, cumulative sum, first-match argmax) instead of a trie
 (``dedup_prefix``), and ``pack_beam`` flattens the result.  Every tree, from
 either route or ``chain_tree``, comes from one constructor,
-``DraftTree.from_parents``, which derives depths, the ancestor table that
-drives the greedy verify rule and the mask of the tree-masked verification
-forward from the parent of each node.
+``DraftTree.from_parents``, which derives depths and the mask from the
+parent of each node.  The mask serves both the tree-masked verification
+forward and the greedy verify rule.
 """
 
 from dataclasses import dataclass
@@ -34,17 +34,16 @@ class DraftTree:
     """A token tree rooted at a step's guaranteed token, verified in one
     tree-masked forward of the base model.
 
-    Node 0 is the root, and each parent comes before its children.  A
-    node's depth is its offset from the root's absolute position.  Row ``i``
-    of ``ancestors`` lists node i's path by depth, root first and i itself
-    at column ``depths[i]``; columns past its depth hold the root.
+    Node 0 is the root, and each parent comes before its children, so the
+    nodes of mask row ``i`` in ascending order are node i's path from the
+    root down.  A node's depth is its offset from the root's absolute
+    position.
     """
 
-    tokens: np.ndarray     # (n,) int64, the root first
-    parents: np.ndarray    # (n,) parent node, ROOT_PARENT for the root
-    depths: np.ndarray     # (n,) 0 for the root
-    ancestors: np.ndarray  # (n, max depth + 1) node at each depth of a node's path
-    mask: np.ndarray       # (n, n) bool; mask[i, j] iff j is i or an ancestor of i
+    tokens: np.ndarray   # (n,) int64, the root first
+    parents: np.ndarray  # (n,) parent node, ROOT_PARENT for the root
+    depths: np.ndarray   # (n,) 0 for the root
+    mask: np.ndarray     # (n, n) bool; mask[i, j] iff j is i or an ancestor of i
 
     @property
     def n(self):
@@ -53,8 +52,8 @@ class DraftTree:
     @classmethod
     def from_parents(cls, tokens, parents):
         """The tree whose node i holds ``tokens[i]`` below ``parents[i]``;
-        depths, ancestors and mask follow from the parents.  Node 0 is the
-        root, and every other node's parent precedes it."""
+        depths and mask follow from the parents.  Node 0 is the root, and
+        every other node's parent precedes it."""
         tokens = np.asarray(tokens, dtype=np.int64)
         parents = np.asarray(parents, dtype=np.int64)
         n = parents.shape[0]
@@ -71,14 +70,9 @@ class DraftTree:
             chain.append(up[chain[-1]])
         chain = np.array(chain)
         depths = (chain > 0).sum(axis=0)
-        # by depth: column d is chain row depth - d, and past the node's
-        # depth the last chain row, which is the root for every node
-        ancestors = chain[np.maximum(depths[:, None] - np.arange(chain.shape[0]), -1),
-                          nodes[:, None]]
         mask = np.zeros((n, n), dtype=bool)
         mask[nodes, chain] = True
-        return cls(tokens=tokens, parents=parents, depths=depths, ancestors=ancestors,
-                   mask=mask)
+        return cls(tokens=tokens, parents=parents, depths=depths, mask=mask)
 
 
 def chain_tree(root, drafts):

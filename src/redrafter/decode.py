@@ -21,7 +21,6 @@ construction, the argmax the base model would have produced at that position,
 and the step always ends with the base model's own next token.
 """
 
-import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,10 +29,6 @@ import numpy as np
 from . import beam as beam_mod
 from .errors import CapacityError, ConfigError, ContractError, ShapeError
 from .kernels import argmax_tie_low
-
-log = logging.getLogger(__name__)
-
-NEAR_TIE_GAP = 1e-6
 
 
 @dataclass
@@ -73,7 +68,6 @@ class StepReport:
 
 @dataclass
 class VerifyResult:
-    accepted_len: int
     next_guaranteed_token: int
     path: np.ndarray  # tree nodes to commit: the root, then the accepted drafts
 
@@ -130,10 +124,12 @@ class MirrorProposer:
 def verify_greedy(base_output, tree):
     """Accept the deepest draft node whose whole path matches the verifier.
 
-    A node matches iff its token is the argmax of the logits at its parent
-    (the root, the step's guaranteed token, always stands).  Every node is a
-    distinct prefix, so at most one node per depth has an all-matching path,
-    and the deepest one is unique; the root alone accepts nothing.
+    A draft node matches iff its token is the argmax of the logits at its
+    parent, and stands iff every node of its mask row matches (the root, the
+    step's guaranteed token, always does).  With distinct prefixes at most
+    one node per depth stands; ties go to the lowest node index.  The path
+    is the node's mask row in index order, which is root-to-node order
+    because parents precede children; the root alone accepts nothing.
     """
     if base_output.logits.shape[0] != tree.n:
         raise ContractError(f"base output rows ({base_output.logits.shape[0]}) do not "
@@ -142,34 +138,9 @@ def verify_greedy(base_output, tree):
     matches = tree.tokens == node_argmax[tree.parents]
     matches[0] = True
     # root-depth nodes score 0, so with no accepted draft argmax picks the root
-    node = int(np.argmax(tree.depths * np.logical_and.reduce(matches[tree.ancestors], axis=1)))
-    acc = int(tree.depths[node])
-    path = tree.ancestors[node, :acc + 1]
-    _warn_near_ties(base_output.logits[path], base_output.logits[path, node_argmax[path]])
-    return VerifyResult(accepted_len=acc, next_guaranteed_token=int(node_argmax[node]),
-                        path=path)
-
-
-def _warn_near_ties(rows, top):
-    """Warn for each row whose top-1/top-2 gap is under ``NEAR_TIE_GAP``;
-    ``top`` holds each row's maximum."""
-    if rows.shape[1] < 2:
-        return
-    # The exact check runs only when some row has an entry besides its
-    # maximum within 4 gaps of it.  Rounding moves the float32 threshold by
-    # at most half an ulp: while the ulp is at most 4 gaps, the threshold
-    # stays 2 gaps or more below the maximum, and beyond that the only
-    # float32 within a gap of the maximum is the maximum itself.  Each row
-    # has at least one entry not below its threshold (all of them when the
-    # maximum is NaN), so ``far`` falls short only when some row has two.
-    far = np.count_nonzero(rows < (top - np.float32(4 * NEAR_TIE_GAP))[:, None])
-    if far == rows.size - rows.shape[0]:
-        return
-    top2 = np.partition(rows, -2, axis=1)[:, -2:].astype(np.float64)
-    gaps = top2[:, 1] - top2[:, 0]
-    for gap in gaps[gaps < NEAR_TIE_GAP]:
-        log.warning("near-tie in verification logits (top-1/top-2 gap %.3e); "
-                    "argmax agreement between code paths may be fragile", gap)
+    node = int(np.argmax(tree.depths * np.logical_and.reduce(tree.mask <= matches, axis=1)))
+    return VerifyResult(next_guaranteed_token=int(node_argmax[node]),
+                        path=np.flatnonzero(tree.mask[node]))
 
 
 def _prefill(base, prompt, cfg):
@@ -224,14 +195,16 @@ def speculative_generate(base, proposer, prompt, cfg):
             tree = proposer.propose(h, guaranteed, cfg.beam_width, length)
             if tree.tokens[0] != guaranteed:
                 raise ContractError("a proposal's tree must be rooted at the guaranteed token")
+            if tree.depths.max() > length:
+                raise ContractError(f"a proposal's tree is {tree.depths.max()} deep, "
+                                    f"deeper than the {length} asked for")
             base_out, spec_state = base.forward_packed(tree, cache)
             result = verify_greedy(base_out, tree)
-            acc = result.accepted_len
             path = result.path
             base.commit_accepted(cache, tree, spec_state, path)
             h = base_out.hidden[path[-1]]
             guaranteed = result.next_guaranteed_token
-            reports.append(StepReport(accepted_draft_tokens=acc, packed_size=tree.n,
+            reports.append(StepReport(accepted_draft_tokens=path.size - 1, packed_size=tree.n,
                                       compression_ratio=cfg.beam_width * (length + 1) / tree.n,
                                       llm_calls=1))
             step_tokens = tree.tokens[path].tolist()

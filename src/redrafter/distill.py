@@ -146,7 +146,7 @@ def _first_nodes(tree, tokens, n):
     """The subtree of a tree's first n nodes, holding ``tokens[:n]``.  Parents
     precede children, so every other field is a leading slice."""
     return beam.DraftTree(tokens=tokens[:n], parents=tree.parents[:n], depths=tree.depths[:n],
-                          ancestors=tree.ancestors[:n], mask=tree.mask[:n, :n])
+                          mask=tree.mask[:n, :n])
 
 
 def ground_truth_dataset(base, corpus, horizon):

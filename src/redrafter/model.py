@@ -106,7 +106,7 @@ class BaseModel(ABC):
         ones the last forward on this cache left in its tail (a forward of
         those nodes, or of a tree they lead); only nodes ``start`` on are
         computed and output, bit for bit as in the full forward, since a node
-        depends only on its preceding ancestors.
+        depends only on the nodes of its root path, which precede it.
         """
         tokens = self._check_tokens(tree.tokens)
         n = tokens.shape[0]

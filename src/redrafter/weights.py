@@ -44,7 +44,8 @@ def save_tensors(prefix, magic, tensors, header=None):
 
 
 def load_tensors(prefix, magic):
-    """Read a manifest/blob pair back into (header dict of integers, ordered tensor list)."""
+    """Read a manifest/blob pair back into (header dict of integers, dict of
+    tensors by name in file order); a name may appear once."""
     manifest_path = prefix + ".manifest"
     blob_path = prefix + ".bin"
     if not os.path.exists(manifest_path):
@@ -58,7 +59,7 @@ def load_tensors(prefix, magic):
         blob = fh.read()
 
     header = {}
-    tensors = []
+    tensors = {}
     for ln in lines[1:]:
         if ln.startswith("#"):
             key, _, value = ln[1:].strip().partition(" ")
@@ -68,6 +69,8 @@ def load_tensors(prefix, magic):
         if len(parts) != 4:
             raise FormatError(f"{manifest_path}: malformed tensor line {ln!r}")
         name, dtype, dims, offset = parts
+        if name in tensors:
+            raise FormatError(f"{manifest_path}: tensor {name} appears twice")
         if dtype != "f32":
             raise FormatError(f"tensor {name}: unsupported dtype {dtype}")
         shape = tuple(_int(d, f"tensor {name} dim", manifest_path) for d in dims.split(","))
@@ -78,7 +81,7 @@ def load_tensors(prefix, magic):
             raise FormatError(f"tensor {name}: blob truncated "
                               f"(needs bytes up to {end}, have {len(blob)})")
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
-        tensors.append((name, arr.copy()))
+        tensors[name] = arr.copy()
     return header, tensors
 
 
@@ -107,7 +110,7 @@ def load_base_model(prefix):
     except KeyError as exc:
         raise FormatError(f"manifest missing config key {exc}") from exc
     try:
-        return TinyTransformer(config, dict(tensors))
+        return TinyTransformer(config, tensors)
     except ShapeError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -124,16 +127,15 @@ def save_drafter(params, horizon, prefix):
 def load_drafter(prefix):
     """Returns (DrafterParams, training horizon)."""
     header, tensors = load_tensors(prefix, DRAFTER_MAGIC)
-    named = dict(tensors)
+    f64 = {name: arr.astype(np.float64) for name, arr in tensors.items()}
     try:
-        horizon = header["horizon"]
-        n_mlp = header["n_mlp"]
-        arrays = {name: named[name].astype(np.float64)
-                  for name in ("u", "w", "b", "out_proj")}
-        mlp = [(named[f"mlp{i}_w"].astype(np.float64),
-                named[f"mlp{i}_b"].astype(np.float64)) for i in range(n_mlp)]
+        horizon, n_mlp, d_s = header["horizon"], header["n_mlp"], header["d_s"]
+        params = DrafterParams(u=f64["u"], w=f64["w"], b=f64["b"], out_proj=f64["out_proj"],
+                               mlp=[(f64[f"mlp{i}_w"], f64[f"mlp{i}_b"]) for i in range(n_mlp)])
     except KeyError as exc:
         raise FormatError(f"drafter manifest missing {exc}") from exc
-    params = DrafterParams(u=arrays["u"], w=arrays["w"], b=arrays["b"],
-                           mlp=mlp, out_proj=arrays["out_proj"])
+    except ShapeError as exc:
+        raise FormatError(str(exc)) from exc
+    if params.d_s != d_s:
+        raise FormatError(f"drafter manifest says d_s {d_s}, its tensors are {params.d_s} wide")
     return params, horizon

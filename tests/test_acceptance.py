@@ -182,7 +182,7 @@ def test_criterion_4_tree_mask_soundness():
                                     width, length).tree(root)
         out, _ = base.forward_packed(tree, cache)
         for i in range(tree.n):
-            path = tree.ancestors[i, :tree.depths[i] + 1]
+            path = np.flatnonzero(tree.mask[i])
             replay = base.forward_context(prompt + tree.tokens[path].tolist(), base.new_cache())
             tree_worst = max(tree_worst, float(np.max(np.abs(out.logits[i] - replay.logits[-1]))))
 

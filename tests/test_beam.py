@@ -57,6 +57,14 @@ def test_dedup_all_identical_and_all_distinct():
     assert np.array_equal(dedup_prefix(distinct), expect)
 
 
+def parent_walk(parents, i):
+    """Reference: node i's path from the root down, found by walking its parents."""
+    path = [i]
+    while parents[path[0]] != ROOT_PARENT:
+        path.insert(0, int(parents[path[0]]))
+    return path
+
+
 def loop_pack(beam, root):
     """Reference: the rooted tree built one token at a time, with the mask
     filled row by row from each node's parent."""
@@ -75,14 +83,11 @@ def loop_pack(beam, root):
                 candidate_node[i, j] = candidate_node[tree[i, j], j]
     n = len(tokens)
     allowed = np.zeros((n, n), dtype=bool)
-    ancestors = np.zeros((n, length + 1), dtype=np.int64)
     for i in range(n):
         if parents[i] != ROOT_PARENT:
             allowed[i] = allowed[parents[i]]
-            ancestors[i] = ancestors[parents[i]]
         allowed[i, i] = True
-        ancestors[i, depths[i]] = i
-    return tokens, parents, depths, candidate_node, allowed, ancestors
+    return tokens, parents, depths, candidate_node, allowed
 
 
 def test_pack_matches_loop_reference():
@@ -92,13 +97,15 @@ def test_pack_matches_loop_reference():
     for beam in beams:
         root = int(rng.integers(4))
         packed, nodes = pack_beam(beam, root)
-        tokens, parents, depths, candidate_node, allowed, ancestors = loop_pack(beam, root)
+        tokens, parents, depths, candidate_node, allowed = loop_pack(beam, root)
         assert packed.tokens.tolist() == tokens
         assert packed.parents.tolist() == parents
         assert packed.depths.tolist() == depths
         assert np.array_equal(nodes, candidate_node)
         assert np.array_equal(packed.mask, allowed)
-        assert np.array_equal(packed.ancestors, ancestors)
+        # a mask row in index order is the node's path from the root down
+        assert [np.flatnonzero(row).tolist() for row in packed.mask] == \
+            [parent_walk(parents, i) for i in range(len(parents))]
 
 
 def test_pack_round_trip_reproduces_every_candidate():
@@ -220,12 +227,12 @@ def top_prefixes(held, budget):
 
 def root_paths(tree):
     """Each draft node's tokens from the root down, the root's own excluded."""
-    return [tuple(tree.tokens[tree.ancestors[i, 1:tree.depths[i] + 1]].tolist())
+    return [tuple(tree.tokens[parent_walk(tree.parents, i)[1:]].tolist())
             for i in range(1, tree.n)]
 
 
 def assert_tree_fields_equal(got, expect, where=None):
-    for name in ("tokens", "parents", "depths", "ancestors", "mask"):
+    for name in ("tokens", "parents", "depths", "mask"):
         a, b = getattr(got, name), getattr(expect, name)
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), (name, where)
 
@@ -250,12 +257,13 @@ def whole_lattice_tree(lattice, root):
 
 def assert_well_formed(tree, root):
     """Parents precede children, root paths are distinct prefixes, and the
-    node set is ancestor-closed; mask rows are exactly the root paths."""
+    node set is ancestor-closed; mask rows in index order are exactly the
+    root paths."""
     assert tree.tokens[0] == root and tree.parents[0] == ROOT_PARENT and tree.depths[0] == 0
     for i in range(1, tree.n):
         assert 0 <= tree.parents[i] < i
         assert tree.depths[i] == tree.depths[tree.parents[i]] + 1
-        assert set(np.flatnonzero(tree.mask[i])) == set(tree.ancestors[i, :tree.depths[i] + 1])
+        assert np.flatnonzero(tree.mask[i]).tolist() == parent_walk(tree.parents, i)
     paths = root_paths(tree)
     assert len(set(paths)) == len(paths)
     assert all(p[:-1] in set(paths) for p in paths if len(p) > 1)
@@ -366,10 +374,12 @@ def test_tree_constructor_rejects_cycles_and_builds_chains():
             DraftTree.from_parents([1, 2, 3], parents)
     chain = chain_tree(4, [5, 6])
     assert chain.parents.tolist() == [ROOT_PARENT, 0, 1]
-    assert chain.ancestors.tolist() == [[0, 0, 0], [0, 1, 0], [0, 1, 2]]
+    assert chain.depths.tolist() == [0, 1, 2]
+    assert [np.flatnonzero(row).tolist() for row in chain.mask] == \
+        [parent_walk(chain.parents, i) for i in range(3)] == [[0], [0, 1], [0, 1, 2]]
     assert np.array_equal(chain.mask, np.tril(np.ones((3, 3), dtype=bool)))
     root = chain_tree(4, [])
-    assert (root.n, root.ancestors.tolist(), root.mask.tolist()) == (1, [[0]], [[True]])
+    assert (root.n, root.depths.tolist(), root.mask.tolist()) == (1, [0], [[True]])
 
 
 def test_beam_search_is_deterministic():

@@ -197,6 +197,23 @@ def test_proposal_must_be_rooted_at_the_guaranteed_token(markov):
         speculative_generate(markov, Misrooted(), [1, 2], cfg)
 
 
+def test_proposal_deeper_than_asked_is_a_contract_error(markov):
+    """A tree deeper than the length the loop asked for would emit more than
+    max_new_tokens; it is refused before its forward, naming both depths."""
+    prompt = [1, 2]
+    stream = autoregressive_generate(markov, prompt, DecodeConfig(1, 1, 20))
+
+    class Overdrafting(Replay):
+        def propose(self, h, last_token, width, length):
+            return super().propose(h, last_token, width, 6)
+
+    counted = CountingBase(markov)
+    cfg = DecodeConfig(beam_width=1, beam_length=2, max_new_tokens=5)
+    with pytest.raises(ContractError, match="tree is 6 deep, deeper than the 2 asked for"):
+        speculative_generate(counted, Overdrafting(stream), prompt, cfg)
+    assert counted.forwards == 1  # the prefill only
+
+
 def test_proposer_rejects_a_drafter_that_does_not_fit_the_base(markov):
     """The embedding table must be the drafter's (vocab, d_s); a head wider
     than 2 * d_s, which would expect a wider hidden state, cannot be built."""
@@ -257,8 +274,7 @@ def test_duplicate_candidates_share_one_path(markov, monkeypatch):
     spec, reports = speculative_generate(markov, Duplicating(), prompt, cfg)
     assert spec == autoregressive_generate(markov, prompt, cfg)
     # the shared chain's nodes are numbered down from the root
-    assert [r.path.tolist() for r in results] == [list(range(r.accepted_len + 1))
-                                                  for r in results]
+    assert [r.path.tolist() for r in results] == [list(range(r.path.size)) for r in results]
     # the root plus one node per draft position, each shared by all 4 rows
     assert reports[0].packed_size == 4
     assert all(r.packed_size <= 4 for r in reports)
@@ -352,7 +368,6 @@ def test_verify_accepts_matching_prefix_only():
     # single candidate [3, 4]: the base agrees on 3, then wants 6 over 4
     tree, out = build_verify_case([[3, 4]], verifier_next=[3, 6, 0])
     result = verify_greedy(out, tree)
-    assert result.accepted_len == 1
     assert result.path.tolist() == [0, 1]
     assert result.next_guaranteed_token == 6
 
@@ -360,7 +375,6 @@ def test_verify_accepts_matching_prefix_only():
 def test_verify_full_accept_returns_node_argmax():
     tree, out = build_verify_case([[3, 4]], verifier_next=[3, 4, 7])
     result = verify_greedy(out, tree)
-    assert result.accepted_len == 2
     assert result.path.tolist() == [0, 1, 2]
     assert result.next_guaranteed_token == 7
 
@@ -368,24 +382,23 @@ def test_verify_full_accept_returns_node_argmax():
 def test_verify_zero_accept_falls_back_to_guaranteed_argmax():
     tree, out = build_verify_case([[3, 4]], verifier_next=[5, 1, 1])
     result = verify_greedy(out, tree)
-    assert result.accepted_len == 0
     assert result.path.tolist() == [0]
     assert result.next_guaranteed_token == 5
     # a tree that is the root alone accepts nothing and reads the root's argmax
     tree, out = build_verify_case([[]], verifier_next=[6])
     result = verify_greedy(out, tree)
-    assert (tree.n, result.accepted_len, result.next_guaranteed_token) == (1, 0, 6)
+    assert (tree.n, result.path.tolist(), result.next_guaranteed_token) == (1, [0], 6)
 
 
 def test_verify_accepts_the_deepest_matching_node():
     # nodes: 0 root, 1 = 2, 2 = 2 -> 5, 3 = 2 -> 6; a shared prefix is one node
     tree, out = build_verify_case([[2, 5], [2, 6]], verifier_next=[2, 7, 0, 0])
     result = verify_greedy(out, tree)
-    assert (result.accepted_len, result.path.tolist()) == (1, [0, 1])
+    assert result.path.tolist() == [0, 1]
     # the base wants 6 after 2: the second candidate's branch goes deeper
     tree, out = build_verify_case([[2, 5], [2, 6]], verifier_next=[2, 6, 0, 3])
     result = verify_greedy(out, tree)
-    assert (result.accepted_len, result.path.tolist()) == (2, [0, 1, 3])
+    assert result.path.tolist() == [0, 1, 3]
     assert result.next_guaranteed_token == 3
     # a matching token below a mismatch is not accepted: node 3 (6 under 4)
     # matches its parent's argmax, but node 1 (4) does not match the root's
@@ -393,43 +406,54 @@ def test_verify_accepts_the_deepest_matching_node():
     out = BaseModelOutput(logits=one_hot_logits([2, 6, 0, 0], 8),
                           hidden=np.zeros((4, 4), np.float32))
     result = verify_greedy(out, tree)
-    assert (result.accepted_len, result.path.tolist(), result.next_guaranteed_token) == \
-        (1, [0, 2], 0)
+    assert (result.path.tolist(), result.next_guaranteed_token) == ([0, 2], 0)
 
 
-def test_verify_warns_on_near_ties_along_the_accepted_path(caplog):
-    # path: root (node 0) then node 1; node 2 is off the path
-    tree, out = build_verify_case([[3, 4]], verifier_next=[3, 6, 0])
-    with caplog.at_level("WARNING", logger="redrafter.decode"):
+def walk_verify(logits, tokens, parents):
+    """Reference: each node's root path found by walking its parents; the
+    deepest node whose every draft token is the lowest-index maximum of its
+    parent's logits, the lowest such node among equals.  Returns that path,
+    root first, and the lowest-index maximum of the node's logits."""
+    top = [int(np.flatnonzero(row == row.max())[0]) for row in logits]
+    best = [0]
+    for i in range(len(tokens)):
+        path = [i]
+        while parents[path[0]] != beam_mod.ROOT_PARENT:
+            path.insert(0, parents[path[0]])
+        if len(path) > len(best) and all(tokens[j] == top[parents[j]] for j in path[1:]):
+            best = path
+    return best, top[best[-1]]
+
+
+def test_verify_matches_a_parents_walk_on_random_trees():
+    """Random parents, root-only trees, flat wide trees and chains; logits of
+    a few integer values, so rows hold tied maxima, and draft tokens drawn
+    mostly from their parent's tied maxima, of which only the lowest-index
+    one matches."""
+    rng = np.random.default_rng(21)
+    vocab = 4
+    deepest = 0
+    for trial in range(600):
+        shape = ("random", "root", "wide", "chain")[trial % 4]
+        n = 1 if shape == "root" else int(rng.integers(2, 14))
+        parents = [beam_mod.ROOT_PARENT] + [
+            {"random": int(rng.integers(0, i)), "wide": 0, "chain": i - 1}[shape]
+            for i in range(1, n)]
+        logits = rng.integers(0, 3, size=(n, vocab)).astype(np.float32)
+        tokens = [int(rng.integers(vocab))]
+        for i in range(1, n):
+            row = logits[parents[i]]
+            tied = np.flatnonzero(row == row.max())
+            tokens.append(int(rng.choice(tied) if rng.random() < 0.8 else rng.integers(vocab)))
+        tree = beam_mod.DraftTree.from_parents(tokens, parents)
+        out = BaseModelOutput(logits=logits, hidden=np.zeros((n, 4), np.float32))
         result = verify_greedy(out, tree)
-    assert result.path.tolist() == [0, 1]
-    assert not caplog.records  # clear margins
-    out.logits[2, 5] = out.logits[2, 0]  # a tie off the path is not checked
-    with caplog.at_level("WARNING", logger="redrafter.decode"):
-        verify_greedy(out, tree)
-    assert not caplog.records
-    out.logits[1, 7] = out.logits[1, 6] - np.float32(decode.NEAR_TIE_GAP / 2)
-    with caplog.at_level("WARNING", logger="redrafter.decode"):
-        result = verify_greedy(out, tree)
-    assert result.next_guaranteed_token == 6
-    assert len(caplog.records) == 1 and "near-tie" in caplog.records[0].getMessage()
-    # runner-ups 0, 1, 2, ... float32 steps below the maximum: gaps just under
-    # and just over NEAR_TIE_GAP, and maxima of magnitude >= 64, where one
-    # step exceeds the gap and only an exact tie warns
-    for top in (0.75, 5.0, 64.0, -64.0, 1000.0):
-        second, seen = np.float32(top), set()
-        for _ in range(21):
-            out.logits[1] = np.float32(top - 50.0)
-            out.logits[1, 6], out.logits[1, 7] = top, second
-            caplog.clear()
-            with caplog.at_level("WARNING", logger="redrafter.decode"):
-                result = verify_greedy(out, tree)
-            assert result.next_guaranteed_token == 6
-            warns = float(np.float32(top)) - float(second) < decode.NEAR_TIE_GAP
-            assert len(caplog.records) == warns, (top, float(second))
-            seen.add(warns)
-            second = np.nextafter(second, np.float32(-np.inf))
-        assert seen == {True, False}, top
+        path, next_token = walk_verify(logits, tokens, parents)
+        assert result.path.dtype == np.int64
+        assert (result.path.tolist(), result.next_guaranteed_token) == (path, next_token), \
+            (trial, parents, tokens)
+        deepest = max(deepest, len(path) - 1)
+    assert deepest >= 4
 
 
 def test_verify_rejects_misaligned_output():

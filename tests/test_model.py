@@ -260,11 +260,11 @@ def test_packed_capacity_is_set_by_the_deepest_node(tiny, markov):
             out, spec_state = base.forward_packed(wide, cache)  # 25 nodes, root + 3 deep: fits
             assert out.logits.shape[0] == wide.n == 25
             for i in range(wide.n):
-                path = wide.ancestors[i, :wide.depths[i] + 1]
+                path = np.flatnonzero(wide.mask[i])
                 replay = base.forward_context(prompt + wide.tokens[path].tolist(),
                                               base.new_cache())
                 assert np.array_equal(bits(out.logits[i]), bits(replay.logits[-1])), (room, i)
-            path = wide.ancestors[deepest, :wide.depths[deepest] + 1]
+            path = np.flatnonzero(wide.mask[deepest])
             base.commit_accepted(cache, wide, spec_state, path)
             replay_cache = base.new_cache()
             base.forward_context(prompt + wide.tokens[path].tolist(), replay_cache)
@@ -394,14 +394,14 @@ def check_trees_match_causal_replay(base, rng, prompt_len):
                                     width, length).tree(root)
         out, spec_state = base.forward_packed(tree, cache)
         for i in range(tree.n):
-            path = tree.ancestors[i, :tree.depths[i] + 1]
+            path = np.flatnonzero(tree.mask[i])
             replay = base.forward_context(prompt + tree.tokens[path].tolist(),
                                           base.new_cache())
             where = (type(base).__name__, prompt_len, width, length, i)
             assert np.array_equal(bits(out.logits[i]), bits(replay.logits[-1])), where
             assert np.array_equal(bits(out.hidden[i]), bits(replay.hidden[-1])), where
         deepest = tree.n - 1
-        path = tree.ancestors[deepest, :tree.depths[deepest] + 1]
+        path = np.flatnonzero(tree.mask[deepest])
         base.commit_accepted(cache, tree, spec_state, path)
         probe = base.forward_context([3], cache)
         replay = base.forward_context(prompt + tree.tokens[path].tolist() + [3],
@@ -533,7 +533,7 @@ def test_commit_path_check_is_the_parent_chain_rule(markov):
         parents = [beam_mod.ROOT_PARENT] + [int(rng.integers(0, i)) for i in range(1, n)]
         tree = beam_mod.DraftTree.from_parents(rng.integers(0, 16, n), parents)
         node = int(rng.integers(n))
-        valid = tree.ancestors[node, :tree.depths[node] + 1]
+        valid = np.flatnonzero(tree.mask[node])
         for path in (valid, valid[1:], valid[::-1], valid[:-1], np.repeat(valid, 2), [],
                      rng.integers(0, n, int(rng.integers(1, 5)))):
             path = np.asarray(path, dtype=np.int64)

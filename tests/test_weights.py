@@ -112,7 +112,13 @@ def test_edited_shape_rejected(tmp_path):
     ("base", r"l0_b1 f32 ", "l0_b1 f64 ", "tensor l0_b1: unsupported dtype f64"),
     ("base", r"l0_wq f32 .*$", "", "missing tensor l0_wq"),
     ("drafter", r"mlp1_b f32 .*$", "", "drafter manifest missing 'mlp1_b'"),
-], ids=["three-fields", "dtype", "base-tensor", "drafter-tensor"])
+    ("drafter", r"u f32 8,8 ", "u f32 4,16 ", "recurrence shapes must be (4,4)"),
+    ("drafter", r"# d_s 8$", "# d_s 9", "drafter manifest says d_s 9, its tensors are 8 wide"),
+    ("drafter", r"# d_s 8$", "", "drafter manifest missing 'd_s'"),
+    ("drafter", r"(b f32 8 \d+)$", r"\1\nb f32 8 0", "tensor b appears twice"),
+    ("base", r"(l0_b1 f32 16 0)$", r"\1\nl0_b1 f32 16 0", "tensor l0_b1 appears twice"),
+], ids=["three-fields", "dtype", "base-tensor", "drafter-tensor", "drafter-shape", "drafter-d_s",
+        "drafter-no-d_s", "drafter-repeat", "base-repeat"])
 def test_malformed_manifest_line_is_a_format_error(kind, line, edited, message, tmp_path):
     prefix = str(tmp_path / kind)
     if kind == "base":
