@@ -189,11 +189,6 @@ def cmd_bench(args):
 
 
 def cmd_verify_equivalence(args):
-    if args.n_prompts < 0:
-        raise ConfigError(f"--n-prompts must be >= 0, got {args.n_prompts}")
-    if args.n_prompts == 0:
-        print("warning: n_prompts=0, vacuous pass")
-        return 0
     total = passed = 0
     first_failure = None
     for base_name in ["transformer", "markov"] if args.base == "both" else [args.base]:

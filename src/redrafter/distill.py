@@ -10,17 +10,17 @@ corpus instead.  Training minimizes the mean teacher-forced negative
 log-likelihood with Adam; the base model stays frozen throughout.
 
 The rollouts are verified the way a decode step verifies its draft tree:
-all rollouts of a block of ``BLOCK`` positions hang off one chain of the
-block's tokens in one tree, which grows by a token per rollout each round.
-A round forwards only the nodes it adds, against the K/V the block's earlier
-forwards computed, so a block costs ``horizon + 1`` forwards of at most
-``BLOCK`` new rows each.  A tree node's logits, hidden state and K/V equal
-the causal forward of its root path bit for bit, so the dataset is that of
-one 1-row forward per rollout token.
+each block of ``BLOCK`` positions is one tree, the chain of the block's
+tokens with every rollout of the block hanging off it.  Round 0 forwards
+the chain, and each later round the next token of every rollout, against
+the K/V the block's earlier forwards computed, so a block costs
+``horizon + 1`` forwards of at most ``BLOCK`` new rows each.  A tree node's
+logits, hidden state and K/V equal the causal forward of its root path bit
+for bit, so the dataset is that of one 1-row forward per rollout token.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,23 +68,23 @@ def build_distill_dataset(base, corpus, horizon):
     ending there, the greedy horizon-token rollout after it, and h.
 
     A sequence goes through in blocks of ``BLOCK`` positions on a cache that
-    holds everything before the block.  One tree-masked forward of the
-    block's chain gives each prefix's h and guaranteed token.  Round k = 1
-    .. horizon then grows one tree: under each prefix's chain node hang
-    that prefix's first k rollout tokens, the guaranteed token first.  The
-    round forwards only its new nodes, one per kept position: the nodes
-    before them are the previous forward's, whose K/V the cache's tail
-    holds; the lowest-index argmax at each new node is its rollout's next
-    token.  A block thus forwards ``size + horizon * kept`` rows, against
-    ``size * (horizon + 1) + kept * horizon * (horizon + 1) / 2`` if every
-    round verified the whole tree.  The chain is committed after the block.
-    The cache is visible to every tree row, so a block's chain cannot be
-    committed before its rollouts are done; blocks keep the trees at most
+    holds everything before the block.  A block is one tree: its chain, and
+    under each kept prefix's chain node the guaranteed token and rollout of
+    that prefix, a level per token.  Round 0 forwards the chain for each
+    prefix's h and guaranteed token; round k = 1 .. horizon forwards only the
+    nodes of level k - 1, the nodes before them being the previous forward's,
+    whose K/V the cache's tail holds.  The lowest-index argmax at a forwarded
+    node is its rollout's next token.  A block thus forwards
+    ``size + horizon * kept`` rows, against ``size * (horizon + 1) + kept *
+    horizon * (horizon + 1) / 2`` if every round verified the whole tree.
+    The cache is visible to every tree row, so the chain is committed through
+    the tree after the last round; blocks keep the trees at most
     ``BLOCK * (horizon + 1)`` rows, whatever the sequence length.
 
     Sequences of length <= 1 (or positions without rollout headroom) are
     skipped; the skip count is logged.  A sequence longer than the base's
-    ``max_seq_len`` raises its ``CapacityError``.
+    ``max_seq_len`` raises its ``CapacityError`` at the round-0 forward of
+    the block that crosses the window.
     """
     if horizon < 1:
         raise ContractError(f"need horizon >= 1, got {horizon}")
@@ -97,46 +97,41 @@ def build_distill_dataset(base, corpus, horizon):
             skipped += 1
             continue
         cache = base.new_cache()
-        n = min(seq.shape[0], max_len)
-        for start in range(0, n, BLOCK):
-            block = seq[start:min(start + BLOCK, n)]
+        for start in range(0, seq.shape[0], BLOCK):
+            block = seq[start:start + BLOCK]
             size = block.shape[0]
-            chain = beam.chain_tree(block[0], block[1:])
-            out, spec_state = base.forward_packed(chain, cache)
             # chain node j ends the prefix of length start + j + 1; the first
             # `kept` of them leave room for a rollout of horizon tokens
             kept = max(0, min(size, max_len - horizon - start))
             skipped += size - kept
-            if kept:
-                # levels[0] holds the guaranteed tokens, levels[k] rollout token k;
-                # tree nodes follow the chain level by level, each under the
-                # node one level up, level 1 under the prefix's chain node
-                tokens = np.concatenate([block, np.empty((horizon + 1) * kept, np.int64)])
-                levels = tokens[size:].reshape(horizon + 1, kept)
-                levels[0] = out.logits[:kept].argmax(axis=1)
-                # the whole tree's parents; each round passes its filled tokens
-                tree = beam.DraftTree.from_parents(
-                    tokens[:size + horizon * kept],
-                    np.concatenate([chain.parents, np.arange(kept),
-                                    size + np.arange((horizon - 1) * kept)]))
-                for k in range(1, horizon + 1):
-                    # round k forwards only the nodes of levels[k - 1]; the
-                    # last forward left those before them in the cache's tail
-                    nodes = size + k * kept
-                    head = _first_nodes(tree, tokens, nodes)
-                    new, spec_state = base.forward_packed(head, cache, nodes - kept)
-                    levels[k] = new.logits.argmax(axis=1)
-                teachers = np.ascontiguousarray(levels[1:].T)
-                for j in range(kept):
-                    examples.append(DistillExample(
-                        context=np.append(seq[:start + j + 1], levels[0, j]),
-                        teacher=teachers[j], h=out.hidden[j].copy()))
+            # levels[0] holds the guaranteed tokens, levels[k] rollout token k;
+            # tree nodes follow the chain level by level, each under the node
+            # one level up, level 0 under the prefix's chain node
+            tokens = np.concatenate([block, np.empty((horizon + 1) * kept, np.int64)])
+            levels = tokens[size:].reshape(horizon + 1, kept)
+            # the whole tree's parents, the chain's [-1, 0, .., size - 2] first;
+            # each round passes its filled tokens
+            tree = beam.DraftTree.from_parents(
+                tokens[:size + horizon * kept],
+                np.concatenate([np.arange(-1, size - 1), np.arange(kept),
+                                size + np.arange((horizon - 1) * kept)]))
+            for k in range(horizon + 1 if kept else 1):
+                # round 0 forwards the chain, round k only the nodes of
+                # levels[k - 1]: the last forward left those before them in
+                # the cache's tail
+                nodes = size + k * kept
+                out, spec_state = base.forward_packed(_first_nodes(tree, tokens, nodes), cache,
+                                                      nodes - kept if k else 0)
+                levels[k] = out.logits[:kept].argmax(axis=1)
+                if not k:
+                    hidden = out.hidden  # h of each prefix the chain ends
+            teachers = np.ascontiguousarray(levels[1:].T)
+            for j in range(kept):
+                examples.append(DistillExample(
+                    context=np.append(seq[:start + j + 1], levels[0, j]),
+                    teacher=teachers[j], h=hidden[j].copy()))
             # the chain's nodes lead every round's tree, and so the last spec_state
-            base.commit_accepted(cache, chain, spec_state, np.arange(size))
-        if seq.shape[0] > max_len:
-            # the first token past the window: the base raises as a causal
-            # forward of it would, on a cache holding the whole window
-            base.forward_packed(beam.chain_tree(seq[max_len], []), cache)
+            base.commit_accepted(cache, tree, spec_state, np.arange(size))
     if skipped:
         log.warning("distill dataset: skipped %d short/overflowing positions", skipped)
     return examples

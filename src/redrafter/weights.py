@@ -11,8 +11,6 @@ save/load round trip reproduces them byte for byte; drafter tensors are
 float64 in memory and load back as their float32 rounding.
 """
 
-import os
-
 import numpy as np
 
 from .errors import FormatError, ShapeError
@@ -48,8 +46,6 @@ def load_tensors(prefix, magic):
     tensors by name in file order); a name may appear once."""
     manifest_path = prefix + ".manifest"
     blob_path = prefix + ".bin"
-    if not os.path.exists(manifest_path):
-        raise FileNotFoundError(manifest_path)
     with open(manifest_path, encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != magic:

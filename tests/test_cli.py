@@ -144,15 +144,16 @@ def test_verify_equivalence_corrupted_loop_fails(monkeypatch, capsys):
             "position=0") in out
 
 
-def test_verify_equivalence_zero_prompts_warns(capsys):
-    assert run(["verify-equivalence", *MARKOV, "--n-prompts", "0"]) == 0
-    assert "vacuous" in capsys.readouterr().out
+def test_verify_equivalence_zero_prompts_is_a_usage_error(capsys):
+    assert run(["verify-equivalence", *MARKOV, "--n-prompts", "0"]) == 2
+    assert "no prompts to decode: --n-prompts must be >= 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
     (["verify-equivalence", "--widths", ""], "empty sweep list"),
     (["verify-equivalence", "--lengths", ""], "empty sweep list"),
-    (["verify-equivalence", "--n-prompts", "-1"], "--n-prompts must be >= 0, got -1"),
+    (["verify-equivalence", "--n-prompts", "-1"],
+     "no prompts to decode: --n-prompts must be >= 1"),
     (["bench", "--n-prompts", "0"], "--n-prompts must be >= 1"),
     (["bench", "--repeats", "0"], "--repeats must be >= 1, got 0"),
 ], ids=["verify-no-widths", "verify-no-lengths", "verify-negative-prompts", "bench-no-prompts",
@@ -266,7 +267,8 @@ def test_verify_equivalence_of_both_bases_loads_the_transformer_from_base_weight
     argv = ["verify-equivalence", "--base", "both", "--n-prompts", "1", "--prompt-len", "2",
             "--widths", "1", "--lengths", "1", "--max-new-tokens", "2", "--base-weights"]
     assert run([*argv, str(tmp_path / "absent")]) == 2
-    assert f"error: {tmp_path / 'absent'}.manifest" in capsys.readouterr().err
+    assert (f"error: [Errno 2] No such file or directory: '{tmp_path / 'absent'}.manifest'"
+            in capsys.readouterr().err)
     assert run(["init-base", "--out", str(tmp_path / "base")]) == 0
     assert run([*argv, str(tmp_path / "base")]) == 0
     assert "equivalence: 2/2 passed" in capsys.readouterr().out

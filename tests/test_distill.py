@@ -1,7 +1,7 @@
 """Distillation: dataset construction, training loop, divergence metric."""
 
 import copy
-import math
+import itertools
 import re
 
 import numpy as np
@@ -154,7 +154,6 @@ def test_tree_batched_dataset_rejects_an_overflowing_sequence(window_base):
 def test_tree_batched_dataset_makes_horizon_plus_one_packed_forwards_per_block(
         window_base, monkeypatch):
     corpus = edge_corpus(window_base.config.vocab_size)
-    horizon = 3
     calls = []
     new_rows = []
     forward_packed = window_base.forward_packed
@@ -169,12 +168,17 @@ def test_tree_batched_dataset_makes_horizon_plus_one_packed_forwards_per_block(
 
     monkeypatch.setattr(window_base, "forward_packed", counting_forward_packed)
     monkeypatch.setattr(window_base, "forward_context", no_forward_context)
-    for seq in corpus:
+    # at horizon 8 the last block of the window-filling sequence keeps no position
+    for horizon, seq in itertools.product((3, 8), corpus):
         calls.clear()
         new_rows.clear()
         build_distill_dataset(window_base, [seq], horizon)
         if len(seq) > 1:
-            assert 0 < len(calls) <= math.ceil(len(seq) / distill.BLOCK) * (horizon + 1)
+            # horizon + 1 forwards for a block with a kept position, the
+            # chain's alone for a block without one
+            rounds = [horizon + 1 if start + horizon < window_base.config.max_seq_len else 1
+                      for start in range(0, len(seq), distill.BLOCK)]
+            assert len(calls) == sum(rounds)
             assert max(calls) <= distill.BLOCK * (horizon + 1)
             # a round forwards only the nodes it adds, never the tree again
             assert max(new_rows) <= distill.BLOCK
