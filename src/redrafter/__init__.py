@@ -5,7 +5,7 @@ exactly reproduces autoregressive greedy output."""
 from .beam import BeamLattice, DraftTree, beam_search, chain_tree, dedup_prefix, pack_beam
 from .decode import (DecodeConfig, MirrorProposer, RnnProposer, StepReport,
                      autoregressive_generate, speculative_generate, verify_greedy)
-from .drafter import DrafterParams, DrafterState, head_logp, init_state, step
+from .drafter import DrafterParams
 from .distill import (DistillExample, TrainConfig, build_distill_dataset, empirical_kl,
                       ground_truth_dataset, sample_markov_corpus, train_drafter)
 from .model import BaseModelOutput, KvCache, ModelConfig, SyntheticMarkovModel, TinyTransformer

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import drafter
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, VocabError
 
 ROOT_PARENT = -1  # parent index of the root node
 
@@ -126,26 +126,28 @@ def beam_search(params, embeddings, h, last_token, beam_width, beam_length, toke
     so runs are deterministic: each of the ``beam_width`` picks is an
     ``argmax``, which returns the lowest index among equal maxima, and masks
     its pick with -inf, which gives the order of a stable descending sort of
-    the (finite) scores.  Each row of the head input ``x`` is one
-    beam row's ``[s | h]``: ``h`` is written once, and each recurrence step
-    overwrites only the ``s`` columns.  ``token_term`` is the recurrence's
-    input term ``w @ e + b`` for every token; it is computed here when not
-    given.
+    the (finite) scores.  Each row of the head input ``x`` is one beam
+    row's ``[s | h]`` for ``head_logp_batch``: ``h`` is written once, the
+    root row's ``s`` is the embedding of ``last_token`` (a ``VocabError``
+    outside the vocab), and each ``step_batch`` overwrites only the ``s``
+    columns.  ``token_term`` is the recurrence's input term ``w @ e + b``
+    for every token; it is computed here when not given.
     """
     if beam_width < 1 or beam_length < 1:
         raise ConfigError("beam_width and beam_length must be >= 1")
     vocab = params.vocab_size
     if beam_width > vocab:
         raise ConfigError(f"beam_width {beam_width} exceeds vocab size {vocab}")
+    if not 0 <= last_token < vocab:
+        raise VocabError(f"token {last_token} outside vocab of size {vocab}")
 
     emb = np.asarray(embeddings, dtype=np.float64)
-    state0 = drafter.init_state(h, last_token, emb)
     if token_term is None:
         token_term = emb @ params.w.T + params.b
     d_s = params.d_s
     x = np.empty((beam_width, 2 * d_s))
-    x[:, d_s:] = state0.h
-    x[0, :d_s] = state0.s
+    x[:, d_s:] = h
+    x[0, :d_s] = emb[last_token]
     tokens = np.empty((beam_length, beam_width), dtype=np.int64)
     parents = np.empty((beam_length, beam_width), dtype=np.int64)
     logps = np.empty((beam_length, beam_width))

@@ -103,6 +103,9 @@ def sweep(base, params, prompts, widths, lengths, max_new_tokens, repeats=1, sto
     if repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {repeats}")
     proposer = decode.RnnProposer(params, base.token_embeddings)
+    widest = max(cfg.beam_width for cfg in cfgs)
+    if widest > params.vocab_size:
+        raise ConfigError(f"beam_width {widest} exceeds vocab size {params.vocab_size}")
     # the greedy reference does not depend on the beam shape: run and time it once
     greedy_cfg = decode.DecodeConfig(beam_width=1, beam_length=1,
                                      max_new_tokens=max_new_tokens, stop_token=stop_token)
@@ -229,6 +232,9 @@ def _build_training_dataset(args, base):
 
 def cmd_train_drafter(args):
     # the settings are checked before any dataset work
+    if args.dataset and args.ground_truth:
+        raise ConfigError("--dataset and --ground-truth do not combine: --ground-truth "
+                          "picks how a dataset is built, and --dataset reads a built one")
     cfg = distill.TrainConfig(horizon=args.horizon, learning_rate=args.learning_rate,
                               epochs=args.epochs, batch_size=args.batch_size,
                               seed=args.seed)

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import beam, drafter
-from .errors import ContractError, FormatError, TrainingError
+from . import beam, decode, drafter
+from .errors import ContractError, FormatError, TrainingError, VocabError
 from .kernels import argmax_tie_low
 
 log = logging.getLogger(__name__)
@@ -283,28 +283,36 @@ def empirical_kl(base, params, probe_contexts, horizon):
 
     Each probe context is aligned like ``DistillExample.context``: its last
     token is the one the draft recurrence starts from, and the drafter sees
-    the base hidden state at the token before it.  Returns an array of length
-    ``horizon``: KL at recurrence step k averaged over the probe contexts.
+    the base hidden state at the token before it.  The drafter runs the
+    forward decode runs, ``head_logp_batch`` and ``step_batch`` on one
+    ``[s | h]`` row, with a ``decode.RnnProposer``'s float64 embeddings and
+    per-token input terms; a drafter that does not fit the base is that
+    proposer's ``ShapeError``.  Returns an array of length ``horizon``: KL
+    at recurrence step k averaged over the probe contexts.
     """
-    emb = np.asarray(base.token_embeddings, dtype=np.float64)
+    proposer = decode.RnnProposer(params, base.token_embeddings)
+    d_s = params.d_s
     totals = np.zeros(horizon)
     for context in probe_contexts:
         context = [int(t) for t in context]
         if len(context) < 2:
             raise ContractError("a probe context needs at least two tokens")
-        cache = base.new_cache()
-        h = base.forward_context(context[:-1], cache).hidden[-1]
-        state = drafter.init_state(h, context[-1], emb)
         token = context[-1]
+        if not 0 <= token < params.vocab_size:
+            raise VocabError(f"token {token} outside vocab of size {params.vocab_size}")
+        cache = base.new_cache()
+        x = np.empty((1, 2 * d_s))
+        x[0, d_s:] = base.forward_context(context[:-1], cache).hidden[-1]
+        x[0, :d_s] = proposer.embeddings[token]
         for k in range(horizon):
             base_logits = base.forward_context([token], cache).logits[-1].astype(np.float64)
             z = base_logits - base_logits.max()
             p = np.exp(z) / np.exp(z).sum()
             logp_base = z - np.log(np.exp(z).sum())
-            logq = drafter.head_logp(state, params)
+            logq = drafter.head_logp_batch(x, params)[0]
             totals[k] += float((p * (logp_base - logq)).sum())
             token = argmax_tie_low(base_logits)
-            state = drafter.step(state, token, params, emb)
+            x[:, :d_s] = drafter.step_batch(x[:, :d_s], proposer.token_term[[token]], params)
     return totals / max(1, len(probe_contexts))
 
 

@@ -6,6 +6,11 @@ not depend on how many future tokens it is trained or asked to predict.
 Draft-side math runs in float64: the drafter only proposes tokens (the base
 model verifies them), so it has no bit-reproducibility constraint, and the
 extra precision keeps finite-difference gradient checks clean.
+
+The drafter's one forward is the batched pair ``head_logp_batch`` and
+``step_batch``, each row one recurrent state: beam search drafts with it and
+``distill.empirical_kl`` scores it.  ``batch_loss`` keeps its own forward,
+since its backward pass reads every intermediate.
 """
 
 from dataclasses import dataclass, field
@@ -15,12 +20,8 @@ import numpy as np
 from .errors import ContractError, ShapeError, VocabError
 
 
-def silu(x):
-    return x / (1.0 + np.exp(-x))
-
-
 def _silu_in_place(a):
-    """``silu(a)`` written into ``a``: the same operations in the same order."""
+    """silu, ``a / (1 + exp(-a))``, written into ``a``."""
     t = np.negative(a)
     np.exp(t, out=t)
     t += 1.0
@@ -113,14 +114,6 @@ class DrafterParams:
                              out_proj=out_proj, flat=flat)
 
 
-@dataclass
-class DrafterState:
-    """Recurrent state plus the frozen base-model hidden vector for this step."""
-
-    s: np.ndarray  # (d_s,)
-    h: np.ndarray  # (d_s,)
-
-
 def _check_tokens(tokens, vocab_size):
     tokens = np.asarray(tokens)
     if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
@@ -128,30 +121,8 @@ def _check_tokens(tokens, vocab_size):
     return tokens
 
 
-def init_state(h, last_token, embeddings):
-    """Start the recurrence from the embedding of the last committed token."""
-    embeddings = np.asarray(embeddings)
-    if not 0 <= last_token < embeddings.shape[0]:
-        raise VocabError(f"token {last_token} outside vocab of size {embeddings.shape[0]}")
-    return DrafterState(s=np.array(embeddings[last_token], dtype=np.float64),
-                        h=np.asarray(h, dtype=np.float64))
-
-
-def step(state, token, params, embeddings):
-    e = init_state(state.h, token, embeddings).s
-    pre = params.u @ state.s + params.w @ e + params.b
-    return DrafterState(s=silu(pre), h=state.h)
-
-
-def head_logp(state, params):
-    if state.s.shape[0] != params.d_s or state.h.shape[0] != params.d_s:
-        raise ShapeError(f"state dims ({state.s.shape[0]},{state.h.shape[0]}) do not match "
-                         f"the drafter width {params.d_s}")
-    return head_logp_batch(np.concatenate([state.s, state.h])[None, :], params)[0]
-
-
 # ---------------------------------------------------------------------------
-# batched forward (beam search and training share these)
+# the forward (beam search and the KL metric run these)
 # ---------------------------------------------------------------------------
 
 def step_batch(s, token_term, params):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import CapacityError, ConfigError, ContractError, ShapeError
+from .errors import CapacityError, ConfigError, ContractError, ShapeError, VocabError
 from .beam import ROOT_PARENT
 
 
@@ -136,7 +136,7 @@ class BaseModel(ABC):
     def _check_tokens(self, tokens):
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.size and (tokens.min() < 0 or tokens.max() >= self.config.vocab_size):
-            raise ShapeError(f"token id outside vocab of size {self.config.vocab_size}")
+            raise VocabError(f"token id outside vocab of size {self.config.vocab_size}")
         return tokens
 
     def _check_path(self, tree, flat_path):

@@ -81,6 +81,13 @@ def load_tensors(prefix, magic):
     return header, tensors
 
 
+def _check_all_read(tensors, read, model):
+    """Every tensor of a file must be one the loaded model reads."""
+    for name in tensors:
+        if name not in read:
+            raise FormatError(f"tensor {name} is not read by a {model}")
+
+
 def _int(text, field, manifest_path):
     if not (text.isascii() and text.isdigit()):
         raise FormatError(f"{manifest_path}: {field} {text!r} is not a non-negative integer")
@@ -105,6 +112,8 @@ def load_base_model(prefix):
         config = ModelConfig(**{key: header[key] for key in _CONFIG_KEYS})
     except KeyError as exc:
         raise FormatError(f"manifest missing config key {exc}") from exc
+    _check_all_read(tensors, TinyTransformer.weight_shapes(config),
+                    f"base model with n_layers {config.n_layers}")
     try:
         return TinyTransformer(config, tensors)
     except ShapeError as exc:
@@ -134,4 +143,5 @@ def load_drafter(prefix):
         raise FormatError(str(exc)) from exc
     if params.d_s != d_s:
         raise FormatError(f"drafter manifest says d_s {d_s}, its tensors are {params.d_s} wide")
+    _check_all_read(tensors, dict(params.flat_arrays()), f"drafter with n_mlp {n_mlp}")
     return params, horizon

@@ -12,7 +12,7 @@ from redrafter import beam as beam_mod
 from redrafter import decode, distill, weights
 from redrafter.beam import dedup_prefix, pack_beam
 from redrafter.decode import DecodeConfig, RnnProposer
-from redrafter.drafter import DrafterParams, batch_loss, init_state
+from redrafter.drafter import DrafterParams, batch_loss
 from redrafter.model import ModelConfig, SyntheticMarkovModel, TinyTransformer
 
 from test_beam import trie_dedup
@@ -208,8 +208,8 @@ def test_criterion_5_gradient_correctness():
         emb = rng.normal(size=(6, 4))
         h = rng.normal(size=4)
         teacher = rng.integers(0, 6, size=5)
-        state0 = init_state(h, int(rng.integers(6)), emb)
-        args = (emb, h[None, :], state0.s[None, :], teacher[None, :])
+        s0 = emb[[int(rng.integers(6))]]
+        args = (emb, h[None, :], s0, teacher[None, :])
         _, grads = batch_loss(params, *args)
         grad_by_name = dict(grads.flat_arrays())
         for name, arr in params.flat_arrays():

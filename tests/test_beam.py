@@ -9,7 +9,7 @@ from redrafter import drafter
 from redrafter.beam import (ROOT_PARENT, BeamLattice, DraftTree, beam_search, chain_tree,
                             dedup_prefix, pack_beam)
 from redrafter.drafter import DrafterParams
-from redrafter.errors import ConfigError, ContractError
+from redrafter.errors import ConfigError, ContractError, VocabError
 
 
 def trie_dedup(tokens):
@@ -168,6 +168,16 @@ def make_drafter(seed=0, d_model=6, vocab=8):
     return params, emb
 
 
+def one_row_head(params, s, h):
+    """The head's log-probabilities at one state: a one-row ``[s | h]`` input."""
+    return drafter.head_logp_batch(np.concatenate([s, h])[None, :], params)[0]
+
+
+def one_row_step(params, token_term, s, token):
+    """One state advanced by one token: a one-row recurrence step."""
+    return drafter.step_batch(s[None, :], token_term[[token]], params)[0]
+
+
 def test_beam_search_scores_sorted_and_consistent():
     params, emb = make_drafter()
     h = np.random.default_rng(2).normal(size=params.d_s)
@@ -176,13 +186,14 @@ def test_beam_search_scores_sorted_and_consistent():
     assert np.all(np.diff(lattice.logp, axis=1) <= 1e-12)
     # each row's score is its parent row's plus the head's log-probability of
     # its token, at the parent's recurrent state
-    states = [drafter.init_state(h, 1, emb)]
+    token_term = emb @ params.w.T + params.b
+    states = [emb[1]]
     scores = np.zeros(1)
     for tokens, parents, logp in zip(lattice.tokens, lattice.parents, lattice.logp):
         for t, parent, score in zip(tokens, parents, logp):
-            expect = scores[parent] + drafter.head_logp(states[parent], params)[t]
+            expect = scores[parent] + one_row_head(params, states[parent], h)[t]
             assert np.isclose(expect, score, atol=1e-10)
-        states = [drafter.step(states[p], int(t), params, emb) for t, p in zip(tokens, parents)]
+        states = [one_row_step(params, token_term, states[p], t) for t, p in zip(tokens, parents)]
         scores = logp
 
 
@@ -191,28 +202,31 @@ def test_beam_search_width_one_is_greedy_chain():
     h = np.random.default_rng(5).normal(size=params.d_s)
     lattice = beam_search(params, emb, h, 2, beam_width=1, beam_length=4)
     assert not lattice.parents.any()
-    state = drafter.init_state(h, 2, emb)
+    token_term = emb @ params.w.T + params.b
+    s = emb[2]
     for t in lattice.tokens[:, 0]:
-        assert int(t) == int(np.argmax(drafter.head_logp(state, params)))
-        state = drafter.step(state, int(t), params, emb)
+        assert int(t) == int(np.argmax(one_row_head(params, s, h)))
+        s = one_row_step(params, token_term, s, t)
 
 
 def reference_beam_search(params, emb, h, last_token, width, length):
-    """Reference: every live candidate expanded over the vocabulary with the
-    single-state ``head_logp``/``step``, ranked by score, ties to the lower
-    flat (candidate, token) index.  Returns every depth's kept (tokens,
-    score) rows, best first; the last depth's are the final candidates."""
-    live = [([], 0.0, drafter.init_state(h, last_token, emb))]
+    """Reference: every live candidate expanded over the vocabulary, one
+    state at a time through a one-row head and recurrence, ranked by score,
+    ties to the lower flat (candidate, token) index.  Returns every depth's
+    kept (tokens, score) rows, best first; the last depth's are the final
+    candidates."""
+    token_term = emb @ params.w.T + params.b
+    live = [([], 0.0, emb[last_token])]
     held = []
     for _ in range(length):
         expanded = []
-        for r, (toks, score, state) in enumerate(live):
-            logp = drafter.head_logp(state, params)
+        for r, (toks, score, s) in enumerate(live):
+            logp = one_row_head(params, s, h)
             for t in range(params.vocab_size):
-                expanded.append((-(score + logp[t]), r * params.vocab_size + t, toks + [t], state))
+                expanded.append((-(score + logp[t]), r * params.vocab_size + t, toks + [t], s))
         expanded.sort(key=lambda c: c[:2])
-        live = [(toks, -neg, drafter.step(state, toks[-1], params, emb))
-                for neg, _, toks, state in expanded[:width]]
+        live = [(toks, -neg, one_row_step(params, token_term, s, toks[-1]))
+                for neg, _, toks, s in expanded[:width]]
         held.append([(toks, score) for toks, score, _ in live])
     return held
 
@@ -332,12 +346,11 @@ def test_tree_ties_keep_the_shallower_prefix():
 def argsort_beam_search(params, emb, h, last_token, width, length):
     """Reference selection: each depth's top ``width`` by a stable argsort of
     the negated scores, with the same head and recurrence calls."""
-    state0 = drafter.init_state(h, last_token, emb)
     token_term = emb @ params.w.T + params.b
-    s, cum_logp = state0.s[None, :], np.zeros(1)
+    s, cum_logp = emb[[last_token]], np.zeros(1)
     held = []
     for _ in range(length):
-        x = np.concatenate([s, np.broadcast_to(state0.h, (s.shape[0], params.d_s))], axis=1)
+        x = np.concatenate([s, np.broadcast_to(h, (s.shape[0], params.d_s))], axis=1)
         scores = (cum_logp[:, None] + drafter.head_logp_batch(x, params)).ravel()
         keep = np.argsort(-scores, kind="stable")[:width]
         parent, tok = np.divmod(keep, params.vocab_size)
@@ -389,6 +402,18 @@ def test_beam_search_is_deterministic():
     b = beam_search(params, emb, h, 0, 4, 5)
     for name in ("tokens", "parents", "logp"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_beam_search_starts_from_the_root_embedding_of_a_root_in_the_vocab():
+    params, emb = make_drafter(8)
+    h = np.random.default_rng(9).normal(size=params.d_s)
+    lattice = beam_search(params, emb, h, 3, beam_width=params.vocab_size, beam_length=1)
+    logp = one_row_head(params, emb[3], h)
+    assert sorted(lattice.tokens[0].tolist()) == list(range(params.vocab_size))
+    assert np.allclose(lattice.logp[0], logp[lattice.tokens[0]], rtol=0, atol=1e-12)
+    for bad in (params.vocab_size, -1):
+        with pytest.raises(VocabError):
+            beam_search(params, emb, h, bad, beam_width=2, beam_length=2)
 
 
 def test_beam_search_config_validation():

@@ -156,8 +156,9 @@ def test_verify_equivalence_zero_prompts_is_a_usage_error(capsys):
      "no prompts to decode: --n-prompts must be >= 1"),
     (["bench", "--n-prompts", "0"], "--n-prompts must be >= 1"),
     (["bench", "--repeats", "0"], "--repeats must be >= 1, got 0"),
+    (["verify-equivalence", "--widths", "2,64"], "beam_width 64 exceeds vocab size 16"),
 ], ids=["verify-no-widths", "verify-no-lengths", "verify-negative-prompts", "bench-no-prompts",
-        "bench-no-repeats"])
+        "bench-no-repeats", "verify-wider-than-vocab"])
 def test_sweep_that_decodes_nothing_is_a_usage_error(argv, message, monkeypatch, capsys):
     """Exit 2 before any decode, instead of a vacuous pass or a traceback,
     naming the bound the command accepts."""
@@ -337,6 +338,16 @@ def test_distill_data_round_trip_through_training(tmp_path, capsys):
     capsys.readouterr()
     _, horizon = weights.load_drafter(prefix)
     assert horizon == 3
+
+
+def test_train_drafter_on_a_dataset_file_with_ground_truth_is_a_usage_error(tmp_path, capsys):
+    """--ground-truth picks how a dataset is built, so it has nothing to pick
+    for a dataset file: exit 2 naming both flags, before the file is read."""
+    prefix = tmp_path / "drafter"
+    assert run(["train-drafter", *MARKOV, "--ground-truth", "--dataset",
+                str(tmp_path / "absent.txt"), "--out", str(prefix)]) == 2
+    assert "--dataset and --ground-truth do not combine" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_init_base_then_load(tmp_path, capsys):

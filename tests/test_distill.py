@@ -13,7 +13,8 @@ from redrafter.distill import (DistillExample, TrainConfig, build_distill_datase
                                empirical_kl, ground_truth_dataset, read_dataset,
                                sample_markov_corpus, train_drafter, write_dataset)
 from redrafter.drafter import DrafterParams
-from redrafter.errors import CapacityError, ContractError, FormatError, TrainingError
+from redrafter.errors import (CapacityError, ContractError, FormatError, ShapeError,
+                              TrainingError, VocabError)
 from redrafter.kernels import argmax_tie_low
 from redrafter.model import ModelConfig, SyntheticMarkovModel, TinyTransformer
 
@@ -396,6 +397,13 @@ def test_kl_is_nonnegative_and_per_step(base):
     assert empirical_kl(base, init, probes, horizon=1).shape == (1,)
     with pytest.raises(ContractError):  # no token before the guaranteed one
         empirical_kl(base, init, [[3]], horizon=1)
+    for bad in (base.config.vocab_size, -1):  # a recurrence root outside the vocab
+        with pytest.raises(VocabError):
+            empirical_kl(base, init, [[3, bad]], horizon=1)
+    narrow = DrafterParams.random(np.random.default_rng(10), base.config.d_model - 1,
+                                  base.config.vocab_size)
+    with pytest.raises(ShapeError, match="does not fit a base embedding table"):
+        empirical_kl(base, narrow, probes, horizon=1)
 
 
 def test_kl_zero_for_exact_distribution_copy(base, monkeypatch):
@@ -414,10 +422,10 @@ def test_kl_zero_for_exact_distribution_copy(base, monkeypatch):
         base_rows["current"] = z - np.log(np.exp(z).sum())
         return out
 
-    def copying_head(state, params):
-        return base_rows["current"]
+    def copying_head(x, params):
+        return base_rows["current"][None, :]
 
     monkeypatch.setattr(base, "forward_context", recording_forward)
-    monkeypatch.setattr(drafter, "head_logp", copying_head)
+    monkeypatch.setattr(drafter, "head_logp_batch", copying_head)
     kl = empirical_kl(base, init, [[1, 2, 3], [4, 5]], horizon=3)
     assert np.all(np.abs(kl) < 1e-12)

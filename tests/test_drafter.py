@@ -1,10 +1,11 @@
-"""Draft head: recurrence semantics, batched/single agreement, gradients."""
+"""Draft head: the batched head and recurrence, the teacher-forced loss and
+its gradients."""
 
 import numpy as np
 import pytest
 
 from redrafter import drafter
-from redrafter.drafter import DrafterParams, DrafterState
+from redrafter.drafter import DrafterParams
 from redrafter.errors import ContractError, ShapeError, VocabError
 
 
@@ -14,6 +15,10 @@ def make_params(seed=0, d_model=6, vocab=9):
 
 def make_embeddings(seed, vocab, d_model):
     return np.random.default_rng(seed).normal(size=(vocab, d_model))
+
+
+def silu(x):
+    return x / (1.0 + np.exp(-x))
 
 
 def test_random_params_shapes_and_invariants():
@@ -42,56 +47,21 @@ def test_state_embedding_and_hidden_widths_are_one_width():
             DrafterParams(u=p.u, w=w, b=p.b, mlp=mlp, out_proj=out_proj)
 
 
-def test_init_state_uses_last_token_embedding():
-    p = make_params()
-    emb = make_embeddings(1, p.vocab_size, p.d_s)
-    h = np.zeros(p.d_s)
-    state = drafter.init_state(h, 3, emb)
-    assert np.array_equal(state.s, emb[3])
-    with pytest.raises(VocabError):
-        drafter.init_state(h, p.vocab_size, emb)
-    with pytest.raises(VocabError):
-        drafter.init_state(h, -1, emb)
-
-
 def test_step_applies_silu_recurrence():
     p = make_params()
     emb = make_embeddings(2, p.vocab_size, p.d_s)
-    h = np.random.default_rng(3).normal(size=p.d_s)
-    state = drafter.init_state(h, 0, emb)
-    nxt = drafter.step(state, 4, p, emb)
-    pre = p.u @ state.s + p.w @ emb[4] + p.b
-    assert np.allclose(nxt.s, drafter.silu(pre))
-    assert np.array_equal(nxt.h, state.h)
+    nxt = drafter.step_batch(emb[[0]], emb[[4]] @ p.w.T + p.b, p)
+    assert nxt.shape == (1, p.d_s)
+    assert np.allclose(nxt[0], silu(p.u @ emb[0] + p.w @ emb[4] + p.b))
 
 
 def test_head_logp_is_normalized_log_distribution():
     p = make_params()
     emb = make_embeddings(4, p.vocab_size, p.d_s)
-    state = drafter.init_state(np.ones(p.d_s), 2, emb)
-    logp = drafter.head_logp(state, p)
-    assert logp.shape == (p.vocab_size,)
-    assert np.isclose(np.exp(logp).sum(), 1.0)
-
-
-def test_single_and_batched_paths_agree():
-    p = make_params(5)
-    emb = make_embeddings(6, p.vocab_size, p.d_s)
-    rng = np.random.default_rng(7)
-    h = rng.normal(size=p.d_s)
-    tokens = rng.integers(0, p.vocab_size, size=4)
-
-    states = np.stack([drafter.init_state(h, int(t), emb).s for t in tokens])
-    x = np.concatenate([states, np.tile(h, (len(tokens), 1))], axis=1)
-    batched = drafter.head_logp_batch(x, p)
-    for row, t in zip(batched, tokens):
-        single = drafter.head_logp(drafter.init_state(h, int(t), emb), p)
-        assert np.allclose(row, single, atol=1e-12)
-
-    stepped = drafter.step_batch(states, emb[tokens] @ p.w.T + p.b, p)
-    for i, t in enumerate(tokens):
-        single = drafter.step(DrafterState(s=states[i], h=h), int(t), p, emb)
-        assert np.allclose(stepped[i], single.s, atol=1e-12)
+    x = np.concatenate([emb[[2, 5]], np.ones((2, p.d_s))], axis=1)
+    logp = drafter.head_logp_batch(x, p)
+    assert logp.shape == (2, p.vocab_size)
+    assert np.allclose(np.exp(logp).sum(axis=1), 1.0)
 
 
 def test_batched_head_and_step_are_bitwise_the_plain_expressions():
@@ -99,7 +69,7 @@ def test_batched_head_and_step_are_bitwise_the_plain_expressions():
     equal the allocating expressions bit for bit, and inputs are unchanged."""
     def head_reference(x, p):
         for wm, bm in p.mlp:
-            x = x + drafter.silu(x @ wm.T + bm)
+            x = x + silu(x @ wm.T + bm)
         z = x @ p.out_proj.T
         z = z - z.max(axis=1, keepdims=True)
         return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -116,22 +86,15 @@ def test_batched_head_and_step_are_bitwise_the_plain_expressions():
         assert np.array_equal(got.view(np.uint64), head_reference(x, p).view(np.uint64))
         got = drafter.step_batch(s, term, p)
         assert np.array_equal(got.view(np.uint64),
-                              drafter.silu(s @ p.u.T + term).view(np.uint64))
+                              silu(s @ p.u.T + term).view(np.uint64))
         for a, b in zip((x, s, term), before):
             assert np.array_equal(a, b)
-
-
-def test_head_logp_shape_mismatch_raises():
-    p = make_params()
-    state = DrafterState(s=np.zeros(p.d_s + 1), h=np.zeros(p.d_s))
-    with pytest.raises(ShapeError):
-        drafter.head_logp(state, p)
 
 
 def test_dsilu_matches_numeric_derivative():
     x = np.linspace(-4, 4, 41)
     eps = 1e-6
-    numeric = (drafter.silu(x + eps) - drafter.silu(x - eps)) / (2 * eps)
+    numeric = (silu(x + eps) - silu(x - eps)) / (2 * eps)
     assert np.allclose(drafter._dsilu(x, 1.0 + np.exp(-x)), numeric, atol=1e-8)
 
 
@@ -141,15 +104,16 @@ def test_batch_loss_matches_stepped_forward_sum():
     rng = np.random.default_rng(10)
     h = rng.normal(size=p.d_s)
     teacher = rng.integers(0, p.vocab_size, size=5)
-    state0 = drafter.init_state(h, int(rng.integers(p.vocab_size)), emb)
+    s0 = emb[[int(rng.integers(p.vocab_size))]]
 
-    loss, grads = drafter.batch_loss(p, emb, h[None, :], state0.s[None, :], teacher[None, :])
-    # recompute by stepping manually
+    loss, grads = drafter.batch_loss(p, emb, h[None, :], s0, teacher[None, :])
+    # recompute by stepping the forward beam search drafts with
+    token_term = emb @ p.w.T + p.b
     manual = 0.0
-    state = state0
+    s = s0
     for t in teacher:
-        manual -= drafter.head_logp(state, p)[int(t)]
-        state = drafter.step(state, int(t), p, emb)
+        manual -= drafter.head_logp_batch(np.concatenate([s, h[None, :]], axis=1), p)[0, t]
+        s = drafter.step_batch(s, token_term[[t]], p)
     assert np.isclose(loss, manual, atol=1e-10)
     assert grads is not None
 
@@ -199,8 +163,8 @@ def test_gradient_matches_central_finite_differences():
         emb = rng.normal(size=(6, 4))
         h = rng.normal(size=4)
         teacher = rng.integers(0, 6, size=5)
-        state0 = drafter.init_state(h, int(rng.integers(6)), emb)
-        args = (emb, h[None, :], state0.s[None, :], teacher[None, :])
+        s0 = emb[[int(rng.integers(6))]]
+        args = (emb, h[None, :], s0, teacher[None, :])
         _, grads = drafter.batch_loss(p, *args)
 
         eps = 1e-3
@@ -246,9 +210,6 @@ def reference_batch_loss(p, emb, h, s0, teacher):
     """``batch_loss`` as plain formulas: every silu and dsilu takes its own
     exp, and each gradient tensor is its own array.  Returns the loss and
     the (name, gradient) pairs in ``flat_arrays`` order."""
-    def silu(x):
-        return x / (1.0 + np.exp(-x))
-
     def dsilu(x):
         sig = 1.0 / (1.0 + np.exp(-x))
         return sig * (1.0 + x * (1.0 - sig))

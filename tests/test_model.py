@@ -8,7 +8,7 @@ import pytest
 from redrafter import beam as beam_mod
 from redrafter import kernels
 from redrafter.drafter import DrafterParams
-from redrafter.errors import CapacityError, ConfigError, ContractError, ShapeError
+from redrafter.errors import CapacityError, ConfigError, ContractError, ShapeError, VocabError
 from redrafter.model import (KvCache, ModelConfig, SyntheticMarkovModel, TinyTransformer,
                              _layer_norm, sinusoidal_positions)
 
@@ -283,10 +283,10 @@ def test_token_range_validation(tiny, markov):
     for base in (tiny, markov):
         cache = base.new_cache()
         for bad in (SMALL.vocab_size, -1):
-            with pytest.raises(ShapeError):
+            with pytest.raises(VocabError, match="token id outside vocab"):
                 base.forward_context([1, bad], cache)
             tree.tokens[2] = bad
-            with pytest.raises(ShapeError):
+            with pytest.raises(VocabError, match="token id outside vocab"):
                 base.forward_packed(tree, cache)
             tree.tokens[2] = 5
         assert cache.tokens == []

@@ -1,6 +1,7 @@
 """Weight files: bit-exact round trips and corruption handling."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,12 +118,17 @@ def test_edited_shape_rejected(tmp_path):
     ("drafter", r"# d_s 8$", "", "drafter manifest missing 'd_s'"),
     ("drafter", r"(b f32 8 \d+)$", r"\1\nb f32 8 0", "tensor b appears twice"),
     ("base", r"(l0_b1 f32 16 0)$", r"\1\nl0_b1 f32 16 0", "tensor l0_b1 appears twice"),
+    ("drafter", r"# n_mlp 2$", "# n_mlp 1",
+     "tensor mlp1_w is not read by a drafter with n_mlp 1"),
+    ("base", r"# n_layers 2$", "# n_layers 1",
+     "tensor l1_b1 is not read by a base model with n_layers 1"),
 ], ids=["three-fields", "dtype", "base-tensor", "drafter-tensor", "drafter-shape", "drafter-d_s",
-        "drafter-no-d_s", "drafter-repeat", "base-repeat"])
+        "drafter-no-d_s", "drafter-repeat", "base-repeat", "drafter-unread", "base-unread"])
 def test_malformed_manifest_line_is_a_format_error(kind, line, edited, message, tmp_path):
     prefix = str(tmp_path / kind)
     if kind == "base":
-        weights.save_base_model(TinyTransformer.random(CONFIG, seed=12), prefix)
+        weights.save_base_model(TinyTransformer.random(replace(CONFIG, n_layers=2), seed=12),
+                                prefix)
     else:
         weights.save_drafter(DrafterParams.random(np.random.default_rng(13), 8, 12), 5, prefix)
     manifest = tmp_path / f"{kind}.manifest"
