@@ -118,7 +118,7 @@ class BeamLattice:
                                       np.concatenate(([ROOT_PARENT], parents)))
 
 
-def beam_search(params, embeddings, h, last_token, beam_width, beam_length, token_term=None):
+def beam_search(params, embeddings, h, last_token, beam_width, beam_length, token_term):
     """Beam search over drafter log-probabilities; returns its ``BeamLattice``.
 
     Expansion is vocabulary-wide (exact at small vocab sizes); scores are pure
@@ -131,7 +131,7 @@ def beam_search(params, embeddings, h, last_token, beam_width, beam_length, toke
     root row's ``s`` is the embedding of ``last_token`` (a ``VocabError``
     outside the vocab), and each ``step_batch`` overwrites only the ``s``
     columns.  ``token_term`` is the recurrence's input term ``w @ e + b``
-    for every token; it is computed here when not given.
+    for every token, as ``decode.RnnProposer`` builds it once per drafter.
     """
     if beam_width < 1 or beam_length < 1:
         raise ConfigError("beam_width and beam_length must be >= 1")
@@ -141,13 +141,10 @@ def beam_search(params, embeddings, h, last_token, beam_width, beam_length, toke
     if not 0 <= last_token < vocab:
         raise VocabError(f"token {last_token} outside vocab of size {vocab}")
 
-    emb = np.asarray(embeddings, dtype=np.float64)
-    if token_term is None:
-        token_term = emb @ params.w.T + params.b
     d_s = params.d_s
     x = np.empty((beam_width, 2 * d_s))
     x[:, d_s:] = h
-    x[0, :d_s] = emb[last_token]
+    x[0, :d_s] = embeddings[last_token]
     tokens = np.empty((beam_length, beam_width), dtype=np.int64)
     parents = np.empty((beam_length, beam_width), dtype=np.int64)
     logps = np.empty((beam_length, beam_width))

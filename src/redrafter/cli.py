@@ -82,15 +82,19 @@ def first_divergence(spec_tokens, greedy_tokens):
                 min(len(spec_tokens), len(greedy_tokens)))
 
 
-def sweep(base, params, prompts, widths, lengths, max_new_tokens, repeats=1, stop_token=None):
-    """Decode every prompt speculatively at each beam width x length, ``repeats``
-    times, against one timed greedy pass; one summary row per shape and repeat.
+def prepare_sweep(base, params, prompts, widths, lengths, max_new_tokens, repeats=1,
+                  stop_token=None):
+    """Check a sweep's settings, then return the sweep: a function of no
+    arguments that decodes every prompt speculatively at each beam width x
+    length, ``repeats`` times, against one timed greedy pass, and returns
+    one summary row per shape and repeat.
 
     Each row holds the ``CSV_COLUMNS``, the tree nodes per step
     (``packed_nodes_mean``), the steps by accepted draft tokens
     (``accepted_len_hist``), the speculative ``streams`` and, per stream that
     left its greedy reference, ``(prompt index, position)`` in ``divergences``.
-    Every setting is checked before any decode; each timed pass follows one
+    Nothing is decoded here, so a command that prepares several sweeps
+    checks every setting before any decode; each timed pass follows one
     untimed warm-up decode of the first prompt.
     """
     cfgs = [decode.DecodeConfig(beam_width=width, beam_length=length,
@@ -109,6 +113,10 @@ def sweep(base, params, prompts, widths, lengths, max_new_tokens, repeats=1, sto
     # the greedy reference does not depend on the beam shape: run and time it once
     greedy_cfg = decode.DecodeConfig(beam_width=1, beam_length=1,
                                      max_new_tokens=max_new_tokens, stop_token=stop_token)
+    return lambda: _run_sweep(base, proposer, prompts, cfgs, greedy_cfg, repeats)
+
+
+def _run_sweep(base, proposer, prompts, cfgs, greedy_cfg, repeats):
     decode.autoregressive_generate(base, prompts[0], greedy_cfg)  # warm-up
     t0 = time.perf_counter()
     greedy = [decode.autoregressive_generate(base, p, greedy_cfg) for p in prompts]
@@ -162,8 +170,8 @@ def cmd_generate(args):
                                   stop_token=args.stop_token)
         print(" ".join(str(t) for t in decode.autoregressive_generate(base, prompt, cfg)))
         return 0
-    row, = sweep(base, build_drafter(args, base), [prompt], [args.beam_width],
-                 [args.beam_length], args.max_new_tokens, stop_token=args.stop_token)
+    row, = prepare_sweep(base, build_drafter(args, base), [prompt], [args.beam_width],
+                         [args.beam_length], args.max_new_tokens, stop_token=args.stop_token)()
     print(" ".join(str(t) for t in row["streams"][0]))
     if args.report:
         row.update(base=args.base, seed=args.seed, tokens_generated=row["tokens"],
@@ -175,11 +183,11 @@ def cmd_generate(args):
 
 def cmd_bench(args):
     base = build_base(args)
-    rows = sweep(base, build_drafter(args, base),
-                 random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
-                 parse_ints(args.widths.split(","), "--widths"),
-                 parse_ints(args.lengths.split(","), "--lengths"), args.max_new_tokens,
-                 repeats=args.repeats)
+    rows = prepare_sweep(base, build_drafter(args, base),
+                         random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
+                         parse_ints(args.widths.split(","), "--widths"),
+                         parse_ints(args.lengths.split(","), "--lengths"), args.max_new_tokens,
+                         repeats=args.repeats)()
     out = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, extrasaction="ignore")
@@ -192,19 +200,23 @@ def cmd_bench(args):
 
 
 def cmd_verify_equivalence(args):
-    total = passed = 0
-    first_failure = None
+    # every base's sweep is prepared, and so checked, before any decode
+    sweeps = []
     for base_name in ["transformer", "markov"] if args.base == "both" else [args.base]:
         ns = argparse.Namespace(**{**vars(args), "base": base_name})
         if args.base == "both" and base_name == "markov":
             # --base-weights and --drafter-weights are the transformer's
             ns.base_weights = ns.drafter_weights = None
         base = build_base(ns)
-        rows = sweep(base, build_drafter(ns, base),
-                     random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
-                     parse_ints(args.widths.split(","), "--widths"),
-                     parse_ints(args.lengths.split(","), "--lengths"), args.max_new_tokens)
-        for row in rows:
+        sweeps.append((base_name, prepare_sweep(
+            base, build_drafter(ns, base),
+            random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
+            parse_ints(args.widths.split(","), "--widths"),
+            parse_ints(args.lengths.split(","), "--lengths"), args.max_new_tokens)))
+    total = passed = 0
+    first_failure = None
+    for base_name, run_sweep in sweeps:
+        for row in run_sweep():
             total += len(row["streams"])
             passed += len(row["streams"]) - len(row["divergences"])
             if first_failure is None and row["divergences"]:
@@ -220,9 +232,11 @@ def cmd_verify_equivalence(args):
 
 
 def _build_training_dataset(args, base):
-    corpus = distill.sample_markov_corpus(seed=args.seed + 7, n_sequences=args.corpus_size,
-                                          seq_len=args.corpus_len,
-                                          vocab_size=base.config.vocab_size)
+    # the corpus flags default to None, so that train-drafter can tell them given
+    corpus = distill.sample_markov_corpus(
+        seed=args.seed + 7, n_sequences=500 if args.corpus_size is None else args.corpus_size,
+        seq_len=64 if args.corpus_len is None else args.corpus_len,
+        vocab_size=base.config.vocab_size)
     build = distill.ground_truth_dataset if args.ground_truth else distill.build_distill_dataset
     dataset = build(base, corpus, args.horizon)
     if not dataset:
@@ -232,9 +246,13 @@ def _build_training_dataset(args, base):
 
 def cmd_train_drafter(args):
     # the settings are checked before any dataset work
-    if args.dataset and args.ground_truth:
-        raise ConfigError("--dataset and --ground-truth do not combine: --ground-truth "
-                          "picks how a dataset is built, and --dataset reads a built one")
+    building = [flag for flag, given in (("--ground-truth", args.ground_truth),
+                                         ("--corpus-size", args.corpus_size is not None),
+                                         ("--corpus-len", args.corpus_len is not None)) if given]
+    if args.dataset and building:
+        flags = " and ".join(building)
+        raise ConfigError(f"--dataset and {flags} do not combine: --dataset reads a built "
+                          f"dataset, and {flags} would shape how one is built")
     cfg = distill.TrainConfig(horizon=args.horizon, learning_rate=args.learning_rate,
                               epochs=args.epochs, batch_size=args.batch_size,
                               seed=args.seed)
@@ -332,8 +350,8 @@ def make_parser():
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--corpus-size", type=int, default=500)
-    p.add_argument("--corpus-len", type=int, default=64)
+    p.add_argument("--corpus-size", type=int, help="corpus sequences (default 500)")
+    p.add_argument("--corpus-len", type=int, help="tokens per corpus sequence (default 64)")
     p.add_argument("--out", required=True, help="output weight file prefix")
     p.add_argument("--loss-csv")
     p.set_defaults(func=cmd_train_drafter)
@@ -342,8 +360,8 @@ def make_parser():
     _add_model_flags(p)
     p.add_argument("--ground-truth", action="store_true")
     p.add_argument("--horizon", type=int, default=5)
-    p.add_argument("--corpus-size", type=int, default=500)
-    p.add_argument("--corpus-len", type=int, default=64)
+    p.add_argument("--corpus-size", type=int, help="corpus sequences (default 500)")
+    p.add_argument("--corpus-len", type=int, help="tokens per corpus sequence (default 64)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_distill_data)
 

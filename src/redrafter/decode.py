@@ -28,7 +28,6 @@ import numpy as np
 
 from . import beam as beam_mod
 from .errors import CapacityError, ConfigError, ContractError, ShapeError
-from .kernels import argmax_tie_low
 
 
 @dataclass
@@ -156,12 +155,12 @@ def _prefill(base, prompt, cfg):
 
 
 def autoregressive_generate(base, prompt, cfg):
-    """Greedy baseline: repeatedly append the argmax next token."""
+    """Greedy baseline: repeatedly append the argmax next token (ties to the lowest index)."""
     cache, out = _prefill(base, prompt, cfg)
-    emitted = [argmax_tie_low(out.logits[-1])]
+    emitted = [int(out.logits[-1].argmax())]
     while len(emitted) < cfg.max_new_tokens and emitted[-1] != cfg.stop_token:
         out = base.forward_context(emitted[-1:], cache)
-        emitted.append(argmax_tie_low(out.logits[-1]))
+        emitted.append(int(out.logits[-1].argmax()))
     return emitted
 
 
@@ -176,7 +175,7 @@ def speculative_generate(base, proposer, prompt, cfg):
     """
     cache, out = _prefill(base, prompt, cfg)
     h = out.hidden[-1]
-    guaranteed = argmax_tie_low(out.logits[-1])
+    guaranteed = int(out.logits[-1].argmax())
 
     emitted = []
     reports = []

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import beam, decode, drafter
-from .errors import ContractError, FormatError, TrainingError, VocabError
-from .kernels import argmax_tie_low
+from .errors import ContractError, FormatError, TrainingError, check_tokens
 
 log = logging.getLogger(__name__)
 
@@ -294,12 +293,10 @@ def empirical_kl(base, params, probe_contexts, horizon):
     d_s = params.d_s
     totals = np.zeros(horizon)
     for context in probe_contexts:
-        context = [int(t) for t in context]
-        if len(context) < 2:
+        context = check_tokens(context, params.vocab_size)
+        if context.shape[0] < 2:
             raise ContractError("a probe context needs at least two tokens")
-        token = context[-1]
-        if not 0 <= token < params.vocab_size:
-            raise VocabError(f"token {token} outside vocab of size {params.vocab_size}")
+        token = int(context[-1])
         cache = base.new_cache()
         x = np.empty((1, 2 * d_s))
         x[0, d_s:] = base.forward_context(context[:-1], cache).hidden[-1]
@@ -311,7 +308,7 @@ def empirical_kl(base, params, probe_contexts, horizon):
             logp_base = z - np.log(np.exp(z).sum())
             logq = drafter.head_logp_batch(x, params)[0]
             totals[k] += float((p * (logp_base - logq)).sum())
-            token = argmax_tie_low(base_logits)
+            token = int(base_logits.argmax())
             x[:, :d_s] = drafter.step_batch(x[:, :d_s], proposer.token_term[[token]], params)
     return totals / max(1, len(probe_contexts))
 

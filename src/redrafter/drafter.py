@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, ShapeError, VocabError
+from .errors import ContractError, ShapeError, check_tokens
 
 
 def _silu_in_place(a):
@@ -114,13 +114,6 @@ class DrafterParams:
                              out_proj=out_proj, flat=flat)
 
 
-def _check_tokens(tokens, vocab_size):
-    tokens = np.asarray(tokens)
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
-        raise VocabError(f"token id outside vocab of size {vocab_size}")
-    return tokens
-
-
 # ---------------------------------------------------------------------------
 # the forward (beam search and the KL metric run these)
 # ---------------------------------------------------------------------------
@@ -156,8 +149,8 @@ def head_logp_batch(x, params):
 # teacher-forced loss and analytic gradients (reverse accumulation)
 # ---------------------------------------------------------------------------
 
-def batch_loss(params, embeddings, h, s0, teacher, with_grads=True):
-    """Summed teacher-forced loss over a batch, optionally with gradients.
+def batch_loss(params, embeddings, h, s0, teacher):
+    """Summed teacher-forced loss over a batch, and its gradients.
 
     ``s0`` is the batch of initial recurrent states (embeddings of the last
     committed tokens).  Position k's head (evaluated at the state after k-1
@@ -169,7 +162,7 @@ def batch_loss(params, embeddings, h, s0, teacher, with_grads=True):
     """
     emb = np.asarray(embeddings, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
-    teacher = _check_tokens(teacher, params.vocab_size)
+    teacher = check_tokens(teacher, params.vocab_size)
     if teacher.ndim != 2 or teacher.shape[1] < 1:
         raise ContractError("teacher batch must be (batch, T) with T >= 1")
     bsz, horizon = teacher.shape
@@ -196,18 +189,14 @@ def batch_loss(params, embeddings, h, s0, teacher, with_grads=True):
         z = z - z.max(axis=1, keepdims=True)
         logz = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         loss += -logz[rows, teacher[:, k]].sum()
-        if with_grads:
-            head_x.append((xs, acts))
-            head_soft.append(np.exp(logz))
+        head_x.append((xs, acts))
+        head_soft.append(np.exp(logz))
         if k + 1 < horizon:
             e = emb[teacher[:, k]]
             pre = states[-1] @ params.u.T + e @ params.w.T + params.b
             den = 1.0 + np.exp(-pre)
             pre_acts.append((pre, den, e))
             states.append(pre / den)
-
-    if not with_grads:
-        return float(loss), None
 
     grads = params.zeros_like()
     ds = np.zeros((bsz, d_s))

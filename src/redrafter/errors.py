@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the token-range check."""
+
+import numpy as np
 
 
 class RedrafterError(Exception):
@@ -31,3 +33,11 @@ class FormatError(RedrafterError):
 
 class TrainingError(RedrafterError):
     """Optimization diverged."""
+
+
+def check_tokens(tokens, vocab_size):
+    """``tokens`` as an int64 array; a ``VocabError`` if any lies outside the vocab."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
+        raise VocabError(f"token id outside vocab of size {vocab_size}")
+    return tokens

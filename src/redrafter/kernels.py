@@ -4,26 +4,28 @@ The exact-output guarantee of the decode loop relies on the packed-verification
 path and the plain causal path producing bitwise-identical logits.  That
 holds if masked-out attention entries contribute exact zeros to sums taken in
 the same order, and if a row's result does not depend on which other rows
-share the batch or where it sits among them.  Two lanes provide it:
+share the batch or where it sits among them.  Attention has one
+implementation, which runs every reduction in a fixed, data-independent
+order: single-precision accumulation, left to right, starting from +0.0, as
+in the scalar triple loop; its probability x value sum runs over key
+positions that differ between a tree row and the same row decoded greedily,
+so no BLAS call may choose that order.  A kernel lane is a matmul:
 
-- ``numpy`` runs every reduction in a fixed, data-independent order:
-  single-precision accumulation, left to right, starting from +0.0, as in
-  the scalar triple loop.  Its matmul is bitwise that loop.
+- ``numpy`` sums in the same fixed order, so its matmul is bitwise the
+  triple loop.
 - ``blas`` makes one identical BLAS vector x matrix call per matmul row
   (``np.matmul`` over a stack of 1-row operands), so a row's bits cannot
   depend on the batch; which order BLAS sums in is its own, so the lane is
-  not bitwise the triple loop.  Its attention is the numpy lane's, because
-  the probability x value sum runs over key positions that differ between a
-  tree row and the same row decoded greedily.
+  not bitwise the triple loop.
 
-The numpy lane does each reduction as whole-array operations, and the order
-rule lives in one helper, ``_ordered_sum``.  numpy sums *pairwise* (eight
-interleaved partial sums up to 128 terms, recursive halves beyond) whenever
-a reduction runs along the innermost, contiguous axis of its operand.  So
-``x.sum()``, ``x.sum(axis=-1)`` and ``np.add.reduce`` over a contiguous axis
-are banned here: their rounding depends on the row length and on where the
-exact zeros of masked entries fall, and survivors of a mask would no longer
-match a dense row.  ``_ordered_sum`` instead
+The fixed-order code does each reduction as whole-array operations, and the
+order rule lives in one helper, ``_ordered_sum``.  numpy sums *pairwise*
+(eight interleaved partial sums up to 128 terms, recursive halves beyond)
+whenever a reduction runs along the innermost, contiguous axis of its
+operand.  So ``x.sum()``, ``x.sum(axis=-1)`` and ``np.add.reduce`` over a
+contiguous axis are banned here: their rounding depends on the row length
+and on where the exact zeros of masked entries fall, and survivors of a
+mask would no longer match a dense row.  ``_ordered_sum`` instead
 
 - reduces the *outermost* axis of a C-ordered array with ``np.add.reduce``,
   which adds whole slabs one after another, i.e. in index order.  This holds
@@ -61,12 +63,12 @@ the fresh score array is scaled, biased, shifted and exponentiated in place.
 On the same VM, in-process, that took a 1-row 32 x 64 matmul from 7.8 to
 5.1 us and a 1-row attend over 21 keys (width 32, 4 heads) from 23 to 20 us.
 
-``tests/test_kernels.py`` lints this lane's source for ``.sum``, ``dot``,
-``matmul``, ``@`` and einsum subscripts that sum an index.
+``tests/test_kernels.py`` lints this fixed-order source for ``.sum``,
+``dot``, ``matmul``, ``@`` and einsum subscripts that sum an index.
 
 The default lane is blas when the row probe below passes, else numpy;
 ``REDRAFTER_BACKEND`` names one lane explicitly.  Within one process all
-calls go through the same lane.
+matmuls go through the same lane.
 
 A BLAS row's bits are an observed property of the BLAS build, not a
 documented contract, so at import ``row_dependence`` compares each row of
@@ -94,7 +96,7 @@ _ZERO = np.float32(0.0)
 
 
 # ---------------------------------------------------------------------------
-# pure-numpy lane
+# fixed-order sums: the numpy lane's matmul, and attention
 # ---------------------------------------------------------------------------
 
 def _ordered_sum(terms):
@@ -177,10 +179,10 @@ def row_dependence(matmul):
     return None
 
 
-_LANES = {"numpy": (_matmul_numpy, _attend_numpy)}
+_LANES = {"numpy": _matmul_numpy}
 _blas_fault = row_dependence(_matmul_blas)
 if _blas_fault is None:
-    _LANES["blas"] = (_matmul_blas, _attend_numpy)
+    _LANES["blas"] = _matmul_blas
 
 _requested = os.environ.get("REDRAFTER_BACKEND", "")
 if _requested == "blas" and _blas_fault:
@@ -193,13 +195,12 @@ if _requested:
 else:
     BACKEND = "blas" if "blas" in _LANES else "numpy"
 
-_matmul_impl, _attend_impl = _LANES[BACKEND]
+_matmul_impl = _LANES[BACKEND]
 
 
 def get_lane(name):
-    """Return (matmul, attend) for an explicit lane, so a lane other than the
-    default one can be called and tested directly; KeyError for a lane this
-    process lacks."""
+    """Return an explicit lane's matmul, so a lane other than the default one
+    can be called and tested directly; KeyError for a lane this process lacks."""
     return _LANES[name]
 
 
@@ -222,14 +223,6 @@ def matmul(a, b):
     return _matmul_impl(a, b)
 
 
-def argmax_tie_low(v):
-    """Index of the maximum value; ties break toward the lowest index."""
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size == 0:
-        raise ShapeError(f"argmax_tie_low expects a non-empty vector, got shape {v.shape}")
-    return int(np.argmax(v))
-
-
 def attend(q, keys, vals, bias, n_heads, scale):
     """Multi-head scaled-dot attention over an explicit key/value set.
 
@@ -246,7 +239,7 @@ def attend(q, keys, vals, bias, n_heads, scale):
     if n_heads < 1 or q.shape[1] % n_heads:
         raise ShapeError(f"attend: width {q.shape[1]} does not split into {n_heads} heads")
     f32 = np.float32
-    return _attend_impl(np.asarray(q, f32), np.asarray(keys, f32), np.asarray(vals, f32),
+    return _attend_numpy(np.asarray(q, f32), np.asarray(keys, f32), np.asarray(vals, f32),
                         np.asarray(bias, f32), n_heads, f32(scale))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import CapacityError, ConfigError, ContractError, ShapeError, VocabError
+from .errors import CapacityError, ConfigError, ContractError, ShapeError, check_tokens
 from .beam import ROOT_PARENT
 
 
@@ -28,8 +28,10 @@ class ModelConfig:
     max_seq_len: int
 
     def __post_init__(self):
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
+        # sinusoidal positions pair a sine and a cosine column, so d_model is even
+        if self.n_heads < 1 or self.d_model % self.n_heads or self.d_model % 2:
+            raise ConfigError(f"need an even d_model split by n_heads >= 1, got d_model "
+                              f"{self.d_model} and n_heads {self.n_heads}")
         if self.vocab_size < 2 or self.max_seq_len < 1:
             raise ConfigError("need vocab_size >= 2 and max_seq_len >= 1")
 
@@ -86,10 +88,9 @@ class BaseModel(ABC):
 
     def forward_context(self, tokens, cache):
         """Append tokens to the committed context; logits/hidden per new position."""
-        tokens = self._check_tokens(tokens)
+        tokens = check_tokens(tokens, self.config.vocab_size)
         if not tokens.size:
-            return BaseModelOutput(logits=np.zeros((0, self.config.vocab_size), np.float32),
-                                   hidden=np.zeros((0, self.config.d_model), np.float32))
+            raise ContractError("a context forward needs at least one token")
         self._check_capacity(cache, tokens.shape[0])
         out = self._context_rows(tokens, cache)  # its K/V rows are already in place
         cache.tokens.extend(tokens.tolist())
@@ -106,19 +107,19 @@ class BaseModel(ABC):
         ones the last forward on this cache left in its tail (a forward of
         those nodes, or of a tree they lead); only nodes ``start`` on are
         computed and output, bit for bit as in the full forward, since a node
-        depends only on the nodes of its root path, which precede it.
+        depends only on the nodes of its root path, which precede it.  Some
+        node is computed: ``start`` must be in ``[0, n)``, so ``n >= 1``.
         """
-        tokens = self._check_tokens(tree.tokens)
+        tokens = check_tokens(tree.tokens, self.config.vocab_size)
         n = tokens.shape[0]
         if tree.mask.shape != (n, n):
             raise ShapeError(f"mask shape {tree.mask.shape} does not match {n} tree tokens")
-        if not 0 <= start <= n:
+        if not 0 <= start < n:
             raise ContractError(f"start of {start} nodes outside a tree of {n}")
-        if start < n:
-            self._check_capacity(cache, int(tree.depths.max()) + 1)
+        self._check_capacity(cache, int(tree.depths.max()) + 1)
         self._reserve_tail(cache, n)
         n_ctx = cache.committed_len
-        out = self._tree_rows(tree, start, cache) if start < n else self.forward_context([], cache)
+        out = self._tree_rows(tree, start, cache)
         return out, [(k[n_ctx:n_ctx + n], v[n_ctx:n_ctx + n]) for k, v in zip(cache.k, cache.v)]
 
     def commit_accepted(self, cache, tree, spec_state, flat_path):
@@ -132,12 +133,6 @@ class BaseModel(ABC):
             cache.v[layer][n_ctx:n_ctx + n] = tree_v[flat_path]
         cache.tokens.extend(tree.tokens[flat_path].tolist())
         return cache
-
-    def _check_tokens(self, tokens):
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.size and (tokens.min() < 0 or tokens.max() >= self.config.vocab_size):
-            raise VocabError(f"token id outside vocab of size {self.config.vocab_size}")
-        return tokens
 
     def _check_path(self, tree, flat_path):
         flat_path = np.asarray(flat_path, dtype=np.int64)

@@ -8,7 +8,6 @@ import time
 import numpy as np
 import pytest
 
-from redrafter import beam as beam_mod
 from redrafter import decode, distill, weights
 from redrafter.beam import dedup_prefix, pack_beam
 from redrafter.decode import DecodeConfig, RnnProposer
@@ -178,8 +177,8 @@ def test_criterion_4_tree_mask_soundness():
         cache = base.new_cache()
         ctx = base.forward_context(prompt, cache)
         root = int(rng.integers(base.config.vocab_size))
-        tree = beam_mod.beam_search(params, base.token_embeddings, ctx.hidden[-1], root,
-                                    width, length).tree(root)
+        tree = RnnProposer(params, base.token_embeddings).propose(ctx.hidden[-1], root,
+                                                                  width, length)
         out, _ = base.forward_packed(tree, cache)
         for i in range(tree.n):
             path = np.flatnonzero(tree.mask[i])
@@ -217,9 +216,9 @@ def test_criterion_5_gradient_correctness():
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + eps
-                lp, _ = batch_loss(params, *args, with_grads=False)
+                lp, _ = batch_loss(params, *args)
                 arr[idx] = orig - eps
-                lm, _ = batch_loss(params, *args, with_grads=False)
+                lm, _ = batch_loss(params, *args)
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * eps)
                 # denominator floors at 1e-4: below that scale the central

@@ -168,6 +168,12 @@ def make_drafter(seed=0, d_model=6, vocab=8):
     return params, emb
 
 
+def token_terms(params, emb):
+    """The recurrence's input term ``w @ e + b`` of every token, which
+    ``beam_search`` takes as ``decode.RnnProposer`` builds it."""
+    return emb @ params.w.T + params.b
+
+
 def one_row_head(params, s, h):
     """The head's log-probabilities at one state: a one-row ``[s | h]`` input."""
     return drafter.head_logp_batch(np.concatenate([s, h])[None, :], params)[0]
@@ -181,12 +187,12 @@ def one_row_step(params, token_term, s, token):
 def test_beam_search_scores_sorted_and_consistent():
     params, emb = make_drafter()
     h = np.random.default_rng(2).normal(size=params.d_s)
-    lattice = beam_search(params, emb, h, 1, beam_width=4, beam_length=3)
+    token_term = token_terms(params, emb)
+    lattice = beam_search(params, emb, h, 1, 4, 3, token_term)
     assert lattice.tokens.shape == lattice.parents.shape == lattice.logp.shape == (3, 4)
     assert np.all(np.diff(lattice.logp, axis=1) <= 1e-12)
     # each row's score is its parent row's plus the head's log-probability of
     # its token, at the parent's recurrent state
-    token_term = emb @ params.w.T + params.b
     states = [emb[1]]
     scores = np.zeros(1)
     for tokens, parents, logp in zip(lattice.tokens, lattice.parents, lattice.logp):
@@ -200,9 +206,9 @@ def test_beam_search_scores_sorted_and_consistent():
 def test_beam_search_width_one_is_greedy_chain():
     params, emb = make_drafter(4)
     h = np.random.default_rng(5).normal(size=params.d_s)
-    lattice = beam_search(params, emb, h, 2, beam_width=1, beam_length=4)
+    token_term = token_terms(params, emb)
+    lattice = beam_search(params, emb, h, 2, 1, 4, token_term)
     assert not lattice.parents.any()
-    token_term = emb @ params.w.T + params.b
     s = emb[2]
     for t in lattice.tokens[:, 0]:
         assert int(t) == int(np.argmax(one_row_head(params, s, h)))
@@ -215,7 +221,7 @@ def reference_beam_search(params, emb, h, last_token, width, length):
     ties to the lower flat (candidate, token) index.  Returns every depth's
     kept (tokens, score) rows, best first; the last depth's are the final
     candidates."""
-    token_term = emb @ params.w.T + params.b
+    token_term = token_terms(params, emb)
     live = [([], 0.0, emb[last_token])]
     held = []
     for _ in range(length):
@@ -289,9 +295,10 @@ def test_beam_search_matches_single_state_reference():
         rng = np.random.default_rng(20 + seed)
         params.b = rng.normal(0.0, 0.1, params.d_s)  # random init leaves it zero
         h = rng.normal(size=params.d_s)
+        token_term = token_terms(params, emb)
         for width in range(1, 9):
             for length in range(1, 6):
-                lattice = beam_search(params, emb, h, seed, width, length)
+                lattice = beam_search(params, emb, h, seed, width, length, token_term)
                 held = reference_beam_search(params, emb, h, seed, width, length)
                 where = (seed, width, length)
                 # depth by depth: each row's token and score, and the row one
@@ -346,7 +353,7 @@ def test_tree_ties_keep_the_shallower_prefix():
 def argsort_beam_search(params, emb, h, last_token, width, length):
     """Reference selection: each depth's top ``width`` by a stable argsort of
     the negated scores, with the same head and recurrence calls."""
-    token_term = emb @ params.w.T + params.b
+    token_term = token_terms(params, emb)
     s, cum_logp = emb[[last_token]], np.zeros(1)
     held = []
     for _ in range(length):
@@ -369,9 +376,10 @@ def test_top_width_selection_equals_a_stable_argsort():
         params.out_proj[5] = params.out_proj[1]
         params.out_proj[4] = params.out_proj[0]
         h = np.random.default_rng(40 + seed).normal(size=params.d_s)
+        token_term = token_terms(params, emb)
         for width in (1, 2, 3, 5, 6):
             for length in (1, 3):
-                lattice = beam_search(params, emb, h, seed, width, length)
+                lattice = beam_search(params, emb, h, seed, width, length, token_term)
                 expect = argsort_beam_search(params, emb, h, seed, width, length)
                 for name, ref in zip(("tokens", "parents", "logp"), expect):
                     got = getattr(lattice, name)
@@ -398,8 +406,8 @@ def test_tree_constructor_rejects_cycles_and_builds_chains():
 def test_beam_search_is_deterministic():
     params, emb = make_drafter(6)
     h = np.random.default_rng(7).normal(size=params.d_s)
-    a = beam_search(params, emb, h, 0, 4, 5)
-    b = beam_search(params, emb, h, 0, 4, 5)
+    a = beam_search(params, emb, h, 0, 4, 5, token_terms(params, emb))
+    b = beam_search(params, emb, h, 0, 4, 5, token_terms(params, emb))
     for name in ("tokens", "parents", "logp"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -407,19 +415,21 @@ def test_beam_search_is_deterministic():
 def test_beam_search_starts_from_the_root_embedding_of_a_root_in_the_vocab():
     params, emb = make_drafter(8)
     h = np.random.default_rng(9).normal(size=params.d_s)
-    lattice = beam_search(params, emb, h, 3, beam_width=params.vocab_size, beam_length=1)
+    token_term = token_terms(params, emb)
+    lattice = beam_search(params, emb, h, 3, params.vocab_size, 1, token_term)
     logp = one_row_head(params, emb[3], h)
     assert sorted(lattice.tokens[0].tolist()) == list(range(params.vocab_size))
     assert np.allclose(lattice.logp[0], logp[lattice.tokens[0]], rtol=0, atol=1e-12)
     for bad in (params.vocab_size, -1):
         with pytest.raises(VocabError):
-            beam_search(params, emb, h, bad, beam_width=2, beam_length=2)
+            beam_search(params, emb, h, bad, 2, 2, token_term)
 
 
 def test_beam_search_config_validation():
     params, emb = make_drafter()
     h = np.zeros(params.d_s)
+    token_term = token_terms(params, emb)
     with pytest.raises(ConfigError):
-        beam_search(params, emb, h, 0, beam_width=params.vocab_size + 1, beam_length=2)
+        beam_search(params, emb, h, 0, params.vocab_size + 1, 2, token_term)
     with pytest.raises(ConfigError):
-        beam_search(params, emb, h, 0, beam_width=0, beam_length=2)
+        beam_search(params, emb, h, 0, 0, 2, token_term)

@@ -157,8 +157,12 @@ def test_verify_equivalence_zero_prompts_is_a_usage_error(capsys):
     (["bench", "--n-prompts", "0"], "--n-prompts must be >= 1"),
     (["bench", "--repeats", "0"], "--repeats must be >= 1, got 0"),
     (["verify-equivalence", "--widths", "2,64"], "beam_width 64 exceeds vocab size 16"),
+    # 64 fits the transformer's vocab of 256, so only the Markov sweep, which
+    # runs second, refuses it
+    (["verify-equivalence", "--base", "both", "--widths", "2,64"],
+     "beam_width 64 exceeds vocab size 16"),
 ], ids=["verify-no-widths", "verify-no-lengths", "verify-negative-prompts", "bench-no-prompts",
-        "bench-no-repeats", "verify-wider-than-vocab"])
+        "bench-no-repeats", "verify-wider-than-vocab", "verify-both-wider-than-one-vocab"])
 def test_sweep_that_decodes_nothing_is_a_usage_error(argv, message, monkeypatch, capsys):
     """Exit 2 before any decode, instead of a vacuous pass or a traceback,
     naming the bound the command accepts."""
@@ -347,6 +351,22 @@ def test_train_drafter_on_a_dataset_file_with_ground_truth_is_a_usage_error(tmp_
     assert run(["train-drafter", *MARKOV, "--ground-truth", "--dataset",
                 str(tmp_path / "absent.txt"), "--out", str(prefix)]) == 2
     assert "--dataset and --ground-truth do not combine" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("corpus_flags", [["--corpus-len", "1"], ["--corpus-size", "500"],
+                                          ["--corpus-size", "4", "--corpus-len", "8"]],
+                         ids=["len", "size", "both"])
+def test_train_drafter_on_a_dataset_file_with_corpus_flags_is_a_usage_error(corpus_flags,
+                                                                             tmp_path, capsys):
+    """The corpus flags shape a built dataset, so a dataset file leaves them
+    nothing to shape, even at their default values: exit 2 naming the flags,
+    before the file is read."""
+    prefix = tmp_path / "drafter"
+    assert run(["train-drafter", *MARKOV, *corpus_flags, "--dataset",
+                str(tmp_path / "absent.txt"), "--out", str(prefix)]) == 2
+    flags = " and ".join(flag for flag in corpus_flags if flag.startswith("--"))
+    assert f"error: --dataset and {flags} do not combine" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -133,19 +133,6 @@ def test_step_reports_account_for_emitted_tokens(markov):
     assert sum(r.accepted_draft_tokens + 1 for r in reports) == len(spec) == 24
 
 
-class Replay:
-    """Drafts a known greedy stream, so every step accepts its whole chain."""
-
-    def __init__(self, stream):
-        self.stream = stream
-        self.at = 0  # the stream position of the next step's guaranteed token
-
-    def propose(self, h, last_token, width, length):
-        drafts = self.stream[self.at + 1:self.at + 1 + length]
-        self.at += length + 1
-        return beam_mod.chain_tree(last_token, drafts)
-
-
 def test_final_guaranteed_token_needs_no_forward(tiny, markov):
     """With one token still wanted, the step emits its guaranteed token
     without a base forward (a root-only verify would yield only the token
@@ -164,7 +151,7 @@ def test_final_guaranteed_token_needs_no_forward(tiny, markov):
             cfg = DecodeConfig(beam_width=1, beam_length=length, max_new_tokens=new_tokens,
                                stop_token=stop)
             counted = CountingBase(base)
-            spec, reports = speculative_generate(counted, Replay(stream), prompt, cfg)
+            spec, reports = speculative_generate(counted, MirrorProposer(stream), prompt, cfg)
             assert spec == stream == autoregressive_generate(base, prompt, cfg)
             assert reports[-1] == decode.StepReport(accepted_draft_tokens=0, packed_size=1,
                                                     compression_ratio=1.0, llm_calls=0)
@@ -203,7 +190,7 @@ def test_proposal_deeper_than_asked_is_a_contract_error(markov):
     prompt = [1, 2]
     stream = autoregressive_generate(markov, prompt, DecodeConfig(1, 1, 20))
 
-    class Overdrafting(Replay):
+    class Overdrafting(MirrorProposer):
         def propose(self, h, last_token, width, length):
             return super().propose(h, last_token, width, 6)
 
@@ -262,7 +249,7 @@ def test_duplicate_candidates_share_one_path(markov, monkeypatch):
     class Duplicating:
         def propose(self, h, last_token, width, length):
             chain = beam_mod.beam_search(inner.params, inner.embeddings, h, last_token,
-                                         1, length).tokens
+                                         1, length, inner.token_term).tokens
             return beam_mod.pack_beam(np.repeat(chain.T, width, axis=0), last_token)[0]
 
     results = []

@@ -15,7 +15,6 @@ from redrafter.distill import (DistillExample, TrainConfig, build_distill_datase
 from redrafter.drafter import DrafterParams
 from redrafter.errors import (CapacityError, ContractError, FormatError, ShapeError,
                               TrainingError, VocabError)
-from redrafter.kernels import argmax_tie_low
 from redrafter.model import ModelConfig, SyntheticMarkovModel, TinyTransformer
 
 WINDOW = 40  # max_seq_len of the bases the tree-batched build is checked on
@@ -61,13 +60,13 @@ def per_position_dataset(base, corpus, horizon):
             if t + horizon > base.config.max_seq_len:
                 skipped += 1
                 continue
-            guaranteed = argmax_tie_low(out.logits[-1])
+            guaranteed = int(out.logits[-1].argmax())
             scratch = copy.deepcopy(cache)
             token = guaranteed
             teacher = []
             for _ in range(horizon):
                 roll_out = base.forward_context([token], scratch)
-                token = argmax_tie_low(roll_out.logits[-1])
+                token = int(roll_out.logits[-1].argmax())
                 teacher.append(token)
             examples.append(DistillExample(context=np.append(seq[:t], guaranteed),
                                            teacher=np.asarray(teacher, np.int64),

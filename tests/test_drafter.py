@@ -151,9 +151,6 @@ def test_batch_loss_equals_sum_of_sequences():
         singles += li
     assert np.isclose(total, singles, atol=1e-9)
 
-    no_grad_loss, no_grads = drafter.batch_loss(p, emb, h, s0, teacher, with_grads=False)
-    assert no_grads is None and np.isclose(no_grad_loss, total)
-
 
 def test_gradient_matches_central_finite_differences():
     """Every coordinate, epsilon 1e-3, relative error under 1e-4."""
@@ -175,9 +172,9 @@ def test_gradient_matches_central_finite_differences():
             for idx in np.ndindex(arr.shape):
                 orig = arr[idx]
                 arr[idx] = orig + eps
-                lp, _ = drafter.batch_loss(p, *args, with_grads=False)
+                lp, _ = drafter.batch_loss(p, *args)
                 arr[idx] = orig - eps
-                lm, _ = drafter.batch_loss(p, *args, with_grads=False)
+                lm, _ = drafter.batch_loss(p, *args)
                 arr[idx] = orig
                 fd = (lp - lm) / (2 * eps)
                 # mixed tolerance: absolute below 1e-4, relative above

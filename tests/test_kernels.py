@@ -1,5 +1,6 @@
 """Kernel-level checks: fixed-order arithmetic, row invariance, lane agreement,
-mask zeros, and a lint of the numpy lane's source."""
+mask zeros, a lint of the fixed-order source, and greedy decoding's argmax
+tie rule."""
 
 import ast
 import inspect
@@ -12,7 +13,10 @@ import numpy as np
 import pytest
 
 from redrafter import kernels
+from redrafter.decode import (DecodeConfig, MirrorProposer, autoregressive_generate,
+                              speculative_generate)
 from redrafter.errors import ShapeError
+from redrafter.model import ModelConfig, TinyTransformer
 
 
 def naive_matmul(a, b):
@@ -32,11 +36,9 @@ def naive_matmul(a, b):
 needs_blas = pytest.mark.skipif("blas" not in kernels._LANES,
                                 reason="the BLAS row probe failed: blas kernel lane withdrawn")
 
-# Both lanes are listed; blas shows up as skipped where the row probe
-# withdrew it.  The fixed-order numpy lane is bitwise the triple loop; the
-# blas lane keeps only the row invariance and the numpy lane's attention.
+# The fixed-order numpy lane is bitwise the triple loop; the blas lane keeps
+# only the row invariance.
 FIXED_ORDER_LANES = ["numpy"]
-LANES = FIXED_ORDER_LANES + [pytest.param("blas", marks=needs_blas)]
 
 # (m, k, n): a single output element, one output column, and summed lengths
 # on both sides of numpy's pairwise-summation blocks (8 and 128 terms).
@@ -66,7 +68,7 @@ def sprinkle_signed_zeros(rng, x, frac=0.2):
 def test_matmul_matches_triple_loop_bitwise(lane):
     """Random, edge and multi-row shapes, plain and with signed-zero
     operands, including rows whose every product is -0.0."""
-    matmul, _ = kernels.get_lane(lane)
+    matmul = kernels.get_lane(lane)
     rng = np.random.default_rng(0)
     shapes = [tuple(rng.integers(1, 9, size=3)) for _ in range(5)] + EDGE_SHAPES
     cases = [(shape, False) for shape in shapes]
@@ -93,7 +95,7 @@ def test_blas_rows_equal_the_row_alone_bitwise():
     """Each row of a blas matmul has the bits of that row computed alone, for
     1-40 rows starting 0-19 rows into a block, K up to 1024, operands with
     signed zeros, a row of -0.0 among them, and rows with a stride."""
-    matmul, _ = kernels.get_lane("blas")
+    matmul = kernels.get_lane("blas")
     rng = np.random.default_rng(6)
     for k, n in [(1, 3), (9, 1), (32, 96), (64, 32), (130, 7), (512, 32), (1024, 16)]:
         a = sprinkle_signed_zeros(rng, rng.normal(size=(59, k)).astype(np.float32))
@@ -109,19 +111,12 @@ def test_blas_rows_equal_the_row_alone_bitwise():
         assert np.array_equal(bits(matmul(np.asfortranarray(a), b)), alone), (k, n)
 
 
-@needs_blas
-def test_blas_lane_attends_with_the_numpy_lane():
-    """Attention keeps the fixed-order lane: its probability x value sum runs
-    over keys that differ between a tree row and the greedy one."""
-    assert kernels.get_lane("blas")[1] is kernels.get_lane("numpy")[1]
-
-
 def test_row_probe_refuses_a_row_dependent_matmul():
     """The import-time probe passes the fixed-order lane and names the first
     shape at which a row changes with the rows beside it: at once for a
     result that depends on the row count, and only at K = 1024 and 40 rows
     for one that drifts there."""
-    exact, _ = kernels.get_lane("numpy")
+    exact = kernels.get_lane("numpy")
     eps = np.float32(2.0 ** -20)
     assert kernels.row_dependence(exact) is None
     assert kernels.row_dependence(lambda a, b: exact(a, b) + a.shape[0] * eps) == (
@@ -183,13 +178,13 @@ def reference_softmax(scores):
     return out
 
 
-def lane_probs(attend, q, keys, bias, scale, rows=slice(None)):
-    """One head's attention probabilities as the lane computes them.  Key j
+def lane_probs(q, keys, bias, scale, rows=slice(None)):
+    """One head's attention probabilities as ``kernels.attend`` computes them.  Key j
     takes row ``rows[j]`` of the identity as its value, so output column t
     sums exact zeros and the one product p * 1.0 of the key holding t; a
     column no key holds is +0.0."""
     vals = np.eye(keys.shape[1], dtype=np.float32)[rows]
-    return attend(q, keys, vals, bias, 1, scale)
+    return kernels.attend(q, keys, vals, bias, 1, scale)
 
 
 def random_head(rng, n, n_keys, d):
@@ -199,28 +194,28 @@ def random_head(rng, n, n_keys, d):
 
 @pytest.mark.parametrize("lane", FIXED_ORDER_LANES)
 def test_row_softmax_rows_normalize(lane):
-    """The reference softmax's rows sum to 1, and the lane's attention
+    """The reference softmax's rows sum to 1, and the attention
     probabilities are its bits."""
-    matmul, attend = kernels.get_lane(lane)
+    matmul = kernels.get_lane(lane)
     rng = np.random.default_rng(2)
     q, keys, scale = random_head(rng, 7, 11, 11)
-    probs = lane_probs(attend, q, keys, np.zeros((7, 11), np.float32), scale)
+    probs = lane_probs(q, keys, np.zeros((7, 11), np.float32), scale)
     ref = reference_softmax(matmul(q, np.ascontiguousarray(keys.T)) * scale)
     assert np.array_equal(bits(probs), bits(ref))
     assert np.all(ref >= 0)
     assert np.allclose(ref.sum(axis=1), 1.0, atol=1e-5)
 
 
-@pytest.mark.parametrize("lane", LANES)
 def test_masked_entries_are_exact_zero_and_do_not_perturb(lane):
     """Masked-out keys get probability exactly +0.0, and attending over a
     masked key set gives the same bits as attending over the kept keys
-    alone, for probabilities and for random values.
+    alone, for probabilities and for random values, whichever lane the
+    process runs (attention is the same on both).
 
     Rows longer than 8 and 128 keys, with masked keys between live ones, are
     where a pairwise (blocked) sum would regroup the survivors.
     """
-    _, attend = kernels.get_lane(lane)
+    attend = kernels.attend
     rng = np.random.default_rng(3)
     for cols, masked_cols in [(6, [4]), (20, [1, 2, 9, 15]), (150, list(range(0, 150, 3)))]:
         q, keys, scale = random_head(rng, 5, cols, cols)
@@ -228,9 +223,9 @@ def test_masked_entries_are_exact_zero_and_do_not_perturb(lane):
         bias[:, masked_cols] = kernels._NEG_BIAS
         keep = [j for j in range(cols) if j not in masked_cols]
         alone = np.zeros((5, len(keep)), np.float32)
-        masked = lane_probs(attend, q, keys, bias, scale)
+        masked = lane_probs(q, keys, bias, scale)
         assert not bits(masked[:, masked_cols]).any(), cols  # +0.0, not -0.0
-        direct = lane_probs(attend, q, keys[keep], alone, scale, keep)
+        direct = lane_probs(q, keys[keep], alone, scale, keep)
         assert np.array_equal(bits(masked), bits(direct)), cols
         vals = rng.normal(size=(cols, cols)).astype(np.float32)
         assert np.array_equal(bits(attend(q, keys, vals, bias, 1, scale)),
@@ -245,10 +240,18 @@ def test_masked_bias_values():
 
 
 def test_argmax_breaks_ties_toward_low_index():
-    assert kernels.argmax_tie_low(np.array([1.0, 3.0, 3.0, 2.0])) == 1
-    assert kernels.argmax_tie_low(np.array([5.0])) == 0
-    with pytest.raises(ShapeError):
-        kernels.argmax_tie_low(np.zeros(0))
+    """Greedy decoding takes numpy's argmax, whose ties go to the lowest
+    index: with ``w_out`` zeroed every logit is 0.0, so each step emits
+    token 0, and the speculative stream, verified by the same rule, equals it."""
+    config = ModelConfig(vocab_size=16, d_model=16, n_layers=1, n_heads=2, d_ff=16,
+                         max_seq_len=32)
+    base = TinyTransformer.random(config, seed=0)
+    base.weights["w_out"][:] = 0.0
+    cfg = DecodeConfig(beam_width=1, beam_length=3, max_new_tokens=9)
+    greedy = autoregressive_generate(base, [5, 3, 9], cfg)
+    assert greedy == [0] * 9
+    spec, _ = speculative_generate(base, MirrorProposer(greedy), [5, 3, 9], cfg)
+    assert spec == greedy
 
 
 def tree_allowed(rng, n_rows, n_ctx, n_unqueried):
@@ -282,7 +285,7 @@ def test_attend_equals_composed_primitives(lane):
     accumulation order.  Each query
     row attended alone gives the same bits as in the batch.  Queries and
     values carry signed zeros, and each case has a value column of -0.0."""
-    matmul, attend = kernels.get_lane(lane)
+    matmul, attend = kernels.get_lane(lane), kernels.attend
     rng = np.random.default_rng(5)
     for n, n_heads, dh, keys_or_tree in ATTEND_CASES:
         if isinstance(keys_or_tree, tuple):
@@ -330,7 +333,7 @@ def test_attend_shape_validation():
 
 def test_backend_selection_is_consistent():
     assert (kernels.matmul.__wrapped__ if hasattr(kernels.matmul, "__wrapped__")
-            else kernels._matmul_impl) is kernels.get_lane(kernels.BACKEND)[0]
+            else kernels._matmul_impl) is kernels.get_lane(kernels.BACKEND)
 
 
 def numpy_lane_violations(source):
@@ -363,7 +366,7 @@ def numpy_lane_violations(source):
 
 def test_numpy_lane_source_uses_only_ordered_sums():
     source = inspect.getsource(kernels)
-    start = source.index("# pure-numpy lane")
+    start = source.index("# fixed-order sums")
     lane = source[start:source.index("# BLAS lane", start)]
     assert "_ordered_sum" in lane and "np.einsum(" in lane
     assert numpy_lane_violations(lane) == []

@@ -7,6 +7,7 @@ import pytest
 
 from redrafter import beam as beam_mod
 from redrafter import kernels
+from redrafter.decode import RnnProposer
 from redrafter.drafter import DrafterParams
 from redrafter.errors import CapacityError, ConfigError, ContractError, ShapeError, VocabError
 from redrafter.model import (KvCache, ModelConfig, SyntheticMarkovModel, TinyTransformer,
@@ -109,29 +110,31 @@ def test_commit_then_forward_matches_fresh_recompute(tiny):
     assert np.max(np.abs(committed.logits[-1] - fresh.logits[-1])) <= 1e-5
 
 
-def test_empty_packed_beam_yields_empty_output(tiny):
-    packed, _ = packed_from_tokens(np.zeros((1, 1), dtype=np.int64))
-    # shrink to zero nodes by hand
-    packed.tokens = packed.tokens[:0]
-    packed.mask = packed.mask[:0, :0]
-    cache = tiny.new_cache()
-    tiny.forward_context([1, 2], cache)
-    out, _ = tiny.forward_packed(packed, cache)
-    assert out.logits.shape[0] == 0
-
-
-def test_empty_context_forward_yields_empty_output(tiny, markov):
-    """No tokens: the 2-D empty output of an empty tree, and an untouched cache."""
+def test_empty_packed_beam_yields_empty_output(tiny, markov):
+    """A tree forward of no nodes has no output to yield: it raises
+    ContractError and leaves the committed context untouched, on both bases."""
+    tree, _ = packed_from_tokens([[4, 5]])
+    empty = beam_mod.DraftTree(tokens=tree.tokens[:0], parents=tree.parents[:0],
+                               depths=tree.depths[:0], mask=tree.mask[:0, :0])
     for base in (tiny, markov):
         cache = base.new_cache()
         base.forward_context([3, 1], cache)
-        before = copy.deepcopy(cache)
-        for fresh in (False, True):
-            out = base.forward_context([], base.new_cache() if fresh else cache)
-            for got, width in ((out.logits, SMALL.vocab_size), (out.hidden, base.config.d_model)):
-                assert got.shape == (0, width) and got.dtype == np.float32
-        assert cache.tokens == before.tokens
-        assert all(np.array_equal(a, b) for a, b in zip(cache.k + cache.v, before.k + before.v))
+        before = cache_bits(cache)
+        with pytest.raises(ContractError, match="start"):
+            base.forward_packed(empty, cache)
+        assert cache_bits(cache) == before
+
+
+def test_empty_context_forward_yields_empty_output(tiny, markov):
+    """A context forward of no tokens has no output to yield: it raises
+    ContractError and leaves the committed context untouched, on both bases."""
+    for base in (tiny, markov):
+        cache = base.new_cache()
+        base.forward_context([3, 1], cache)
+        before = cache_bits(cache)
+        with pytest.raises(ContractError, match="at least one token"):
+            base.forward_context([], cache)
+        assert cache_bits(cache) == before
 
 
 def bits(x):
@@ -297,6 +300,11 @@ def test_config_validation():
         ModelConfig(vocab_size=0, d_model=8, n_layers=1, n_heads=1, d_ff=8, max_seq_len=8)
     with pytest.raises(ConfigError):
         ModelConfig(vocab_size=8, d_model=9, n_layers=1, n_heads=2, d_ff=8, max_seq_len=8)
+    # no heads to split d_model into, and an odd width sinusoidal positions cannot pair
+    for d_model, n_heads in ((8, 0), (5, 1)):
+        with pytest.raises(ConfigError, match="need an even d_model split by n_heads >= 1"):
+            ModelConfig(vocab_size=8, d_model=d_model, n_layers=1, n_heads=n_heads, d_ff=8,
+                        max_seq_len=8)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +374,8 @@ def test_markov_packed_forward_follows_paths():
         for context in ([], [3], [1, 2, 3]):
             for tokens in (np.array([[4, 5], [4, 6]]), shared):
                 cache = model.new_cache()
-                model.forward_context(context, cache)
+                if context:  # a context forward takes at least one token
+                    model.forward_context(context, cache)
                 packed, paths = packed_from_tokens(tokens)
                 out, _ = model.forward_packed(packed, cache)
                 for i, path in enumerate(paths):
@@ -390,8 +399,8 @@ def check_trees_match_causal_replay(base, rng, prompt_len):
         cache = base.new_cache()
         ctx = base.forward_context(prompt, cache)
         root = int(rng.integers(16))
-        tree = beam_mod.beam_search(params, base.token_embeddings, ctx.hidden[-1], root,
-                                    width, length).tree(root)
+        tree = RnnProposer(params, base.token_embeddings).propose(ctx.hidden[-1], root,
+                                                                  width, length)
         out, spec_state = base.forward_packed(tree, cache)
         for i in range(tree.n):
             path = np.flatnonzero(tree.mask[i])
@@ -442,7 +451,7 @@ def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
     full_state = [(k.copy(), v.copy()) for k, v in full_state]
     other, _ = packed_from_tokens(np.arange(4)[:, None] + np.full((1, 4), 8))  # 17 nodes
     n = tree.n
-    for start in (0, n // 2, n - 1, n):
+    for start in (0, n // 2, n - 1):
         heads = [tree]
         if start:
             heads.append(beam_mod.DraftTree.from_parents(tree.tokens[:start],
@@ -488,13 +497,13 @@ def test_beam_search_trees_match_causal_replay_bitwise_at_d128(lane):
 
 
 def test_packed_forward_rejects_a_mismatched_prior(tiny, markov):
-    """A start outside [0, n] nodes names no prior nodes of the tree."""
+    """A start outside [0, n) names no prior nodes of the tree, or none to compute."""
     tree, _ = packed_from_tokens([[4, 5], [4, 6]])
     for base in (tiny, markov):
         cache = base.new_cache()
         base.forward_context([1, 2, 3], cache)
         base.forward_packed(tree, cache)
-        for start in (-1, tree.n + 1):
+        for start in (-1, tree.n, tree.n + 1):
             with pytest.raises(ContractError, match="start"):
                 base.forward_packed(tree, cache, start)
 

@@ -6,10 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from redrafter import weights
+from redrafter import cli, weights
 from redrafter.beam import pack_beam
 from redrafter.drafter import DrafterParams
-from redrafter.errors import FormatError
+from redrafter.errors import ConfigError, FormatError
 from redrafter.model import ModelConfig, TinyTransformer
 
 CONFIG = ModelConfig(vocab_size=12, d_model=8, n_layers=1, n_heads=2, d_ff=16,
@@ -138,6 +138,22 @@ def test_malformed_manifest_line_is_a_format_error(kind, line, edited, message, 
     load = weights.load_base_model if kind == "base" else weights.load_drafter
     with pytest.raises(FormatError, match=re.escape(message)):
         load(prefix)
+
+
+def test_base_manifest_of_a_shape_no_model_has_is_a_config_error(tmp_path, capsys):
+    """A header edited to no attention heads is ModelConfig's ConfigError,
+    which the CLI reports with exit 2, not an untyped ZeroDivisionError."""
+    prefix = str(tmp_path / "base")
+    weights.save_base_model(TinyTransformer.random(CONFIG, seed=14), prefix)
+    manifest = tmp_path / "base.manifest"
+    text, n = re.subn(r"^# n_heads 2$", "# n_heads 0", manifest.read_text(), flags=re.M)
+    assert n == 1
+    manifest.write_text(text)
+    with pytest.raises(ConfigError, match="d_model 8 and n_heads 0"):
+        weights.load_base_model(prefix)
+    assert cli.main(["generate", "--base-weights", prefix, "--prompt", "1 2",
+                     "--max-new-tokens", "2"]) == 2
+    assert "d_model 8 and n_heads 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, line, edited, field", [
