@@ -1,5 +1,6 @@
 """Command-line surface: generate text, benchmark beam configurations, train
-draft heads, and verify the exact-equivalence guarantee.
+draft heads, and verify the exact-equivalence guarantee, each on the one
+base model ``--base`` names.
 
 Exit codes: 0 ok, 1 equivalence/assertion failure, 2 usage or IO error.
 """
@@ -82,20 +83,17 @@ def first_divergence(spec_tokens, greedy_tokens):
                 min(len(spec_tokens), len(greedy_tokens)))
 
 
-def prepare_sweep(base, params, prompts, widths, lengths, max_new_tokens, repeats=1,
-                  stop_token=None):
-    """Check a sweep's settings, then return the sweep: a function of no
-    arguments that decodes every prompt speculatively at each beam width x
-    length, ``repeats`` times, against one timed greedy pass, and returns
-    one summary row per shape and repeat.
+def sweep(base, params, prompts, widths, lengths, max_new_tokens, repeats=1, stop_token=None):
+    """Decode every prompt speculatively at each beam width x length,
+    ``repeats`` times, against one timed greedy pass, and return one summary
+    row per shape and repeat.
 
     Each row holds the ``CSV_COLUMNS``, the tree nodes per step
     (``packed_nodes_mean``), the steps by accepted draft tokens
     (``accepted_len_hist``), the speculative ``streams`` and, per stream that
     left its greedy reference, ``(prompt index, position)`` in ``divergences``.
-    Nothing is decoded here, so a command that prepares several sweeps
-    checks every setting before any decode; each timed pass follows one
-    untimed warm-up decode of the first prompt.
+    Every setting is checked before the first decode; each timed pass follows
+    one untimed warm-up decode of the first prompt.
     """
     cfgs = [decode.DecodeConfig(beam_width=width, beam_length=length,
                                 max_new_tokens=max_new_tokens, stop_token=stop_token)
@@ -113,10 +111,6 @@ def prepare_sweep(base, params, prompts, widths, lengths, max_new_tokens, repeat
     # the greedy reference does not depend on the beam shape: run and time it once
     greedy_cfg = decode.DecodeConfig(beam_width=1, beam_length=1,
                                      max_new_tokens=max_new_tokens, stop_token=stop_token)
-    return lambda: _run_sweep(base, proposer, prompts, cfgs, greedy_cfg, repeats)
-
-
-def _run_sweep(base, proposer, prompts, cfgs, greedy_cfg, repeats):
     decode.autoregressive_generate(base, prompts[0], greedy_cfg)  # warm-up
     t0 = time.perf_counter()
     greedy = [decode.autoregressive_generate(base, p, greedy_cfg) for p in prompts]
@@ -154,14 +148,27 @@ def _run_sweep(base, proposer, prompts, cfgs, greedy_cfg, repeats):
     return rows
 
 
+def grid_sweep(args, repeats=1):
+    """``bench``'s and ``verify-equivalence``'s sweep: ``--n-prompts`` random
+    prompts over the ``--widths`` x ``--lengths`` grid."""
+    base = build_base(args)
+    return sweep(base, build_drafter(args, base),
+                 random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
+                 parse_ints(args.widths.split(","), "--widths"),
+                 parse_ints(args.lengths.split(","), "--lengths"), args.max_new_tokens,
+                 repeats=repeats)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args):
-    if args.baseline and args.report:
-        raise ConfigError("--baseline and --report do not combine: the report "
-                          "summarises a speculative run")
+    ignored = [flag for flag, given in (("--report", args.report),
+                                        ("--drafter-weights", args.drafter_weights)) if given]
+    if args.baseline and ignored:
+        raise ConfigError(f"--baseline and {' and '.join(ignored)} do not combine: a "
+                          f"greedy run drafts nothing and has no speculative run to report")
     base = build_base(args)
     prompt = parse_prompt(args, base)
     if args.baseline:
@@ -170,8 +177,8 @@ def cmd_generate(args):
                                   stop_token=args.stop_token)
         print(" ".join(str(t) for t in decode.autoregressive_generate(base, prompt, cfg)))
         return 0
-    row, = prepare_sweep(base, build_drafter(args, base), [prompt], [args.beam_width],
-                         [args.beam_length], args.max_new_tokens, stop_token=args.stop_token)()
+    row, = sweep(base, build_drafter(args, base), [prompt], [args.beam_width],
+                 [args.beam_length], args.max_new_tokens, stop_token=args.stop_token)
     print(" ".join(str(t) for t in row["streams"][0]))
     if args.report:
         row.update(base=args.base, seed=args.seed, tokens_generated=row["tokens"],
@@ -182,12 +189,7 @@ def cmd_generate(args):
 
 
 def cmd_bench(args):
-    base = build_base(args)
-    rows = prepare_sweep(base, build_drafter(args, base),
-                         random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
-                         parse_ints(args.widths.split(","), "--widths"),
-                         parse_ints(args.lengths.split(","), "--lengths"), args.max_new_tokens,
-                         repeats=args.repeats)()
+    rows = grid_sweep(args, repeats=args.repeats)
     out = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else sys.stdout
     try:
         writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, extrasaction="ignore")
@@ -200,33 +202,14 @@ def cmd_bench(args):
 
 
 def cmd_verify_equivalence(args):
-    # every base's sweep is prepared, and so checked, before any decode
-    sweeps = []
-    for base_name in ["transformer", "markov"] if args.base == "both" else [args.base]:
-        ns = argparse.Namespace(**{**vars(args), "base": base_name})
-        if args.base == "both" and base_name == "markov":
-            # --base-weights and --drafter-weights are the transformer's
-            ns.base_weights = ns.drafter_weights = None
-        base = build_base(ns)
-        sweeps.append((base_name, prepare_sweep(
-            base, build_drafter(ns, base),
-            random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
-            parse_ints(args.widths.split(","), "--widths"),
-            parse_ints(args.lengths.split(","), "--lengths"), args.max_new_tokens)))
-    total = passed = 0
-    first_failure = None
-    for base_name, run_sweep in sweeps:
-        for row in run_sweep():
-            total += len(row["streams"])
-            passed += len(row["streams"]) - len(row["divergences"])
-            if first_failure is None and row["divergences"]:
-                first_failure = (base_name, row["beam_width"], row["beam_length"],
-                                 *row["divergences"][0])
-    print(f"equivalence: {passed}/{total} passed")
-    if first_failure:
-        base_name, width, length, p_idx, pos = first_failure
-        print(f"first divergence: base={base_name} beam_width={width} "
-              f"beam_length={length} prompt={p_idx} seed={args.seed} position={pos}")
+    rows = grid_sweep(args)
+    total = sum(len(row["streams"]) for row in rows)
+    failures = [(row, *div) for row in rows for div in row["divergences"]]
+    print(f"equivalence: {total - len(failures)}/{total} passed")
+    if failures:
+        row, p_idx, pos = failures[0]
+        print(f"first divergence: base={args.base} beam_width={row['beam_width']} "
+              f"beam_length={row['beam_length']} prompt={p_idx} seed={args.seed} position={pos}")
         return 1
     return 0
 
@@ -292,12 +275,21 @@ def cmd_init_base(args):
 
 # ---------------------------------------------------------------------------
 
-def _add_model_flags(p, bases=("transformer", "markov")):
-    p.add_argument("--base", choices=bases, default="transformer")
+def _add_model_flags(p):
+    p.add_argument("--base", choices=("transformer", "markov"), default="transformer")
     p.add_argument("--base-weights", help="manifest/blob prefix for transformer weights")
     p.add_argument("--markov-order", type=int, default=2)
     p.add_argument("--markov-vocab", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
+
+
+def _add_grid_flags(p, n_prompts, max_new_tokens):
+    p.add_argument("--widths", default="1,2,4,8")
+    p.add_argument("--lengths", default="2,4,5")
+    p.add_argument("--n-prompts", type=int, default=n_prompts)
+    p.add_argument("--prompt-len", type=int, default=16)
+    p.add_argument("--max-new-tokens", type=int, default=max_new_tokens)
+    p.add_argument("--drafter-weights", help="manifest/blob prefix for drafter weights")
 
 
 def make_parser():
@@ -306,8 +298,9 @@ def make_parser():
 
     p = sub.add_parser("generate", help="speculative (or baseline) generation")
     _add_model_flags(p)
-    p.add_argument("--prompt", help="whitespace-separated token ids")
-    p.add_argument("--prompt-file")
+    prompt = p.add_mutually_exclusive_group()
+    prompt.add_argument("--prompt", help="whitespace-separated token ids")
+    prompt.add_argument("--prompt-file")
     p.add_argument("--prompt-len", type=int, default=16)
     p.add_argument("--beam-width", type=int, default=4)
     p.add_argument("--beam-length", type=int, default=5)
@@ -320,25 +313,15 @@ def make_parser():
 
     p = sub.add_parser("bench", help="sweep beam width x length, emit CSV")
     _add_model_flags(p)
-    p.add_argument("--widths", default="1,2,4,8")
-    p.add_argument("--lengths", default="2,4,5")
+    _add_grid_flags(p, n_prompts=4, max_new_tokens=32)
     p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--n-prompts", type=int, default=4)
-    p.add_argument("--prompt-len", type=int, default=16)
-    p.add_argument("--max-new-tokens", type=int, default=32)
     p.add_argument("--csv", help="output CSV path (default stdout)")
-    p.add_argument("--drafter-weights", help="manifest/blob prefix for drafter weights")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify-equivalence",
                        help="check speculative output equals greedy baseline")
-    _add_model_flags(p, bases=("transformer", "markov", "both"))
-    p.add_argument("--n-prompts", type=int, default=100)
-    p.add_argument("--prompt-len", type=int, default=16)
-    p.add_argument("--widths", default="1,2,4,8")
-    p.add_argument("--lengths", default="2,4,5")
-    p.add_argument("--max-new-tokens", type=int, default=24)
-    p.add_argument("--drafter-weights", help="manifest/blob prefix for drafter weights")
+    _add_model_flags(p)
+    _add_grid_flags(p, n_prompts=100, max_new_tokens=24)
     p.set_defaults(func=cmd_verify_equivalence)
 
     p = sub.add_parser("train-drafter", help="train a draft head")

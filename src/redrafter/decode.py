@@ -27,7 +27,8 @@ from typing import Optional
 import numpy as np
 
 from . import beam as beam_mod
-from .errors import CapacityError, ConfigError, ContractError, ShapeError
+from .errors import (CapacityError, ConfigError, ContractError, ShapeError, VocabError,
+                     check_tokens)
 
 
 @dataclass
@@ -145,10 +146,15 @@ def verify_greedy(base_output, tree):
 def _prefill(base, prompt, cfg):
     """Check a request, then forward its prompt on a new cache: returns the
     cache and the prompt's output."""
-    prompt = list(prompt)
-    if not prompt:
+    vocab_size = base.config.vocab_size
+    prompt = check_tokens(prompt, vocab_size)
+    if prompt.ndim != 1:
+        raise ShapeError(f"a prompt is a 1-D token list, got shape {prompt.shape}")
+    if not prompt.size:
         raise ContractError("prompt must be non-empty")
-    if len(prompt) + cfg.max_new_tokens > base.config.max_seq_len:
+    if cfg.stop_token is not None and not 0 <= cfg.stop_token < vocab_size:
+        raise VocabError(f"stop token {cfg.stop_token} outside vocab of size {vocab_size}")
+    if prompt.size + cfg.max_new_tokens > base.config.max_seq_len:
         raise CapacityError("prompt + max_new_tokens exceeds max_seq_len")
     cache = base.new_cache()
     return cache, base.forward_context(prompt, cache)

@@ -36,8 +36,16 @@ class TrainingError(RedrafterError):
 
 
 def check_tokens(tokens, vocab_size):
-    """``tokens`` as an int64 array; a ``VocabError`` if any lies outside the vocab."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= vocab_size):
+    """``tokens`` as an int64 array; a ``VocabError`` if any is not an
+    integer or lies outside the vocab, and a ``ShapeError`` for ragged lists."""
+    try:
+        tokens = np.asarray(tokens)
+    except ValueError:  # numpy refuses lists of unequal lengths
+        raise ShapeError("token lists nested at unequal lengths form no array") from None
+    if tokens.size and tokens.dtype.kind not in "iu":
+        raise VocabError(f"token ids must be integers, got dtype {tokens.dtype}")
+    tokens = tokens.astype(np.int64, copy=False)
+    # read as unsigned, a negative id lies above every vocab: one reduction checks both ends
+    if tokens.size and tokens.view(np.uint64).max() >= vocab_size:
         raise VocabError(f"token id outside vocab of size {vocab_size}")
     return tokens

@@ -89,6 +89,8 @@ class BaseModel(ABC):
     def forward_context(self, tokens, cache):
         """Append tokens to the committed context; logits/hidden per new position."""
         tokens = check_tokens(tokens, self.config.vocab_size)
+        if tokens.ndim != 1:
+            raise ShapeError(f"a context forward takes a 1-D token list, got shape {tokens.shape}")
         if not tokens.size:
             raise ContractError("a context forward needs at least one token")
         self._check_capacity(cache, tokens.shape[0])

@@ -54,6 +54,31 @@ def test_generate_baseline_with_a_report_is_a_usage_error(tmp_path, monkeypatch,
     assert not report.exists()
 
 
+def test_generate_baseline_with_drafter_weights_is_a_usage_error(monkeypatch, capsys):
+    """A greedy run drafts nothing, so the drafter file would go unread: the
+    pair of flags is refused before any decode."""
+    monkeypatch.setattr(decode, "autoregressive_generate",
+                        lambda *args: pytest.fail("decoded before refusing the flags"))
+    assert run(["generate", *MARKOV, "--prompt", "1 2", "--baseline",
+                "--drafter-weights", "/nonexistent/prefix"]) == 2
+    assert "error: --baseline and --drafter-weights do not combine" in capsys.readouterr().err
+
+
+def test_generate_prompt_with_a_prompt_file_is_a_usage_error(tmp_path, capsys):
+    pf = tmp_path / "prompt.txt"
+    pf.write_text("7 8 9\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["generate", *MARKOV, "--prompt", "1 2", "--prompt-file", str(pf)])
+    assert exc.value.code == 2
+    assert "argument --prompt-file: not allowed with argument --prompt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", [[], ["--baseline"]], ids=["speculative", "baseline"])
+def test_generate_stop_token_outside_the_vocab_is_a_usage_error(mode, capsys):
+    assert run(["generate", *MARKOV, "--prompt", "1 2", "--stop-token", "16", *mode]) == 2
+    assert "error: stop token 16 outside vocab of size 16" in capsys.readouterr().err
+
+
 def test_generate_writes_json_report(tmp_path, capsys):
     """The report holds the run summary and the kernel lane that ran."""
     report = tmp_path / "report.json"
@@ -157,12 +182,8 @@ def test_verify_equivalence_zero_prompts_is_a_usage_error(capsys):
     (["bench", "--n-prompts", "0"], "--n-prompts must be >= 1"),
     (["bench", "--repeats", "0"], "--repeats must be >= 1, got 0"),
     (["verify-equivalence", "--widths", "2,64"], "beam_width 64 exceeds vocab size 16"),
-    # 64 fits the transformer's vocab of 256, so only the Markov sweep, which
-    # runs second, refuses it
-    (["verify-equivalence", "--base", "both", "--widths", "2,64"],
-     "beam_width 64 exceeds vocab size 16"),
 ], ids=["verify-no-widths", "verify-no-lengths", "verify-negative-prompts", "bench-no-prompts",
-        "bench-no-repeats", "verify-wider-than-vocab", "verify-both-wider-than-one-vocab"])
+        "bench-no-repeats", "verify-wider-than-vocab"])
 def test_sweep_that_decodes_nothing_is_a_usage_error(argv, message, monkeypatch, capsys):
     """Exit 2 before any decode, instead of a vacuous pass or a traceback,
     naming the bound the command accepts."""
@@ -235,16 +256,6 @@ SMALL_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", list(SMALL_RUNS))
-def test_base_both_is_offered_only_by_verify_equivalence(command, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit) as exc:
-        run([command, "--base", "both", *SMALL_RUNS[command]])
-    assert exc.value.code == 2
-    assert "invalid choice: 'both'" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("command", ["train-drafter", "distill-data"])
 def test_drafter_weights_is_offered_only_by_decoding_commands(command, tmp_path, monkeypatch,
                                                               capsys):
@@ -267,29 +278,29 @@ def test_base_weights_with_the_markov_base_is_a_usage_error(command, tmp_path, m
     assert list(tmp_path.iterdir()) == []
 
 
-def test_verify_equivalence_of_both_bases_loads_the_transformer_from_base_weights(tmp_path,
-                                                                                capsys):
-    argv = ["verify-equivalence", "--base", "both", "--n-prompts", "1", "--prompt-len", "2",
-            "--widths", "1", "--lengths", "1", "--max-new-tokens", "2", "--base-weights"]
+def test_verify_equivalence_loads_the_transformer_from_base_weights(tmp_path, capsys):
+    argv = ["verify-equivalence", "--n-prompts", "1", "--prompt-len", "2", "--widths", "1",
+            "--lengths", "1", "--max-new-tokens", "2", "--base-weights"]
     assert run([*argv, str(tmp_path / "absent")]) == 2
     assert (f"error: [Errno 2] No such file or directory: '{tmp_path / 'absent'}.manifest'"
             in capsys.readouterr().err)
     assert run(["init-base", "--out", str(tmp_path / "base")]) == 0
     assert run([*argv, str(tmp_path / "base")]) == 0
-    assert "equivalence: 2/2 passed" in capsys.readouterr().out
+    assert "equivalence: 1/1 passed" in capsys.readouterr().out
 
 
-def test_verify_equivalence_of_both_bases_gives_drafter_weights_to_the_transformer(tmp_path,
-                                                                                   capsys):
-    """One drafter fits one base: under --base both a drafter saved for the
-    default transformer (vocab 256, width 64) decodes the transformer run,
-    and the Markov run keeps its seeded drafter."""
+def test_verify_equivalence_gives_drafter_weights_to_the_transformer(tmp_path, capsys):
+    """The transformer run opens --drafter-weights, and a drafter saved for
+    the default transformer (vocab 256, width 64) decodes it."""
+    argv = ["verify-equivalence", "--n-prompts", "1", "--prompt-len", "2", "--widths", "1",
+            "--lengths", "1", "--max-new-tokens", "2", "--drafter-weights"]
+    assert run([*argv, str(tmp_path / "absent")]) == 2
+    assert (f"error: [Errno 2] No such file or directory: '{tmp_path / 'absent'}.manifest'"
+            in capsys.readouterr().err)
     prefix = str(tmp_path / "drafter")
     weights.save_drafter(DrafterParams.random(np.random.default_rng(0), 64, 256), 2, prefix)
-    assert run(["verify-equivalence", "--base", "both", "--n-prompts", "1", "--prompt-len", "2",
-                "--widths", "1", "--lengths", "1", "--max-new-tokens", "2",
-                "--drafter-weights", prefix]) == 0
-    assert "equivalence: 2/2 passed" in capsys.readouterr().out
+    assert run([*argv, prefix]) == 0
+    assert "equivalence: 1/1 passed" in capsys.readouterr().out
 
 
 def test_generate_on_saved_base_weights_matches_the_seeded_base(tmp_path, capsys):

@@ -11,7 +11,7 @@ from redrafter import decode
 from redrafter.decode import (DecodeConfig, MirrorProposer, RnnProposer,
                               autoregressive_generate, speculative_generate, verify_greedy)
 from redrafter.drafter import DrafterParams
-from redrafter.errors import CapacityError, ConfigError, ContractError, ShapeError
+from redrafter.errors import CapacityError, ConfigError, ContractError, ShapeError, VocabError
 from redrafter.model import BaseModelOutput, ModelConfig, SyntheticMarkovModel, TinyTransformer
 
 SMALL = ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=2, d_ff=32,
@@ -274,6 +274,29 @@ def test_empty_prompt_rejected(markov):
         speculative_generate(markov, make_proposer(markov), [], cfg)
     with pytest.raises(ContractError):
         autoregressive_generate(markov, [], cfg)
+
+
+@pytest.mark.parametrize("prompt, error", [([3.9, 1.2], VocabError), (5, ShapeError),
+                                           ([[1, 2]], ShapeError), ([[1], [2, 3]], ShapeError)],
+                         ids=["float-list", "scalar", "nested", "ragged"])
+def test_malformed_prompt_is_a_typed_error(prompt, error, tiny, markov):
+    cfg = DecodeConfig(beam_width=1, beam_length=1, max_new_tokens=3)
+    for base in (tiny, markov):
+        with pytest.raises(error):
+            speculative_generate(base, make_proposer(base), prompt, cfg)
+        with pytest.raises(error):
+            autoregressive_generate(base, prompt, cfg)
+
+
+@pytest.mark.parametrize("stop", [-1, SMALL.vocab_size, 999])
+def test_stop_token_outside_the_vocab_is_a_vocab_error(stop, tiny, markov):
+    """A stop token that can never be emitted is refused, not ignored."""
+    cfg = DecodeConfig(beam_width=1, beam_length=1, max_new_tokens=3, stop_token=stop)
+    for base in (tiny, markov):
+        with pytest.raises(VocabError, match=f"stop token {stop} outside vocab"):
+            speculative_generate(base, make_proposer(base), [1, 2], cfg)
+        with pytest.raises(VocabError, match=f"stop token {stop} outside vocab"):
+            autoregressive_generate(base, [1, 2], cfg)
 
 
 def test_capacity_overflow_rejected(tiny):

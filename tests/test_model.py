@@ -137,6 +137,22 @@ def test_empty_context_forward_yields_empty_output(tiny, markov):
         assert cache_bits(cache) == before
 
 
+@pytest.mark.parametrize("tokens, error", [([1.7, 2.2], VocabError), (np.array([3.0]), VocabError),
+                                           (5, ShapeError), ([[1, 2]], ShapeError),
+                                           ([[1], [2, 3]], ShapeError)],
+                         ids=["float-list", "float-array", "scalar", "nested", "ragged"])
+def test_malformed_context_tokens_are_typed_errors(tokens, error, tiny, markov):
+    """A non-integer id is a VocabError, not truncated to an integer, and a
+    token input that is not 1-D a ShapeError; neither changes the cache."""
+    for base in (tiny, markov):
+        cache = base.new_cache()
+        base.forward_context([3, 1], cache)
+        before = cache_bits(cache)
+        with pytest.raises(error):
+            base.forward_context(tokens, cache)
+        assert cache_bits(cache) == before
+
+
 def bits(x):
     return x.view(np.uint32)  # distinguishes -0.0 from +0.0, unlike ==
 
