@@ -6,7 +6,7 @@ from .beam import BeamLattice, DraftTree, beam_search, chain_tree, dedup_prefix,
 from .decode import (DecodeConfig, MirrorProposer, RnnProposer, StepReport,
                      autoregressive_generate, speculative_generate, verify_greedy)
 from .drafter import DrafterParams
-from .distill import (DistillExample, TrainConfig, build_distill_dataset, empirical_kl,
+from .distill import (DistillDataset, TrainConfig, build_distill_dataset, empirical_kl,
                       ground_truth_dataset, sample_markov_corpus, train_drafter)
 from .model import BaseModelOutput, KvCache, ModelConfig, SyntheticMarkovModel, TinyTransformer
 from .weights import load_base_model, load_drafter, save_base_model, save_drafter

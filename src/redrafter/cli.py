@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 equivalence/assertion failure, 2 usage or IO error.
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 
@@ -72,6 +73,15 @@ def parse_ints(words, flag):
         return [int(word) for word in words if word]
     except ValueError as exc:
         raise ConfigError(f"{flag} takes integers: {exc}") from None
+
+
+def check_out_dirs(args, *flags):
+    """A usage error for an output flag whose directory does not exist,
+    raised before the command does any work."""
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"{flag} {path}: no directory {os.path.dirname(path)!r}")
 
 
 def first_divergence(spec_tokens, greedy_tokens):
@@ -169,6 +179,7 @@ def cmd_generate(args):
     if args.baseline and ignored:
         raise ConfigError(f"--baseline and {' and '.join(ignored)} do not combine: a "
                           f"greedy run drafts nothing and has no speculative run to report")
+    check_out_dirs(args, "--report")
     base = build_base(args)
     prompt = parse_prompt(args, base)
     if args.baseline:
@@ -189,6 +200,7 @@ def cmd_generate(args):
 
 
 def cmd_bench(args):
+    check_out_dirs(args, "--csv")
     rows = grid_sweep(args, repeats=args.repeats)
     out = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else sys.stdout
     try:
@@ -236,6 +248,7 @@ def cmd_train_drafter(args):
         flags = " and ".join(building)
         raise ConfigError(f"--dataset and {flags} do not combine: --dataset reads a built "
                           f"dataset, and {flags} would shape how one is built")
+    check_out_dirs(args, "--out", "--loss-csv")
     cfg = distill.TrainConfig(horizon=args.horizon, learning_rate=args.learning_rate,
                               epochs=args.epochs, batch_size=args.batch_size,
                               seed=args.seed)
@@ -259,6 +272,7 @@ def cmd_train_drafter(args):
 
 
 def cmd_distill_data(args):
+    check_out_dirs(args, "--out")
     base = build_base(args)
     dataset = _build_training_dataset(args, base)
     distill.write_dataset(args.out, dataset)
@@ -267,6 +281,7 @@ def cmd_distill_data(args):
 
 
 def cmd_init_base(args):
+    check_out_dirs(args, "--out")
     base = TinyTransformer.random(TRANSFORMER_CONFIG, seed=args.seed)
     weights.save_base_model(base, args.out)
     print(f"wrote seeded base model to {args.out}.manifest/.bin")
@@ -360,6 +375,8 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (RedrafterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

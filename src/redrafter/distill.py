@@ -6,8 +6,10 @@ prefix plus the guaranteed token (the base model's greedy next token), ``h``
 is the base hidden state at the prefix's last token, and the teacher is the
 base model's greedy rollout of a fixed horizon after the guaranteed token.
 The ground-truth variant takes the guaranteed token and the teacher from the
-corpus instead.  Training minimizes the mean teacher-forced negative
-log-likelihood with Adam; the base model stays frozen throughout.
+corpus instead.  A ``DistillDataset`` holds the examples as rows of arrays,
+each context as a corpus sequence and a prefix length.  Training minimizes
+the mean teacher-forced negative log-likelihood with Adam, gathering each
+batch's rows; the base model stays frozen throughout.
 
 The rollouts are verified the way a decode step verifies its draft tree:
 each block of ``BLOCK`` positions is one tree, the chain of the block's
@@ -20,6 +22,7 @@ for bit, so the dataset is that of one 1-row forward per rollout token.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +42,40 @@ BLOCK = 16
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-@dataclass
-class DistillExample:
-    context: np.ndarray  # committed tokens, then the guaranteed token
-    teacher: np.ndarray  # horizon target tokens after the guaranteed token
-    h: np.ndarray        # base-model hidden state at the token before the guaranteed one
+@dataclass(eq=False)
+class DistillDataset:
+    """Distillation examples as rows of arrays.
+
+    Row i's context is the committed prefix ``sequences[seq_index[i]][:
+    prefix_len[i]]`` followed by ``guaranteed[i]``: contexts share their
+    sequence instead of each holding a copy.  ``h[i]`` is the base hidden
+    state at the prefix's last token and ``teacher[i]`` the horizon tokens
+    after the guaranteed one.
+    """
+
+    sequences: list          # int64 token arrays that the committed prefixes are taken from
+    seq_index: np.ndarray    # (N,) int64, each row's entry of ``sequences``
+    prefix_len: np.ndarray   # (N,) int64, each row's committed tokens, >= 1
+    guaranteed: np.ndarray   # (N,) int64
+    teacher: np.ndarray      # (N, horizon) int64
+    h: np.ndarray            # (N, d_model) float32
+
+    def __len__(self):
+        return self.guaranteed.shape[0]
+
+    def context(self, i):
+        """Row i's committed prefix, then its guaranteed token."""
+        return np.append(self.sequences[self.seq_index[i]][:self.prefix_len[i]],
+                         self.guaranteed[i])
+
+
+def _dataset(base, horizon, sequences, rows):
+    """The ``DistillDataset`` of row chunks ``(seq_index, prefix_len,
+    guaranteed, teacher, h)``, in order; a leading empty chunk gives every
+    field its shape when there is no row."""
+    empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64),
+             np.empty((0, horizon), np.int64), np.empty((0, base.config.d_model), np.float32))
+    return DistillDataset(sequences, *(np.concatenate(field) for field in zip(empty, *rows)))
 
 
 @dataclass
@@ -55,16 +87,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.horizon < 1 or self.learning_rate < 0:
-            raise ContractError("need horizon >= 1 and learning_rate >= 0")
+        rate_ok = math.isfinite(self.learning_rate) and self.learning_rate >= 0
+        if self.horizon < 1 or not rate_ok:
+            raise ContractError(f"need horizon >= 1 and a finite learning_rate >= 0, got "
+                                f"horizon {self.horizon} and learning_rate {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError(f"need epochs >= 1 and batch_size >= 1, got epochs "
                                 f"{self.epochs} and batch_size {self.batch_size}")
 
 
 def build_distill_dataset(base, corpus, horizon):
-    """One example per corpus position: the guaranteed token after the prefix
-    ending there, the greedy horizon-token rollout after it, and h.
+    """A ``DistillDataset`` with one row per corpus position: the guaranteed
+    token after the prefix ending there, the greedy horizon-token rollout
+    after it, and h.  Its ``sequences`` are the corpus's.
 
     A sequence goes through in blocks of ``BLOCK`` positions on a cache that
     holds everything before the block.  A block is one tree: its chain, and
@@ -78,7 +113,8 @@ def build_distill_dataset(base, corpus, horizon):
     horizon * (horizon + 1) / 2`` if every round verified the whole tree.
     The cache is visible to every tree row, so the chain is committed through
     the tree after the last round; blocks keep the trees at most
-    ``BLOCK * (horizon + 1)`` rows, whatever the sequence length.
+    ``BLOCK * (horizon + 1)`` rows, whatever the sequence length.  A block's
+    rows are kept as slices of its forwards' outputs and joined at the end.
 
     Sequences of length <= 1 (or positions without rollout headroom) are
     skipped; the skip count is logged.  A sequence longer than the base's
@@ -88,10 +124,10 @@ def build_distill_dataset(base, corpus, horizon):
     if horizon < 1:
         raise ContractError(f"need horizon >= 1, got {horizon}")
     max_len = base.config.max_seq_len
-    examples = []
+    sequences = [np.asarray(seq, dtype=np.int64) for seq in corpus]
+    rows = []
     skipped = 0
-    for seq in corpus:
-        seq = np.asarray(seq, dtype=np.int64)
+    for index, seq in enumerate(sequences):
         if seq.shape[0] <= 1:
             skipped += 1
             continue
@@ -124,16 +160,13 @@ def build_distill_dataset(base, corpus, horizon):
                 levels[k] = out.logits[:kept].argmax(axis=1)
                 if not k:
                     hidden = out.hidden  # h of each prefix the chain ends
-            teachers = np.ascontiguousarray(levels[1:].T)
-            for j in range(kept):
-                examples.append(DistillExample(
-                    context=np.append(seq[:start + j + 1], levels[0, j]),
-                    teacher=teachers[j], h=hidden[j].copy()))
+            rows.append((np.full(kept, index), np.arange(start + 1, start + kept + 1),
+                         levels[0], levels[1:].T, hidden[:kept]))
             # the chain's nodes lead every round's tree, and so the last spec_state
             base.commit_accepted(cache, tree, spec_state, np.arange(size))
     if skipped:
         log.warning("distill dataset: skipped %d short/overflowing positions", skipped)
-    return examples
+    return _dataset(base, horizon, sequences, rows)
 
 
 def _first_nodes(tree, tokens, n):
@@ -149,43 +182,49 @@ def ground_truth_dataset(base, corpus, horizon):
 
     The base model still supplies the hidden states the draft head conditions
     on.  Positions within ``horizon + 1`` of the sequence end are skipped.
+    Returns a ``DistillDataset`` whose ``sequences`` are the corpus's.
     """
     if horizon < 1:
         raise ContractError(f"need horizon >= 1, got {horizon}")
-    examples = []
+    sequences = [np.asarray(seq, dtype=np.int64) for seq in corpus]
+    rows = []
     skipped = 0
-    for seq in corpus:
-        seq = np.asarray(seq, dtype=np.int64)
-        if seq.shape[0] <= horizon + 1:
+    for index, seq in enumerate(sequences):
+        # prefixes of 1 .. n committed tokens, each followed by its corpus
+        # token and a teacher of the next horizon
+        n = seq.shape[0] - horizon - 1
+        if n <= 0:
             skipped += 1
             continue
-        cache = base.new_cache()
-        out = base.forward_context(seq, cache)
-        for t in range(1, seq.shape[0] - horizon):
-            examples.append(DistillExample(context=seq[:t + 1].copy(),
-                                           teacher=seq[t + 1:t + 1 + horizon].copy(),
-                                           h=out.hidden[t - 1].copy()))
+        hidden = base.forward_context(seq, base.new_cache()).hidden
+        rows.append((np.full(n, index), np.arange(1, n + 1), seq[1:n + 1],
+                     np.lib.stride_tricks.sliding_window_view(seq[2:], horizon), hidden[:n]))
     if skipped:
         log.warning("ground-truth dataset: skipped %d short sequences", skipped)
-    return examples
+    return _dataset(base, horizon, sequences, rows)
 
 
-def write_dataset(path, examples):
-    """Newline-delimited records: context_len T context_tokens... teacher_tokens..."""
+def write_dataset(path, dataset):
+    """Newline-delimited records, one per row of a ``DistillDataset``:
+    context_len T context_tokens... teacher_tokens..."""
+    horizon = dataset.teacher.shape[1]
     with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            fields = [len(ex.context), len(ex.teacher), *ex.context, *ex.teacher]
-            fh.write(" ".join(str(int(x)) for x in fields) + "\n")
+        for i in range(len(dataset)):
+            context = dataset.context(i)
+            fields = [context.shape[0], horizon, *context.tolist(), *dataset.teacher[i].tolist()]
+            fh.write(" ".join(map(str, fields)) + "\n")
 
 
 def read_dataset(path, base):
-    """Load a dataset file, recomputing hidden states with the given base model
-    (at the token before each context's guaranteed token).
+    """Load a dataset file as a ``DistillDataset``, recomputing hidden states
+    with the given base model (at the token before each context's guaranteed
+    token).  Every record's teacher must be of one length, the horizon.
 
     ``write_dataset`` writes a sequence's records with committed prefixes
     that extend one another, so each run of such records gets one prefill of
     its longest prefix: a row of a causal forward equals the forward of the
     prefix ending there, bit for bit, as ``ground_truth_dataset`` also uses.
+    That prefix is the run's entry of ``sequences``.
     """
     vocab = base.config.vocab_size
     records = []
@@ -207,19 +246,26 @@ def read_dataset(path, base):
                 raise FormatError(f"{path}:{lineno}: teacher needs at least one token")
             if min(vals[2:]) < 0 or max(vals[2:]) >= vocab:
                 raise FormatError(f"{path}:{lineno}: token id outside vocab of size {vocab}")
+            if records and horizon != records[0][1].shape[0]:
+                raise FormatError(f"{path}:{lineno}: teacher of {horizon} tokens, but the "
+                                  f"first record's has {records[0][1].shape[0]}")
             records.append((np.asarray(vals[2:2 + n_ctx], np.int64),
                             np.asarray(vals[2 + n_ctx:], np.int64)))
     # a run starts at a record whose committed prefix does not extend the
     # previous record's; the run's last prefix then holds all of its prefixes
     starts = [i for i in range(len(records))
               if i == 0 or not _extends(records[i][0], records[i - 1][0])]
-    examples = []
+    sequences = []
+    rows = []
     for lo, hi in zip(starts, starts[1:] + [len(records)]):
-        hidden = base.forward_context(records[hi - 1][0][:-1], base.new_cache()).hidden
-        examples.extend(DistillExample(context=context, teacher=teacher,
-                                       h=hidden[context.shape[0] - 2].copy())
-                        for context, teacher in records[lo:hi])
-    return examples
+        sequences.append(records[hi - 1][0][:-1])
+        hidden = base.forward_context(sequences[-1], base.new_cache()).hidden
+        prefix_len = np.array([context.shape[0] - 1 for context, _ in records[lo:hi]])
+        rows.append((np.full(hi - lo, len(sequences) - 1), prefix_len,
+                     np.array([context[-1] for context, _ in records[lo:hi]]),
+                     np.stack([teacher for _, teacher in records[lo:hi]]),
+                     hidden[prefix_len - 1]))
+    return _dataset(base, records[0][1].shape[0] if records else 0, sequences, rows)
 
 
 def _extends(context, before):
@@ -230,21 +276,21 @@ def _extends(context, before):
 
 
 def train_drafter(dataset, params_init, cfg, embeddings):
-    """Adam on the mean teacher-forced loss.  Deterministic for a fixed seed.
+    """Adam on the mean teacher-forced loss over a ``DistillDataset``.
+    Deterministic for a fixed seed.
 
-    Returns the trained parameters and the per-epoch mean loss curve.
+    Each batch gathers its rows: ``h``, the embedding of the guaranteed
+    token (the recurrence's start state) and the teacher.  Returns the
+    trained parameters and the per-epoch mean loss curve.
     """
     if not dataset:
         raise ContractError("training dataset is empty")
-    horizons = {len(ex.teacher) for ex in dataset}
-    if horizons != {cfg.horizon}:
-        raise ContractError(f"dataset horizons {sorted(horizons)} != cfg.horizon {cfg.horizon}")
+    if dataset.teacher.shape[1] != cfg.horizon:
+        raise ContractError(f"dataset horizon {dataset.teacher.shape[1]} "
+                            f"!= cfg.horizon {cfg.horizon}")
 
     params = params_init.flat_copy()
     emb = np.asarray(embeddings, dtype=np.float64)
-    h_all = np.stack([ex.h for ex in dataset]).astype(np.float64)
-    s0_all = emb[[int(ex.context[-1]) for ex in dataset]]
-    teacher_all = np.stack([ex.teacher for ex in dataset])
 
     # Adam runs over the one flat buffer the parameters view, and the
     # gradients' own; each element sees the per-tensor expressions
@@ -259,8 +305,8 @@ def train_drafter(dataset, params_init, cfg, embeddings):
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            loss, grads = drafter.batch_loss(params, emb, h_all[idx], s0_all[idx],
-                                             teacher_all[idx])
+            loss, grads = drafter.batch_loss(params, emb, dataset.h[idx],
+                                             emb[dataset.guaranteed[idx]], dataset.teacher[idx])
             denom = len(idx) * cfg.horizon  # mean over sequences and positions
             epoch_loss += loss
             if not np.isfinite(loss):
@@ -280,7 +326,7 @@ def train_drafter(dataset, params_init, cfg, embeddings):
 def empirical_kl(base, params, probe_contexts, horizon):
     """Exact per-step KL(base || drafter), teacher-forced on base greedy tokens.
 
-    Each probe context is aligned like ``DistillExample.context``: its last
+    Each probe context is aligned like a ``DistillDataset`` context: its last
     token is the one the draft recurrence starts from, and the drafter sees
     the base hidden state at the token before it.  The drafter runs the
     forward decode runs, ``head_logp_batch`` and ``step_batch`` on one

@@ -11,6 +11,8 @@ save/load round trip reproduces them byte for byte; drafter tensors are
 float64 in memory and load back as their float32 rounding.
 """
 
+import math
+
 import numpy as np
 
 from .errors import FormatError, ShapeError
@@ -71,13 +73,16 @@ def load_tensors(prefix, magic):
             raise FormatError(f"tensor {name}: unsupported dtype {dtype}")
         shape = tuple(_int(d, f"tensor {name} dim", manifest_path) for d in dims.split(","))
         offset = _int(offset, f"tensor {name} offset", manifest_path)
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # exact: an int64 product can wrap to a small count
         end = offset + 4 * count
         if end > len(blob):
             raise FormatError(f"tensor {name}: blob truncated "
                               f"(needs bytes up to {end}, have {len(blob)})")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape)
-        tensors[name] = arr.copy()
+        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        try:
+            tensors[name] = arr.reshape(shape).copy()
+        except ValueError as exc:  # a dim too large for numpy, even on no elements
+            raise FormatError(f"tensor {name}: shape {dims} ({exc})") from None
     return header, tensors
 
 

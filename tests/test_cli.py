@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from redrafter import cli, decode, kernels, weights
+from redrafter import cli, decode, distill, kernels, weights
 from redrafter.drafter import DrafterParams
 
 TIMING_COLUMNS = {"wall_ms_spec", "wall_ms_ar", "speedup"}
@@ -275,6 +275,49 @@ def test_base_weights_with_the_markov_base_is_a_usage_error(command, tmp_path, m
     assert run([command, *MARKOV, "--base-weights", "/nonexistent/prefix",
                 *SMALL_RUNS.get(command, [])]) == 2
     assert "error: --base-weights" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["verify-equivalence", "init-base", *SMALL_RUNS])
+def test_negative_seed_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
+    """numpy's generators take no negative seed: the CLI refuses one before
+    any work, with exit 2."""
+    monkeypatch.chdir(tmp_path)
+    model = [] if command == "init-base" else ["--base", "markov", "--markov-vocab", "16"]
+    out = ["--out", "base"] if command == "init-base" else SMALL_RUNS.get(command, [])
+    assert run([command, *model, "--seed", "-1", *out]) == 2
+    assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# each output flag, last, pointed into a missing directory
+MISSING_DIR_OUTPUTS = {
+    "generate-report": ["generate", "--prompt", "1 2", "--max-new-tokens", "2",
+                        "--report", "missing/report.json"],
+    "bench-csv": ["bench", *SMALL_RUNS["bench"], "--csv", "missing/bench.csv"],
+    "train-drafter-out": ["train-drafter", *SMALL_RUNS["train-drafter"][:-2],
+                          "--out", "missing/drafter"],
+    "train-drafter-loss-csv": ["train-drafter", *SMALL_RUNS["train-drafter"],
+                               "--loss-csv", "missing/loss.csv"],
+    "distill-data-out": ["distill-data", *SMALL_RUNS["distill-data"][:-2],
+                         "--out", "missing/data.txt"],
+}
+
+
+@pytest.mark.parametrize("argv", MISSING_DIR_OUTPUTS.values(), ids=MISSING_DIR_OUTPUTS)
+def test_output_into_a_missing_directory_is_refused_before_any_work(argv, tmp_path,
+                                                                    monkeypatch, capsys):
+    """No decode, dataset build or training runs before the command finds
+    that it could not write its output: exit 2 naming the flag."""
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    for module, name in ((decode, "speculative_generate"), (decode, "autoregressive_generate"),
+                         (distill, "build_distill_dataset"), (distill, "ground_truth_dataset"),
+                         (distill, "train_drafter")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    assert run([argv[0], *MARKOV, *argv[1:]]) == 2
+    assert f"error: {argv[-2]} {argv[-1]}: no directory 'missing'" in capsys.readouterr().err
+    assert calls == []
     assert list(tmp_path.iterdir()) == []
 
 

@@ -3,13 +3,14 @@
 import copy
 import itertools
 import re
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from redrafter import cli, distill, drafter
 from redrafter.decode import DecodeConfig, autoregressive_generate
-from redrafter.distill import (DistillExample, TrainConfig, build_distill_dataset,
+from redrafter.distill import (DistillDataset, TrainConfig, build_distill_dataset,
                                empirical_kl, ground_truth_dataset, read_dataset,
                                sample_markov_corpus, train_drafter, write_dataset)
 from redrafter.drafter import DrafterParams
@@ -43,11 +44,20 @@ def window_base(request):
     return WINDOW_BASES[request.param]()
 
 
+# a dataset's rows with each context spelled out
+Examples = namedtuple("Examples", "contexts guaranteed teacher h")
+
+
+def examples_of(dataset):
+    return Examples([dataset.context(i) for i in range(len(dataset))], dataset.guaranteed,
+                    dataset.teacher, dataset.h)
+
+
 def per_position_dataset(base, corpus, horizon):
     """Reference build: one 1-row causal forward per corpus token, and a
     cache copy per position that the rollout extends one token at a time.
-    Returns the examples and the skip count."""
-    examples = []
+    Returns the ``Examples`` and the skip count."""
+    contexts, guaranteed_tokens, teachers, hs = [], [], [], []
     skipped = 0
     for seq in corpus:
         seq = np.asarray(seq, dtype=np.int64)
@@ -68,19 +78,36 @@ def per_position_dataset(base, corpus, horizon):
                 roll_out = base.forward_context([token], scratch)
                 token = int(roll_out.logits[-1].argmax())
                 teacher.append(token)
-            examples.append(DistillExample(context=np.append(seq[:t], guaranteed),
-                                           teacher=np.asarray(teacher, np.int64),
-                                           h=out.hidden[-1].copy()))
-    return examples, skipped
+            contexts.append(np.append(seq[:t], guaranteed))
+            guaranteed_tokens.append(guaranteed)
+            teachers.append(teacher)
+            hs.append(out.hidden[-1].copy())
+    return Examples(contexts, np.asarray(guaranteed_tokens, np.int64),
+                    np.asarray(teachers, np.int64), np.stack(hs)), skipped
 
 
 def assert_same_examples(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert a.context.dtype == b.context.dtype and np.array_equal(a.context, b.context)
-        assert a.teacher.dtype == b.teacher.dtype and np.array_equal(a.teacher, b.teacher)
-        assert a.h.dtype == b.h.dtype and a.h.shape == b.h.shape
-        assert np.array_equal(a.h.view(np.uint32), b.h.view(np.uint32))
+    """A ``DistillDataset`` holds the ``Examples`` want, row by row; h is
+    compared bit for bit."""
+    assert isinstance(got, DistillDataset) and len(got) == len(want.contexts)
+    for i, context in enumerate(want.contexts):
+        assert np.array_equal(got.context(i), context)
+    for field in ("guaranteed", "teacher", "h"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+    assert np.array_equal(got.guaranteed, want.guaranteed)
+    assert np.array_equal(got.teacher, want.teacher)
+    assert np.array_equal(got.h.view(np.uint32), want.h.view(np.uint32))
+    # every context is a prefix of its sequence, then the guaranteed token
+    assert got.prefix_len.min() >= 1
+    assert all(got.prefix_len[i] <= len(got.sequences[got.seq_index[i]])
+               for i in range(len(got)))
+
+
+def records(examples):
+    """The text of a dataset file holding the ``Examples``."""
+    return "".join(f"{len(c)} {len(t)} " + " ".join(str(x) for x in [*c, *t]) + "\n"
+                   for c, t in zip(examples.contexts, examples.teacher))
 
 
 @pytest.fixture(scope="module")
@@ -104,20 +131,22 @@ def test_distilled_teacher_is_base_greedy_continuation(base, corpus):
     dataset = build_distill_dataset(base, corpus, horizon)
     assert len(dataset) == sum(len(s) for s in corpus)
     rng = np.random.default_rng(7)
-    for ex in rng.choice(len(dataset), size=10, replace=False):
-        ex = dataset[ex]
+    for i in rng.choice(len(dataset), size=10, replace=False):
         # the context is a committed prefix plus its guaranteed token; the
         # teacher continues greedily after the guaranteed token
-        prefix = list(ex.context[:-1])
+        context = dataset.context(i)
+        prefix = list(context[:-1])
+        assert prefix == list(corpus[dataset.seq_index[i]][:len(prefix)])
         cfg = DecodeConfig(beam_width=1, beam_length=1, max_new_tokens=horizon + 1)
         rollout = autoregressive_generate(base, prefix, cfg)
-        assert [int(ex.context[-1])] + ex.teacher.tolist() == rollout
+        assert [int(context[-1])] + dataset.teacher[i].tolist() == rollout
+        assert dataset.guaranteed[i] == context[-1]
         cache = base.new_cache()
         out = base.forward_context(prefix, cache)
-        assert np.array_equal(ex.h, out.hidden[-1])
+        assert np.array_equal(dataset.h[i], out.hidden[-1])
     # one example per corpus position, each prefix ending there
-    assert [len(ex.context) - 1 for ex in dataset] == [t for s in corpus
-                                                      for t in range(1, len(s) + 1)]
+    assert dataset.prefix_len.tolist() == [t for s in corpus for t in range(1, len(s) + 1)]
+    assert dataset.seq_index.tolist() == [i for i, s in enumerate(corpus) for _ in s]
 
 
 def edge_corpus(vocab_size):
@@ -139,7 +168,7 @@ def test_tree_batched_dataset_matches_per_position_loop(window_base, horizon, ca
     assert f"skipped {want_skipped} short/overflowing positions" in caplog.text
     # positions past the headroom are skipped: the longest kept prefix leaves
     # room for the rollout
-    assert max(len(ex.context) - 1 for ex in got) == WINDOW - horizon
+    assert got.prefix_len.max() == WINDOW - horizon
 
 
 def test_tree_batched_dataset_rejects_an_overflowing_sequence(window_base):
@@ -211,12 +240,12 @@ def test_ground_truth_teacher_is_corpus_continuation(base, corpus):
                 for s in corpus if len(s) > horizon + 1
                 for t in range(1, len(s) - horizon)]
     assert len(dataset) == len(expected)
-    for ex, (ctx, teach, prefix) in zip(dataset, expected):
-        assert np.array_equal(ex.context, ctx)
-        assert np.array_equal(ex.teacher, teach)
-        assert len(ex.teacher) == horizon
+    assert dataset.teacher.shape == (len(expected), horizon)
+    for i, (ctx, teach, prefix) in enumerate(expected):
+        assert np.array_equal(dataset.context(i), ctx)
+        assert np.array_equal(dataset.teacher[i], teach)
         out = base.forward_context(list(prefix), base.new_cache())
-        assert np.array_equal(ex.h, out.hidden[-1])
+        assert np.array_equal(dataset.h[i], out.hidden[-1])
 
 
 def test_corpus_needs_room_for_the_two_seed_tokens(tmp_path, capsys):
@@ -234,6 +263,8 @@ def test_dataset_file_round_trip(base, corpus, tmp_path, monkeypatch):
     for model in (base, WINDOW_BASES["transformer"]()):
         dataset = build_distill_dataset(model, corpus, 3)
         write_dataset(path, dataset)
+        want, _ = per_position_dataset(model, corpus, 3)
+        assert (tmp_path / "distill.txt").read_text(encoding="utf-8") == records(want)
         prefills = []
         forward_context = model.forward_context
 
@@ -243,10 +274,14 @@ def test_dataset_file_round_trip(base, corpus, tmp_path, monkeypatch):
 
         monkeypatch.setattr(model, "forward_context", counting_forward_context)
         loaded = read_dataset(path, model)
-        assert_same_examples(loaded, dataset)  # h is recomputed at load time
+        assert_same_examples(loaded, want)  # h is recomputed at load time
         # a sequence's records extend one another: one prefill of the whole
         # sequence gives every record's h as a row
         assert prefills == [len(seq) for seq in corpus if len(seq) > 1]
+        # a ground-truth file reads back as the dataset that wrote it
+        truth = ground_truth_dataset(model, corpus, 3)
+        write_dataset(path, truth)
+        assert_same_examples(read_dataset(path, model), examples_of(truth))
     # a record whose context lacks a committed token before the guaranteed one
     (tmp_path / "short.txt").write_text("1 3 5 1 2 3\n")
     with pytest.raises(FormatError):
@@ -260,7 +295,9 @@ def test_dataset_file_round_trip(base, corpus, tmp_path, monkeypatch):
                                 ("negative.txt", "3 -1 1 2", "teacher needs at least one"),
                                 ("empty.txt", "3 0 1 2 3", "teacher needs at least one"),
                                 ("field.txt", "2 1 1 x 3", "non-integer field"),
-                                ("counts.txt", "3 2 1 2 3 9", "malformed dataset record")):
+                                ("counts.txt", "3 2 1 2 3 9", "malformed dataset record"),
+                                ("horizon.txt", "3 1 1 2 3 9",
+                                 "teacher of 1 tokens, but the first record's has 2")):
         path = tmp_path / name
         path.write_text("3 2 1 2 3 9 4\n" + record + "\n")
         with pytest.raises(FormatError, match=re.escape(f"{path}:2: {error}")):
@@ -302,17 +339,18 @@ def test_training_is_bitwise_deterministic(base, corpus):
 
 
 def reference_train(dataset, init, cfg, embeddings):
-    """``train_drafter`` with Adam run tensor by tensor, each parameter,
+    """``train_drafter`` with every row stacked up front instead of each
+    batch's gathered, and Adam run tensor by tensor, each parameter,
     gradient and moment its own array."""
     params = copy.deepcopy(init)
     emb = np.asarray(embeddings, dtype=np.float64)
-    h_all = np.stack([ex.h for ex in dataset]).astype(np.float64)
-    s0_all = emb[[int(ex.context[-1]) for ex in dataset]]
-    teacher_all = np.stack([ex.teacher for ex in dataset])
+    n = len(dataset)
+    h_all = np.stack([dataset.h[i] for i in range(n)]).astype(np.float64)
+    s0_all = emb[[int(dataset.context(i)[-1]) for i in range(n)]]
+    teacher_all = np.stack([dataset.teacher[i] for i in range(n)])
     m = [np.zeros_like(arr) for _, arr in params.flat_arrays()]
     v = [np.zeros_like(arr) for _, arr in params.flat_arrays()]
     rng = np.random.default_rng(cfg.seed)
-    n = len(dataset)
     step_count = 0
     curve = []
     for _ in range(cfg.epochs):
@@ -351,15 +389,23 @@ def test_training_is_bitwise_the_per_tensor_adam_reference(base, corpus):
 
 def test_train_config_rejects_bad_settings():
     for bad in ({"epochs": 0}, {"epochs": -1}, {"batch_size": 0}, {"batch_size": -4},
-                {"horizon": 0}, {"learning_rate": -1e-3}):
+                {"horizon": 0}, {"learning_rate": -1e-3}, {"learning_rate": float("nan")},
+                {"learning_rate": float("inf")}):
         with pytest.raises(ContractError):
             TrainConfig(**bad)
     TrainConfig(epochs=1, batch_size=1)
 
 
-@pytest.mark.parametrize("flag", [["--batch-size", "0"], ["--batch-size", "-4"],
-                                  ["--epochs", "0"]], ids=["batch0", "batch-4", "epochs0"])
-def test_train_drafter_cli_rejects_bad_settings_before_any_work(flag, tmp_path, capsys,
+@pytest.mark.parametrize("flag, message", [
+    (["--batch-size", "0"], "need epochs >= 1 and batch_size >= 1"),
+    (["--batch-size", "-4"], "need epochs >= 1 and batch_size >= 1"),
+    (["--epochs", "0"], "need epochs >= 1 and batch_size >= 1"),
+    (["--learning-rate", "nan"], "need horizon >= 1 and a finite learning_rate >= 0, got "
+                                 "horizon 5 and learning_rate nan"),
+    (["--learning-rate", "inf"], "need horizon >= 1 and a finite learning_rate >= 0, got "
+                                 "horizon 5 and learning_rate inf"),
+], ids=["batch0", "batch-4", "epochs0", "lr-nan", "lr-inf"])
+def test_train_drafter_cli_rejects_bad_settings_before_any_work(flag, message, tmp_path, capsys,
                                                                 monkeypatch):
     def no_corpus(*args, **kwargs):
         raise AssertionError("train-drafter built a corpus before checking its settings")
@@ -368,7 +414,7 @@ def test_train_drafter_cli_rejects_bad_settings_before_any_work(flag, tmp_path, 
     out = tmp_path / "drafter"
     assert cli.main(["train-drafter", "--base", "markov", "--markov-vocab", "16",
                      "--corpus-size", "2", "--corpus-len", "8", *flag, "--out", str(out)]) == 2
-    assert "error: need epochs >= 1 and batch_size >= 1" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())  # no drafter saved
 
 

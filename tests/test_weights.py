@@ -122,8 +122,14 @@ def test_edited_shape_rejected(tmp_path):
      "tensor mlp1_w is not read by a drafter with n_mlp 1"),
     ("base", r"# n_layers 2$", "# n_layers 1",
      "tensor l1_b1 is not read by a base model with n_layers 1"),
+    # 2**32 * 2**32 elements wrap an int64 product to 0
+    ("drafter", r"u f32 8,8 ", "u f32 4294967296,4294967296 ",
+     f"tensor u: blob truncated (needs bytes up to {4 * 2 ** 64}"),
+    ("drafter", r"u f32 8,8 ", "u f32 0,4294967296,4294967296 ",
+     "tensor u: shape 0,4294967296,4294967296 ("),
 ], ids=["three-fields", "dtype", "base-tensor", "drafter-tensor", "drafter-shape", "drafter-d_s",
-        "drafter-no-d_s", "drafter-repeat", "base-repeat", "drafter-unread", "base-unread"])
+        "drafter-no-d_s", "drafter-repeat", "base-repeat", "drafter-unread", "base-unread",
+        "count-overflow", "empty-overflow"])
 def test_malformed_manifest_line_is_a_format_error(kind, line, edited, message, tmp_path):
     prefix = str(tmp_path / kind)
     if kind == "base":
@@ -179,3 +185,18 @@ def test_malformed_manifest_number_names_the_field(kind, line, edited, field, tm
     message = f"{manifest}: {field} is not a non-negative integer"
     with pytest.raises(FormatError, match=re.escape(message)):
         load(prefix)
+
+
+def test_drafter_manifest_of_a_wrapping_element_count_exits_2(tmp_path, capsys):
+    """A shape whose element count wraps an int64 product is a FormatError,
+    which ``generate`` reports with exit 2 instead of a traceback."""
+    prefix = str(tmp_path / "drafter")
+    weights.save_drafter(DrafterParams.random(np.random.default_rng(13), 8, 16), 5, prefix)
+    manifest = tmp_path / "drafter.manifest"
+    text, n = re.subn(r"^u f32 8,8 ", "u f32 4294967296,4294967296 ", manifest.read_text(),
+                      flags=re.M)
+    assert n == 1
+    manifest.write_text(text)
+    assert cli.main(["generate", "--base", "markov", "--markov-vocab", "16", "--prompt", "1 2",
+                     "--max-new-tokens", "2", "--drafter-weights", prefix]) == 2
+    assert "error: tensor u: blob truncated" in capsys.readouterr().err
