@@ -7,6 +7,7 @@ Exit codes: 0 ok, 1 equivalence/assertion failure, 2 usage or IO error.
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -35,8 +36,7 @@ def build_base(args):
     if args.base == "markov":
         if args.base_weights:
             raise ConfigError("--base-weights loads transformer weights; --base markov has none")
-        return SyntheticMarkovModel(order=args.markov_order, vocab_size=args.markov_vocab,
-                                    seed=args.seed)
+        return SyntheticMarkovModel(order=2, vocab_size=args.markov_vocab, seed=args.seed)
     if args.base_weights:
         return weights.load_base_model(args.base_weights)
     return TinyTransformer.random(TRANSFORMER_CONFIG, seed=args.seed)
@@ -174,20 +174,9 @@ def grid_sweep(args, repeats=1):
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args):
-    ignored = [flag for flag, given in (("--report", args.report),
-                                        ("--drafter-weights", args.drafter_weights)) if given]
-    if args.baseline and ignored:
-        raise ConfigError(f"--baseline and {' and '.join(ignored)} do not combine: a "
-                          f"greedy run drafts nothing and has no speculative run to report")
     check_out_dirs(args, "--report")
     base = build_base(args)
     prompt = parse_prompt(args, base)
-    if args.baseline:
-        cfg = decode.DecodeConfig(beam_width=args.beam_width, beam_length=args.beam_length,
-                                  max_new_tokens=args.max_new_tokens,
-                                  stop_token=args.stop_token)
-        print(" ".join(str(t) for t in decode.autoregressive_generate(base, prompt, cfg)))
-        return 0
     row, = sweep(base, build_drafter(args, base), [prompt], [args.beam_width],
                  [args.beam_length], args.max_new_tokens, stop_token=args.stop_token)
     print(" ".join(str(t) for t in row["streams"][0]))
@@ -226,41 +215,18 @@ def cmd_verify_equivalence(args):
     return 0
 
 
-def _build_training_dataset(args, base):
-    # the corpus flags default to None, so that train-drafter can tell them given
-    corpus = distill.sample_markov_corpus(
-        seed=args.seed + 7, n_sequences=500 if args.corpus_size is None else args.corpus_size,
-        seq_len=64 if args.corpus_len is None else args.corpus_len,
-        vocab_size=base.config.vocab_size)
-    build = distill.ground_truth_dataset if args.ground_truth else distill.build_distill_dataset
-    dataset = build(base, corpus, args.horizon)
-    if not dataset:
-        raise ContractError("the corpus yields no training example")
-    return dataset
-
-
 def cmd_train_drafter(args):
-    # the settings are checked before any dataset work
-    building = [flag for flag, given in (("--ground-truth", args.ground_truth),
-                                         ("--corpus-size", args.corpus_size is not None),
-                                         ("--corpus-len", args.corpus_len is not None)) if given]
-    if args.dataset and building:
-        flags = " and ".join(building)
-        raise ConfigError(f"--dataset and {flags} do not combine: --dataset reads a built "
-                          f"dataset, and {flags} would shape how one is built")
     check_out_dirs(args, "--out", "--loss-csv")
-    cfg = distill.TrainConfig(horizon=args.horizon, learning_rate=args.learning_rate,
-                              epochs=args.epochs, batch_size=args.batch_size,
-                              seed=args.seed)
+    # the settings are checked before the file is read; the horizon is the file's
+    cfg = distill.TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs,
+                              batch_size=args.batch_size, seed=args.seed)
     base = build_base(args)
-    if args.dataset:
-        dataset = distill.read_dataset(args.dataset, base)
-    else:
-        dataset = _build_training_dataset(args, base)
+    dataset = distill.read_dataset(args.dataset, base)
+    cfg = dataclasses.replace(cfg, horizon=dataset.teacher.shape[1])
     rng = np.random.default_rng(args.seed + 1)
     init = DrafterParams.random(rng, base.config.d_model, base.config.vocab_size)
     params, curve = distill.train_drafter(dataset, init, cfg, base.token_embeddings)
-    weights.save_drafter(params, args.horizon, args.out)
+    weights.save_drafter(params, cfg.horizon, args.out)
     if args.loss_csv:
         with open(args.loss_csv, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -274,7 +240,13 @@ def cmd_train_drafter(args):
 def cmd_distill_data(args):
     check_out_dirs(args, "--out")
     base = build_base(args)
-    dataset = _build_training_dataset(args, base)
+    corpus = distill.sample_markov_corpus(seed=args.seed + 7, n_sequences=args.corpus_size,
+                                          seq_len=args.corpus_len,
+                                          vocab_size=base.config.vocab_size)
+    build = distill.ground_truth_dataset if args.ground_truth else distill.build_distill_dataset
+    dataset = build(base, corpus, args.horizon)
+    if not dataset:
+        raise ContractError("the corpus yields no training example")
     distill.write_dataset(args.out, dataset)
     print(f"wrote {len(dataset)} examples to {args.out}")
     return 0
@@ -293,7 +265,6 @@ def cmd_init_base(args):
 def _add_model_flags(p):
     p.add_argument("--base", choices=("transformer", "markov"), default="transformer")
     p.add_argument("--base-weights", help="manifest/blob prefix for transformer weights")
-    p.add_argument("--markov-order", type=int, default=2)
     p.add_argument("--markov-vocab", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
 
@@ -311,7 +282,7 @@ def make_parser():
     parser = argparse.ArgumentParser(prog="redrafter")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="speculative (or baseline) generation")
+    p = sub.add_parser("generate", help="speculative generation, checked against greedy")
     _add_model_flags(p)
     prompt = p.add_mutually_exclusive_group()
     prompt.add_argument("--prompt", help="whitespace-separated token ids")
@@ -321,7 +292,6 @@ def make_parser():
     p.add_argument("--beam-length", type=int, default=5)
     p.add_argument("--max-new-tokens", type=int, default=32)
     p.add_argument("--stop-token", type=int)
-    p.add_argument("--baseline", action="store_true")
     p.add_argument("--report", help="write a JSON run report here")
     p.add_argument("--drafter-weights", help="manifest/blob prefix for drafter weights")
     p.set_defaults(func=cmd_generate)
@@ -339,27 +309,23 @@ def make_parser():
     _add_grid_flags(p, n_prompts=100, max_new_tokens=24)
     p.set_defaults(func=cmd_verify_equivalence)
 
-    p = sub.add_parser("train-drafter", help="train a draft head")
+    p = sub.add_parser("train-drafter", help="train a draft head on a distill-data file")
     _add_model_flags(p)
-    p.add_argument("--dataset", help="read a distill-data file instead of building one")
-    p.add_argument("--ground-truth", action="store_true",
-                   help="train on corpus continuations instead of base-model rollouts")
-    p.add_argument("--horizon", type=int, default=5)
+    p.add_argument("--dataset", required=True, help="a distill-data file")
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--corpus-size", type=int, help="corpus sequences (default 500)")
-    p.add_argument("--corpus-len", type=int, help="tokens per corpus sequence (default 64)")
     p.add_argument("--out", required=True, help="output weight file prefix")
     p.add_argument("--loss-csv")
     p.set_defaults(func=cmd_train_drafter)
 
     p = sub.add_parser("distill-data", help="build and save a distillation dataset")
     _add_model_flags(p)
-    p.add_argument("--ground-truth", action="store_true")
+    p.add_argument("--ground-truth", action="store_true",
+                   help="take the corpus continuations, not base-model rollouts")
     p.add_argument("--horizon", type=int, default=5)
-    p.add_argument("--corpus-size", type=int, help="corpus sequences (default 500)")
-    p.add_argument("--corpus-len", type=int, help="tokens per corpus sequence (default 64)")
+    p.add_argument("--corpus-size", type=int, default=500, help="corpus sequences")
+    p.add_argument("--corpus-len", type=int, default=64, help="tokens per corpus sequence")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_distill_data)
 

@@ -41,6 +41,8 @@ BLOCK = 16
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
+DATASET_MAGIC = "REDRAFT-DISTILL v1"
+
 
 @dataclass(eq=False)
 class DistillDataset:
@@ -87,10 +89,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        rate_ok = math.isfinite(self.learning_rate) and self.learning_rate >= 0
-        if self.horizon < 1 or not rate_ok:
-            raise ContractError(f"need horizon >= 1 and a finite learning_rate >= 0, got "
-                                f"horizon {self.horizon} and learning_rate {self.learning_rate}")
+        if self.horizon < 1:
+            raise ContractError(f"need horizon >= 1, got {self.horizon}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ContractError(f"need a finite learning_rate >= 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError(f"need epochs >= 1 and batch_size >= 1, got epochs "
                                 f"{self.epochs} and batch_size {self.batch_size}")
@@ -205,74 +207,92 @@ def ground_truth_dataset(base, corpus, horizon):
 
 
 def write_dataset(path, dataset):
-    """Newline-delimited records, one per row of a ``DistillDataset``:
-    context_len T context_tokens... teacher_tokens..."""
-    horizon = dataset.teacher.shape[1]
+    """Write a ``DistillDataset``'s fields but ``h``, which the reader
+    recomputes, as text::
+
+        REDRAFT-DISTILL v1
+        n_sequences horizon
+        tokens ...                                   one line per sequence
+        seq_index prefix_len guaranteed teacher ...  one line per row
+    """
+    rows = np.column_stack([dataset.seq_index, dataset.prefix_len, dataset.guaranteed,
+                            dataset.teacher])
     with open(path, "w", encoding="utf-8") as fh:
-        for i in range(len(dataset)):
-            context = dataset.context(i)
-            fields = [context.shape[0], horizon, *context.tolist(), *dataset.teacher[i].tolist()]
-            fh.write(" ".join(map(str, fields)) + "\n")
+        fh.write(f"{DATASET_MAGIC}\n{len(dataset.sequences)} {dataset.teacher.shape[1]}\n")
+        for line in [*(seq.tolist() for seq in dataset.sequences), *rows.tolist()]:
+            fh.write(" ".join(map(str, line)) + "\n")
 
 
 def read_dataset(path, base):
-    """Load a dataset file as a ``DistillDataset``, recomputing hidden states
-    with the given base model (at the token before each context's guaranteed
-    token).  Every record's teacher must be of one length, the horizon.
+    """Load a ``write_dataset`` file as a ``DistillDataset``, recomputing
+    ``h`` with the given base model.
 
-    ``write_dataset`` writes a sequence's records with committed prefixes
-    that extend one another, so each run of such records gets one prefill of
-    its longest prefix: a row of a causal forward equals the forward of the
+    Each sequence that rows point to is prefilled once, up to the longest
+    prefix its rows use, and a row's ``h`` is the prefill's row at the
+    prefix's last token: a row of a causal forward equals the forward of the
     prefix ending there, bit for bit, as ``ground_truth_dataset`` also uses.
-    That prefix is the run's entry of ``sequences``.
+    A malformed file raises a ``FormatError`` naming its line.
     """
     vocab = base.config.vocab_size
-    records = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                vals = [int(x) for x in line.split()]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-integer field ({exc})") from None
-            if len(vals) < 2 or len(vals) != 2 + vals[0] + vals[1]:
-                raise FormatError(f"{path}:{lineno}: malformed dataset record")
-            n_ctx, horizon = vals[0], vals[1]
-            if n_ctx < 2:
-                raise FormatError(f"{path}:{lineno}: context needs a committed token "
-                                  f"and the guaranteed token")
-            if horizon < 1:
-                raise FormatError(f"{path}:{lineno}: teacher needs at least one token")
-            if min(vals[2:]) < 0 or max(vals[2:]) >= vocab:
-                raise FormatError(f"{path}:{lineno}: token id outside vocab of size {vocab}")
-            if records and horizon != records[0][1].shape[0]:
-                raise FormatError(f"{path}:{lineno}: teacher of {horizon} tokens, but the "
-                                  f"first record's has {records[0][1].shape[0]}")
-            records.append((np.asarray(vals[2:2 + n_ctx], np.int64),
-                            np.asarray(vals[2 + n_ctx:], np.int64)))
-    # a run starts at a record whose committed prefix does not extend the
-    # previous record's; the run's last prefix then holds all of its prefixes
-    starts = [i for i in range(len(records))
-              if i == 0 or not _extends(records[i][0], records[i - 1][0])]
-    sequences = []
-    rows = []
-    for lo, hi in zip(starts, starts[1:] + [len(records)]):
-        sequences.append(records[hi - 1][0][:-1])
-        hidden = base.forward_context(sequences[-1], base.new_cache()).hidden
-        prefix_len = np.array([context.shape[0] - 1 for context, _ in records[lo:hi]])
-        rows.append((np.full(hi - lo, len(sequences) - 1), prefix_len,
-                     np.array([context[-1] for context, _ in records[lo:hi]]),
-                     np.stack([teacher for _, teacher in records[lo:hi]]),
-                     hidden[prefix_len - 1]))
-    return _dataset(base, records[0][1].shape[0] if records else 0, sequences, rows)
+        magic = fh.readline().rstrip("\n")
+        if magic != DATASET_MAGIC:
+            raise FormatError(f"{path}:1: bad magic line {magic!r}, expected {DATASET_MAGIC!r}")
+        # a rollout of horizon tokens follows a prefix and its guaranteed token
+        window = base.config.max_seq_len
+        header = _ints(path, 2, fh.readline())
+        if len(header) != 2 or header[0] < 0 or not 1 <= header[1] < window:
+            raise FormatError(f"{path}:2: malformed header, expected 'n_sequences horizon' "
+                              f"with 1 <= horizon < {window}, the base's window")
+        n_seq, horizon = header
+        sequences = []
+        for lineno in range(3, 3 + n_seq):
+            line = fh.readline()
+            if not line:
+                raise FormatError(f"{path}:{lineno}: the file ends before its {n_seq} "
+                                  f"sequences do")
+            sequences.append(np.array(_ints(path, lineno, line), np.int64))
+        flat = []  # every row's fields, for one array: no per-row arrays
+        for lineno, line in enumerate(fh, 3 + n_seq):
+            fields = _ints(path, lineno, line)
+            if len(fields) != 3 + horizon:
+                raise FormatError(f"{path}:{lineno}: a row holds seq_index, prefix_len, the "
+                                  f"guaranteed token and {horizon} teacher tokens, got "
+                                  f"{len(fields)} fields")
+            flat.extend(fields)
+    rows = np.array(flat, np.int64).reshape(-1, 3 + horizon)
+    seq_index, prefix_len = rows[:, 0], rows[:, 1]
+    in_vocab = f"token id outside vocab of size {vocab}"
+    _check_lines(path, 3, [((seq >= 0) & (seq < vocab)).all() for seq in sequences], in_vocab)
+    _check_lines(path, 3 + n_seq, (seq_index >= 0) & (seq_index < n_seq),
+                 f"seq_index outside the file's {n_seq} sequences")
+    lengths = np.array([seq.shape[0] for seq in sequences], np.int64)
+    _check_lines(path, 3 + n_seq, (prefix_len >= 1) & (prefix_len <= lengths[seq_index]),
+                 "prefix_len outside [1, the length of its sequence]")
+    _check_lines(path, 3 + n_seq, ((rows[:, 2:] >= 0) & (rows[:, 2:] < vocab)).all(axis=1),
+                 in_vocab)
+    longest = np.zeros(n_seq, np.int64)
+    np.maximum.at(longest, seq_index, prefix_len)
+    h = np.empty((rows.shape[0], base.config.d_model), np.float32)
+    for index in np.flatnonzero(longest):
+        hidden = base.forward_context(sequences[index][:longest[index]], base.new_cache()).hidden
+        mine = seq_index == index
+        h[mine] = hidden[prefix_len[mine] - 1]
+    return DistillDataset(sequences, seq_index, prefix_len, rows[:, 2], rows[:, 3:], h)
 
 
-def _extends(context, before):
-    """Whether a context's committed prefix (all but its last token) extends
-    the committed prefix of the context ``before``."""
-    k = before.shape[0] - 1
-    return context.shape[0] > k and np.array_equal(context[:k], before[:k])
+def _ints(path, lineno, line):
+    try:
+        return [int(word) for word in line.split()]
+    except ValueError as exc:
+        raise FormatError(f"{path}:{lineno}: non-integer field ({exc})") from None
+
+
+def _check_lines(path, lineno, ok, message):
+    """A ``FormatError`` naming the first line whose ``ok`` entry is false;
+    entry 0 is line ``lineno``."""
+    if not np.all(ok):
+        raise FormatError(f"{path}:{lineno + int(np.argmin(ok))}: {message}")
 
 
 def train_drafter(dataset, params_init, cfg, embeddings):

@@ -10,6 +10,7 @@ import pytest
 
 from redrafter import cli, decode, distill, kernels, weights
 from redrafter.drafter import DrafterParams
+from redrafter.model import SyntheticMarkovModel
 
 TIMING_COLUMNS = {"wall_ms_spec", "wall_ms_ar", "speedup"}
 
@@ -33,37 +34,6 @@ def test_generate_prints_tokens(capsys):
     assert all(0 <= int(t) < 16 for t in out)
 
 
-def test_generate_baseline_matches_speculative(capsys):
-    args = [*MARKOV, "--prompt", "4 5", "--max-new-tokens", "12"]
-    assert run(["generate", *args]) == 0
-    spec = capsys.readouterr().out.split()
-    assert run(["generate", *args, "--baseline"]) == 0
-    assert capsys.readouterr().out.split() == spec
-
-
-def test_generate_baseline_with_a_report_is_a_usage_error(tmp_path, monkeypatch, capsys):
-    """A greedy run has no speculative summary to report: the pair of flags
-    is refused before any decode, and no report is written."""
-    report = tmp_path / "report.json"
-    monkeypatch.setattr(decode, "autoregressive_generate",
-                        lambda *args: pytest.fail("decoded before refusing the flags"))
-    assert run(["generate", *MARKOV, "--prompt", "1 2", "--max-new-tokens", "4",
-                "--baseline", "--report", str(report)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "--baseline" in err and "--report" in err
-    assert not report.exists()
-
-
-def test_generate_baseline_with_drafter_weights_is_a_usage_error(monkeypatch, capsys):
-    """A greedy run drafts nothing, so the drafter file would go unread: the
-    pair of flags is refused before any decode."""
-    monkeypatch.setattr(decode, "autoregressive_generate",
-                        lambda *args: pytest.fail("decoded before refusing the flags"))
-    assert run(["generate", *MARKOV, "--prompt", "1 2", "--baseline",
-                "--drafter-weights", "/nonexistent/prefix"]) == 2
-    assert "error: --baseline and --drafter-weights do not combine" in capsys.readouterr().err
-
-
 def test_generate_prompt_with_a_prompt_file_is_a_usage_error(tmp_path, capsys):
     pf = tmp_path / "prompt.txt"
     pf.write_text("7 8 9\n")
@@ -73,9 +43,8 @@ def test_generate_prompt_with_a_prompt_file_is_a_usage_error(tmp_path, capsys):
     assert "argument --prompt-file: not allowed with argument --prompt" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mode", [[], ["--baseline"]], ids=["speculative", "baseline"])
-def test_generate_stop_token_outside_the_vocab_is_a_usage_error(mode, capsys):
-    assert run(["generate", *MARKOV, "--prompt", "1 2", "--stop-token", "16", *mode]) == 2
+def test_generate_stop_token_outside_the_vocab_is_a_usage_error(capsys):
+    assert run(["generate", *MARKOV, "--prompt", "1 2", "--stop-token", "16"]) == 2
     assert "error: stop token 16 outside vocab of size 16" in capsys.readouterr().err
 
 
@@ -245,12 +214,12 @@ def test_prompt_len_below_one_is_a_usage_error_naming_the_flag(command, length, 
     assert f"error: --prompt-len must be >= 1, got {length}" in capsys.readouterr().err
 
 
-# each command line runs to exit 0 with --base transformer or markov
+# each command line runs to exit 0 with --base transformer or markov, given
+# the dataset file distill-data's line writes
 SMALL_RUNS = {
     "generate": ["--prompt", "1 2", "--max-new-tokens", "2"],
     "bench": ["--widths", "1", "--lengths", "1", "--n-prompts", "1", "--max-new-tokens", "2"],
-    "train-drafter": ["--corpus-size", "2", "--corpus-len", "4", "--horizon", "1",
-                      "--epochs", "1", "--out", "drafter"],
+    "train-drafter": ["--dataset", "data.txt", "--epochs", "1", "--out", "drafter"],
     "distill-data": ["--corpus-size", "2", "--corpus-len", "4", "--horizon", "1",
                      "--out", "data.txt"],
 }
@@ -369,12 +338,12 @@ def test_distill_data_without_examples_is_an_error_and_writes_nothing(ground_tru
 
 
 def test_train_and_reuse_drafter(tmp_path, capsys):
-    prefix = str(tmp_path / "drafter")
+    data, prefix = str(tmp_path / "data.txt"), str(tmp_path / "drafter")
     loss_csv = tmp_path / "loss.csv"
-    assert run(["train-drafter", *MARKOV, "--horizon", "3", "--epochs", "2",
-                "--corpus-size", "6", "--corpus-len", "10",
-                "--learning-rate", "0.002", "--out", prefix,
-                "--loss-csv", str(loss_csv)]) == 0
+    assert run(["distill-data", *MARKOV, "--horizon", "3", "--corpus-size", "6",
+                "--corpus-len", "10", "--out", data]) == 0
+    assert run(["train-drafter", *MARKOV, "--dataset", data, "--epochs", "2",
+                "--learning-rate", "0.002", "--out", prefix, "--loss-csv", str(loss_csv)]) == 0
     capsys.readouterr()
     params, horizon = weights.load_drafter(prefix)
     assert horizon == 3
@@ -387,24 +356,61 @@ def test_train_and_reuse_drafter(tmp_path, capsys):
 
 
 def test_distill_data_round_trip_through_training(tmp_path, capsys):
+    """train-drafter takes its horizon from the file and writes it to the
+    drafter manifest."""
     data = str(tmp_path / "data.txt")
     assert run(["distill-data", *MARKOV, "--horizon", "3",
                 "--corpus-size", "4", "--corpus-len", "8", "--out", data]) == 0
     prefix = str(tmp_path / "drafter")
-    assert run(["train-drafter", *MARKOV, "--horizon", "3", "--epochs", "1",
-                "--dataset", data, "--out", prefix]) == 0
+    assert run(["train-drafter", *MARKOV, "--epochs", "1", "--dataset", data,
+                "--out", prefix]) == 0
     capsys.readouterr()
     _, horizon = weights.load_drafter(prefix)
     assert horizon == 3
 
 
+@pytest.mark.parametrize("ground_truth", [[], ["--ground-truth"]],
+                         ids=["rollouts", "ground-truth"])
+def test_two_stage_distillation_writes_the_library_drafter(ground_truth, tmp_path, capsys):
+    """distill-data, then train-drafter on its file, writes the drafter bytes
+    that the library's builder and trainer give, called with the CLI's seeds:
+    the corpus at seed + 7 and the drafter's initialisation at seed + 1."""
+    data, prefix = str(tmp_path / "data.txt"), str(tmp_path / "drafter")
+    assert run(["distill-data", *MARKOV, *ground_truth, "--horizon", "3", "--corpus-size", "5",
+                "--corpus-len", "12", "--out", data]) == 0
+    assert run(["train-drafter", *MARKOV, "--dataset", data, "--epochs", "2",
+                "--out", prefix]) == 0
+    capsys.readouterr()
+    base = SyntheticMarkovModel(order=2, vocab_size=16, seed=3)
+    corpus = distill.sample_markov_corpus(seed=3 + 7, n_sequences=5, seq_len=12, vocab_size=16)
+    build = distill.ground_truth_dataset if ground_truth else distill.build_distill_dataset
+    init = DrafterParams.random(np.random.default_rng(3 + 1), 32, 16)
+    params, _ = distill.train_drafter(build(base, corpus, 3), init,
+                                      distill.TrainConfig(horizon=3, epochs=2, seed=3),
+                                      base.token_embeddings)
+    weights.save_drafter(params, 3, str(tmp_path / "library"))
+    for suffix in (".bin", ".manifest"):
+        assert ((tmp_path / f"library{suffix}").read_bytes()
+                == (tmp_path / f"drafter{suffix}").read_bytes())
+
+
+def test_train_drafter_without_a_dataset_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["train-drafter", *MARKOV, "--out", str(tmp_path / "drafter")])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --dataset" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_train_drafter_on_a_dataset_file_with_ground_truth_is_a_usage_error(tmp_path, capsys):
-    """--ground-truth picks how a dataset is built, so it has nothing to pick
-    for a dataset file: exit 2 naming both flags, before the file is read."""
+    """--ground-truth picks how a dataset is built, which distill-data does:
+    train-drafter does not take the flag, and exits 2 before the file is read."""
     prefix = tmp_path / "drafter"
-    assert run(["train-drafter", *MARKOV, "--ground-truth", "--dataset",
-                str(tmp_path / "absent.txt"), "--out", str(prefix)]) == 2
-    assert "--dataset and --ground-truth do not combine" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["train-drafter", *MARKOV, "--ground-truth", "--dataset",
+             str(tmp_path / "absent.txt"), "--out", str(prefix)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --ground-truth" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
@@ -413,14 +419,16 @@ def test_train_drafter_on_a_dataset_file_with_ground_truth_is_a_usage_error(tmp_
                          ids=["len", "size", "both"])
 def test_train_drafter_on_a_dataset_file_with_corpus_flags_is_a_usage_error(corpus_flags,
                                                                              tmp_path, capsys):
-    """The corpus flags shape a built dataset, so a dataset file leaves them
-    nothing to shape, even at their default values: exit 2 naming the flags,
-    before the file is read."""
+    """The corpus flags, like the horizon, shape the dataset that distill-data
+    builds: train-drafter does not take them, and exits 2 before the file is
+    read."""
     prefix = tmp_path / "drafter"
-    assert run(["train-drafter", *MARKOV, *corpus_flags, "--dataset",
-                str(tmp_path / "absent.txt"), "--out", str(prefix)]) == 2
-    flags = " and ".join(flag for flag in corpus_flags if flag.startswith("--"))
-    assert f"error: --dataset and {flags} do not combine" in capsys.readouterr().err
+    for flags in (corpus_flags, ["--horizon", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["train-drafter", *MARKOV, *flags, "--dataset",
+                 str(tmp_path / "absent.txt"), "--out", str(prefix)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

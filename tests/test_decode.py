@@ -63,6 +63,38 @@ def test_output_identical_to_greedy_baseline_on_every_lane(tiny, markov):
         test_output_identical_to_greedy_baseline(tiny, markov, width, length)
 
 
+@pytest.mark.usefixtures("lane")
+def test_seeded_fuzz_speculative_equals_greedy_and_steps_account_for_the_stream():
+    """Seeded random requests on both bases, on each kernel lane: prompts up
+    to the window, ``max_new_tokens`` up to the room left, a stop token from
+    the greedy stream half the time, widths up to the vocab and lengths 1-6.
+    Every step emits its accepted drafts plus one token, so the steps account
+    for the stream exactly, except that a stream cut at its stop token drops
+    at most the last step's accepted drafts."""
+    window = 40
+    bases = (TinyTransformer.random(dataclasses.replace(SMALL, max_seq_len=window), seed=0),
+             SyntheticMarkovModel(order=2, vocab_size=16, seed=1, max_seq_len=window))
+    rng = np.random.default_rng(26)
+    for base in bases:
+        proposer = make_proposer(base)
+        vocab = base.config.vocab_size
+        for _ in range(100):
+            prompt = rng.integers(0, vocab, size=rng.integers(1, window)).tolist()
+            cfg = DecodeConfig(beam_width=int(rng.integers(1, vocab + 1)),
+                               beam_length=int(rng.integers(1, 7)),
+                               max_new_tokens=int(rng.integers(1, window - len(prompt) + 1)))
+            if rng.random() < 0.5:
+                cfg.stop_token = int(rng.choice(autoregressive_generate(base, prompt, cfg)))
+            greedy = autoregressive_generate(base, prompt, cfg)
+            spec, reports = speculative_generate(base, proposer, prompt, cfg)
+            assert spec == greedy, cfg
+            surplus = sum(r.accepted_draft_tokens + 1 for r in reports) - len(spec)
+            if cfg.stop_token is not None and spec[-1] == cfg.stop_token:
+                assert 0 <= surplus <= reports[-1].accepted_draft_tokens, cfg
+            else:
+                assert surplus == 0, cfg
+
+
 def test_drafter_sees_last_committed_hidden_state_and_guaranteed_token(tiny, markov):
     """Each proposal conditions on the base hidden state at the last committed
     token and starts from the guaranteed token that follows it."""

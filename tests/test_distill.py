@@ -48,11 +48,6 @@ def window_base(request):
 Examples = namedtuple("Examples", "contexts guaranteed teacher h")
 
 
-def examples_of(dataset):
-    return Examples([dataset.context(i) for i in range(len(dataset))], dataset.guaranteed,
-                    dataset.teacher, dataset.h)
-
-
 def per_position_dataset(base, corpus, horizon):
     """Reference build: one 1-row causal forward per corpus token, and a
     cache copy per position that the rollout extends one token at a time.
@@ -104,10 +99,18 @@ def assert_same_examples(got, want):
                for i in range(len(got)))
 
 
-def records(examples):
-    """The text of a dataset file holding the ``Examples``."""
-    return "".join(f"{len(c)} {len(t)} " + " ".join(str(x) for x in [*c, *t]) + "\n"
-                   for c, t in zip(examples.contexts, examples.teacher))
+def assert_same_dataset(got, want):
+    """Two ``DistillDataset``s hold the same fields: the same sequences, and
+    rows of the same dtype, shape and values (h by its bits)."""
+    assert isinstance(got, DistillDataset)
+    assert len(got.sequences) == len(want.sequences)
+    for a, b in zip(got.sequences, want.sequences):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for field in ("seq_index", "prefix_len", "guaranteed", "teacher", "h"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert np.array_equal(a, b), field
+    assert np.array_equal(got.h.view(np.uint32), want.h.view(np.uint32))
 
 
 @pytest.fixture(scope="module")
@@ -259,49 +262,76 @@ def test_corpus_needs_room_for_the_two_seed_tokens(tmp_path, capsys):
 
 
 def test_dataset_file_round_trip(base, corpus, tmp_path, monkeypatch):
+    """``read_dataset`` of ``write_dataset(ds)`` is ``ds``, on both bases, for
+    built and ground-truth datasets, with sequences that no row points to;
+    h is recomputed with one prefill per sequence that rows point to, of the
+    longest prefix they use."""
     path = str(tmp_path / "distill.txt")
     for model in (base, WINDOW_BASES["transformer"]()):
-        dataset = build_distill_dataset(model, corpus, 3)
-        write_dataset(path, dataset)
-        want, _ = per_position_dataset(model, corpus, 3)
-        assert (tmp_path / "distill.txt").read_text(encoding="utf-8") == records(want)
         prefills = []
         forward_context = model.forward_context
 
         def counting_forward_context(tokens, cache, forward_context=forward_context):
-            prefills.append(len(tokens))
+            prefills.append(np.asarray(tokens).tolist())
             return forward_context(tokens, cache)
 
-        monkeypatch.setattr(model, "forward_context", counting_forward_context)
-        loaded = read_dataset(path, model)
-        assert_same_examples(loaded, want)  # h is recomputed at load time
-        # a sequence's records extend one another: one prefill of the whole
-        # sequence gives every record's h as a row
-        assert prefills == [len(seq) for seq in corpus if len(seq) > 1]
-        # a ground-truth file reads back as the dataset that wrote it
-        truth = ground_truth_dataset(model, corpus, 3)
-        write_dataset(path, truth)
-        assert_same_examples(read_dataset(path, model), examples_of(truth))
-    # a record whose context lacks a committed token before the guaranteed one
-    (tmp_path / "short.txt").write_text("1 3 5 1 2 3\n")
-    with pytest.raises(FormatError):
-        read_dataset(str(tmp_path / "short.txt"), base)
-    # a teacher token, then a context token, outside the vocab of 16, a
-    # negative and an empty teacher (the first reads as a 2-token context
-    # and no teacher), and a field that is no integer; the error names the
-    # file and line
-    for name, record, error in (("teacher.txt", "3 2 1 2 3 99 4", "token id outside vocab"),
-                                ("context.txt", "3 2 1 16 3 9 4", "token id outside vocab"),
-                                ("negative.txt", "3 -1 1 2", "teacher needs at least one"),
-                                ("empty.txt", "3 0 1 2 3", "teacher needs at least one"),
-                                ("field.txt", "2 1 1 x 3", "non-integer field"),
-                                ("counts.txt", "3 2 1 2 3 9", "malformed dataset record"),
-                                ("horizon.txt", "3 1 1 2 3 9",
-                                 "teacher of 1 tokens, but the first record's has 2")):
-        path = tmp_path / name
-        path.write_text("3 2 1 2 3 9 4\n" + record + "\n")
-        with pytest.raises(FormatError, match=re.escape(f"{path}:2: {error}")):
-            read_dataset(str(path), base)
+        for data in (corpus, edge_corpus(16)):
+            for dataset in (build_distill_dataset(model, data, 3),
+                            ground_truth_dataset(model, data, 3)):
+                write_dataset(path, dataset)
+                prefills.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(model, "forward_context", counting_forward_context)
+                    assert_same_dataset(read_dataset(path, model), dataset)
+                used = sorted(set(dataset.seq_index.tolist()))
+                assert prefills == [
+                    dataset.sequences[i][:dataset.prefix_len[dataset.seq_index == i].max()]
+                    .tolist() for i in used]
+
+
+# a valid file: line 1 the magic, 2 the header, 3-4 the sequences, 5-6 rows;
+# each case below replaces one line and expects an error naming a line
+GOOD_FILE = ["REDRAFT-DISTILL v1", "2 2", "1 2 3", "4 5", "0 1 6 7 8", "1 2 9 10 11"]
+
+
+@pytest.mark.parametrize("lineno, line, error", [
+    (1, "3 2 1 2 3 9 4", "1: bad magic line '3 2 1 2 3 9 4', expected 'REDRAFT-DISTILL v1'"),
+    (1, "REDRAFT-DISTILL v2", "1: bad magic line 'REDRAFT-DISTILL v2'"),
+    (2, "2", "2: malformed header"),
+    (2, "-1 2", "2: malformed header"),
+    (2, "2 0", "2: malformed header, expected 'n_sequences horizon' with 1 <= horizon < 4096, "
+               "the base's window"),
+    (2, "2 4096", "2: malformed header"),
+    (2, "5 2", "7: the file ends before its 5 sequences do"),
+    (4, "4 x", "4: non-integer field"),
+    (6, "1 2 9 10 1.5", "6: non-integer field"),
+    (3, "1 16 3", "3: token id outside vocab of size 16"),
+    (4, "-1 5", "4: token id outside vocab of size 16"),
+    (5, "0 1 16 7 8", "5: token id outside vocab of size 16"),
+    (6, "1 2 9 10 -3", "6: token id outside vocab of size 16"),
+    (5, "0 1 6 7", "5: a row holds seq_index, prefix_len, the guaranteed token and 2 teacher "
+                   "tokens, got 4 fields"),
+    (6, "1 2 9 10 11 12", "6: a row holds seq_index, prefix_len, the guaranteed token and 2 "
+                          "teacher tokens, got 6 fields"),
+    (5, "2 1 6 7 8", "5: seq_index outside the file's 2 sequences"),
+    (6, "-1 2 9 10 11", "6: seq_index outside the file's 2 sequences"),
+    (5, "0 0 6 7 8", "5: prefix_len outside [1, the length of its sequence]"),
+    (6, "1 3 9 10 11", "6: prefix_len outside [1, the length of its sequence]"),
+], ids=["old-format", "magic", "header-fields", "header-count", "header-horizon",
+        "header-horizon-past-window", "truncated",
+        "sequence-field", "row-field", "sequence-token", "sequence-negative", "guaranteed",
+        "teacher", "short-row", "long-row", "seq-index", "seq-index-negative", "prefix-zero",
+        "prefix-past-sequence"])
+def test_malformed_dataset_file_names_its_line(lineno, line, error, base, tmp_path):
+    path = tmp_path / "data.txt"
+    good = "\n".join(GOOD_FILE) + "\n"
+    path.write_text(good, encoding="utf-8")
+    assert len(read_dataset(str(path), base)) == 2
+    lines = GOOD_FILE.copy()
+    lines[lineno - 1] = line
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:{error}")):
+        read_dataset(str(path), base)
 
 
 def train_setup(base, corpus, horizon=3):
@@ -400,20 +430,18 @@ def test_train_config_rejects_bad_settings():
     (["--batch-size", "0"], "need epochs >= 1 and batch_size >= 1"),
     (["--batch-size", "-4"], "need epochs >= 1 and batch_size >= 1"),
     (["--epochs", "0"], "need epochs >= 1 and batch_size >= 1"),
-    (["--learning-rate", "nan"], "need horizon >= 1 and a finite learning_rate >= 0, got "
-                                 "horizon 5 and learning_rate nan"),
-    (["--learning-rate", "inf"], "need horizon >= 1 and a finite learning_rate >= 0, got "
-                                 "horizon 5 and learning_rate inf"),
+    (["--learning-rate", "nan"], "need a finite learning_rate >= 0, got nan"),
+    (["--learning-rate", "inf"], "need a finite learning_rate >= 0, got inf"),
 ], ids=["batch0", "batch-4", "epochs0", "lr-nan", "lr-inf"])
 def test_train_drafter_cli_rejects_bad_settings_before_any_work(flag, message, tmp_path, capsys,
                                                                 monkeypatch):
-    def no_corpus(*args, **kwargs):
-        raise AssertionError("train-drafter built a corpus before checking its settings")
+    def no_read(*args, **kwargs):
+        raise AssertionError("train-drafter read its dataset before checking its settings")
 
-    monkeypatch.setattr(distill, "sample_markov_corpus", no_corpus)
+    monkeypatch.setattr(distill, "read_dataset", no_read)
     out = tmp_path / "drafter"
     assert cli.main(["train-drafter", "--base", "markov", "--markov-vocab", "16",
-                     "--corpus-size", "2", "--corpus-len", "8", *flag, "--out", str(out)]) == 2
+                     "--dataset", str(tmp_path / "data.txt"), *flag, "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())  # no drafter saved
 
