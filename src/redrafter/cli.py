@@ -1,6 +1,7 @@
-"""Command-line surface: generate text, benchmark beam configurations, train
-draft heads, and verify the exact-equivalence guarantee, each on the one
-base model ``--base`` names.
+"""Command-line surface: generate text, verify the exact-equivalence
+guarantee over a grid of beam shapes (with a per-shape table of tokens/step,
+compression and speedup), build distillation data and train draft heads,
+each on the one base model ``--base`` names.
 
 Exit codes: 0 ok, 1 equivalence/assertion failure, 2 usage or IO error.
 """
@@ -20,7 +21,7 @@ from .drafter import DrafterParams
 from .errors import ConfigError, ContractError, RedrafterError
 from .model import ModelConfig, SyntheticMarkovModel, TinyTransformer
 
-CSV_COLUMNS = ["beam_width", "beam_length", "repeat", "tokens", "steps",
+CSV_COLUMNS = ["beam_width", "beam_length", "tokens", "steps",
                "tokens_per_step", "compression_mean", "compression_p99",
                "wall_ms_spec", "wall_ms_ar", "speedup", "equivalence_ok"]
 REPORT_KEYS = ["base", "beam_width", "beam_length", "seed", "tokens_generated", "steps",
@@ -75,13 +76,20 @@ def parse_ints(words, flag):
         raise ConfigError(f"{flag} takes integers: {exc}") from None
 
 
-def check_out_dirs(args, *flags):
-    """A usage error for an output flag whose directory does not exist,
-    raised before the command does any work."""
+def check_out_dirs(args, *flags, prefix=False):
+    """A usage error for an output flag that names nothing the command could
+    write, raised before the command does any work: a missing directory, an
+    empty file name, or an existing directory. A weight ``prefix`` may name a
+    directory, since the writer adds ``.manifest`` and ``.bin`` to it."""
     for flag in flags:
         path = getattr(args, flag[2:].replace("-", "_"))
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ConfigError(f"{flag} {path}: no directory {os.path.dirname(path)!r}")
+        if not path:
+            continue
+        directory, name = os.path.split(path)
+        if not os.path.isdir(directory or "."):
+            raise ConfigError(f"{flag} {path}: no directory {directory!r}")
+        if not name or (not prefix and os.path.isdir(path)):
+            raise ConfigError(f"{flag} {path}: names a directory, not a file")
 
 
 def first_divergence(spec_tokens, greedy_tokens):
@@ -93,10 +101,9 @@ def first_divergence(spec_tokens, greedy_tokens):
                 min(len(spec_tokens), len(greedy_tokens)))
 
 
-def sweep(base, params, prompts, widths, lengths, max_new_tokens, repeats=1, stop_token=None):
-    """Decode every prompt speculatively at each beam width x length,
-    ``repeats`` times, against one timed greedy pass, and return one summary
-    row per shape and repeat.
+def sweep(base, params, prompts, widths, lengths, max_new_tokens, stop_token=None):
+    """Decode every prompt speculatively at each beam width x length against
+    one timed greedy pass, and return one summary row per shape.
 
     Each row holds the ``CSV_COLUMNS``, the tree nodes per step
     (``packed_nodes_mean``), the steps by accepted draft tokens
@@ -112,8 +119,6 @@ def sweep(base, params, prompts, widths, lengths, max_new_tokens, repeats=1, sto
         raise ConfigError("empty sweep list: --widths and --lengths need a value each")
     if not prompts:
         raise ConfigError("no prompts to decode: --n-prompts must be >= 1")
-    if repeats < 1:
-        raise ConfigError(f"--repeats must be >= 1, got {repeats}")
     proposer = decode.RnnProposer(params, base.token_embeddings)
     widest = max(cfg.beam_width for cfg in cfgs)
     if widest > params.vocab_size:
@@ -129,44 +134,32 @@ def sweep(base, params, prompts, widths, lengths, max_new_tokens, repeats=1, sto
     rows = []
     for cfg in cfgs:
         decode.speculative_generate(base, proposer, prompts[0], cfg)  # warm-up
-        for rep in range(repeats):
-            t0 = time.perf_counter()
-            runs = [decode.speculative_generate(base, proposer, p, cfg) for p in prompts]
-            wall_ms_spec = (time.perf_counter() - t0) * 1e3
-            streams = [toks for toks, _ in runs]
-            reports = [r for _, reps in runs for r in reps]
-            ratios = [r.compression_ratio for r in reports]
-            tokens = sum(len(toks) for toks in streams)
-            divergences = [(i, pos) for i, (toks, ref) in enumerate(zip(streams, greedy))
-                           if (pos := first_divergence(toks, ref)) is not None]
-            rows.append({
-                "beam_width": cfg.beam_width, "beam_length": cfg.beam_length, "repeat": rep,
-                "tokens": tokens, "steps": len(reports),
-                "tokens_per_step": tokens / max(1, len(reports)),
-                "compression_mean": float(np.mean(ratios)),
-                "compression_p99": float(np.percentile(ratios, 99)),
-                "wall_ms_spec": wall_ms_spec,
-                "wall_ms_ar": wall_ms_ar,
-                "speedup": wall_ms_ar / max(1e-9, wall_ms_spec),
-                "equivalence_ok": not divergences,
-                "packed_nodes_mean": float(np.mean([r.packed_size for r in reports])),
-                "accepted_len_hist": np.bincount([r.accepted_draft_tokens for r in reports],
-                                                 minlength=cfg.beam_length + 1).tolist(),
-                "streams": streams,
-                "divergences": divergences,
-            })
+        t0 = time.perf_counter()
+        runs = [decode.speculative_generate(base, proposer, p, cfg) for p in prompts]
+        wall_ms_spec = (time.perf_counter() - t0) * 1e3
+        streams = [toks for toks, _ in runs]
+        reports = [r for _, reps in runs for r in reps]
+        ratios = [r.compression_ratio for r in reports]
+        tokens = sum(len(toks) for toks in streams)
+        divergences = [(i, pos) for i, (toks, ref) in enumerate(zip(streams, greedy))
+                       if (pos := first_divergence(toks, ref)) is not None]
+        rows.append({
+            "beam_width": cfg.beam_width, "beam_length": cfg.beam_length,
+            "tokens": tokens, "steps": len(reports),
+            "tokens_per_step": tokens / max(1, len(reports)),
+            "compression_mean": float(np.mean(ratios)),
+            "compression_p99": float(np.percentile(ratios, 99)),
+            "wall_ms_spec": wall_ms_spec,
+            "wall_ms_ar": wall_ms_ar,
+            "speedup": wall_ms_ar / max(1e-9, wall_ms_spec),
+            "equivalence_ok": not divergences,
+            "packed_nodes_mean": float(np.mean([r.packed_size for r in reports])),
+            "accepted_len_hist": np.bincount([r.accepted_draft_tokens for r in reports],
+                                             minlength=cfg.beam_length + 1).tolist(),
+            "streams": streams,
+            "divergences": divergences,
+        })
     return rows
-
-
-def grid_sweep(args, repeats=1):
-    """``bench``'s and ``verify-equivalence``'s sweep: ``--n-prompts`` random
-    prompts over the ``--widths`` x ``--lengths`` grid."""
-    base = build_base(args)
-    return sweep(base, build_drafter(args, base),
-                 random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
-                 parse_ints(args.widths.split(","), "--widths"),
-                 parse_ints(args.lengths.split(","), "--lengths"), args.max_new_tokens,
-                 repeats=repeats)
 
 
 # ---------------------------------------------------------------------------
@@ -188,22 +181,18 @@ def cmd_generate(args):
     return 0 if row["equivalence_ok"] else 1
 
 
-def cmd_bench(args):
-    check_out_dirs(args, "--csv")
-    rows = grid_sweep(args, repeats=args.repeats)
-    out = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else sys.stdout
-    try:
-        writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.csv:
-            out.close()
-    return 0 if all(row["equivalence_ok"] for row in rows) else 1
-
-
 def cmd_verify_equivalence(args):
-    rows = grid_sweep(args)
+    check_out_dirs(args, "--csv")
+    base = build_base(args)
+    rows = sweep(base, build_drafter(args, base),
+                 random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
+                 parse_ints(args.widths.split(","), "--widths"),
+                 parse_ints(args.lengths.split(","), "--lengths"), args.max_new_tokens)
+    if args.csv:
+        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
     total = sum(len(row["streams"]) for row in rows)
     failures = [(row, *div) for row in rows for div in row["divergences"]]
     print(f"equivalence: {total - len(failures)}/{total} passed")
@@ -216,7 +205,8 @@ def cmd_verify_equivalence(args):
 
 
 def cmd_train_drafter(args):
-    check_out_dirs(args, "--out", "--loss-csv")
+    check_out_dirs(args, "--out", prefix=True)
+    check_out_dirs(args, "--loss-csv")
     # the settings are checked before the file is read; the horizon is the file's
     cfg = distill.TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs,
                               batch_size=args.batch_size, seed=args.seed)
@@ -253,7 +243,7 @@ def cmd_distill_data(args):
 
 
 def cmd_init_base(args):
-    check_out_dirs(args, "--out")
+    check_out_dirs(args, "--out", prefix=True)
     base = TinyTransformer.random(TRANSFORMER_CONFIG, seed=args.seed)
     weights.save_base_model(base, args.out)
     print(f"wrote seeded base model to {args.out}.manifest/.bin")
@@ -267,15 +257,6 @@ def _add_model_flags(p):
     p.add_argument("--base-weights", help="manifest/blob prefix for transformer weights")
     p.add_argument("--markov-vocab", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
-
-
-def _add_grid_flags(p, n_prompts, max_new_tokens):
-    p.add_argument("--widths", default="1,2,4,8")
-    p.add_argument("--lengths", default="2,4,5")
-    p.add_argument("--n-prompts", type=int, default=n_prompts)
-    p.add_argument("--prompt-len", type=int, default=16)
-    p.add_argument("--max-new-tokens", type=int, default=max_new_tokens)
-    p.add_argument("--drafter-weights", help="manifest/blob prefix for drafter weights")
 
 
 def make_parser():
@@ -296,17 +277,16 @@ def make_parser():
     p.add_argument("--drafter-weights", help="manifest/blob prefix for drafter weights")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("bench", help="sweep beam width x length, emit CSV")
-    _add_model_flags(p)
-    _add_grid_flags(p, n_prompts=4, max_new_tokens=32)
-    p.add_argument("--repeats", type=int, default=1)
-    p.add_argument("--csv", help="output CSV path (default stdout)")
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser("verify-equivalence",
-                       help="check speculative output equals greedy baseline")
+                       help="check speculative output equals greedy over a beam grid")
     _add_model_flags(p)
-    _add_grid_flags(p, n_prompts=100, max_new_tokens=24)
+    p.add_argument("--widths", default="1,2,4,8")
+    p.add_argument("--lengths", default="2,4,5")
+    p.add_argument("--n-prompts", type=int, default=100)
+    p.add_argument("--prompt-len", type=int, default=16)
+    p.add_argument("--max-new-tokens", type=int, default=24)
+    p.add_argument("--drafter-weights", help="manifest/blob prefix for drafter weights")
+    p.add_argument("--csv", help="write a per-shape CSV of tokens/step, compression, speedup")
     p.set_defaults(func=cmd_verify_equivalence)
 
     p = sub.add_parser("train-drafter", help="train a draft head on a distill-data file")

@@ -82,11 +82,12 @@ def test_generate_prompt_file(tmp_path, capsys):
     assert len(capsys.readouterr().out.split()) == 5
 
 
-def test_bench_writes_csv_with_expected_columns(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert run(["bench", *MARKOV, "--widths", "1,2", "--lengths", "2,3",
+def test_verify_equivalence_writes_csv_with_expected_columns(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    assert run(["verify-equivalence", *MARKOV, "--widths", "1,2", "--lengths", "2,3",
                 "--n-prompts", "2", "--prompt-len", "4",
                 "--max-new-tokens", "10", "--csv", str(out)]) == 0
+    assert "equivalence: 8/8 passed" in capsys.readouterr().out
     rows = read_csv(str(out))
     assert len(rows) == 4
     assert list(rows[0].keys()) == cli.CSV_COLUMNS
@@ -96,7 +97,9 @@ def test_bench_writes_csv_with_expected_columns(tmp_path):
 
 
 def test_bench_same_seed_reproduces_non_timing_columns(tmp_path):
-    argv = ["bench", *MARKOV, "--widths", "1,4", "--lengths", "2,5",
+    """The benchmark table (verify-equivalence --csv) repeats every
+    non-timing column under the same seed."""
+    argv = ["verify-equivalence", *MARKOV, "--widths", "1,4", "--lengths", "2,5",
             "--n-prompts", "2", "--prompt-len", "4", "--max-new-tokens", "12"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(argv + ["--csv", str(a)]) == 0
@@ -107,11 +110,6 @@ def test_bench_same_seed_reproduces_non_timing_columns(tmp_path):
            [{c: r[c] for c in stable} for r in rows_b]
 
 
-def test_bench_rejects_empty_sweep(tmp_path, capsys):
-    assert run(["bench", *MARKOV, "--widths", "", "--lengths", "2"]) == 2
-    assert "error" in capsys.readouterr().err
-
-
 def test_verify_equivalence_passes(capsys):
     assert run(["verify-equivalence", *MARKOV, "--n-prompts", "3",
                 "--prompt-len", "4", "--widths", "1,4", "--lengths", "2,5",
@@ -120,8 +118,9 @@ def test_verify_equivalence_passes(capsys):
     assert "12/12 passed" in out
 
 
-def test_verify_equivalence_corrupted_loop_fails(monkeypatch, capsys):
-    """A decode loop that drops each stream's first token is caught."""
+def test_verify_equivalence_corrupted_loop_fails(tmp_path, monkeypatch, capsys):
+    """A decode loop that drops each stream's first token is caught, and the
+    table is still written, with the diverging shape marked."""
     real = decode.speculative_generate
 
     def dropping(*args):
@@ -129,13 +128,16 @@ def test_verify_equivalence_corrupted_loop_fails(monkeypatch, capsys):
         return tokens[1:], reports
 
     monkeypatch.setattr(decode, "speculative_generate", dropping)
+    table = tmp_path / "grid.csv"
     assert run(["verify-equivalence", *MARKOV, "--n-prompts", "2",
                 "--prompt-len", "4", "--widths", "4", "--lengths", "5",
-                "--max-new-tokens", "8"]) == 1
+                "--max-new-tokens", "8", "--csv", str(table)]) == 1
     out = capsys.readouterr().out
     assert "equivalence: 0/2 passed" in out
     assert ("first divergence: base=markov beam_width=4 beam_length=5 prompt=0 seed=3 "
             "position=0") in out
+    row, = read_csv(str(table))
+    assert (row["beam_width"], row["beam_length"], row["equivalence_ok"]) == ("4", "5", "False")
 
 
 def test_verify_equivalence_zero_prompts_is_a_usage_error(capsys):
@@ -148,11 +150,9 @@ def test_verify_equivalence_zero_prompts_is_a_usage_error(capsys):
     (["verify-equivalence", "--lengths", ""], "empty sweep list"),
     (["verify-equivalence", "--n-prompts", "-1"],
      "no prompts to decode: --n-prompts must be >= 1"),
-    (["bench", "--n-prompts", "0"], "--n-prompts must be >= 1"),
-    (["bench", "--repeats", "0"], "--repeats must be >= 1, got 0"),
     (["verify-equivalence", "--widths", "2,64"], "beam_width 64 exceeds vocab size 16"),
-], ids=["verify-no-widths", "verify-no-lengths", "verify-negative-prompts", "bench-no-prompts",
-        "bench-no-repeats", "verify-wider-than-vocab"])
+], ids=["verify-no-widths", "verify-no-lengths", "verify-negative-prompts",
+        "verify-wider-than-vocab"])
 def test_sweep_that_decodes_nothing_is_a_usage_error(argv, message, monkeypatch, capsys):
     """Exit 2 before any decode, instead of a vacuous pass or a traceback,
     naming the bound the command accepts."""
@@ -166,7 +166,7 @@ def test_sweep_that_decodes_nothing_is_a_usage_error(argv, message, monkeypatch,
 
 
 @pytest.mark.parametrize("argv, flag, bad", [
-    (["bench", "--widths", "1,x"], "--widths", "x"),
+    (["verify-equivalence", "--widths", "1,x"], "--widths", "x"),
     (["verify-equivalence", "--lengths", "2,y"], "--lengths", "y"),
     (["generate", "--prompt", "1 b"], "--prompt", "b"),
     (["generate", "--prompt-file", "prompt.txt"], "--prompt-file", "3.5"),
@@ -207,7 +207,7 @@ def test_drafter_file_of_two_widths_is_a_usage_error(part, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("command", ["generate", "bench", "verify-equivalence"])
+@pytest.mark.parametrize("command", ["generate", "verify-equivalence"])
 @pytest.mark.parametrize("length", ["-1", "0"])
 def test_prompt_len_below_one_is_a_usage_error_naming_the_flag(command, length, capsys):
     assert run([command, *MARKOV, "--prompt-len", length, "--max-new-tokens", "2"]) == 2
@@ -218,7 +218,8 @@ def test_prompt_len_below_one_is_a_usage_error_naming_the_flag(command, length, 
 # the dataset file distill-data's line writes
 SMALL_RUNS = {
     "generate": ["--prompt", "1 2", "--max-new-tokens", "2"],
-    "bench": ["--widths", "1", "--lengths", "1", "--n-prompts", "1", "--max-new-tokens", "2"],
+    "verify-equivalence": ["--widths", "1", "--lengths", "1", "--n-prompts", "1",
+                           "--max-new-tokens", "2"],
     "train-drafter": ["--dataset", "data.txt", "--epochs", "1", "--out", "drafter"],
     "distill-data": ["--corpus-size", "2", "--corpus-len", "4", "--horizon", "1",
                      "--out", "data.txt"],
@@ -237,17 +238,17 @@ def test_drafter_weights_is_offered_only_by_decoding_commands(command, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["verify-equivalence", *SMALL_RUNS])
+@pytest.mark.parametrize("command", SMALL_RUNS)
 def test_base_weights_with_the_markov_base_is_a_usage_error(command, tmp_path, monkeypatch,
                                                               capsys):
     monkeypatch.chdir(tmp_path)
     assert run([command, *MARKOV, "--base-weights", "/nonexistent/prefix",
-                *SMALL_RUNS.get(command, [])]) == 2
+                *SMALL_RUNS[command]]) == 2
     assert "error: --base-weights" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["verify-equivalence", "init-base", *SMALL_RUNS])
+@pytest.mark.parametrize("command", ["init-base", *SMALL_RUNS])
 def test_negative_seed_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
     """numpy's generators take no negative seed: the CLI refuses one before
     any work, with exit 2."""
@@ -259,35 +260,54 @@ def test_negative_seed_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-# each output flag, last, pointed into a missing directory
-MISSING_DIR_OUTPUTS = {
+# each output flag, last, pointed into a missing directory, at a directory
+# (adir, which the test makes) where a file belongs, or at a weight prefix
+# with no file name
+UNWRITABLE_OUTPUTS = {
     "generate-report": ["generate", "--prompt", "1 2", "--max-new-tokens", "2",
                         "--report", "missing/report.json"],
-    "bench-csv": ["bench", *SMALL_RUNS["bench"], "--csv", "missing/bench.csv"],
+    "verify-equivalence-csv": ["verify-equivalence", *SMALL_RUNS["verify-equivalence"],
+                               "--csv", "missing/grid.csv"],
     "train-drafter-out": ["train-drafter", *SMALL_RUNS["train-drafter"][:-2],
                           "--out", "missing/drafter"],
     "train-drafter-loss-csv": ["train-drafter", *SMALL_RUNS["train-drafter"],
                                "--loss-csv", "missing/loss.csv"],
     "distill-data-out": ["distill-data", *SMALL_RUNS["distill-data"][:-2],
                          "--out", "missing/data.txt"],
+    "generate-report-dir": ["generate", "--prompt", "1 2", "--max-new-tokens", "2",
+                            "--report", "adir"],
+    "verify-equivalence-csv-dir": ["verify-equivalence", *SMALL_RUNS["verify-equivalence"],
+                                   "--csv", "adir"],
+    "train-drafter-loss-csv-dir": ["train-drafter", *SMALL_RUNS["train-drafter"],
+                                   "--loss-csv", "adir"],
+    "distill-data-out-dir": ["distill-data", *SMALL_RUNS["distill-data"][:-2], "--out", "adir"],
+    "train-drafter-out-no-name": ["train-drafter", *SMALL_RUNS["train-drafter"][:-2],
+                                  "--out", "adir/"],
+    "init-base-out-no-name": ["init-base", "--out", "adir/"],
 }
 
 
-@pytest.mark.parametrize("argv", MISSING_DIR_OUTPUTS.values(), ids=MISSING_DIR_OUTPUTS)
+@pytest.mark.parametrize("argv", UNWRITABLE_OUTPUTS.values(), ids=UNWRITABLE_OUTPUTS)
 def test_output_into_a_missing_directory_is_refused_before_any_work(argv, tmp_path,
                                                                     monkeypatch, capsys):
-    """No decode, dataset build or training runs before the command finds
-    that it could not write its output: exit 2 naming the flag."""
+    """No decode, dataset build, training or weight write runs before the
+    command finds that it could not write its output: exit 2 naming the flag."""
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
     calls = []
     for module, name in ((decode, "speculative_generate"), (decode, "autoregressive_generate"),
                          (distill, "build_distill_dataset"), (distill, "ground_truth_dataset"),
-                         (distill, "train_drafter")):
+                         (distill, "train_drafter"), (weights, "save_base_model"),
+                         (weights, "save_drafter")):
         monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
-    assert run([argv[0], *MARKOV, *argv[1:]]) == 2
-    assert f"error: {argv[-2]} {argv[-1]}: no directory 'missing'" in capsys.readouterr().err
+    model = [] if argv[0] == "init-base" else MARKOV
+    assert run([argv[0], *model, *argv[1:]]) == 2
+    reason = ("no directory 'missing'" if argv[-1].startswith("missing/")
+              else "names a directory, not a file")
+    assert f"error: {argv[-2]} {argv[-1]}: {reason}" in capsys.readouterr().err
     assert calls == []
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [tmp_path / "adir"]
+    assert list((tmp_path / "adir").iterdir()) == []
 
 
 def test_verify_equivalence_loads_the_transformer_from_base_weights(tmp_path, capsys):
@@ -454,5 +474,5 @@ def test_readme_cli_lines_parse():
     lines = [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("redrafter ")]
     parser = cli.make_parser()
     commands = {parser.parse_args(argv).command for argv in lines}
-    assert commands == {"generate", "bench", "verify-equivalence", "train-drafter",
-                        "distill-data", "init-base"}
+    assert commands == {"generate", "verify-equivalence", "train-drafter", "distill-data",
+                        "init-base"}
