@@ -31,7 +31,7 @@ from .errors import (CapacityError, ConfigError, ContractError, ShapeError, Voca
                      check_tokens)
 
 
-@dataclass
+@dataclass(slots=True)
 class DecodeConfig:
     """One speculative decode's shape.
 
@@ -51,7 +51,7 @@ class DecodeConfig:
             raise ConfigError("beam_width, beam_length and max_new_tokens must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class StepReport:
     """What one decode step did.  ``llm_calls`` counts the base-model
     forwards the step made: 1, or 0 on a final step whose one wanted token is
@@ -64,12 +64,6 @@ class StepReport:
     packed_size: int
     compression_ratio: float
     llm_calls: int
-
-
-@dataclass
-class VerifyResult:
-    next_guaranteed_token: int
-    path: np.ndarray  # tree nodes to commit: the root, then the accepted drafts
 
 
 class RnnProposer:
@@ -122,7 +116,9 @@ class MirrorProposer:
 
 
 def verify_greedy(base_output, tree):
-    """Accept the deepest draft node whose whole path matches the verifier.
+    """Accept the deepest draft node whose whole path matches the verifier:
+    returns ``(next_guaranteed_token, path)``, where ``path`` holds the tree
+    nodes to commit: the root, then the accepted drafts.
 
     A draft node matches iff its token is the argmax of the logits at its
     parent, and stands iff every node of its mask row matches (the root, the
@@ -139,8 +135,7 @@ def verify_greedy(base_output, tree):
     matches[0] = True
     # root-depth nodes score 0, so with no accepted draft argmax picks the root
     node = int(np.argmax(tree.depths * np.logical_and.reduce(tree.mask <= matches, axis=1)))
-    return VerifyResult(next_guaranteed_token=int(node_argmax[node]),
-                        path=np.flatnonzero(tree.mask[node]))
+    return int(node_argmax[node]), np.flatnonzero(tree.mask[node])
 
 
 def _prefill(base, prompt, cfg):
@@ -204,11 +199,9 @@ def speculative_generate(base, proposer, prompt, cfg):
                 raise ContractError(f"a proposal's tree is {tree.depths.max()} deep, "
                                     f"deeper than the {length} asked for")
             base_out, spec_state = base.forward_packed(tree, cache)
-            result = verify_greedy(base_out, tree)
-            path = result.path
+            guaranteed, path = verify_greedy(base_out, tree)
             base.commit_accepted(cache, tree, spec_state, path)
             h = base_out.hidden[path[-1]]
-            guaranteed = result.next_guaranteed_token
             reports.append(StepReport(accepted_draft_tokens=path.size - 1, packed_size=tree.n,
                                       compression_ratio=cfg.beam_width * (length + 1) / tree.n,
                                       llm_calls=1))

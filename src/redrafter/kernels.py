@@ -198,12 +198,6 @@ else:
 _matmul_impl = _LANES[BACKEND]
 
 
-def get_lane(name):
-    """Return an explicit lane's matmul, so a lane other than the default one
-    can be called and tested directly; KeyError for a lane this process lacks."""
-    return _LANES[name]
-
-
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------

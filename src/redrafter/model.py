@@ -44,11 +44,11 @@ class BaseModelOutput:
 
 @dataclass
 class KvCache:
-    """Committed context: the token ids plus each layer's K/V buffer, whose
-    rows past ``committed_len`` are scratch (no layers without attention)."""
+    """Committed context: the token ids plus one K/V array, whose rows past
+    ``committed_len`` are scratch.  ``kv[layer, 0]`` is a layer's K and
+    ``kv[layer, 1]`` its V; a model without attention has zero layers."""
 
-    k: list = field(default_factory=list)  # per layer (>= max_seq_len, d_model) float32
-    v: list = field(default_factory=list)
+    kv: np.ndarray  # (n_layers, 2, >= max_seq_len, d_model) float32
     tokens: list = field(default_factory=list)
 
     @property
@@ -63,7 +63,7 @@ class BaseModel(ABC):
     masks, starts, paths and capacity.  A model only computes rows, through
     ``_context_rows`` and ``_tree_rows``, and writes each new row's K/V in
     place, row i of a forward at ``committed_len + i``; a model without
-    attention keeps a ``KvCache`` without layers.
+    attention keeps a ``KvCache`` of zero layers.
     """
 
     config: ModelConfig
@@ -103,14 +103,15 @@ class BaseModel(ABC):
         position after the committed context; node i's K/V go to the scratch
         row ``committed_len + i``.
 
-        Returns (BaseModelOutput, spec_state): each layer's K/V of the tree's
-        nodes for ``commit_accepted``, as views of the tail valid until the
-        next forward on the cache.  The first ``start`` nodes' K/V are the
-        ones the last forward on this cache left in its tail (a forward of
-        those nodes, or of a tree they lead); only nodes ``start`` on are
-        computed and output, bit for bit as in the full forward, since a node
-        depends only on the nodes of its root path, which precede it.  Some
-        node is computed: ``start`` must be in ``[0, n)``, so ``n >= 1``.
+        Returns (BaseModelOutput, spec_state): the K/V of the tree's n nodes
+        for ``commit_accepted``, as the one view of the cache's tail
+        ``kv[:, :, committed_len:committed_len + n]``, valid until the next
+        forward on the cache.  The first ``start`` nodes' K/V are the ones
+        the last forward on this cache left in its tail (a forward of those
+        nodes, or of a tree they lead); only nodes ``start`` on are computed
+        and output, bit for bit as in the full forward, since a node depends
+        only on the nodes of its root path, which precede it.  Some node is
+        computed: ``start`` must be in ``[0, n)``, so ``n >= 1``.
         """
         tokens = check_tokens(tree.tokens, self.config.vocab_size)
         n = tokens.shape[0]
@@ -122,17 +123,17 @@ class BaseModel(ABC):
         self._reserve_tail(cache, n)
         n_ctx = cache.committed_len
         out = self._tree_rows(tree, start, cache)
-        return out, [(k[n_ctx:n_ctx + n], v[n_ctx:n_ctx + n]) for k, v in zip(cache.k, cache.v)]
+        return out, cache.kv[:, :, n_ctx:n_ctx + n]
 
     def commit_accepted(self, cache, tree, spec_state, flat_path):
-        """Append an accepted path of tree nodes, root first, to the context."""
+        """Append an accepted path of tree nodes, root first, to the context:
+        ``spec_state``'s rows on the path move, in every layer's K and V at
+        once, to the rows just past the committed context."""
         flat_path = self._check_path(tree, flat_path)
         self._check_capacity(cache, flat_path.shape[0])
         n_ctx, n = cache.committed_len, flat_path.shape[0]
         # a fancy-index gather copies before it writes: overlapping moves are safe
-        for layer, (tree_k, tree_v) in enumerate(spec_state):
-            cache.k[layer][n_ctx:n_ctx + n] = tree_k[flat_path]
-            cache.v[layer][n_ctx:n_ctx + n] = tree_v[flat_path]
+        cache.kv[:, :, n_ctx:n_ctx + n] = spec_state[:, :, flat_path]
         cache.tokens.extend(tree.tokens[flat_path].tolist())
         return cache
 
@@ -151,10 +152,10 @@ class BaseModel(ABC):
 
     def _reserve_tail(self, cache, n):
         """Fit an n-node tail, though capacity asks only the deepest node to fit."""
-        for kv in (cache.k, cache.v):
-            for layer, buf in enumerate(kv):
-                if buf.shape[0] < cache.committed_len + n:  # later trees of <= n nodes fit too
-                    kv[layer] = np.pad(buf, ((0, self.config.max_seq_len + n - len(buf)), (0, 0)))
+        rows = cache.kv.shape[2]
+        if rows < cache.committed_len + n:  # later trees of <= n nodes fit too
+            extra = self.config.max_seq_len + n - rows
+            cache.kv = np.pad(cache.kv, ((0, 0), (0, 0), (0, extra), (0, 0)))
 
 
 def sinusoidal_positions(max_len, d_model):
@@ -272,23 +273,23 @@ class TinyTransformer(BaseModel):
 
     def new_cache(self):
         c = self.config
-        return KvCache(k=[np.zeros((c.max_seq_len, c.d_model), np.float32) for _ in range(c.n_layers)],
-                       v=[np.zeros((c.max_seq_len, c.d_model), np.float32) for _ in range(c.n_layers)])
+        return KvCache(np.zeros((c.n_layers, 2, c.max_seq_len, c.d_model), np.float32))
 
     def _forward(self, tokens, positions, cache, key_bias):
         """Shared body of the causal and tree-masked forwards.
 
         key_bias is (n_new, keys) additive float32; disallowed keys carry a
         large negative bias whose softmax weight is exactly 0.  Each layer
-        writes the new rows' K/V to its buffer rows ``keys - n_new .. keys``
-        and attends its first ``keys`` rows in place.
+        takes its K and V as views of the cache's array, writes the new rows'
+        K/V to rows ``keys - n_new .. keys`` and attends the first ``keys``
+        rows in place.
         """
         w = self.weights
         d = self.config.d_model
         n, end = tokens.shape[0], key_bias.shape[1]
         x = w["tok_emb"][tokens] + self._pos[positions]
         for (ln1_g, ln1_b, wqkv, wo, ln2_g, ln2_b, w1, b1, w2, b2), k, v in zip(
-                self._layers, cache.k, cache.v):
+                self._layers, cache.kv[:, 0], cache.kv[:, 1]):
             qkv = kernels.matmul(_layer_norm(x, ln1_g, ln1_b), wqkv)
             k[end - n:end] = qkv[:, d:2 * d]
             v[end - n:end] = qkv[:, 2 * d:]
@@ -353,7 +354,8 @@ class SyntheticMarkovModel(BaseModel):
         return self._tok_emb
 
     def new_cache(self):
-        return KvCache()
+        c = self.config
+        return KvCache(np.zeros((0, 2, c.max_seq_len, c.d_model), np.float32))
 
     def _context_rows(self, tokens, cache):
         # a row reads its token and, at order 2, the one before (0-padded)

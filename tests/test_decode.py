@@ -293,7 +293,7 @@ def test_duplicate_candidates_share_one_path(markov, monkeypatch):
     spec, reports = speculative_generate(markov, Duplicating(), prompt, cfg)
     assert spec == autoregressive_generate(markov, prompt, cfg)
     # the shared chain's nodes are numbered down from the root
-    assert [r.path.tolist() for r in results] == [list(range(r.path.size)) for r in results]
+    assert [path.tolist() for _, path in results] == [list(range(path.size)) for _, path in results]
     # the root plus one node per draft position, each shared by all 4 rows
     assert reports[0].packed_size == 4
     assert all(r.packed_size <= 4 for r in reports)
@@ -409,46 +409,46 @@ def build_verify_case(beam_tokens, verifier_next, vocab=8):
 def test_verify_accepts_matching_prefix_only():
     # single candidate [3, 4]: the base agrees on 3, then wants 6 over 4
     tree, out = build_verify_case([[3, 4]], verifier_next=[3, 6, 0])
-    result = verify_greedy(out, tree)
-    assert result.path.tolist() == [0, 1]
-    assert result.next_guaranteed_token == 6
+    token, path = verify_greedy(out, tree)
+    assert path.tolist() == [0, 1]
+    assert token == 6
 
 
 def test_verify_full_accept_returns_node_argmax():
     tree, out = build_verify_case([[3, 4]], verifier_next=[3, 4, 7])
-    result = verify_greedy(out, tree)
-    assert result.path.tolist() == [0, 1, 2]
-    assert result.next_guaranteed_token == 7
+    token, path = verify_greedy(out, tree)
+    assert path.tolist() == [0, 1, 2]
+    assert token == 7
 
 
 def test_verify_zero_accept_falls_back_to_guaranteed_argmax():
     tree, out = build_verify_case([[3, 4]], verifier_next=[5, 1, 1])
-    result = verify_greedy(out, tree)
-    assert result.path.tolist() == [0]
-    assert result.next_guaranteed_token == 5
+    token, path = verify_greedy(out, tree)
+    assert path.tolist() == [0]
+    assert token == 5
     # a tree that is the root alone accepts nothing and reads the root's argmax
     tree, out = build_verify_case([[]], verifier_next=[6])
-    result = verify_greedy(out, tree)
-    assert (tree.n, result.path.tolist(), result.next_guaranteed_token) == (1, [0], 6)
+    token, path = verify_greedy(out, tree)
+    assert (tree.n, path.tolist(), token) == (1, [0], 6)
 
 
 def test_verify_accepts_the_deepest_matching_node():
     # nodes: 0 root, 1 = 2, 2 = 2 -> 5, 3 = 2 -> 6; a shared prefix is one node
     tree, out = build_verify_case([[2, 5], [2, 6]], verifier_next=[2, 7, 0, 0])
-    result = verify_greedy(out, tree)
-    assert result.path.tolist() == [0, 1]
+    _, path = verify_greedy(out, tree)
+    assert path.tolist() == [0, 1]
     # the base wants 6 after 2: the second candidate's branch goes deeper
     tree, out = build_verify_case([[2, 5], [2, 6]], verifier_next=[2, 6, 0, 3])
-    result = verify_greedy(out, tree)
-    assert result.path.tolist() == [0, 1, 3]
-    assert result.next_guaranteed_token == 3
+    token, path = verify_greedy(out, tree)
+    assert path.tolist() == [0, 1, 3]
+    assert token == 3
     # a matching token below a mismatch is not accepted: node 3 (6 under 4)
     # matches its parent's argmax, but node 1 (4) does not match the root's
     tree = beam_mod.DraftTree.from_parents([1, 4, 2, 6], [beam_mod.ROOT_PARENT, 0, 0, 1])
     out = BaseModelOutput(logits=one_hot_logits([2, 6, 0, 0], 8),
                           hidden=np.zeros((4, 4), np.float32))
-    result = verify_greedy(out, tree)
-    assert (result.path.tolist(), result.next_guaranteed_token) == ([0, 2], 0)
+    token, path = verify_greedy(out, tree)
+    assert (path.tolist(), token) == ([0, 2], 0)
 
 
 def walk_verify(logits, tokens, parents):
@@ -489,11 +489,10 @@ def test_verify_matches_a_parents_walk_on_random_trees():
             tokens.append(int(rng.choice(tied) if rng.random() < 0.8 else rng.integers(vocab)))
         tree = beam_mod.DraftTree.from_parents(tokens, parents)
         out = BaseModelOutput(logits=logits, hidden=np.zeros((n, 4), np.float32))
-        result = verify_greedy(out, tree)
-        path, next_token = walk_verify(logits, tokens, parents)
-        assert result.path.dtype == np.int64
-        assert (result.path.tolist(), result.next_guaranteed_token) == (path, next_token), \
-            (trial, parents, tokens)
+        token, path = verify_greedy(out, tree)
+        want_path, want_token = walk_verify(logits, tokens, parents)
+        assert path.dtype == np.int64
+        assert (path.tolist(), token) == (want_path, want_token), (trial, parents, tokens)
         deepest = max(deepest, len(path) - 1)
     assert deepest >= 4
 

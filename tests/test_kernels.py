@@ -68,7 +68,7 @@ def sprinkle_signed_zeros(rng, x, frac=0.2):
 def test_matmul_matches_triple_loop_bitwise(lane):
     """Random, edge and multi-row shapes, plain and with signed-zero
     operands, including rows whose every product is -0.0."""
-    matmul = kernels.get_lane(lane)
+    matmul = kernels._LANES[lane]
     rng = np.random.default_rng(0)
     shapes = [tuple(rng.integers(1, 9, size=3)) for _ in range(5)] + EDGE_SHAPES
     cases = [(shape, False) for shape in shapes]
@@ -95,7 +95,7 @@ def test_blas_rows_equal_the_row_alone_bitwise():
     """Each row of a blas matmul has the bits of that row computed alone, for
     1-40 rows starting 0-19 rows into a block, K up to 1024, operands with
     signed zeros, a row of -0.0 among them, and rows with a stride."""
-    matmul = kernels.get_lane("blas")
+    matmul = kernels._LANES["blas"]
     rng = np.random.default_rng(6)
     for k, n in [(1, 3), (9, 1), (32, 96), (64, 32), (130, 7), (512, 32), (1024, 16)]:
         a = sprinkle_signed_zeros(rng, rng.normal(size=(59, k)).astype(np.float32))
@@ -116,7 +116,7 @@ def test_row_probe_refuses_a_row_dependent_matmul():
     shape at which a row changes with the rows beside it: at once for a
     result that depends on the row count, and only at K = 1024 and 40 rows
     for one that drifts there."""
-    exact = kernels.get_lane("numpy")
+    exact = kernels._LANES["numpy"]
     eps = np.float32(2.0 ** -20)
     assert kernels.row_dependence(exact) is None
     assert kernels.row_dependence(lambda a, b: exact(a, b) + a.shape[0] * eps) == (
@@ -196,7 +196,7 @@ def random_head(rng, n, n_keys, d):
 def test_row_softmax_rows_normalize(lane):
     """The reference softmax's rows sum to 1, and the attention
     probabilities are its bits."""
-    matmul = kernels.get_lane(lane)
+    matmul = kernels._LANES[lane]
     rng = np.random.default_rng(2)
     q, keys, scale = random_head(rng, 7, 11, 11)
     probs = lane_probs(q, keys, np.zeros((7, 11), np.float32), scale)
@@ -285,7 +285,7 @@ def test_attend_equals_composed_primitives(lane):
     accumulation order.  Each query
     row attended alone gives the same bits as in the batch.  Queries and
     values carry signed zeros, and each case has a value column of -0.0."""
-    matmul, attend = kernels.get_lane(lane), kernels.attend
+    matmul, attend = kernels._LANES[lane], kernels.attend
     rng = np.random.default_rng(5)
     for n, n_heads, dh, keys_or_tree in ATTEND_CASES:
         if isinstance(keys_or_tree, tuple):
@@ -333,7 +333,7 @@ def test_attend_shape_validation():
 
 def test_backend_selection_is_consistent():
     assert (kernels.matmul.__wrapped__ if hasattr(kernels.matmul, "__wrapped__")
-            else kernels._matmul_impl) is kernels.get_lane(kernels.BACKEND)
+            else kernels._matmul_impl) is kernels._LANES[kernels.BACKEND]
 
 
 def numpy_lane_violations(source):

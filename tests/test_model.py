@@ -70,22 +70,25 @@ def test_packed_forward_matches_causal_replay_per_path(tiny):
             assert np.max(np.abs(got - expect)) <= 1e-5
 
 
-def test_packed_forward_is_read_only(tiny):
+def test_packed_forward_is_read_only(tiny, markov):
     """A tree forward changes no committed token or K/V row, also when its
-    nodes outgrow the buffers; only the scratch rows past them may change."""
+    nodes outgrow the K/V array; only the scratch rows past them may change.
+    The array grows by rows only, the Markov base's zero-layer one too."""
     rng = np.random.default_rng(3)
     wide, _ = packed_from_tokens(np.arange(8)[:, None] + np.zeros((1, 3), np.int64))
-    for prompt_len in (5, SMALL.max_seq_len - 4):
-        prompt = rng.integers(0, SMALL.vocab_size, size=prompt_len).tolist()
-        cache = tiny.new_cache()
-        tiny.forward_context(prompt, cache)
-        before = cache_bits(cache)
-        packed, _ = packed_from_tokens(rng.integers(0, 4, size=(3, 3)))
-        tiny.forward_packed(packed, cache)
-        assert cache_bits(cache) == before
-        tiny.forward_packed(wide, cache)  # 25 nodes: the buffers grow near max_seq_len
-        assert cache_bits(cache) == before
-    assert all(buf.shape[0] >= SMALL.max_seq_len - 4 + wide.n for buf in cache.k + cache.v)
+    for base, layers in ((tiny, SMALL.n_layers), (markov, 0)):
+        for prompt_len in (5, SMALL.max_seq_len - 4):
+            prompt = rng.integers(0, SMALL.vocab_size, size=prompt_len).tolist()
+            cache = base.new_cache()
+            base.forward_context(prompt, cache)
+            before = cache_bits(cache)
+            packed, _ = packed_from_tokens(rng.integers(0, 4, size=(3, 3)))
+            base.forward_packed(packed, cache)
+            assert cache_bits(cache) == before
+            base.forward_packed(wide, cache)  # 25 nodes: the array grows near max_seq_len
+            assert cache_bits(cache) == before
+        assert cache.kv.shape[:2] == (layers, 2)
+        assert cache.kv.shape[2] >= SMALL.max_seq_len - 4 + wide.n
 
 
 def test_commit_then_forward_matches_fresh_recompute(tiny):
@@ -212,8 +215,7 @@ def test_forwards_equal_the_separate_projection_reference(n_heads):
         over the cache's first ``allowed.shape[1] - len(tokens)`` rows."""
         n_ctx = allowed.shape[1] - len(tokens)
         logits, hidden, ref_kv = reference_forward(
-            model, tokens, positions, [k[:n_ctx] for k in cache.k],
-            [v[:n_ctx] for v in cache.v], allowed)
+            model, tokens, positions, cache.kv[:, 0, :n_ctx], cache.kv[:, 1, :n_ctx], allowed)
         assert np.array_equal(bits(out.logits), bits(logits))
         assert np.array_equal(bits(out.hidden), bits(hidden))
         for (k, v), (ref_k, ref_v) in zip(kv, ref_kv, strict=True):
@@ -226,8 +228,7 @@ def test_forwards_equal_the_separate_projection_reference(n_heads):
         positions = n_ctx + np.arange(n)
         allowed = np.arange(n_ctx + n)[None, :] <= positions[:, None]
         out = model.forward_context(tokens, cache)
-        written = [(k[n_ctx:n_ctx + n], v[n_ctx:n_ctx + n]) for k, v in zip(cache.k, cache.v)]
-        check(out, written, np.array(tokens), positions, allowed)
+        check(out, cache.kv[:, :, n_ctx:n_ctx + n], np.array(tokens), positions, allowed)
 
     packed, paths = packed_from_tokens([[4, 5, 1], [4, 5, 2], [4, 6, 6], [3, 3, 3]])
     n_ctx = cache.committed_len
@@ -237,8 +238,8 @@ def test_forwards_equal_the_separate_projection_reference(n_heads):
     path = paths[1]
     model.commit_accepted(cache, packed, spec_state, path)
     for layer, (ref_k, ref_v) in enumerate(ref_kv):
-        assert np.array_equal(bits(cache.k[layer][n_ctx:n_ctx + 4]), bits(ref_k[path]))
-        assert np.array_equal(bits(cache.v[layer][n_ctx:n_ctx + 4]), bits(ref_v[path]))
+        assert np.array_equal(bits(cache.kv[layer, 0, n_ctx:n_ctx + 4]), bits(ref_k[path]))
+        assert np.array_equal(bits(cache.kv[layer, 1, n_ctx:n_ctx + 4]), bits(ref_v[path]))
 
 
 def test_layer_norm_mean_is_bitwise_the_float32_mean():
@@ -266,7 +267,7 @@ def test_capacity_overflow_raises(tiny, markov):
 
 def test_packed_capacity_is_set_by_the_deepest_node(tiny, markov):
     """A tree needs room for its depth, not for its node count.  With 4 or 5
-    rows left, 25 nodes outgrow the transformer's buffers, yet every node
+    rows left, 25 nodes outgrow the cache's K/V array, yet every node
     equals a causal replay of its path bit for bit, and so do the committed
     deepest path and a forward after it.  A tree deeper than the room raises."""
     wide, _ = packed_from_tokens(np.arange(8)[:, None] + np.zeros((1, 3), np.int64))
@@ -442,10 +443,10 @@ def test_beam_search_trees_match_causal_replay_bitwise(tiny, markov):
 
 
 def cache_bits(cache):
-    """The committed context by bit pattern: the tokens and each layer's K/V
+    """The committed context by bit pattern: the tokens and every layer's K/V
     rows ``[:committed_len]``.  Scratch rows past them are not part of it."""
     n = cache.committed_len
-    return [bits(a[:n]).tobytes() for a in cache.k + cache.v], list(cache.tokens), n
+    return bits(cache.kv[:, :, :n]).tobytes(), list(cache.tokens), n
 
 
 @pytest.mark.parametrize("name", ["transformer", "markov1", "markov2"])
@@ -464,7 +465,7 @@ def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
     before = cache_bits(cache)
     full, full_state = base.forward_packed(tree, cache)
     # spec_state views the tail, which the forwards below rewrite
-    full_state = [(k.copy(), v.copy()) for k, v in full_state]
+    full_state = full_state.copy()
     other, _ = packed_from_tokens(np.arange(4)[:, None] + np.full((1, 4), 8))  # 17 nodes
     n = tree.n
     for start in (0, n // 2, n - 1):
@@ -480,10 +481,7 @@ def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
             assert out.logits.shape[0] == out.hidden.shape[0] == n - start
             assert np.array_equal(bits(out.logits), bits(full.logits[start:])), where
             assert np.array_equal(bits(out.hidden), bits(full.hidden[start:])), where
-            assert len(full_state) == len(cache.k)  # no layers for the Markov base
-            for (k, v), (full_k, full_v) in zip(spec_state, full_state, strict=True):
-                assert np.array_equal(bits(k), bits(full_k)), where
-                assert np.array_equal(bits(v), bits(full_v)), where
+            assert np.array_equal(bits(spec_state), bits(full_state)), where
             assert cache_bits(cache) == before
 
 
@@ -626,7 +624,7 @@ def test_forwards_route_every_product_through_the_traced_kernels(tiny, monkeypat
 
 def test_forwards_attend_the_cache_buffers_in_place(tiny, monkeypatch):
     """Each layer's attention reads its keys and values straight from the
-    cache's buffers, with no copy of the committed rows: for a prompt, one
+    cache's K/V array, with no copy of the committed rows: for a prompt, one
     row, a tree and a tree from a start."""
     seen = []
     real = kernels.attend
@@ -638,8 +636,8 @@ def test_forwards_attend_the_cache_buffers_in_place(tiny, monkeypatch):
     def check():
         assert len(seen) == SMALL.n_layers
         for layer, (keys, vals) in enumerate(seen):
-            assert np.shares_memory(keys, cache.k[layer]), layer
-            assert np.shares_memory(vals, cache.v[layer]), layer
+            assert np.shares_memory(keys, cache.kv[layer, 0]), layer
+            assert np.shares_memory(vals, cache.kv[layer, 1]), layer
         seen.clear()
 
     tiny.forward_context([1, 9, 4, 4, 2], cache)
