@@ -355,6 +355,10 @@ def empirical_kl(base, params, probe_contexts, horizon):
     proposer's ``ShapeError``.  Returns an array of length ``horizon``: KL
     at recurrence step k averaged over the probe contexts.
     """
+    if horizon < 1:
+        raise ContractError(f"need horizon >= 1, got {horizon}")
+    if not len(probe_contexts):
+        raise ContractError("no probe contexts to measure the KL on")
     proposer = decode.RnnProposer(params, base.token_embeddings)
     d_s = params.d_s
     totals = np.zeros(horizon)
@@ -376,7 +380,7 @@ def empirical_kl(base, params, probe_contexts, horizon):
             totals[k] += float((p * (logp_base - logq)).sum())
             token = int(base_logits.argmax())
             x[:, :d_s] = drafter.step_batch(x[:, :d_s], proposer.token_term[[token]], params)
-    return totals / max(1, len(probe_contexts))
+    return totals / len(probe_contexts)
 
 
 def sample_markov_corpus(seed, n_sequences=500, seq_len=64, vocab_size=32):

@@ -28,12 +28,18 @@ class ModelConfig:
     max_seq_len: int
 
     def __post_init__(self):
-        # sinusoidal positions pair a sine and a cosine column, so d_model is even
-        if self.n_heads < 1 or self.d_model % self.n_heads or self.d_model % 2:
+        # sinusoidal positions pair a sine and a cosine column, so d_model is
+        # even, and at least one pair
+        if (self.n_heads < 1 or self.d_model < 2 or self.d_model % self.n_heads
+                or self.d_model % 2):
             raise ConfigError(f"need an even d_model split by n_heads >= 1, got d_model "
                               f"{self.d_model} and n_heads {self.n_heads}")
         if self.vocab_size < 2 or self.max_seq_len < 1:
             raise ConfigError("need vocab_size >= 2 and max_seq_len >= 1")
+        # a model without attention, as the Markov table, has zero layers
+        if self.n_layers < 0 or self.d_ff < 0:
+            raise ConfigError(f"need n_layers >= 0 and d_ff >= 0, got {self.n_layers} "
+                              f"and {self.d_ff}")
 
 
 @dataclass
@@ -46,7 +52,8 @@ class BaseModelOutput:
 class KvCache:
     """Committed context: the token ids plus one K/V array, whose rows past
     ``committed_len`` are scratch.  ``kv[layer, 0]`` is a layer's K and
-    ``kv[layer, 1]`` its V; a model without attention has zero layers."""
+    ``kv[layer, 1]`` its V; it has as many layers as the model's config says,
+    so a model without attention has zero."""
 
     kv: np.ndarray  # (n_layers, 2, >= max_seq_len, d_model) float32
     tokens: list = field(default_factory=list)
@@ -59,23 +66,19 @@ class KvCache:
 class BaseModel(ABC):
     """Next-token logits + last-layer hidden state, with explicit cache commits.
 
-    The three forwards are defined here, once, with every check on tokens,
-    masks, starts, paths and capacity.  A model only computes rows, through
-    ``_context_rows`` and ``_tree_rows``, and writes each new row's K/V in
-    place, row i of a forward at ``committed_len + i``; a model without
-    attention keeps a ``KvCache`` of zero layers.
+    The three forwards and the cache are defined here, once, with every check
+    on tokens, masks, starts, paths and capacity.  A model supplies only its
+    ``config``, its ``token_embeddings`` and its rows, through
+    ``_context_rows`` and ``_tree_rows``, which write each new row's K/V in
+    place, row i of a forward at ``committed_len + i``.
     """
 
     config: ModelConfig
+    token_embeddings: np.ndarray  # (vocab, d_model) table the draft head conditions on (frozen)
 
-    @property
-    @abstractmethod
-    def token_embeddings(self):
-        """(vocab, d_model) table the draft head conditions on (frozen)."""
-
-    @abstractmethod
     def new_cache(self):
-        ...
+        c = self.config
+        return KvCache(np.zeros((c.n_layers, 2, c.max_seq_len, c.d_model), np.float32))
 
     @abstractmethod
     def _context_rows(self, tokens, cache):
@@ -213,6 +216,7 @@ class TinyTransformer(BaseModel):
         self.config = config
         self.weights = weights
         self._validate_weights()
+        self.token_embeddings = weights["tok_emb"]
         self._pos = sinusoidal_positions(config.max_seq_len, config.d_model)
         self._scale = np.float32(1.0 / np.sqrt(config.d_model // config.n_heads))
         w = weights
@@ -266,14 +270,6 @@ class TinyTransformer(BaseModel):
                 std = 1.0 / np.sqrt(shape[0])
                 weights[name] = rng.normal(0.0, std, shape).astype(np.float32)
         return cls(config, weights)
-
-    @property
-    def token_embeddings(self):
-        return self.weights["tok_emb"]
-
-    def new_cache(self):
-        c = self.config
-        return KvCache(np.zeros((c.n_layers, 2, c.max_seq_len, c.d_model), np.float32))
 
     def _forward(self, tokens, positions, cache, key_bias):
         """Shared body of the causal and tree-masked forwards.
@@ -335,8 +331,8 @@ class SyntheticMarkovModel(BaseModel):
             raise ConfigError("synthetic model supports vocab_size <= 256")
         self.order = order
         d_model = 32
-        self.config = ModelConfig(vocab_size=vocab_size, d_model=d_model, n_layers=1,
-                                  n_heads=1, d_ff=1, max_seq_len=max_seq_len)
+        self.config = ModelConfig(vocab_size=vocab_size, d_model=d_model, n_layers=0,
+                                  n_heads=1, d_ff=0, max_seq_len=max_seq_len)
         rng = np.random.default_rng(seed)
         n_states = vocab_size ** order
         table = rng.normal(0.0, 2.0, (n_states, vocab_size)).astype(np.float32)
@@ -347,15 +343,7 @@ class SyntheticMarkovModel(BaseModel):
         # distributions learnable by a low-entropy draft head
         self.table = table * np.float32(5.0)
         self.state_emb = rng.normal(0.0, 1.0, (vocab_size, d_model // order)).astype(np.float32)
-        self._tok_emb = rng.normal(0.0, 1.0, (vocab_size, d_model)).astype(np.float32)
-
-    @property
-    def token_embeddings(self):
-        return self._tok_emb
-
-    def new_cache(self):
-        c = self.config
-        return KvCache(np.zeros((0, 2, c.max_seq_len, c.d_model), np.float32))
+        self.token_embeddings = rng.normal(0.0, 1.0, (vocab_size, d_model)).astype(np.float32)
 
     def _context_rows(self, tokens, cache):
         # a row reads its token and, at order 2, the one before (0-padded)

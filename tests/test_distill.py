@@ -470,6 +470,11 @@ def test_kl_is_nonnegative_and_per_step(base):
     assert empirical_kl(base, init, probes, horizon=1).shape == (1,)
     with pytest.raises(ContractError):  # no token before the guaranteed one
         empirical_kl(base, init, [[3]], horizon=1)
+    for horizon in (0, -1):  # no step to measure
+        with pytest.raises(ContractError, match=f"need horizon >= 1, got {horizon}"):
+            empirical_kl(base, init, probes, horizon=horizon)
+    with pytest.raises(ContractError, match="no probe contexts"):  # a KL of nothing measured
+        empirical_kl(base, init, [], horizon=1)
     for bad in (base.config.vocab_size, -1):  # a recurrence root outside the vocab
         with pytest.raises(VocabError):
             empirical_kl(base, init, [[3, bad]], horizon=1)

@@ -317,10 +317,16 @@ def test_config_validation():
         ModelConfig(vocab_size=0, d_model=8, n_layers=1, n_heads=1, d_ff=8, max_seq_len=8)
     with pytest.raises(ConfigError):
         ModelConfig(vocab_size=8, d_model=9, n_layers=1, n_heads=2, d_ff=8, max_seq_len=8)
-    # no heads to split d_model into, and an odd width sinusoidal positions cannot pair
-    for d_model, n_heads in ((8, 0), (5, 1)):
+    # no heads to split d_model into, an odd width sinusoidal positions cannot
+    # pair, and no width at all
+    for d_model, n_heads in ((8, 0), (5, 1), (0, 1)):
         with pytest.raises(ConfigError, match="need an even d_model split by n_heads >= 1"):
             ModelConfig(vocab_size=8, d_model=d_model, n_layers=1, n_heads=n_heads, d_ff=8,
+                        max_seq_len=8)
+    # negative counts; zero ones are the Markov table's, a model without attention
+    for n_layers, d_ff in ((-1, 8), (1, -1)):
+        with pytest.raises(ConfigError, match="need n_layers >= 0 and d_ff >= 0"):
+            ModelConfig(vocab_size=8, d_model=8, n_layers=n_layers, n_heads=1, d_ff=d_ff,
                         max_seq_len=8)
 
 
@@ -572,15 +578,19 @@ def test_commit_path_check_is_the_parent_chain_rule(markov):
 
 
 def test_models_inherit_the_one_forward_and_commit_contract(tiny, markov):
-    """The forwards and the commit, with their checks and cache writes, live
-    on BaseModel only; a model supplies rows, and the committed length is
-    the committed tokens' count, not a second field to keep in step."""
+    """The forwards, the commit and the cache, with their checks and cache
+    writes, live on BaseModel only; a model supplies its config, its token
+    embeddings and its rows, the cache has the layers its config states, and
+    the committed length is the committed tokens' count, not a second field
+    to keep in step."""
     for cls in (TinyTransformer, SyntheticMarkovModel):
-        own = {"forward_context", "forward_packed", "commit_accepted"} & set(vars(cls))
+        own = {"forward_context", "forward_packed", "commit_accepted", "new_cache",
+               "token_embeddings"} & set(vars(cls))
         assert not own, (cls.__name__, own)
     for base in (tiny, markov):
         cache = base.new_cache()
         assert type(cache) is KvCache
+        assert cache.kv.shape[0] == base.config.n_layers  # the config states the cache
         base.forward_context([1, 2], cache)
         with pytest.raises(AttributeError):
             cache.committed_len = 5

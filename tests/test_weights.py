@@ -147,19 +147,22 @@ def test_malformed_manifest_line_is_a_format_error(kind, line, edited, message, 
 
 
 def test_base_manifest_of_a_shape_no_model_has_is_a_config_error(tmp_path, capsys):
-    """A header edited to no attention heads is ModelConfig's ConfigError,
-    which the CLI reports with exit 2, not an untyped ZeroDivisionError."""
-    prefix = str(tmp_path / "base")
-    weights.save_base_model(TinyTransformer.random(CONFIG, seed=14), prefix)
-    manifest = tmp_path / "base.manifest"
-    text, n = re.subn(r"^# n_heads 2$", "# n_heads 0", manifest.read_text(), flags=re.M)
-    assert n == 1
-    manifest.write_text(text)
-    with pytest.raises(ConfigError, match="d_model 8 and n_heads 0"):
-        weights.load_base_model(prefix)
-    assert cli.main(["generate", "--base-weights", prefix, "--prompt", "1 2",
-                     "--max-new-tokens", "2"]) == 2
-    assert "d_model 8 and n_heads 0" in capsys.readouterr().err
+    """A header edited to no attention heads, or to no width, is ModelConfig's
+    ConfigError, which the CLI reports with exit 2, not an untyped
+    ZeroDivisionError or a model whose logits are all zero."""
+    for line, edited, message in (("n_heads 2", "n_heads 0", "d_model 8 and n_heads 0"),
+                                  ("d_model 8", "d_model 0", "d_model 0 and n_heads 2")):
+        prefix = str(tmp_path / "base")
+        weights.save_base_model(TinyTransformer.random(CONFIG, seed=14), prefix)
+        manifest = tmp_path / "base.manifest"
+        text, n = re.subn(f"^# {line}$", f"# {edited}", manifest.read_text(), flags=re.M)
+        assert n == 1
+        manifest.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            weights.load_base_model(prefix)
+        assert cli.main(["generate", "--base-weights", prefix, "--prompt", "1 2",
+                         "--max-new-tokens", "2"]) == 2
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, line, edited, field", [
