@@ -56,6 +56,9 @@ class DraftTree:
         every other node's parent precedes it."""
         tokens = np.asarray(tokens, dtype=np.int64)
         parents = np.asarray(parents, dtype=np.int64)
+        if tokens.ndim != 1 or parents.shape != tokens.shape:
+            raise ContractError(f"tokens {tokens.shape} and parents {parents.shape} must be "
+                                "1-D and of one length")
         n = parents.shape[0]
         nodes = np.arange(n)
         rest = parents[1:]

@@ -21,6 +21,7 @@ construction, the argmax the base model would have produced at that position,
 and the step always ends with the base model's own next token.
 """
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,6 +48,13 @@ class DecodeConfig:
     stop_token: Optional[int] = None
 
     def __post_init__(self):
+        try:  # numpy ints pass; a float or a string does not
+            for value in (self.beam_width, self.beam_length, self.max_new_tokens,
+                          0 if self.stop_token is None else self.stop_token):
+                operator.index(value)
+        except TypeError:
+            raise ConfigError(f"beam_width, beam_length, max_new_tokens and stop_token must be "
+                              f"integers, got {self}") from None
         if self.beam_width < 1 or self.beam_length < 1 or self.max_new_tokens < 1:
             raise ConfigError("beam_width, beam_length and max_new_tokens must be >= 1")
 

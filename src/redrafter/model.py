@@ -316,25 +316,24 @@ class TinyTransformer(BaseModel):
 
 
 class SyntheticMarkovModel(BaseModel):
-    """Seeded lookup-table model over the last ``order`` tokens.
+    """Seeded order-2 lookup-table model; ``order`` must be 2.
 
-    Next-token logits come from a fixed random table whose top-1 margin is
-    boosted above 0.5, so greedy argmax is far from any float tie.  The
-    "hidden state" is the concatenation of fixed embeddings of the last
-    ``order`` tokens, 32 wide.  Early positions pad history with token 0.
+    A row's state is its token and the one before (0-padded), at index
+    ``prev * vocab_size + token``.  Its logits are that row of ``table``, a
+    fixed random table whose top-1 margin is boosted above 0.5, so greedy
+    argmax is far from any float tie.  Its "hidden state" is that row of
+    ``hidden_table``: the 16-wide ``state_emb`` of prev and of token, side by side.
     """
 
     def __init__(self, order, vocab_size, seed, max_seq_len=4096):
-        if order not in (1, 2):
-            raise ConfigError(f"unsupported markov order {order}")
+        if order != 2:
+            raise ConfigError(f"unsupported markov order {order}: the model is order 2")
         if vocab_size > 256:
             raise ConfigError("synthetic model supports vocab_size <= 256")
-        self.order = order
-        d_model = 32
-        self.config = ModelConfig(vocab_size=vocab_size, d_model=d_model, n_layers=0,
+        self.config = ModelConfig(vocab_size=vocab_size, d_model=32, n_layers=0,
                                   n_heads=1, d_ff=0, max_seq_len=max_seq_len)
         rng = np.random.default_rng(seed)
-        n_states = vocab_size ** order
+        n_states = vocab_size * vocab_size
         table = rng.normal(0.0, 2.0, (n_states, vocab_size)).astype(np.float32)
         best = np.argmax(table, axis=1)
         table[np.arange(n_states), best] = table.max(axis=1) + np.float32(0.75)
@@ -342,16 +341,20 @@ class SyntheticMarkovModel(BaseModel):
         # chains) while concentrating the softmax, keeping next-token
         # distributions learnable by a low-entropy draft head
         self.table = table * np.float32(5.0)
-        self.state_emb = rng.normal(0.0, 1.0, (vocab_size, d_model // order)).astype(np.float32)
-        self.token_embeddings = rng.normal(0.0, 1.0, (vocab_size, d_model)).astype(np.float32)
+        self.state_emb = rng.normal(0.0, 1.0, (vocab_size, 16)).astype(np.float32)
+        self.token_embeddings = rng.normal(0.0, 1.0, (vocab_size, 32)).astype(np.float32)
+        self.hidden_table = np.concatenate([np.repeat(self.state_emb, vocab_size, axis=0),
+                                            np.tile(self.state_emb, (vocab_size, 1))], axis=1)
 
     def _context_rows(self, tokens, cache):
-        # a row reads its token and, at order 2, the one before (0-padded)
+        # a per-token loop is the fastest form for the common 1-row forward
+        v = self.config.vocab_size
         prev = cache.tokens[-1] if cache.tokens else 0
         logits, hidden = [], []
         for t in tokens.tolist():
-            logits.append(self.table[t if self.order == 1 else prev * self.config.vocab_size + t])
-            hidden.append(np.concatenate([self.state_emb[x] for x in (prev, t)[2 - self.order:]]))
+            state = prev * v + t
+            logits.append(self.table[state])
+            hidden.append(self.hidden_table[state])
             prev = t
         return BaseModelOutput(logits=np.asarray(logits, np.float32),
                                hidden=np.asarray(hidden, np.float32))
@@ -362,8 +365,5 @@ class SyntheticMarkovModel(BaseModel):
         parents = tree.parents[start:]
         last = cache.tokens[-1] if cache.tokens else 0
         prev = np.where(parents == ROOT_PARENT, last, tree.tokens[parents])
-        new = tree.tokens[start:]
-        idx = new if self.order == 1 else prev * self.config.vocab_size + new
-        history = (prev, new)[2 - self.order:]
-        return BaseModelOutput(logits=self.table[idx], hidden=np.concatenate(
-            [self.state_emb[t] for t in history], axis=1))
+        state = prev * self.config.vocab_size + tree.tokens[start:]
+        return BaseModelOutput(logits=self.table[state], hidden=self.hidden_table[state])

@@ -393,6 +393,11 @@ def test_tree_constructor_rejects_cycles_and_builds_chains():
     for parents in ([ROOT_PARENT, 2, 1], [ROOT_PARENT, ROOT_PARENT, 0], [ROOT_PARENT, 2, 0]):
         with pytest.raises(ContractError):
             DraftTree.from_parents([1, 2, 3], parents)
+    # tokens and parents of different lengths or ranks
+    for tokens, parents in (([1, 2, 3], [ROOT_PARENT, 0]), ([1, 2], [ROOT_PARENT, 0, 1]),
+                            ([[1, 2]], [[ROOT_PARENT, 0]]), (1, ROOT_PARENT)):
+        with pytest.raises(ContractError, match="1-D and of one length"):
+            DraftTree.from_parents(tokens, parents)
     chain = chain_tree(4, [5, 6])
     assert chain.parents.tolist() == [ROOT_PARENT, 0, 1]
     assert chain.depths.tolist() == [0, 1, 2]

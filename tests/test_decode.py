@@ -383,6 +383,23 @@ def test_decode_config_validation():
         DecodeConfig(beam_width=0, beam_length=1, max_new_tokens=1)
     with pytest.raises(ConfigError):
         DecodeConfig(beam_width=1, beam_length=1, max_new_tokens=0)
+    # numpy integers are integers
+    cfg = DecodeConfig(np.int64(2), np.int32(2), np.int64(4), stop_token=np.int64(1))
+    assert (cfg.beam_width, cfg.max_new_tokens, cfg.stop_token) == (2, 4, 1)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(beam_width=2, beam_length=2, max_new_tokens=3.5),
+    dict(beam_width=2.5, beam_length=2, max_new_tokens=4),
+    dict(beam_width=2, beam_length=2.0, max_new_tokens=4),
+    dict(beam_width=2, beam_length=2, max_new_tokens="4"),
+    dict(beam_width=2, beam_length=2, max_new_tokens=4, stop_token=1.5),
+], ids=["max_new_tokens", "beam_width", "beam_length", "string", "stop_token"])
+def test_decode_config_rejects_non_integer_fields(fields):
+    """A fractional count would reach numpy as a TypeError, or let greedy run
+    a token past it; a fractional stop token would never stop a decode."""
+    with pytest.raises(ConfigError, match="must be integers"):
+        DecodeConfig(**fields)
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,6 @@ WINDOW_BASES = {
     "transformer": lambda: TinyTransformer.random(
         ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=2, d_ff=32,
                     max_seq_len=WINDOW), seed=5),
-    "markov1": lambda: SyntheticMarkovModel(order=1, vocab_size=16, seed=6,
-                                            max_seq_len=WINDOW),
     "markov2": lambda: SyntheticMarkovModel(order=2, vocab_size=16, seed=7,
                                             max_seq_len=WINDOW),
 }

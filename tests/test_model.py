@@ -374,41 +374,41 @@ def test_markov_greedy_chain_is_eventually_periodic():
 
 
 def test_markov_hidden_is_concatenated_embeddings():
+    """Every (prev, token) state reads row ``prev * vocab + token`` of the
+    logit table, and its hidden state is prev's embedding, then token's; a
+    first position pads prev with token 0."""
     model = SyntheticMarkovModel(order=2, vocab_size=8, seed=9)
-    cache = model.new_cache()
-    out = model.forward_context([3, 6], cache)
-    expect = np.concatenate([model.state_emb[3], model.state_emb[6]])
-    assert np.array_equal(out.hidden[-1], expect)
-    # first position pads history with token 0
-    cache2 = model.new_cache()
-    first = model.forward_context([3], cache2)
-    pad = np.concatenate([model.state_emb[0], model.state_emb[3]])
-    assert np.array_equal(first.hidden[-1], pad)
+    cases = ([([prev, token], prev, token) for prev in range(8) for token in range(8)]
+             + [([token], 0, token) for token in range(8)])
+    for tokens, prev, token in cases:
+        out = model.forward_context(tokens, model.new_cache())
+        expect = np.concatenate([model.state_emb[prev], model.state_emb[token]])
+        assert np.array_equal(out.hidden[-1], expect), tokens
+        assert np.array_equal(out.logits[-1], model.table[prev * 8 + token]), tokens
 
 
 def test_markov_packed_forward_follows_paths():
     """Every node's logits and hidden state equal, bit for bit, those of a
-    causal replay of its path, for both orders and committed contexts from
-    empty to longer than the order."""
+    causal replay of its path, for committed contexts from empty to longer
+    than the order."""
     shared = np.array([[4, 5, 1, 2, 3], [4, 5, 1, 2, 6], [4, 5, 7, 7, 0], [4, 6, 6, 1, 2],
                        [2, 2, 2, 2, 2], [2, 2, 2, 2, 3], [4, 5, 1, 3, 3], [0, 1, 2, 3, 4]])
-    for order in (1, 2):
-        model = SyntheticMarkovModel(order=order, vocab_size=8, seed=10)
-        for context in ([], [3], [1, 2, 3]):
-            for tokens in (np.array([[4, 5], [4, 6]]), shared):
-                cache = model.new_cache()
-                if context:  # a context forward takes at least one token
-                    model.forward_context(context, cache)
-                packed, paths = packed_from_tokens(tokens)
-                out, _ = model.forward_packed(packed, cache)
-                for i, path in enumerate(paths):
-                    full = model.forward_context(context + [ROOT] + tokens[i].tolist(),
-                                                 model.new_cache())
-                    where = (order, context, i)
-                    assert np.array_equal(out.logits[path].view(np.uint32),
-                                          full.logits[len(context):].view(np.uint32)), where
-                    assert np.array_equal(out.hidden[path].view(np.uint32),
-                                          full.hidden[len(context):].view(np.uint32)), where
+    model = SyntheticMarkovModel(order=2, vocab_size=8, seed=10)
+    for context in ([], [3], [1, 2, 3]):
+        for tokens in (np.array([[4, 5], [4, 6]]), shared):
+            cache = model.new_cache()
+            if context:  # a context forward takes at least one token
+                model.forward_context(context, cache)
+            packed, paths = packed_from_tokens(tokens)
+            out, _ = model.forward_packed(packed, cache)
+            for i, path in enumerate(paths):
+                full = model.forward_context(context + [ROOT] + tokens[i].tolist(),
+                                             model.new_cache())
+                where = (context, i)
+                assert np.array_equal(out.logits[path].view(np.uint32),
+                                      full.logits[len(context):].view(np.uint32)), where
+                assert np.array_equal(out.hidden[path].view(np.uint32),
+                                      full.hidden[len(context):].view(np.uint32)), where
 
 
 def check_trees_match_causal_replay(base, rng, prompt_len):
@@ -455,7 +455,7 @@ def cache_bits(cache):
     return bits(cache.kv[:, :, :n]).tobytes(), list(cache.tokens), n
 
 
-@pytest.mark.parametrize("name", ["transformer", "markov1", "markov2"])
+@pytest.mark.parametrize("name", ["transformer", "markov2"])
 def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
     """A forward of a tree from ``start`` takes the first ``start`` nodes'
     K/V from the tail rows the last forward left, and computes the later
@@ -464,7 +464,7 @@ def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
     is of the whole tree, or of its first nodes as a tree of their own, as
     the dataset build chains its rounds."""
     base = tiny if name == "transformer" else SyntheticMarkovModel(
-        order=int(name[-1]), vocab_size=16, seed=2)
+        order=2, vocab_size=16, seed=2)
     tree, _ = packed_from_tokens([[4, 5, 1, 2], [4, 5, 2, 2], [4, 6, 6, 1], [3, 3, 3, 3]])
     cache = base.new_cache()
     base.forward_context([1, 9, 4, 4, 2], cache)
@@ -688,7 +688,9 @@ def test_transformer_rejects_weights_that_are_not_float32():
 
 
 def test_markov_rejects_unsupported_order():
-    with pytest.raises(ConfigError):
-        SyntheticMarkovModel(order=3, vocab_size=8, seed=0)
+    for order in (1, 3):  # the model is order 2 only, and keeps no order knob
+        with pytest.raises(ConfigError):
+            SyntheticMarkovModel(order=order, vocab_size=8, seed=0)
+    assert not hasattr(SyntheticMarkovModel(order=2, vocab_size=8, seed=0), "order")
     with pytest.raises(ConfigError):  # nor does it support a vocab past 256
-        SyntheticMarkovModel(order=1, vocab_size=257, seed=0)
+        SyntheticMarkovModel(order=2, vocab_size=257, seed=0)
