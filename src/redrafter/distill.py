@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import beam, decode, drafter
-from .errors import ContractError, FormatError, TrainingError, check_tokens
+from .errors import ContractError, FormatError, ShapeError, TrainingError, check_tokens
 
 log = logging.getLogger(__name__)
 
@@ -301,7 +301,10 @@ def train_drafter(dataset, params_init, cfg, embeddings):
 
     Each batch gathers its rows: ``h``, the embedding of the guaranteed
     token (the recurrence's start state) and the teacher.  Returns the
-    trained parameters and the per-epoch mean loss curve.
+    trained parameters and the per-epoch mean loss curve.  Before the first
+    batch, an embedding table that is not ``(vocab, d_s)`` for the drafter,
+    or an ``h`` not ``d_s`` wide, raises ``ShapeError``, and a guaranteed or
+    teacher token outside the drafter's vocab raises ``VocabError``.
     """
     if not dataset:
         raise ContractError("training dataset is empty")
@@ -309,13 +312,27 @@ def train_drafter(dataset, params_init, cfg, embeddings):
         raise ContractError(f"dataset horizon {dataset.teacher.shape[1]} "
                             f"!= cfg.horizon {cfg.horizon}")
 
-    params = params_init.flat_copy()
     emb = np.asarray(embeddings, dtype=np.float64)
+    vocab, d_s = params_init.vocab_size, params_init.d_s
+    if emb.shape != (vocab, d_s):
+        raise ShapeError(f"embedding table {emb.shape} does not fit a drafter of vocab "
+                         f"{vocab} and width {d_s}")
+    if dataset.h.ndim != 2 or dataset.h.shape[1] != d_s:
+        raise ShapeError(f"dataset hidden states {dataset.h.shape} are not the drafter's "
+                         f"width {d_s}")
+    check_tokens(dataset.guaranteed, vocab)
+    check_tokens(dataset.teacher, vocab)
 
-    # Adam runs over the one flat buffer the parameters view, and the
-    # gradients' own; each element sees the per-tensor expressions
+    params = params_init.flat_copy()
+
+    # Adam runs in place over the one flat buffer the parameters view, and
+    # the gradients' own, through two scratch buffers; each step keeps the
+    # operands and order of the expression above it, so every element's bits
+    # are those of the per-tensor formulas
     m = np.zeros_like(params.flat)
     v = np.zeros_like(params.flat)
+    t1 = np.empty_like(params.flat)
+    t2 = np.empty_like(params.flat)
     step_count = 0
     rng = np.random.default_rng(cfg.seed)
     n = len(dataset)
@@ -336,9 +353,22 @@ def train_drafter(dataset, params_init, cfg, embeddings):
             step_count += 1
             bc1 = 1.0 - ADAM_BETA1 ** step_count
             bc2 = 1.0 - ADAM_BETA2 ** step_count
-            m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-            params.flat -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            # m = beta1 * m + (1 - beta1) * g
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=t1)
+            # v = beta2 * v + (1 - beta2) * g * g
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=t1)
+            t1 *= g
+            v += t1
+            # flat -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=t1)
+            t1 *= cfg.learning_rate
+            np.divide(v, bc2, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += ADAM_EPS
+            t1 /= t2
+            params.flat -= t1
         curve.append(epoch_loss / (n * cfg.horizon))
     return params, curve
 
@@ -374,8 +404,10 @@ def empirical_kl(base, params, probe_contexts, horizon):
         for k in range(horizon):
             base_logits = base.forward_context([token], cache).logits[-1].astype(np.float64)
             z = base_logits - base_logits.max()
-            p = np.exp(z) / np.exp(z).sum()
-            logp_base = z - np.log(np.exp(z).sum())
+            ez = np.exp(z)
+            total = ez.sum()
+            p = ez / total
+            logp_base = z - np.log(total)
             logq = drafter.head_logp_batch(x, params)[0]
             totals[k] += float((p * (logp_base - logq)).sum())
             token = int(base_logits.argmax())

@@ -10,7 +10,10 @@ extra precision keeps finite-difference gradient checks clean.
 The drafter's one forward is the batched pair ``head_logp_batch`` and
 ``step_batch``, each row one recurrent state: beam search drafts with it and
 ``distill.empirical_kl`` scores it.  ``batch_loss`` keeps its own forward,
-since its backward pass reads every intermediate.
+since its backward pass reads every intermediate.  Training runs in place:
+each elementwise step writes into an array it already owns with the plain
+formula's operands in their order, so the loss and gradients equal the
+plain formulas bit for bit, and the products nothing reads are skipped.
 """
 
 from dataclasses import dataclass, field
@@ -20,20 +23,30 @@ import numpy as np
 from .errors import ContractError, ShapeError, check_tokens
 
 
+def _silu_den(a):
+    """silu's denominator ``1 + exp(-a)``, as a new array."""
+    den = np.negative(a)
+    np.exp(den, out=den)
+    den += 1.0
+    return den
+
+
 def _silu_in_place(a):
     """silu, ``a / (1 + exp(-a))``, written into ``a``."""
-    t = np.negative(a)
-    np.exp(t, out=t)
-    t += 1.0
-    a /= t
+    a /= _silu_den(a)
     return a
 
 
 def _dsilu(x, den):
     """silu's derivative at ``x`` from silu's denominator ``1 + exp(-x)``,
-    whose reciprocal is the sigmoid, without taking the exp again."""
-    sig = 1.0 / den
-    return sig * (1.0 + x * (1.0 - sig))
+    whose reciprocal is the sigmoid, without taking the exp again.  The
+    sigmoid is written into ``den``, so the caller gives up ``den``."""
+    sig = np.divide(1.0, den, out=den)
+    d = np.subtract(1.0, sig)
+    d *= x     # x * (1 - sig)
+    d += 1.0
+    d *= sig   # sig * (1 + x * (1 - sig))
+    return d
 
 
 @dataclass
@@ -159,14 +172,22 @@ def batch_loss(params, embeddings, h, s0, teacher):
     positions; callers divide for mean reductions.  The embedding table is
     frozen, so no gradient flows into ``s0``.  The gradients are a
     ``DrafterParams`` whose ``flat`` buffer holds them all.
+
+    Each elementwise step writes into an array this function already owns,
+    keeping the plain formula's operands and their order (``a / den + x``
+    for ``x + a / den``, ``dsilu * dx`` for ``dx * dsilu``), so the loss and
+    every gradient equal the plain formulas bit for bit.  Products nothing
+    reads are skipped: at position 0 the state gradient and the first head
+    layer's ``da @ wm`` (with no head layer, ``dz @ out_proj``), and at
+    position 1 ``dp @ u``.
     """
     emb = np.asarray(embeddings, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
     teacher = check_tokens(teacher, params.vocab_size)
     if teacher.ndim != 2 or teacher.shape[1] < 1:
         raise ContractError("teacher batch must be (batch, T) with T >= 1")
     bsz, horizon = teacher.shape
     d_s = params.d_s
+    h = np.broadcast_to(np.asarray(h, dtype=np.float64), (bsz, d_s))
     n_mlp = len(params.mlp)
     rows = np.arange(bsz)
 
@@ -177,24 +198,28 @@ def batch_loss(params, embeddings, h, s0, teacher):
     head_soft = []                                  # per position: softmax over logits
     loss = 0.0
     for k in range(horizon):
-        x = np.concatenate([states[-1], np.broadcast_to(h, (bsz, d_s))], axis=1)
+        x = np.concatenate([states[-1], h], axis=1)
         xs, acts = [x], []
         for wm, bm in params.mlp:
-            a = x @ wm.T + bm
-            den = 1.0 + np.exp(-a)
-            x = x + a / den
+            a = x @ wm.T
+            a += bm
+            den = _silu_den(a)
+            x = a / den
+            x += xs[-1]  # a / den + x is bitwise x + a / den
             acts.append((a, den))
             xs.append(x)
         z = x @ params.out_proj.T
-        z = z - z.max(axis=1, keepdims=True)
-        logz = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        loss += -logz[rows, teacher[:, k]].sum()
+        z -= np.maximum.reduce(z, axis=1, keepdims=True)
+        z -= np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))  # z is log-softmax
+        loss += -np.add.reduce(z[rows, teacher[:, k]])
         head_x.append((xs, acts))
-        head_soft.append(np.exp(logz))
+        head_soft.append(np.exp(z, out=z))
         if k + 1 < horizon:
             e = emb[teacher[:, k]]
-            pre = states[-1] @ params.u.T + e @ params.w.T + params.b
-            den = 1.0 + np.exp(-pre)
+            pre = states[-1] @ params.u.T
+            pre += e @ params.w.T
+            pre += params.b
+            den = _silu_den(pre)
             pre_acts.append((pre, den, e))
             states.append(pre / den)
 
@@ -202,23 +227,29 @@ def batch_loss(params, embeddings, h, s0, teacher):
     ds = np.zeros((bsz, d_s))
     for k in range(horizon - 1, -1, -1):
         xs, acts = head_x[k]
-        dz = head_soft[k].copy()
+        dz = head_soft[k]  # nothing reads the softmax again: it becomes dz in place
         dz[rows, teacher[:, k]] -= 1.0
         grads.out_proj += dz.T @ xs[-1]
-        dx = dz @ params.out_proj
+        # below the head only ds reads dx, and at position 0 nothing reads ds
+        if n_mlp or k:
+            dx = dz @ params.out_proj
         for layer in range(n_mlp - 1, -1, -1):
             wm, _ = params.mlp[layer]
-            da = dx * _dsilu(*acts[layer])
+            da = _dsilu(*acts[layer])
+            da *= dx
             gw, gb = grads.mlp[layer]
             gw += da.T @ xs[layer]
-            gb += da.sum(axis=0)
-            dx = dx + da @ wm
-        ds += dx[:, :d_s]
-        if k > 0:
+            gb += np.add.reduce(da, axis=0)
+            if layer or k:
+                dx += da @ wm
+        if k:
+            ds += dx[:, :d_s]
             pre, den, e = pre_acts[k - 1]
-            dp = ds * _dsilu(pre, den)
+            dp = _dsilu(pre, den)
+            dp *= ds
             grads.u += dp.T @ states[k - 1]
             grads.w += dp.T @ e
-            grads.b += dp.sum(axis=0)
-            ds = dp @ params.u
+            grads.b += np.add.reduce(dp, axis=0)
+            if k > 1:
+                ds = dp @ params.u
     return float(loss), grads

@@ -1,6 +1,7 @@
 """Distillation: dataset construction, training loop, divergence metric."""
 
 import copy
+import dataclasses
 import itertools
 import re
 from collections import namedtuple
@@ -456,6 +457,46 @@ def test_training_rejects_bad_input(base, corpus):
     diverging.out_proj[0, 0] = np.inf
     with pytest.raises(TrainingError, match="loss diverged"), np.errstate(invalid="ignore"):
         train_drafter(dataset, diverging, cfg, base.token_embeddings)
+
+
+def misfits(dataset, init, base):
+    """(error, message, params, embeddings, dataset) for each way a drafter
+    can misfit a vocab-16, 32-wide base's dataset."""
+    rng = np.random.default_rng(12)
+    vocab, width = base.config.vocab_size, base.config.d_model
+    emb = base.token_embeddings
+    small = DrafterParams.random(rng, width, 8)
+    zeros = dataclasses.replace(dataset, guaranteed=dataset.guaranteed * 0,
+                                teacher=dataset.teacher * 0)
+    return {
+        "narrow-embeddings": (ShapeError, "embedding table", init, emb[:, :8], dataset),
+        "vocab-20-drafter": (ShapeError, "embedding table",
+                             DrafterParams.random(rng, width, 20), emb, dataset),
+        "hidden-wider-than-drafter": (ShapeError, "hidden states",
+                                      DrafterParams.random(rng, width // 2, vocab),
+                                      rng.normal(size=(vocab, width // 2)), dataset),
+        "guaranteed-outside-vocab": (VocabError, "outside vocab of size 8", small, emb[:8],
+                                     dataclasses.replace(zeros, guaranteed=zeros.guaranteed + 9)),
+        "teacher-outside-vocab": (VocabError, "outside vocab of size 8", small, emb[:8],
+                                  dataclasses.replace(zeros, teacher=zeros.teacher + 9)),
+    }
+
+
+@pytest.mark.parametrize("case", ["narrow-embeddings", "vocab-20-drafter",
+                                  "hidden-wider-than-drafter", "guaranteed-outside-vocab",
+                                  "teacher-outside-vocab"])
+def test_training_refuses_a_drafter_that_does_not_fit_before_the_first_batch(
+        case, base, corpus, monkeypatch):
+    dataset, init = train_setup(base, corpus)
+    error, message, params, embeddings, data = misfits(dataset, init, base)[case]
+
+    def no_batch(*args, **kwargs):
+        raise AssertionError("train_drafter ran a batch before checking its inputs")
+
+    monkeypatch.setattr(drafter, "batch_loss", no_batch)
+    cfg = TrainConfig(horizon=3, learning_rate=1e-3, epochs=1, batch_size=8, seed=0)
+    with pytest.raises(error, match=message):
+        train_drafter(data, params, cfg, embeddings)
 
 
 def test_kl_is_nonnegative_and_per_step(base):

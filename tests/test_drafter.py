@@ -264,14 +264,28 @@ def bits64(x):
 
 @pytest.mark.parametrize("horizon", [1, 4])
 def test_batch_loss_is_bitwise_the_plain_formula_reference(horizon):
-    p = make_params(15, d_model=8, vocab=11)
-    emb = make_embeddings(16, p.vocab_size, p.d_s)
-    rng = np.random.default_rng(17)
-    h = rng.normal(size=(5, p.d_s))
-    s0 = emb[rng.integers(0, p.vocab_size, size=5)]
-    teacher = rng.integers(0, p.vocab_size, size=(5, horizon))
-    loss, grads = drafter.batch_loss(p, emb, h, s0, teacher)
-    want_loss, want_grads = reference_batch_loss(p, emb, h, s0, teacher)
-    assert bits64(loss) == bits64(want_loss)
-    for (name, got), (_, want) in zip(grads.flat_arrays(), want_grads, strict=True):
-        assert np.array_equal(bits64(got), bits64(want)), name
+    """Nonzero biases, so a reordered bias add would show, at every head
+    depth from 0 to 3 and batches of 1 and 5; with no head layer the state
+    gradient is ``dz @ out_proj``'s state columns."""
+    d_s, vocab = 8, 11
+    emb = make_embeddings(16, vocab, d_s)
+    for n_mlp in range(4):
+        for bsz in (1, 5):
+            rng = np.random.default_rng(17 + 8 * n_mlp + bsz)
+            p = DrafterParams(
+                u=rng.normal(0.0, 0.3, (d_s, d_s)), w=rng.normal(0.0, 0.3, (d_s, d_s)),
+                b=rng.normal(size=d_s),
+                mlp=[(rng.normal(0.0, 0.3, (2 * d_s, 2 * d_s)), rng.normal(size=2 * d_s))
+                     for _ in range(n_mlp)],
+                out_proj=rng.normal(0.0, 0.3, (vocab, 2 * d_s)))
+            h = rng.normal(size=(bsz, d_s))
+            s0 = emb[rng.integers(0, vocab, size=bsz)]
+            teacher = rng.integers(0, vocab, size=(bsz, horizon))
+            loss, grads = drafter.batch_loss(p, emb, h, s0, teacher)
+            want_loss, want_grads = reference_batch_loss(p, emb, h, s0, teacher)
+            case = f"n_mlp {n_mlp}, batch {bsz}"
+            assert bits64(loss) == bits64(want_loss), case
+            for (name, got), (_, want) in zip(grads.flat_arrays(), want_grads, strict=True):
+                assert np.array_equal(bits64(got), bits64(want)), f"{name}, {case}"
+            # the recurrence gets a gradient whenever a later position reads its state
+            assert (horizon > 1) == bool(grads.u.any()) == bool(grads.b.any()), case
