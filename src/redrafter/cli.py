@@ -61,9 +61,6 @@ def random_prompts(base, n, length, seed):
 def parse_prompt(args, base):
     if args.prompt is not None:
         return parse_ints(args.prompt.split(), "--prompt")
-    if args.prompt_file is not None:
-        with open(args.prompt_file, encoding="utf-8") as fh:
-            return parse_ints(fh.read().split(), "--prompt-file")
     return random_prompts(base, 1, args.prompt_len, args.seed)[0]
 
 
@@ -213,9 +210,8 @@ def cmd_train_drafter(args):
     base = build_base(args)
     dataset = distill.read_dataset(args.dataset, base)
     cfg = dataclasses.replace(cfg, horizon=dataset.teacher.shape[1])
-    rng = np.random.default_rng(args.seed + 1)
-    init = DrafterParams.random(rng, base.config.d_model, base.config.vocab_size)
-    params, curve = distill.train_drafter(dataset, init, cfg, base.token_embeddings)
+    params, curve = distill.train_drafter(dataset, build_drafter(args, base), cfg,
+                                          base.token_embeddings)
     weights.save_drafter(params, cfg.horizon, args.out)
     if args.loss_csv:
         with open(args.loss_csv, "w", newline="", encoding="utf-8") as fh:
@@ -265,9 +261,7 @@ def make_parser():
 
     p = sub.add_parser("generate", help="speculative generation, checked against greedy")
     _add_model_flags(p)
-    prompt = p.add_mutually_exclusive_group()
-    prompt.add_argument("--prompt", help="whitespace-separated token ids")
-    prompt.add_argument("--prompt-file")
+    p.add_argument("--prompt", help="whitespace-separated token ids")
     p.add_argument("--prompt-len", type=int, default=16)
     p.add_argument("--beam-width", type=int, default=4)
     p.add_argument("--beam-length", type=int, default=5)
@@ -297,7 +291,8 @@ def make_parser():
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--out", required=True, help="output weight file prefix")
     p.add_argument("--loss-csv")
-    p.set_defaults(func=cmd_train_drafter)
+    # training starts from build_drafter's seeded random drafter, never a file
+    p.set_defaults(func=cmd_train_drafter, drafter_weights=None)
 
     p = sub.add_parser("distill-data", help="build and save a distillation dataset")
     _add_model_flags(p)

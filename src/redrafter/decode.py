@@ -28,8 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import beam as beam_mod
-from .errors import (CapacityError, ConfigError, ContractError, ShapeError, VocabError,
-                     check_tokens)
+from .errors import CapacityError, ConfigError, ContractError, VocabError
 
 
 @dataclass(slots=True)
@@ -80,16 +79,13 @@ class RnnProposer:
 
     The float64 embeddings and the recurrence's per-token input term
     ``w @ e + b`` are built once, here, from the parameters as they are now.
-    ``embeddings`` is the base's (vocab, d_model) table; d_model must be the
-    drafter's width d_s.
+    ``embeddings`` is the base's (vocab, d_model) table, which
+    ``DrafterParams.embedding_table`` checks fits the drafter.
     """
 
     def __init__(self, params, embeddings):
         self.params = params
-        self.embeddings = np.asarray(embeddings, dtype=np.float64)
-        if self.embeddings.shape != (params.vocab_size, params.d_s):
-            raise ShapeError(f"a drafter of vocab {params.vocab_size} and width {params.d_s} does "
-                             f"not fit a base embedding table of shape {self.embeddings.shape}")
+        self.embeddings = params.embedding_table(embeddings)
         self.token_term = self.embeddings @ params.w.T + params.b
 
     def propose(self, h, last_token, beam_width, beam_length):
@@ -147,20 +143,17 @@ def verify_greedy(base_output, tree):
 
 
 def _prefill(base, prompt, cfg):
-    """Check a request, then forward its prompt on a new cache: returns the
-    cache and the prompt's output."""
+    """Forward a request's prompt on a new cache: returns the cache and the
+    prompt's output.  ``forward_context`` checks the prompt; this checks only
+    the stop token, first, and the room left for ``max_new_tokens``, after."""
     vocab_size = base.config.vocab_size
-    prompt = check_tokens(prompt, vocab_size)
-    if prompt.ndim != 1:
-        raise ShapeError(f"a prompt is a 1-D token list, got shape {prompt.shape}")
-    if not prompt.size:
-        raise ContractError("prompt must be non-empty")
     if cfg.stop_token is not None and not 0 <= cfg.stop_token < vocab_size:
         raise VocabError(f"stop token {cfg.stop_token} outside vocab of size {vocab_size}")
-    if prompt.size + cfg.max_new_tokens > base.config.max_seq_len:
-        raise CapacityError("prompt + max_new_tokens exceeds max_seq_len")
     cache = base.new_cache()
-    return cache, base.forward_context(prompt, cache)
+    out = base.forward_context(prompt, cache)
+    if cache.committed_len + cfg.max_new_tokens > base.config.max_seq_len:
+        raise CapacityError("prompt + max_new_tokens exceeds max_seq_len")
+    return cache, out
 
 
 def autoregressive_generate(base, prompt, cfg):

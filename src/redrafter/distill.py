@@ -312,11 +312,8 @@ def train_drafter(dataset, params_init, cfg, embeddings):
         raise ContractError(f"dataset horizon {dataset.teacher.shape[1]} "
                             f"!= cfg.horizon {cfg.horizon}")
 
-    emb = np.asarray(embeddings, dtype=np.float64)
+    emb = params_init.embedding_table(embeddings)
     vocab, d_s = params_init.vocab_size, params_init.d_s
-    if emb.shape != (vocab, d_s):
-        raise ShapeError(f"embedding table {emb.shape} does not fit a drafter of vocab "
-                         f"{vocab} and width {d_s}")
     if dataset.h.ndim != 2 or dataset.h.shape[1] != d_s:
         raise ShapeError(f"dataset hidden states {dataset.h.shape} are not the drafter's "
                          f"width {d_s}")

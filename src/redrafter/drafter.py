@@ -101,6 +101,15 @@ class DrafterParams:
             out_proj=rng.normal(0.0, 0.1, (vocab_size, d_g)),
         )
 
+    def embedding_table(self, embeddings):
+        """A base's (vocab, d_model) embedding table as float64, or a
+        ``ShapeError`` unless it is this drafter's (vocab, d_s)."""
+        table = np.asarray(embeddings, dtype=np.float64)
+        if table.shape != (self.vocab_size, self.d_s):
+            raise ShapeError(f"a drafter of vocab {self.vocab_size} and width {self.d_s} does "
+                             f"not fit a base embedding table of shape {table.shape}")
+        return table
+
     def flat_arrays(self):
         """(name, tensor) pairs in a fixed order (for optimizers and serialization)."""
         out = [("u", self.u), ("w", self.w), ("b", self.b)]

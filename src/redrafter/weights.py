@@ -45,7 +45,7 @@ def save_tensors(prefix, magic, tensors, header=None):
 
 def load_tensors(prefix, magic):
     """Read a manifest/blob pair back into (header dict of integers, dict of
-    tensors by name in file order); a name may appear once."""
+    tensors by name in file order); a key or a name may appear once."""
     manifest_path = prefix + ".manifest"
     blob_path = prefix + ".bin"
     with open(manifest_path, encoding="utf-8") as fh:
@@ -61,6 +61,8 @@ def load_tensors(prefix, magic):
     for ln in lines[1:]:
         if ln.startswith("#"):
             key, _, value = ln[1:].strip().partition(" ")
+            if key in header:
+                raise FormatError(f"{manifest_path}: header key {key} appears twice")
             header[key] = _int(value, key, manifest_path)
             continue
         parts = ln.split()

@@ -34,15 +34,6 @@ def test_generate_prints_tokens(capsys):
     assert all(0 <= int(t) < 16 for t in out)
 
 
-def test_generate_prompt_with_a_prompt_file_is_a_usage_error(tmp_path, capsys):
-    pf = tmp_path / "prompt.txt"
-    pf.write_text("7 8 9\n")
-    with pytest.raises(SystemExit) as exc:
-        run(["generate", *MARKOV, "--prompt", "1 2", "--prompt-file", str(pf)])
-    assert exc.value.code == 2
-    assert "argument --prompt-file: not allowed with argument --prompt" in capsys.readouterr().err
-
-
 def test_generate_stop_token_outside_the_vocab_is_a_usage_error(capsys):
     assert run(["generate", *MARKOV, "--prompt", "1 2", "--stop-token", "16"]) == 2
     assert "error: stop token 16 outside vocab of size 16" in capsys.readouterr().err
@@ -72,14 +63,6 @@ def test_generate_report_histograms_accepted_lengths(tmp_path, capsys):
     assert sum(hist) == data["steps"]
     assert sum((k + 1) * count for k, count in enumerate(hist)) == data["tokens_generated"] == 30
     assert 1.0 <= data["packed_nodes_mean"] <= 1 + 4 + 3
-
-
-def test_generate_prompt_file(tmp_path, capsys):
-    pf = tmp_path / "prompt.txt"
-    pf.write_text("7 8 9\n")
-    assert run(["generate", *MARKOV, "--prompt-file", str(pf),
-                "--max-new-tokens", "5"]) == 0
-    assert len(capsys.readouterr().out.split()) == 5
 
 
 def test_verify_equivalence_writes_csv_with_expected_columns(tmp_path, capsys):
@@ -169,12 +152,8 @@ def test_sweep_that_decodes_nothing_is_a_usage_error(argv, message, monkeypatch,
     (["verify-equivalence", "--widths", "1,x"], "--widths", "x"),
     (["verify-equivalence", "--lengths", "2,y"], "--lengths", "y"),
     (["generate", "--prompt", "1 b"], "--prompt", "b"),
-    (["generate", "--prompt-file", "prompt.txt"], "--prompt-file", "3.5"),
-], ids=["widths", "lengths", "prompt", "prompt-file"])
-def test_malformed_integer_is_a_usage_error_naming_the_flag(argv, flag, bad, tmp_path,
-                                                            monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "prompt.txt").write_text("1 2\n3.5\n", encoding="utf-8")
+], ids=["widths", "lengths", "prompt"])
+def test_malformed_integer_is_a_usage_error_naming_the_flag(argv, flag, bad, capsys):
     assert run([argv[0], *MARKOV, *argv[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err and repr(bad) in err

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from redrafter import cli, distill, drafter
-from redrafter.decode import DecodeConfig, autoregressive_generate
+from redrafter.decode import DecodeConfig, RnnProposer, autoregressive_generate
 from redrafter.distill import (DistillDataset, TrainConfig, build_distill_dataset,
                                empirical_kl, ground_truth_dataset, read_dataset,
                                sample_markov_corpus, train_drafter, write_dataset)
@@ -469,8 +469,11 @@ def misfits(dataset, init, base):
     zeros = dataclasses.replace(dataset, guaranteed=dataset.guaranteed * 0,
                                 teacher=dataset.teacher * 0)
     return {
-        "narrow-embeddings": (ShapeError, "embedding table", init, emb[:, :8], dataset),
-        "vocab-20-drafter": (ShapeError, "embedding table",
+        "narrow-embeddings": (ShapeError, f"a drafter of vocab {vocab} and width {width} does "
+                              f"not fit a base embedding table of shape ({vocab}, 8)",
+                              init, emb[:, :8], dataset),
+        "vocab-20-drafter": (ShapeError, f"a drafter of vocab 20 and width {width} does not "
+                             f"fit a base embedding table of shape ({vocab}, {width})",
                              DrafterParams.random(rng, width, 20), emb, dataset),
         "hidden-wider-than-drafter": (ShapeError, "hidden states",
                                       DrafterParams.random(rng, width // 2, vocab),
@@ -495,8 +498,25 @@ def test_training_refuses_a_drafter_that_does_not_fit_before_the_first_batch(
 
     monkeypatch.setattr(drafter, "batch_loss", no_batch)
     cfg = TrainConfig(horizon=3, learning_rate=1e-3, epochs=1, batch_size=8, seed=0)
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=re.escape(message)):
         train_drafter(data, params, cfg, embeddings)
+
+
+@pytest.mark.parametrize("case", ["narrow-embeddings", "vocab-20-drafter"])
+def test_a_drafter_that_misfits_the_embeddings_is_one_error_everywhere(case, base, corpus,
+                                                                      monkeypatch):
+    """The proposer, the training and the KL metric refuse a drafter that
+    does not fit the base's embedding table with one and the same message."""
+    dataset, init = train_setup(base, corpus)
+    _, message, params, embeddings, data = misfits(dataset, init, base)[case]
+    monkeypatch.setattr(base, "token_embeddings", embeddings)
+    cfg = TrainConfig(horizon=3, learning_rate=1e-3, epochs=1, batch_size=8, seed=0)
+    for refuse in (lambda: RnnProposer(params, embeddings),
+                   lambda: train_drafter(data, params, cfg, embeddings),
+                   lambda: empirical_kl(base, params, [[1, 2]], horizon=1)):
+        with pytest.raises(ShapeError) as exc:
+            refuse()
+        assert str(exc.value) == message
 
 
 def test_kl_is_nonnegative_and_per_step(base):

@@ -118,6 +118,9 @@ def test_edited_shape_rejected(tmp_path):
     ("drafter", r"# d_s 8$", "", "drafter manifest missing 'd_s'"),
     ("drafter", r"(b f32 8 \d+)$", r"\1\nb f32 8 0", "tensor b appears twice"),
     ("base", r"(l0_b1 f32 16 0)$", r"\1\nl0_b1 f32 16 0", "tensor l0_b1 appears twice"),
+    ("drafter", r"(# horizon 5)$", r"\1\n# horizon 7", "header key horizon appears twice"),
+    ("base", r"(# max_seq_len \d+)$", r"\1\n# max_seq_len 8",
+     "header key max_seq_len appears twice"),
     ("drafter", r"# n_mlp 2$", "# n_mlp 1",
      "tensor mlp1_w is not read by a drafter with n_mlp 1"),
     ("base", r"# n_layers 2$", "# n_layers 1",
@@ -128,7 +131,8 @@ def test_edited_shape_rejected(tmp_path):
     ("drafter", r"u f32 8,8 ", "u f32 0,4294967296,4294967296 ",
      "tensor u: shape 0,4294967296,4294967296 ("),
 ], ids=["three-fields", "dtype", "base-tensor", "drafter-tensor", "drafter-shape", "drafter-d_s",
-        "drafter-no-d_s", "drafter-repeat", "base-repeat", "drafter-unread", "base-unread",
+        "drafter-no-d_s", "drafter-repeat", "base-repeat", "drafter-header-repeat",
+        "base-header-repeat", "drafter-unread", "base-unread",
         "count-overflow", "empty-overflow"])
 def test_malformed_manifest_line_is_a_format_error(kind, line, edited, message, tmp_path):
     prefix = str(tmp_path / kind)
