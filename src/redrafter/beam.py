@@ -96,7 +96,7 @@ class BeamLattice:
 
     tokens: np.ndarray   # (beam_length, beam_width) int64
     parents: np.ndarray  # (beam_length, beam_width) int64 row at the previous depth
-    logp: np.ndarray     # (beam_length, beam_width) float64
+    logp: np.ndarray     # (beam_length, beam_width), in the drafter's dtype
 
     def tree(self, root):
         """The draft tree of the ``beam_width + beam_length`` best prefixes under ``root``.
@@ -145,12 +145,12 @@ def beam_search(params, embeddings, h, last_token, beam_width, beam_length, toke
         raise VocabError(f"token {last_token} outside vocab of size {vocab}")
 
     d_s = params.d_s
-    x = np.empty((beam_width, 2 * d_s))
+    x = np.empty((beam_width, 2 * d_s), params.dtype)
     x[:, d_s:] = h
     x[0, :d_s] = embeddings[last_token]
     tokens = np.empty((beam_length, beam_width), dtype=np.int64)
     parents = np.empty((beam_length, beam_width), dtype=np.int64)
-    logps = np.empty((beam_length, beam_width))
+    logps = np.empty((beam_length, beam_width), params.dtype)
 
     keep = np.empty(beam_width, dtype=np.int64)
     for depth in range(beam_length):

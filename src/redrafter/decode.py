@@ -77,9 +77,9 @@ class RnnProposer:
     """Default proposer: beam search over the trained recurrent draft head,
     returning the draft tree of its most probable prefixes.
 
-    The float64 embeddings and the recurrence's per-token input term
-    ``w @ e + b`` are built once, here, from the parameters as they are now.
-    ``embeddings`` is the base's (vocab, d_model) table, which
+    The embeddings and the recurrence's per-token input term ``w @ e + b``
+    are built once, here, in the drafter's dtype from the parameters as they
+    are now.  ``embeddings`` is the base's (vocab, d_model) table, which
     ``DrafterParams.embedding_table`` checks fits the drafter.
     """
 

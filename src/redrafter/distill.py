@@ -300,11 +300,12 @@ def train_drafter(dataset, params_init, cfg, embeddings):
     Deterministic for a fixed seed.
 
     Each batch gathers its rows: ``h``, the embedding of the guaranteed
-    token (the recurrence's start state) and the teacher.  Returns the
-    trained parameters and the per-epoch mean loss curve.  Before the first
-    batch, an embedding table that is not ``(vocab, d_s)`` for the drafter,
-    or an ``h`` not ``d_s`` wide, raises ``ShapeError``, and a guaranteed or
-    teacher token outside the drafter's vocab raises ``VocabError``.
+    token (the recurrence's start state) and the teacher.  Training and Adam
+    run in ``params_init``'s dtype.  Returns the trained parameters and the
+    per-epoch mean loss curve.  Before the first batch, an embedding table
+    that is not ``(vocab, d_s)`` for the drafter, or an ``h`` not ``d_s``
+    wide, raises ``ShapeError``, and a guaranteed or teacher token outside
+    the drafter's vocab raises ``VocabError``.
     """
     if not dataset:
         raise ContractError("training dataset is empty")
@@ -377,10 +378,11 @@ def empirical_kl(base, params, probe_contexts, horizon):
     token is the one the draft recurrence starts from, and the drafter sees
     the base hidden state at the token before it.  The drafter runs the
     forward decode runs, ``head_logp_batch`` and ``step_batch`` on one
-    ``[s | h]`` row, with a ``decode.RnnProposer``'s float64 embeddings and
-    per-token input terms; a drafter that does not fit the base is that
-    proposer's ``ShapeError``.  Returns an array of length ``horizon``: KL
-    at recurrence step k averaged over the probe contexts.
+    ``[s | h]`` row in the drafter's dtype, with a ``decode.RnnProposer``'s
+    embeddings and per-token input terms; a drafter that does not fit the
+    base is that proposer's ``ShapeError``.  The KL itself is taken in
+    float64.  Returns an array of length ``horizon``: KL at recurrence step
+    k averaged over the probe contexts.
     """
     if horizon < 1:
         raise ContractError(f"need horizon >= 1, got {horizon}")
@@ -395,7 +397,7 @@ def empirical_kl(base, params, probe_contexts, horizon):
             raise ContractError("a probe context needs at least two tokens")
         token = int(context[-1])
         cache = base.new_cache()
-        x = np.empty((1, 2 * d_s))
+        x = np.empty((1, 2 * d_s), params.dtype)
         x[0, d_s:] = base.forward_context(context[:-1], cache).hidden[-1]
         x[0, :d_s] = proposer.embeddings[token]
         for k in range(horizon):

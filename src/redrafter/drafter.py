@@ -3,9 +3,10 @@ connections over the concatenated state, and analytic gradients for training.
 
 The head is shared across prediction positions, so the parameter count does
 not depend on how many future tokens it is trained or asked to predict.
-Draft-side math runs in float64: the drafter only proposes tokens (the base
-model verifies them), so it has no bit-reproducibility constraint, and the
-extra precision keeps finite-difference gradient checks clean.
+The drafter runs in float32, the precision its weight file stores: it only
+proposes tokens (the base model verifies them), so its rounding never
+reaches an emitted stream.  Every operation runs in the parameters' dtype,
+so gradient checks run the same code on float64 parameters.
 
 The drafter's one forward is the batched pair ``head_logp_batch`` and
 ``step_batch``, each row one recurrent state: beam search drafts with it and
@@ -59,6 +60,8 @@ class DrafterParams:
     token embedding, so s, the embeddings and h are all ``d_s`` wide.
     ``flat`` is the 1-D buffer that every tensor views, in ``flat_arrays``
     order, for a set that ``flat_copy`` or ``zeros_like`` made; else None.
+    Every tensor has one dtype, float32 or float64, and the arithmetic runs
+    in it.
     """
 
     u: np.ndarray                 # (d_s, d_s)
@@ -80,6 +83,10 @@ class DrafterParams:
             if wm.shape != (d_g, d_g) or bm.shape != (d_g,):
                 raise ShapeError(f"mlp layer {i}: expected ({d_g},{d_g})/({d_g},), "
                                  f"got {wm.shape}/{bm.shape}")
+        dtypes = {arr.dtype for _, arr in self.flat_arrays()}
+        if len(dtypes) != 1 or self.dtype not in (np.float32, np.float64):
+            found = ", ".join(f"{name} {arr.dtype}" for name, arr in self.flat_arrays())
+            raise ShapeError(f"drafter tensors must share one dtype, float32 or float64: {found}")
 
     @property
     def d_s(self):
@@ -89,22 +96,30 @@ class DrafterParams:
     def vocab_size(self):
         return self.out_proj.shape[0]
 
+    @property
+    def dtype(self):
+        return self.u.dtype
+
     @classmethod
     def random(cls, rng, d_s, vocab_size):
-        """Seeded random initialization of width ``d_s`` with 2 head layers."""
+        """Seeded random initialization of width ``d_s`` with 2 head layers,
+        float64 normal draws rounded to float32."""
+        def normal(shape):
+            return rng.normal(0.0, 0.1, shape).astype(np.float32)
+
         d_g = 2 * d_s
         return cls(
-            u=rng.normal(0.0, 0.1, (d_s, d_s)),
-            w=rng.normal(0.0, 0.1, (d_s, d_s)),
-            b=np.zeros(d_s),
-            mlp=[(rng.normal(0.0, 0.1, (d_g, d_g)), np.zeros(d_g)) for _ in range(2)],
-            out_proj=rng.normal(0.0, 0.1, (vocab_size, d_g)),
+            u=normal((d_s, d_s)),
+            w=normal((d_s, d_s)),
+            b=np.zeros(d_s, np.float32),
+            mlp=[(normal((d_g, d_g)), np.zeros(d_g, np.float32)) for _ in range(2)],
+            out_proj=normal((vocab_size, d_g)),
         )
 
     def embedding_table(self, embeddings):
-        """A base's (vocab, d_model) embedding table as float64, or a
-        ``ShapeError`` unless it is this drafter's (vocab, d_s)."""
-        table = np.asarray(embeddings, dtype=np.float64)
+        """A base's (vocab, d_model) embedding table in the drafter's dtype,
+        or a ``ShapeError`` unless it is this drafter's (vocab, d_s)."""
+        table = np.asarray(embeddings, dtype=self.dtype)
         if table.shape != (self.vocab_size, self.d_s):
             raise ShapeError(f"a drafter of vocab {self.vocab_size} and width {self.d_s} does "
                              f"not fit a base embedding table of shape {table.shape}")
@@ -123,7 +138,7 @@ class DrafterParams:
 
     def zeros_like(self):
         """Zeros of these shapes, viewing one new ``flat`` buffer (gradients)."""
-        return self._over(np.zeros(sum(arr.size for _, arr in self.flat_arrays())))
+        return self._over(np.zeros(sum(arr.size for _, arr in self.flat_arrays()), self.dtype))
 
     def _over(self, flat):
         """Tensors shaped like these, as views of ``flat`` in ``flat_arrays`` order."""
@@ -190,18 +205,19 @@ def batch_loss(params, embeddings, h, s0, teacher):
     layer's ``da @ wm`` (with no head layer, ``dz @ out_proj``), and at
     position 1 ``dp @ u``.
     """
-    emb = np.asarray(embeddings, dtype=np.float64)
+    dtype = params.dtype
+    emb = np.asarray(embeddings, dtype=dtype)
     teacher = check_tokens(teacher, params.vocab_size)
     if teacher.ndim != 2 or teacher.shape[1] < 1:
         raise ContractError("teacher batch must be (batch, T) with T >= 1")
     bsz, horizon = teacher.shape
     d_s = params.d_s
-    h = np.broadcast_to(np.asarray(h, dtype=np.float64), (bsz, d_s))
+    h = np.broadcast_to(np.asarray(h, dtype=dtype), (bsz, d_s))
     n_mlp = len(params.mlp)
     rows = np.arange(bsz)
 
     # each silu keeps its denominator 1 + exp(-a) for the backward pass
-    states = [np.asarray(s0, dtype=np.float64)]     # s_0 .. s_{T-1}
+    states = [np.asarray(s0, dtype=dtype)]          # s_0 .. s_{T-1}
     pre_acts = []                                   # recurrence pre-activations
     head_x = []                                     # per position: mlp layer inputs/pre-acts
     head_soft = []                                  # per position: softmax over logits
@@ -220,7 +236,7 @@ def batch_loss(params, embeddings, h, s0, teacher):
         z = x @ params.out_proj.T
         z -= np.maximum.reduce(z, axis=1, keepdims=True)
         z -= np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))  # z is log-softmax
-        loss += -np.add.reduce(z[rows, teacher[:, k]])
+        loss -= float(np.add.reduce(z[rows, teacher[:, k]]))  # positions sum in float64
         head_x.append((xs, acts))
         head_soft.append(np.exp(z, out=z))
         if k + 1 < horizon:
@@ -233,7 +249,7 @@ def batch_loss(params, embeddings, h, s0, teacher):
             states.append(pre / den)
 
     grads = params.zeros_like()
-    ds = np.zeros((bsz, d_s))
+    ds = np.zeros((bsz, d_s), dtype)
     for k in range(horizon - 1, -1, -1):
         xs, acts = head_x[k]
         dz = head_soft[k]  # nothing reads the softmax again: it becomes dz in place

@@ -6,9 +6,9 @@ Manifest layout::
     # key value                  integer header entries (config, training horizon)
     name f32 d0,d1 offset        one tensor per line, byte offset into the blob
 
-The format is language-neutral.  Base-model tensors are float32, so a
-save/load round trip reproduces them byte for byte; drafter tensors are
-float64 in memory and load back as their float32 rounding.
+The format is language-neutral.  Base-model and drafter tensors are
+float32 in memory as in the file, so a save/load round trip reproduces them
+byte for byte.
 """
 
 import math
@@ -139,11 +139,11 @@ def save_drafter(params, horizon, prefix):
 def load_drafter(prefix):
     """Returns (DrafterParams, training horizon)."""
     header, tensors = load_tensors(prefix, DRAFTER_MAGIC)
-    f64 = {name: arr.astype(np.float64) for name, arr in tensors.items()}
     try:
         horizon, n_mlp, d_s = header["horizon"], header["n_mlp"], header["d_s"]
-        params = DrafterParams(u=f64["u"], w=f64["w"], b=f64["b"], out_proj=f64["out_proj"],
-                               mlp=[(f64[f"mlp{i}_w"], f64[f"mlp{i}_b"]) for i in range(n_mlp)])
+        params = DrafterParams(
+            u=tensors["u"], w=tensors["w"], b=tensors["b"], out_proj=tensors["out_proj"],
+            mlp=[(tensors[f"mlp{i}_w"], tensors[f"mlp{i}_b"]) for i in range(n_mlp)])
     except KeyError as exc:
         raise FormatError(f"drafter manifest missing {exc}") from exc
     except ShapeError as exc:

@@ -198,12 +198,12 @@ def test_criterion_4_tree_mask_soundness():
            f"{tree_worst:.2e}, cached-vs-uncached max abs {cached_worst:.2e} (tolerance 1e-5)")
 
 
-def test_criterion_5_gradient_correctness():
+def test_criterion_5_gradient_correctness(float64_drafter):
     rng = np.random.default_rng(6)
     eps = 1e-3
     worst = 0.0
     for _ in range(10):
-        params = DrafterParams.random(rng, 4, 6)
+        params = float64_drafter(rng, 4, 6)
         emb = rng.normal(size=(6, 4))
         h = rng.normal(size=4)
         teacher = rng.integers(0, 6, size=5)

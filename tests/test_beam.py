@@ -162,8 +162,8 @@ def test_compression_ratio_bounds():
     assert pack_beam(np.tile(np.array([3, 1, 2]), (6, 1)), 0)[0].n == 4
 
 
-def make_drafter(seed=0, d_model=6, vocab=8):
-    params = DrafterParams.random(np.random.default_rng(seed), d_model, vocab)
+def make_drafter(seed=0, d_model=6, vocab=8, random=DrafterParams.random):
+    params = random(np.random.default_rng(seed), d_model, vocab)
     emb = np.random.default_rng(seed + 1).normal(size=(vocab, d_model))
     return params, emb
 
@@ -289,9 +289,9 @@ def assert_well_formed(tree, root):
     assert all(p[:-1] in set(paths) for p in paths if len(p) > 1)
 
 
-def test_beam_search_matches_single_state_reference():
+def test_beam_search_matches_single_state_reference(float64_drafter):
     for seed in range(3):
-        params, emb = make_drafter(10 + seed)
+        params, emb = make_drafter(10 + seed, random=float64_drafter)
         rng = np.random.default_rng(20 + seed)
         params.b = rng.normal(0.0, 0.1, params.d_s)  # random init leaves it zero
         h = rng.normal(size=params.d_s)
@@ -367,11 +367,11 @@ def argsort_beam_search(params, emb, h, last_token, width, length):
     return [np.array(field) for field in zip(*held)]
 
 
-def test_top_width_selection_equals_a_stable_argsort():
+def test_top_width_selection_equals_a_stable_argsort(float64_drafter):
     """Exact score ties: duplicated output-projection rows give tokens of
     equal log-probability, and width == vocab keeps every tied token."""
     for seed in range(3):
-        params, emb = make_drafter(30 + seed, vocab=6)
+        params, emb = make_drafter(30 + seed, vocab=6, random=float64_drafter)
         params.out_proj[3] = params.out_proj[1]
         params.out_proj[5] = params.out_proj[1]
         params.out_proj[4] = params.out_proj[0]
@@ -417,8 +417,8 @@ def test_beam_search_is_deterministic():
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
-def test_beam_search_starts_from_the_root_embedding_of_a_root_in_the_vocab():
-    params, emb = make_drafter(8)
+def test_beam_search_starts_from_the_root_embedding_of_a_root_in_the_vocab(float64_drafter):
+    params, emb = make_drafter(8, random=float64_drafter)
     h = np.random.default_rng(9).normal(size=params.d_s)
     token_term = token_terms(params, emb)
     lattice = beam_search(params, emb, h, 3, params.vocab_size, 1, token_term)

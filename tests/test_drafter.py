@@ -17,6 +17,13 @@ def make_embeddings(seed, vocab, d_model):
     return np.random.default_rng(seed).normal(size=(vocab, d_model))
 
 
+def cast(p, dtype):
+    """``p`` with every tensor cast to ``dtype``."""
+    t = {name: arr.astype(dtype) for name, arr in p.flat_arrays()}
+    return DrafterParams(u=t["u"], w=t["w"], b=t["b"], out_proj=t["out_proj"],
+                         mlp=[(t[f"mlp{i}_w"], t[f"mlp{i}_b"]) for i in range(len(p.mlp))])
+
+
 def silu(x):
     return x / (1.0 + np.exp(-x))
 
@@ -38,13 +45,33 @@ def test_head_width_must_exceed_state_width():
 def test_state_embedding_and_hidden_widths_are_one_width():
     """The state starts as a token embedding, so w is square, and the head
     reads ``[s | h]`` with h of the state's width: out_proj is 2 * d_s wide,
-    and so is every head layer."""
+    and so is every head layer.  Every tensor has one dtype, float32 or
+    float64: a float64 ``w`` beside float32 tensors, or integer tensors
+    throughout, is a ``ShapeError`` too."""
     p = make_params()
     narrow_layer = [(np.zeros((12, 12)), np.zeros(10))]
     for w, mlp, out_proj in ((np.zeros((6, 8)), [], p.out_proj), (p.w, [], np.zeros((9, 14))),
                              (p.w, narrow_layer, p.out_proj)):
         with pytest.raises(ShapeError):
             DrafterParams(u=p.u, w=w, b=p.b, mlp=mlp, out_proj=out_proj)
+    with pytest.raises(ShapeError, match="one dtype, float32 or float64: u float32, w float64"):
+        DrafterParams(u=p.u, w=p.w.astype(np.float64), b=p.b, mlp=p.mlp, out_proj=p.out_proj)
+    with pytest.raises(ShapeError, match="one dtype, float32 or float64: u int64"):
+        cast(p, np.int64)
+    assert cast(p, np.float64).dtype == np.float64 and p.dtype == np.float32
+
+
+def test_random_params_are_the_float32_rounding_of_float64_draws(float64_drafter):
+    """The same normal draws in the same rng order as a float64 drafter,
+    each rounded to float32, with no ``flat`` buffer."""
+    for seed, d_s, vocab in ((0, 6, 9), (3, 32, 16)):
+        rng, rng64 = np.random.default_rng(seed), np.random.default_rng(seed)
+        p = DrafterParams.random(rng, d_s, vocab)
+        want = float64_drafter(rng64, d_s, vocab)
+        assert p.flat is None and p.dtype == np.float32
+        for (name, got), (_, draw) in zip(p.flat_arrays(), want.flat_arrays(), strict=True):
+            assert got.dtype == np.float32 and np.array_equal(got, draw.astype(np.float32)), name
+        assert rng.normal() == rng64.normal()  # as many draws
 
 
 def test_step_applies_silu_recurrence():
@@ -152,11 +179,12 @@ def test_batch_loss_equals_sum_of_sequences():
     assert np.isclose(total, singles, atol=1e-9)
 
 
-def test_gradient_matches_central_finite_differences():
-    """Every coordinate, epsilon 1e-3, relative error under 1e-4."""
+def test_gradient_matches_central_finite_differences(float64_drafter):
+    """Every coordinate, epsilon 1e-3, relative error under 1e-4, on
+    float64 parameters."""
     rng = np.random.default_rng(14)
     for _ in range(3):
-        p = DrafterParams.random(rng, 4, 6)
+        p = float64_drafter(rng, 4, 6)
         emb = rng.normal(size=(6, 4))
         h = rng.normal(size=4)
         teacher = rng.integers(0, 6, size=5)
@@ -181,6 +209,30 @@ def test_gradient_matches_central_finite_differences():
                 rel = abs(fd - g[idx]) / max(1e-4, abs(fd), abs(g[idx]))
                 worst = max(worst, rel)
         assert worst < 1e-4, f"worst relative error {worst:.3e}"
+
+
+def test_float32_batch_loss_is_the_float64_loss_to_float32_precision():
+    """The float32 loss and gradients against the float64 run of the same
+    parameters and inputs, upcast.  The bounds are multiples of float32's
+    epsilon: the loss within 32 eps of the float64 loss, relative, and each
+    gradient within 32 eps of its tensor's largest float64 entry."""
+    eps = float(np.finfo(np.float32).eps)
+    d_s, vocab, bsz, horizon = 16, 24, 8, 5
+    for seed in range(3):
+        rng = np.random.default_rng(40 + seed)
+        p = DrafterParams.random(rng, d_s, vocab)
+        p.b[:] = rng.normal(0.0, 0.1, d_s)  # random init leaves it zero
+        emb = rng.normal(size=(vocab, d_s)).astype(np.float32)
+        h = rng.normal(size=(bsz, d_s)).astype(np.float32)
+        s0 = emb[rng.integers(0, vocab, size=bsz)]
+        teacher = rng.integers(0, vocab, size=(bsz, horizon))
+        loss, grads = drafter.batch_loss(p, emb, h, s0, teacher)
+        loss64, grads64 = drafter.batch_loss(cast(p, np.float64), emb, h, s0, teacher)
+        assert grads.flat.dtype == np.float32 and grads64.flat.dtype == np.float64
+        assert loss != loss64 and abs(loss - loss64) <= 32 * eps * abs(loss64), seed
+        for (name, got), (_, want) in zip(grads.flat_arrays(), grads64.flat_arrays(),
+                                          strict=True):
+            assert np.abs(got - want).max() <= 32 * eps * np.abs(want).max(), (seed, name)
 
 
 def test_params_copy_is_deep():

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from redrafter import cli, weights
+from redrafter import cli, distill, weights
 from redrafter.beam import pack_beam
 from redrafter.drafter import DrafterParams
 from redrafter.errors import ConfigError, FormatError
@@ -39,15 +39,22 @@ def test_base_model_round_trip_is_bitwise(tmp_path):
 
 
 def test_drafter_round_trip_preserves_float32_payload(tmp_path):
-    params = DrafterParams.random(np.random.default_rng(4), 8, 12)
+    """A trained drafter comes back float32 and byte for byte."""
+    base = TinyTransformer.random(CONFIG, seed=4)
+    corpus = distill.sample_markov_corpus(seed=4, n_sequences=3, seq_len=10, vocab_size=12)
+    params, _ = distill.train_drafter(distill.build_distill_dataset(base, corpus, 5),
+                                      DrafterParams.random(np.random.default_rng(4), 8, 12),
+                                      distill.TrainConfig(horizon=5, epochs=1),
+                                      base.token_embeddings)
     prefix = str(tmp_path / "drafter")
     weights.save_drafter(params, horizon=5, prefix=prefix)
     loaded, horizon = weights.load_drafter(prefix)
     assert horizon == 5
-    for (name, orig), (name2, got) in zip(params.flat_arrays(), loaded.flat_arrays()):
+    for (name, orig), (name2, got) in zip(params.flat_arrays(), loaded.flat_arrays(),
+                                          strict=True):
         assert name == name2
-        # storage is float32; the round trip must be exact at that precision
-        assert np.array_equal(orig.astype(np.float32), got.astype(np.float32)), name
+        assert orig.dtype == got.dtype == np.float32, name
+        assert orig.shape == got.shape and orig.tobytes() == got.tobytes(), name
     # a second save of the loaded params reproduces the blob byte for byte
     prefix2 = str(tmp_path / "drafter2")
     weights.save_drafter(loaded, horizon=5, prefix=prefix2)
