@@ -424,13 +424,22 @@ def sample_markov_corpus(seed, n_sequences=500, seq_len=64, vocab_size=32):
         raise ContractError(f"an order-2 chain seeds 2 tokens: need seq_len >= 2, got {seq_len}")
     rng = np.random.default_rng(seed)
     table = rng.normal(0.0, 1.5, (vocab_size ** 2, vocab_size))
+    # each token is ``rng.choice(vocab_size, p=p)`` bit for bit: choice draws
+    # one ``rng.random()`` and searches it in the normalized cumulative sum of
+    # p, so each state's CDF is built once, on its first visit, the same way
+    cdfs = {}
     sequences = []
     for _ in range(n_sequences):
         seq = [int(rng.integers(vocab_size)) for _ in range(2)]
         while len(seq) < seq_len:
-            z = table[seq[-2] * vocab_size + seq[-1]]
-            z = z - z.max()
-            p = np.exp(z) / np.exp(z).sum()
-            seq.append(int(rng.choice(vocab_size, p=p)))
+            state = seq[-2] * vocab_size + seq[-1]
+            cdf = cdfs.get(state)
+            if cdf is None:
+                z = table[state]
+                z = z - z.max()
+                cdf = (np.exp(z) / np.exp(z).sum()).cumsum()
+                cdf /= cdf[-1]
+                cdfs[state] = cdf
+            seq.append(int(cdf.searchsorted(rng.random(), side="right")))
         sequences.append(np.asarray(seq, np.int64))
     return sequences

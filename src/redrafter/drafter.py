@@ -77,6 +77,8 @@ class DrafterParams:
             raise ShapeError(f"recurrence shapes must be ({d_s},{d_s}), ({d_s},{d_s}) and "
                              f"({d_s},): u {self.u.shape}, w {self.w.shape}, b {self.b.shape}")
         d_g = 2 * d_s
+        if self.out_proj is None:
+            raise ShapeError(f"out_proj is missing: it must be a (vocab, 2 * d_s = {d_g}) array")
         if self.out_proj.shape[1:] != (d_g,):
             raise ShapeError(f"out_proj {self.out_proj.shape} must have 2 * d_s = {d_g} columns")
         for i, (wm, bm) in enumerate(self.mlp):

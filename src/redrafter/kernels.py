@@ -63,6 +63,13 @@ the fresh score array is scaled, biased, shifted and exponentiated in place.
 On the same VM, in-process, that took a 1-row 32 x 64 matmul from 7.8 to
 5.1 us and a 1-row attend over 21 keys (width 32, 4 heads) from 23 to 20 us.
 
+Attention's additive mask covers only the last keys, or none: the new rows
+of a forward see every committed key, so a caller passes the bias over the
+keys past the committed context, or None when every row sees every key.  A
+zero bias never changes a score's bits (a sum from +0.0 is never -0.0, and
+neither is its product with the positive scale), so dropping the zero
+columns is exact, and a greedy forward builds and adds no bias at all.
+
 ``tests/test_kernels.py`` lints this fixed-order source for ``.sum``,
 ``dot``, ``matmul``, ``@`` and einsum subscripts that sum an index.
 
@@ -129,7 +136,8 @@ def _attend_numpy(q, keys, vals, bias, n_heads, scale):
                 keys.reshape(m, n_heads, dh).T[:, :, None, :], out=terms)
     scores = _ordered_sum(terms)
     scores *= scale
-    scores += bias
+    if bias is not None:
+        scores[:, :, m - bias.shape[1]:] += bias
     # softmax over keys; probs[j, h, i] holds it keys first, so the
     # denominator is an outer-axis sum
     scores -= np.maximum.reduce(scores, axis=2, keepdims=True)
@@ -220,11 +228,14 @@ def matmul(a, b):
 def attend(q, keys, vals, bias, n_heads, scale):
     """Multi-head scaled-dot attention over an explicit key/value set.
 
-    ``bias`` is additive per (query, key); disallowed keys carry the large
-    negative penalty and end up with softmax weight exactly 0.0, so the
-    surviving keys see the same rounding sequence as a dense causal row.
+    ``bias`` is additive per (query, key) over the *last* ``bias.shape[1]``
+    keys; every query sees the keys before them, and None means every query
+    sees every key, bit for bit as an all-zero bias.  Disallowed keys carry
+    the large negative penalty and end up with softmax weight exactly 0.0, so
+    the surviving keys see the same rounding sequence as a dense causal row.
     """
-    if q.shape[0] != bias.shape[0] or keys.shape[0] != bias.shape[1]:
+    if bias is not None and (bias.ndim != 2 or q.shape[0] != bias.shape[0]
+                             or bias.shape[1] > keys.shape[0]):
         raise ShapeError(f"attend: bias {bias.shape} does not match "
                          f"q {q.shape} / keys {keys.shape}")
     if keys.shape != vals.shape or q.shape[1] != keys.shape[1]:
@@ -234,7 +245,7 @@ def attend(q, keys, vals, bias, n_heads, scale):
         raise ShapeError(f"attend: width {q.shape[1]} does not split into {n_heads} heads")
     f32 = np.float32
     return _attend_numpy(np.asarray(q, f32), np.asarray(keys, f32), np.asarray(vals, f32),
-                        np.asarray(bias, f32), n_heads, f32(scale))
+                        None if bias is None else np.asarray(bias, f32), n_heads, f32(scale))
 
 
 def masked_bias(allowed):

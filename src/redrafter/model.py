@@ -8,6 +8,7 @@ write K/V only to the cache's scratch rows past the committed context;
 accepted tokens are committed explicitly, so rejected drafts leave no trace.
 """
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -28,6 +29,12 @@ class ModelConfig:
     max_seq_len: int
 
     def __post_init__(self):
+        try:  # numpy ints pass; a float or a string does not
+            for value in (self.vocab_size, self.d_model, self.n_layers, self.n_heads,
+                          self.d_ff, self.max_seq_len):
+                operator.index(value)
+        except TypeError:
+            raise ConfigError(f"every ModelConfig field must be an integer, got {self}") from None
         # sinusoidal positions pair a sine and a cosine column, so d_model is
         # even, and at least one pair
         if (self.n_heads < 1 or self.d_model < 2 or self.d_model % self.n_heads
@@ -180,8 +187,17 @@ _ONE = np.float32(1.0)
 
 def _layer_norm(x, gain, bias):
     # np.add.reduce sums each row as ndarray.mean does, without mean's
-    # Python-level overhead; every row has d_model terms on every path
+    # Python-level overhead; every row has d_model terms on every path.  One
+    # row, every greedy forward's, takes its statistics as float32 scalars,
+    # which cost less than (1, 1) arrays: a 1-D reduce runs the same
+    # contiguous loop as axis=1, and the scalar division, addition and square
+    # root round as the array ones do, so the bits are the same
     d = x.shape[1]
+    if x.shape[0] == 1:
+        row = x[0]
+        xc = row - np.add.reduce(row) / np.float32(d)
+        var = np.add.reduce(xc * xc) / np.float32(d)
+        return ((xc / np.sqrt(var + _LN_EPS)) * gain + bias)[None]
     xc = x - np.add.reduce(x, axis=1, keepdims=True) / d
     var = np.add.reduce(xc * xc, axis=1, keepdims=True) / d
     return (xc / np.sqrt(var + _LN_EPS)) * gain + bias
@@ -274,15 +290,20 @@ class TinyTransformer(BaseModel):
     def _forward(self, tokens, positions, cache, key_bias):
         """Shared body of the causal and tree-masked forwards.
 
-        key_bias is (n_new, keys) additive float32; disallowed keys carry a
-        large negative bias whose softmax weight is exactly 0.  Each layer
-        takes its K and V as views of the cache's array, writes the new rows'
-        K/V to rows ``keys - n_new .. keys`` and attends the first ``keys``
-        rows in place.
+        The n new rows sit just past the committed context, or for a tree
+        forward from ``start`` just past the tree's first ``start`` nodes, and
+        every row sees every committed key.  So ``key_bias`` covers only the
+        keys after the committed ones: it is None when a row sees every key
+        (one context row), else the (n, keys past the context) additive
+        float32 bias whose disallowed keys carry a large negative penalty, of
+        softmax weight exactly 0.  Each layer takes its K and V as views of
+        the cache's array, writes the new rows' K/V to rows ``end - n ..
+        end`` and attends the first ``end`` rows in place.
         """
         w = self.weights
         d = self.config.d_model
-        n, end = tokens.shape[0], key_bias.shape[1]
+        n = tokens.shape[0]
+        end = cache.committed_len + (n if key_bias is None else key_bias.shape[1])
         x = w["tok_emb"][tokens] + self._pos[positions]
         for (ln1_g, ln1_b, wqkv, wo, ln2_g, ln2_b, w1, b1, w2, b2), k, v in zip(
                 self._layers, cache.kv[:, 0], cache.kv[:, 1]):
@@ -300,19 +321,16 @@ class TinyTransformer(BaseModel):
 
     def _context_rows(self, tokens, cache):
         n_ctx, n = cache.committed_len, tokens.shape[0]
-        # row i attends keys 0 .. n_ctx+i, so a single row attends every key
-        bias = (np.zeros((1, n_ctx + 1), np.float32) if n == 1
-                else kernels.masked_bias(np.tri(n, n_ctx + n, n_ctx, dtype=bool)))
+        # new row i sees new rows 0 .. i, so a single row sees every key
+        bias = None if n == 1 else kernels.masked_bias(np.tri(n, dtype=bool))
         return self._forward(tokens, slice(n_ctx, n_ctx + n), cache, bias)
 
     def _tree_rows(self, tree, start, cache):
-        n_ctx = cache.committed_len
         # each node sits at the absolute position its path would occupy; the
         # root (depth 0) takes the next free position
-        positions = n_ctx + tree.depths[start:]
-        allowed = np.concatenate([np.ones((tree.n - start, n_ctx), dtype=bool),
-                                  tree.mask[start:]], axis=1)
-        return self._forward(tree.tokens[start:], positions, cache, kernels.masked_bias(allowed))
+        positions = cache.committed_len + tree.depths[start:]
+        return self._forward(tree.tokens[start:], positions, cache,
+                             kernels.masked_bias(tree.mask[start:]))
 
 
 class SyntheticMarkovModel(BaseModel):

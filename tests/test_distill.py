@@ -127,6 +127,35 @@ def test_corpus_is_seeded_and_shaped():
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
+def choice_corpus(seed, n_sequences, seq_len, vocab_size):
+    """The corpus drawn with one ``rng.choice(vocab_size, p=p)`` per token."""
+    rng = np.random.default_rng(seed)
+    table = rng.normal(0.0, 1.5, (vocab_size ** 2, vocab_size))
+    sequences = []
+    for _ in range(n_sequences):
+        seq = [int(rng.integers(vocab_size)) for _ in range(2)]
+        while len(seq) < seq_len:
+            z = table[seq[-2] * vocab_size + seq[-1]]
+            z = z - z.max()
+            p = np.exp(z) / np.exp(z).sum()
+            seq.append(int(rng.choice(vocab_size, p=p)))
+        sequences.append(np.asarray(seq, np.int64))
+    return sequences
+
+
+@pytest.mark.parametrize("args", [(21, 120, 48, 32), (7, 60, 32, 64), (3, 40, 40, 256),
+                                  (0, 30, 20, 5)],
+                         ids=["markov-wide", "tt-short", "vocab256", "vocab5"])
+def test_corpus_is_the_rng_choice_corpus(args):
+    """Each state's CDF, built once, and one ``rng.random()`` per token draw
+    the corpus ``rng.choice`` draws, token for token; the first two cases are
+    the benchmark workloads' corpora."""
+    got, want = sample_markov_corpus(*args), choice_corpus(*args)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("base", ["markov", "transformer"], indirect=True)
 def test_distilled_teacher_is_base_greedy_continuation(base, corpus):
     horizon = 4

@@ -54,6 +54,8 @@ def test_state_embedding_and_hidden_widths_are_one_width():
                              (p.w, narrow_layer, p.out_proj)):
         with pytest.raises(ShapeError):
             DrafterParams(u=p.u, w=w, b=p.b, mlp=mlp, out_proj=out_proj)
+    with pytest.raises(ShapeError, match="out_proj is missing"):
+        DrafterParams(u=p.u, w=p.w, b=p.b)
     with pytest.raises(ShapeError, match="one dtype, float32 or float64: u float32, w float64"):
         DrafterParams(u=p.u, w=p.w.astype(np.float64), b=p.b, mlp=p.mlp, out_proj=p.out_proj)
     with pytest.raises(ShapeError, match="one dtype, float32 or float64: u int64"):

@@ -317,11 +317,47 @@ def test_attend_equals_composed_primitives(lane):
             assert np.array_equal(bits(alone), bits(got[i:i + 1])), (case, i)
 
 
+def test_block_bias_equals_the_full_bias_with_zero_committed_part(lane):
+    """``attend``'s bias covers the last keys, and every query sees the keys
+    before them.  For random query counts, key counts and tree masks, the
+    block bias gives the bits of the full bias whose committed-key part is
+    zero, and one all-seeing row with None those of an all-zero bias.  Queries
+    carry signed zeros and one query row is all -0.0, so some scores are sums
+    of -0.0 products: a sum from +0.0 is +0.0, which a zero bias leaves as
+    it is."""
+    rng = np.random.default_rng(13)
+    # (query rows, heads, head width, committed keys, unqueried leaves): one
+    # key in all, _ordered_sum's slab-of-1 fallback, then random shapes
+    cases = [(1, 1, 1, 0, 0), (1, 1, 3, 20, 0), (3, 2, 1, 0, 2)]
+    cases += [(int(rng.integers(1, 14)), int(rng.choice([1, 2, 4])), int(rng.choice([1, 3, 8])),
+               int(rng.integers(0, 140)), int(rng.integers(0, 4))) for _ in range(30)]
+    for case in cases:
+        n, n_heads, dh, n_ctx, n_unqueried = case
+        allowed = tree_allowed(rng, n, n_ctx, n_unqueried)
+        m, d = allowed.shape[1], n_heads * dh
+        q = sprinkle_signed_zeros(rng, rng.normal(size=(n, d)).astype(np.float32))
+        q[rng.integers(n)] = -0.0
+        keys = sprinkle_signed_zeros(rng, rng.normal(size=(m, d)).astype(np.float32))
+        vals = sprinkle_signed_zeros(rng, rng.normal(size=(m, d)).astype(np.float32))
+        scale = np.float32(1.0 / np.sqrt(dh))
+        full = kernels.attend(q, keys, vals, kernels.masked_bias(allowed), n_heads, scale)
+        block = kernels.attend(q, keys, vals, kernels.masked_bias(allowed[:, n_ctx:]),
+                               n_heads, scale)
+        assert np.array_equal(bits(block), bits(full)), case
+        for i in range(n):
+            zero = kernels.attend(q[i:i + 1], keys, vals, np.zeros((1, m), np.float32),
+                                  n_heads, scale)
+            none = kernels.attend(q[i:i + 1], keys, vals, None, n_heads, scale)
+            assert np.array_equal(bits(none), bits(zero)), (case, i)
+
+
 def test_attend_shape_validation():
     q = np.zeros((2, 4), np.float32)
     kv = np.zeros((3, 4), np.float32)
-    with pytest.raises(ShapeError):
-        kernels.attend(q, kv, kv, np.zeros((2, 5), np.float32), 2, 0.5)
+    # a bias wider than the keys, one whose row count is not q's, and a 1-D one
+    for bias in (np.zeros((2, 5)), np.zeros((3, 3)), np.zeros((1, 2)), np.zeros(3)):
+        with pytest.raises(ShapeError, match="bias"):
+            kernels.attend(q, kv, kv, bias.astype(np.float32), 2, 0.5)
     with pytest.raises(ShapeError):
         kernels.attend(q, kv, np.zeros((3, 6), np.float32), np.zeros((2, 3), np.float32), 2, 0.5)
     # a head count that does not split the width, or no heads at all

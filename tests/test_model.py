@@ -243,18 +243,27 @@ def test_forwards_equal_the_separate_projection_reference(n_heads):
 
 
 def test_layer_norm_mean_is_bitwise_the_float32_mean():
+    """On every path, one row's float32 scalar statistics and several rows'
+    (rows, 1) arrays, at widths on both sides of numpy's pairwise blocks of
+    8 and 128 terms, and for a constant row, whose variance is zero; a row
+    alone gives the bits it has in a batch."""
     rng = np.random.default_rng(12)
     for rows in range(1, 21):
-        for d in (16, 32, 64):
+        for d in (2, 16, 32, 64, 100, 256):
             x = (rng.normal(size=(rows, d)) * rng.choice([1e-3, 1.0, 1e3])).astype(np.float32)
+            if rows % 5 == 1:  # d copies of 0.75 sum and divide exactly
+                x[0] = np.float32(0.75)
             gain = rng.normal(size=d).astype(np.float32)
             bias = rng.normal(size=d).astype(np.float32)
             mu = x.mean(axis=1, keepdims=True, dtype=np.float32)
             var = ((x - mu) ** 2).mean(axis=1, keepdims=True, dtype=np.float32)
             expect = ((x - mu) / np.sqrt(var + np.float32(1e-5))) * gain + bias
             got = _layer_norm(x, gain, bias)
-            assert got.dtype == np.float32
+            assert got.dtype == np.float32 and got.shape == (rows, d)
             assert np.array_equal(got.view(np.uint32), expect.view(np.uint32))
+            for i in range(rows):  # the one-row path gives each row its batch bits
+                alone = _layer_norm(x[i:i + 1], gain, bias)
+                assert np.array_equal(alone.view(np.uint32), got[i:i + 1].view(np.uint32))
 
 
 def test_capacity_overflow_raises(tiny, markov):
@@ -328,6 +337,15 @@ def test_config_validation():
         with pytest.raises(ConfigError, match="need n_layers >= 0 and d_ff >= 0"):
             ModelConfig(vocab_size=8, d_model=8, n_layers=n_layers, n_heads=1, d_ff=d_ff,
                         max_seq_len=8)
+    # a float would pass as a whole width or reach numpy shapes as a TypeError,
+    # and a string would fail the range checks with a bare TypeError; numpy
+    # integers are integers
+    fields = dict(vocab_size=8, d_model=8, n_layers=1, n_heads=2, d_ff=8, max_seq_len=16)
+    for field, value in (("vocab_size", 8.0), ("d_model", 8.0), ("n_layers", 1.5),
+                         ("n_heads", "2"), ("d_ff", None), ("max_seq_len", "16")):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            ModelConfig(**{**fields, field: value})
+        assert ModelConfig(**{**fields, field: np.int64(fields[field])}) == ModelConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
