@@ -21,14 +21,13 @@ construction, the argmax the base model would have produced at that position,
 and the step always ends with the base model's own next token.
 """
 
-import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import beam as beam_mod
-from .errors import CapacityError, ConfigError, ContractError, VocabError
+from .errors import CapacityError, ConfigError, ContractError, VocabError, check_integers
 
 
 @dataclass(slots=True)
@@ -47,13 +46,9 @@ class DecodeConfig:
     stop_token: Optional[int] = None
 
     def __post_init__(self):
-        try:  # numpy ints pass; a float or a string does not
-            for value in (self.beam_width, self.beam_length, self.max_new_tokens,
-                          0 if self.stop_token is None else self.stop_token):
-                operator.index(value)
-        except TypeError:
-            raise ConfigError(f"beam_width, beam_length, max_new_tokens and stop_token must be "
-                              f"integers, got {self}") from None
+        check_integers(ConfigError, beam_width=self.beam_width, beam_length=self.beam_length,
+                       max_new_tokens=self.max_new_tokens,
+                       stop_token=0 if self.stop_token is None else self.stop_token)
         if self.beam_width < 1 or self.beam_length < 1 or self.max_new_tokens < 1:
             raise ConfigError("beam_width, beam_length and max_new_tokens must be >= 1")
 

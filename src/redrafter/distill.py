@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import beam, decode, drafter
-from .errors import ContractError, FormatError, ShapeError, TrainingError, check_tokens
+from .errors import (ContractError, FormatError, ShapeError, TrainingError, check_integers,
+                     check_tokens)
 
 log = logging.getLogger(__name__)
 
@@ -80,6 +81,12 @@ def _dataset(base, horizon, sequences, rows):
     return DistillDataset(sequences, *(np.concatenate(field) for field in zip(empty, *rows)))
 
 
+def _check_horizon(horizon):
+    check_integers(ContractError, horizon=horizon)
+    if horizon < 1:
+        raise ContractError(f"need horizon >= 1, got {horizon}")
+
+
 @dataclass
 class TrainConfig:
     horizon: int = 5
@@ -89,13 +96,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ContractError(f"need horizon >= 1, got {self.horizon}")
+        _check_horizon(self.horizon)
+        check_integers(ContractError, epochs=self.epochs, batch_size=self.batch_size,
+                       seed=self.seed)
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ContractError(f"need a finite learning_rate >= 0, got {self.learning_rate}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError(f"need epochs >= 1 and batch_size >= 1, got epochs "
                                 f"{self.epochs} and batch_size {self.batch_size}")
+        if self.seed < 0:
+            raise ContractError(f"need seed >= 0, got {self.seed}")
 
 
 def build_distill_dataset(base, corpus, horizon):
@@ -123,8 +133,7 @@ def build_distill_dataset(base, corpus, horizon):
     ``max_seq_len`` raises its ``CapacityError`` at the round-0 forward of
     the block that crosses the window.
     """
-    if horizon < 1:
-        raise ContractError(f"need horizon >= 1, got {horizon}")
+    _check_horizon(horizon)
     max_len = base.config.max_seq_len
     sequences = [np.asarray(seq, dtype=np.int64) for seq in corpus]
     rows = []
@@ -186,8 +195,7 @@ def ground_truth_dataset(base, corpus, horizon):
     on.  Positions within ``horizon + 1`` of the sequence end are skipped.
     Returns a ``DistillDataset`` whose ``sequences`` are the corpus's.
     """
-    if horizon < 1:
-        raise ContractError(f"need horizon >= 1, got {horizon}")
+    _check_horizon(horizon)
     sequences = [np.asarray(seq, dtype=np.int64) for seq in corpus]
     rows = []
     skipped = 0
@@ -384,8 +392,7 @@ def empirical_kl(base, params, probe_contexts, horizon):
     float64.  Returns an array of length ``horizon``: KL at recurrence step
     k averaged over the probe contexts.
     """
-    if horizon < 1:
-        raise ContractError(f"need horizon >= 1, got {horizon}")
+    _check_horizon(horizon)
     if not len(probe_contexts):
         raise ContractError("no probe contexts to measure the KL on")
     proposer = decode.RnnProposer(params, base.token_embeddings)
@@ -420,8 +427,13 @@ def sample_markov_corpus(seed, n_sequences=500, seq_len=64, vocab_size=32):
     Built from its own transition table, so it is distinct from any
     SyntheticMarkovModel's greedy chains.
     """
+    check_integers(ContractError, seed=seed, n_sequences=n_sequences, seq_len=seq_len,
+                   vocab_size=vocab_size)
     if seq_len < 2:
         raise ContractError(f"an order-2 chain seeds 2 tokens: need seq_len >= 2, got {seq_len}")
+    if seed < 0 or n_sequences < 0 or vocab_size < 1:
+        raise ContractError(f"need seed >= 0, n_sequences >= 0 and vocab_size >= 1, got "
+                            f"{seed}, {n_sequences} and {vocab_size}")
     rng = np.random.default_rng(seed)
     table = rng.normal(0.0, 1.5, (vocab_size ** 2, vocab_size))
     # each token is ``rng.choice(vocab_size, p=p)`` bit for bit: choice draws

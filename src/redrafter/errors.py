@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all modules, and the token-range check."""
+"""Exception hierarchy shared by all modules, the integer rule and the
+token-range check."""
+
+import operator
 
 import numpy as np
 
@@ -33,6 +36,17 @@ class FormatError(RedrafterError):
 
 class TrainingError(RedrafterError):
     """Optimization diverged."""
+
+
+def check_integers(error, **values):
+    """Raise ``error`` naming the first of ``values`` that is not an integer:
+    Python and numpy integers pass ``operator.index``, a float, a string or
+    None does not."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise error(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_tokens(tokens, vocab_size):

@@ -59,16 +59,17 @@ are all of greedy decoding's, and the score products keep ``np.multiply``.
 A 1-row call does little arithmetic: its cost is mostly the fixed ~0.5-3 us
 of each numpy call it makes.  So no call here copies an operand that is
 already float32 (the query is a strided view of the fused QKV product), and
-the fresh score array is scaled, biased, shifted and exponentiated in place.
+the fresh score array is scaled, masked, shifted and exponentiated in place.
 On the same VM, in-process, that took a 1-row 32 x 64 matmul from 7.8 to
 5.1 us and a 1-row attend over 21 keys (width 32, 4 heads) from 23 to 20 us.
 
-Attention's additive mask covers only the last keys, or none: the new rows
-of a forward see every committed key, so a caller passes the bias over the
-keys past the committed context, or None when every row sees every key.  A
-zero bias never changes a score's bits (a sum from +0.0 is never -0.0, and
-neither is its product with the positive scale), so dropping the zero
-columns is exact, and a greedy forward builds and adds no bias at all.
+Attention's boolean mask covers only the last keys, or none: the new rows
+of a forward see every committed key, so a caller passes the mask over the
+keys past the committed context, or None when every row sees every key, as
+greedy's one row does.  A disallowed key's scaled score is overwritten with
+the -1e9 penalty, and allowed scores are never touched.  Every row sees at
+least itself, so its max is an allowed score, and each disallowed key's
+exponential underflows to exactly +0.0.
 
 ``tests/test_kernels.py`` lints this fixed-order source for ``.sum``,
 ``dot``, ``matmul``, ``@`` and einsum subscripts that sum an index.
@@ -98,7 +99,7 @@ from .errors import ShapeError
 # there is no numba lane; perfbench/run.py's environment stamp reads this
 HAVE_NUMBA = False
 
-_NEG_BIAS = np.float32(-1e9)  # additive mask penalty; exp() underflows to exact 0.0
+_NEG_BIAS = np.float32(-1e9)  # a disallowed key's score; its exp() underflows to exact 0.0
 _ZERO = np.float32(0.0)
 
 
@@ -124,9 +125,29 @@ def _matmul_numpy(a, b):
     return _ordered_sum(np.einsum("ik,kj->kij", a, b, out=terms))
 
 
-def _attend_numpy(q, keys, vals, bias, n_heads, scale):
-    """All heads in one pass; the same products and sums as per-head
-    ``matmul``, a row softmax with a left-to-right denominator, and ``matmul``."""
+def attend(q, keys, vals, allowed, n_heads, scale):
+    """Multi-head scaled-dot attention over an explicit key/value set.
+
+    ``allowed`` is a boolean (query, key) mask over the *last*
+    ``allowed.shape[1]`` keys; every query sees the keys before them, and
+    None means every query sees every key.  A disallowed key's score is set
+    to the large negative penalty, of softmax weight exactly 0.0, so the
+    surviving keys see the same rounding sequence as a dense causal row.
+    All heads go in one pass: the same products and sums as per-head
+    ``matmul``, a row softmax with a left-to-right denominator, and ``matmul``.
+    """
+    if allowed is not None and (allowed.dtype != bool or allowed.ndim != 2
+                                or q.shape[0] != allowed.shape[0]
+                                or allowed.shape[1] > keys.shape[0]):
+        raise ShapeError(f"attend: mask {allowed.dtype} {allowed.shape} is not a boolean "
+                         f"mask matching q {q.shape} / keys {keys.shape}")
+    if keys.shape != vals.shape or q.shape[1] != keys.shape[1]:
+        raise ShapeError(f"attend: incompatible shapes q {q.shape}, keys {keys.shape}, "
+                         f"vals {vals.shape}")
+    if n_heads < 1 or q.shape[1] % n_heads:
+        raise ShapeError(f"attend: width {q.shape[1]} does not split into {n_heads} heads")
+    f32 = np.float32
+    q, keys, vals = np.asarray(q, f32), np.asarray(keys, f32), np.asarray(vals, f32)
     n, d = q.shape
     m = keys.shape[0]
     dh = d // n_heads
@@ -135,9 +156,9 @@ def _attend_numpy(q, keys, vals, bias, n_heads, scale):
     np.multiply(q.reshape(n, n_heads, dh).T[:, :, :, None],
                 keys.reshape(m, n_heads, dh).T[:, :, None, :], out=terms)
     scores = _ordered_sum(terms)
-    scores *= scale
-    if bias is not None:
-        scores[:, :, m - bias.shape[1]:] += bias
+    scores *= f32(scale)
+    if allowed is not None:
+        np.copyto(scores[:, :, m - allowed.shape[1]:], _NEG_BIAS, where=~allowed)
     # softmax over keys; probs[j, h, i] holds it keys first, so the
     # denominator is an outer-axis sum
     scores -= np.maximum.reduce(scores, axis=2, keepdims=True)
@@ -223,31 +244,3 @@ def matmul(a, b):
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     return _matmul_impl(a, b)
-
-
-def attend(q, keys, vals, bias, n_heads, scale):
-    """Multi-head scaled-dot attention over an explicit key/value set.
-
-    ``bias`` is additive per (query, key) over the *last* ``bias.shape[1]``
-    keys; every query sees the keys before them, and None means every query
-    sees every key, bit for bit as an all-zero bias.  Disallowed keys carry
-    the large negative penalty and end up with softmax weight exactly 0.0, so
-    the surviving keys see the same rounding sequence as a dense causal row.
-    """
-    if bias is not None and (bias.ndim != 2 or q.shape[0] != bias.shape[0]
-                             or bias.shape[1] > keys.shape[0]):
-        raise ShapeError(f"attend: bias {bias.shape} does not match "
-                         f"q {q.shape} / keys {keys.shape}")
-    if keys.shape != vals.shape or q.shape[1] != keys.shape[1]:
-        raise ShapeError(f"attend: incompatible shapes q {q.shape}, keys {keys.shape}, "
-                         f"vals {vals.shape}")
-    if n_heads < 1 or q.shape[1] % n_heads:
-        raise ShapeError(f"attend: width {q.shape[1]} does not split into {n_heads} heads")
-    f32 = np.float32
-    return _attend_numpy(np.asarray(q, f32), np.asarray(keys, f32), np.asarray(vals, f32),
-                        None if bias is None else np.asarray(bias, f32), n_heads, f32(scale))
-
-
-def masked_bias(allowed):
-    """Boolean mask -> additive float32 bias (0 where allowed, large negative otherwise)."""
-    return np.where(allowed, np.float32(0.0), _NEG_BIAS)

@@ -8,14 +8,14 @@ write K/V only to the cache's scratch rows past the committed context;
 accepted tokens are committed explicitly, so rejected drafts leave no trace.
 """
 
-import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .errors import CapacityError, ConfigError, ContractError, ShapeError, check_tokens
+from .errors import (CapacityError, ConfigError, ContractError, ShapeError, check_integers,
+                     check_tokens)
 from .beam import ROOT_PARENT
 
 
@@ -29,12 +29,7 @@ class ModelConfig:
     max_seq_len: int
 
     def __post_init__(self):
-        try:  # numpy ints pass; a float or a string does not
-            for value in (self.vocab_size, self.d_model, self.n_layers, self.n_heads,
-                          self.d_ff, self.max_seq_len):
-                operator.index(value)
-        except TypeError:
-            raise ConfigError(f"every ModelConfig field must be an integer, got {self}") from None
+        check_integers(ConfigError, **vars(self))
         # sinusoidal positions pair a sine and a cosine column, so d_model is
         # even, and at least one pair
         if (self.n_heads < 1 or self.d_model < 2 or self.d_model % self.n_heads
@@ -287,30 +282,29 @@ class TinyTransformer(BaseModel):
                 weights[name] = rng.normal(0.0, std, shape).astype(np.float32)
         return cls(config, weights)
 
-    def _forward(self, tokens, positions, cache, key_bias):
+    def _forward(self, tokens, positions, cache, allowed):
         """Shared body of the causal and tree-masked forwards.
 
         The n new rows sit just past the committed context, or for a tree
         forward from ``start`` just past the tree's first ``start`` nodes, and
-        every row sees every committed key.  So ``key_bias`` covers only the
+        every row sees every committed key.  So ``allowed`` covers only the
         keys after the committed ones: it is None when a row sees every key
-        (one context row), else the (n, keys past the context) additive
-        float32 bias whose disallowed keys carry a large negative penalty, of
-        softmax weight exactly 0.  Each layer takes its K and V as views of
+        (one context row), else the (n, keys past the context) boolean mask
+        of the keys each row sees.  Each layer takes its K and V as views of
         the cache's array, writes the new rows' K/V to rows ``end - n ..
         end`` and attends the first ``end`` rows in place.
         """
         w = self.weights
         d = self.config.d_model
         n = tokens.shape[0]
-        end = cache.committed_len + (n if key_bias is None else key_bias.shape[1])
+        end = cache.committed_len + (n if allowed is None else allowed.shape[1])
         x = w["tok_emb"][tokens] + self._pos[positions]
         for (ln1_g, ln1_b, wqkv, wo, ln2_g, ln2_b, w1, b1, w2, b2), k, v in zip(
                 self._layers, cache.kv[:, 0], cache.kv[:, 1]):
             qkv = kernels.matmul(_layer_norm(x, ln1_g, ln1_b), wqkv)
             k[end - n:end] = qkv[:, d:2 * d]
             v[end - n:end] = qkv[:, 2 * d:]
-            att = kernels.attend(qkv[:, :d], k[:end], v[:end], key_bias, self.config.n_heads,
+            att = kernels.attend(qkv[:, :d], k[:end], v[:end], allowed, self.config.n_heads,
                                  self._scale)
             x = x + kernels.matmul(att, wo)
             ff = _gelu(kernels.matmul(_layer_norm(x, ln2_g, ln2_b), w1) + b1)
@@ -322,15 +316,14 @@ class TinyTransformer(BaseModel):
     def _context_rows(self, tokens, cache):
         n_ctx, n = cache.committed_len, tokens.shape[0]
         # new row i sees new rows 0 .. i, so a single row sees every key
-        bias = None if n == 1 else kernels.masked_bias(np.tri(n, dtype=bool))
-        return self._forward(tokens, slice(n_ctx, n_ctx + n), cache, bias)
+        allowed = None if n == 1 else np.tri(n, dtype=bool)
+        return self._forward(tokens, slice(n_ctx, n_ctx + n), cache, allowed)
 
     def _tree_rows(self, tree, start, cache):
         # each node sits at the absolute position its path would occupy; the
         # root (depth 0) takes the next free position
         positions = cache.committed_len + tree.depths[start:]
-        return self._forward(tree.tokens[start:], positions, cache,
-                             kernels.masked_bias(tree.mask[start:]))
+        return self._forward(tree.tokens[start:], positions, cache, tree.mask[start:])
 
 
 class SyntheticMarkovModel(BaseModel):

@@ -125,6 +125,10 @@ def load_base_model(prefix):
         return TinyTransformer(config, tensors)
     except ShapeError as exc:
         raise FormatError(str(exc)) from exc
+    except (MemoryError, ValueError) as exc:
+        # numpy refuses a position table past the address space with either
+        raise FormatError(f"max_seq_len {config.max_seq_len}: its position table cannot be "
+                          f"allocated ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------

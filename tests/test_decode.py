@@ -398,7 +398,7 @@ def test_decode_config_validation():
 def test_decode_config_rejects_non_integer_fields(fields):
     """A fractional count would reach numpy as a TypeError, or let greedy run
     a token past it; a fractional stop token would never stop a decode."""
-    with pytest.raises(ConfigError, match="must be integers"):
+    with pytest.raises(ConfigError, match="must be an integer"):
         DecodeConfig(**fields)
 
 

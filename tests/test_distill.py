@@ -245,7 +245,8 @@ def test_tree_batched_dataset_makes_horizon_plus_one_packed_forwards_per_block(
 
 
 def test_dataset_builders_reject_a_non_positive_horizon(base, corpus):
-    for horizon in (0, -2):
+    # a float or a string would reach numpy as a bare TypeError
+    for horizon in (0, -2, 2.0, "3"):
         with pytest.raises(ContractError):
             build_distill_dataset(base, corpus, horizon)
         with pytest.raises(ContractError):
@@ -287,6 +288,26 @@ def test_corpus_needs_room_for_the_two_seed_tokens(tmp_path, capsys):
                          "--corpus-len", str(seq_len), "--out", str(tmp_path / "d")]) == 2
         assert "seq_len >= 2" in capsys.readouterr().err
     assert [len(s) for s in sample_markov_corpus(seed=5, n_sequences=2, seq_len=2)] == [2, 2]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n_sequences", 2.5, "n_sequences must be an integer"),
+    ("seq_len", 2.5, "seq_len must be an integer"),
+    ("vocab_size", 16.0, "vocab_size must be an integer"),
+    ("seed", 1.5, "seed must be an integer"),
+    ("vocab_size", 0, "need seed >= 0, n_sequences >= 0 and vocab_size >= 1"),
+    ("n_sequences", -1, "need seed >= 0, n_sequences >= 0 and vocab_size >= 1"),
+    ("seed", -1, "need seed >= 0, n_sequences >= 0 and vocab_size >= 1"),
+], ids=["n_sequences-float", "seq_len-float", "vocab-float", "seed-float", "vocab0",
+        "n_sequences-negative", "seed-negative"])
+def test_corpus_rejects_non_integer_and_empty_settings(field, value, message):
+    """A float count or seed would reach numpy as a bare TypeError, or be
+    rounded up to a longer sequence; an empty vocab or a negative seed would
+    be numpy's ValueError."""
+    settings = dict(seed=5, n_sequences=2, seq_len=4, vocab_size=16)
+    with pytest.raises(ContractError, match=message):
+        sample_markov_corpus(**{**settings, field: value})
+    assert sample_markov_corpus(**{**settings, "n_sequences": 0}) == []
 
 
 def test_dataset_file_round_trip(base, corpus, tmp_path, monkeypatch):
@@ -446,12 +467,18 @@ def test_training_is_bitwise_the_per_tensor_adam_reference(base, corpus):
 
 
 def test_train_config_rejects_bad_settings():
+    # a float count or seed would reach range() or the rng as a bare
+    # TypeError, a string horizon the range check, a negative seed the rng
     for bad in ({"epochs": 0}, {"epochs": -1}, {"batch_size": 0}, {"batch_size": -4},
                 {"horizon": 0}, {"learning_rate": -1e-3}, {"learning_rate": float("nan")},
-                {"learning_rate": float("inf")}):
+                {"learning_rate": float("inf")}, {"epochs": 2.5}, {"batch_size": 8.0},
+                {"horizon": "3"}, {"horizon": 2.0}, {"seed": -1}, {"seed": 1.5},
+                {"seed": None}):
         with pytest.raises(ContractError):
             TrainConfig(**bad)
     TrainConfig(epochs=1, batch_size=1)
+    TrainConfig(horizon=np.int64(2), epochs=np.int32(1), batch_size=np.int64(1),
+                seed=np.uint8(0))
 
 
 @pytest.mark.parametrize("flag, message", [
@@ -560,6 +587,9 @@ def test_kl_is_nonnegative_and_per_step(base):
         empirical_kl(base, init, [[3]], horizon=1)
     for horizon in (0, -1):  # no step to measure
         with pytest.raises(ContractError, match=f"need horizon >= 1, got {horizon}"):
+            empirical_kl(base, init, probes, horizon=horizon)
+    for horizon in (2.5, "2", None):  # no whole number of steps
+        with pytest.raises(ContractError, match="horizon must be an integer"):
             empirical_kl(base, init, probes, horizon=horizon)
     with pytest.raises(ContractError, match="no probe contexts"):  # a KL of nothing measured
         empirical_kl(base, init, [], horizon=1)

@@ -178,13 +178,13 @@ def reference_softmax(scores):
     return out
 
 
-def lane_probs(q, keys, bias, scale, rows=slice(None)):
+def lane_probs(q, keys, allowed, scale, rows=slice(None)):
     """One head's attention probabilities as ``kernels.attend`` computes them.  Key j
     takes row ``rows[j]`` of the identity as its value, so output column t
     sums exact zeros and the one product p * 1.0 of the key holding t; a
     column no key holds is +0.0."""
     vals = np.eye(keys.shape[1], dtype=np.float32)[rows]
-    return kernels.attend(q, keys, vals, bias, 1, scale)
+    return kernels.attend(q, keys, vals, allowed, 1, scale)
 
 
 def random_head(rng, n, n_keys, d):
@@ -199,7 +199,7 @@ def test_row_softmax_rows_normalize(lane):
     matmul = kernels._LANES[lane]
     rng = np.random.default_rng(2)
     q, keys, scale = random_head(rng, 7, 11, 11)
-    probs = lane_probs(q, keys, np.zeros((7, 11), np.float32), scale)
+    probs = lane_probs(q, keys, np.ones((7, 11), bool), scale)
     ref = reference_softmax(matmul(q, np.ascontiguousarray(keys.T)) * scale)
     assert np.array_equal(bits(probs), bits(ref))
     assert np.all(ref >= 0)
@@ -219,24 +219,17 @@ def test_masked_entries_are_exact_zero_and_do_not_perturb(lane):
     rng = np.random.default_rng(3)
     for cols, masked_cols in [(6, [4]), (20, [1, 2, 9, 15]), (150, list(range(0, 150, 3)))]:
         q, keys, scale = random_head(rng, 5, cols, cols)
-        bias = np.zeros((5, cols), np.float32)
-        bias[:, masked_cols] = kernels._NEG_BIAS
+        allowed = np.ones((5, cols), bool)
+        allowed[:, masked_cols] = False
         keep = [j for j in range(cols) if j not in masked_cols]
-        alone = np.zeros((5, len(keep)), np.float32)
-        masked = lane_probs(q, keys, bias, scale)
+        alone = np.ones((5, len(keep)), bool)
+        masked = lane_probs(q, keys, allowed, scale)
         assert not bits(masked[:, masked_cols]).any(), cols  # +0.0, not -0.0
         direct = lane_probs(q, keys[keep], alone, scale, keep)
         assert np.array_equal(bits(masked), bits(direct)), cols
         vals = rng.normal(size=(cols, cols)).astype(np.float32)
-        assert np.array_equal(bits(attend(q, keys, vals, bias, 1, scale)),
+        assert np.array_equal(bits(attend(q, keys, vals, allowed, 1, scale)),
                               bits(attend(q, keys[keep], vals[keep], alone, 1, scale))), cols
-
-
-def test_masked_bias_values():
-    allowed = np.array([[True, False], [False, True]])
-    bias = kernels.masked_bias(allowed)
-    assert bias[0, 0] == 0.0 and bias[1, 1] == 0.0
-    assert bias[0, 1] == kernels._NEG_BIAS and bias[1, 0] == kernels._NEG_BIAS
 
 
 def test_argmax_breaks_ties_toward_low_index():
@@ -280,11 +273,12 @@ ATTEND_CASES = [(4, 2, 3, 7),
 
 @pytest.mark.parametrize("lane", FIXED_ORDER_LANES)
 def test_attend_equals_composed_primitives(lane):
-    """The fused attention kernel must reproduce the lane's matmul, the
-    reference softmax and the lane's matmul bitwise: they share one
-    accumulation order.  Each query
-    row attended alone gives the same bits as in the batch.  Queries and
-    values carry signed zeros, and each case has a value column of -0.0."""
+    """The fused attention kernel must reproduce the lane's matmul, an
+    additive -1e9 bias on the disallowed keys, the reference softmax and the
+    lane's matmul bitwise: they share one accumulation order, and a
+    disallowed key weighs exactly 0.0 either way.  Each query row attended
+    alone gives the same bits as in the batch.  Queries and values carry
+    signed zeros, and each case has a value column of -0.0."""
     matmul, attend = kernels._LANES[lane], kernels.attend
     rng = np.random.default_rng(5)
     for n, n_heads, dh, keys_or_tree in ATTEND_CASES:
@@ -301,11 +295,11 @@ def test_attend_equals_composed_primitives(lane):
         sprinkle_signed_zeros(rng, q)
         sprinkle_signed_zeros(rng, vals)
         vals[:, rng.integers(d)] = -0.0
-        bias = kernels.masked_bias(allowed)
+        bias = np.where(allowed, np.float32(0.0), kernels._NEG_BIAS)
         scale = np.float32(1.0 / np.sqrt(dh))
         case = (n, n_heads, dh, keys_or_tree)
 
-        got = attend(q, keys, vals, bias, n_heads, scale)
+        got = attend(q, keys, vals, allowed, n_heads, scale)
         for head in range(n_heads):
             sl = slice(head * dh, (head + 1) * dh)
             scores = matmul(q[:, sl], np.ascontiguousarray(keys[:, sl].T)) * scale + bias
@@ -313,18 +307,17 @@ def test_attend_equals_composed_primitives(lane):
             expect = matmul(probs, vals[:, sl])
             assert np.array_equal(bits(got[:, sl]), bits(expect)), (case, head)
         for i in range(n):
-            alone = attend(q[i:i + 1], keys, vals, bias[i:i + 1], n_heads, scale)
+            alone = attend(q[i:i + 1], keys, vals, allowed[i:i + 1], n_heads, scale)
             assert np.array_equal(bits(alone), bits(got[i:i + 1])), (case, i)
 
 
-def test_block_bias_equals_the_full_bias_with_zero_committed_part(lane):
-    """``attend``'s bias covers the last keys, and every query sees the keys
+def test_block_mask_equals_the_full_mask_with_all_true_committed_part(lane):
+    """``attend``'s mask covers the last keys, and every query sees the keys
     before them.  For random query counts, key counts and tree masks, the
-    block bias gives the bits of the full bias whose committed-key part is
-    zero, and one all-seeing row with None those of an all-zero bias.  Queries
-    carry signed zeros and one query row is all -0.0, so some scores are sums
-    of -0.0 products: a sum from +0.0 is +0.0, which a zero bias leaves as
-    it is."""
+    block mask gives the bits of the full mask whose committed-key part is
+    all True, and one all-seeing row with None those of an all-True mask.
+    Queries carry signed zeros and one query row is all -0.0, so some scores
+    are sums of -0.0 products."""
     rng = np.random.default_rng(13)
     # (query rows, heads, head width, committed keys, unqueried leaves): one
     # key in all, _ordered_sum's slab-of-1 fallback, then random shapes
@@ -340,31 +333,34 @@ def test_block_bias_equals_the_full_bias_with_zero_committed_part(lane):
         keys = sprinkle_signed_zeros(rng, rng.normal(size=(m, d)).astype(np.float32))
         vals = sprinkle_signed_zeros(rng, rng.normal(size=(m, d)).astype(np.float32))
         scale = np.float32(1.0 / np.sqrt(dh))
-        full = kernels.attend(q, keys, vals, kernels.masked_bias(allowed), n_heads, scale)
-        block = kernels.attend(q, keys, vals, kernels.masked_bias(allowed[:, n_ctx:]),
-                               n_heads, scale)
+        full = kernels.attend(q, keys, vals, allowed, n_heads, scale)
+        block = kernels.attend(q, keys, vals, allowed[:, n_ctx:], n_heads, scale)
         assert np.array_equal(bits(block), bits(full)), case
         for i in range(n):
-            zero = kernels.attend(q[i:i + 1], keys, vals, np.zeros((1, m), np.float32),
-                                  n_heads, scale)
+            every = kernels.attend(q[i:i + 1], keys, vals, np.ones((1, m), bool), n_heads, scale)
             none = kernels.attend(q[i:i + 1], keys, vals, None, n_heads, scale)
-            assert np.array_equal(bits(none), bits(zero)), (case, i)
+            assert np.array_equal(bits(none), bits(every)), (case, i)
 
 
 def test_attend_shape_validation():
     q = np.zeros((2, 4), np.float32)
     kv = np.zeros((3, 4), np.float32)
-    # a bias wider than the keys, one whose row count is not q's, and a 1-D one
-    for bias in (np.zeros((2, 5)), np.zeros((3, 3)), np.zeros((1, 2)), np.zeros(3)):
-        with pytest.raises(ShapeError, match="bias"):
-            kernels.attend(q, kv, kv, bias.astype(np.float32), 2, 0.5)
-    with pytest.raises(ShapeError):
-        kernels.attend(q, kv, np.zeros((3, 6), np.float32), np.zeros((2, 3), np.float32), 2, 0.5)
+    # a mask wider than the keys, one whose row count is not q's, and a 1-D one
+    for allowed in (np.ones((2, 5), bool), np.ones((3, 3), bool), np.ones((1, 2), bool),
+                    np.ones(3, bool)):
+        with pytest.raises(ShapeError, match="mask"):
+            kernels.attend(q, kv, kv, allowed, 2, 0.5)
+    # a float or int mask is refused: an all-zero one would read as "no key allowed"
+    for dtype in (np.float32, np.int64):
+        with pytest.raises(ShapeError, match="mask"):
+            kernels.attend(q, kv, kv, np.zeros((2, 3), dtype), 2, 0.5)
+    with pytest.raises(ShapeError, match="incompatible"):
+        kernels.attend(q, kv, np.zeros((3, 6), np.float32), np.ones((2, 3), bool), 2, 0.5)
     # a head count that does not split the width, or no heads at all
     q, kv = np.zeros((2, 30), np.float32), np.zeros((3, 30), np.float32)
     for n_heads in (4, 0, -1):
         with pytest.raises(ShapeError, match="heads"):
-            kernels.attend(q, kv, kv, np.zeros((2, 3), np.float32), n_heads, 0.5)
+            kernels.attend(q, kv, kv, np.ones((2, 3), bool), n_heads, 0.5)
 
 
 def test_backend_selection_is_consistent():

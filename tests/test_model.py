@@ -182,7 +182,6 @@ def reference_forward(model, tokens, positions, ctx_k, ctx_v, allowed):
         return np.float32(0.5) * x * (np.float32(1.0) + np.tanh(
             k * (x + np.float32(0.044715) * x * x * x)))
 
-    bias = kernels.masked_bias(allowed)
     x = w["tok_emb"][tokens] + sinusoidal_positions(c.max_seq_len, d)[positions]
     new_kv = []
     for i in range(c.n_layers):
@@ -190,7 +189,7 @@ def reference_forward(model, tokens, positions, ctx_k, ctx_v, allowed):
         q, k, v = (kernels.matmul(x_norm, w[f"l{i}_{name}"]) for name in ("wq", "wk", "wv"))
         new_kv.append((k, v))
         att = kernels.attend(q, np.concatenate([ctx_k[i], k]), np.concatenate([ctx_v[i], v]),
-                             bias, c.n_heads, 1.0 / np.sqrt(d // c.n_heads))
+                             allowed, c.n_heads, 1.0 / np.sqrt(d // c.n_heads))
         x = x + kernels.matmul(att, w[f"l{i}_wo"])
         x_norm = layer_norm(x, w[f"l{i}_ln2_g"], w[f"l{i}_ln2_b"])
         ff = gelu(kernels.matmul(x_norm, w[f"l{i}_w1"]) + w[f"l{i}_b1"])

@@ -132,6 +132,12 @@ def test_edited_shape_rejected(tmp_path):
      "tensor mlp1_w is not read by a drafter with n_mlp 1"),
     ("base", r"# n_layers 2$", "# n_layers 1",
      "tensor l1_b1 is not read by a base model with n_layers 1"),
+    # windows whose position table lies past the address space: numpy raises
+    # MemoryError for the first and ValueError for the second
+    ("base", r"# max_seq_len \d+$", f"# max_seq_len {10 ** 15}",
+     f"max_seq_len {10 ** 15}: its position table cannot be allocated"),
+    ("base", r"# max_seq_len \d+$", f"# max_seq_len {10 ** 20}",
+     f"max_seq_len {10 ** 20}: its position table cannot be allocated"),
     # 2**32 * 2**32 elements wrap an int64 product to 0
     ("drafter", r"u f32 8,8 ", "u f32 4294967296,4294967296 ",
      f"tensor u: blob truncated (needs bytes up to {4 * 2 ** 64}"),
@@ -139,7 +145,7 @@ def test_edited_shape_rejected(tmp_path):
      "tensor u: shape 0,4294967296,4294967296 ("),
 ], ids=["three-fields", "dtype", "base-tensor", "drafter-tensor", "drafter-shape", "drafter-d_s",
         "drafter-no-d_s", "drafter-repeat", "base-repeat", "drafter-header-repeat",
-        "base-header-repeat", "drafter-unread", "base-unread",
+        "base-header-repeat", "drafter-unread", "base-unread", "window-1e15", "window-1e20",
         "count-overflow", "empty-overflow"])
 def test_malformed_manifest_line_is_a_format_error(kind, line, edited, message, tmp_path):
     prefix = str(tmp_path / kind)
@@ -199,6 +205,22 @@ def test_malformed_manifest_number_names_the_field(kind, line, edited, field, tm
     message = f"{manifest}: {field} is not a non-negative integer"
     with pytest.raises(FormatError, match=re.escape(message)):
         load(prefix)
+
+
+def test_base_manifest_of_an_unallocatable_window_exits_2(tmp_path, capsys):
+    """A window too large to allocate is a FormatError naming max_seq_len,
+    which ``generate`` reports with exit 2, not exit 1 (an equivalence
+    failure) after a numpy traceback."""
+    prefix = str(tmp_path / "base")
+    weights.save_base_model(TinyTransformer.random(CONFIG, seed=15), prefix)
+    manifest = tmp_path / "base.manifest"
+    text, n = re.subn(r"^# max_seq_len \d+$", f"# max_seq_len {10 ** 15}", manifest.read_text(),
+                      flags=re.M)
+    assert n == 1
+    manifest.write_text(text)
+    assert cli.main(["generate", "--base-weights", prefix, "--prompt", "1 2",
+                     "--max-new-tokens", "2"]) == 2
+    assert f"error: max_seq_len {10 ** 15}: its position table" in capsys.readouterr().err
 
 
 def test_drafter_manifest_of_a_wrapping_element_count_exits_2(tmp_path, capsys):
