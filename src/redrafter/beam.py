@@ -6,7 +6,7 @@ to the row it extends and its cumulative log-probability (a
 lattice already is a deduplicated tree: the decode step keeps its
 ``beam_width + beam_length`` most probable prefixes as the draft tree
 (``BeamLattice.tree``), in the spirit of EAGLE-2's dynamic draft trees.  Only
-the kept rows' backpointers are followed, one gather for their parent nodes.
+the kept rows' backpointers are followed, in one pass over the kept rows.
 
 Candidate lists from elsewhere, which may repeat prefixes, go through the
 paper's dynamic tree attention instead: candidates share one length, so
@@ -14,9 +14,9 @@ shared prefixes are found with plain tensor operations (elementwise match
 matrix, cumulative sum, first-match argmax) instead of a trie
 (``dedup_prefix``), and ``pack_beam`` flattens the result.  Every tree, from
 either route or ``chain_tree``, comes from one constructor,
-``DraftTree.from_parents``, which derives depths and the mask from the
-parent of each node.  The mask serves both the tree-masked verification
-forward and the greedy verify rule.
+``DraftTree.from_parents``, which derives depths and the mask in one pass
+over the parents: a node's mask row is its parent's row plus the node.  The
+mask serves both the tree-masked verification forward and the commit's path.
 """
 
 from dataclasses import dataclass
@@ -27,6 +27,7 @@ from . import drafter
 from .errors import ConfigError, ContractError, VocabError
 
 ROOT_PARENT = -1  # parent index of the root node
+_PARENTS_RULE = "parents must be ROOT_PARENT for node 0 and an earlier node for every other node"
 
 
 @dataclass
@@ -51,30 +52,32 @@ class DraftTree:
 
     @classmethod
     def from_parents(cls, tokens, parents):
-        """The tree whose node i holds ``tokens[i]`` below ``parents[i]``;
-        depths and mask follow from the parents.  Node 0 is the root, and
-        every other node's parent precedes it."""
+        """The tree whose node i holds ``tokens[i]`` below ``parents[i]``.
+        Node 0 is the root, and every other node's parent precedes it, so
+        one pass in node order derives each depth and mask row from the
+        parent's."""
         tokens = np.asarray(tokens, dtype=np.int64)
         parents = np.asarray(parents, dtype=np.int64)
         if tokens.ndim != 1 or parents.shape != tokens.shape:
             raise ContractError(f"tokens {tokens.shape} and parents {parents.shape} must be "
                                 "1-D and of one length")
-        n = parents.shape[0]
-        nodes = np.arange(n)
-        rest = parents[1:]
-        if (not n or parents[0] != ROOT_PARENT
-                or np.count_nonzero((rest < 0) | (rest >= nodes[1:]))):
-            raise ContractError("parents must be ROOT_PARENT for node 0 and an "
-                                "earlier node for every other node")
-        up = np.maximum(parents, 0)  # the root stands in for its own parent
-        # chain[k]: each node's ancestor k levels up, the root once the path ends
-        chain = [nodes]
-        while np.count_nonzero(chain[-1]):
-            chain.append(up[chain[-1]])
-        chain = np.array(chain)
-        depths = (chain > 0).sum(axis=0)
-        mask = np.zeros((n, n), dtype=bool)
-        mask[nodes, chain] = True
+        up = parents.tolist()
+        n = len(up)
+        if not n or up[0] != ROOT_PARENT:
+            raise ContractError(_PARENTS_RULE)
+        # one pass: node i's mask row is its parent's row plus i
+        rows, depths = [bytearray(n)], [0]
+        rows[0][0] = True
+        for i in range(1, n):
+            parent = up[i]
+            if not 0 <= parent < i:
+                raise ContractError(_PARENTS_RULE)
+            row = rows[parent][:]
+            row[i] = True
+            rows.append(row)
+            depths.append(depths[parent] + 1)
+        depths = np.array(depths, dtype=np.int64)
+        mask = np.frombuffer(bytearray().join(rows), dtype=bool).reshape(n, n)
         return cls(tokens=tokens, parents=parents, depths=depths, mask=mask)
 
 
@@ -107,18 +110,20 @@ class BeamLattice:
         depth-major index, which is the shallower row: the kept set is
         ancestor-closed.  Nodes follow the root in depth-major order, so
         parents come before their children.  This picks the kept rows and
-        their parent nodes only; ``DraftTree.from_parents`` builds the tree,
-        as it does every other.
+        their parent nodes only, in one pass over the kept rows;
+        ``DraftTree.from_parents`` builds the tree, as it does every other.
         """
         length, width = self.tokens.shape
-        keep = np.sort(np.argsort(-self.logp.ravel(), kind="stable")[:width + length])
+        keep = sorted(np.argsort(-self.logp.ravel(), kind="stable")[:width + length].tolist())
+        rows, tokens = self.parents.ravel().tolist(), self.tokens.ravel().tolist()
         # node numbers by depth-major flat index, shifted one depth down past
         # a slab standing for the root: a row's parent sits at depth - 1
-        node = np.zeros((length + 1) * width, dtype=np.int64)
-        node[keep + width] = np.arange(1, keep.size + 1)
-        parents = node[keep - keep % width + self.parents.ravel()[keep]]
-        return DraftTree.from_parents(np.concatenate(([root], self.tokens.ravel()[keep])),
-                                      np.concatenate(([ROOT_PARENT], parents)))
+        node = [0] * ((length + 1) * width)
+        parents = [ROOT_PARENT]
+        for i, k in enumerate(keep, 1):
+            node[k + width] = i
+            parents.append(node[k - k % width + rows[k]])
+        return DraftTree.from_parents([root] + [tokens[k] for k in keep], parents)
 
 
 def beam_search(params, embeddings, h, last_token, beam_width, beam_length, token_term):

@@ -29,6 +29,9 @@ REPORT_KEYS = ["base", "beam_width", "beam_length", "seed", "tokens_generated", 
                "compression_p99", "equivalence_ok", "packed_nodes_mean", "accepted_len_hist",
                "backend"]
 
+# the length of random prompts: the decoding commands' default, and a greedy corpus's
+PROMPT_LEN = 16
+
 TRANSFORMER_CONFIG = ModelConfig(vocab_size=256, d_model=64, n_layers=2, n_heads=4,
                                  d_ff=256, max_seq_len=256)
 
@@ -226,9 +229,17 @@ def cmd_train_drafter(args):
 def cmd_distill_data(args):
     check_out_dirs(args, "--out")
     base = build_base(args)
-    corpus = distill.sample_markov_corpus(seed=args.seed + 7, n_sequences=args.corpus_size,
-                                          seq_len=args.corpus_len,
-                                          vocab_size=base.config.vocab_size)
+    if args.corpus == "greedy":
+        if args.corpus_len <= PROMPT_LEN:
+            raise ConfigError(f"--corpus greedy continues {PROMPT_LEN}-token prompts: need "
+                              f"--corpus-len > {PROMPT_LEN}, got {args.corpus_len}")
+        # random prompts, as the decoding commands draw them, from another seed
+        prompts = random_prompts(base, args.corpus_size, PROMPT_LEN, args.seed + 7)
+        corpus = distill.greedy_corpus(base, prompts, args.corpus_len - PROMPT_LEN)
+    else:
+        corpus = distill.sample_markov_corpus(seed=args.seed + 7, n_sequences=args.corpus_size,
+                                              seq_len=args.corpus_len,
+                                              vocab_size=base.config.vocab_size)
     build = distill.ground_truth_dataset if args.ground_truth else distill.build_distill_dataset
     dataset = build(base, corpus, args.horizon)
     if not dataset:
@@ -262,7 +273,7 @@ def make_parser():
     p = sub.add_parser("generate", help="speculative generation, checked against greedy")
     _add_model_flags(p)
     p.add_argument("--prompt", help="whitespace-separated token ids")
-    p.add_argument("--prompt-len", type=int, default=16)
+    p.add_argument("--prompt-len", type=int, default=PROMPT_LEN)
     p.add_argument("--beam-width", type=int, default=4)
     p.add_argument("--beam-length", type=int, default=5)
     p.add_argument("--max-new-tokens", type=int, default=32)
@@ -277,7 +288,7 @@ def make_parser():
     p.add_argument("--widths", default="1,2,4,8")
     p.add_argument("--lengths", default="2,4,5")
     p.add_argument("--n-prompts", type=int, default=100)
-    p.add_argument("--prompt-len", type=int, default=16)
+    p.add_argument("--prompt-len", type=int, default=PROMPT_LEN)
     p.add_argument("--max-new-tokens", type=int, default=24)
     p.add_argument("--drafter-weights", help="manifest/blob prefix for drafter weights")
     p.add_argument("--csv", help="write a per-shape CSV of tokens/step, compression, speedup")
@@ -296,6 +307,9 @@ def make_parser():
 
     p = sub.add_parser("distill-data", help="build and save a distillation dataset")
     _add_model_flags(p)
+    p.add_argument("--corpus", choices=("markov", "greedy"), default="markov",
+                   help="a seeded Markov sample, or the base's greedy text after random "
+                        "prompts")
     p.add_argument("--ground-truth", action="store_true",
                    help="take the corpus continuations, not base-model rollouts")
     p.add_argument("--horizon", type=int, default=5)

@@ -120,21 +120,23 @@ def verify_greedy(base_output, tree):
     nodes to commit: the root, then the accepted drafts.
 
     A draft node matches iff its token is the argmax of the logits at its
-    parent, and stands iff every node of its mask row matches (the root, the
-    step's guaranteed token, always does).  With distinct prefixes at most
-    one node per depth stands; ties go to the lowest node index.  The path
-    is the node's mask row in index order, which is root-to-node order
-    because parents precede children; the root alone accepts nothing.
+    parent, and stands iff it matches and its parent stands (the root, the
+    step's guaranteed token, always does): parents precede children, so one
+    pass in node order finds the deepest standing node, ties to the lowest
+    index.  The path is the node's mask row in index order, its root-to-node
+    path; the root alone accepts nothing.
     """
     if base_output.logits.shape[0] != tree.n:
         raise ContractError(f"base output rows ({base_output.logits.shape[0]}) do not "
                             f"align with tree tokens ({tree.n})")
-    node_argmax = np.argmax(base_output.logits, axis=1)
-    matches = tree.tokens == node_argmax[tree.parents]
-    matches[0] = True
-    # root-depth nodes score 0, so with no accepted draft argmax picks the root
-    node = int(np.argmax(tree.depths * np.logical_and.reduce(tree.mask <= matches, axis=1)))
-    return int(node_argmax[node]), np.flatnonzero(tree.mask[node])
+    top = base_output.logits.argmax(axis=1).tolist()
+    tokens, parents, depths = tree.tokens.tolist(), tree.parents.tolist(), tree.depths.tolist()
+    stands, node = [True], 0
+    for i in range(1, len(tokens)):
+        stands.append(stands[parents[i]] and tokens[i] == top[parents[i]])
+        if stands[i] and depths[i] > depths[node]:
+            node = i
+    return top[node], np.flatnonzero(tree.mask[node])
 
 
 def _prefill(base, prompt, cfg):

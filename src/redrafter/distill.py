@@ -6,10 +6,12 @@ prefix plus the guaranteed token (the base model's greedy next token), ``h``
 is the base hidden state at the prefix's last token, and the teacher is the
 base model's greedy rollout of a fixed horizon after the guaranteed token.
 The ground-truth variant takes the guaranteed token and the teacher from the
-corpus instead.  A ``DistillDataset`` holds the examples as rows of arrays,
-each context as a corpus sequence and a prefix length.  Training minimizes
-the mean teacher-forced negative log-likelihood with Adam, gathering each
-batch's rows; the base model stays frozen throughout.
+corpus instead.  The corpus is a seeded Markov sample
+(``sample_markov_corpus``) or the base's own greedy text
+(``greedy_corpus``).  A ``DistillDataset`` holds the examples as rows of
+arrays, each context as a corpus sequence and a prefix length.  Training
+minimizes the mean teacher-forced negative log-likelihood with Adam,
+gathering each batch's rows; the base model stays frozen throughout.
 
 The rollouts are verified the way a decode step verifies its draft tree:
 each block of ``BLOCK`` positions is one tree, the chain of the block's
@@ -23,6 +25,7 @@ for bit, so the dataset is that of one 1-row forward per rollout token.
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,8 +102,10 @@ class TrainConfig:
         _check_horizon(self.horizon)
         check_integers(ContractError, epochs=self.epochs, batch_size=self.batch_size,
                        seed=self.seed)
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ContractError(f"need a finite learning_rate >= 0, got {self.learning_rate}")
+        # isinstance first: math.isfinite raises a bare TypeError for a string or None
+        if not (isinstance(self.learning_rate, numbers.Real)
+                and math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ContractError(f"need a finite learning_rate >= 0, got {self.learning_rate!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ContractError(f"need epochs >= 1 and batch_size >= 1, got epochs "
                                 f"{self.epochs} and batch_size {self.batch_size}")
@@ -455,3 +460,20 @@ def sample_markov_corpus(seed, n_sequences=500, seq_len=64, vocab_size=32):
             seq.append(int(cdf.searchsorted(rng.random(), side="right")))
         sequences.append(np.asarray(seq, np.int64))
     return sequences
+
+
+def greedy_corpus(base, prompts, n_new):
+    """The base's own greedy text: each prompt followed by the ``n_new``
+    tokens ``decode.autoregressive_generate`` continues it with, as int64
+    arrays for ``build_distill_dataset``.  This is the paper's recipe, a
+    draft head distilled on the LLM's own outputs; at a generated position
+    the greedy rollout is the text itself.  ``forward_context`` checks each
+    prompt, and a prompt with no room for ``n_new`` tokens in the base's
+    window is a ``CapacityError``."""
+    check_integers(ContractError, n_new=n_new)
+    if n_new < 1:
+        raise ContractError(f"need n_new >= 1, got {n_new}")
+    cfg = decode.DecodeConfig(beam_width=1, beam_length=1, max_new_tokens=n_new)
+    return [np.concatenate([np.asarray(prompt, np.int64),
+                            decode.autoregressive_generate(base, prompt, cfg)])
+            for prompt in prompts]

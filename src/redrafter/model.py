@@ -144,9 +144,9 @@ class BaseModel(ABC):
 
     def _check_path(self, tree, flat_path):
         flat_path = np.asarray(flat_path, dtype=np.int64)
+        path, parents = flat_path.tolist(), tree.parents.tolist()
         # node k's parent must be node k - 1, and the first node's ROOT_PARENT
-        if flat_path.size and (tree.parents[flat_path[0]] != ROOT_PARENT
-                               or (tree.parents[flat_path[1:]] != flat_path[:-1]).any()):
+        if path and [parents[k] for k in path] != [ROOT_PARENT] + path[:-1]:
             raise ContractError("accepted positions do not form a root-to-node path")
         return flat_path
 

@@ -8,6 +8,7 @@ from redrafter import beam as beam_mod
 from redrafter import drafter
 from redrafter.beam import (ROOT_PARENT, BeamLattice, DraftTree, beam_search, chain_tree,
                             dedup_prefix, pack_beam)
+from redrafter.distill import BLOCK
 from redrafter.drafter import DrafterParams
 from redrafter.errors import ConfigError, ContractError, VocabError
 
@@ -310,8 +311,10 @@ def test_beam_search_matches_single_state_reference(float64_drafter):
                     ups = [tuple(held[depth - 1][p][0]) if depth else ()
                            for p in lattice.parents[depth]]
                     assert ups == [tuple(toks[:-1]) for toks, _ in rows], where
-                # the draft tree: the top width + length prefixes the search held
+                # the draft tree: the top width + length prefixes the search
+                # held, node for node as the array form numbers them
                 tree = assert_lattice_tree_is_from_parents(lattice, seed)
+                assert_tree_fields_equal(tree, vectorized_lattice_tree(lattice, seed), where)
                 assert_well_formed(tree, seed)
                 assert tree.n == 1 + min(width + length, width * length), where
                 assert set(root_paths(tree)) == top_prefixes(held, width + length), where
@@ -389,10 +392,14 @@ def test_top_width_selection_equals_a_stable_argsort(float64_drafter):
 
 
 def test_tree_constructor_rejects_cycles_and_builds_chains():
-    # a cycle, a second root, and a parent that follows its child
-    for parents in ([ROOT_PARENT, 2, 1], [ROOT_PARENT, ROOT_PARENT, 0], [ROOT_PARENT, 2, 0]):
-        with pytest.raises(ContractError):
+    # a cycle, a second root, a parent that follows its child, a root with a
+    # parent, a negative parent and a node as its own parent; and no node
+    for parents in ([ROOT_PARENT, 2, 1], [ROOT_PARENT, ROOT_PARENT, 0], [ROOT_PARENT, 2, 0],
+                    [0, 0, 1], [ROOT_PARENT, 0, -2], [ROOT_PARENT, 0, 2]):
+        with pytest.raises(ContractError, match="parents must be ROOT_PARENT"):
             DraftTree.from_parents([1, 2, 3], parents)
+    with pytest.raises(ContractError, match="parents must be ROOT_PARENT"):
+        DraftTree.from_parents([], [])
     # tokens and parents of different lengths or ranks
     for tokens, parents in (([1, 2, 3], [ROOT_PARENT, 0]), ([1, 2], [ROOT_PARENT, 0, 1]),
                             ([[1, 2]], [[ROOT_PARENT, 0]]), (1, ROOT_PARENT)):
@@ -406,6 +413,88 @@ def test_tree_constructor_rejects_cycles_and_builds_chains():
     assert np.array_equal(chain.mask, np.tril(np.ones((3, 3), dtype=bool)))
     root = chain_tree(4, [])
     assert (root.n, root.depths.tolist(), root.mask.tolist()) == (1, [0], [[True]])
+
+
+def vectorized_from_parents(tokens, parents):
+    """Reference: the array construction the one-pass constructor replaced.
+    Each node's ancestors are gathered one level per step, then the mask is
+    set in one fancy-index pass."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    parents = np.asarray(parents, dtype=np.int64)
+    n = parents.shape[0]
+    nodes = np.arange(n)
+    up = np.maximum(parents, 0)  # the root stands in for its own parent
+    # chain[k]: each node's ancestor k levels up, the root once the path ends
+    chain = [nodes]
+    while np.count_nonzero(chain[-1]):
+        chain.append(up[chain[-1]])
+    chain = np.array(chain)
+    depths = (chain > 0).sum(axis=0)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[nodes, chain] = True
+    return DraftTree(tokens=tokens, parents=parents, depths=depths, mask=mask)
+
+
+def distill_block_parents(size, kept, horizon):
+    """The parents of one ``build_distill_dataset`` block tree: a chain of
+    ``size`` positions, then ``horizon`` levels of ``kept`` nodes, level 0
+    under the chain and each later level under the one before."""
+    return np.concatenate([np.arange(-1, size - 1), np.arange(kept),
+                           size + np.arange((horizon - 1) * kept)])
+
+
+def test_one_pass_constructor_equals_the_vectorized_reference():
+    """Field by field, dtype included: chains, stars, random and deep random
+    trees of 1-100 nodes, pack_beam's candidate-major trees and the
+    distillation block trees, from lists and from arrays."""
+    rng = np.random.default_rng(36)
+    cases = []
+    for n in range(1, 101):
+        cases.append([ROOT_PARENT] + list(range(n - 1)))  # chain
+        cases.append([ROOT_PARENT] + [0] * (n - 1))  # star
+        cases.append([ROOT_PARENT] + [int(rng.integers(0, i)) for i in range(1, n)])
+        cases.append(np.array([ROOT_PARENT] + [int(rng.integers(max(0, i - 3), i))
+                                               for i in range(1, n)]))
+    cases += [pack_beam(random_beam(rng), 0)[0].parents for _ in range(200)]
+    cases += [distill_block_parents(size, kept, horizon) for size in range(1, BLOCK + 1)
+              for kept in sorted({0, 1, size // 2, size}) for horizon in range(1, 6)]
+    assert max(len(parents) for parents in cases) == 100
+    for parents in cases:
+        tokens = rng.integers(0, 64, len(parents))
+        for given in (tokens, tokens.tolist()):
+            tree = DraftTree.from_parents(given, parents)
+            assert_tree_fields_equal(tree, vectorized_from_parents(tokens, parents),
+                                     list(parents))
+            assert tree.mask.flags.c_contiguous and tree.mask.flags.writeable
+
+
+def test_constructor_rejects_one_bad_parent_anywhere():
+    """A valid random tree with one parent replaced: a later node, the node
+    itself, a negative index, or a parent given to the root."""
+    rng = np.random.default_rng(37)
+    for _ in range(400):
+        n = int(rng.integers(2, 101))
+        parents = [ROOT_PARENT] + [int(rng.integers(0, i)) for i in range(1, n)]
+        i = int(rng.integers(1, n))
+        parents[i] = int(rng.choice([i, int(rng.integers(i, n)), -1, -int(rng.integers(2, 9))]))
+        with pytest.raises(ContractError):
+            DraftTree.from_parents(np.zeros(n, np.int64), parents)
+        parents[i] = 0
+        parents[0] = int(rng.integers(0, n))
+        with pytest.raises(ContractError):
+            DraftTree.from_parents(np.zeros(n, np.int64), parents)
+
+
+def vectorized_lattice_tree(lattice, root):
+    """Reference: the array form of ``BeamLattice.tree`` that the list pass
+    replaced, built by the vectorized constructor."""
+    length, width = lattice.tokens.shape
+    keep = np.sort(np.argsort(-lattice.logp.ravel(), kind="stable")[:width + length])
+    node = np.zeros((length + 1) * width, dtype=np.int64)
+    node[keep + width] = np.arange(1, keep.size + 1)
+    parents = node[keep - keep % width + lattice.parents.ravel()[keep]]
+    return vectorized_from_parents(np.concatenate(([root], lattice.tokens.ravel()[keep])),
+                                   np.concatenate(([ROOT_PARENT], parents)))
 
 
 def test_beam_search_is_deterministic():

@@ -393,6 +393,31 @@ def test_two_stage_distillation_writes_the_library_drafter(ground_truth, tmp_pat
                 == (tmp_path / f"drafter{suffix}").read_bytes())
 
 
+def test_distill_data_greedy_corpus_writes_the_library_dataset(tmp_path, capsys):
+    """--corpus greedy: random prompts of PROMPT_LEN tokens at seed + 7, each
+    continued greedily to --corpus-len tokens, through build_distill_dataset;
+    the file is the library's, byte for byte."""
+    data, library = tmp_path / "data.txt", tmp_path / "library.txt"
+    assert run(["distill-data", *MARKOV, "--corpus", "greedy", "--horizon", "3",
+                "--corpus-size", "5", "--corpus-len", "24", "--out", str(data)]) == 0
+    capsys.readouterr()
+    base = SyntheticMarkovModel(order=2, vocab_size=16, seed=3)
+    prompts = cli.random_prompts(base, 5, cli.PROMPT_LEN, 3 + 7)
+    corpus = distill.greedy_corpus(base, prompts, 24 - cli.PROMPT_LEN)
+    distill.write_dataset(library, distill.build_distill_dataset(base, corpus, 3))
+    assert data.read_bytes() == library.read_bytes()
+    assert [len(seq) for seq in distill.read_dataset(data, base).sequences] == [24] * 5
+
+
+def test_distill_data_greedy_corpus_needs_room_after_its_prompts(tmp_path, capsys):
+    out = tmp_path / "data.txt"
+    assert run(["distill-data", *MARKOV, "--corpus", "greedy", "--corpus-len",
+                str(cli.PROMPT_LEN), "--out", str(out)]) == 2
+    assert (f"error: --corpus greedy continues {cli.PROMPT_LEN}-token prompts: need "
+            f"--corpus-len > {cli.PROMPT_LEN}, got {cli.PROMPT_LEN}") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_drafter_without_a_dataset_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["train-drafter", *MARKOV, "--out", str(tmp_path / "drafter")])

@@ -484,32 +484,50 @@ def walk_verify(logits, tokens, parents):
     return best, top[best[-1]]
 
 
+def mask_reduce_verify(base_output, tree):
+    """Reference: the array form the one-pass rule replaced.  A node stands
+    iff every node of its mask row matches, and an argmax over depth times
+    standing picks the deepest standing node, ties to the lowest index."""
+    node_argmax = np.argmax(base_output.logits, axis=1)
+    matches = tree.tokens == node_argmax[tree.parents]
+    matches[0] = True
+    node = int(np.argmax(tree.depths * np.logical_and.reduce(tree.mask <= matches, axis=1)))
+    return int(node_argmax[node]), np.flatnonzero(tree.mask[node])
+
+
 def test_verify_matches_a_parents_walk_on_random_trees():
     """Random parents, root-only trees, flat wide trees and chains; logits of
     a few integer values, so rows hold tied maxima, and draft tokens drawn
     mostly from their parent's tied maxima, of which only the lowest-index
-    one matches."""
+    one matches.  Some nodes repeat the node before them, a sibling of the
+    same token, so that equal subtrees tie.  Both references agree: a parents
+    walk and the mask-reduce form."""
     rng = np.random.default_rng(21)
     vocab = 4
     deepest = 0
-    for trial in range(600):
+    for trial in range(800):
         shape = ("random", "root", "wide", "chain")[trial % 4]
-        n = 1 if shape == "root" else int(rng.integers(2, 14))
-        parents = [beam_mod.ROOT_PARENT] + [
-            {"random": int(rng.integers(0, i)), "wide": 0, "chain": i - 1}[shape]
-            for i in range(1, n)]
+        n = 1 if shape == "root" else int(rng.integers(2, 30))
         logits = rng.integers(0, 3, size=(n, vocab)).astype(np.float32)
-        tokens = [int(rng.integers(vocab))]
+        tokens, parents = [int(rng.integers(vocab))], [beam_mod.ROOT_PARENT]
         for i in range(1, n):
-            row = logits[parents[i]]
+            if i > 1 and rng.random() < 0.2:  # a duplicate sibling of node i - 1
+                parents.append(parents[-1])
+                tokens.append(tokens[-1])
+                continue
+            parents.append({"random": int(rng.integers(0, i)), "wide": 0,
+                            "chain": i - 1}[shape])
+            row = logits[parents[-1]]
             tied = np.flatnonzero(row == row.max())
             tokens.append(int(rng.choice(tied) if rng.random() < 0.8 else rng.integers(vocab)))
         tree = beam_mod.DraftTree.from_parents(tokens, parents)
         out = BaseModelOutput(logits=logits, hidden=np.zeros((n, 4), np.float32))
         token, path = verify_greedy(out, tree)
         want_path, want_token = walk_verify(logits, tokens, parents)
-        assert path.dtype == np.int64
+        assert type(token) is int and path.dtype == np.int64
         assert (path.tolist(), token) == (want_path, want_token), (trial, parents, tokens)
+        reduce_token, reduce_path = mask_reduce_verify(out, tree)
+        assert (path.tolist(), token) == (reduce_path.tolist(), reduce_token), trial
         deepest = max(deepest, len(path) - 1)
     assert deepest >= 4
 

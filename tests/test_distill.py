@@ -280,6 +280,54 @@ def test_ground_truth_teacher_is_corpus_continuation(base, corpus):
         assert np.array_equal(dataset.h[i], out.hidden[-1])
 
 
+def test_greedy_corpus_is_each_prompt_then_its_greedy_continuation(window_base):
+    rng = np.random.default_rng(6)
+    prompts = [rng.integers(0, 16, n).tolist() for n in (1, 3, 7)]
+    corpus = distill.greedy_corpus(window_base, prompts, 9)
+    cfg = DecodeConfig(beam_width=1, beam_length=1, max_new_tokens=9)
+    assert [seq.dtype for seq in corpus] == [np.int64] * 3
+    assert [seq.tolist() for seq in corpus] == [
+        prompt + autoregressive_generate(window_base, prompt, cfg) for prompt in prompts]
+    assert distill.greedy_corpus(window_base, [], 9) == []
+
+
+def test_greedy_corpus_rows_at_generated_positions_are_ground_truth_rows(window_base):
+    """On the base's own greedy text the rollout after a generated position
+    is the text itself, so there ``build_distill_dataset``'s rows equal
+    ``ground_truth_dataset``'s on the same text: the guaranteed token, the
+    teacher, and h bit for bit."""
+    horizon, n_new = 3, 24
+    rng = np.random.default_rng(8)
+    prompts = [rng.integers(0, 16, int(rng.integers(1, 9))).tolist() for _ in range(6)]
+    corpus = distill.greedy_corpus(window_base, prompts, n_new)
+    rolled = build_distill_dataset(window_base, corpus, horizon)
+    truth = ground_truth_dataset(window_base, corpus, horizon)
+
+    def row_of(dataset):
+        return {(int(s), int(p)): i for i, (s, p) in
+                enumerate(zip(dataset.seq_index, dataset.prefix_len))}
+
+    rolled_rows, truth_rows = row_of(rolled), row_of(truth)
+    # a prefix of at least the whole prompt is followed by a generated token
+    generated = [(s, p) for s, p in truth_rows if p >= len(prompts[s])]
+    assert len(generated) == len(prompts) * (n_new - horizon)
+    for key in generated:
+        i, j = rolled_rows[key], truth_rows[key]
+        assert rolled.guaranteed[i] == truth.guaranteed[j], key
+        assert np.array_equal(rolled.teacher[i], truth.teacher[j]), key
+        assert np.array_equal(rolled.h[i].view(np.uint32), truth.h[j].view(np.uint32)), key
+
+
+def test_greedy_corpus_checks_its_count_and_the_window(window_base):
+    for bad in (0, -1, 2.0, "3", None):
+        with pytest.raises(ContractError, match="n_new"):
+            distill.greedy_corpus(window_base, [[1, 2]], bad)
+    # a 30-token prompt leaves room for 10 tokens in the window of 40
+    assert len(distill.greedy_corpus(window_base, [[1] * 30], WINDOW - 30)[0]) == WINDOW
+    with pytest.raises(CapacityError):
+        distill.greedy_corpus(window_base, [[1] * 30], WINDOW - 29)
+
+
 def test_corpus_needs_room_for_the_two_seed_tokens(tmp_path, capsys):
     for seq_len in (0, 1):
         with pytest.raises(ContractError, match="seq_len >= 2"):
@@ -479,6 +527,16 @@ def test_train_config_rejects_bad_settings():
     TrainConfig(epochs=1, batch_size=1)
     TrainConfig(horizon=np.int64(2), epochs=np.int32(1), batch_size=np.int64(1),
                 seed=np.uint8(0))
+
+
+@pytest.mark.parametrize("value", ["0.1", None], ids=["string", "none"])
+def test_train_config_names_a_learning_rate_that_is_not_a_number(value):
+    """A string or None reached math.isfinite as a bare TypeError; numpy
+    floats are real numbers and pass."""
+    with pytest.raises(ContractError, match=f"learning_rate >= 0, got {value!r}"):
+        TrainConfig(learning_rate=value)
+    for number in (np.float32(1e-3), np.float64(1e-3), 0):
+        assert TrainConfig(learning_rate=number).learning_rate == number
 
 
 @pytest.mark.parametrize("flag, message", [
