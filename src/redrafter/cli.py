@@ -32,8 +32,9 @@ REPORT_KEYS = ["base", "beam_width", "beam_length", "seed", "tokens_generated", 
 # the length of random prompts: the decoding commands' default, and a greedy corpus's
 PROMPT_LEN = 16
 
-TRANSFORMER_CONFIG = ModelConfig(vocab_size=256, d_model=64, n_layers=2, n_heads=4,
-                                 d_ff=256, max_seq_len=256)
+# the deep, narrow shape where a drafter distilled on greedy text beats greedy
+TRANSFORMER_CONFIG = ModelConfig(vocab_size=64, d_model=32, n_layers=4, n_heads=4,
+                                 d_ff=64, max_seq_len=128)
 
 
 def build_base(args):
@@ -79,8 +80,8 @@ def parse_ints(words, flag):
 def check_out_dirs(args, *flags, prefix=False):
     """A usage error for an output flag that names nothing the command could
     write, raised before the command does any work: a missing directory, an
-    empty file name, or an existing directory. A weight ``prefix`` may name a
-    directory, since the writer adds ``.manifest`` and ``.bin`` to it."""
+    empty file name, or an existing directory. A tensor-file ``prefix`` may
+    name a directory, since the writer adds ``.manifest`` and ``.bin`` to it."""
     for flag in flags:
         path = getattr(args, flag[2:].replace("-", "_"))
         if not path:
@@ -227,7 +228,7 @@ def cmd_train_drafter(args):
 
 
 def cmd_distill_data(args):
-    check_out_dirs(args, "--out")
+    check_out_dirs(args, "--out", prefix=True)
     base = build_base(args)
     if args.corpus == "greedy":
         if args.corpus_len <= PROMPT_LEN:
@@ -245,7 +246,7 @@ def cmd_distill_data(args):
     if not dataset:
         raise ContractError("the corpus yields no training example")
     distill.write_dataset(args.out, dataset)
-    print(f"wrote {len(dataset)} examples to {args.out}")
+    print(f"wrote {len(dataset)} examples to {args.out}.manifest/.bin")
     return 0
 
 
@@ -296,7 +297,7 @@ def make_parser():
 
     p = sub.add_parser("train-drafter", help="train a draft head on a distill-data file")
     _add_model_flags(p)
-    p.add_argument("--dataset", required=True, help="a distill-data file")
+    p.add_argument("--dataset", required=True, help="a distill-data file prefix")
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch-size", type=int, default=32)
@@ -315,7 +316,7 @@ def make_parser():
     p.add_argument("--horizon", type=int, default=5)
     p.add_argument("--corpus-size", type=int, default=500, help="corpus sequences")
     p.add_argument("--corpus-len", type=int, default=64, help="tokens per corpus sequence")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", required=True, help="output dataset file prefix")
     p.set_defaults(func=cmd_distill_data)
 
     p = sub.add_parser("init-base", help="write seeded random transformer weights")

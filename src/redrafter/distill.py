@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import beam, decode, drafter
+from . import beam, decode, drafter, weights
 from .errors import (ContractError, FormatError, ShapeError, TrainingError, check_integers,
                      check_tokens)
 
@@ -45,7 +45,7 @@ BLOCK = 16
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-DATASET_MAGIC = "REDRAFT-DISTILL v1"
+DATASET_MAGIC = "REDRAFT-DISTILL v2"
 
 
 @dataclass(eq=False)
@@ -211,101 +211,80 @@ def ground_truth_dataset(base, corpus, horizon):
         if n <= 0:
             skipped += 1
             continue
-        hidden = base.forward_context(seq, base.new_cache()).hidden
-        rows.append((np.full(n, index), np.arange(1, n + 1), seq[1:n + 1],
-                     np.lib.stride_tricks.sliding_window_view(seq[2:], horizon), hidden[:n]))
+        prefix_len = np.arange(1, n + 1)
+        rows.append((np.full(n, index), prefix_len, seq[1:n + 1],
+                     np.lib.stride_tricks.sliding_window_view(seq[2:], horizon),
+                     _prefill_h(base, seq, prefix_len)))
     if skipped:
         log.warning("ground-truth dataset: skipped %d short sequences", skipped)
     return _dataset(base, horizon, sequences, rows)
 
 
-def write_dataset(path, dataset):
+def _prefill_h(base, seq, prefix_len):
+    """The ``h`` of rows of one sequence, the hidden state at each prefix's
+    last token, from one prefill of ``seq`` up to the longest prefix: a row
+    of a causal forward equals the forward of the prefix ending there, bit
+    for bit."""
+    return base.forward_context(seq[:prefix_len.max()], base.new_cache()).hidden[prefix_len - 1]
+
+
+DATASET_TENSORS = ("lengths", "tokens", "seq_index", "prefix_len", "guaranteed", "teacher")
+
+
+def write_dataset(prefix, dataset):
     """Write a ``DistillDataset``'s fields but ``h``, which the reader
-    recomputes, as text::
-
-        REDRAFT-DISTILL v1
-        n_sequences horizon
-        tokens ...                                   one line per sequence
-        seq_index prefix_len guaranteed teacher ...  one line per row
-    """
-    rows = np.column_stack([dataset.seq_index, dataset.prefix_len, dataset.guaranteed,
-                            dataset.teacher])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{DATASET_MAGIC}\n{len(dataset.sequences)} {dataset.teacher.shape[1]}\n")
-        for line in [*(seq.tolist() for seq in dataset.sequences), *rows.tolist()]:
-            fh.write(" ".join(map(str, line)) + "\n")
+    recomputes, as a ``weights`` tensor file of int64 ``DATASET_TENSORS``:
+    the sequences' lengths, their tokens end to end, then the rows' fields.
+    The header holds the horizon."""
+    lengths = np.array([seq.shape[0] for seq in dataset.sequences], np.int64)
+    tokens = np.concatenate([np.empty(0, np.int64), *dataset.sequences])
+    weights.save_tensors(prefix, DATASET_MAGIC, zip(DATASET_TENSORS, (
+        lengths, tokens, dataset.seq_index, dataset.prefix_len, dataset.guaranteed,
+        dataset.teacher)), {"horizon": dataset.teacher.shape[1]})
 
 
-def read_dataset(path, base):
+def read_dataset(prefix, base):
     """Load a ``write_dataset`` file as a ``DistillDataset``, recomputing
-    ``h`` with the given base model.
+    ``h`` with the given base model: ``_prefill_h`` once per sequence that
+    rows point to.  A malformed file raises a ``FormatError`` naming its
+    manifest."""
+    header, tensors = weights.load_tensors(prefix, DATASET_MAGIC)
 
-    Each sequence that rows point to is prefilled once, up to the longest
-    prefix its rows use, and a row's ``h`` is the prefill's row at the
-    prefix's last token: a row of a causal forward equals the forward of the
-    prefix ending there, bit for bit, as ``ground_truth_dataset`` also uses.
-    A malformed file raises a ``FormatError`` naming its line.
-    """
-    vocab = base.config.vocab_size
-    with open(path, encoding="utf-8") as fh:
-        magic = fh.readline().rstrip("\n")
-        if magic != DATASET_MAGIC:
-            raise FormatError(f"{path}:1: bad magic line {magic!r}, expected {DATASET_MAGIC!r}")
-        # a rollout of horizon tokens follows a prefix and its guaranteed token
-        window = base.config.max_seq_len
-        header = _ints(path, 2, fh.readline())
-        if len(header) != 2 or header[0] < 0 or not 1 <= header[1] < window:
-            raise FormatError(f"{path}:2: malformed header, expected 'n_sequences horizon' "
-                              f"with 1 <= horizon < {window}, the base's window")
-        n_seq, horizon = header
-        sequences = []
-        for lineno in range(3, 3 + n_seq):
-            line = fh.readline()
-            if not line:
-                raise FormatError(f"{path}:{lineno}: the file ends before its {n_seq} "
-                                  f"sequences do")
-            sequences.append(np.array(_ints(path, lineno, line), np.int64))
-        flat = []  # every row's fields, for one array: no per-row arrays
-        for lineno, line in enumerate(fh, 3 + n_seq):
-            fields = _ints(path, lineno, line)
-            if len(fields) != 3 + horizon:
-                raise FormatError(f"{path}:{lineno}: a row holds seq_index, prefix_len, the "
-                                  f"guaranteed token and {horizon} teacher tokens, got "
-                                  f"{len(fields)} fields")
-            flat.extend(fields)
-    rows = np.array(flat, np.int64).reshape(-1, 3 + horizon)
-    seq_index, prefix_len = rows[:, 0], rows[:, 1]
-    in_vocab = f"token id outside vocab of size {vocab}"
-    _check_lines(path, 3, [((seq >= 0) & (seq < vocab)).all() for seq in sequences], in_vocab)
-    _check_lines(path, 3 + n_seq, (seq_index >= 0) & (seq_index < n_seq),
-                 f"seq_index outside the file's {n_seq} sequences")
-    lengths = np.array([seq.shape[0] for seq in sequences], np.int64)
-    _check_lines(path, 3 + n_seq, (prefix_len >= 1) & (prefix_len <= lengths[seq_index]),
-                 "prefix_len outside [1, the length of its sequence]")
-    _check_lines(path, 3 + n_seq, ((rows[:, 2:] >= 0) & (rows[:, 2:] < vocab)).all(axis=1),
-                 in_vocab)
-    longest = np.zeros(n_seq, np.int64)
-    np.maximum.at(longest, seq_index, prefix_len)
-    h = np.empty((rows.shape[0], base.config.d_model), np.float32)
-    for index in np.flatnonzero(longest):
-        hidden = base.forward_context(sequences[index][:longest[index]], base.new_cache()).hidden
+    def check(ok, message):
+        if not ok:
+            raise FormatError(f"{prefix}.manifest: {message}")
+
+    # a rollout of horizon tokens follows a prefix and its guaranteed token
+    window, vocab = base.config.max_seq_len, base.config.vocab_size
+    check(list(header) == ["horizon"] and 1 <= header["horizon"] < window,
+          f"header {header} must hold a horizon alone, in [1, {window}), the base's window")
+    check(sorted(tensors) == sorted(DATASET_TENSORS),
+          f"holds tensors {list(tensors)}, expected {list(DATASET_TENSORS)}")
+    for name, arr in tensors.items():
+        check(arr.dtype == np.int64, f"tensor {name} is {arr.dtype}, expected int64")
+    lengths, tokens, seq_index, prefix_len, guaranteed, teacher = (
+        tensors[name] for name in DATASET_TENSORS)
+    n, n_seq = seq_index.shape[0], lengths.shape[0]
+    check(lengths.ndim == tokens.ndim == 1 and seq_index.shape == prefix_len.shape
+          == guaranteed.shape == (n,) and teacher.shape == (n, header["horizon"]),
+          f"shapes {[arr.shape for arr in tensors.values()]}: expected lengths and tokens 1-D, "
+          f"seq_index, prefix_len and guaranteed (N,) and teacher (N, horizon)")
+    # Python ints: an int64 sum of lengths can wrap
+    check((lengths >= 0).all() and sum(lengths.tolist()) == tokens.shape[0],
+          f"lengths must be non-negative and sum to the {tokens.shape[0]} tokens")
+    for name, arr in (("tokens", tokens), ("guaranteed", guaranteed), ("teacher", teacher)):
+        check(((arr >= 0) & (arr < vocab)).all(),
+              f"tensor {name}: token id outside vocab of size {vocab}")
+    check(((seq_index >= 0) & (seq_index < n_seq)).all(),
+          f"seq_index outside the file's {n_seq} sequences")
+    check(((prefix_len >= 1) & (prefix_len <= lengths[seq_index])).all(),
+          "prefix_len outside [1, the length of its sequence]")
+    sequences = np.split(tokens, np.cumsum(lengths)[:-1]) if n_seq else []
+    h = np.empty((n, base.config.d_model), np.float32)
+    for index in np.unique(seq_index):
         mine = seq_index == index
-        h[mine] = hidden[prefix_len[mine] - 1]
-    return DistillDataset(sequences, seq_index, prefix_len, rows[:, 2], rows[:, 3:], h)
-
-
-def _ints(path, lineno, line):
-    try:
-        return [int(word) for word in line.split()]
-    except ValueError as exc:
-        raise FormatError(f"{path}:{lineno}: non-integer field ({exc})") from None
-
-
-def _check_lines(path, lineno, ok, message):
-    """A ``FormatError`` naming the first line whose ``ok`` entry is false;
-    entry 0 is line ``lineno``."""
-    if not np.all(ok):
-        raise FormatError(f"{path}:{lineno + int(np.argmin(ok))}: {message}")
+        h[mine] = _prefill_h(base, sequences[index], prefix_len[mine])
+    return DistillDataset(sequences, seq_index, prefix_len, guaranteed, teacher, h)
 
 
 def train_drafter(dataset, params_init, cfg, embeddings):

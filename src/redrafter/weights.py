@@ -1,14 +1,15 @@
-"""Weight files: a UTF-8 manifest plus one raw little-endian float32 blob.
+"""Tensor files: a UTF-8 manifest plus one raw little-endian blob.
 
 Manifest layout::
 
-    REDRAFT-WEIGHTS v1          (or REDRAFT-DRAFTER v1)
+    REDRAFT-WEIGHTS v1          (or REDRAFT-DRAFTER v1, REDRAFT-DISTILL v2)
     # key value                  integer header entries (config, training horizon)
     name f32 d0,d1 offset        one tensor per line, byte offset into the blob
 
-The format is language-neutral.  Base-model and drafter tensors are
-float32 in memory as in the file, so a save/load round trip reproduces them
-byte for byte.
+A tensor is ``f32`` (float32) or ``i64`` (int64), by its array's dtype kind.
+The format is language-neutral.  Weight files hold float32 tensors, as the
+base model and drafter do in memory, so a round trip reproduces them byte for
+byte; ``distill.write_dataset`` files hold int64 ones.
 """
 
 import math
@@ -22,18 +23,24 @@ from .model import ModelConfig, TinyTransformer
 BASE_MAGIC = "REDRAFT-WEIGHTS v1"
 DRAFTER_MAGIC = "REDRAFT-DRAFTER v1"
 
+# a file dtype's little-endian numpy dtype
+_DTYPES = {"f32": np.dtype("<f4"), "i64": np.dtype("<i8")}
+
 
 def save_tensors(prefix, magic, tensors, header=None):
-    """Write ``prefix.manifest`` and ``prefix.bin`` for named float32 tensors."""
+    """Write ``prefix.manifest`` and ``prefix.bin`` for named tensors: an
+    integer array as int64, any other as float32."""
     lines = [magic]
     for key, value in (header or {}).items():
         lines.append(f"# {key} {value}")
     offset = 0
     blob = bytearray()
     for name, arr in tensors:
-        arr = np.ascontiguousarray(arr, dtype="<f4")
+        arr = np.asarray(arr)
+        dtype = "i64" if arr.dtype.kind in "iu" else "f32"
+        arr = np.ascontiguousarray(arr, dtype=_DTYPES[dtype])
         dims = ",".join(str(d) for d in arr.shape)
-        lines.append(f"{name} f32 {dims} {offset}")
+        lines.append(f"{name} {dtype} {dims} {offset}")
         raw = arr.tobytes()
         blob.extend(raw)
         offset += len(raw)
@@ -45,7 +52,8 @@ def save_tensors(prefix, magic, tensors, header=None):
 
 def load_tensors(prefix, magic):
     """Read a manifest/blob pair back into (header dict of integers, dict of
-    tensors by name in file order); a key or a name may appear once."""
+    float32 and int64 tensors by name in file order); a key or a name may
+    appear once.  Each ``FormatError`` names the manifest."""
     manifest_path = prefix + ".manifest"
     blob_path = prefix + ".bin"
     with open(manifest_path, encoding="utf-8") as fh:
@@ -71,20 +79,20 @@ def load_tensors(prefix, magic):
         name, dtype, dims, offset = parts
         if name in tensors:
             raise FormatError(f"{manifest_path}: tensor {name} appears twice")
-        if dtype != "f32":
-            raise FormatError(f"tensor {name}: unsupported dtype {dtype}")
+        if dtype not in _DTYPES:
+            raise FormatError(f"{manifest_path}: tensor {name}: unsupported dtype {dtype}")
         shape = tuple(_int(d, f"tensor {name} dim", manifest_path) for d in dims.split(","))
         offset = _int(offset, f"tensor {name} offset", manifest_path)
         count = math.prod(shape)  # exact: an int64 product can wrap to a small count
-        end = offset + 4 * count
+        end = offset + _DTYPES[dtype].itemsize * count
         if end > len(blob):
-            raise FormatError(f"tensor {name}: blob truncated "
+            raise FormatError(f"{manifest_path}: tensor {name}: blob truncated "
                               f"(needs bytes up to {end}, have {len(blob)})")
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        arr = np.frombuffer(blob, dtype=_DTYPES[dtype], count=count, offset=offset)
         try:
             tensors[name] = arr.reshape(shape).copy()
         except ValueError as exc:  # a dim too large for numpy, even on no elements
-            raise FormatError(f"tensor {name}: shape {dims} ({exc})") from None
+            raise FormatError(f"{manifest_path}: tensor {name}: shape {dims} ({exc})") from None
     return header, tensors
 
 
@@ -119,6 +127,9 @@ def load_base_model(prefix):
         config = ModelConfig(**{key: header[key] for key in _CONFIG_KEYS})
     except KeyError as exc:
         raise FormatError(f"manifest missing config key {exc}") from exc
+    if len(tensors) != 4 + 12 * config.n_layers:  # before a claimed n_layers sizes any work
+        raise FormatError(f"{prefix}.manifest: holds {len(tensors)} tensors, a base model "
+                          f"with n_layers {config.n_layers} reads {4 + 12 * config.n_layers}")
     _check_all_read(tensors, TinyTransformer.weight_shapes(config),
                     f"base model with n_layers {config.n_layers}")
     try:

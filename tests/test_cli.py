@@ -199,9 +199,9 @@ SMALL_RUNS = {
     "generate": ["--prompt", "1 2", "--max-new-tokens", "2"],
     "verify-equivalence": ["--widths", "1", "--lengths", "1", "--n-prompts", "1",
                            "--max-new-tokens", "2"],
-    "train-drafter": ["--dataset", "data.txt", "--epochs", "1", "--out", "drafter"],
+    "train-drafter": ["--dataset", "data", "--epochs", "1", "--out", "drafter"],
     "distill-data": ["--corpus-size", "2", "--corpus-len", "4", "--horizon", "1",
-                     "--out", "data.txt"],
+                     "--out", "data"],
 }
 
 
@@ -252,14 +252,14 @@ UNWRITABLE_OUTPUTS = {
     "train-drafter-loss-csv": ["train-drafter", *SMALL_RUNS["train-drafter"],
                                "--loss-csv", "missing/loss.csv"],
     "distill-data-out": ["distill-data", *SMALL_RUNS["distill-data"][:-2],
-                         "--out", "missing/data.txt"],
+                         "--out", "missing/data"],
     "generate-report-dir": ["generate", "--prompt", "1 2", "--max-new-tokens", "2",
                             "--report", "adir"],
     "verify-equivalence-csv-dir": ["verify-equivalence", *SMALL_RUNS["verify-equivalence"],
                                    "--csv", "adir"],
     "train-drafter-loss-csv-dir": ["train-drafter", *SMALL_RUNS["train-drafter"],
                                    "--loss-csv", "adir"],
-    "distill-data-out-dir": ["distill-data", *SMALL_RUNS["distill-data"][:-2], "--out", "adir"],
+    "distill-data-out-dir": ["distill-data", *SMALL_RUNS["distill-data"][:-2], "--out", "adir/"],
     "train-drafter-out-no-name": ["train-drafter", *SMALL_RUNS["train-drafter"][:-2],
                                   "--out", "adir/"],
     "init-base-out-no-name": ["init-base", "--out", "adir/"],
@@ -302,14 +302,16 @@ def test_verify_equivalence_loads_the_transformer_from_base_weights(tmp_path, ca
 
 def test_verify_equivalence_gives_drafter_weights_to_the_transformer(tmp_path, capsys):
     """The transformer run opens --drafter-weights, and a drafter saved for
-    the default transformer (vocab 256, width 64) decodes it."""
+    the default transformer's vocab and width decodes it."""
     argv = ["verify-equivalence", "--n-prompts", "1", "--prompt-len", "2", "--widths", "1",
             "--lengths", "1", "--max-new-tokens", "2", "--drafter-weights"]
     assert run([*argv, str(tmp_path / "absent")]) == 2
     assert (f"error: [Errno 2] No such file or directory: '{tmp_path / 'absent'}.manifest'"
             in capsys.readouterr().err)
     prefix = str(tmp_path / "drafter")
-    weights.save_drafter(DrafterParams.random(np.random.default_rng(0), 64, 256), 2, prefix)
+    config = cli.TRANSFORMER_CONFIG
+    weights.save_drafter(DrafterParams.random(np.random.default_rng(0), config.d_model,
+                                              config.vocab_size), 2, prefix)
     assert run([*argv, prefix]) == 0
     assert "equivalence: 1/1 passed" in capsys.readouterr().out
 
@@ -329,15 +331,14 @@ def test_generate_on_saved_base_weights_matches_the_seeded_base(tmp_path, capsys
                          ids=["rollouts", "ground-truth"])
 def test_distill_data_without_examples_is_an_error_and_writes_nothing(ground_truth, tmp_path,
                                                                       capsys):
-    out = tmp_path / "e.txt"
     assert run(["distill-data", *MARKOV, *ground_truth, "--corpus-size", "0",
-                "--out", str(out)]) == 2
+                "--out", str(tmp_path / "e")]) == 2
     assert "error: the corpus yields no training example" in capsys.readouterr().err
-    assert not out.exists()
+    assert not list(tmp_path.iterdir())
 
 
 def test_train_and_reuse_drafter(tmp_path, capsys):
-    data, prefix = str(tmp_path / "data.txt"), str(tmp_path / "drafter")
+    data, prefix = str(tmp_path / "data"), str(tmp_path / "drafter")
     loss_csv = tmp_path / "loss.csv"
     assert run(["distill-data", *MARKOV, "--horizon", "3", "--corpus-size", "6",
                 "--corpus-len", "10", "--out", data]) == 0
@@ -357,7 +358,7 @@ def test_train_and_reuse_drafter(tmp_path, capsys):
 def test_distill_data_round_trip_through_training(tmp_path, capsys):
     """train-drafter takes its horizon from the file and writes it to the
     drafter manifest."""
-    data = str(tmp_path / "data.txt")
+    data = str(tmp_path / "data")
     assert run(["distill-data", *MARKOV, "--horizon", "3",
                 "--corpus-size", "4", "--corpus-len", "8", "--out", data]) == 0
     prefix = str(tmp_path / "drafter")
@@ -374,7 +375,7 @@ def test_two_stage_distillation_writes_the_library_drafter(ground_truth, tmp_pat
     """distill-data, then train-drafter on its file, writes the drafter bytes
     that the library's builder and trainer give, called with the CLI's seeds:
     the corpus at seed + 7 and the drafter's initialisation at seed + 1."""
-    data, prefix = str(tmp_path / "data.txt"), str(tmp_path / "drafter")
+    data, prefix = str(tmp_path / "data"), str(tmp_path / "drafter")
     assert run(["distill-data", *MARKOV, *ground_truth, "--horizon", "3", "--corpus-size", "5",
                 "--corpus-len", "12", "--out", data]) == 0
     assert run(["train-drafter", *MARKOV, "--dataset", data, "--epochs", "2",
@@ -397,25 +398,25 @@ def test_distill_data_greedy_corpus_writes_the_library_dataset(tmp_path, capsys)
     """--corpus greedy: random prompts of PROMPT_LEN tokens at seed + 7, each
     continued greedily to --corpus-len tokens, through build_distill_dataset;
     the file is the library's, byte for byte."""
-    data, library = tmp_path / "data.txt", tmp_path / "library.txt"
+    data, library = str(tmp_path / "data"), str(tmp_path / "library")
     assert run(["distill-data", *MARKOV, "--corpus", "greedy", "--horizon", "3",
-                "--corpus-size", "5", "--corpus-len", "24", "--out", str(data)]) == 0
+                "--corpus-size", "5", "--corpus-len", "24", "--out", data]) == 0
     capsys.readouterr()
     base = SyntheticMarkovModel(order=2, vocab_size=16, seed=3)
     prompts = cli.random_prompts(base, 5, cli.PROMPT_LEN, 3 + 7)
     corpus = distill.greedy_corpus(base, prompts, 24 - cli.PROMPT_LEN)
     distill.write_dataset(library, distill.build_distill_dataset(base, corpus, 3))
-    assert data.read_bytes() == library.read_bytes()
+    for suffix in (".manifest", ".bin"):
+        assert Path(data + suffix).read_bytes() == Path(library + suffix).read_bytes()
     assert [len(seq) for seq in distill.read_dataset(data, base).sequences] == [24] * 5
 
 
 def test_distill_data_greedy_corpus_needs_room_after_its_prompts(tmp_path, capsys):
-    out = tmp_path / "data.txt"
     assert run(["distill-data", *MARKOV, "--corpus", "greedy", "--corpus-len",
-                str(cli.PROMPT_LEN), "--out", str(out)]) == 2
+                str(cli.PROMPT_LEN), "--out", str(tmp_path / "data")]) == 2
     assert (f"error: --corpus greedy continues {cli.PROMPT_LEN}-token prompts: need "
             f"--corpus-len > {cli.PROMPT_LEN}, got {cli.PROMPT_LEN}") in capsys.readouterr().err
-    assert not out.exists()
+    assert not list(tmp_path.iterdir())
 
 
 def test_train_drafter_without_a_dataset_is_a_usage_error(tmp_path, capsys):
@@ -432,7 +433,7 @@ def test_train_drafter_on_a_dataset_file_with_ground_truth_is_a_usage_error(tmp_
     prefix = tmp_path / "drafter"
     with pytest.raises(SystemExit) as exc:
         run(["train-drafter", *MARKOV, "--ground-truth", "--dataset",
-             str(tmp_path / "absent.txt"), "--out", str(prefix)])
+             str(tmp_path / "absent"), "--out", str(prefix)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --ground-truth" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -450,7 +451,7 @@ def test_train_drafter_on_a_dataset_file_with_corpus_flags_is_a_usage_error(corp
     for flags in (corpus_flags, ["--horizon", "3"]):
         with pytest.raises(SystemExit) as exc:
             run(["train-drafter", *MARKOV, *flags, "--dataset",
-                 str(tmp_path / "absent.txt"), "--out", str(prefix)])
+                 str(tmp_path / "absent"), "--out", str(prefix)])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

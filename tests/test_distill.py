@@ -5,11 +5,12 @@ import dataclasses
 import itertools
 import re
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from redrafter import cli, distill, drafter
+from redrafter import cli, distill, drafter, weights
 from redrafter.decode import DecodeConfig, RnnProposer, autoregressive_generate
 from redrafter.distill import (DistillDataset, TrainConfig, build_distill_dataset,
                                empirical_kl, ground_truth_dataset, read_dataset,
@@ -256,7 +257,7 @@ def test_dataset_builders_reject_a_non_positive_horizon(base, corpus):
 @pytest.mark.parametrize("ground_truth", [[], ["--ground-truth"]],
                          ids=["rollouts", "ground-truth"])
 def test_distill_data_cli_rejects_a_non_positive_horizon(ground_truth, tmp_path, capsys):
-    out = str(tmp_path / "data.txt")
+    out = str(tmp_path / "data")
     assert cli.main(["distill-data", "--base", "markov", "--markov-vocab", "16",
                      "--corpus-size", "2", "--corpus-len", "8", "--horizon", "-2",
                      *ground_truth, "--out", out]) == 2
@@ -360,10 +361,11 @@ def test_corpus_rejects_non_integer_and_empty_settings(field, value, message):
 
 def test_dataset_file_round_trip(base, corpus, tmp_path, monkeypatch):
     """``read_dataset`` of ``write_dataset(ds)`` is ``ds``, on both bases, for
-    built and ground-truth datasets, with sequences that no row points to;
-    h is recomputed with one prefill per sequence that rows point to, of the
-    longest prefix they use."""
-    path = str(tmp_path / "distill.txt")
+    built and ground-truth datasets, with sequences that no row points to,
+    and with no row or no sequence at all.  ``ground_truth_dataset`` and the
+    reader recompute h alike: one prefill per sequence that rows point to,
+    of the longest prefix they use."""
+    prefix = str(tmp_path / "distill")
     for model in (base, WINDOW_BASES["transformer"]()):
         prefills = []
         forward_context = model.forward_context
@@ -372,63 +374,124 @@ def test_dataset_file_round_trip(base, corpus, tmp_path, monkeypatch):
             prefills.append(np.asarray(tokens).tolist())
             return forward_context(tokens, cache)
 
-        for data in (corpus, edge_corpus(16)):
-            for dataset in (build_distill_dataset(model, data, 3),
-                            ground_truth_dataset(model, data, 3)):
-                write_dataset(path, dataset)
+        def longest_prefixes(dataset):
+            return [dataset.sequences[i][:dataset.prefix_len[dataset.seq_index == i].max()]
+                    .tolist() for i in sorted(set(dataset.seq_index.tolist()))]
+
+        for data in (corpus, edge_corpus(16), [[5], [1, 2]], []):
+            for build in (build_distill_dataset, ground_truth_dataset):
                 prefills.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(model, "forward_context", counting_forward_context)
-                    assert_same_dataset(read_dataset(path, model), dataset)
-                used = sorted(set(dataset.seq_index.tolist()))
-                assert prefills == [
-                    dataset.sequences[i][:dataset.prefix_len[dataset.seq_index == i].max()]
-                    .tolist() for i in used]
+                    dataset = build(model, data, 3)
+                    if build is ground_truth_dataset:
+                        assert prefills == longest_prefixes(dataset)
+                    write_dataset(prefix, dataset)
+                    prefills.clear()
+                    assert_same_dataset(read_dataset(prefix, model), dataset)
+                assert prefills == longest_prefixes(dataset)
+    # the edge cases ran: a dataset of no row, and one of no sequence
+    assert len(ground_truth_dataset(base, [[5], [1, 2]], 3)) == 0
+    assert build_distill_dataset(base, [], 3).sequences == []
 
 
-# a valid file: line 1 the magic, 2 the header, 3-4 the sequences, 5-6 rows;
-# each case below replaces one line and expects an error naming a line
-GOOD_FILE = ["REDRAFT-DISTILL v1", "2 2", "1 2 3", "4 5", "0 1 6 7 8", "1 2 9 10 11"]
+# a valid file's tensors: sequences [1, 2, 3] and [4, 5], and two rows of
+# horizon 2; each case below edits the file and expects an error naming its
+# manifest, and there the header key or the tensor at fault
+GOOD_TENSORS = {"lengths": [3, 2], "tokens": [1, 2, 3, 4, 5], "seq_index": [0, 1],
+                "prefix_len": [1, 2], "guaranteed": [6, 9], "teacher": [[7, 8], [10, 11]]}
 
 
-@pytest.mark.parametrize("lineno, line, error", [
-    (1, "3 2 1 2 3 9 4", "1: bad magic line '3 2 1 2 3 9 4', expected 'REDRAFT-DISTILL v1'"),
-    (1, "REDRAFT-DISTILL v2", "1: bad magic line 'REDRAFT-DISTILL v2'"),
-    (2, "2", "2: malformed header"),
-    (2, "-1 2", "2: malformed header"),
-    (2, "2 0", "2: malformed header, expected 'n_sequences horizon' with 1 <= horizon < 4096, "
-               "the base's window"),
-    (2, "2 4096", "2: malformed header"),
-    (2, "5 2", "7: the file ends before its 5 sequences do"),
-    (4, "4 x", "4: non-integer field"),
-    (6, "1 2 9 10 1.5", "6: non-integer field"),
-    (3, "1 16 3", "3: token id outside vocab of size 16"),
-    (4, "-1 5", "4: token id outside vocab of size 16"),
-    (5, "0 1 16 7 8", "5: token id outside vocab of size 16"),
-    (6, "1 2 9 10 -3", "6: token id outside vocab of size 16"),
-    (5, "0 1 6 7", "5: a row holds seq_index, prefix_len, the guaranteed token and 2 teacher "
-                   "tokens, got 4 fields"),
-    (6, "1 2 9 10 11 12", "6: a row holds seq_index, prefix_len, the guaranteed token and 2 "
-                          "teacher tokens, got 6 fields"),
-    (5, "2 1 6 7 8", "5: seq_index outside the file's 2 sequences"),
-    (6, "-1 2 9 10 11", "6: seq_index outside the file's 2 sequences"),
-    (5, "0 0 6 7 8", "5: prefix_len outside [1, the length of its sequence]"),
-    (6, "1 3 9 10 11", "6: prefix_len outside [1, the length of its sequence]"),
+def write_tensors(prefix, header=None, magic=distill.DATASET_MAGIC, **edits):
+    """``GOOD_TENSORS`` with ``edits`` (a None one left out) as a tensor file."""
+    tensors = {**GOOD_TENSORS, **edits}
+    weights.save_tensors(prefix, magic, [(name, np.asarray(arr)) for name, arr in
+                                         tensors.items() if arr is not None],
+                         {"horizon": 2} if header is None else header)
+
+
+def truncate(prefix):
+    blob = Path(prefix + ".bin")
+    blob.write_bytes(blob.read_bytes()[:-8])
+
+
+def float32(values):
+    return np.asarray(values, np.float32)
+
+
+WINDOW_RULE = "must hold a horizon alone, in [1, 4096), the base's window"
+SHAPE_RULE = ("expected lengths and tokens 1-D, seq_index, prefix_len and guaranteed (N,) and "
+              "teacher (N, horizon)")
+TENSORS = "['lengths', 'tokens', 'seq_index', 'prefix_len', 'guaranteed', 'teacher']"
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda p: Path(p + ".manifest").write_text("REDRAFT-DISTILL v1\n2 2\n1 2 3\n4 5\n"),
+     "bad magic line 'REDRAFT-DISTILL v1', expected 'REDRAFT-DISTILL v2'"),
+    (lambda p: write_tensors(p, magic="REDRAFT-WEIGHTS v1"),
+     "bad magic line 'REDRAFT-WEIGHTS v1', expected 'REDRAFT-DISTILL v2'"),
+    (lambda p: write_tensors(p, header={}), f"header {{}} {WINDOW_RULE}"),
+    (lambda p: write_tensors(p, lengths=None),
+     "holds tensors ['tokens', 'seq_index', 'prefix_len', 'guaranteed', 'teacher'], "
+     f"expected {TENSORS}"),
+    (lambda p: write_tensors(p, header={"horizon": 0}),
+     f"header {{'horizon': 0}} {WINDOW_RULE}"),
+    (lambda p: write_tensors(p, header={"horizon": 4096}),
+     f"header {{'horizon': 4096}} {WINDOW_RULE}"),
+    (truncate, "tensor teacher: blob truncated (needs bytes up to 136, have 128)"),
+    (lambda p: write_tensors(p, tokens=float32([1, 2, 3, 4, 5])),
+     "tensor tokens is float32, expected int64"),
+    (lambda p: write_tensors(p, teacher=float32([[7, 8], [10, 11.5]])),
+     "tensor teacher is float32, expected int64"),
+    (lambda p: write_tensors(p, tokens=[1, 16, 3, 4, 5]),
+     "tensor tokens: token id outside vocab of size 16"),
+    (lambda p: write_tensors(p, tokens=[1, 2, 3, -1, 5]),
+     "tensor tokens: token id outside vocab of size 16"),
+    (lambda p: write_tensors(p, guaranteed=[16, 9]),
+     "tensor guaranteed: token id outside vocab of size 16"),
+    (lambda p: write_tensors(p, teacher=[[7, 8], [10, -3]]),
+     "tensor teacher: token id outside vocab of size 16"),
+    (lambda p: write_tensors(p, teacher=[[7], [10]]),
+     f"shapes [(2,), (5,), (2,), (2,), (2,), (2, 1)]: {SHAPE_RULE}"),
+    (lambda p: write_tensors(p, teacher=[[7, 8, 1], [10, 11, 1]]),
+     f"shapes [(2,), (5,), (2,), (2,), (2,), (2, 3)]: {SHAPE_RULE}"),
+    (lambda p: write_tensors(p, seq_index=[2, 1]), "seq_index outside the file's 2 sequences"),
+    (lambda p: write_tensors(p, seq_index=[0, -1]), "seq_index outside the file's 2 sequences"),
+    (lambda p: write_tensors(p, prefix_len=[0, 2]),
+     "prefix_len outside [1, the length of its sequence]"),
+    (lambda p: write_tensors(p, prefix_len=[1, 3]),
+     "prefix_len outside [1, the length of its sequence]"),
+    (lambda p: write_tensors(p, h=[[0, 0], [0, 0]]),
+     f"holds tensors {TENSORS[:-1]}, 'h'], expected {TENSORS}"),
+    (lambda p: write_tensors(p, header={"horizon": 2, "n_sequences": 2}),
+     f"header {{'horizon': 2, 'n_sequences': 2}} {WINDOW_RULE}"),
+    (lambda p: write_tensors(p, lengths=[3, 3]),
+     "lengths must be non-negative and sum to the 5 tokens"),
+    (lambda p: write_tensors(p, lengths=[6, -1]),
+     "lengths must be non-negative and sum to the 5 tokens"),
+    (lambda p: write_tensors(p, guaranteed=[6, 9, 1]),
+     f"shapes [(2,), (5,), (2,), (2,), (3,), (2, 2)]: {SHAPE_RULE}"),
 ], ids=["old-format", "magic", "header-fields", "header-count", "header-horizon",
         "header-horizon-past-window", "truncated",
         "sequence-field", "row-field", "sequence-token", "sequence-negative", "guaranteed",
         "teacher", "short-row", "long-row", "seq-index", "seq-index-negative", "prefix-zero",
-        "prefix-past-sequence"])
-def test_malformed_dataset_file_names_its_line(lineno, line, error, base, tmp_path):
-    path = tmp_path / "data.txt"
-    good = "\n".join(GOOD_FILE) + "\n"
-    path.write_text(good, encoding="utf-8")
-    assert len(read_dataset(str(path), base)) == 2
-    lines = GOOD_FILE.copy()
-    lines[lineno - 1] = line
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(FormatError, match=re.escape(f"{path}:{error}")):
-        read_dataset(str(path), base)
+        "prefix-past-sequence", "extra-tensor", "extra-header-key", "lengths-sum",
+        "lengths-negative", "rows-of-two-lengths"])
+def test_malformed_dataset_file_names_its_line(edit, error, base, tmp_path):
+    """Each malformed dataset file is a ``FormatError`` naming its manifest
+    and, where one is at fault, the header key or tensor: the manifest line.
+    The ids are the text format's cases, each with its tensor-file
+    counterpart (old-format: a text file where the manifest belongs;
+    header-count: the sequence count, ``lengths``, missing), then cases that
+    only a tensor file can have."""
+    prefix = str(tmp_path / "data")
+    write_tensors(prefix)
+    dataset = read_dataset(prefix, base)
+    assert len(dataset) == 2 and [seq.tolist() for seq in dataset.sequences] == [[1, 2, 3],
+                                                                                 [4, 5]]
+    edit(prefix)
+    with pytest.raises(FormatError, match=re.escape(f"{prefix}.manifest: {error}")):
+        read_dataset(prefix, base)
 
 
 def train_setup(base, corpus, horizon=3):
@@ -554,7 +617,7 @@ def test_train_drafter_cli_rejects_bad_settings_before_any_work(flag, message, t
     monkeypatch.setattr(distill, "read_dataset", no_read)
     out = tmp_path / "drafter"
     assert cli.main(["train-drafter", "--base", "markov", "--markov-vocab", "16",
-                     "--dataset", str(tmp_path / "data.txt"), *flag, "--out", str(out)]) == 2
+                     "--dataset", str(tmp_path / "data"), *flag, "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())  # no drafter saved
 

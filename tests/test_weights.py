@@ -1,6 +1,7 @@
 """Weight files: bit-exact round trips and corruption handling."""
 
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -118,7 +119,9 @@ def test_edited_shape_rejected(tmp_path):
 @pytest.mark.parametrize("kind, line, edited, message", [
     ("base", r"l0_b1 f32 16 0$", "l0_b1 f32 16", "malformed tensor line 'l0_b1 f32 16'"),
     ("base", r"l0_b1 f32 ", "l0_b1 f64 ", "tensor l0_b1: unsupported dtype f64"),
-    ("base", r"l0_wq f32 .*$", "", "missing tensor l0_wq"),
+    # a tensor count other than the header's n_layers reads is refused first
+    ("base", r"l0_wq f32 .*$", "", "base.manifest: holds 27 tensors, a base model with "
+                                   "n_layers 2 reads 28"),
     ("drafter", r"mlp1_b f32 .*$", "", "drafter manifest missing 'mlp1_b'"),
     ("drafter", r"u f32 8,8 ", "u f32 4,16 ", "recurrence shapes must be (4,4)"),
     ("drafter", r"# d_s 8$", "# d_s 9", "drafter manifest says d_s 9, its tensors are 8 wide"),
@@ -131,7 +134,13 @@ def test_edited_shape_rejected(tmp_path):
     ("drafter", r"# n_mlp 2$", "# n_mlp 1",
      "tensor mlp1_w is not read by a drafter with n_mlp 1"),
     ("base", r"# n_layers 2$", "# n_layers 1",
-     "tensor l1_b1 is not read by a base model with n_layers 1"),
+     "base.manifest: holds 28 tensors, a base model with n_layers 1 reads 16"),
+    ("base", r"l0_wq f32 ", "l0_wz f32 ", "tensor l0_wz is not read by a base model with "
+                                         "n_layers 2"),
+    # weight files hold float32 tensors; an int64 one is refused by the model it feeds
+    ("base", r"l0_b1 f32 ", "l0_b1 i64 ", "tensor l0_b1: expected float32, got int64"),
+    ("drafter", r"u f32 ", "u i64 ", "drafter tensors must share one dtype, float32 or "
+                                     "float64: u int64, w float32"),
     # windows whose position table lies past the address space: numpy raises
     # MemoryError for the first and ValueError for the second
     ("base", r"# max_seq_len \d+$", f"# max_seq_len {10 ** 15}",
@@ -145,8 +154,8 @@ def test_edited_shape_rejected(tmp_path):
      "tensor u: shape 0,4294967296,4294967296 ("),
 ], ids=["three-fields", "dtype", "base-tensor", "drafter-tensor", "drafter-shape", "drafter-d_s",
         "drafter-no-d_s", "drafter-repeat", "base-repeat", "drafter-header-repeat",
-        "base-header-repeat", "drafter-unread", "base-unread", "window-1e15", "window-1e20",
-        "count-overflow", "empty-overflow"])
+        "base-header-repeat", "drafter-unread", "base-unread", "base-renamed", "base-i64",
+        "drafter-i64", "window-1e15", "window-1e20", "count-overflow", "empty-overflow"])
 def test_malformed_manifest_line_is_a_format_error(kind, line, edited, message, tmp_path):
     prefix = str(tmp_path / kind)
     if kind == "base":
@@ -235,4 +244,23 @@ def test_drafter_manifest_of_a_wrapping_element_count_exits_2(tmp_path, capsys):
     manifest.write_text(text)
     assert cli.main(["generate", "--base", "markov", "--markov-vocab", "16", "--prompt", "1 2",
                      "--max-new-tokens", "2", "--drafter-weights", prefix]) == 2
-    assert "error: tensor u: blob truncated" in capsys.readouterr().err
+    assert f"error: {manifest}: tensor u: blob truncated" in capsys.readouterr().err
+
+
+def test_a_layer_count_the_file_does_not_hold_fails_before_any_work(tmp_path):
+    """The loader compares the file's tensor count with the header's
+    n_layers before it lists the names those layers read, so a claim of
+    10**9 layers costs no more than the file it comes in."""
+    prefix = str(tmp_path / "base")
+    weights.save_base_model(TinyTransformer.random(CONFIG, seed=16), prefix)
+    manifest = tmp_path / "base.manifest"
+    text, n = re.subn(r"^# n_layers 1$", f"# n_layers {10 ** 9}", manifest.read_text(),
+                      flags=re.M)
+    assert n == 1
+    manifest.write_text(text)
+    t0 = time.perf_counter()
+    with pytest.raises(FormatError, match=re.escape(
+            f"{manifest}: holds 16 tensors, a base model with n_layers {10 ** 9} reads "
+            f"{4 + 12 * 10 ** 9}")):
+        weights.load_base_model(prefix)
+    assert time.perf_counter() - t0 < 0.5
