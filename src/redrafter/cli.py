@@ -1,7 +1,7 @@
 """Command-line surface: generate text, verify the exact-equivalence
 guarantee over a grid of beam shapes (with a per-shape table of tokens/step,
-compression and speedup), build distillation data and train draft heads,
-each on the one base model ``--base`` names.
+compression and speedup) and build distillation data, each on the one base
+model ``--base`` names, and train draft heads on a distillation data file.
 
 Exit codes: 0 ok, 1 equivalence/assertion failure, 2 usage or IO error.
 """
@@ -47,12 +47,13 @@ def build_base(args):
     return TinyTransformer.random(TRANSFORMER_CONFIG, seed=args.seed)
 
 
-def build_drafter(args, base):
+def build_drafter(args, embeddings):
+    """``--drafter-weights``' drafter, or a seeded random one that fits ``embeddings``."""
     if args.drafter_weights:
         params, _ = weights.load_drafter(args.drafter_weights)
         return params
-    rng = np.random.default_rng(args.seed + 1)
-    return DrafterParams.random(rng, base.config.d_model, base.config.vocab_size)
+    vocab, d_model = embeddings.shape
+    return DrafterParams.random(np.random.default_rng(args.seed + 1), d_model, vocab)
 
 
 def random_prompts(base, n, length, seed):
@@ -171,7 +172,7 @@ def cmd_generate(args):
     check_out_dirs(args, "--report")
     base = build_base(args)
     prompt = parse_prompt(args, base)
-    row, = sweep(base, build_drafter(args, base), [prompt], [args.beam_width],
+    row, = sweep(base, build_drafter(args, base.token_embeddings), [prompt], [args.beam_width],
                  [args.beam_length], args.max_new_tokens, stop_token=args.stop_token)
     print(" ".join(str(t) for t in row["streams"][0]))
     if args.report:
@@ -185,7 +186,7 @@ def cmd_generate(args):
 def cmd_verify_equivalence(args):
     check_out_dirs(args, "--csv")
     base = build_base(args)
-    rows = sweep(base, build_drafter(args, base),
+    rows = sweep(base, build_drafter(args, base.token_embeddings),
                  random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
                  parse_ints(args.widths.split(","), "--widths"),
                  parse_ints(args.lengths.split(","), "--lengths"), args.max_new_tokens)
@@ -211,11 +212,10 @@ def cmd_train_drafter(args):
     # the settings are checked before the file is read; the horizon is the file's
     cfg = distill.TrainConfig(learning_rate=args.learning_rate, epochs=args.epochs,
                               batch_size=args.batch_size, seed=args.seed)
-    base = build_base(args)
-    dataset = distill.read_dataset(args.dataset, base)
+    dataset, embeddings = distill.read_dataset(args.dataset)
     cfg = dataclasses.replace(cfg, horizon=dataset.teacher.shape[1])
-    params, curve = distill.train_drafter(dataset, build_drafter(args, base), cfg,
-                                          base.token_embeddings)
+    params, curve = distill.train_drafter(dataset, build_drafter(args, embeddings), cfg,
+                                          embeddings)
     weights.save_drafter(params, cfg.horizon, args.out)
     if args.loss_csv:
         with open(args.loss_csv, "w", newline="", encoding="utf-8") as fh:
@@ -245,7 +245,7 @@ def cmd_distill_data(args):
     dataset = build(base, corpus, args.horizon)
     if not dataset:
         raise ContractError("the corpus yields no training example")
-    distill.write_dataset(args.out, dataset)
+    distill.write_dataset(args.out, dataset, base.token_embeddings)
     print(f"wrote {len(dataset)} examples to {args.out}.manifest/.bin")
     return 0
 
@@ -296,7 +296,7 @@ def make_parser():
     p.set_defaults(func=cmd_verify_equivalence)
 
     p = sub.add_parser("train-drafter", help="train a draft head on a distill-data file")
-    _add_model_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="seeds the initial drafter and batches")
     p.add_argument("--dataset", required=True, help="a distill-data file prefix")
     p.add_argument("--learning-rate", type=float, default=1e-3)
     p.add_argument("--epochs", type=int, default=10)

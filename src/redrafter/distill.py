@@ -9,7 +9,8 @@ The ground-truth variant takes the guaranteed token and the teacher from the
 corpus instead.  The corpus is a seeded Markov sample
 (``sample_markov_corpus``) or the base's own greedy text
 (``greedy_corpus``).  A ``DistillDataset`` holds the examples as rows of
-arrays, each context as a corpus sequence and a prefix length.  Training
+arrays, each context as a corpus sequence and a prefix length; its file
+adds the base's token embeddings, so training needs no base.  Training
 minimizes the mean teacher-forced negative log-likelihood with Adam,
 gathering each batch's rows; the base model stays frozen throughout.
 
@@ -45,7 +46,7 @@ BLOCK = 16
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-DATASET_MAGIC = "REDRAFT-DISTILL v2"
+DATASET_MAGIC = "REDRAFT-DISTILL v3"
 
 
 @dataclass(eq=False)
@@ -211,80 +212,72 @@ def ground_truth_dataset(base, corpus, horizon):
         if n <= 0:
             skipped += 1
             continue
-        prefix_len = np.arange(1, n + 1)
-        rows.append((np.full(n, index), prefix_len, seq[1:n + 1],
+        # h is the hidden state at each prefix's last token: the rows of one
+        # prefill of the longest prefix, each bit for bit its prefix's forward
+        rows.append((np.full(n, index), np.arange(1, n + 1), seq[1:n + 1],
                      np.lib.stride_tricks.sliding_window_view(seq[2:], horizon),
-                     _prefill_h(base, seq, prefix_len)))
+                     base.forward_context(seq[:n], base.new_cache()).hidden))
     if skipped:
         log.warning("ground-truth dataset: skipped %d short sequences", skipped)
     return _dataset(base, horizon, sequences, rows)
 
 
-def _prefill_h(base, seq, prefix_len):
-    """The ``h`` of rows of one sequence, the hidden state at each prefix's
-    last token, from one prefill of ``seq`` up to the longest prefix: a row
-    of a causal forward equals the forward of the prefix ending there, bit
-    for bit."""
-    return base.forward_context(seq[:prefix_len.max()], base.new_cache()).hidden[prefix_len - 1]
+DATASET_TENSORS = ("lengths", "tokens", "seq_index", "prefix_len", "guaranteed", "teacher", "h",
+                   "embeddings")
 
 
-DATASET_TENSORS = ("lengths", "tokens", "seq_index", "prefix_len", "guaranteed", "teacher")
-
-
-def write_dataset(prefix, dataset):
-    """Write a ``DistillDataset``'s fields but ``h``, which the reader
-    recomputes, as a ``weights`` tensor file of int64 ``DATASET_TENSORS``:
-    the sequences' lengths, their tokens end to end, then the rows' fields.
+def write_dataset(prefix, dataset, embeddings):
+    """Write a ``DistillDataset`` and the ``(vocab, d_model)`` token
+    embeddings of the base that built it as a ``weights`` tensor file of
+    ``DATASET_TENSORS``: the sequences' lengths, their tokens end to end and
+    the rows' fields as int64, then ``h`` and ``embeddings`` as float32.
     The header holds the horizon."""
     lengths = np.array([seq.shape[0] for seq in dataset.sequences], np.int64)
     tokens = np.concatenate([np.empty(0, np.int64), *dataset.sequences])
     weights.save_tensors(prefix, DATASET_MAGIC, zip(DATASET_TENSORS, (
         lengths, tokens, dataset.seq_index, dataset.prefix_len, dataset.guaranteed,
-        dataset.teacher)), {"horizon": dataset.teacher.shape[1]})
+        dataset.teacher, dataset.h, embeddings)), {"horizon": dataset.teacher.shape[1]})
 
 
-def read_dataset(prefix, base):
-    """Load a ``write_dataset`` file as a ``DistillDataset``, recomputing
-    ``h`` with the given base model: ``_prefill_h`` once per sequence that
-    rows point to.  A malformed file raises a ``FormatError`` naming its
-    manifest."""
-    header, tensors = weights.load_tensors(prefix, DATASET_MAGIC)
-
+def read_dataset(prefix):
+    """Load a ``write_dataset`` file as ``(DistillDataset, embeddings)``; the
+    embeddings' rows are the vocab.  A malformed file raises a
+    ``FormatError`` naming its manifest."""
     def check(ok, message):
         if not ok:
-            raise FormatError(f"{prefix}.manifest: {message}")
+            raise FormatError(message)
 
-    # a rollout of horizon tokens follows a prefix and its guaranteed token
-    window, vocab = base.config.max_seq_len, base.config.vocab_size
-    check(list(header) == ["horizon"] and 1 <= header["horizon"] < window,
-          f"header {header} must hold a horizon alone, in [1, {window}), the base's window")
-    check(sorted(tensors) == sorted(DATASET_TENSORS),
-          f"holds tensors {list(tensors)}, expected {list(DATASET_TENSORS)}")
-    for name, arr in tensors.items():
-        check(arr.dtype == np.int64, f"tensor {name} is {arr.dtype}, expected int64")
-    lengths, tokens, seq_index, prefix_len, guaranteed, teacher = (
-        tensors[name] for name in DATASET_TENSORS)
-    n, n_seq = seq_index.shape[0], lengths.shape[0]
-    check(lengths.ndim == tokens.ndim == 1 and seq_index.shape == prefix_len.shape
-          == guaranteed.shape == (n,) and teacher.shape == (n, header["horizon"]),
-          f"shapes {[arr.shape for arr in tensors.values()]}: expected lengths and tokens 1-D, "
-          f"seq_index, prefix_len and guaranteed (N,) and teacher (N, horizon)")
-    # Python ints: an int64 sum of lengths can wrap
-    check((lengths >= 0).all() and sum(lengths.tolist()) == tokens.shape[0],
-          f"lengths must be non-negative and sum to the {tokens.shape[0]} tokens")
-    for name, arr in (("tokens", tokens), ("guaranteed", guaranteed), ("teacher", teacher)):
-        check(((arr >= 0) & (arr < vocab)).all(),
-              f"tensor {name}: token id outside vocab of size {vocab}")
-    check(((seq_index >= 0) & (seq_index < n_seq)).all(),
-          f"seq_index outside the file's {n_seq} sequences")
-    check(((prefix_len >= 1) & (prefix_len <= lengths[seq_index])).all(),
-          "prefix_len outside [1, the length of its sequence]")
+    with weights.naming(prefix):
+        header, tensors = weights.load_tensors(prefix, DATASET_MAGIC)
+        check(list(header) == ["horizon"] and header["horizon"] >= 1,
+              f"header {header} must hold a horizon >= 1 alone")
+        check(sorted(tensors) == sorted(DATASET_TENSORS),
+              f"holds tensors {list(tensors)}, expected {list(DATASET_TENSORS)}")
+        for name, arr in tensors.items():
+            dtype = np.dtype(np.float32 if name in ("h", "embeddings") else np.int64)
+            check(arr.dtype == dtype, f"tensor {name} is {arr.dtype}, expected {dtype}")
+        lengths, tokens, seq_index, prefix_len, guaranteed, teacher, h, embeddings = (
+            tensors[name] for name in DATASET_TENSORS)
+        # every tensor of a file has at least one dim
+        n, n_seq, vocab = seq_index.shape[0], lengths.shape[0], embeddings.shape[0]
+        check(lengths.ndim == tokens.ndim == 1 and seq_index.shape == prefix_len.shape
+              == guaranteed.shape == (n,) and teacher.shape == (n, header["horizon"])
+              and embeddings.ndim == 2 and embeddings.size and h.shape == (n, embeddings.shape[1]),
+              f"shapes {[arr.shape for arr in tensors.values()]}: expected lengths and tokens "
+              f"1-D, seq_index, prefix_len and guaranteed (N,), teacher (N, horizon), h "
+              f"(N, d_model) and embeddings (vocab, d_model), neither 0")
+        # Python ints: an int64 sum of lengths can wrap
+        check((lengths >= 0).all() and sum(lengths.tolist()) == tokens.shape[0],
+              f"lengths must be non-negative and sum to the {tokens.shape[0]} tokens")
+        for name, arr in (("tokens", tokens), ("guaranteed", guaranteed), ("teacher", teacher)):
+            check(((arr >= 0) & (arr < vocab)).all(),
+                  f"tensor {name}: token id outside vocab of size {vocab}")
+        check(((seq_index >= 0) & (seq_index < n_seq)).all(),
+              f"seq_index outside the file's {n_seq} sequences")
+        check(((prefix_len >= 1) & (prefix_len <= lengths[seq_index])).all(),
+              "prefix_len outside [1, the length of its sequence]")
     sequences = np.split(tokens, np.cumsum(lengths)[:-1]) if n_seq else []
-    h = np.empty((n, base.config.d_model), np.float32)
-    for index in np.unique(seq_index):
-        mine = seq_index == index
-        h[mine] = _prefill_h(base, sequences[index], prefix_len[mine])
-    return DistillDataset(sequences, seq_index, prefix_len, guaranteed, teacher, h)
+    return DistillDataset(sequences, seq_index, prefix_len, guaranteed, teacher, h), embeddings
 
 
 def train_drafter(dataset, params_init, cfg, embeddings):

@@ -211,16 +211,15 @@ class TinyTransformer(BaseModel):
     order on every lane, so a packed token whose ancestor path equals a
     causal prefix produces bitwise-identical logits to the causal forward.
 
-    ``weights`` is read at construction: each layer's ``wq``, ``wk`` and ``wv``
-    are copied side by side into one ``(d_model, 3 * d_model)`` projection,
-    whose product is bitwise the three separate products on the numpy lane
-    (each output column is its own left-to-right sum).  On the blas
-    lane it was so for widths that are multiples of 16 up to 256, not for
-    every width (100 differs); exactness needs only that every forward uses
-    the same fused weight.  Only ``weights`` is saved, so the weight
-    file keeps the separate tensors.  Every other product takes its weight
-    from ``weights`` itself, the same array object, which is how a tracer
-    can tell the products apart.
+    Each layer projects queries, keys and values with one matmul against
+    its ``(d_model, 3 * d_model)`` weight ``wqkv``, ``[wq | wk | wv]``, the
+    form it is stored and saved in.  On the numpy lane that product is
+    bitwise the three separate products (each output column is its own
+    left-to-right sum); on the blas lane it was so for widths that are
+    multiples of 16 up to 256, not for every width (100 differs), and
+    exactness needs only that every forward uses the same weight.  Every
+    product takes its weight from ``weights`` itself, the same array object,
+    which is how a tracer can tell the products apart.
     """
 
     def __init__(self, config, weights):
@@ -230,13 +229,9 @@ class TinyTransformer(BaseModel):
         self.token_embeddings = weights["tok_emb"]
         self._pos = sinusoidal_positions(config.max_seq_len, config.d_model)
         self._scale = np.float32(1.0 / np.sqrt(config.d_model // config.n_heads))
-        w = weights
-        # per layer: ln1 gain and bias, fused QKV, wo, ln2 gain and bias, w1, b1, w2, b2
-        self._layers = [
-            (w[f"l{i}_ln1_g"], w[f"l{i}_ln1_b"],
-             np.concatenate([w[f"l{i}_{name}"] for name in ("wq", "wk", "wv")], axis=1),
-             w[f"l{i}_wo"], w[f"l{i}_ln2_g"], w[f"l{i}_ln2_b"],
-             w[f"l{i}_w1"], w[f"l{i}_b1"], w[f"l{i}_w2"], w[f"l{i}_b2"])
+        # each layer's weights, in the order _forward unpacks them
+        self._layers = [tuple(weights[f"l{i}_{name}"] for name in (
+            "ln1_g", "ln1_b", "wqkv", "wo", "ln2_g", "ln2_b", "w1", "b1", "w2", "b2"))
             for i in range(config.n_layers)]
 
     @staticmethod
@@ -248,8 +243,7 @@ class TinyTransformer(BaseModel):
         for i in range(c.n_layers):
             shapes.update({
                 f"l{i}_ln1_g": (c.d_model,), f"l{i}_ln1_b": (c.d_model,),
-                f"l{i}_wq": (c.d_model, c.d_model), f"l{i}_wk": (c.d_model, c.d_model),
-                f"l{i}_wv": (c.d_model, c.d_model), f"l{i}_wo": (c.d_model, c.d_model),
+                f"l{i}_wqkv": (c.d_model, 3 * c.d_model), f"l{i}_wo": (c.d_model, c.d_model),
                 f"l{i}_ln2_g": (c.d_model,), f"l{i}_ln2_b": (c.d_model,),
                 f"l{i}_w1": (c.d_model, c.d_ff), f"l{i}_b1": (c.d_ff,),
                 f"l{i}_w2": (c.d_ff, c.d_model), f"l{i}_b2": (c.d_model,),
@@ -277,6 +271,10 @@ class TinyTransformer(BaseModel):
                 weights[name] = np.zeros(shape, dtype=np.float32)
             elif name == "tok_emb":
                 weights[name] = rng.normal(0.0, 1.0, shape).astype(np.float32)
+            elif name.endswith("wqkv"):  # wq, wk and wv drawn in turn, side by side
+                d = shape[0]
+                blocks = rng.normal(0.0, 1.0 / np.sqrt(d), (3, d, d)).astype(np.float32)
+                weights[name] = np.concatenate(blocks, axis=1)
             else:
                 std = 1.0 / np.sqrt(shape[0])
                 weights[name] = rng.normal(0.0, std, shape).astype(np.float32)

@@ -2,16 +2,18 @@
 
 Manifest layout::
 
-    REDRAFT-WEIGHTS v1          (or REDRAFT-DRAFTER v1, REDRAFT-DISTILL v2)
+    REDRAFT-WEIGHTS v1          (or REDRAFT-DRAFTER v1, REDRAFT-DISTILL v3)
     # key value                  integer header entries (config, training horizon)
     name f32 d0,d1 offset        one tensor per line, byte offset into the blob
 
 A tensor is ``f32`` (float32) or ``i64`` (int64), by its array's dtype kind.
 The format is language-neutral.  Weight files hold float32 tensors, as the
 base model and drafter do in memory, so a round trip reproduces them byte for
-byte; ``distill.write_dataset`` files hold int64 ones.
+byte; a base file holds each layer's fused ``wqkv``.  Dataset files hold
+int64 and float32 tensors.  A loader's ``FormatError`` names its manifest.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -53,15 +55,13 @@ def save_tensors(prefix, magic, tensors, header=None):
 def load_tensors(prefix, magic):
     """Read a manifest/blob pair back into (header dict of integers, dict of
     float32 and int64 tensors by name in file order); a key or a name may
-    appear once.  Each ``FormatError`` names the manifest."""
-    manifest_path = prefix + ".manifest"
-    blob_path = prefix + ".bin"
-    with open(manifest_path, encoding="utf-8") as fh:
+    appear once.  A loader calls it under ``naming``."""
+    with open(prefix + ".manifest", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != magic:
         found = repr(lines[0]) if lines else "<empty>"
-        raise FormatError(f"{manifest_path}: bad magic line {found}, expected {magic!r}")
-    with open(blob_path, "rb") as fh:
+        raise FormatError(f"bad magic line {found}, expected {magic!r}")
+    with open(prefix + ".bin", "rb") as fh:
         blob = fh.read()
 
     header = {}
@@ -70,30 +70,40 @@ def load_tensors(prefix, magic):
         if ln.startswith("#"):
             key, _, value = ln[1:].strip().partition(" ")
             if key in header:
-                raise FormatError(f"{manifest_path}: header key {key} appears twice")
-            header[key] = _int(value, key, manifest_path)
+                raise FormatError(f"header key {key} appears twice")
+            header[key] = _int(value, key)
             continue
         parts = ln.split()
         if len(parts) != 4:
-            raise FormatError(f"{manifest_path}: malformed tensor line {ln!r}")
+            raise FormatError(f"malformed tensor line {ln!r}")
         name, dtype, dims, offset = parts
         if name in tensors:
-            raise FormatError(f"{manifest_path}: tensor {name} appears twice")
+            raise FormatError(f"tensor {name} appears twice")
         if dtype not in _DTYPES:
-            raise FormatError(f"{manifest_path}: tensor {name}: unsupported dtype {dtype}")
-        shape = tuple(_int(d, f"tensor {name} dim", manifest_path) for d in dims.split(","))
-        offset = _int(offset, f"tensor {name} offset", manifest_path)
+            raise FormatError(f"tensor {name}: unsupported dtype {dtype}")
+        shape = tuple(_int(d, f"tensor {name} dim") for d in dims.split(","))
+        offset = _int(offset, f"tensor {name} offset")
         count = math.prod(shape)  # exact: an int64 product can wrap to a small count
         end = offset + _DTYPES[dtype].itemsize * count
         if end > len(blob):
-            raise FormatError(f"{manifest_path}: tensor {name}: blob truncated "
+            raise FormatError(f"tensor {name}: blob truncated "
                               f"(needs bytes up to {end}, have {len(blob)})")
         arr = np.frombuffer(blob, dtype=_DTYPES[dtype], count=count, offset=offset)
         try:
             tensors[name] = arr.reshape(shape).copy()
         except ValueError as exc:  # a dim too large for numpy, even on no elements
-            raise FormatError(f"{manifest_path}: tensor {name}: shape {dims} ({exc})") from None
+            raise FormatError(f"tensor {name}: shape {dims} ({exc})") from None
     return header, tensors
+
+
+@contextlib.contextmanager
+def naming(prefix):
+    """A loader's one rule: a ``FormatError`` or ``ShapeError`` raised in the
+    block leaves it as a ``FormatError`` that starts with the manifest path."""
+    try:
+        yield
+    except (FormatError, ShapeError) as exc:
+        raise FormatError(f"{prefix}.manifest: {exc}") from exc
 
 
 def _check_all_read(tensors, read, model):
@@ -103,9 +113,9 @@ def _check_all_read(tensors, read, model):
             raise FormatError(f"tensor {name} is not read by a {model}")
 
 
-def _int(text, field, manifest_path):
+def _int(text, field):
     if not (text.isascii() and text.isdigit()):
-        raise FormatError(f"{manifest_path}: {field} {text!r} is not a non-negative integer")
+        raise FormatError(f"{field} {text!r} is not a non-negative integer")
     return int(text)
 
 
@@ -122,24 +132,23 @@ def save_base_model(model, prefix):
 
 
 def load_base_model(prefix):
-    header, tensors = load_tensors(prefix, BASE_MAGIC)
-    try:
-        config = ModelConfig(**{key: header[key] for key in _CONFIG_KEYS})
-    except KeyError as exc:
-        raise FormatError(f"manifest missing config key {exc}") from exc
-    if len(tensors) != 4 + 12 * config.n_layers:  # before a claimed n_layers sizes any work
-        raise FormatError(f"{prefix}.manifest: holds {len(tensors)} tensors, a base model "
-                          f"with n_layers {config.n_layers} reads {4 + 12 * config.n_layers}")
-    _check_all_read(tensors, TinyTransformer.weight_shapes(config),
-                    f"base model with n_layers {config.n_layers}")
-    try:
-        return TinyTransformer(config, tensors)
-    except ShapeError as exc:
-        raise FormatError(str(exc)) from exc
-    except (MemoryError, ValueError) as exc:
-        # numpy refuses a position table past the address space with either
-        raise FormatError(f"max_seq_len {config.max_seq_len}: its position table cannot be "
-                          f"allocated ({exc})") from exc
+    with naming(prefix):
+        header, tensors = load_tensors(prefix, BASE_MAGIC)
+        try:
+            config = ModelConfig(**{key: header[key] for key in _CONFIG_KEYS})
+        except KeyError as exc:
+            raise FormatError(f"missing config key {exc}") from exc
+        if len(tensors) != 4 + 10 * config.n_layers:  # before a claimed n_layers sizes any work
+            raise FormatError(f"holds {len(tensors)} tensors, a base model with n_layers "
+                              f"{config.n_layers} reads {4 + 10 * config.n_layers}")
+        _check_all_read(tensors, TinyTransformer.weight_shapes(config),
+                        f"base model with n_layers {config.n_layers}")
+        try:
+            return TinyTransformer(config, tensors)
+        except (MemoryError, ValueError) as exc:
+            # numpy refuses a position table past the address space with either
+            raise FormatError(f"max_seq_len {config.max_seq_len}: its position table cannot "
+                              f"be allocated ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +162,16 @@ def save_drafter(params, horizon, prefix):
 
 def load_drafter(prefix):
     """Returns (DrafterParams, training horizon)."""
-    header, tensors = load_tensors(prefix, DRAFTER_MAGIC)
-    try:
-        horizon, n_mlp, d_s = header["horizon"], header["n_mlp"], header["d_s"]
-        params = DrafterParams(
-            u=tensors["u"], w=tensors["w"], b=tensors["b"], out_proj=tensors["out_proj"],
-            mlp=[(tensors[f"mlp{i}_w"], tensors[f"mlp{i}_b"]) for i in range(n_mlp)])
-    except KeyError as exc:
-        raise FormatError(f"drafter manifest missing {exc}") from exc
-    except ShapeError as exc:
-        raise FormatError(str(exc)) from exc
-    if params.d_s != d_s:
-        raise FormatError(f"drafter manifest says d_s {d_s}, its tensors are {params.d_s} wide")
-    _check_all_read(tensors, dict(params.flat_arrays()), f"drafter with n_mlp {n_mlp}")
+    with naming(prefix):
+        header, tensors = load_tensors(prefix, DRAFTER_MAGIC)
+        try:
+            horizon, n_mlp, d_s = header["horizon"], header["n_mlp"], header["d_s"]
+            params = DrafterParams(
+                u=tensors["u"], w=tensors["w"], b=tensors["b"], out_proj=tensors["out_proj"],
+                mlp=[(tensors[f"mlp{i}_w"], tensors[f"mlp{i}_b"]) for i in range(n_mlp)])
+        except KeyError as exc:
+            raise FormatError(f"missing {exc}") from exc
+        if params.d_s != d_s:
+            raise FormatError(f"says d_s {d_s}, its tensors are {params.d_s} wide")
+        _check_all_read(tensors, dict(params.flat_arrays()), f"drafter with n_mlp {n_mlp}")
     return params, horizon

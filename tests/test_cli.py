@@ -10,11 +10,18 @@ import pytest
 
 from redrafter import cli, decode, distill, kernels, weights
 from redrafter.drafter import DrafterParams
-from redrafter.model import SyntheticMarkovModel
+from redrafter.model import SyntheticMarkovModel, TinyTransformer
 
 TIMING_COLUMNS = {"wall_ms_spec", "wall_ms_ar", "speedup"}
 
 MARKOV = ["--base", "markov", "--markov-vocab", "16", "--seed", "3"]
+
+
+def model_flags(command):
+    """The flags that pick MARKOV's base and seed, as far as a command takes
+    them: train-drafter reads its base's embeddings from its dataset file and
+    takes only the seed, and init-base writes the default transformer."""
+    return {"train-drafter": MARKOV[-2:], "init-base": []}.get(command, MARKOV)
 
 
 def run(argv):
@@ -183,7 +190,7 @@ def test_drafter_file_of_two_widths_is_a_usage_error(part, tmp_path, capsys):
                          {"horizon": 2, "n_mlp": 2, "d_s": 32})
     assert run(["generate", *MARKOV, "--drafter-weights", prefix, "--prompt", "1 2",
                 "--max-new-tokens", "4"]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {prefix}.manifest: ")
 
 
 @pytest.mark.parametrize("command", ["generate", "verify-equivalence"])
@@ -210,14 +217,14 @@ def test_drafter_weights_is_offered_only_by_decoding_commands(command, tmp_path,
                                                               capsys):
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        run([command, *MARKOV, "--drafter-weights", "/nonexistent/prefix",
+        run([command, *model_flags(command), "--drafter-weights", "/nonexistent/prefix",
              *SMALL_RUNS[command]])
     assert exc.value.code == 2
     assert "unrecognized arguments: --drafter-weights" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", SMALL_RUNS)
+@pytest.mark.parametrize("command", ["generate", "verify-equivalence", "distill-data"])
 def test_base_weights_with_the_markov_base_is_a_usage_error(command, tmp_path, monkeypatch,
                                                               capsys):
     monkeypatch.chdir(tmp_path)
@@ -227,12 +234,32 @@ def test_base_weights_with_the_markov_base_is_a_usage_error(command, tmp_path, m
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flags", [["--base", "markov"], ["--base-weights", "base"],
+                                   ["--markov-vocab", "16"]],
+                         ids=["base", "base-weights", "markov-vocab"])
+def test_train_drafter_takes_no_base_flags(flags, tmp_path, monkeypatch, capsys):
+    """train-drafter reads h and the base's embeddings from its dataset file
+    and builds no base, so a base flag is a usage error, exit 2 before any
+    file is read, as the corpus flags are."""
+    monkeypatch.chdir(tmp_path)
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("train-drafter read its dataset before parsing its flags")
+
+    monkeypatch.setattr(distill, "read_dataset", no_read)
+    with pytest.raises(SystemExit) as exc:
+        run(["train-drafter", *flags, *SMALL_RUNS["train-drafter"]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["init-base", *SMALL_RUNS])
 def test_negative_seed_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
     """numpy's generators take no negative seed: the CLI refuses one before
     any work, with exit 2."""
     monkeypatch.chdir(tmp_path)
-    model = [] if command == "init-base" else ["--base", "markov", "--markov-vocab", "16"]
+    model = model_flags(command)[:-2]  # the flags but the seed
     out = ["--out", "base"] if command == "init-base" else SMALL_RUNS.get(command, [])
     assert run([command, *model, "--seed", "-1", *out]) == 2
     assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
@@ -279,8 +306,7 @@ def test_output_into_a_missing_directory_is_refused_before_any_work(argv, tmp_pa
                          (distill, "train_drafter"), (weights, "save_base_model"),
                          (weights, "save_drafter")):
         monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
-    model = [] if argv[0] == "init-base" else MARKOV
-    assert run([argv[0], *model, *argv[1:]]) == 2
+    assert run([argv[0], *model_flags(argv[0]), *argv[1:]]) == 2
     reason = ("no directory 'missing'" if argv[-1].startswith("missing/")
               else "names a directory, not a file")
     assert f"error: {argv[-2]} {argv[-1]}: {reason}" in capsys.readouterr().err
@@ -342,7 +368,7 @@ def test_train_and_reuse_drafter(tmp_path, capsys):
     loss_csv = tmp_path / "loss.csv"
     assert run(["distill-data", *MARKOV, "--horizon", "3", "--corpus-size", "6",
                 "--corpus-len", "10", "--out", data]) == 0
-    assert run(["train-drafter", *MARKOV, "--dataset", data, "--epochs", "2",
+    assert run(["train-drafter", "--seed", "3", "--dataset", data, "--epochs", "2",
                 "--learning-rate", "0.002", "--out", prefix, "--loss-csv", str(loss_csv)]) == 0
     capsys.readouterr()
     params, horizon = weights.load_drafter(prefix)
@@ -362,29 +388,42 @@ def test_distill_data_round_trip_through_training(tmp_path, capsys):
     assert run(["distill-data", *MARKOV, "--horizon", "3",
                 "--corpus-size", "4", "--corpus-len", "8", "--out", data]) == 0
     prefix = str(tmp_path / "drafter")
-    assert run(["train-drafter", *MARKOV, "--epochs", "1", "--dataset", data,
+    assert run(["train-drafter", "--seed", "3", "--epochs", "1", "--dataset", data,
                 "--out", prefix]) == 0
     capsys.readouterr()
     _, horizon = weights.load_drafter(prefix)
     assert horizon == 3
 
 
-@pytest.mark.parametrize("ground_truth", [[], ["--ground-truth"]],
-                         ids=["rollouts", "ground-truth"])
-def test_two_stage_distillation_writes_the_library_drafter(ground_truth, tmp_path, capsys):
-    """distill-data, then train-drafter on its file, writes the drafter bytes
-    that the library's builder and trainer give, called with the CLI's seeds:
-    the corpus at seed + 7 and the drafter's initialisation at seed + 1."""
+@pytest.mark.parametrize("case", ["rollouts", "ground-truth", "transformer-greedy"])
+def test_two_stage_distillation_writes_the_library_drafter(case, tmp_path, capsys):
+    """distill-data, then train-drafter on its file alone, writes the drafter
+    bytes that the library's builder and trainer give on the base, called
+    with the CLI's seeds: the corpus at seed + 7 and the drafter's
+    initialisation at seed + 1.  On the Markov base from a Markov corpus, with
+    rollouts or ground truth, and on the default transformer from its own
+    greedy text."""
     data, prefix = str(tmp_path / "data"), str(tmp_path / "drafter")
-    assert run(["distill-data", *MARKOV, *ground_truth, "--horizon", "3", "--corpus-size", "5",
-                "--corpus-len", "12", "--out", data]) == 0
-    assert run(["train-drafter", *MARKOV, "--dataset", data, "--epochs", "2",
+    if case == "transformer-greedy":
+        flags = ["--seed", "3", "--corpus", "greedy", "--corpus-len", "24"]
+        base = TinyTransformer.random(cli.TRANSFORMER_CONFIG, seed=3)
+        corpus = distill.greedy_corpus(base, cli.random_prompts(base, 5, cli.PROMPT_LEN, 3 + 7),
+                                       24 - cli.PROMPT_LEN)
+    else:
+        flags = [*MARKOV, "--corpus-len", "12", *(["--ground-truth"] if case == "ground-truth"
+                                                   else [])]
+        base = SyntheticMarkovModel(order=2, vocab_size=16, seed=3)
+        corpus = distill.sample_markov_corpus(seed=3 + 7, n_sequences=5, seq_len=12,
+                                              vocab_size=16)
+    assert run(["distill-data", *flags, "--horizon", "3", "--corpus-size", "5",
+                "--out", data]) == 0
+    assert run(["train-drafter", "--seed", "3", "--dataset", data, "--epochs", "2",
                 "--out", prefix]) == 0
     capsys.readouterr()
-    base = SyntheticMarkovModel(order=2, vocab_size=16, seed=3)
-    corpus = distill.sample_markov_corpus(seed=3 + 7, n_sequences=5, seq_len=12, vocab_size=16)
-    build = distill.ground_truth_dataset if ground_truth else distill.build_distill_dataset
-    init = DrafterParams.random(np.random.default_rng(3 + 1), 32, 16)
+    build = (distill.ground_truth_dataset if case == "ground-truth"
+             else distill.build_distill_dataset)
+    vocab, d_model = base.token_embeddings.shape
+    init = DrafterParams.random(np.random.default_rng(3 + 1), d_model, vocab)
     params, _ = distill.train_drafter(build(base, corpus, 3), init,
                                       distill.TrainConfig(horizon=3, epochs=2, seed=3),
                                       base.token_embeddings)
@@ -405,10 +444,11 @@ def test_distill_data_greedy_corpus_writes_the_library_dataset(tmp_path, capsys)
     base = SyntheticMarkovModel(order=2, vocab_size=16, seed=3)
     prompts = cli.random_prompts(base, 5, cli.PROMPT_LEN, 3 + 7)
     corpus = distill.greedy_corpus(base, prompts, 24 - cli.PROMPT_LEN)
-    distill.write_dataset(library, distill.build_distill_dataset(base, corpus, 3))
+    distill.write_dataset(library, distill.build_distill_dataset(base, corpus, 3),
+                          base.token_embeddings)
     for suffix in (".manifest", ".bin"):
         assert Path(data + suffix).read_bytes() == Path(library + suffix).read_bytes()
-    assert [len(seq) for seq in distill.read_dataset(data, base).sequences] == [24] * 5
+    assert [len(seq) for seq in distill.read_dataset(data)[0].sequences] == [24] * 5
 
 
 def test_distill_data_greedy_corpus_needs_room_after_its_prompts(tmp_path, capsys):
@@ -421,7 +461,7 @@ def test_distill_data_greedy_corpus_needs_room_after_its_prompts(tmp_path, capsy
 
 def test_train_drafter_without_a_dataset_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        run(["train-drafter", *MARKOV, "--out", str(tmp_path / "drafter")])
+        run(["train-drafter", "--seed", "3", "--out", str(tmp_path / "drafter")])
     assert exc.value.code == 2
     assert "the following arguments are required: --dataset" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -432,7 +472,7 @@ def test_train_drafter_on_a_dataset_file_with_ground_truth_is_a_usage_error(tmp_
     train-drafter does not take the flag, and exits 2 before the file is read."""
     prefix = tmp_path / "drafter"
     with pytest.raises(SystemExit) as exc:
-        run(["train-drafter", *MARKOV, "--ground-truth", "--dataset",
+        run(["train-drafter", "--seed", "3", "--ground-truth", "--dataset",
              str(tmp_path / "absent"), "--out", str(prefix)])
     assert exc.value.code == 2
     assert "unrecognized arguments: --ground-truth" in capsys.readouterr().err
@@ -450,7 +490,7 @@ def test_train_drafter_on_a_dataset_file_with_corpus_flags_is_a_usage_error(corp
     prefix = tmp_path / "drafter"
     for flags in (corpus_flags, ["--horizon", "3"]):
         with pytest.raises(SystemExit) as exc:
-            run(["train-drafter", *MARKOV, *flags, "--dataset",
+            run(["train-drafter", "--seed", "3", *flags, "--dataset",
                  str(tmp_path / "absent"), "--out", str(prefix)])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err

@@ -360,11 +360,12 @@ def test_corpus_rejects_non_integer_and_empty_settings(field, value, message):
 
 
 def test_dataset_file_round_trip(base, corpus, tmp_path, monkeypatch):
-    """``read_dataset`` of ``write_dataset(ds)`` is ``ds``, on both bases, for
-    built and ground-truth datasets, with sequences that no row points to,
-    and with no row or no sequence at all.  ``ground_truth_dataset`` and the
-    reader recompute h alike: one prefill per sequence that rows point to,
-    of the longest prefix they use."""
+    """``read_dataset`` of ``write_dataset(ds, embeddings)`` is ``ds`` and the
+    embeddings, h and the embeddings bit for bit, on both bases, for built
+    and ground-truth datasets, with sequences that no row points to, and
+    with no row or no sequence at all.  ``ground_truth_dataset`` takes h from
+    one prefill per sequence that rows point to, of the longest prefix they
+    use."""
     prefix = str(tmp_path / "distill")
     for model in (base, WINDOW_BASES["transformer"]()):
         prefills = []
@@ -374,32 +375,35 @@ def test_dataset_file_round_trip(base, corpus, tmp_path, monkeypatch):
             prefills.append(np.asarray(tokens).tolist())
             return forward_context(tokens, cache)
 
-        def longest_prefixes(dataset):
-            return [dataset.sequences[i][:dataset.prefix_len[dataset.seq_index == i].max()]
-                    .tolist() for i in sorted(set(dataset.seq_index.tolist()))]
-
         for data in (corpus, edge_corpus(16), [[5], [1, 2]], []):
             for build in (build_distill_dataset, ground_truth_dataset):
                 prefills.clear()
                 with monkeypatch.context() as patch:
                     patch.setattr(model, "forward_context", counting_forward_context)
                     dataset = build(model, data, 3)
-                    if build is ground_truth_dataset:
-                        assert prefills == longest_prefixes(dataset)
-                    write_dataset(prefix, dataset)
-                    prefills.clear()
-                    assert_same_dataset(read_dataset(prefix, model), dataset)
-                assert prefills == longest_prefixes(dataset)
+                if build is ground_truth_dataset:
+                    assert prefills == [
+                        dataset.sequences[i][:dataset.prefix_len[dataset.seq_index == i].max()]
+                        .tolist() for i in sorted(set(dataset.seq_index.tolist()))]
+                write_dataset(prefix, dataset, model.token_embeddings)
+                got, embeddings = read_dataset(prefix)
+                assert_same_dataset(got, dataset)
+                assert embeddings.dtype == np.float32
+                assert np.array_equal(embeddings.view(np.uint32),
+                                      model.token_embeddings.view(np.uint32))
     # the edge cases ran: a dataset of no row, and one of no sequence
     assert len(ground_truth_dataset(base, [[5], [1, 2]], 3)) == 0
     assert build_distill_dataset(base, [], 3).sequences == []
 
 
-# a valid file's tensors: sequences [1, 2, 3] and [4, 5], and two rows of
-# horizon 2; each case below edits the file and expects an error naming its
-# manifest, and there the header key or the tensor at fault
+# a valid file's tensors: sequences [1, 2, 3] and [4, 5], two rows of
+# horizon 2, their h, and a vocab-16, 4-wide embedding table; each case below
+# edits the file and expects an error naming its manifest, and there the
+# header key or the tensor at fault
 GOOD_TENSORS = {"lengths": [3, 2], "tokens": [1, 2, 3, 4, 5], "seq_index": [0, 1],
-                "prefix_len": [1, 2], "guaranteed": [6, 9], "teacher": [[7, 8], [10, 11]]}
+                "prefix_len": [1, 2], "guaranteed": [6, 9], "teacher": [[7, 8], [10, 11]],
+                "h": np.ones((2, 4), np.float32),
+                "embeddings": np.arange(64, dtype=np.float32).reshape(16, 4)}
 
 
 def write_tensors(prefix, header=None, magic=distill.DATASET_MAGIC, **edits):
@@ -419,26 +423,25 @@ def float32(values):
     return np.asarray(values, np.float32)
 
 
-WINDOW_RULE = "must hold a horizon alone, in [1, 4096), the base's window"
-SHAPE_RULE = ("expected lengths and tokens 1-D, seq_index, prefix_len and guaranteed (N,) and "
-              "teacher (N, horizon)")
-TENSORS = "['lengths', 'tokens', 'seq_index', 'prefix_len', 'guaranteed', 'teacher']"
+HORIZON_RULE = "must hold a horizon >= 1 alone"
+SHAPE_RULE = ("expected lengths and tokens 1-D, seq_index, prefix_len and guaranteed (N,), "
+              "teacher (N, horizon), h (N, d_model) and embeddings (vocab, d_model), neither 0")
+TENSORS = ("['lengths', 'tokens', 'seq_index', 'prefix_len', 'guaranteed', 'teacher', 'h', "
+           "'embeddings']")
 
 
 @pytest.mark.parametrize("edit, error", [
     (lambda p: Path(p + ".manifest").write_text("REDRAFT-DISTILL v1\n2 2\n1 2 3\n4 5\n"),
-     "bad magic line 'REDRAFT-DISTILL v1', expected 'REDRAFT-DISTILL v2'"),
+     "bad magic line 'REDRAFT-DISTILL v1', expected 'REDRAFT-DISTILL v3'"),
     (lambda p: write_tensors(p, magic="REDRAFT-WEIGHTS v1"),
-     "bad magic line 'REDRAFT-WEIGHTS v1', expected 'REDRAFT-DISTILL v2'"),
-    (lambda p: write_tensors(p, header={}), f"header {{}} {WINDOW_RULE}"),
+     "bad magic line 'REDRAFT-WEIGHTS v1', expected 'REDRAFT-DISTILL v3'"),
+    (lambda p: write_tensors(p, header={}), f"header {{}} {HORIZON_RULE}"),
     (lambda p: write_tensors(p, lengths=None),
-     "holds tensors ['tokens', 'seq_index', 'prefix_len', 'guaranteed', 'teacher'], "
-     f"expected {TENSORS}"),
+     "holds tensors ['tokens', 'seq_index', 'prefix_len', 'guaranteed', 'teacher', 'h', "
+     f"'embeddings'], expected {TENSORS}"),
     (lambda p: write_tensors(p, header={"horizon": 0}),
-     f"header {{'horizon': 0}} {WINDOW_RULE}"),
-    (lambda p: write_tensors(p, header={"horizon": 4096}),
-     f"header {{'horizon': 4096}} {WINDOW_RULE}"),
-    (truncate, "tensor teacher: blob truncated (needs bytes up to 136, have 128)"),
+     f"header {{'horizon': 0}} {HORIZON_RULE}"),
+    (truncate, "tensor embeddings: blob truncated (needs bytes up to 424, have 416)"),
     (lambda p: write_tensors(p, tokens=float32([1, 2, 3, 4, 5])),
      "tensor tokens is float32, expected int64"),
     (lambda p: write_tensors(p, teacher=float32([[7, 8], [10, 11.5]])),
@@ -452,46 +455,67 @@ TENSORS = "['lengths', 'tokens', 'seq_index', 'prefix_len', 'guaranteed', 'teach
     (lambda p: write_tensors(p, teacher=[[7, 8], [10, -3]]),
      "tensor teacher: token id outside vocab of size 16"),
     (lambda p: write_tensors(p, teacher=[[7], [10]]),
-     f"shapes [(2,), (5,), (2,), (2,), (2,), (2, 1)]: {SHAPE_RULE}"),
+     f"shapes [(2,), (5,), (2,), (2,), (2,), (2, 1), (2, 4), (16, 4)]: {SHAPE_RULE}"),
     (lambda p: write_tensors(p, teacher=[[7, 8, 1], [10, 11, 1]]),
-     f"shapes [(2,), (5,), (2,), (2,), (2,), (2, 3)]: {SHAPE_RULE}"),
+     f"shapes [(2,), (5,), (2,), (2,), (2,), (2, 3), (2, 4), (16, 4)]: {SHAPE_RULE}"),
     (lambda p: write_tensors(p, seq_index=[2, 1]), "seq_index outside the file's 2 sequences"),
     (lambda p: write_tensors(p, seq_index=[0, -1]), "seq_index outside the file's 2 sequences"),
     (lambda p: write_tensors(p, prefix_len=[0, 2]),
      "prefix_len outside [1, the length of its sequence]"),
     (lambda p: write_tensors(p, prefix_len=[1, 3]),
      "prefix_len outside [1, the length of its sequence]"),
-    (lambda p: write_tensors(p, h=[[0, 0], [0, 0]]),
-     f"holds tensors {TENSORS[:-1]}, 'h'], expected {TENSORS}"),
+    (lambda p: write_tensors(p, hidden=float32([[0, 0], [0, 0]])),
+     f"holds tensors {TENSORS[:-1]}, 'hidden'], expected {TENSORS}"),
     (lambda p: write_tensors(p, header={"horizon": 2, "n_sequences": 2}),
-     f"header {{'horizon': 2, 'n_sequences': 2}} {WINDOW_RULE}"),
+     f"header {{'horizon': 2, 'n_sequences': 2}} {HORIZON_RULE}"),
     (lambda p: write_tensors(p, lengths=[3, 3]),
      "lengths must be non-negative and sum to the 5 tokens"),
     (lambda p: write_tensors(p, lengths=[6, -1]),
      "lengths must be non-negative and sum to the 5 tokens"),
     (lambda p: write_tensors(p, guaranteed=[6, 9, 1]),
-     f"shapes [(2,), (5,), (2,), (2,), (3,), (2, 2)]: {SHAPE_RULE}"),
-], ids=["old-format", "magic", "header-fields", "header-count", "header-horizon",
-        "header-horizon-past-window", "truncated",
+     f"shapes [(2,), (5,), (2,), (2,), (3,), (2, 2), (2, 4), (16, 4)]: {SHAPE_RULE}"),
+    (lambda p: write_tensors(p, magic="REDRAFT-DISTILL v2", h=None, embeddings=None),
+     "bad magic line 'REDRAFT-DISTILL v2', expected 'REDRAFT-DISTILL v3'"),
+    (lambda p: write_tensors(p, h=np.ones((2, 4), np.int64)),
+     "tensor h is int64, expected float32"),
+    (lambda p: write_tensors(p, embeddings=np.ones((16, 4), np.int64)),
+     "tensor embeddings is int64, expected float32"),
+    (lambda p: write_tensors(p, h=np.ones((2, 3), np.float32)),
+     f"shapes [(2,), (5,), (2,), (2,), (2,), (2, 2), (2, 3), (16, 4)]: {SHAPE_RULE}"),
+    (lambda p: write_tensors(p, embeddings=np.ones(16, np.float32)),
+     f"shapes [(2,), (5,), (2,), (2,), (2,), (2, 2), (2, 4), (16,)]: {SHAPE_RULE}"),
+    (lambda p: write_tensors(p, embeddings=np.ones((16, 4, 1), np.float32)),
+     f"shapes [(2,), (5,), (2,), (2,), (2,), (2, 2), (2, 4), (16, 4, 1)]: {SHAPE_RULE}"),
+    (lambda p: write_tensors(p, h=np.ones((2, 0), np.float32),
+                             embeddings=np.ones((16, 0), np.float32)),
+     f"shapes [(2,), (5,), (2,), (2,), (2,), (2, 2), (2, 0), (16, 0)]: {SHAPE_RULE}"),
+    (lambda p: write_tensors(p, embeddings=GOOD_TENSORS["embeddings"][:9]),
+     "tensor guaranteed: token id outside vocab of size 9"),
+], ids=["old-format", "magic", "header-fields", "header-count", "header-horizon", "truncated",
         "sequence-field", "row-field", "sequence-token", "sequence-negative", "guaranteed",
         "teacher", "short-row", "long-row", "seq-index", "seq-index-negative", "prefix-zero",
         "prefix-past-sequence", "extra-tensor", "extra-header-key", "lengths-sum",
-        "lengths-negative", "rows-of-two-lengths"])
-def test_malformed_dataset_file_names_its_line(edit, error, base, tmp_path):
-    """Each malformed dataset file is a ``FormatError`` naming its manifest
-    and, where one is at fault, the header key or tensor: the manifest line.
-    The ids are the text format's cases, each with its tensor-file
-    counterpart (old-format: a text file where the manifest belongs;
-    header-count: the sequence count, ``lengths``, missing), then cases that
-    only a tensor file can have."""
+        "lengths-negative", "rows-of-two-lengths", "v2-file", "h-int64", "embeddings-int64",
+        "h-width", "embeddings-1d", "embeddings-3d", "embeddings-0-wide",
+        "token-past-embeddings"])
+def test_malformed_dataset_file_names_its_line(edit, error, tmp_path):
+    """Each malformed dataset file is a ``FormatError`` that starts with its
+    manifest's path and names, where one is at fault, the header key or
+    tensor: the manifest line.  The ids up to rows-of-two-lengths are the
+    text format's cases, each with its tensor-file counterpart (old-format:
+    a text file where the manifest belongs; header-count: the sequence
+    count, ``lengths``, missing), and cases that only a tensor file can
+    have; then a file of the previous format, with no ``h`` or embeddings,
+    and cases of those two tensors.  The vocab is the embeddings' rows."""
     prefix = str(tmp_path / "data")
     write_tensors(prefix)
-    dataset = read_dataset(prefix, base)
+    dataset, embeddings = read_dataset(prefix)
     assert len(dataset) == 2 and [seq.tolist() for seq in dataset.sequences] == [[1, 2, 3],
                                                                                  [4, 5]]
+    assert embeddings.shape == (16, 4) and dataset.h.shape == (2, 4)
     edit(prefix)
-    with pytest.raises(FormatError, match=re.escape(f"{prefix}.manifest: {error}")):
-        read_dataset(prefix, base)
+    with pytest.raises(FormatError, match="^" + re.escape(f"{prefix}.manifest: {error}")):
+        read_dataset(prefix)
 
 
 def train_setup(base, corpus, horizon=3):
@@ -616,8 +640,8 @@ def test_train_drafter_cli_rejects_bad_settings_before_any_work(flag, message, t
 
     monkeypatch.setattr(distill, "read_dataset", no_read)
     out = tmp_path / "drafter"
-    assert cli.main(["train-drafter", "--base", "markov", "--markov-vocab", "16",
-                     "--dataset", str(tmp_path / "data"), *flag, "--out", str(out)]) == 2
+    assert cli.main(["train-drafter", "--dataset", str(tmp_path / "data"), *flag,
+                     "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())  # no drafter saved
 

@@ -161,8 +161,9 @@ def bits(x):
 
 
 def reference_forward(model, tokens, positions, ctx_k, ctx_v, allowed):
-    """The transformer forward composed from the separate ``wq``, ``wk`` and
-    ``wv`` products, with layer norm and GELU written out as plain formulas.
+    """The transformer forward composed from separate ``wq``, ``wk`` and
+    ``wv`` products, each against a contiguous copy of its third of
+    ``wqkv``, with layer norm and GELU written out as plain formulas.
 
     ``ctx_k``/``ctx_v`` hold each layer's committed K/V rows and ``allowed``
     is (rows, committed + rows).  Returns logits, hidden and each layer's new
@@ -186,7 +187,8 @@ def reference_forward(model, tokens, positions, ctx_k, ctx_v, allowed):
     new_kv = []
     for i in range(c.n_layers):
         x_norm = layer_norm(x, w[f"l{i}_ln1_g"], w[f"l{i}_ln1_b"])
-        q, k, v = (kernels.matmul(x_norm, w[f"l{i}_{name}"]) for name in ("wq", "wk", "wv"))
+        q, k, v = (kernels.matmul(x_norm, np.ascontiguousarray(part))
+                   for part in np.split(w[f"l{i}_wqkv"], 3, axis=1))
         new_kv.append((k, v))
         att = kernels.attend(q, np.concatenate([ctx_k[i], k]), np.concatenate([ctx_v[i], v]),
                              allowed, c.n_heads, 1.0 / np.sqrt(d // c.n_heads))
@@ -618,8 +620,8 @@ def test_forwards_route_every_product_through_the_traced_kernels(tiny, monkeypat
     ``kernels.attend`` and tells the products apart by the identity of their
     weight operand.  So each forward (a prompt, one row, a tree, a tree from
     a start) makes 4 * n_layers + 1 matmul and n_layers attend calls through
-    those module attributes, and every product but the fused QKV takes its
-    weight from ``weights`` itself: wo, w1 and w2 per layer, then w_out."""
+    those module attributes, and every product takes its weight from
+    ``weights`` itself: wqkv, wo, w1 and w2 per layer, then w_out."""
     calls = []
     for name in ("matmul", "attend"):
         real = getattr(kernels, name)
@@ -627,14 +629,13 @@ def test_forwards_route_every_product_through_the_traced_kernels(tiny, monkeypat
                             lambda *args, _name=name, _real=real:
                             calls.append((_name, args)) or _real(*args))
     n_layers, w = SMALL.n_layers, tiny.weights
-    named = [w[f"l{i}_{name}"] for i in range(n_layers) for name in ("wo", "w1", "w2")]
+    named = [w[f"l{i}_{name}"] for i in range(n_layers) for name in ("wqkv", "wo", "w1", "w2")]
 
     def check_calls():
         weights = [args[1] for name, args in calls if name == "matmul"]
         assert len(weights) == 4 * n_layers + 1
         assert [name for name, _ in calls].count("attend") == n_layers
-        not_qkv = [b for i, b in enumerate(weights) if i % 4 or i == 4 * n_layers]
-        assert all(got is want for got, want in zip(not_qkv, named + [w["w_out"]], strict=True))
+        assert all(got is want for got, want in zip(weights, named + [w["w_out"]], strict=True))
         calls.clear()
 
     tree, _ = packed_from_tokens([[4, 5, 1, 2], [4, 6, 6, 1]])
@@ -695,6 +696,29 @@ def test_context_forward_never_reads_stale_scratch_rows(tiny, markov):
             assert np.array_equal(bits(got.logits), bits(want.logits)), where
             assert np.array_equal(bits(got.hidden), bits(want.hidden)), where
             assert cache_bits(cache) == cache_bits(fresh), where
+
+
+def test_random_draws_each_fused_projection_as_three_square_blocks():
+    """``TinyTransformer.random`` draws each layer's ``wqkv`` as ``wq``,
+    ``wk`` and ``wv`` in turn, (d, d) normals of std 1/sqrt(d) side by side,
+    between ``w_out`` or the layer before and the layer's ``wo``: the draws of
+    the three when they were stored apart, so every seeded base keeps its
+    bits."""
+    rng = np.random.default_rng(7)
+    d, d_ff, vocab = SMALL.d_model, SMALL.d_ff, SMALL.vocab_size
+
+    def draw(rows, cols, std=None):  # a projection's std is 1/sqrt(its input width)
+        std = 1.0 / np.sqrt(rows) if std is None else std
+        return rng.normal(0.0, std, (rows, cols)).astype(np.float32)
+
+    want = {"tok_emb": draw(vocab, d, std=1.0), "w_out": draw(d, vocab)}
+    for i in range(SMALL.n_layers):
+        want[f"l{i}_wqkv"] = np.concatenate([draw(d, d), draw(d, d), draw(d, d)], axis=1)
+        want.update({f"l{i}_wo": draw(d, d), f"l{i}_w1": draw(d, d_ff),
+                     f"l{i}_w2": draw(d_ff, d)})
+    got = TinyTransformer.random(SMALL, seed=7).weights
+    for name, arr in want.items():
+        assert got[name].shape == arr.shape and np.array_equal(bits(got[name]), bits(arr)), name
 
 
 def test_transformer_rejects_weights_that_are_not_float32():

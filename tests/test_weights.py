@@ -120,12 +120,11 @@ def test_edited_shape_rejected(tmp_path):
     ("base", r"l0_b1 f32 16 0$", "l0_b1 f32 16", "malformed tensor line 'l0_b1 f32 16'"),
     ("base", r"l0_b1 f32 ", "l0_b1 f64 ", "tensor l0_b1: unsupported dtype f64"),
     # a tensor count other than the header's n_layers reads is refused first
-    ("base", r"l0_wq f32 .*$", "", "base.manifest: holds 27 tensors, a base model with "
-                                   "n_layers 2 reads 28"),
-    ("drafter", r"mlp1_b f32 .*$", "", "drafter manifest missing 'mlp1_b'"),
+    ("base", r"l0_wqkv f32 .*$", "", "holds 23 tensors, a base model with n_layers 2 reads 24"),
+    ("drafter", r"mlp1_b f32 .*$", "", "missing 'mlp1_b'"),
     ("drafter", r"u f32 8,8 ", "u f32 4,16 ", "recurrence shapes must be (4,4)"),
-    ("drafter", r"# d_s 8$", "# d_s 9", "drafter manifest says d_s 9, its tensors are 8 wide"),
-    ("drafter", r"# d_s 8$", "", "drafter manifest missing 'd_s'"),
+    ("drafter", r"# d_s 8$", "# d_s 9", "says d_s 9, its tensors are 8 wide"),
+    ("drafter", r"# d_s 8$", "", "missing 'd_s'"),
     ("drafter", r"(b f32 8 \d+)$", r"\1\nb f32 8 0", "tensor b appears twice"),
     ("base", r"(l0_b1 f32 16 0)$", r"\1\nl0_b1 f32 16 0", "tensor l0_b1 appears twice"),
     ("drafter", r"(# horizon 5)$", r"\1\n# horizon 7", "header key horizon appears twice"),
@@ -134,9 +133,9 @@ def test_edited_shape_rejected(tmp_path):
     ("drafter", r"# n_mlp 2$", "# n_mlp 1",
      "tensor mlp1_w is not read by a drafter with n_mlp 1"),
     ("base", r"# n_layers 2$", "# n_layers 1",
-     "base.manifest: holds 28 tensors, a base model with n_layers 1 reads 16"),
-    ("base", r"l0_wq f32 ", "l0_wz f32 ", "tensor l0_wz is not read by a base model with "
-                                         "n_layers 2"),
+     "holds 24 tensors, a base model with n_layers 1 reads 14"),
+    ("base", r"l0_wqkv f32 ", "l0_wz f32 ", "tensor l0_wz is not read by a base model with "
+                                           "n_layers 2"),
     # weight files hold float32 tensors; an int64 one is refused by the model it feeds
     ("base", r"l0_b1 f32 ", "l0_b1 i64 ", "tensor l0_b1: expected float32, got int64"),
     ("drafter", r"u f32 ", "u i64 ", "drafter tensors must share one dtype, float32 or "
@@ -157,6 +156,8 @@ def test_edited_shape_rejected(tmp_path):
         "base-header-repeat", "drafter-unread", "base-unread", "base-renamed", "base-i64",
         "drafter-i64", "window-1e15", "window-1e20", "count-overflow", "empty-overflow"])
 def test_malformed_manifest_line_is_a_format_error(kind, line, edited, message, tmp_path):
+    """Each malformed weight file is a ``FormatError`` that starts with its
+    manifest's path, whichever check refuses it."""
     prefix = str(tmp_path / kind)
     if kind == "base":
         weights.save_base_model(TinyTransformer.random(replace(CONFIG, n_layers=2), seed=12),
@@ -168,8 +169,24 @@ def test_malformed_manifest_line_is_a_format_error(kind, line, edited, message, 
     assert n == 1
     manifest.write_text(text)
     load = weights.load_base_model if kind == "base" else weights.load_drafter
-    with pytest.raises(FormatError, match=re.escape(message)):
+    with pytest.raises(FormatError, match="^" + re.escape(f"{manifest}: {message}")):
         load(prefix)
+
+
+def test_base_file_of_separate_projections_is_a_format_error(tmp_path):
+    """A base file holds each layer's fused ``wqkv``; one that stores ``wq``,
+    ``wk`` and ``wv`` apart, as the format once did, holds more tensors than
+    its layers read and is refused naming its manifest."""
+    model = TinyTransformer.random(CONFIG, seed=17)
+    tensors = {name: arr for name, arr in model.weights.items() if name != "l0_wqkv"}
+    for name, block in zip(("wq", "wk", "wv"), np.split(model.weights["l0_wqkv"], 3, axis=1)):
+        tensors[f"l0_{name}"] = block
+    prefix = str(tmp_path / "base")
+    weights.save_tensors(prefix, weights.BASE_MAGIC, sorted(tensors.items()),
+                         vars(CONFIG))
+    with pytest.raises(FormatError, match=re.escape(
+            f"{prefix}.manifest: holds 16 tensors, a base model with n_layers 1 reads 14")):
+        weights.load_base_model(prefix)
 
 
 def test_base_manifest_of_a_shape_no_model_has_is_a_config_error(tmp_path, capsys):
@@ -229,7 +246,8 @@ def test_base_manifest_of_an_unallocatable_window_exits_2(tmp_path, capsys):
     manifest.write_text(text)
     assert cli.main(["generate", "--base-weights", prefix, "--prompt", "1 2",
                      "--max-new-tokens", "2"]) == 2
-    assert f"error: max_seq_len {10 ** 15}: its position table" in capsys.readouterr().err
+    assert (f"error: {manifest}: max_seq_len {10 ** 15}: its position table"
+            in capsys.readouterr().err)
 
 
 def test_drafter_manifest_of_a_wrapping_element_count_exits_2(tmp_path, capsys):
@@ -260,7 +278,7 @@ def test_a_layer_count_the_file_does_not_hold_fails_before_any_work(tmp_path):
     manifest.write_text(text)
     t0 = time.perf_counter()
     with pytest.raises(FormatError, match=re.escape(
-            f"{manifest}: holds 16 tensors, a base model with n_layers {10 ** 9} reads "
-            f"{4 + 12 * 10 ** 9}")):
+            f"{manifest}: holds 14 tensors, a base model with n_layers {10 ** 9} reads "
+            f"{4 + 10 * 10 ** 9}")):
         weights.load_base_model(prefix)
     assert time.perf_counter() - t0 < 0.5
