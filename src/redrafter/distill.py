@@ -8,11 +8,12 @@ base model's greedy rollout of a fixed horizon after the guaranteed token.
 The ground-truth variant takes the guaranteed token and the teacher from the
 corpus instead.  The corpus is a seeded Markov sample
 (``sample_markov_corpus``) or the base's own greedy text
-(``greedy_corpus``).  A ``DistillDataset`` holds the examples as rows of
-arrays, each context as a corpus sequence and a prefix length; its file
-adds the base's token embeddings, so training needs no base.  Training
-minimizes the mean teacher-forced negative log-likelihood with Adam,
-gathering each batch's rows; the base model stays frozen throughout.
+(``greedy_corpus``).  A ``DistillDataset`` holds what training reads of each
+example, the guaranteed token, the teacher and h, as rows of arrays, one per
+kept corpus position in corpus order; its file adds the base's token
+embeddings, so training needs no base.  Training minimizes the mean
+teacher-forced negative log-likelihood with Adam, gathering each batch's
+rows; the base model stays frozen throughout.
 
 The rollouts are verified the way a decode step verifies its draft tree:
 each block of ``BLOCK`` positions is one tree, the chain of the block's
@@ -46,43 +47,42 @@ BLOCK = 16
 # Adam's moment decay rates and denominator guard
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-DATASET_MAGIC = "REDRAFT-DISTILL v3"
+DATASET_MAGIC = "REDRAFT-DISTILL v4"
 
 
 @dataclass(eq=False)
 class DistillDataset:
-    """Distillation examples as rows of arrays.
+    """Distillation examples as rows of arrays, one per kept corpus position,
+    in corpus order.
 
-    Row i's context is the committed prefix ``sequences[seq_index[i]][:
-    prefix_len[i]]`` followed by ``guaranteed[i]``: contexts share their
-    sequence instead of each holding a copy.  ``h[i]`` is the base hidden
-    state at the prefix's last token and ``teacher[i]`` the horizon tokens
-    after the guaranteed one.
+    Row i's context is a committed prefix followed by ``guaranteed[i]``;
+    ``h[i]`` is the base hidden state at the prefix's last token and
+    ``teacher[i]`` the horizon tokens after the guaranteed one, so
+    ``teacher.shape[1]`` is the horizon.  Fields whose shapes are not
+    ``(N,)``, ``(N, horizon >= 1)`` and ``(N, d_model)`` raise ``ShapeError``.
     """
 
-    sequences: list          # int64 token arrays that the committed prefixes are taken from
-    seq_index: np.ndarray    # (N,) int64, each row's entry of ``sequences``
-    prefix_len: np.ndarray   # (N,) int64, each row's committed tokens, >= 1
     guaranteed: np.ndarray   # (N,) int64
     teacher: np.ndarray      # (N, horizon) int64
     h: np.ndarray            # (N, d_model) float32
 
+    def __post_init__(self):
+        g, t, h = self.guaranteed.shape, self.teacher.shape, self.h.shape
+        if not (len(g) == 1 and len(t) == len(h) == 2 and g[0] == t[0] == h[0] and t[1] >= 1):
+            raise ShapeError(f"rows of shapes guaranteed {g}, teacher {t} and h {h}: expected "
+                             "(N,), (N, horizon >= 1) and (N, d_model)")
+
     def __len__(self):
         return self.guaranteed.shape[0]
 
-    def context(self, i):
-        """Row i's committed prefix, then its guaranteed token."""
-        return np.append(self.sequences[self.seq_index[i]][:self.prefix_len[i]],
-                         self.guaranteed[i])
 
-
-def _dataset(base, horizon, sequences, rows):
-    """The ``DistillDataset`` of row chunks ``(seq_index, prefix_len,
-    guaranteed, teacher, h)``, in order; a leading empty chunk gives every
-    field its shape when there is no row."""
-    empty = (np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.int64),
-             np.empty((0, horizon), np.int64), np.empty((0, base.config.d_model), np.float32))
-    return DistillDataset(sequences, *(np.concatenate(field) for field in zip(empty, *rows)))
+def _dataset(base, horizon, rows):
+    """The ``DistillDataset`` of row chunks ``(guaranteed, teacher, h)``, in
+    order; a leading empty chunk gives every field its shape when there is
+    no row."""
+    empty = (np.empty(0, np.int64), np.empty((0, horizon), np.int64),
+             np.empty((0, base.config.d_model), np.float32))
+    return DistillDataset(*(np.concatenate(field) for field in zip(empty, *rows)))
 
 
 def _check_horizon(horizon):
@@ -117,7 +117,7 @@ class TrainConfig:
 def build_distill_dataset(base, corpus, horizon):
     """A ``DistillDataset`` with one row per corpus position: the guaranteed
     token after the prefix ending there, the greedy horizon-token rollout
-    after it, and h.  Its ``sequences`` are the corpus's.
+    after it, and h.
 
     A sequence goes through in blocks of ``BLOCK`` positions on a cache that
     holds everything before the block.  A block is one tree: its chain, and
@@ -141,10 +141,10 @@ def build_distill_dataset(base, corpus, horizon):
     """
     _check_horizon(horizon)
     max_len = base.config.max_seq_len
-    sequences = [np.asarray(seq, dtype=np.int64) for seq in corpus]
     rows = []
     skipped = 0
-    for index, seq in enumerate(sequences):
+    for seq in corpus:
+        seq = np.asarray(seq, dtype=np.int64)
         if seq.shape[0] <= 1:
             skipped += 1
             continue
@@ -177,13 +177,12 @@ def build_distill_dataset(base, corpus, horizon):
                 levels[k] = out.logits[:kept].argmax(axis=1)
                 if not k:
                     hidden = out.hidden  # h of each prefix the chain ends
-            rows.append((np.full(kept, index), np.arange(start + 1, start + kept + 1),
-                         levels[0], levels[1:].T, hidden[:kept]))
+            rows.append((levels[0], levels[1:].T, hidden[:kept]))
             # the chain's nodes lead every round's tree, and so the last spec_state
             base.commit_accepted(cache, tree, spec_state, np.arange(size))
     if skipped:
         log.warning("distill dataset: skipped %d short/overflowing positions", skipped)
-    return _dataset(base, horizon, sequences, rows)
+    return _dataset(base, horizon, rows)
 
 
 def _first_nodes(tree, tokens, n):
@@ -199,13 +198,12 @@ def ground_truth_dataset(base, corpus, horizon):
 
     The base model still supplies the hidden states the draft head conditions
     on.  Positions within ``horizon + 1`` of the sequence end are skipped.
-    Returns a ``DistillDataset`` whose ``sequences`` are the corpus's.
     """
     _check_horizon(horizon)
-    sequences = [np.asarray(seq, dtype=np.int64) for seq in corpus]
     rows = []
     skipped = 0
-    for index, seq in enumerate(sequences):
+    for seq in corpus:
+        seq = np.asarray(seq, dtype=np.int64)
         # prefixes of 1 .. n committed tokens, each followed by its corpus
         # token and a teacher of the next horizon
         n = seq.shape[0] - horizon - 1
@@ -214,29 +212,24 @@ def ground_truth_dataset(base, corpus, horizon):
             continue
         # h is the hidden state at each prefix's last token: the rows of one
         # prefill of the longest prefix, each bit for bit its prefix's forward
-        rows.append((np.full(n, index), np.arange(1, n + 1), seq[1:n + 1],
-                     np.lib.stride_tricks.sliding_window_view(seq[2:], horizon),
+        rows.append((seq[1:n + 1], np.lib.stride_tricks.sliding_window_view(seq[2:], horizon),
                      base.forward_context(seq[:n], base.new_cache()).hidden))
     if skipped:
         log.warning("ground-truth dataset: skipped %d short sequences", skipped)
-    return _dataset(base, horizon, sequences, rows)
+    return _dataset(base, horizon, rows)
 
 
-DATASET_TENSORS = ("lengths", "tokens", "seq_index", "prefix_len", "guaranteed", "teacher", "h",
-                   "embeddings")
+DATASET_TENSORS = ("guaranteed", "teacher", "h", "embeddings")
 
 
 def write_dataset(prefix, dataset, embeddings):
     """Write a ``DistillDataset`` and the ``(vocab, d_model)`` token
     embeddings of the base that built it as a ``weights`` tensor file of
-    ``DATASET_TENSORS``: the sequences' lengths, their tokens end to end and
-    the rows' fields as int64, then ``h`` and ``embeddings`` as float32.
-    The header holds the horizon."""
-    lengths = np.array([seq.shape[0] for seq in dataset.sequences], np.int64)
-    tokens = np.concatenate([np.empty(0, np.int64), *dataset.sequences])
+    ``DATASET_TENSORS``: ``guaranteed`` and ``teacher`` as int64, ``h`` and
+    ``embeddings`` as float32.  The header is empty: the teacher's width is
+    the horizon."""
     weights.save_tensors(prefix, DATASET_MAGIC, zip(DATASET_TENSORS, (
-        lengths, tokens, dataset.seq_index, dataset.prefix_len, dataset.guaranteed,
-        dataset.teacher, dataset.h, embeddings)), {"horizon": dataset.teacher.shape[1]})
+        dataset.guaranteed, dataset.teacher, dataset.h, embeddings)))
 
 
 def read_dataset(prefix):
@@ -249,35 +242,22 @@ def read_dataset(prefix):
 
     with weights.naming(prefix):
         header, tensors = weights.load_tensors(prefix, DATASET_MAGIC)
-        check(list(header) == ["horizon"] and header["horizon"] >= 1,
-              f"header {header} must hold a horizon >= 1 alone")
+        check(not header, f"header {header} must be empty")
         check(sorted(tensors) == sorted(DATASET_TENSORS),
               f"holds tensors {list(tensors)}, expected {list(DATASET_TENSORS)}")
         for name, arr in tensors.items():
             dtype = np.dtype(np.float32 if name in ("h", "embeddings") else np.int64)
             check(arr.dtype == dtype, f"tensor {name} is {arr.dtype}, expected {dtype}")
-        lengths, tokens, seq_index, prefix_len, guaranteed, teacher, h, embeddings = (
-            tensors[name] for name in DATASET_TENSORS)
-        # every tensor of a file has at least one dim
-        n, n_seq, vocab = seq_index.shape[0], lengths.shape[0], embeddings.shape[0]
-        check(lengths.ndim == tokens.ndim == 1 and seq_index.shape == prefix_len.shape
-              == guaranteed.shape == (n,) and teacher.shape == (n, header["horizon"])
-              and embeddings.ndim == 2 and embeddings.size and h.shape == (n, embeddings.shape[1]),
-              f"shapes {[arr.shape for arr in tensors.values()]}: expected lengths and tokens "
-              f"1-D, seq_index, prefix_len and guaranteed (N,), teacher (N, horizon), h "
-              f"(N, d_model) and embeddings (vocab, d_model), neither 0")
-        # Python ints: an int64 sum of lengths can wrap
-        check((lengths >= 0).all() and sum(lengths.tolist()) == tokens.shape[0],
-              f"lengths must be non-negative and sum to the {tokens.shape[0]} tokens")
-        for name, arr in (("tokens", tokens), ("guaranteed", guaranteed), ("teacher", teacher)):
+        guaranteed, teacher, h, embeddings = (tensors[name] for name in DATASET_TENSORS)
+        dataset = DistillDataset(guaranteed, teacher, h)
+        check(embeddings.ndim == 2 and embeddings.size and h.shape[1] == embeddings.shape[1],
+              f"embeddings {embeddings.shape} must be (vocab, d_model) for h {h.shape}, "
+              f"neither 0")
+        vocab = embeddings.shape[0]
+        for name, arr in (("guaranteed", guaranteed), ("teacher", teacher)):
             check(((arr >= 0) & (arr < vocab)).all(),
                   f"tensor {name}: token id outside vocab of size {vocab}")
-        check(((seq_index >= 0) & (seq_index < n_seq)).all(),
-              f"seq_index outside the file's {n_seq} sequences")
-        check(((prefix_len >= 1) & (prefix_len <= lengths[seq_index])).all(),
-              "prefix_len outside [1, the length of its sequence]")
-    sequences = np.split(tokens, np.cumsum(lengths)[:-1]) if n_seq else []
-    return DistillDataset(sequences, seq_index, prefix_len, guaranteed, teacher, h), embeddings
+    return dataset, embeddings
 
 
 def train_drafter(dataset, params_init, cfg, embeddings):
@@ -300,7 +280,7 @@ def train_drafter(dataset, params_init, cfg, embeddings):
 
     emb = params_init.embedding_table(embeddings)
     vocab, d_s = params_init.vocab_size, params_init.d_s
-    if dataset.h.ndim != 2 or dataset.h.shape[1] != d_s:
+    if dataset.h.shape[1] != d_s:
         raise ShapeError(f"dataset hidden states {dataset.h.shape} are not the drafter's "
                          f"width {d_s}")
     check_tokens(dataset.guaranteed, vocab)

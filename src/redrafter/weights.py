@@ -2,7 +2,7 @@
 
 Manifest layout::
 
-    REDRAFT-WEIGHTS v1          (or REDRAFT-DRAFTER v1, REDRAFT-DISTILL v3)
+    REDRAFT-WEIGHTS v1          (or REDRAFT-DRAFTER v1, REDRAFT-DISTILL v4)
     # key value                  integer header entries (config, training horizon)
     name f32 d0,d1 offset        one tensor per line, byte offset into the blob
 
