@@ -29,7 +29,7 @@ REPORT_KEYS = ["base", "beam_width", "beam_length", "seed", "tokens_generated", 
                "compression_p99", "equivalence_ok", "packed_nodes_mean", "accepted_len_hist",
                "backend"]
 
-# the length of random prompts: the decoding commands' default, and a greedy corpus's
+# the length of random prompts: verify-equivalence's default, and a greedy corpus's
 PROMPT_LEN = 16
 
 # the deep, narrow shape where a drafter distilled on greedy text beats greedy
@@ -41,19 +41,21 @@ def build_base(args):
     if args.base == "markov":
         if args.base_weights:
             raise ConfigError("--base-weights loads transformer weights; --base markov has none")
-        return SyntheticMarkovModel(order=2, vocab_size=args.markov_vocab, seed=args.seed)
+        # vocab 32, the benchmark's markov-wide base
+        return SyntheticMarkovModel(order=2, vocab_size=32, seed=args.seed)
     if args.base_weights:
         return weights.load_base_model(args.base_weights)
     return TinyTransformer.random(TRANSFORMER_CONFIG, seed=args.seed)
 
 
-def build_drafter(args, embeddings):
-    """``--drafter-weights``' drafter, or a seeded random one that fits ``embeddings``."""
-    if args.drafter_weights:
-        params, _ = weights.load_drafter(args.drafter_weights)
+def build_drafter(path, seed, embeddings):
+    """The drafter in the weight file at prefix ``path``, or, when ``path`` is
+    None, a random drafter seeded from ``seed`` that fits ``embeddings``."""
+    if path:
+        params, _ = weights.load_drafter(path)
         return params
     vocab, d_model = embeddings.shape
-    return DrafterParams.random(np.random.default_rng(args.seed + 1), d_model, vocab)
+    return DrafterParams.random(np.random.default_rng(seed + 1), d_model, vocab)
 
 
 def random_prompts(base, n, length, seed):
@@ -61,12 +63,6 @@ def random_prompts(base, n, length, seed):
         raise ConfigError(f"--prompt-len must be >= 1, got {length}")
     rng = np.random.default_rng(seed)
     return [rng.integers(0, base.config.vocab_size, size=length).tolist() for _ in range(n)]
-
-
-def parse_prompt(args, base):
-    if args.prompt is not None:
-        return parse_ints(args.prompt.split(), "--prompt")
-    return random_prompts(base, 1, args.prompt_len, args.seed)[0]
 
 
 def parse_ints(words, flag):
@@ -171,8 +167,8 @@ def sweep(base, params, prompts, widths, lengths, max_new_tokens, stop_token=Non
 def cmd_generate(args):
     check_out_dirs(args, "--report")
     base = build_base(args)
-    prompt = parse_prompt(args, base)
-    row, = sweep(base, build_drafter(args, base.token_embeddings), [prompt], [args.beam_width],
+    row, = sweep(base, build_drafter(args.drafter_weights, args.seed, base.token_embeddings),
+                 [parse_ints(args.prompt.split(), "--prompt")], [args.beam_width],
                  [args.beam_length], args.max_new_tokens, stop_token=args.stop_token)
     print(" ".join(str(t) for t in row["streams"][0]))
     if args.report:
@@ -186,7 +182,7 @@ def cmd_generate(args):
 def cmd_verify_equivalence(args):
     check_out_dirs(args, "--csv")
     base = build_base(args)
-    rows = sweep(base, build_drafter(args, base.token_embeddings),
+    rows = sweep(base, build_drafter(args.drafter_weights, args.seed, base.token_embeddings),
                  random_prompts(base, args.n_prompts, args.prompt_len, args.seed),
                  parse_ints(args.widths.split(","), "--widths"),
                  parse_ints(args.lengths.split(","), "--lengths"), args.max_new_tokens)
@@ -214,8 +210,9 @@ def cmd_train_drafter(args):
                               batch_size=args.batch_size, seed=args.seed)
     dataset, embeddings = distill.read_dataset(args.dataset)
     cfg = dataclasses.replace(cfg, horizon=dataset.teacher.shape[1])
-    params, curve = distill.train_drafter(dataset, build_drafter(args, embeddings), cfg,
-                                          embeddings)
+    # training starts from a seeded random drafter, never a file
+    params, curve = distill.train_drafter(dataset, build_drafter(None, args.seed, embeddings),
+                                          cfg, embeddings)
     weights.save_drafter(params, cfg.horizon, args.out)
     if args.loss_csv:
         with open(args.loss_csv, "w", newline="", encoding="utf-8") as fh:
@@ -263,7 +260,6 @@ def cmd_init_base(args):
 def _add_model_flags(p):
     p.add_argument("--base", choices=("transformer", "markov"), default="transformer")
     p.add_argument("--base-weights", help="manifest/blob prefix for transformer weights")
-    p.add_argument("--markov-vocab", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -273,8 +269,7 @@ def make_parser():
 
     p = sub.add_parser("generate", help="speculative generation, checked against greedy")
     _add_model_flags(p)
-    p.add_argument("--prompt", help="whitespace-separated token ids")
-    p.add_argument("--prompt-len", type=int, default=PROMPT_LEN)
+    p.add_argument("--prompt", required=True, help="whitespace-separated token ids")
     p.add_argument("--beam-width", type=int, default=4)
     p.add_argument("--beam-length", type=int, default=5)
     p.add_argument("--max-new-tokens", type=int, default=32)
@@ -303,8 +298,7 @@ def make_parser():
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--out", required=True, help="output weight file prefix")
     p.add_argument("--loss-csv")
-    # training starts from build_drafter's seeded random drafter, never a file
-    p.set_defaults(func=cmd_train_drafter, drafter_weights=None)
+    p.set_defaults(func=cmd_train_drafter)
 
     p = sub.add_parser("distill-data", help="build and save a distillation dataset")
     _add_model_flags(p)

@@ -141,8 +141,6 @@ def load_base_model(prefix):
         if len(tensors) != 4 + 10 * config.n_layers:  # before a claimed n_layers sizes any work
             raise FormatError(f"holds {len(tensors)} tensors, a base model with n_layers "
                               f"{config.n_layers} reads {4 + 10 * config.n_layers}")
-        _check_all_read(tensors, TinyTransformer.weight_shapes(config),
-                        f"base model with n_layers {config.n_layers}")
         try:
             return TinyTransformer(config, tensors)
         except (MemoryError, ValueError) as exc:
@@ -156,7 +154,7 @@ def load_base_model(prefix):
 # ---------------------------------------------------------------------------
 
 def save_drafter(params, horizon, prefix):
-    header = {"horizon": horizon, "n_mlp": len(params.mlp), "d_s": params.d_s}
+    header = {"horizon": horizon, "n_mlp": len(params.mlp)}
     save_tensors(prefix, DRAFTER_MAGIC, params.flat_arrays(), header)
 
 
@@ -165,13 +163,11 @@ def load_drafter(prefix):
     with naming(prefix):
         header, tensors = load_tensors(prefix, DRAFTER_MAGIC)
         try:
-            horizon, n_mlp, d_s = header["horizon"], header["n_mlp"], header["d_s"]
+            horizon, n_mlp = header["horizon"], header["n_mlp"]
             params = DrafterParams(
                 u=tensors["u"], w=tensors["w"], b=tensors["b"], out_proj=tensors["out_proj"],
                 mlp=[(tensors[f"mlp{i}_w"], tensors[f"mlp{i}_b"]) for i in range(n_mlp)])
         except KeyError as exc:
             raise FormatError(f"missing {exc}") from exc
-        if params.d_s != d_s:
-            raise FormatError(f"says d_s {d_s}, its tensors are {params.d_s} wide")
         _check_all_read(tensors, dict(params.flat_arrays()), f"drafter with n_mlp {n_mlp}")
     return params, horizon

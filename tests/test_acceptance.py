@@ -282,7 +282,7 @@ def test_criterion_9_round_trip_and_report_determinism(tmp_path):
     drafter_ok = ((tmp_path / "drafter.bin").read_bytes()
                   == (tmp_path / "drafter2.bin").read_bytes())
 
-    argv = ["verify-equivalence", "--base", "markov", "--markov-vocab", "16", "--seed", "5",
+    argv = ["verify-equivalence", "--base", "markov", "--seed", "5",
             "--widths", "1,4", "--lengths", "2,5", "--n-prompts", "2",
             "--prompt-len", "4", "--max-new-tokens", "12"]
     assert cli.main(argv + ["--csv", str(tmp_path / "a.csv")]) == 0

@@ -14,7 +14,7 @@ from redrafter.model import SyntheticMarkovModel, TinyTransformer
 
 TIMING_COLUMNS = {"wall_ms_spec", "wall_ms_ar", "speedup"}
 
-MARKOV = ["--base", "markov", "--markov-vocab", "16", "--seed", "3"]
+MARKOV = ["--base", "markov", "--seed", "3"]
 
 
 def model_flags(command):
@@ -38,12 +38,12 @@ def test_generate_prints_tokens(capsys):
                 "--max-new-tokens", "10"]) == 0
     out = capsys.readouterr().out.split()
     assert len(out) == 10
-    assert all(0 <= int(t) < 16 for t in out)
+    assert all(0 <= int(t) < 32 for t in out)
 
 
 def test_generate_stop_token_outside_the_vocab_is_a_usage_error(capsys):
-    assert run(["generate", *MARKOV, "--prompt", "1 2", "--stop-token", "16"]) == 2
-    assert "error: stop token 16 outside vocab of size 16" in capsys.readouterr().err
+    assert run(["generate", *MARKOV, "--prompt", "1 2", "--stop-token", "32"]) == 2
+    assert "error: stop token 32 outside vocab of size 32" in capsys.readouterr().err
 
 
 def test_generate_writes_json_report(tmp_path, capsys):
@@ -140,7 +140,7 @@ def test_verify_equivalence_zero_prompts_is_a_usage_error(capsys):
     (["verify-equivalence", "--lengths", ""], "empty sweep list"),
     (["verify-equivalence", "--n-prompts", "-1"],
      "no prompts to decode: --n-prompts must be >= 1"),
-    (["verify-equivalence", "--widths", "2,64"], "beam_width 64 exceeds vocab size 16"),
+    (["verify-equivalence", "--widths", "2,64"], "beam_width 64 exceeds vocab size 32"),
 ], ids=["verify-no-widths", "verify-no-lengths", "verify-negative-prompts",
         "verify-wider-than-vocab"])
 def test_sweep_that_decodes_nothing_is_a_usage_error(argv, message, monkeypatch, capsys):
@@ -166,13 +166,14 @@ def test_malformed_integer_is_a_usage_error_naming_the_flag(argv, flag, bad, cap
     assert err.startswith("error: ") and flag in err and repr(bad) in err
 
 
-@pytest.mark.parametrize("base_flags", [[], ["--base", "markov", "--markov-vocab", "64"]],
-                         ids=["transformer", "markov-vocab-64"])
-def test_drafter_of_another_base_is_a_usage_error(base_flags, tmp_path, capsys):
-    """A drafter saved for the vocab-32, d-32 Markov base fits neither the
-    default transformer nor a vocab-64 Markov base."""
+@pytest.mark.parametrize("base_flags, vocab", [([], 32), (["--base", "markov"], 64)],
+                         ids=["transformer", "markov"])
+def test_drafter_of_another_base_is_a_usage_error(base_flags, vocab, tmp_path, capsys):
+    """A d-32 drafter saved for one base does not fit the other: the Markov
+    base's, of vocab 32, on the vocab-64 default transformer, and the
+    transformer's, of vocab 64, on the Markov base."""
     prefix = str(tmp_path / "drafter")
-    weights.save_drafter(DrafterParams.random(np.random.default_rng(0), 32, 32), 2, prefix)
+    weights.save_drafter(DrafterParams.random(np.random.default_rng(0), 32, vocab), 2, prefix)
     assert run(["generate", *base_flags, "--drafter-weights", prefix, "--prompt", "1 2",
                 "--max-new-tokens", "4"]) == 2
     assert "does not fit" in capsys.readouterr().err
@@ -187,17 +188,30 @@ def test_drafter_file_of_two_widths_is_a_usage_error(part, tmp_path, capsys):
     tensors[part] = np.zeros((32, 16) if part == "w" else (16, 80))
     prefix = str(tmp_path / "drafter")
     weights.save_tensors(prefix, weights.DRAFTER_MAGIC, tensors.items(),
-                         {"horizon": 2, "n_mlp": 2, "d_s": 32})
+                         {"horizon": 2, "n_mlp": 2})
     assert run(["generate", *MARKOV, "--drafter-weights", prefix, "--prompt", "1 2",
                 "--max-new-tokens", "4"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {prefix}.manifest: ")
 
 
-@pytest.mark.parametrize("command", ["generate", "verify-equivalence"])
+@pytest.mark.parametrize("command", ["verify-equivalence"])
 @pytest.mark.parametrize("length", ["-1", "0"])
 def test_prompt_len_below_one_is_a_usage_error_naming_the_flag(command, length, capsys):
     assert run([command, *MARKOV, "--prompt-len", length, "--max-new-tokens", "2"]) == 2
     assert f"error: --prompt-len must be >= 1, got {length}" in capsys.readouterr().err
+
+
+def test_generate_without_a_prompt_is_a_usage_error(capsys):
+    """generate decodes the prompt it is given and draws none: --prompt is
+    required, and --prompt-len is not a generate flag."""
+    for argv, message in ((["--max-new-tokens", "2"],
+                           "the following arguments are required: --prompt"),
+                          (["--prompt", "1 2", "--prompt-len", "4"],
+                           "unrecognized arguments: --prompt-len 4")):
+        with pytest.raises(SystemExit) as exc:
+            run(["generate", *MARKOV, *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 # each command line runs to exit 0 with --base transformer or markov, given
@@ -231,6 +245,17 @@ def test_base_weights_with_the_markov_base_is_a_usage_error(command, tmp_path, m
     assert run([command, *MARKOV, "--base-weights", "/nonexistent/prefix",
                 *SMALL_RUNS[command]]) == 2
     assert "error: --base-weights" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["generate", "verify-equivalence", "distill-data"])
+def test_markov_vocab_is_a_usage_error(command, tmp_path, monkeypatch, capsys):
+    """The Markov base has one vocab, 32: no command takes --markov-vocab."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run([command, *MARKOV, "--markov-vocab", "16", *SMALL_RUNS[command]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --markov-vocab 16" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -412,9 +437,9 @@ def test_two_stage_distillation_writes_the_library_drafter(case, tmp_path, capsy
     else:
         flags = [*MARKOV, "--corpus-len", "12", *(["--ground-truth"] if case == "ground-truth"
                                                    else [])]
-        base = SyntheticMarkovModel(order=2, vocab_size=16, seed=3)
+        base = SyntheticMarkovModel(order=2, vocab_size=32, seed=3)
         corpus = distill.sample_markov_corpus(seed=3 + 7, n_sequences=5, seq_len=12,
-                                              vocab_size=16)
+                                              vocab_size=32)
     assert run(["distill-data", *flags, "--horizon", "3", "--corpus-size", "5",
                 "--out", data]) == 0
     assert run(["train-drafter", "--seed", "3", "--dataset", data, "--epochs", "2",
@@ -441,7 +466,7 @@ def test_distill_data_greedy_corpus_writes_the_library_dataset(tmp_path, capsys)
     assert run(["distill-data", *MARKOV, "--corpus", "greedy", "--horizon", "3",
                 "--corpus-size", "5", "--corpus-len", "24", "--out", data]) == 0
     capsys.readouterr()
-    base = SyntheticMarkovModel(order=2, vocab_size=16, seed=3)
+    base = SyntheticMarkovModel(order=2, vocab_size=32, seed=3)
     prompts = cli.random_prompts(base, 5, cli.PROMPT_LEN, 3 + 7)
     corpus = distill.greedy_corpus(base, prompts, 24 - cli.PROMPT_LEN)
     distill.write_dataset(library, distill.build_distill_dataset(base, corpus, 3),

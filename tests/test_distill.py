@@ -245,7 +245,7 @@ def test_dataset_builders_reject_a_non_positive_horizon(base, corpus):
                          ids=["rollouts", "ground-truth"])
 def test_distill_data_cli_rejects_a_non_positive_horizon(ground_truth, tmp_path, capsys):
     out = str(tmp_path / "data")
-    assert cli.main(["distill-data", "--base", "markov", "--markov-vocab", "16",
+    assert cli.main(["distill-data", "--base", "markov",
                      "--corpus-size", "2", "--corpus-len", "8", "--horizon", "-2",
                      *ground_truth, "--out", out]) == 2
     assert "error: need horizon >= 1" in capsys.readouterr().err

@@ -62,6 +62,21 @@ def test_drafter_round_trip_preserves_float32_payload(tmp_path):
     assert (tmp_path / "drafter.bin").read_bytes() == (tmp_path / "drafter2.bin").read_bytes()
 
 
+def test_drafter_header_holds_no_width(tmp_path):
+    """A drafter's header is its horizon and n_mlp; its width is its tensors',
+    which ``DrafterParams`` checks against ``u``.  A manifest with a ``# d_s``
+    line, as drafter files once had, still loads: other header keys are
+    ignored."""
+    prefix = str(tmp_path / "drafter")
+    weights.save_drafter(DrafterParams.random(np.random.default_rng(18), 8, 12), 5, prefix)
+    manifest = tmp_path / "drafter.manifest"
+    lines = manifest.read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith("#")] == ["# horizon 5", "# n_mlp 2"]
+    manifest.write_text("\n".join([lines[0], "# d_s 8", *lines[1:]]) + "\n")
+    params, horizon = weights.load_drafter(prefix)
+    assert (params.d_s, horizon) == (8, 5)
+
+
 def test_truncated_blob_names_the_tensor(tmp_path):
     model = TinyTransformer.random(CONFIG, seed=5)
     prefix = str(tmp_path / "trunc")
@@ -123,8 +138,6 @@ def test_edited_shape_rejected(tmp_path):
     ("base", r"l0_wqkv f32 .*$", "", "holds 23 tensors, a base model with n_layers 2 reads 24"),
     ("drafter", r"mlp1_b f32 .*$", "", "missing 'mlp1_b'"),
     ("drafter", r"u f32 8,8 ", "u f32 4,16 ", "recurrence shapes must be (4,4)"),
-    ("drafter", r"# d_s 8$", "# d_s 9", "says d_s 9, its tensors are 8 wide"),
-    ("drafter", r"# d_s 8$", "", "missing 'd_s'"),
     ("drafter", r"(b f32 8 \d+)$", r"\1\nb f32 8 0", "tensor b appears twice"),
     ("base", r"(l0_b1 f32 16 0)$", r"\1\nl0_b1 f32 16 0", "tensor l0_b1 appears twice"),
     ("drafter", r"(# horizon 5)$", r"\1\n# horizon 7", "header key horizon appears twice"),
@@ -134,8 +147,9 @@ def test_edited_shape_rejected(tmp_path):
      "tensor mlp1_w is not read by a drafter with n_mlp 1"),
     ("base", r"# n_layers 2$", "# n_layers 1",
      "holds 24 tensors, a base model with n_layers 1 reads 14"),
-    ("base", r"l0_wqkv f32 ", "l0_wz f32 ", "tensor l0_wz is not read by a base model with "
-                                           "n_layers 2"),
+    # names are unique and the count is the one n_layers reads, so an unread
+    # tensor means a missing one
+    ("base", r"l0_wqkv f32 ", "l0_wz f32 ", "missing tensor l0_wqkv"),
     # weight files hold float32 tensors; an int64 one is refused by the model it feeds
     ("base", r"l0_b1 f32 ", "l0_b1 i64 ", "tensor l0_b1: expected float32, got int64"),
     ("drafter", r"u f32 ", "u i64 ", "drafter tensors must share one dtype, float32 or "
@@ -151,8 +165,8 @@ def test_edited_shape_rejected(tmp_path):
      f"tensor u: blob truncated (needs bytes up to {4 * 2 ** 64}"),
     ("drafter", r"u f32 8,8 ", "u f32 0,4294967296,4294967296 ",
      "tensor u: shape 0,4294967296,4294967296 ("),
-], ids=["three-fields", "dtype", "base-tensor", "drafter-tensor", "drafter-shape", "drafter-d_s",
-        "drafter-no-d_s", "drafter-repeat", "base-repeat", "drafter-header-repeat",
+], ids=["three-fields", "dtype", "base-tensor", "drafter-tensor", "drafter-shape",
+        "drafter-repeat", "base-repeat", "drafter-header-repeat",
         "base-header-repeat", "drafter-unread", "base-unread", "base-renamed", "base-i64",
         "drafter-i64", "window-1e15", "window-1e20", "count-overflow", "empty-overflow"])
 def test_malformed_manifest_line_is_a_format_error(kind, line, edited, message, tmp_path):
@@ -260,7 +274,7 @@ def test_drafter_manifest_of_a_wrapping_element_count_exits_2(tmp_path, capsys):
                       flags=re.M)
     assert n == 1
     manifest.write_text(text)
-    assert cli.main(["generate", "--base", "markov", "--markov-vocab", "16", "--prompt", "1 2",
+    assert cli.main(["generate", "--base", "markov", "--prompt", "1 2",
                      "--max-new-tokens", "2", "--drafter-weights", prefix]) == 2
     assert f"error: {manifest}: tensor u: blob truncated" in capsys.readouterr().err
 
