@@ -13,10 +13,10 @@ paper's dynamic tree attention instead: candidates share one length, so
 shared prefixes are found with plain tensor operations (elementwise match
 matrix, cumulative sum, first-match argmax) instead of a trie
 (``dedup_prefix``), and ``pack_beam`` flattens the result.  Every tree, from
-either route or ``chain_tree``, comes from one constructor,
-``DraftTree.from_parents``, which derives depths and the mask in one pass
-over the parents: a node's mask row is its parent's row plus the node.  The
-mask serves both the tree-masked verification forward and the commit's path.
+either route, comes from one constructor, ``DraftTree.from_parents``, which
+derives depths and the mask in one pass over the parents: a node's mask row
+is its parent's row plus the node.  The mask serves both the tree-masked
+verification forward and the commit's path.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import drafter
-from .errors import ConfigError, ContractError, VocabError
+from .errors import ConfigError, ContractError, ShapeError, VocabError
 
 ROOT_PARENT = -1  # parent index of the root node
 _PARENTS_RULE = "parents must be ROOT_PARENT for node 0 and an earlier node for every other node"
@@ -81,12 +81,6 @@ class DraftTree:
         return cls(tokens=tokens, parents=parents, depths=depths, mask=mask)
 
 
-def chain_tree(root, drafts):
-    """A single path: the root, then each draft below the one before it."""
-    drafts = list(drafts)
-    return DraftTree.from_parents([root] + drafts, [ROOT_PARENT] + list(range(len(drafts))))
-
-
 @dataclass
 class BeamLattice:
     """Every row beam search kept, depth by depth, best first within a depth.
@@ -135,11 +129,12 @@ def beam_search(params, embeddings, h, last_token, beam_width, beam_length, toke
     ``argmax``, which returns the lowest index among equal maxima, and masks
     its pick with -inf, which gives the order of a stable descending sort of
     the (finite) scores.  Each row of the head input ``x`` is one beam
-    row's ``[s | h]`` for ``head_logp_batch``: ``h`` is written once, the
-    root row's ``s`` is the embedding of ``last_token`` (a ``VocabError``
-    outside the vocab), and each ``step_batch`` overwrites only the ``s``
-    columns.  ``token_term`` is the recurrence's input term ``w @ e + b``
-    for every token, as ``decode.RnnProposer`` builds it once per drafter.
+    row's ``[s | h]`` for ``head_logp_batch``: ``h`` is written once (a
+    ``ShapeError`` unless it is ``(d_s,)``), the root row's ``s`` is the
+    embedding of ``last_token`` (a ``VocabError`` outside the vocab), and
+    each ``step_batch`` overwrites only the ``s`` columns.  ``token_term``
+    is the recurrence's input term ``w @ e + b`` for every token, as
+    ``decode.RnnProposer`` builds it once per drafter.
     """
     if beam_width < 1 or beam_length < 1:
         raise ConfigError("beam_width and beam_length must be >= 1")
@@ -150,6 +145,8 @@ def beam_search(params, embeddings, h, last_token, beam_width, beam_length, toke
         raise VocabError(f"token {last_token} outside vocab of size {vocab}")
 
     d_s = params.d_s
+    if np.shape(h) != (d_s,):
+        raise ShapeError(f"h of shape {np.shape(h)} is not the drafter's ({d_s},)")
     x = np.empty((beam_width, 2 * d_s), params.dtype)
     x[:, d_s:] = h
     x[0, :d_s] = embeddings[last_token]
@@ -158,22 +155,23 @@ def beam_search(params, embeddings, h, last_token, beam_width, beam_length, toke
     logps = np.empty((beam_length, beam_width), params.dtype)
 
     keep = np.empty(beam_width, dtype=np.int64)
-    for depth in range(beam_length):
-        # one live row at depth 0, beam_width rows after it
-        scores = drafter.head_logp_batch(x[:1 if depth == 0 else beam_width], params)
-        # at depth 0 the cumulative score is 0, and 0 + logp is logp (never -0.0)
-        if depth:
-            scores += logps[depth - 1][:, None]
-        scores = scores.ravel()
-        cum_logp = logps[depth]
-        for pick in range(beam_width):
-            keep[pick] = best = scores.argmax()
-            cum_logp[pick] = scores[best]
-            scores[best] = -np.inf
-        parent, tok = np.divmod(keep, vocab, out=(parents[depth], tokens[depth]))
-        # the last depth's states would feed no head, so they are not computed
-        if depth + 1 < beam_length:
-            x[:, :d_s] = drafter.step_batch(x[parent, :d_s], token_term[tok], params)
+    with np.errstate(over="ignore"):  # silu's exp(-a); see the drafter docstring
+        for depth in range(beam_length):
+            # one live row at depth 0, beam_width rows after it
+            scores = drafter.head_logp_batch(x[:1 if depth == 0 else beam_width], params)
+            # at depth 0 the cumulative score is 0, and 0 + logp is logp (never -0.0)
+            if depth:
+                scores += logps[depth - 1][:, None]
+            scores = scores.ravel()
+            cum_logp = logps[depth]
+            for pick in range(beam_width):
+                keep[pick] = best = scores.argmax()
+                cum_logp[pick] = scores[best]
+                scores[best] = -np.inf
+            parent, tok = np.divmod(keep, vocab, out=(parents[depth], tokens[depth]))
+            # the last depth's states would feed no head, so they are not computed
+            if depth + 1 < beam_length:
+                x[:, :d_s] = drafter.step_batch(x[parent, :d_s], token_term[tok], params)
 
     return BeamLattice(tokens=tokens, parents=parents, logp=logps)
 

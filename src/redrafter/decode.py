@@ -89,31 +89,6 @@ class RnnProposer:
         return lattice.tree(last_token)
 
 
-class MirrorProposer:
-    """Diagnostic proposer that replays the base model's own greedy stream.
-
-    ``stream`` is ``autoregressive_generate``'s output for the request, with
-    no stop token.  Every draft then matches the verifier, so each step
-    accepts all it drafts, and the next step's guaranteed token is the
-    stream's token after them: the upper bound for acceptance.  One proposer
-    serves one decode.  Width-1 only.
-    """
-
-    def __init__(self, stream):
-        self.stream = list(stream)
-        self.at = 0  # stream index of the next step's guaranteed token
-
-    def propose(self, h, last_token, beam_width, beam_length):
-        if beam_width != 1:
-            raise ConfigError("MirrorProposer supports beam_width=1 only")
-        if self.stream[self.at:self.at + 1] != [last_token]:
-            raise ContractError(f"guaranteed token {last_token} is not token {self.at} "
-                                f"of the mirrored stream")
-        drafts = self.stream[self.at + 1:self.at + 1 + beam_length]
-        self.at += len(drafts) + 1
-        return beam_mod.chain_tree(last_token, drafts)
-
-
 def verify_greedy(base_output, tree):
     """Accept the deepest draft node whose whole path matches the verifier:
     returns ``(next_guaranteed_token, path)``, where ``path`` holds the tree

@@ -336,48 +336,6 @@ def train_drafter(dataset, params_init, cfg, embeddings):
     return params, curve
 
 
-def empirical_kl(base, params, probe_contexts, horizon):
-    """Exact per-step KL(base || drafter), teacher-forced on base greedy tokens.
-
-    Each probe context is aligned like a ``DistillDataset`` context: its last
-    token is the one the draft recurrence starts from, and the drafter sees
-    the base hidden state at the token before it.  The drafter runs the
-    forward decode runs, ``head_logp_batch`` and ``step_batch`` on one
-    ``[s | h]`` row in the drafter's dtype, with a ``decode.RnnProposer``'s
-    embeddings and per-token input terms; a drafter that does not fit the
-    base is that proposer's ``ShapeError``.  The KL itself is taken in
-    float64.  Returns an array of length ``horizon``: KL at recurrence step
-    k averaged over the probe contexts.
-    """
-    _check_horizon(horizon)
-    if not len(probe_contexts):
-        raise ContractError("no probe contexts to measure the KL on")
-    proposer = decode.RnnProposer(params, base.token_embeddings)
-    d_s = params.d_s
-    totals = np.zeros(horizon)
-    for context in probe_contexts:
-        context = check_tokens(context, params.vocab_size)
-        if context.shape[0] < 2:
-            raise ContractError("a probe context needs at least two tokens")
-        token = int(context[-1])
-        cache = base.new_cache()
-        x = np.empty((1, 2 * d_s), params.dtype)
-        x[0, d_s:] = base.forward_context(context[:-1], cache).hidden[-1]
-        x[0, :d_s] = proposer.embeddings[token]
-        for k in range(horizon):
-            base_logits = base.forward_context([token], cache).logits[-1].astype(np.float64)
-            z = base_logits - base_logits.max()
-            ez = np.exp(z)
-            total = ez.sum()
-            p = ez / total
-            logp_base = z - np.log(total)
-            logq = drafter.head_logp_batch(x, params)[0]
-            totals[k] += float((p * (logp_base - logq)).sum())
-            token = int(base_logits.argmax())
-            x[:, :d_s] = drafter.step_batch(x[:, :d_s], proposer.token_term[[token]], params)
-    return totals / len(probe_contexts)
-
-
 def sample_markov_corpus(seed, n_sequences=500, seq_len=64, vocab_size=32):
     """Corpus drawn from a seeded random order-2 Markov chain (softmax-sampled).
 

@@ -9,12 +9,18 @@ reaches an emitted stream.  Every operation runs in the parameters' dtype,
 so gradient checks run the same code on float64 parameters.
 
 The drafter's one forward is the batched pair ``head_logp_batch`` and
-``step_batch``, each row one recurrent state: beam search drafts with it and
-``distill.empirical_kl`` scores it.  ``batch_loss`` keeps its own forward,
-since its backward pass reads every intermediate.  Training runs in place:
-each elementwise step writes into an array it already owns with the plain
-formula's operands in their order, so the loss and gradients equal the
-plain formulas bit for bit, and the products nothing reads are skipped.
+``step_batch``, each row one recurrent state: beam search drafts with it.
+``batch_loss`` keeps its own forward, since its backward pass reads every
+intermediate.  Training runs in place: each elementwise step writes into an
+array it already owns with the plain formula's operands in their order, so
+the loss and gradients equal the plain formulas bit for bit, and the
+products nothing reads are skipped.
+
+silu's ``exp(-a)`` overflows to inf in float32 for a pre-activation below
+about -88.7, where ``a / inf`` is still the right -0.0.  So the callers that
+run many silus, ``beam.beam_search`` once per search and ``batch_loss`` once
+per batch, ignore that overflow in one ``np.errstate`` each, rather than one
+per silu.
 """
 
 from dataclasses import dataclass, field
@@ -154,7 +160,7 @@ class DrafterParams:
 
 
 # ---------------------------------------------------------------------------
-# the forward (beam search and the KL metric run these)
+# the forward (beam search runs these)
 # ---------------------------------------------------------------------------
 
 def step_batch(s, token_term, params):
@@ -224,31 +230,32 @@ def batch_loss(params, embeddings, h, s0, teacher):
     head_x = []                                     # per position: mlp layer inputs/pre-acts
     head_soft = []                                  # per position: softmax over logits
     loss = 0.0
-    for k in range(horizon):
-        x = np.concatenate([states[-1], h], axis=1)
-        xs, acts = [x], []
-        for wm, bm in params.mlp:
-            a = x @ wm.T
-            a += bm
-            den = _silu_den(a)
-            x = a / den
-            x += xs[-1]  # a / den + x is bitwise x + a / den
-            acts.append((a, den))
-            xs.append(x)
-        z = x @ params.out_proj.T
-        z -= np.maximum.reduce(z, axis=1, keepdims=True)
-        z -= np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))  # z is log-softmax
-        loss -= float(np.add.reduce(z[rows, teacher[:, k]]))  # positions sum in float64
-        head_x.append((xs, acts))
-        head_soft.append(np.exp(z, out=z))
-        if k + 1 < horizon:
-            e = emb[teacher[:, k]]
-            pre = states[-1] @ params.u.T
-            pre += e @ params.w.T
-            pre += params.b
-            den = _silu_den(pre)
-            pre_acts.append((pre, den, e))
-            states.append(pre / den)
+    with np.errstate(over="ignore"):  # silu's exp(-a); see the module docstring
+        for k in range(horizon):
+            x = np.concatenate([states[-1], h], axis=1)
+            xs, acts = [x], []
+            for wm, bm in params.mlp:
+                a = x @ wm.T
+                a += bm
+                den = _silu_den(a)
+                x = a / den
+                x += xs[-1]  # a / den + x is bitwise x + a / den
+                acts.append((a, den))
+                xs.append(x)
+            z = x @ params.out_proj.T
+            z -= np.maximum.reduce(z, axis=1, keepdims=True)
+            z -= np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))  # z is log-softmax
+            loss -= float(np.add.reduce(z[rows, teacher[:, k]]))  # positions sum in float64
+            head_x.append((xs, acts))
+            head_soft.append(np.exp(z, out=z))
+            if k + 1 < horizon:
+                e = emb[teacher[:, k]]
+                pre = states[-1] @ params.u.T
+                pre += e @ params.w.T
+                pre += params.b
+                den = _silu_den(pre)
+                pre_acts.append((pre, den, e))
+                states.append(pre / den)
 
     grads = params.zeros_like()
     ds = np.zeros((bsz, d_s), dtype)

@@ -14,6 +14,7 @@ from redrafter.decode import DecodeConfig, RnnProposer
 from redrafter.drafter import DrafterParams, batch_loss
 from redrafter.model import ModelConfig, SyntheticMarkovModel, TinyTransformer
 
+from oracles import MirrorProposer, empirical_kl
 from test_beam import trie_dedup
 from test_decode import SMALL as SMALL_TRANSFORMER_CONFIG
 
@@ -259,7 +260,7 @@ def test_criterion_8_mirror_drafter_reaches_upper_bound():
     cfg = DecodeConfig(beam_width=1, beam_length=length,
                        max_new_tokens=3 * (length + 1))
     greedy = decode.autoregressive_generate(base, [1, 2, 3], cfg)
-    tokens, reports = decode.speculative_generate(base, decode.MirrorProposer(greedy),
+    tokens, reports = decode.speculative_generate(base, MirrorProposer(greedy),
                                                   [1, 2, 3], cfg)
     tps = len(tokens) / len(reports)
     exact = tokens == greedy
@@ -311,8 +312,8 @@ def test_kl_divergence_collapses_after_distillation(trained_setup):
         prefix = rng.integers(0, 32, size=8).tolist()
         probes.append(prefix + decode.autoregressive_generate(
             base, prefix, DecodeConfig(beam_width=1, beam_length=1, max_new_tokens=1)))
-    before = float(distill.empirical_kl(base, init, probes, 1)[0])
-    after = float(distill.empirical_kl(base, distilled, probes, 1)[0])
+    before = float(empirical_kl(base, init, probes, 1)[0])
+    after = float(empirical_kl(base, distilled, probes, 1)[0])
     assert before / max(after, 1e-12) >= 10.0, (before, after)
 
 

@@ -1,16 +1,19 @@
 """Beam search, its backpointer draft trees, prefix deduplication, and the
 packed tree structure."""
 
+import re
+
 import numpy as np
 import pytest
 
 from redrafter import beam as beam_mod
 from redrafter import drafter
-from redrafter.beam import (ROOT_PARENT, BeamLattice, DraftTree, beam_search, chain_tree,
-                            dedup_prefix, pack_beam)
+from redrafter.beam import (ROOT_PARENT, BeamLattice, DraftTree, beam_search, dedup_prefix,
+                            pack_beam)
+from redrafter.decode import RnnProposer
 from redrafter.distill import BLOCK
 from redrafter.drafter import DrafterParams
-from redrafter.errors import ConfigError, ContractError, VocabError
+from redrafter.errors import ConfigError, ContractError, ShapeError, VocabError
 
 
 def trie_dedup(tokens):
@@ -405,13 +408,13 @@ def test_tree_constructor_rejects_cycles_and_builds_chains():
                             ([[1, 2]], [[ROOT_PARENT, 0]]), (1, ROOT_PARENT)):
         with pytest.raises(ContractError, match="1-D and of one length"):
             DraftTree.from_parents(tokens, parents)
-    chain = chain_tree(4, [5, 6])
+    chain = DraftTree.from_parents([4, 5, 6], [ROOT_PARENT, 0, 1])
     assert chain.parents.tolist() == [ROOT_PARENT, 0, 1]
     assert chain.depths.tolist() == [0, 1, 2]
     assert [np.flatnonzero(row).tolist() for row in chain.mask] == \
         [parent_walk(chain.parents, i) for i in range(3)] == [[0], [0, 1], [0, 1, 2]]
     assert np.array_equal(chain.mask, np.tril(np.ones((3, 3), dtype=bool)))
-    root = chain_tree(4, [])
+    root = DraftTree.from_parents([4], [ROOT_PARENT])
     assert (root.n, root.depths.tolist(), root.mask.tolist()) == (1, [0], [[True]])
 
 
@@ -527,3 +530,20 @@ def test_beam_search_config_validation():
         beam_search(params, emb, h, 0, params.vocab_size + 1, 2, token_term)
     with pytest.raises(ConfigError):
         beam_search(params, emb, h, 0, 0, 2, token_term)
+
+
+def test_beam_search_refuses_an_h_that_is_not_one_state():
+    """``h`` is one ``(d_s,)`` hidden state.  A ``(1,)`` or ``(width, d_s)``
+    one would broadcast into the beam rows and draft from the wrong state,
+    and a ``(d_s + 1,)`` one would fail inside numpy; each is a
+    ``ShapeError`` naming both shapes, from the search and the proposer."""
+    params, emb = make_drafter()
+    token_term = token_terms(params, emb)
+    proposer = RnnProposer(params, emb)
+    d_s, width = params.d_s, 3
+    for shape in ((1,), (width, d_s), (d_s + 1,)):
+        message = re.escape(f"h of shape {shape} is not the drafter's ({d_s},)")
+        for search in (lambda h: beam_search(params, emb, h, 0, width, 2, token_term),
+                       lambda h: proposer.propose(h, 0, width, 2)):
+            with pytest.raises(ShapeError, match=message):
+                search(np.zeros(shape, np.float32))

@@ -8,11 +8,13 @@ import pytest
 
 from redrafter import beam as beam_mod
 from redrafter import decode
-from redrafter.decode import (DecodeConfig, MirrorProposer, RnnProposer,
-                              autoregressive_generate, speculative_generate, verify_greedy)
+from redrafter.decode import (DecodeConfig, RnnProposer, autoregressive_generate,
+                              speculative_generate, verify_greedy)
 from redrafter.drafter import DrafterParams
 from redrafter.errors import CapacityError, ConfigError, ContractError, ShapeError, VocabError
 from redrafter.model import BaseModelOutput, ModelConfig, SyntheticMarkovModel, TinyTransformer
+
+from oracles import MirrorProposer
 
 SMALL = ModelConfig(vocab_size=16, d_model=16, n_layers=2, n_heads=2, d_ff=32,
                     max_seq_len=128)
@@ -209,7 +211,8 @@ def test_rnn_steps_call_neither_dedup_nor_pack(tiny, markov, monkeypatch):
 def test_proposal_must_be_rooted_at_the_guaranteed_token(markov):
     class Misrooted:
         def propose(self, h, last_token, width, length):
-            return beam_mod.chain_tree((last_token + 1) % 16, [0] * length)
+            return beam_mod.DraftTree.from_parents([(last_token + 1) % 16] + [0] * length,
+                                                   [beam_mod.ROOT_PARENT, *range(length)])
 
     cfg = DecodeConfig(beam_width=1, beam_length=2, max_new_tokens=8)
     with pytest.raises(ContractError):

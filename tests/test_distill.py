@@ -13,12 +13,14 @@ import pytest
 from redrafter import cli, distill, drafter, weights
 from redrafter.decode import DecodeConfig, RnnProposer, autoregressive_generate
 from redrafter.distill import (DistillDataset, TrainConfig, build_distill_dataset,
-                               empirical_kl, ground_truth_dataset, read_dataset,
-                               sample_markov_corpus, train_drafter, write_dataset)
+                               ground_truth_dataset, read_dataset, sample_markov_corpus,
+                               train_drafter, write_dataset)
 from redrafter.drafter import DrafterParams
 from redrafter.errors import (CapacityError, ContractError, FormatError, ShapeError,
                               TrainingError, VocabError)
 from redrafter.model import ModelConfig, SyntheticMarkovModel, TinyTransformer
+
+from oracles import empirical_kl
 
 WINDOW = 40  # max_seq_len of the bases the tree-batched build is checked on
 

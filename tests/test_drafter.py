@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from redrafter import drafter
+from redrafter.beam import beam_search
 from redrafter.drafter import DrafterParams
 from redrafter.errors import ContractError, ShapeError, VocabError
 
@@ -343,3 +344,35 @@ def test_batch_loss_is_bitwise_the_plain_formula_reference(horizon):
                 assert np.array_equal(bits64(got), bits64(want)), f"{name}, {case}"
             # the recurrence gets a gradient whenever a later position reads its state
             assert (horizon > 1) == bool(grads.u.any()) == bool(grads.b.any()), case
+
+
+def test_an_overflowing_silu_warns_nowhere_and_keeps_its_bits():
+    """A first head-layer bias of -200 puts every pre-activation of that
+    layer below about -88.7, where float32's ``exp(-a)`` overflows to inf
+    and silu's ``a / inf`` is the right -0.0.  Beam search and the loss
+    ignore that overflow themselves, so they run under the suite's
+    warnings-as-errors, with the bits of the same calls made inside a
+    caller's ``np.errstate(over="ignore")``."""
+    params = make_params(3)
+    params.mlp[0][1][:] = -200.0
+    emb = make_embeddings(4, params.vocab_size, params.d_s).astype(np.float32)
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=params.d_s).astype(np.float32)
+    teacher = rng.integers(0, params.vocab_size, size=(4, 3))
+    a = np.concatenate([emb[teacher[:, 0]], np.tile(h, (4, 1))], axis=1) @ params.mlp[0][0].T
+    a += params.mlp[0][1]
+    with np.errstate(over="ignore"):
+        assert np.isinf(drafter._silu_den(a)).all()
+
+    def run():
+        lattice = beam_search(params, emb, h, int(teacher[0, 0]), 3, 4,
+                              emb @ params.w.T + params.b)
+        loss, grads = drafter.batch_loss(params, emb, h, emb[teacher[:, 0]], teacher)
+        return [lattice.tokens, lattice.parents, lattice.logp, np.float64(loss), grads.flat]
+
+    got = run()
+    with np.errstate(over="ignore"):
+        want = run()
+    assert np.isfinite(got[3])
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

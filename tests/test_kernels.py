@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from redrafter import kernels
-from redrafter.decode import (DecodeConfig, MirrorProposer, autoregressive_generate,
-                              speculative_generate)
+from redrafter.decode import DecodeConfig, autoregressive_generate, speculative_generate
 from redrafter.errors import ShapeError
 from redrafter.model import ModelConfig, TinyTransformer
+
+from oracles import MirrorProposer
 
 
 def naive_matmul(a, b):
