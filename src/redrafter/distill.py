@@ -266,11 +266,13 @@ def train_drafter(dataset, params_init, cfg, embeddings):
 
     Each batch gathers its rows: ``h``, the embedding of the guaranteed
     token (the recurrence's start state) and the teacher.  Training and Adam
-    run in ``params_init``'s dtype.  Returns the trained parameters and the
-    per-epoch mean loss curve.  Before the first batch, an embedding table
-    that is not ``(vocab, d_s)`` for the drafter, or an ``h`` not ``d_s``
-    wide, raises ``ShapeError``, and a guaranteed or teacher token outside
-    the drafter's vocab raises ``VocabError``.
+    (Kingma & Ba, arXiv 1412.6980) run in ``params_init``'s dtype: the
+    moments update in place over the one buffer the parameters view, and a
+    step is Adam's bias-corrected formula, one expression.  Returns the
+    trained parameters and the per-epoch mean loss curve.  Before the first
+    batch, an embedding table that is not ``(vocab, d_s)`` for the drafter,
+    or an ``h`` not ``d_s`` wide, raises ``ShapeError``, and a guaranteed or
+    teacher token outside the drafter's vocab raises ``VocabError``.
     """
     if not dataset:
         raise ContractError("training dataset is empty")
@@ -287,15 +289,8 @@ def train_drafter(dataset, params_init, cfg, embeddings):
     check_tokens(dataset.teacher, vocab)
 
     params = params_init.flat_copy()
-
-    # Adam runs in place over the one flat buffer the parameters view, and
-    # the gradients' own, through two scratch buffers; each step keeps the
-    # operands and order of the expression above it, so every element's bits
-    # are those of the per-tensor formulas
-    m = np.zeros_like(params.flat)
+    m = np.zeros_like(params.flat)  # Adam's first and second moments
     v = np.zeros_like(params.flat)
-    t1 = np.empty_like(params.flat)
-    t2 = np.empty_like(params.flat)
     step_count = 0
     rng = np.random.default_rng(cfg.seed)
     n = len(dataset)
@@ -316,22 +311,11 @@ def train_drafter(dataset, params_init, cfg, embeddings):
             step_count += 1
             bc1 = 1.0 - ADAM_BETA1 ** step_count
             bc2 = 1.0 - ADAM_BETA2 ** step_count
-            # m = beta1 * m + (1 - beta1) * g
             m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=t1)
-            # v = beta2 * v + (1 - beta2) * g * g
+            m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
-            np.multiply(g, 1.0 - ADAM_BETA2, out=t1)
-            t1 *= g
-            v += t1
-            # flat -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            np.divide(m, bc1, out=t1)
-            t1 *= cfg.learning_rate
-            np.divide(v, bc2, out=t2)
-            np.sqrt(t2, out=t2)
-            t2 += ADAM_EPS
-            t1 /= t2
-            params.flat -= t1
+            v += (1.0 - ADAM_BETA2) * g * g
+            params.flat -= cfg.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         curve.append(epoch_loss / (n * cfg.horizon))
     return params, curve
 

@@ -10,7 +10,8 @@ A tensor is ``f32`` (float32) or ``i64`` (int64), by its array's dtype kind.
 The format is language-neutral.  Weight files hold float32 tensors, as the
 base model and drafter do in memory, so a round trip reproduces them byte for
 byte; a base file holds each layer's fused ``wqkv``.  Dataset files hold
-int64 and float32 tensors.  A loader's ``FormatError`` names its manifest.
+int64 and float32 tensors.  A loader raises this package's errors as a
+``FormatError`` naming its manifest.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError, RedrafterError
 from .drafter import DrafterParams
 from .model import ModelConfig, TinyTransformer
 
@@ -57,7 +58,10 @@ def load_tensors(prefix, magic):
     float32 and int64 tensors by name in file order); a key or a name may
     appear once.  A loader calls it under ``naming``."""
     with open(prefix + ".manifest", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        try:
+            lines = [ln for ln in fh.read().split("\n") if ln.strip()]
+        except UnicodeDecodeError as exc:  # one whole-file decode: start is the file's byte
+            raise FormatError(f"is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not lines or lines[0] != magic:
         found = repr(lines[0]) if lines else "<empty>"
         raise FormatError(f"bad magic line {found}, expected {magic!r}")
@@ -98,19 +102,12 @@ def load_tensors(prefix, magic):
 
 @contextlib.contextmanager
 def naming(prefix):
-    """A loader's one rule: a ``FormatError`` or ``ShapeError`` raised in the
-    block leaves it as a ``FormatError`` that starts with the manifest path."""
+    """A loader's one rule: any of this package's errors raised in the block
+    leaves it as a ``FormatError`` that starts with the manifest path."""
     try:
         yield
-    except (FormatError, ShapeError) as exc:
+    except RedrafterError as exc:
         raise FormatError(f"{prefix}.manifest: {exc}") from exc
-
-
-def _check_all_read(tensors, read, model):
-    """Every tensor of a file must be one the loaded model reads."""
-    for name in tensors:
-        if name not in read:
-            raise FormatError(f"tensor {name} is not read by a {model}")
 
 
 def _int(text, field):
@@ -154,20 +151,23 @@ def load_base_model(prefix):
 # ---------------------------------------------------------------------------
 
 def save_drafter(params, horizon, prefix):
-    header = {"horizon": horizon, "n_mlp": len(params.mlp)}
-    save_tensors(prefix, DRAFTER_MAGIC, params.flat_arrays(), header)
+    save_tensors(prefix, DRAFTER_MAGIC, params.flat_arrays(), {"horizon": horizon})
 
 
 def load_drafter(prefix):
-    """Returns (DrafterParams, training horizon)."""
+    """Returns (DrafterParams, training horizon).  The head's depth is the
+    tensor count's: ``u``, ``w``, ``b`` and ``out_proj``, then a weight and a
+    bias per layer."""
     with naming(prefix):
         header, tensors = load_tensors(prefix, DRAFTER_MAGIC)
+        n_mlp, odd = divmod(len(tensors) - 4, 2)
+        if n_mlp < 0 or odd:
+            raise FormatError(f"holds {len(tensors)} tensors, a drafter reads 4 + 2 per head "
+                              "layer")
         try:
-            horizon, n_mlp = header["horizon"], header["n_mlp"]
             params = DrafterParams(
                 u=tensors["u"], w=tensors["w"], b=tensors["b"], out_proj=tensors["out_proj"],
                 mlp=[(tensors[f"mlp{i}_w"], tensors[f"mlp{i}_b"]) for i in range(n_mlp)])
+            return params, header["horizon"]
         except KeyError as exc:
             raise FormatError(f"missing {exc}") from exc
-        _check_all_read(tensors, dict(params.flat_arrays()), f"drafter with n_mlp {n_mlp}")
-    return params, horizon

@@ -63,18 +63,18 @@ def test_drafter_round_trip_preserves_float32_payload(tmp_path):
 
 
 def test_drafter_header_holds_no_width(tmp_path):
-    """A drafter's header is its horizon and n_mlp; its width is its tensors',
-    which ``DrafterParams`` checks against ``u``.  A manifest with a ``# d_s``
-    line, as drafter files once had, still loads: other header keys are
-    ignored."""
+    """A drafter's header is its horizon; its width is its tensors', which
+    ``DrafterParams`` checks against ``u``, and its head depth their count's.
+    A manifest with ``# n_mlp`` and ``# d_s`` lines, as drafter files once
+    had, still loads: other header keys are ignored."""
     prefix = str(tmp_path / "drafter")
     weights.save_drafter(DrafterParams.random(np.random.default_rng(18), 8, 12), 5, prefix)
     manifest = tmp_path / "drafter.manifest"
     lines = manifest.read_text().splitlines()
-    assert [ln for ln in lines if ln.startswith("#")] == ["# horizon 5", "# n_mlp 2"]
-    manifest.write_text("\n".join([lines[0], "# d_s 8", *lines[1:]]) + "\n")
+    assert [ln for ln in lines if ln.startswith("#")] == ["# horizon 5"]
+    manifest.write_text("\n".join([lines[0], "# n_mlp 2", "# d_s 8", *lines[1:]]) + "\n")
     params, horizon = weights.load_drafter(prefix)
-    assert (params.d_s, horizon) == (8, 5)
+    assert (params.d_s, len(params.mlp), horizon) == (8, 2, 5)
 
 
 def test_truncated_blob_names_the_tensor(tmp_path):
@@ -136,15 +136,17 @@ def test_edited_shape_rejected(tmp_path):
     ("base", r"l0_b1 f32 ", "l0_b1 f64 ", "tensor l0_b1: unsupported dtype f64"),
     # a tensor count other than the header's n_layers reads is refused first
     ("base", r"l0_wqkv f32 .*$", "", "holds 23 tensors, a base model with n_layers 2 reads 24"),
-    ("drafter", r"mlp1_b f32 .*$", "", "missing 'mlp1_b'"),
+    # a drafter reads u, w, b, out_proj and a weight and a bias per head layer
+    ("drafter", r"mlp1_b f32 .*$", "", "holds 7 tensors, a drafter reads 4 + 2 per head layer"),
+    ("drafter", r"mlp1_w f32 ", "mlp1_z f32 ", "missing 'mlp1_w'"),
     ("drafter", r"u f32 8,8 ", "u f32 4,16 ", "recurrence shapes must be (4,4)"),
     ("drafter", r"(b f32 8 \d+)$", r"\1\nb f32 8 0", "tensor b appears twice"),
     ("base", r"(l0_b1 f32 16 0)$", r"\1\nl0_b1 f32 16 0", "tensor l0_b1 appears twice"),
     ("drafter", r"(# horizon 5)$", r"\1\n# horizon 7", "header key horizon appears twice"),
     ("base", r"(# max_seq_len \d+)$", r"\1\n# max_seq_len 8",
      "header key max_seq_len appears twice"),
-    ("drafter", r"# n_mlp 2$", "# n_mlp 1",
-     "tensor mlp1_w is not read by a drafter with n_mlp 1"),
+    ("drafter", r"(b f32 8 \d+)$", r"\1\nextra f32 8 0",
+     "holds 9 tensors, a drafter reads 4 + 2 per head layer"),
     ("base", r"# n_layers 2$", "# n_layers 1",
      "holds 24 tensors, a base model with n_layers 1 reads 14"),
     # names are unique and the count is the one n_layers reads, so an unread
@@ -165,7 +167,8 @@ def test_edited_shape_rejected(tmp_path):
      f"tensor u: blob truncated (needs bytes up to {4 * 2 ** 64}"),
     ("drafter", r"u f32 8,8 ", "u f32 0,4294967296,4294967296 ",
      "tensor u: shape 0,4294967296,4294967296 ("),
-], ids=["three-fields", "dtype", "base-tensor", "drafter-tensor", "drafter-shape",
+], ids=["three-fields", "dtype", "base-tensor", "drafter-tensor", "drafter-renamed",
+        "drafter-shape",
         "drafter-repeat", "base-repeat", "drafter-header-repeat",
         "base-header-repeat", "drafter-unread", "base-unread", "base-renamed", "base-i64",
         "drafter-i64", "window-1e15", "window-1e20", "count-overflow", "empty-overflow"])
@@ -204,22 +207,58 @@ def test_base_file_of_separate_projections_is_a_format_error(tmp_path):
 
 
 def test_base_manifest_of_a_shape_no_model_has_is_a_config_error(tmp_path, capsys):
-    """A header edited to no attention heads, or to no width, is ModelConfig's
-    ConfigError, which the CLI reports with exit 2, not an untyped
-    ZeroDivisionError or a model whose logits are all zero."""
+    """A header edited to no attention heads, to no width, or to heads that
+    do not split the width evenly is ModelConfig's ConfigError.  It leaves
+    the loader as a FormatError naming the manifest, which the CLI reports
+    with exit 2, not an untyped ZeroDivisionError or a model whose logits
+    are all zero."""
     for line, edited, message in (("n_heads 2", "n_heads 0", "d_model 8 and n_heads 0"),
-                                  ("d_model 8", "d_model 0", "d_model 0 and n_heads 2")):
+                                  ("d_model 8", "d_model 0", "d_model 0 and n_heads 2"),
+                                  ("n_heads 2", "n_heads 3", "d_model 8 and n_heads 3")):
         prefix = str(tmp_path / "base")
         weights.save_base_model(TinyTransformer.random(CONFIG, seed=14), prefix)
         manifest = tmp_path / "base.manifest"
         text, n = re.subn(f"^# {line}$", f"# {edited}", manifest.read_text(), flags=re.M)
         assert n == 1
         manifest.write_text(text)
-        with pytest.raises(ConfigError, match=message):
+        want = f"{manifest}: need an even d_model split by n_heads >= 1, got {message}"
+        with pytest.raises(FormatError, match="^" + re.escape(want)) as exc:
             weights.load_base_model(prefix)
+        assert isinstance(exc.value.__cause__, ConfigError)
         assert cli.main(["generate", "--base-weights", prefix, "--prompt", "1 2",
                          "--max-new-tokens", "2"]) == 2
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {want}")
+
+
+@pytest.mark.parametrize("kind", ["base", "drafter", "dataset"])
+def test_manifest_that_is_not_utf8_is_a_format_error(kind, tmp_path, capsys):
+    """A manifest with a byte that is not UTF-8 is a FormatError naming the
+    manifest and the byte, for every loader, and each command that reads it
+    exits 2 instead of ending in a UnicodeDecodeError traceback."""
+    prefix = str(tmp_path / kind)
+    decode = ["--prompt", "1 2", "--max-new-tokens", "2"]
+    if kind == "base":
+        weights.save_base_model(TinyTransformer.random(CONFIG, seed=19), prefix)
+        load, argv = weights.load_base_model, ["generate", "--base-weights", prefix, *decode]
+    elif kind == "drafter":
+        weights.save_drafter(DrafterParams.random(np.random.default_rng(19), 8, 16), 5, prefix)
+        load = weights.load_drafter
+        argv = ["generate", "--base", "markov", "--drafter-weights", prefix, *decode]
+    else:
+        dataset = distill.DistillDataset(np.array([1]), np.array([[2, 3]]),
+                                         np.ones((1, 8), np.float32))
+        distill.write_dataset(prefix, dataset, np.ones((16, 8), np.float32))
+        load = distill.read_dataset
+        argv = ["train-drafter", "--dataset", prefix, "--out", str(tmp_path / "out")]
+    manifest = tmp_path / f"{kind}.manifest"
+    text = manifest.read_bytes()
+    manifest.write_bytes(text + b"\xff\n")
+    want = f"{manifest}: is not UTF-8 text (invalid start byte at byte {len(text)})"
+    with pytest.raises(FormatError, match="^" + re.escape(want)):
+        load(prefix)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {want}")
+    assert not (tmp_path / "out.manifest").exists()
 
 
 @pytest.mark.parametrize("kind, line, edited, field", [
@@ -229,7 +268,8 @@ def test_base_manifest_of_a_shape_no_model_has_is_a_config_error(tmp_path, capsy
     ("base", r"l0_b1 f32 16 ", "l0_b1 f32 -4,-4 ", "tensor l0_b1 dim '-4'"),
     ("base", r"# d_ff 16$", "# d_ff 16.0", "d_ff '16.0'"),
     ("drafter", r"# horizon 5$", "# horizon five", "horizon 'five'"),
-    ("drafter", r"# n_mlp 2$", "# n_mlp two", "n_mlp 'two'"),
+    # every header value is parsed, one the loader ignores among them
+    ("drafter", r"(# horizon 5)$", r"\1\n# n_mlp two", "n_mlp 'two'"),
 ], ids=["dim", "offset", "negative-offset", "negative-dim", "config-key", "horizon", "n_mlp"])
 def test_malformed_manifest_number_names_the_field(kind, line, edited, field, tmp_path):
     prefix = str(tmp_path / kind)
