@@ -144,7 +144,7 @@ def build_distill_dataset(base, corpus, horizon):
     rows = []
     skipped = 0
     for seq in corpus:
-        seq = np.asarray(seq, dtype=np.int64)
+        seq = check_tokens(seq, base.config.vocab_size)
         if seq.shape[0] <= 1:
             skipped += 1
             continue
@@ -203,7 +203,7 @@ def ground_truth_dataset(base, corpus, horizon):
     rows = []
     skipped = 0
     for seq in corpus:
-        seq = np.asarray(seq, dtype=np.int64)
+        seq = check_tokens(seq, base.config.vocab_size)
         # prefixes of 1 .. n committed tokens, each followed by its corpus
         # token and a teacher of the next horizon
         n = seq.shape[0] - horizon - 1

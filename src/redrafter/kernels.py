@@ -57,11 +57,12 @@ operand is a strided view, 3.9 us against 3.0 us.  So 1-row calls, which
 are all of greedy decoding's, and the score products keep ``np.multiply``.
 
 A 1-row call does little arithmetic: its cost is mostly the fixed ~0.5-3 us
-of each numpy call it makes.  So no call here copies an operand that is
-already float32 (the query is a strided view of the fused QKV product), and
-the fresh score array is scaled, masked, shifted and exponentiated in place.
-On the same VM, in-process, that took a 1-row 32 x 64 matmul from 7.8 to
-5.1 us and a 1-row attend over 21 keys (width 32, 4 heads) from 23 to 20 us.
+of each numpy call it makes.  So the kernels convert and check nothing: they
+take the float32 2-D operands the model's forwards hand them, and those
+forwards, which check every token, mask, start and capacity, are the one
+boundary where a forward's inputs are checked.  No operand is copied (the
+query is a strided view of the fused QKV product), and the fresh score array
+is scaled, masked, shifted and exponentiated in place.
 
 Attention's boolean mask covers only the last keys, or none: the new rows
 of a forward see every committed key, so a caller passes the mask over the
@@ -93,8 +94,6 @@ invariant: its rows change with the row count from K = 64 on, and with every
 import os
 
 import numpy as np
-
-from .errors import ShapeError
 
 # there is no numba lane; perfbench/run.py's environment stamp reads this
 HAVE_NUMBA = False
@@ -128,26 +127,16 @@ def _matmul_numpy(a, b):
 def attend(q, keys, vals, allowed, n_heads, scale):
     """Multi-head scaled-dot attention over an explicit key/value set.
 
-    ``allowed`` is a boolean (query, key) mask over the *last*
-    ``allowed.shape[1]`` keys; every query sees the keys before them, and
-    None means every query sees every key.  A disallowed key's score is set
-    to the large negative penalty, of softmax weight exactly 0.0, so the
-    surviving keys see the same rounding sequence as a dense causal row.
-    All heads go in one pass: the same products and sums as per-head
-    ``matmul``, a row softmax with a left-to-right denominator, and ``matmul``.
+    Unchecked contract: ``q``, ``keys`` and ``vals`` are float32 and 2-D,
+    ``keys.shape == vals.shape`` and ``n_heads`` splits the width.
+    ``allowed`` is None, every query seeing every key, or a boolean (query,
+    key) mask over the *last* ``allowed.shape[1] <= len(keys)`` keys; every
+    query sees the keys before them.  A disallowed key's score is set to the
+    large negative penalty, of softmax weight exactly 0.0, so the surviving
+    keys see the same rounding sequence as a dense causal row.  All heads go
+    in one pass: the same products and sums as per-head ``matmul``, a row
+    softmax with a left-to-right denominator, and ``matmul``.
     """
-    if allowed is not None and (allowed.dtype != bool or allowed.ndim != 2
-                                or q.shape[0] != allowed.shape[0]
-                                or allowed.shape[1] > keys.shape[0]):
-        raise ShapeError(f"attend: mask {allowed.dtype} {allowed.shape} is not a boolean "
-                         f"mask matching q {q.shape} / keys {keys.shape}")
-    if keys.shape != vals.shape or q.shape[1] != keys.shape[1]:
-        raise ShapeError(f"attend: incompatible shapes q {q.shape}, keys {keys.shape}, "
-                         f"vals {vals.shape}")
-    if n_heads < 1 or q.shape[1] % n_heads:
-        raise ShapeError(f"attend: width {q.shape[1]} does not split into {n_heads} heads")
-    f32 = np.float32
-    q, keys, vals = np.asarray(q, f32), np.asarray(keys, f32), np.asarray(vals, f32)
     n, d = q.shape
     m = keys.shape[0]
     dh = d // n_heads
@@ -156,7 +145,7 @@ def attend(q, keys, vals, allowed, n_heads, scale):
     np.multiply(q.reshape(n, n_heads, dh).T[:, :, :, None],
                 keys.reshape(m, n_heads, dh).T[:, :, None, :], out=terms)
     scores = _ordered_sum(terms)
-    scores *= f32(scale)
+    scores *= np.float32(scale)
     if allowed is not None:
         np.copyto(scores[:, :, m - allowed.shape[1]:], _NEG_BIAS, where=~allowed)
     # softmax over keys; probs[j, h, i] holds it keys first, so the
@@ -224,23 +213,7 @@ if _requested:
 else:
     BACKEND = "blas" if "blas" in _LANES else "numpy"
 
-_matmul_impl = _LANES[BACKEND]
-
-
-# ---------------------------------------------------------------------------
-# public operations
-# ---------------------------------------------------------------------------
-
-def matmul(a, b):
-    """Float32 matrix product whose rows do not depend on the batch.
-
-    On the numpy lane it is bitwise the naive triple loop; on the blas lane
-    each row is one BLAS vector x matrix call.
-    """
-    a = np.asarray(a, dtype=np.float32)
-    b = np.asarray(b, dtype=np.float32)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return _matmul_impl(a, b)
+# the public matmul is the selected lane: the float32 product of 2-D float32
+# operands whose inner dimensions agree, unchecked; bitwise the triple loop on
+# the numpy lane, one BLAS vector x matrix call per row on the blas lane
+matmul = _LANES[BACKEND]

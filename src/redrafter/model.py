@@ -120,8 +120,9 @@ class BaseModel(ABC):
         """
         tokens = check_tokens(tree.tokens, self.config.vocab_size)
         n = tokens.shape[0]
-        if tree.mask.shape != (n, n):
-            raise ShapeError(f"mask shape {tree.mask.shape} does not match {n} tree tokens")
+        if tree.mask.dtype != bool or tree.mask.shape != (n, n):
+            raise ShapeError(f"mask shape {tree.mask.shape} of dtype {tree.mask.dtype} is not "
+                             f"a boolean mask of {n} tree tokens")
         if not 0 <= start < n:
             raise ContractError(f"start of {start} nodes outside a tree of {n}")
         self._check_capacity(cache, int(tree.depths.max()) + 1)
@@ -161,6 +162,14 @@ class BaseModel(ABC):
         if rows < cache.committed_len + n:  # later trees of <= n nodes fit too
             extra = self.config.max_seq_len + n - rows
             cache.kv = np.pad(cache.kv, ((0, 0), (0, 0), (0, extra), (0, 0)))
+
+
+def _seeded_rng(seed):
+    """A seeded base's generator; a seed that is not an integer >= 0 is a ``ConfigError``."""
+    check_integers(ConfigError, seed=seed)
+    if seed < 0:
+        raise ConfigError(f"need seed >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def sinusoidal_positions(max_len, d_model):
@@ -262,7 +271,7 @@ class TinyTransformer(BaseModel):
 
     @classmethod
     def random(cls, config, seed):
-        rng = np.random.default_rng(seed)
+        rng = _seeded_rng(seed)
         weights = {}
         for name, shape in cls.weight_shapes(config).items():
             if name.endswith("_g"):
@@ -337,11 +346,11 @@ class SyntheticMarkovModel(BaseModel):
     def __init__(self, order, vocab_size, seed, max_seq_len=4096):
         if order != 2:
             raise ConfigError(f"unsupported markov order {order}: the model is order 2")
-        if vocab_size > 256:
-            raise ConfigError("synthetic model supports vocab_size <= 256")
         self.config = ModelConfig(vocab_size=vocab_size, d_model=32, n_layers=0,
                                   n_heads=1, d_ff=0, max_seq_len=max_seq_len)
-        rng = np.random.default_rng(seed)
+        if vocab_size > 256:
+            raise ConfigError("synthetic model supports vocab_size <= 256")
+        rng = _seeded_rng(seed)
         n_states = vocab_size * vocab_size
         table = rng.normal(0.0, 2.0, (n_states, vocab_size)).astype(np.float32)
         best = np.argmax(table, axis=1)

@@ -14,7 +14,7 @@ def lane(request, monkeypatch):
     where the import-time row probe withdrew it."""
     if request.param not in kernels._LANES:
         pytest.skip(f"the {request.param} kernel lane is not available here")
-    monkeypatch.setattr(kernels, "_matmul_impl", kernels._LANES[request.param])
+    monkeypatch.setattr(kernels, "matmul", kernels._LANES[request.param])
     return request.param
 
 

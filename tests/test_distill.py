@@ -243,6 +243,19 @@ def test_dataset_builders_reject_a_non_positive_horizon(base, corpus):
             ground_truth_dataset(base, corpus, horizon)
 
 
+@pytest.mark.parametrize("seq", [[1.5, 2.7, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 99],
+                                 [1, 2, -1, 4, 5, 6, 7]], ids=["float", "past-vocab", "negative"])
+@pytest.mark.parametrize("builder", [build_distill_dataset, ground_truth_dataset])
+def test_dataset_builders_refuse_a_corpus_of_bad_token_ids(builder, seq, base, monkeypatch):
+    """A corpus follows the one token rule: a non-integer id is refused, not
+    truncated, and an id outside the vocab too, even where it would only
+    be a teacher token; each is a ``VocabError`` raised before any forward."""
+    for name in ("forward_context", "forward_packed"):
+        monkeypatch.setattr(base, name, lambda *args, _name=name: pytest.fail(_name))
+    with pytest.raises(VocabError):
+        builder(base, [seq], 3)
+
+
 @pytest.mark.parametrize("ground_truth", [[], ["--ground-truth"]],
                          ids=["rollouts", "ground-truth"])
 def test_distill_data_cli_rejects_a_non_positive_horizon(ground_truth, tmp_path, capsys):

@@ -14,7 +14,6 @@ import pytest
 
 from redrafter import kernels
 from redrafter.decode import DecodeConfig, autoregressive_generate, speculative_generate
-from redrafter.errors import ShapeError
 from redrafter.model import ModelConfig, TinyTransformer
 
 from oracles import MirrorProposer
@@ -156,13 +155,6 @@ def test_matmul_close_to_float64_reference():
     b = rng.normal(size=(32, 12)).astype(np.float32)
     ref = a.astype(np.float64) @ b.astype(np.float64)
     assert np.allclose(kernels.matmul(a, b), ref, atol=1e-4)
-
-
-def test_matmul_shape_validation():
-    with pytest.raises(ShapeError):
-        kernels.matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-    with pytest.raises(ShapeError):
-        kernels.matmul(np.zeros(3), np.zeros((3, 2)))
 
 
 def reference_softmax(scores):
@@ -343,30 +335,10 @@ def test_block_mask_equals_the_full_mask_with_all_true_committed_part(lane):
             assert np.array_equal(bits(none), bits(every)), (case, i)
 
 
-def test_attend_shape_validation():
-    q = np.zeros((2, 4), np.float32)
-    kv = np.zeros((3, 4), np.float32)
-    # a mask wider than the keys, one whose row count is not q's, and a 1-D one
-    for allowed in (np.ones((2, 5), bool), np.ones((3, 3), bool), np.ones((1, 2), bool),
-                    np.ones(3, bool)):
-        with pytest.raises(ShapeError, match="mask"):
-            kernels.attend(q, kv, kv, allowed, 2, 0.5)
-    # a float or int mask is refused: an all-zero one would read as "no key allowed"
-    for dtype in (np.float32, np.int64):
-        with pytest.raises(ShapeError, match="mask"):
-            kernels.attend(q, kv, kv, np.zeros((2, 3), dtype), 2, 0.5)
-    with pytest.raises(ShapeError, match="incompatible"):
-        kernels.attend(q, kv, np.zeros((3, 6), np.float32), np.ones((2, 3), bool), 2, 0.5)
-    # a head count that does not split the width, or no heads at all
-    q, kv = np.zeros((2, 30), np.float32), np.zeros((3, 30), np.float32)
-    for n_heads in (4, 0, -1):
-        with pytest.raises(ShapeError, match="heads"):
-            kernels.attend(q, kv, kv, np.ones((2, 3), bool), n_heads, 0.5)
-
-
 def test_backend_selection_is_consistent():
-    assert (kernels.matmul.__wrapped__ if hasattr(kernels.matmul, "__wrapped__")
-            else kernels._matmul_impl) is kernels._LANES[kernels.BACKEND]
+    """The public matmul is the selected lane itself (under a tracer, its
+    ``__wrapped__``)."""
+    assert getattr(kernels.matmul, "__wrapped__", kernels.matmul) is kernels._LANES[kernels.BACKEND]
 
 
 def numpy_lane_violations(source):

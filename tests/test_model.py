@@ -548,11 +548,20 @@ def test_packed_forward_rejects_a_mismatched_prior(tiny, markov):
 
 
 def test_packed_forward_rejects_a_mask_of_another_size(tiny, markov):
+    """A hand-built tree's mask must be a boolean (n, n) array: one of
+    another size, or a float or int one of the right shape (an all-zero one
+    would read as "no key allowed"), is refused before the cache changes."""
     tree, _ = packed_from_tokens([[4, 5], [4, 6]])
-    tree.mask = tree.mask[:-1]
-    for base in (tiny, markov):
-        with pytest.raises(ShapeError, match="mask shape"):
-            base.forward_packed(tree, base.new_cache())
+    good = tree.mask
+    for mask in (good[:-1], good.astype(np.float32), good.astype(np.int64)):
+        tree.mask = mask
+        for base in (tiny, markov):
+            cache = base.new_cache()
+            base.forward_context([1, 2, 3], cache)
+            before = cache_bits(cache)
+            with pytest.raises(ShapeError, match=f"mask shape .* of dtype {mask.dtype} "):
+                base.forward_packed(tree, cache)
+            assert cache_bits(cache) == before
 
 
 def test_commit_rejects_a_non_path(tiny, markov):
@@ -615,13 +624,18 @@ def test_models_inherit_the_one_forward_and_commit_contract(tiny, markov):
             cache.committed_len = 5
         assert cache.committed_len == copy.deepcopy(cache).committed_len == 2
 
-def test_forwards_route_every_product_through_the_traced_kernels(tiny, monkeypatch):
+def test_forwards_route_every_product_through_the_traced_kernels(tiny, monkeypatch, lane):
     """A tracer times the layers by wrapping ``kernels.matmul`` and
     ``kernels.attend`` and tells the products apart by the identity of their
     weight operand.  So each forward (a prompt, one row, a tree, a tree from
     a start) makes 4 * n_layers + 1 matmul and n_layers attend calls through
     those module attributes, and every product takes its weight from
-    ``weights`` itself: wqkv, wo, w1 and w2 per layer, then w_out."""
+    ``weights`` itself: wqkv, wo, w1 and w2 per layer, then w_out.  The
+    kernels check nothing, so every call's operands keep their contract:
+    float32 2-D matmul operands whose inner dims agree; float32 2-D ``q``,
+    ``keys`` and ``vals``, the keys shaped as the values and the heads
+    splitting the width; and a mask that is None on the one-row context
+    forward, else a boolean (q rows, <= keys) array."""
     calls = []
     for name in ("matmul", "attend"):
         real = getattr(kernels, name)
@@ -631,11 +645,26 @@ def test_forwards_route_every_product_through_the_traced_kernels(tiny, monkeypat
     n_layers, w = SMALL.n_layers, tiny.weights
     named = [w[f"l{i}_{name}"] for i in range(n_layers) for name in ("wqkv", "wo", "w1", "w2")]
 
-    def check_calls():
+    def check_calls(one_row=False):
         weights = [args[1] for name, args in calls if name == "matmul"]
         assert len(weights) == 4 * n_layers + 1
         assert [name for name, _ in calls].count("attend") == n_layers
         assert all(got is want for got, want in zip(weights, named + [w["w_out"]], strict=True))
+        for name, args in calls:
+            if name == "matmul":
+                a, b = args
+                assert a.dtype == b.dtype == np.float32 and a.ndim == b.ndim == 2, name
+                assert a.shape[1] == b.shape[0], (a.shape, b.shape)
+                continue
+            q, keys, vals, allowed, n_heads, _ = args
+            assert all(x.dtype == np.float32 and x.ndim == 2 for x in (q, keys, vals)), name
+            assert keys.shape == vals.shape and q.shape[1] == keys.shape[1], (q.shape, keys.shape)
+            assert n_heads >= 1 and q.shape[1] % n_heads == 0, (q.shape, n_heads)
+            if one_row:
+                assert allowed is None
+            else:
+                assert allowed.dtype == bool and allowed.ndim == 2, allowed.dtype
+                assert allowed.shape[0] == q.shape[0] and allowed.shape[1] <= keys.shape[0]
         calls.clear()
 
     tree, _ = packed_from_tokens([[4, 5, 1, 2], [4, 6, 6, 1]])
@@ -643,7 +672,7 @@ def test_forwards_route_every_product_through_the_traced_kernels(tiny, monkeypat
     tiny.forward_context([1, 9, 4, 4, 2], cache)
     check_calls()
     tiny.forward_context([3], cache)
-    check_calls()
+    check_calls(one_row=True)
     tiny.forward_packed(tree, cache)
     check_calls()
     tiny.forward_packed(tree, cache, 2)
@@ -735,3 +764,20 @@ def test_markov_rejects_unsupported_order():
     assert not hasattr(SyntheticMarkovModel(order=2, vocab_size=8, seed=0), "order")
     with pytest.raises(ConfigError):  # nor does it support a vocab past 256
         SyntheticMarkovModel(order=2, vocab_size=257, seed=0)
+    # the config checks the field before the cap compares it
+    with pytest.raises(ConfigError, match="vocab_size must be an integer"):
+        SyntheticMarkovModel(order=2, vocab_size="32", seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None], ids=["negative", "float", "str", "none"])
+@pytest.mark.parametrize("make", [
+    lambda seed: SyntheticMarkovModel(order=2, vocab_size=8, seed=seed),
+    lambda seed: TinyTransformer.random(SMALL, seed=seed)], ids=["markov", "transformer"])
+def test_seeded_bases_refuse_a_seed_that_is_not_a_non_negative_integer(make, seed):
+    """The rule ``sample_markov_corpus`` and ``TrainConfig`` apply: an
+    integer (numpy's too, with the same draws) and >= 0; anything else is a
+    ``ConfigError``, not numpy's ``TypeError`` or ``ValueError``."""
+    with pytest.raises(ConfigError, match="seed"):
+        make(seed)
+    a, b = make(np.int64(3)), make(3)
+    assert np.array_equal(bits(a.token_embeddings), bits(b.token_embeddings))
