@@ -12,52 +12,50 @@ Candidate lists from elsewhere, which may repeat prefixes, go through the
 paper's dynamic tree attention instead: candidates share one length, so
 shared prefixes are found with plain tensor operations (elementwise match
 matrix, cumulative sum, first-match argmax) instead of a trie
-(``dedup_prefix``), and ``pack_beam`` flattens the result.  Every tree, from
-either route, comes from one constructor, ``DraftTree.from_parents``, which
-derives depths and the mask in one pass over the parents: a node's mask row
-is its parent's row plus the node.  The mask serves both the tree-masked
-verification forward and the commit's path.
+(``dedup_prefix``), and ``pack_beam`` flattens the result.  A tree is its
+tokens and parents: every tree, from either route or any caller, comes from
+its one constructor, ``DraftTree(tokens, parents)``, which derives depths
+and the mask in one pass over the parents (a node's mask row is its
+parent's row plus the node) and freezes them.  The mask serves both the
+tree-masked verification forward and the commit's path.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import drafter
-from .errors import ConfigError, ContractError, ShapeError, VocabError
+from .errors import ConfigError, ContractError, ShapeError, VocabError, int64_array
 
 ROOT_PARENT = -1  # parent index of the root node
 _PARENTS_RULE = "parents must be ROOT_PARENT for node 0 and an earlier node for every other node"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DraftTree:
     """A token tree rooted at a step's guaranteed token, verified in one
     tree-masked forward of the base model.
 
-    Node 0 is the root, and each parent comes before its children, so the
-    nodes of mask row ``i`` in ascending order are node i's path from the
-    root down.  A node's depth is its offset from the root's absolute
-    position.
+    Node i holds ``tokens[i]`` below node ``parents[i]``: node 0 is the root
+    and each other node's parent precedes it, so one pass in node order
+    derives each depth and mask row from the parent's, and mask row i's nodes
+    in ascending order are node i's path from the root down.  A node's depth
+    is its offset from the root's absolute position.  Frozen: no field can
+    be assigned, and an in-place write keeps an array's dtype and shape.
     """
 
     tokens: np.ndarray   # (n,) int64, the root first
-    parents: np.ndarray  # (n,) parent node, ROOT_PARENT for the root
-    depths: np.ndarray   # (n,) 0 for the root
-    mask: np.ndarray     # (n, n) bool; mask[i, j] iff j is i or an ancestor of i
+    parents: np.ndarray  # (n,) int64 parent node, ROOT_PARENT for the root
+    depths: np.ndarray = field(init=False)  # (n,) int64, 0 for the root
+    mask: np.ndarray = field(init=False)    # (n, n) bool; [i, j] iff j is i or an ancestor of i
 
     @property
     def n(self):
         return self.tokens.shape[0]
 
-    @classmethod
-    def from_parents(cls, tokens, parents):
-        """The tree whose node i holds ``tokens[i]`` below ``parents[i]``.
-        Node 0 is the root, and every other node's parent precedes it, so
-        one pass in node order derives each depth and mask row from the
-        parent's."""
-        tokens = np.asarray(tokens, dtype=np.int64)
-        parents = np.asarray(parents, dtype=np.int64)
+    def __post_init__(self):
+        tokens = int64_array(self.tokens, VocabError, "token ids")
+        parents = int64_array(self.parents, ContractError, "parents")
         if tokens.ndim != 1 or parents.shape != tokens.shape:
             raise ContractError(f"tokens {tokens.shape} and parents {parents.shape} must be "
                                 "1-D and of one length")
@@ -76,9 +74,11 @@ class DraftTree:
             row[i] = True
             rows.append(row)
             depths.append(depths[parent] + 1)
-        depths = np.array(depths, dtype=np.int64)
-        mask = np.frombuffer(bytearray().join(rows), dtype=bool).reshape(n, n)
-        return cls(tokens=tokens, parents=parents, depths=depths, mask=mask)
+        put = object.__setattr__  # a frozen dataclass's own way to set a field
+        put(self, "tokens", tokens)
+        put(self, "parents", parents)
+        put(self, "depths", np.array(depths, dtype=np.int64))
+        put(self, "mask", np.frombuffer(bytearray().join(rows), dtype=bool).reshape(n, n))
 
 
 @dataclass
@@ -105,7 +105,7 @@ class BeamLattice:
         ancestor-closed.  Nodes follow the root in depth-major order, so
         parents come before their children.  This picks the kept rows and
         their parent nodes only, in one pass over the kept rows;
-        ``DraftTree.from_parents`` builds the tree, as it does every other.
+        ``DraftTree`` builds the tree, as it does every other.
         """
         length, width = self.tokens.shape
         keep = sorted(np.argsort(-self.logp.ravel(), kind="stable")[:width + length].tolist())
@@ -117,7 +117,7 @@ class BeamLattice:
         for i, k in enumerate(keep, 1):
             node[k + width] = i
             parents.append(node[k - k % width + rows[k]])
-        return DraftTree.from_parents([root] + [tokens[k] for k in keep], parents)
+        return DraftTree([root] + [tokens[k] for k in keep], parents)
 
 
 def beam_search(params, embeddings, h, last_token, beam_width, beam_length, token_term):
@@ -211,6 +211,6 @@ def pack_beam(tokens, root):
     candidate_node = np.cumsum(owner).reshape(width, length)[prefix_tree, np.arange(length)]
     # a first token hangs from the root (its wrapped-around index is unread)
     parents = np.where(pos == 0, 0, candidate_node[cand, pos - 1])
-    tree = DraftTree.from_parents(np.concatenate(([root], tokens[cand, pos])),
-                                  np.concatenate(([ROOT_PARENT], parents)))
+    tree = DraftTree(np.concatenate(([root], tokens[cand, pos])),
+                     np.concatenate(([ROOT_PARENT], parents)))
     return tree, candidate_node

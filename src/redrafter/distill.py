@@ -122,18 +122,21 @@ def build_distill_dataset(base, corpus, horizon):
     A sequence goes through in blocks of ``BLOCK`` positions on a cache that
     holds everything before the block.  A block is one tree: its chain, and
     under each kept prefix's chain node the guaranteed token and rollout of
-    that prefix, a level per token.  Round 0 forwards the chain for each
-    prefix's h and guaranteed token; round k = 1 .. horizon forwards only the
-    nodes of level k - 1, the nodes before them being the previous forward's,
-    whose K/V the cache's tail holds.  The lowest-index argmax at a forwarded
-    node is its rollout's next token.  A block thus forwards
+    that prefix, a level per token.  Round k's tree holds the tokens known by
+    then, the chain and levels 0 .. k - 1.  Round 0 forwards the chain for
+    each prefix's h and guaranteed token; round k = 1 .. horizon forwards
+    only the nodes of level k - 1, the nodes before them being the previous
+    forward's, whose K/V the cache's tail holds.  The lowest-index argmax at
+    a forwarded node is its rollout's next token.  A block thus forwards
     ``size + horizon * kept`` rows, against ``size * (horizon + 1) + kept *
     horizon * (horizon + 1) / 2`` if every round verified the whole tree.
-    The cache is visible to every tree row, so the chain is committed through
-    the tree after the last round; blocks keep the trees at most
-    ``BLOCK * (horizon + 1)`` rows, whatever the sequence length.  A block's
-    rows are kept as slices of its forwards' outputs and joined at the end.
+    The cache is visible to every tree row, so the chain is committed after
+    the last round, through that round's tree, whose first ``size`` nodes it
+    is; blocks keep the trees at most ``BLOCK * (horizon + 1)`` rows,
+    whatever the sequence length.  A block's rows are kept as slices of its
+    forwards' outputs and joined at the end.
 
+    A sequence that is not 1-D is a ``ShapeError``, as in ``forward_context``.
     Sequences of length <= 1 (or positions without rollout headroom) are
     skipped; the skip count is logged.  A sequence longer than the base's
     ``max_seq_len`` raises its ``CapacityError`` at the round-0 forward of
@@ -144,7 +147,7 @@ def build_distill_dataset(base, corpus, horizon):
     rows = []
     skipped = 0
     for seq in corpus:
-        seq = check_tokens(seq, base.config.vocab_size)
+        seq = check_tokens(seq, base.config.vocab_size, ndim=1)
         if seq.shape[0] <= 1:
             skipped += 1
             continue
@@ -161,35 +164,22 @@ def build_distill_dataset(base, corpus, horizon):
             # one level up, level 0 under the prefix's chain node
             tokens = np.concatenate([block, np.empty((horizon + 1) * kept, np.int64)])
             levels = tokens[size:].reshape(horizon + 1, kept)
-            # the whole tree's parents, the chain's [-1, 0, .., size - 2] first;
-            # each round passes its filled tokens
-            tree = beam.DraftTree.from_parents(
-                tokens[:size + horizon * kept],
-                np.concatenate([np.arange(-1, size - 1), np.arange(kept),
-                                size + np.arange((horizon - 1) * kept)]))
+            parents = np.concatenate([np.arange(-1, size - 1), np.arange(kept),
+                                      size + np.arange((horizon - 1) * kept)])
             for k in range(horizon + 1 if kept else 1):
-                # round 0 forwards the chain, round k only the nodes of
-                # levels[k - 1]: the last forward left those before them in
-                # the cache's tail
+                # round k's tree is the chain and levels[:k], whose tokens are
+                # known; the last forward left all but its last level in the tail
                 nodes = size + k * kept
-                out, spec_state = base.forward_packed(_first_nodes(tree, tokens, nodes), cache,
-                                                      nodes - kept if k else 0)
+                tree = beam.DraftTree(tokens[:nodes], parents[:nodes])
+                out, spec_state = base.forward_packed(tree, cache, nodes - kept if k else 0)
                 levels[k] = out.logits[:kept].argmax(axis=1)
                 if not k:
                     hidden = out.hidden  # h of each prefix the chain ends
             rows.append((levels[0], levels[1:].T, hidden[:kept]))
-            # the chain's nodes lead every round's tree, and so the last spec_state
             base.commit_accepted(cache, tree, spec_state, np.arange(size))
     if skipped:
         log.warning("distill dataset: skipped %d short/overflowing positions", skipped)
     return _dataset(base, horizon, rows)
-
-
-def _first_nodes(tree, tokens, n):
-    """The subtree of a tree's first n nodes, holding ``tokens[:n]``.  Parents
-    precede children, so every other field is a leading slice."""
-    return beam.DraftTree(tokens=tokens[:n], parents=tree.parents[:n], depths=tree.depths[:n],
-                          mask=tree.mask[:n, :n])
 
 
 def ground_truth_dataset(base, corpus, horizon):
@@ -197,13 +187,14 @@ def ground_truth_dataset(base, corpus, horizon):
     continuation.
 
     The base model still supplies the hidden states the draft head conditions
-    on.  Positions within ``horizon + 1`` of the sequence end are skipped.
+    on.  Positions within ``horizon + 1`` of the sequence end are skipped,
+    and a sequence that is not 1-D is a ``ShapeError``.
     """
     _check_horizon(horizon)
     rows = []
     skipped = 0
     for seq in corpus:
-        seq = check_tokens(seq, base.config.vocab_size)
+        seq = check_tokens(seq, base.config.vocab_size, ndim=1)
         # prefixes of 1 .. n committed tokens, each followed by its corpus
         # token and a teacher of the next horizon
         n = seq.shape[0] - horizon - 1

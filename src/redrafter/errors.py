@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules, the integer rule and the
+"""Exception hierarchy shared by all modules, the integer rules and the
 token-range check."""
 
 import operator
@@ -49,16 +49,24 @@ def check_integers(error, **values):
             raise error(f"{name} must be an integer, got {value!r}") from None
 
 
-def check_tokens(tokens, vocab_size):
-    """``tokens`` as an int64 array; a ``VocabError`` if any is not an
-    integer or lies outside the vocab, and a ``ShapeError`` for ragged lists."""
+def int64_array(values, error, what):
+    """``values`` as an int64 array; ``error`` names ``what`` unless they are
+    integers (an empty list passes), and a ``ShapeError`` for ragged lists."""
     try:
-        tokens = np.asarray(tokens)
+        values = np.asarray(values)
     except ValueError:  # numpy refuses lists of unequal lengths
-        raise ShapeError("token lists nested at unequal lengths form no array") from None
-    if tokens.size and tokens.dtype.kind not in "iu":
-        raise VocabError(f"token ids must be integers, got dtype {tokens.dtype}")
-    tokens = tokens.astype(np.int64, copy=False)
+        raise ShapeError(f"{what} nested at unequal lengths form no array") from None
+    if values.size and values.dtype.kind not in "iu":
+        raise error(f"{what} must be integers, got dtype {values.dtype}")
+    return values.astype(np.int64, copy=False)
+
+
+def check_tokens(tokens, vocab_size, ndim=None):
+    """An ``int64_array`` of token ids inside the vocab (a ``VocabError``
+    otherwise), of rank ``ndim`` if given (a ``ShapeError`` otherwise)."""
+    tokens = int64_array(tokens, VocabError, "token ids")
+    if ndim is not None and tokens.ndim != ndim:
+        raise ShapeError(f"need a {ndim}-D token array, got shape {tokens.shape}")
     # read as unsigned, a negative id lies above every vocab: one reduction checks both ends
     if tokens.size and tokens.view(np.uint64).max() >= vocab_size:
         raise VocabError(f"token id outside vocab of size {vocab_size}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kernels
 from .errors import (CapacityError, ConfigError, ContractError, ShapeError, check_integers,
-                     check_tokens)
+                     check_tokens, int64_array)
 from .beam import ROOT_PARENT
 
 
@@ -69,7 +69,8 @@ class BaseModel(ABC):
     """Next-token logits + last-layer hidden state, with explicit cache commits.
 
     The three forwards and the cache are defined here, once, with every check
-    on tokens, masks, starts, paths and capacity.  A model supplies only its
+    on tokens, starts, paths and capacity; a tree's mask is the one its
+    ``DraftTree`` constructor derived.  A model supplies only its
     ``config``, its ``token_embeddings`` and its rows, through
     ``_context_rows`` and ``_tree_rows``, which write each new row's K/V in
     place, row i of a forward at ``committed_len + i``.
@@ -93,9 +94,7 @@ class BaseModel(ABC):
 
     def forward_context(self, tokens, cache):
         """Append tokens to the committed context; logits/hidden per new position."""
-        tokens = check_tokens(tokens, self.config.vocab_size)
-        if tokens.ndim != 1:
-            raise ShapeError(f"a context forward takes a 1-D token list, got shape {tokens.shape}")
+        tokens = check_tokens(tokens, self.config.vocab_size, ndim=1)
         if not tokens.size:
             raise ContractError("a context forward needs at least one token")
         self._check_capacity(cache, tokens.shape[0])
@@ -116,13 +115,13 @@ class BaseModel(ABC):
         nodes, or of a tree they lead); only nodes ``start`` on are computed
         and output, bit for bit as in the full forward, since a node depends
         only on the nodes of its root path, which precede it.  Some node is
-        computed: ``start`` must be in ``[0, n)``, so ``n >= 1``.
+        computed: ``start`` must be an integer in ``[0, n)``.  The mask needs
+        no check: a frozen tree's is the boolean ``(n, n)`` array its
+        constructor derived.
         """
-        tokens = check_tokens(tree.tokens, self.config.vocab_size)
-        n = tokens.shape[0]
-        if tree.mask.dtype != bool or tree.mask.shape != (n, n):
-            raise ShapeError(f"mask shape {tree.mask.shape} of dtype {tree.mask.dtype} is not "
-                             f"a boolean mask of {n} tree tokens")
+        check_tokens(tree.tokens, self.config.vocab_size)
+        check_integers(ContractError, start=start)
+        n = tree.n
         if not 0 <= start < n:
             raise ContractError(f"start of {start} nodes outside a tree of {n}")
         self._check_capacity(cache, int(tree.depths.max()) + 1)
@@ -144,7 +143,7 @@ class BaseModel(ABC):
         return cache
 
     def _check_path(self, tree, flat_path):
-        flat_path = np.asarray(flat_path, dtype=np.int64)
+        flat_path = int64_array(flat_path, ContractError, "accepted path nodes")
         path, parents = flat_path.tolist(), tree.parents.tolist()
         # node k's parent must be node k - 1, and the first node's ROOT_PARENT
         if path and [parents[k] for k in path] != [ROOT_PARENT] + path[:-1]:

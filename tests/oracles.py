@@ -36,8 +36,7 @@ class MirrorProposer:
         drafts = self.stream[self.at + 1:self.at + 1 + beam_length]
         self.at += len(drafts) + 1
         # one chain: each draft below the token before it
-        return DraftTree.from_parents([last_token] + drafts,
-                                      [ROOT_PARENT] + list(range(len(drafts))))
+        return DraftTree([last_token] + drafts, [ROOT_PARENT] + list(range(len(drafts))))
 
 
 def empirical_kl(base, params, probe_contexts, horizon):

@@ -1,6 +1,7 @@
 """Beam search, its backpointer draft trees, prefix deduplication, and the
 packed tree structure."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -13,7 +14,7 @@ from redrafter.beam import (ROOT_PARENT, BeamLattice, DraftTree, beam_search, de
 from redrafter.decode import RnnProposer
 from redrafter.distill import BLOCK
 from redrafter.drafter import DrafterParams
-from redrafter.errors import ConfigError, ContractError, ShapeError, VocabError
+from redrafter.errors import ConfigError, ContractError, ShapeError, VocabError, check_tokens
 
 
 def trie_dedup(tokens):
@@ -255,9 +256,17 @@ def root_paths(tree):
             for i in range(1, tree.n)]
 
 
+TREE_FIELDS = ("tokens", "parents", "depths", "mask")
+
+
+def tree_fields(tree):
+    return [getattr(tree, name) for name in TREE_FIELDS]
+
+
 def assert_tree_fields_equal(got, expect, where=None):
-    for name in ("tokens", "parents", "depths", "mask"):
-        a, b = getattr(got, name), getattr(expect, name)
+    """A tree's fields equal ``expect``'s four arrays, in ``TREE_FIELDS``
+    order, dtype and shape included."""
+    for name, a, b in zip(TREE_FIELDS, tree_fields(got), expect, strict=True):
         assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), (name, where)
 
 
@@ -265,7 +274,7 @@ def assert_lattice_tree_is_from_parents(lattice, root):
     """The tree read off the lattice's recorded paths equals the tree the
     one constructor derives from its tokens and parents alone."""
     tree = lattice.tree(root)
-    assert_tree_fields_equal(tree, DraftTree.from_parents(tree.tokens, tree.parents))
+    assert_tree_fields_equal(tree, tree_fields(DraftTree(tree.tokens, tree.parents)))
     return tree
 
 
@@ -274,9 +283,8 @@ def whole_lattice_tree(lattice, root):
     row r of depth d is node 1 + d * width + r."""
     length, width = lattice.tokens.shape
     up = 1 + lattice.parents[1:] + width * np.arange(length - 1)[:, None]
-    return DraftTree.from_parents(np.concatenate(([root], lattice.tokens.ravel())),
-                                  np.concatenate(([ROOT_PARENT], np.zeros(width, np.int64),
-                                                  up.ravel())))
+    return DraftTree(np.concatenate(([root], lattice.tokens.ravel())),
+                     np.concatenate(([ROOT_PARENT], np.zeros(width, np.int64), up.ravel())))
 
 
 def assert_well_formed(tree, root):
@@ -328,7 +336,7 @@ def test_beam_search_matches_single_state_reference(float64_drafter):
                 full = whole_lattice_tree(lattice, seed)
                 assert_well_formed(full, seed)
                 if width * length <= width + length:
-                    assert_tree_fields_equal(tree, full, where)
+                    assert_tree_fields_equal(tree, tree_fields(full), where)
                 assert set(root_paths(full)) == top_prefixes(held, width * length)
                 final = [toks for toks, _ in held[-1]]
                 assert {tuple(row) for row in final} <= set(root_paths(full))
@@ -400,28 +408,65 @@ def test_tree_constructor_rejects_cycles_and_builds_chains():
     for parents in ([ROOT_PARENT, 2, 1], [ROOT_PARENT, ROOT_PARENT, 0], [ROOT_PARENT, 2, 0],
                     [0, 0, 1], [ROOT_PARENT, 0, -2], [ROOT_PARENT, 0, 2]):
         with pytest.raises(ContractError, match="parents must be ROOT_PARENT"):
-            DraftTree.from_parents([1, 2, 3], parents)
+            DraftTree([1, 2, 3], parents)
     with pytest.raises(ContractError, match="parents must be ROOT_PARENT"):
-        DraftTree.from_parents([], [])
+        DraftTree([], [])
     # tokens and parents of different lengths or ranks
     for tokens, parents in (([1, 2, 3], [ROOT_PARENT, 0]), ([1, 2], [ROOT_PARENT, 0, 1]),
                             ([[1, 2]], [[ROOT_PARENT, 0]]), (1, ROOT_PARENT)):
         with pytest.raises(ContractError, match="1-D and of one length"):
-            DraftTree.from_parents(tokens, parents)
-    chain = DraftTree.from_parents([4, 5, 6], [ROOT_PARENT, 0, 1])
+            DraftTree(tokens, parents)
+    chain = DraftTree([4, 5, 6], [ROOT_PARENT, 0, 1])
     assert chain.parents.tolist() == [ROOT_PARENT, 0, 1]
     assert chain.depths.tolist() == [0, 1, 2]
     assert [np.flatnonzero(row).tolist() for row in chain.mask] == \
         [parent_walk(chain.parents, i) for i in range(3)] == [[0], [0, 1], [0, 1, 2]]
     assert np.array_equal(chain.mask, np.tril(np.ones((3, 3), dtype=bool)))
-    root = DraftTree.from_parents([4], [ROOT_PARENT])
+    root = DraftTree([4], [ROOT_PARENT])
     assert (root.n, root.depths.tolist(), root.mask.tolist()) == (1, [0], [[True]])
 
 
+def test_tree_constructor_refuses_non_integer_tokens_and_parents():
+    """Neither is truncated: a float token is the VocabError check_tokens
+    words, and a float parent a ContractError, even where it rounds to a
+    valid parent; so no base forwards a tree of truncated tokens."""
+    with pytest.raises(VocabError) as tree_error:
+        DraftTree([1.7, 2.9], [ROOT_PARENT, 0])
+    with pytest.raises(VocabError) as check_error:
+        check_tokens([1.7, 2.9], 8)
+    assert str(tree_error.value) == str(check_error.value)
+    for parents in ([ROOT_PARENT, 0.5, 1.9], [ROOT_PARENT, 0.0, 1.0],
+                    np.array([ROOT_PARENT, 0, 1], np.float32)):
+        with pytest.raises(ContractError, match="parents must be integers"):
+            DraftTree([1, 2, 3], parents)
+
+
+def test_tree_fields_are_derived_and_frozen():
+    """A tree is its tokens and parents: depths and the mask are no
+    constructor arguments, no field can be assigned, and an in-place write
+    keeps the mask a boolean (n, n) array, so no tree holds a mask its
+    constructor did not derive."""
+    tree, _ = pack_beam([[4, 5], [4, 6]], 3)
+    good = tree.mask.copy()
+    for extra in ({"depths": tree.depths}, {"mask": good}, {"depths": tree.depths, "mask": good}):
+        with pytest.raises(TypeError):
+            DraftTree(tree.tokens, tree.parents, **extra)
+    with pytest.raises(TypeError):
+        DraftTree(tree.tokens, tree.parents, tree.depths, good)
+    for name in TREE_FIELDS:
+        for value in (getattr(tree, name)[:-1], good.astype(np.float32)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tree, name, value)
+    assert_tree_fields_equal(tree, vectorized_from_parents(tree.tokens, tree.parents))
+    tree.mask[...] = 2.5
+    assert tree.mask.dtype == bool and tree.mask.shape == (tree.n, tree.n) and tree.mask.all()
+
+
 def vectorized_from_parents(tokens, parents):
-    """Reference: the array construction the one-pass constructor replaced.
-    Each node's ancestors are gathered one level per step, then the mask is
-    set in one fancy-index pass."""
+    """Reference: the array construction the one-pass constructor replaced,
+    as a tree's four arrays in ``TREE_FIELDS`` order.  Each node's ancestors
+    are gathered one level per step, then the mask is set in one fancy-index
+    pass."""
     tokens = np.asarray(tokens, dtype=np.int64)
     parents = np.asarray(parents, dtype=np.int64)
     n = parents.shape[0]
@@ -435,7 +480,7 @@ def vectorized_from_parents(tokens, parents):
     depths = (chain > 0).sum(axis=0)
     mask = np.zeros((n, n), dtype=bool)
     mask[nodes, chain] = True
-    return DraftTree(tokens=tokens, parents=parents, depths=depths, mask=mask)
+    return tokens, parents, depths, mask
 
 
 def distill_block_parents(size, kept, horizon):
@@ -465,7 +510,7 @@ def test_one_pass_constructor_equals_the_vectorized_reference():
     for parents in cases:
         tokens = rng.integers(0, 64, len(parents))
         for given in (tokens, tokens.tolist()):
-            tree = DraftTree.from_parents(given, parents)
+            tree = DraftTree(given, parents)
             assert_tree_fields_equal(tree, vectorized_from_parents(tokens, parents),
                                      list(parents))
             assert tree.mask.flags.c_contiguous and tree.mask.flags.writeable
@@ -481,16 +526,16 @@ def test_constructor_rejects_one_bad_parent_anywhere():
         i = int(rng.integers(1, n))
         parents[i] = int(rng.choice([i, int(rng.integers(i, n)), -1, -int(rng.integers(2, 9))]))
         with pytest.raises(ContractError):
-            DraftTree.from_parents(np.zeros(n, np.int64), parents)
+            DraftTree(np.zeros(n, np.int64), parents)
         parents[i] = 0
         parents[0] = int(rng.integers(0, n))
         with pytest.raises(ContractError):
-            DraftTree.from_parents(np.zeros(n, np.int64), parents)
+            DraftTree(np.zeros(n, np.int64), parents)
 
 
 def vectorized_lattice_tree(lattice, root):
     """Reference: the array form of ``BeamLattice.tree`` that the list pass
-    replaced, built by the vectorized constructor."""
+    replaced, as the vectorized constructor's four arrays."""
     length, width = lattice.tokens.shape
     keep = np.sort(np.argsort(-lattice.logp.ravel(), kind="stable")[:width + length])
     node = np.zeros((length + 1) * width, dtype=np.int64)

@@ -211,8 +211,8 @@ def test_rnn_steps_call_neither_dedup_nor_pack(tiny, markov, monkeypatch):
 def test_proposal_must_be_rooted_at_the_guaranteed_token(markov):
     class Misrooted:
         def propose(self, h, last_token, width, length):
-            return beam_mod.DraftTree.from_parents([(last_token + 1) % 16] + [0] * length,
-                                                   [beam_mod.ROOT_PARENT, *range(length)])
+            return beam_mod.DraftTree([(last_token + 1) % 16] + [0] * length,
+                                      [beam_mod.ROOT_PARENT, *range(length)])
 
     cfg = DecodeConfig(beam_width=1, beam_length=2, max_new_tokens=8)
     with pytest.raises(ContractError):
@@ -464,7 +464,7 @@ def test_verify_accepts_the_deepest_matching_node():
     assert token == 3
     # a matching token below a mismatch is not accepted: node 3 (6 under 4)
     # matches its parent's argmax, but node 1 (4) does not match the root's
-    tree = beam_mod.DraftTree.from_parents([1, 4, 2, 6], [beam_mod.ROOT_PARENT, 0, 0, 1])
+    tree = beam_mod.DraftTree([1, 4, 2, 6], [beam_mod.ROOT_PARENT, 0, 0, 1])
     out = BaseModelOutput(logits=one_hot_logits([2, 6, 0, 0], 8),
                           hidden=np.zeros((4, 4), np.float32))
     token, path = verify_greedy(out, tree)
@@ -523,7 +523,7 @@ def test_verify_matches_a_parents_walk_on_random_trees():
             row = logits[parents[-1]]
             tied = np.flatnonzero(row == row.max())
             tokens.append(int(rng.choice(tied) if rng.random() < 0.8 else rng.integers(vocab)))
-        tree = beam_mod.DraftTree.from_parents(tokens, parents)
+        tree = beam_mod.DraftTree(tokens, parents)
         out = BaseModelOutput(logits=logits, hidden=np.zeros((n, 4), np.float32))
         token, path = verify_greedy(out, tree)
         want_path, want_token = walk_verify(logits, tokens, parents)

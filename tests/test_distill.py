@@ -256,6 +256,22 @@ def test_dataset_builders_refuse_a_corpus_of_bad_token_ids(builder, seq, base, m
         builder(base, [seq], 3)
 
 
+@pytest.mark.parametrize("seq", [[[1, 2], [3, 4], [5, 6]], 5], ids=["rank-2", "scalar"])
+@pytest.mark.parametrize("builder", [build_distill_dataset, ground_truth_dataset])
+def test_dataset_builders_refuse_a_sequence_that_is_not_1d(builder, seq, monkeypatch):
+    """A corpus sequence is a token list as ``forward_context`` takes one:
+    on the vocab-32 Markov base, one that is not 1-D is the ShapeError
+    forward_context raises, before any forward, not a bare ValueError from
+    the block or window arithmetic."""
+    markov = SyntheticMarkovModel(order=2, vocab_size=32, seed=0)
+    with pytest.raises(ShapeError) as context:
+        markov.forward_context(seq, markov.new_cache())
+    for name in ("forward_context", "forward_packed"):
+        monkeypatch.setattr(markov, name, lambda *args, _name=name: pytest.fail(_name))
+    with pytest.raises(ShapeError, match=re.escape(str(context.value))):
+        builder(markov, [seq], 2)
+
+
 @pytest.mark.parametrize("ground_truth", [[], ["--ground-truth"]],
                          ids=["rollouts", "ground-truth"])
 def test_distill_data_cli_rejects_a_non_positive_horizon(ground_truth, tmp_path, capsys):

@@ -113,21 +113,6 @@ def test_commit_then_forward_matches_fresh_recompute(tiny):
     assert np.max(np.abs(committed.logits[-1] - fresh.logits[-1])) <= 1e-5
 
 
-def test_empty_packed_beam_yields_empty_output(tiny, markov):
-    """A tree forward of no nodes has no output to yield: it raises
-    ContractError and leaves the committed context untouched, on both bases."""
-    tree, _ = packed_from_tokens([[4, 5]])
-    empty = beam_mod.DraftTree(tokens=tree.tokens[:0], parents=tree.parents[:0],
-                               depths=tree.depths[:0], mask=tree.mask[:0, :0])
-    for base in (tiny, markov):
-        cache = base.new_cache()
-        base.forward_context([3, 1], cache)
-        before = cache_bits(cache)
-        with pytest.raises(ContractError, match="start"):
-            base.forward_packed(empty, cache)
-        assert cache_bits(cache) == before
-
-
 def test_empty_context_forward_yields_empty_output(tiny, markov):
     """A context forward of no tokens has no output to yield: it raises
     ContractError and leaves the committed context untouched, on both bases."""
@@ -496,8 +481,7 @@ def test_packed_forward_from_a_prior_equals_the_full_forward(tiny, name):
     for start in (0, n // 2, n - 1):
         heads = [tree]
         if start:
-            heads.append(beam_mod.DraftTree.from_parents(tree.tokens[:start],
-                                                         tree.parents[:start]))
+            heads.append(beam_mod.DraftTree(tree.tokens[:start], tree.parents[:start]))
         for head in heads:
             base.forward_packed(other, cache)  # another tree's K/V in the tail rows
             base.forward_packed(head, cache)
@@ -536,43 +520,32 @@ def test_beam_search_trees_match_causal_replay_bitwise_at_d128(lane):
 
 
 def test_packed_forward_rejects_a_mismatched_prior(tiny, markov):
-    """A start outside [0, n) names no prior nodes of the tree, or none to compute."""
+    """A start outside [0, n) names no prior nodes of the tree, or none to
+    compute, and one that is not an integer, such as 1.5, is a ContractError
+    too, not a bare TypeError from slicing; the cache does not change."""
     tree, _ = packed_from_tokens([[4, 5], [4, 6]])
     for base in (tiny, markov):
         cache = base.new_cache()
         base.forward_context([1, 2, 3], cache)
         base.forward_packed(tree, cache)
-        for start in (-1, tree.n, tree.n + 1):
+        before = cache_bits(cache)
+        for start in (-1, tree.n, tree.n + 1, 1.5):
             with pytest.raises(ContractError, match="start"):
                 base.forward_packed(tree, cache, start)
-
-
-def test_packed_forward_rejects_a_mask_of_another_size(tiny, markov):
-    """A hand-built tree's mask must be a boolean (n, n) array: one of
-    another size, or a float or int one of the right shape (an all-zero one
-    would read as "no key allowed"), is refused before the cache changes."""
-    tree, _ = packed_from_tokens([[4, 5], [4, 6]])
-    good = tree.mask
-    for mask in (good[:-1], good.astype(np.float32), good.astype(np.int64)):
-        tree.mask = mask
-        for base in (tiny, markov):
-            cache = base.new_cache()
-            base.forward_context([1, 2, 3], cache)
-            before = cache_bits(cache)
-            with pytest.raises(ShapeError, match=f"mask shape .* of dtype {mask.dtype} "):
-                base.forward_packed(tree, cache)
-            assert cache_bits(cache) == before
+        assert cache_bits(cache) == before
 
 
 def test_commit_rejects_a_non_path(tiny, markov):
-    """commit_accepted takes only a root-to-node path of the packed tree."""
+    """commit_accepted takes only a root-to-node path of the packed tree, of
+    integer nodes: [0, 1.5] is not truncated to the path [0, 1]."""
     # nodes: 0 root, 1 = 4, 2 = 4 -> 5, 3 = 4 -> 6
     packed, _ = packed_from_tokens(np.array([[4, 5], [4, 6]]))
     for base in (tiny, markov):
         cache = base.new_cache()
         base.forward_context([1, 2, 3], cache)
         _, spec_state = base.forward_packed(packed, cache)
-        for bad in ([0, 2], [1, 3], [0, 3, 1]):  # skips a level, not from the root, out of order
+        # skips a level, not from the root, out of order, and not integers
+        for bad in ([0, 2], [1, 3], [0, 3, 1], [0, 1.5], np.array([0.0, 1.0])):
             with pytest.raises(ContractError):
                 base.commit_accepted(cache, packed, spec_state, bad)
             assert cache.committed_len == 3
@@ -588,7 +561,7 @@ def test_commit_path_check_is_the_parent_chain_rule(markov):
     for _ in range(200):
         n = int(rng.integers(1, 10))
         parents = [beam_mod.ROOT_PARENT] + [int(rng.integers(0, i)) for i in range(1, n)]
-        tree = beam_mod.DraftTree.from_parents(rng.integers(0, 16, n), parents)
+        tree = beam_mod.DraftTree(rng.integers(0, 16, n), parents)
         node = int(rng.integers(n))
         valid = np.flatnonzero(tree.mask[node])
         for path in (valid, valid[1:], valid[::-1], valid[:-1], np.repeat(valid, 2), [],
