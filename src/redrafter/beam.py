@@ -14,10 +14,11 @@ shared prefixes are found with plain tensor operations (elementwise match
 matrix, cumulative sum, first-match argmax) instead of a trie
 (``dedup_prefix``), and ``pack_beam`` flattens the result.  A tree is its
 tokens and parents: every tree, from either route or any caller, comes from
-its one constructor, ``DraftTree(tokens, parents)``, which derives depths
-and the mask in one pass over the parents (a node's mask row is its
-parent's row plus the node) and freezes them.  The mask serves both the
-tree-masked verification forward and the commit's path.
+its one constructor, ``DraftTree(tokens, parents)``, which copies them,
+derives depths and the mask in one pass over the parents (a node's mask
+row is its parent's row plus the node) and makes all four read-only.  The
+mask serves both the tree-masked verification forward and the commit's
+path.
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ from . import drafter
 from .errors import ConfigError, ContractError, ShapeError, VocabError, int64_array
 
 ROOT_PARENT = -1  # parent index of the root node
+_MASKED = np.float32(-np.inf)  # a picked score; a NumPy scalar stores without a conversion
 _PARENTS_RULE = "parents must be ROOT_PARENT for node 0 and an earlier node for every other node"
 
 
@@ -41,7 +43,8 @@ class DraftTree:
     derives each depth and mask row from the parent's, and mask row i's nodes
     in ascending order are node i's path from the root down.  A node's depth
     is its offset from the root's absolute position.  Frozen: no field can
-    be assigned, and an in-place write keeps an array's dtype and shape.
+    be assigned, and the tree owns its four arrays, copied from the caller's
+    and read-only, so no write can part the depths or mask from the parents.
     """
 
     tokens: np.ndarray   # (n,) int64, the root first
@@ -74,11 +77,15 @@ class DraftTree:
             row[i] = True
             rows.append(row)
             depths.append(depths[parent] + 1)
+        # copies the tree owns, made read-only; a mask over bytes is read-only already
+        tokens, parents, depths = tokens.copy(), parents.copy(), np.array(depths, dtype=np.int64)
+        for arr in (tokens, parents, depths):
+            arr.setflags(write=False)
         put = object.__setattr__  # a frozen dataclass's own way to set a field
         put(self, "tokens", tokens)
         put(self, "parents", parents)
-        put(self, "depths", np.array(depths, dtype=np.int64))
-        put(self, "mask", np.frombuffer(bytearray().join(rows), dtype=bool).reshape(n, n))
+        put(self, "depths", depths)
+        put(self, "mask", np.frombuffer(b"".join(rows), dtype=bool).reshape(n, n))
 
 
 @dataclass
@@ -155,23 +162,25 @@ def beam_search(params, embeddings, h, last_token, beam_width, beam_length, toke
     logps = np.empty((beam_length, beam_width), params.dtype)
 
     keep = np.empty(beam_width, dtype=np.int64)
+    states = x[:, :d_s]  # the s columns of every row, a view
     with np.errstate(over="ignore"):  # silu's exp(-a); see the drafter docstring
         for depth in range(beam_length):
             # one live row at depth 0, beam_width rows after it
             scores = drafter.head_logp_batch(x[:1 if depth == 0 else beam_width], params)
             # at depth 0 the cumulative score is 0, and 0 + logp is logp (never -0.0)
             if depth:
-                scores += logps[depth - 1][:, None]
+                scores += logps[depth - 1, :, None]
             scores = scores.ravel()
             cum_logp = logps[depth]
             for pick in range(beam_width):
                 keep[pick] = best = scores.argmax()
                 cum_logp[pick] = scores[best]
-                scores[best] = -np.inf
+                scores[best] = _MASKED
             parent, tok = np.divmod(keep, vocab, out=(parents[depth], tokens[depth]))
             # the last depth's states would feed no head, so they are not computed
             if depth + 1 < beam_length:
-                x[:, :d_s] = drafter.step_batch(x[parent, :d_s], token_term[tok], params)
+                x[:, :d_s] = drafter.step_batch(states.take(parent, axis=0),
+                                                token_term.take(tok, axis=0), params)
 
     return BeamLattice(tokens=tokens, parents=parents, logp=logps)
 

@@ -145,6 +145,8 @@ class BaseModel(ABC):
     def _check_path(self, tree, flat_path):
         flat_path = int64_array(flat_path, ContractError, "accepted path nodes")
         path, parents = flat_path.tolist(), tree.parents.tolist()
+        if flat_path.ndim != 1 or (path and not 0 <= min(path) <= max(path) < len(parents)):
+            raise ContractError(f"accepted path nodes must be 1-D, each in [0, {tree.n})")
         # node k's parent must be node k - 1, and the first node's ROOT_PARENT
         if path and [parents[k] for k in path] != [ROOT_PARENT] + path[:-1]:
             raise ContractError("accepted positions do not form a root-to-node path")

@@ -443,9 +443,10 @@ def test_tree_constructor_refuses_non_integer_tokens_and_parents():
 
 def test_tree_fields_are_derived_and_frozen():
     """A tree is its tokens and parents: depths and the mask are no
-    constructor arguments, no field can be assigned, and an in-place write
-    keeps the mask a boolean (n, n) array, so no tree holds a mask its
-    constructor did not derive."""
+    constructor arguments, no field can be assigned, and every array is the
+    tree's own and read-only, so no tree holds a mask its constructor did
+    not derive: rewiring ``parents`` in place cannot leave stale depths and
+    mask rows, and the caller's int64 buffers are copied, not aliased."""
     tree, _ = pack_beam([[4, 5], [4, 6]], 3)
     good = tree.mask.copy()
     for extra in ({"depths": tree.depths}, {"mask": good}, {"depths": tree.depths, "mask": good}):
@@ -458,8 +459,19 @@ def test_tree_fields_are_derived_and_frozen():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(tree, name, value)
     assert_tree_fields_equal(tree, vectorized_from_parents(tree.tokens, tree.parents))
-    tree.mask[...] = 2.5
-    assert tree.mask.dtype == bool and tree.mask.shape == (tree.n, tree.n) and tree.mask.all()
+    for name in TREE_FIELDS:
+        with pytest.raises(ValueError):
+            getattr(tree, name)[...] = 2.5 if name == "mask" else 0
+    # the chain [4, 5, 6] from caller-owned int64 arrays
+    tokens, parents = np.array([4, 5, 6]), np.array([ROOT_PARENT, 0, 1])
+    chain = DraftTree(tokens, parents)
+    parents[2], tokens[2] = 0, 9
+    assert chain.parents.tolist() == [ROOT_PARENT, 0, 1] and chain.tokens.tolist() == [4, 5, 6]
+    assert not np.shares_memory(chain.tokens, tokens)
+    assert not np.shares_memory(chain.parents, parents)
+    with pytest.raises(ValueError):
+        chain.parents[2] = 0
+    assert chain.depths.tolist() == [0, 1, 2] and chain.mask[2].all()
 
 
 def vectorized_from_parents(tokens, parents):
@@ -494,7 +506,8 @@ def distill_block_parents(size, kept, horizon):
 def test_one_pass_constructor_equals_the_vectorized_reference():
     """Field by field, dtype included: chains, stars, random and deep random
     trees of 1-100 nodes, pack_beam's candidate-major trees and the
-    distillation block trees, from lists and from arrays."""
+    distillation block trees, from lists and from arrays; every array is
+    read-only."""
     rng = np.random.default_rng(36)
     cases = []
     for n in range(1, 101):
@@ -513,7 +526,8 @@ def test_one_pass_constructor_equals_the_vectorized_reference():
             tree = DraftTree(given, parents)
             assert_tree_fields_equal(tree, vectorized_from_parents(tokens, parents),
                                      list(parents))
-            assert tree.mask.flags.c_contiguous and tree.mask.flags.writeable
+            assert tree.mask.flags.c_contiguous
+            assert not any(getattr(tree, name).flags.writeable for name in TREE_FIELDS)
 
 
 def test_constructor_rejects_one_bad_parent_anywhere():

@@ -95,8 +95,12 @@ def test_head_logp_is_normalized_log_distribution():
 
 
 def test_batched_head_and_step_are_bitwise_the_plain_expressions():
-    """The in-place activations keep every operation and its order: results
-    equal the allocating expressions bit for bit, and inputs are unchanged."""
+    """The in-place activations keep every operation and its order, and each
+    ``np.dot`` product is the ``@`` product: results equal the allocating
+    expressions bit for bit, and inputs are unchanged.  Both precisions run,
+    every operand in the parameters' dtype: float64 at 1, 4 and 9 rows, and
+    the float32 that decoding runs at its shapes, 1 row and the beam-width
+    rows of the benchmark workloads (4 and 8), width 32, vocab 32 and 64."""
     def head_reference(x, p):
         for wm, bm in p.mlp:
             x = x + silu(x @ wm.T + bm)
@@ -105,18 +109,21 @@ def test_batched_head_and_step_are_bitwise_the_plain_expressions():
         return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
     rng = np.random.default_rng(15)
-    for rows in (1, 4, 9):
-        p = make_params(16 + rows, d_model=8, vocab=11)
-        p.b = rng.normal(size=p.d_s)
-        p.mlp = [(wm, rng.normal(size=bm.shape)) for wm, bm in p.mlp]
-        x = rng.normal(scale=3.0, size=(rows, 2 * p.d_s))
-        s, term = rng.normal(size=(rows, p.d_s)), rng.normal(size=(rows, p.d_s))
+    cases = [(np.float64, rows, 8, 11) for rows in (1, 4, 9)]
+    cases += [(np.float32, rows, 32, vocab) for vocab in (32, 64) for rows in (1, 4, 8)]
+    for dtype, rows, d_s, vocab in cases:
+        p = cast(make_params(16 + rows, d_model=d_s, vocab=vocab), dtype)
+        p.b = rng.normal(size=p.d_s).astype(dtype)
+        p.mlp = [(wm, rng.normal(size=bm.shape).astype(dtype)) for wm, bm in p.mlp]
+        x = rng.normal(scale=3.0, size=(rows, 2 * p.d_s)).astype(dtype)
+        s, term = (rng.normal(size=(rows, p.d_s)).astype(dtype) for _ in range(2))
         before = x.copy(), s.copy(), term.copy()
         got = drafter.head_logp_batch(x, p)
-        assert np.array_equal(got.view(np.uint64), head_reference(x, p).view(np.uint64))
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(np.uint8), head_reference(x, p).view(np.uint8))
         got = drafter.step_batch(s, term, p)
-        assert np.array_equal(got.view(np.uint64),
-                              silu(s @ p.u.T + term).view(np.uint64))
+        assert got.dtype == dtype
+        assert np.array_equal(got.view(np.uint8), silu(s @ p.u.T + term).view(np.uint8))
         for a, b in zip((x, s, term), before):
             assert np.array_equal(a, b)
 

@@ -300,10 +300,11 @@ def test_token_range_validation(tiny, markov):
         for bad in (SMALL.vocab_size, -1):
             with pytest.raises(VocabError, match="token id outside vocab"):
                 base.forward_context([1, bad], cache)
-            tree.tokens[2] = bad
+            # a tree's arrays are read-only, so the bad token comes in a new tree
+            tokens = tree.tokens.copy()
+            tokens[2] = bad
             with pytest.raises(VocabError, match="token id outside vocab"):
-                base.forward_packed(tree, cache)
-            tree.tokens[2] = 5
+                base.forward_packed(beam_mod.DraftTree(tokens, tree.parents), cache)
         assert cache.tokens == []
 
 
@@ -537,18 +538,24 @@ def test_packed_forward_rejects_a_mismatched_prior(tiny, markov):
 
 def test_commit_rejects_a_non_path(tiny, markov):
     """commit_accepted takes only a root-to-node path of the packed tree, of
-    integer nodes: [0, 1.5] is not truncated to the path [0, 1]."""
+    integer nodes: [0, 1.5] is not truncated to the path [0, 1].  A path is
+    1-D with every node in [0, n): a node past the tree, a scalar or a 2-D
+    path is a ContractError rather than a bare IndexError or TypeError, and
+    [0, -3] does not wrap round to node 1.  The cache does not change."""
     # nodes: 0 root, 1 = 4, 2 = 4 -> 5, 3 = 4 -> 6
     packed, _ = packed_from_tokens(np.array([[4, 5], [4, 6]]))
     for base in (tiny, markov):
         cache = base.new_cache()
         base.forward_context([1, 2, 3], cache)
         _, spec_state = base.forward_packed(packed, cache)
-        # skips a level, not from the root, out of order, and not integers
-        for bad in ([0, 2], [1, 3], [0, 3, 1], [0, 1.5], np.array([0.0, 1.0])):
+        before = cache_bits(cache)
+        # skips a level, not from the root, out of order, not integers, past
+        # the tree, a scalar, 2-D, and a negative node
+        for bad in ([0, 2], [1, 3], [0, 3, 1], [0, 1.5], np.array([0.0, 1.0]),
+                    [0, 7], 0, [[0, 1]], [0, -3]):
             with pytest.raises(ContractError):
                 base.commit_accepted(cache, packed, spec_state, bad)
-            assert cache.committed_len == 3
+            assert cache_bits(cache) == before
         base.commit_accepted(cache, packed, spec_state, [0, 1, 3])
         assert cache.tokens == [1, 2, 3, ROOT, 4, 6]
 
